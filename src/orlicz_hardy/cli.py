@@ -222,18 +222,25 @@ def load_pair_config(path) -> "mazya_mod.MeasurePair":
     raise PreconditionError(f"unknown measure-pair kind {kind!r}")
 
 
+def _mazya_check(res, verdict: str, **fields) -> dict:
+    """A Maz'ya check; a non-converged integral makes it indeterminate."""
+    check = {"id": "mazjacond", "verdict": verdict, **fields}
+    if not res.converged:
+        check["verdict"] = "indeterminate"
+        check["details"] = {"reason": "a quadrature behind B did not converge"}
+    return check
+
+
 def run_mazya(spec, checks: list, series: dict, gaussian=None, classical=False,
               pair=None):
     if pair is not None:
         res = mazya_mod.mazya_B(pair, spec)
-        checks.append({
-            "check_id": f"mazya:pair:{pair.label}",
-            "id": "mazjacond",
-            "verdict": "holds" if not res.divergent else "indeterminate",
-            "constants_used": {"B": res.B, "argmax_r": res.argmax_r,
-                               "divergent": res.divergent, "reason": res.reason},
-            "subject_label": pair.label,
-        })
+        checks.append(_mazya_check(
+            res, "holds" if not res.divergent else "indeterminate",
+            check_id=f"mazya:pair:{pair.label}",
+            constants_used={"B": res.B, "argmax_r": res.argmax_r,
+                            "divergent": res.divergent, "reason": res.reason},
+            subject_label=pair.label))
         series[f"mazya_{pair.label}"] = [
             {"r": r, "objective": v}
             for r, v in mazya_mod.objective_series(pair)]
@@ -241,29 +248,25 @@ def run_mazya(spec, checks: list, series: dict, gaussian=None, classical=False,
         pair = mazya_mod.classical_pair()
         res = mazya_mod.mazya_B(pair, spec)
         ok = (not res.divergent) and abs(res.B - 1.0) <= 1e-6
-        checks.append({
-            "check_id": "mazya:classical",
-            "id": "mazjacond", "verdict": "holds" if ok else "fails",
-            "lhs": res.B, "rhs": 1.0,
-            "constants_used": {"B": res.B, "argmax_r": res.argmax_r},
-            "subject_label": "classical",
-        })
+        checks.append(_mazya_check(
+            res, "holds" if ok else "fails",
+            check_id="mazya:classical", lhs=res.B, rhs=1.0,
+            constants_used={"B": res.B, "argmax_r": res.argmax_r},
+            subject_label="classical"))
         series["mazya_classical"] = [
             {"r": r, "objective": v} for r, v in mazya_mod.objective_series(pair)]
     for p, n in (gaussian or []):
         verdict, res = mazya_mod.gaussian_hardy_pq(p, n, spec)
         expected = "finite" if p > n else "divergent"
-        checks.append({
-            "check_id": f"mazya:gaussian:p={p:g}:n={n}",
-            "id": "mazjacond",
-            "verdict": "holds" if verdict == expected else "fails",
-            "constants_used": {
+        checks.append(_mazya_check(
+            res, "holds" if verdict == expected else "fails",
+            check_id=f"mazya:gaussian:p={p:g}:n={n}",
+            constants_used={
                 "p": p, "n": n, "B": res.B, "argmax_r": res.argmax_r,
                 "verdict_numeric": verdict, "verdict_expected": expected,
                 "reason": res.reason,
             },
-            "subject_label": f"gaussian[p={p:g},n={n}]",
-        })
+            subject_label=f"gaussian[p={p:g},n={n}]"))
 
 
 def run_lk(manifest, spec, dims, checks: list, series: dict, fits: dict,

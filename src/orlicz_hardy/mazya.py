@@ -13,17 +13,25 @@ holds for all Borel f iff
 The Gaussian application takes dmu = r^p dmu_n and dnu = dmu_n; there the
 inner integral converges at 0 iff p > n, so the transform inequality can
 hold only for p > n.
+
+`mazya_B` takes the supremum on a log grid.  The inner integral near a is
+probed once on a decade ladder (`_endpoint_probe`): ratios of neighbouring
+rungs below 1 - 1e-6 mean an integrable endpoint, anything larger a
+divergent one.  Beyond the probe the inner integral is accumulated in
+pieces between neighbouring grid points (`_Objective`), so the sweep costs
+one short integral per grid step.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import EvaluationError, PreconditionError
 from .hardy import CheckReport, _report
 from .quadrature import (
     QuadratureSpec,
@@ -46,6 +54,9 @@ __all__ = [
 
 INNER_CAP = 1e12
 OBJECTIVE_CAP = 1e12
+# endpoint ladder ratios at or above this count as 1 (divergent endpoint)
+RATIO_CUTOFF = 1.0 - 1e-6
+PROBE_WIDTH = 1e-3  # the endpoint probe covers (a, a + PROBE_WIDTH]
 
 
 @dataclass(frozen=True)
@@ -78,10 +89,13 @@ class MeasurePair:
 
 @dataclass(frozen=True)
 class MazyaResult:
+    """converged is False when a quadrature behind B did not converge."""
+
     B: float
     argmax_r: float
     divergent: bool
     reason: str = ""
+    converged: bool = True
 
 
 def _nu_integrand(pair: MeasurePair):
@@ -96,85 +110,132 @@ def _nu_integrand(pair: MeasurePair):
     return integrand
 
 
-def _endpoint_probe(pair: MeasurePair, width: float = 1e-3,
-                    rungs: int = 10) -> tuple[float, bool]:
+def _endpoint_probe(pair: MeasurePair, width: float = PROBE_WIDTH,
+                    rungs: int = 10) -> tuple[float, bool, bool]:
     """int over (a, a+width] of nu_density^(-1/(p-1)), probed on its own scale.
 
     The endpoint is approached through a decade ladder.  For an integrand
     ~ x^(-e) near a, successive ladder pieces form a geometric sequence with
     ratio 10^(e-1): ratios below 1 mean an integrable endpoint (the remaining
     tail is recovered by geometric extrapolation, exact for pure powers),
-    ratios at or above ~1 mean logarithmic or power blow-up.
+    ratios of 1 or more mean logarithmic or power blow-up.  The rungs are
+    integrated to 1e-10, so measured ratios agree with 10^(e-1) to about 12
+    digits: a ratio at or above RATIO_CUTOFF counts as 1.
+
+    Returns (value, finite, converged); converged is False when a rung's
+    quadrature did not converge.
     """
     integrand = _nu_integrand(pair)
     pieces = []
     hi = pair.a + width
     total = 0.0
+    converged = True
     for k in range(1, rungs + 1):
         lo = pair.a + width * 10.0 ** (-k)
         try:
             piece = integrate_interval(integrand, lo, hi, rel_tol=1e-10,
                                        abs_tol=1e-300)
-        except Exception:
-            return math.inf, False
+        except (EvaluationError, ArithmeticError):
+            return math.inf, False, converged
+        converged = converged and not piece.angular_warning
         pieces.append(piece.value)
         total += piece.value
         if not math.isfinite(total) or total > INNER_CAP:
-            return math.inf, False
+            return math.inf, False, converged
         hi = lo
     floor = 1e-13 * max(abs(total), 1e-30)
     if abs(pieces[-1]) <= floor:
-        return total, True
+        return total, True, converged
     ratios = [pieces[j + 1] / pieces[j] for j in range(len(pieces) - 3, len(pieces) - 1)
               if pieces[j] > 0.0]
-    if not ratios or max(ratios) >= 0.9:
-        return math.inf, False
+    if not ratios or max(ratios) >= RATIO_CUTOFF:
+        return math.inf, False, converged
     rho = max(ratios)
-    return total + pieces[-1] * rho / (1.0 - rho), True
+    return total + pieces[-1] * rho / (1.0 - rho), True, converged
 
 
-def _objective(pair: MeasurePair, r: float, probe: float,
-               probe_width: float = 1e-3) -> tuple[float, bool]:
-    tail = float(pair.mu_tail(r))
-    if tail <= 0.0:
-        return 0.0, True
-    inner = probe
-    if r > pair.a + probe_width:
+class _Objective:
+    """The Maz'ya objective r -> mu([r,oo))^(1/q) I(r)^((p-1)/p).
+
+    The inner integral I(r) = int_a^r nu_density^(-1/(p-1)) is the endpoint
+    probe up to a + PROBE_WIDTH plus pieces between increasing knots.  A
+    call with store=True makes r a knot, so a sweep over an increasing grid
+    integrates each piece [r_(i-1), r_i] once; any other r costs one piece
+    from the largest knot at or below it.  Pieces are positive, so each I(r) keeps the
+    relative accuracy of its pieces.  A point whose mu tail is 0 scores 0
+    without integrating; an integration error or a non-finite I(r) scores
+    inf, and so does every later knot.
+    """
+
+    def __init__(self, pair: MeasurePair, probe: float, converged: bool):
+        self.pair = pair
+        self.converged = converged
+        self._integrand = _nu_integrand(pair)
+        self._knots = [pair.a + PROBE_WIDTH]
+        self._inner = [probe]
+
+    def _inner_at(self, r: float) -> float:
+        j = max(bisect.bisect_right(self._knots, r) - 1, 0)
+        lo, inner = self._knots[j], self._inner[j]
+        if r <= lo or not math.isfinite(inner):
+            return inner
         try:
-            bulk = integrate_interval(_nu_integrand(pair), pair.a + probe_width,
-                                      r, rel_tol=1e-9, abs_tol=1e-16)
-        except Exception:
-            return math.inf, False
-        inner = probe + bulk.value
-    if not math.isfinite(inner):
-        return math.inf, False
-    return tail ** (1.0 / pair.q) * inner ** ((pair.p - 1.0) / pair.p), True
+            piece = integrate_interval(self._integrand, lo, r,
+                                       rel_tol=1e-9, abs_tol=1e-16)
+        except (EvaluationError, ArithmeticError):
+            return math.inf
+        self.converged = self.converged and not piece.angular_warning
+        return inner + piece.value
+
+    def __call__(self, r: float, store: bool = False) -> float:
+        tail = float(self.pair.mu_tail(r))
+        if tail <= 0.0:
+            return 0.0
+        inner = self._inner_at(r)
+        if store and r > self._knots[-1]:
+            self._knots.append(r)
+            self._inner.append(inner)
+        if not math.isfinite(inner):
+            return math.inf
+        return tail ** (1.0 / self.pair.q) * inner ** ((self.pair.p - 1.0) / self.pair.p)
+
+
+def _log_grid(pair: MeasurePair, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    offsets = np.logspace(-3.0, math.log10(pair.grid_hi), grid_points)
+    return offsets, pair.a + offsets
 
 
 def mazya_B(pair: MeasurePair, spec: QuadratureSpec | None = None,
             grid_points: int = 240) -> MazyaResult:
     """Supremum of the Maz'ya objective over a log grid with local refinement.
 
-    Divergence is flagged when the inner integral blows up at the left
-    endpoint, when the objective exceeds its cap, or when it keeps growing
-    across the last decade of the grid.
+    One sweep up the grid integrates the inner integral piece by piece
+    between neighbouring grid points; each golden-section step around the
+    grid maximum adds one piece to the stored value at the grid point below.
+    Divergence is flagged when the endpoint probe's decade ratios reach 1
+    (the inner integral blows up at the left endpoint), when the objective
+    exceeds its cap or a piece cannot be integrated, or when it keeps growing
+    across the last decade of the grid.  `converged` is False when any probe
+    rung or piece did not converge.
     """
     spec = spec or QuadratureSpec()
-    offsets = np.logspace(-3.0, math.log10(pair.grid_hi), grid_points)
-    rs = pair.a + offsets
+    offsets, rs = _log_grid(pair, grid_points)
 
     # left-endpoint convergence is shared by every grid point; probe it once
-    probe, ok0 = _endpoint_probe(pair)
+    probe, ok0, converged = _endpoint_probe(pair)
     if not ok0:
         return MazyaResult(math.inf, float(rs[0]), True,
-                           "inner integral diverges at the left endpoint")
+                           "inner integral diverges at the left endpoint",
+                           converged)
 
+    objective = _Objective(pair, probe, converged)
     vals = np.empty(rs.size)
     for i, r in enumerate(rs):
-        v, ok = _objective(pair, float(r), probe)
-        if not ok or v > OBJECTIVE_CAP:
+        v = objective(float(r), store=True)
+        if v > OBJECTIVE_CAP:
             return MazyaResult(math.inf, float(r), True,
-                               f"objective exceeds cap at r={r:.6g}")
+                               f"objective exceeds cap at r={r:.6g}",
+                               objective.converged)
         vals[i] = v
 
     i = int(np.argmax(vals))
@@ -184,7 +245,8 @@ def mazya_B(pair: MeasurePair, spec: QuadratureSpec | None = None,
         first = vals[decade][0]
         if first > 0 and vals[-1] > first * 1.01:
             return MazyaResult(float(vals[-1]), float(rs[-1]), True,
-                               "objective still growing at the grid boundary")
+                               "objective still growing at the grid boundary",
+                               objective.converged)
 
     lo = float(rs[max(i - 1, 0)])
     hi = float(rs[min(i + 1, rs.size - 1)])
@@ -193,23 +255,23 @@ def mazya_B(pair: MeasurePair, spec: QuadratureSpec | None = None,
     a_, b_ = lo, hi
     c_ = b_ - phi * (b_ - a_)
     d_ = a_ + phi * (b_ - a_)
-    fc, _ = _objective(pair, c_, probe)
-    fd, _ = _objective(pair, d_, probe)
+    fc = objective(c_)
+    fd = objective(d_)
     for _ in range(80):
         if b_ - a_ < 1e-10 * max(1.0, b_):
             break
         if fc >= fd:
             b_, d_, fd = d_, c_, fc
             c_ = b_ - phi * (b_ - a_)
-            fc, _ = _objective(pair, c_, probe)
+            fc = objective(c_)
         else:
             a_, c_, fc = c_, d_, fd
             d_ = a_ + phi * (b_ - a_)
-            fd, _ = _objective(pair, d_, probe)
+            fd = objective(d_)
     for r, v in ((c_, fc), (d_, fd)):
         if v > best_v:
             best_r, best_v = r, v
-    return MazyaResult(best_v, best_r, False)
+    return MazyaResult(best_v, best_r, False, converged=objective.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +344,12 @@ def table_pair(xs, mu_density_vals, nu_density_vals, p: float, q: float,
 
 def objective_series(pair: MeasurePair, grid_points: int = 60):
     """(r, objective) samples of the Maz'ya objective for plotting."""
-    offsets = np.logspace(-3.0, math.log10(pair.grid_hi), grid_points)
-    rs = pair.a + offsets
-    probe, ok = _endpoint_probe(pair)
-    rows = []
-    for r in rs:
-        if not ok:
-            rows.append((float(r), math.inf))
-            continue
-        v, ok_r = _objective(pair, float(r), probe)
-        rows.append((float(r), v if ok_r else math.inf))
-    return rows
+    _, rs = _log_grid(pair, grid_points)
+    probe, ok, converged = _endpoint_probe(pair)
+    if not ok:
+        return [(float(r), math.inf) for r in rs]
+    objective = _Objective(pair, probe, converged)
+    return [(float(r), objective(float(r), store=True)) for r in rs]
 
 
 def gaussian_hardy_pq(p: float, n: int,

@@ -178,6 +178,17 @@ def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
     return kron, err
 
 
+def _median(x: np.ndarray):
+    """np.median of a 1-d array, bit for bit, without its per-call overhead."""
+    if x.size == 1:
+        return x[0]
+    h = x.size // 2
+    if x.size % 2:
+        return np.partition(x, h)[h]
+    part = np.partition(x, (h - 1, h))
+    return (part[h - 1] + part[h]) / 2.0
+
+
 def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float,
               max_panels: int = 4096):
     """Adaptive panel subdivision until every component meets its tolerance.
@@ -195,8 +206,8 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float,
         if lo.size >= max_panels:
             return tot, tot_err, False
         score = (errs / need[:, None]).max(axis=0)
-        cut = max(score.max() * 0.25, np.median(score))
-        split = score >= min(cut, score.max())
+        top = score.max()
+        split = score >= min(max(top * 0.25, _median(score)), top)
         keep = ~split
         slo, shi = lo[split], hi[split]
         smid = 0.5 * (slo + shi)

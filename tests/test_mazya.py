@@ -1,11 +1,16 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from orlicz_hardy import mazya as mazya_mod
+from orlicz_hardy import quadrature
+from orlicz_hardy.cli import main
 from orlicz_hardy.errors import PreconditionError
 from orlicz_hardy.mazya import (
+    OBJECTIVE_CAP,
     MeasurePair,
     TransformInput,
     check_hardy_transform,
@@ -16,6 +21,7 @@ from orlicz_hardy.mazya import (
     objective_series,
     table_pair,
 )
+from orlicz_hardy.quadrature import integrate_interval
 
 
 def box(lo=1.0, hi=2.0, height=1.0):
@@ -36,13 +42,7 @@ class TestMazyaB:
         assert abs(coarse.B - fine.B) < 1e-6
 
     def test_vanishing_density_interval_divergent(self):
-        base = classical_pair()
-
-        def nu(x):
-            x = np.asarray(x, float)
-            return np.where((x > 0.3) & (x < 0.6), 0.0, 1.0)
-
-        res = mazya_B(dataclasses.replace(base, nu_density=nu))
+        res = mazya_B(vanishing_density_pair())
         assert res.divergent
 
     def test_p_equal_one_rejected(self):
@@ -58,6 +58,22 @@ class TestMazyaB:
                         p=3.0, q=2.0)
 
 
+def vanishing_density_pair():
+    def nu(x):
+        x = np.asarray(x, float)
+        return np.where((x > 0.3) & (x < 0.6), 0.0, 1.0)
+
+    return dataclasses.replace(classical_pair(), nu_density=nu, label="vanishing")
+
+
+def exp_table_pair():
+    xs = np.linspace(0.0, 10.0, 400)
+    return table_pair(xs, np.exp(-xs), np.ones_like(xs), p=2.0, q=2.0)
+
+
+GAUSSIAN_GRID = [(p, n) for p in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0) for n in (1, 2, 3)]
+
+
 class TestGaussianVerdicts:
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -69,6 +85,22 @@ class TestGaussianVerdicts:
         # p = n: the inner integrand behaves like 1/x near 0
         verdict, res = gaussian_hardy_pq(2.0, 2)
         assert verdict == "divergent"
+        assert "endpoint" in res.reason
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("hundredths", range(1, 12))
+    def test_endpoint_band_above_n_is_finite(self, n, hundredths):
+        # the endpoint ladder ratio 10^((n-1)/(p-1)-1) is within 1% of 1 here
+        p = round(n + hundredths / 100.0, 2)
+        verdict, res = gaussian_hardy_pq(p, n)
+        assert verdict == "finite", (p, n, res)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("hundredths", [0, 1, 2, 5, 11])
+    def test_endpoint_band_at_or_below_n_is_divergent(self, n, hundredths):
+        p = round(n - hundredths / 100.0, 2)
+        verdict, res = gaussian_hardy_pq(p, n)
+        assert verdict == "divergent", (p, n, res)
         assert "endpoint" in res.reason
 
     def test_finite_value_stable(self):
@@ -120,3 +152,183 @@ class TestSeriesAndTable:
         assert not res.divergent
         # sup_r sqrt(e^-r) * sqrt(r) at r = 1 equals sqrt(1/e)
         assert res.B == pytest.approx(math.exp(-0.5), rel=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the fresh-integral search that the cumulative sweep replaced
+# ---------------------------------------------------------------------------
+
+def reference_objective(pair, r, probe, rel_tol=1e-9, probe_width=1e-3):
+    """Objective at r with the inner integral taken afresh from a + width."""
+    tail = float(pair.mu_tail(r))
+    if tail <= 0.0:
+        return 0.0, True
+    inner = probe
+    if r > pair.a + probe_width:
+        try:
+            bulk = integrate_interval(mazya_mod._nu_integrand(pair), pair.a + probe_width,
+                                      r, rel_tol=rel_tol, abs_tol=1e-16)
+        except Exception:
+            return math.inf, False
+        inner = probe + bulk.value
+    if not math.isfinite(inner):
+        return math.inf, False
+    return tail ** (1.0 / pair.q) * inner ** ((pair.p - 1.0) / pair.p), True
+
+
+def reference_mazya_B(pair, grid_points=240):
+    offsets = np.logspace(-3.0, math.log10(pair.grid_hi), grid_points)
+    rs = pair.a + offsets
+    probe, ok0, _ = mazya_mod._endpoint_probe(pair)
+    if not ok0:
+        return mazya_mod.MazyaResult(math.inf, float(rs[0]), True,
+                                     "inner integral diverges at the left endpoint")
+    vals = np.empty(rs.size)
+    for i, r in enumerate(rs):
+        v, ok = reference_objective(pair, float(r), probe)
+        if not ok or v > OBJECTIVE_CAP:
+            return mazya_mod.MazyaResult(math.inf, float(r), True,
+                                         f"objective exceeds cap at r={r:.6g}")
+        vals[i] = v
+    i = int(np.argmax(vals))
+    if i == rs.size - 1:
+        decade = offsets >= offsets[-1] / 10.0
+        first = vals[decade][0]
+        if first > 0 and vals[-1] > first * 1.01:
+            return mazya_mod.MazyaResult(float(vals[-1]), float(rs[-1]), True,
+                                         "objective still growing at the grid boundary")
+    best_r, best_v = float(rs[i]), float(vals[i])
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a_, b_ = float(rs[max(i - 1, 0)]), float(rs[min(i + 1, rs.size - 1)])
+    c_ = b_ - phi * (b_ - a_)
+    d_ = a_ + phi * (b_ - a_)
+    fc, _ = reference_objective(pair, c_, probe)
+    fd, _ = reference_objective(pair, d_, probe)
+    for _ in range(80):
+        if b_ - a_ < 1e-10 * max(1.0, b_):
+            break
+        if fc >= fd:
+            b_, d_, fd = d_, c_, fc
+            c_ = b_ - phi * (b_ - a_)
+            fc, _ = reference_objective(pair, c_, probe)
+        else:
+            a_, c_, fc = c_, d_, fd
+            d_ = a_ + phi * (b_ - a_)
+            fd, _ = reference_objective(pair, d_, probe)
+    for r, v in ((c_, fc), (d_, fd)):
+        if v > best_v:
+            best_r, best_v = r, v
+    return mazya_mod.MazyaResult(best_v, best_r, False)
+
+
+def reference_series(pair, rel_tol, grid_points=60):
+    rs = pair.a + np.logspace(-3.0, math.log10(pair.grid_hi), grid_points)
+    probe, ok, _ = mazya_mod._endpoint_probe(pair)
+    rows = []
+    for r in rs:
+        v, ok_r = (reference_objective(pair, float(r), probe, rel_tol) if ok
+                   else (math.inf, False))
+        rows.append((float(r), v if ok_r else math.inf))
+    return rows
+
+
+def close(a, b, rel):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a == b
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+ORACLE_PAIRS = {"classical": classical_pair, "table": exp_table_pair,
+                "vanishing": vanishing_density_pair}
+ORACLE_PAIRS.update({f"gaussian-p{p:g}-n{n}": (lambda p=p, n=n: gaussian_pair(p, n))
+                     for p, n in GAUSSIAN_GRID})
+
+
+class TestCumulativeSearchOracle:
+    @pytest.mark.parametrize("name", ORACLE_PAIRS)
+    def test_B_matches_fresh_integral_search(self, name):
+        pair = ORACLE_PAIRS[name]()
+        new, ref = mazya_B(pair), reference_mazya_B(pair)
+        assert (new.divergent, new.reason) == (ref.divergent, ref.reason)
+        assert close(new.B, ref.B, 1e-13), (new, ref)
+        assert close(new.argmax_r, ref.argmax_r, 1e-7), (new, ref)
+        assert new.converged
+
+    @pytest.mark.parametrize("name", [k for k in ORACLE_PAIRS if k != "vanishing"])
+    def test_series_matches_fresh_integrals(self, name):
+        # A fresh integral at the search's 1e-9 drifts up to ~4e-11 from the
+        # true value over the wide spans of the 60-point grid, so the
+        # reference series is taken at 1e-14; the short pieces match it.
+        pair = ORACLE_PAIRS[name]()
+        series, ref = objective_series(pair), reference_series(pair, 1e-14)
+        assert [r for r, _ in series] == [r for r, _ in ref]
+        for (r, v), (_, w) in zip(series, ref):
+            assert close(v, w, 1e-13), (r, v, w)
+
+    def test_series_infinite_past_a_vanishing_density(self):
+        # nu vanishes on (0.3, 0.6), so the inner integral is infinite from
+        # there on; a fresh integral that steps over the gap reads finite
+        series = objective_series(vanishing_density_pair())
+        ref = reference_series(vanishing_density_pair(), 1e-9)
+        first = next(i for i, (_, v) in enumerate(series) if v == math.inf)
+        assert 0.3 < series[first][0] < 0.6
+        assert all(v == math.inf for _, v in series[first:])
+        assert ref[first][1] == math.inf
+        for (_, v), (_, w) in zip(series[:first], ref[:first]):
+            assert close(v, w, 1e-13)
+
+    def test_fewer_panel_sweeps_than_fresh_integrals(self, monkeypatch):
+        calls = {"n": 0}
+        real = quadrature._gk_panels
+
+        def counting(f, lo, hi):
+            calls["n"] += 1
+            return real(f, lo, hi)
+
+        monkeypatch.setattr(quadrature, "_gk_panels", counting)
+        pair = gaussian_pair(3.0, 2)
+        mazya_B(pair)
+        cumulative, calls["n"] = calls["n"], 0
+        reference_mazya_B(pair)
+        assert calls["n"] >= 3 * cumulative, (calls["n"], cumulative)
+
+
+# ---------------------------------------------------------------------------
+# Non-converged quadrature is never silent
+# ---------------------------------------------------------------------------
+
+def force_nonconverged(monkeypatch, flagged_tol):
+    """Mark every integral Maz'ya takes at rel_tol == flagged_tol non-converged."""
+    def flagged(f, a, b, rel_tol=1e-10, abs_tol=1e-14, breakpoints=()):
+        res = integrate_interval(f, a, b, rel_tol, abs_tol, breakpoints)
+        if rel_tol == flagged_tol:
+            res = dataclasses.replace(res, angular_warning=True)
+        return res
+
+    monkeypatch.setattr(mazya_mod, "integrate_interval", flagged)
+
+
+class TestNonConvergence:
+    def test_converged_by_default(self):
+        assert mazya_B(classical_pair()).converged
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-10], ids=["piece", "probe-rung"])
+    def test_flag_reaches_result(self, monkeypatch, rel_tol):
+        force_nonconverged(monkeypatch, rel_tol)
+        res = mazya_B(classical_pair())
+        assert not res.converged
+        assert res.B == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ["mazya", "--classical"],
+        ["mazya", "--gaussian", "--p", "3", "--n", "2"],
+        ["mazya", "--gaussian", "--p", "2", "--n", "3"],
+    ], ids=["classical", "gaussian-finite", "gaussian-divergent"])
+    def test_cli_verdict_indeterminate(self, monkeypatch, tmp_path, argv):
+        # probe rungs run for every pair, so flag those
+        force_nonconverged(monkeypatch, 1e-10)
+        main(["--out", str(tmp_path)] + argv)
+        doc = json.loads((tmp_path / "mazya.json").read_text())
+        (check,) = doc["body"]["checks"]
+        assert check["verdict"] == "indeterminate"
+        assert "did not converge" in check["details"]["reason"]

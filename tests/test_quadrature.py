@@ -17,6 +17,7 @@ from orlicz_hardy.quadrature import (
     surface_area,
     truncation_radius,
 )
+from orlicz_hardy.quadrature import _median
 
 
 class TestMoment:
@@ -138,3 +139,18 @@ class TestGaussianNd:
             QuadratureSpec(rel_tol=0.5)
         with pytest.raises(PreconditionError):
             GaussianMeasure(0)
+
+
+class TestMedian:
+    def test_bit_identical_to_numpy(self):
+        # the refiner's split threshold must not move: compare bits, ties included
+        rng = np.random.default_rng(7)
+        for i in range(2000):
+            x = rng.random(int(rng.integers(1, 40))) * 10.0 ** int(rng.integers(-6, 6))
+            if i % 3 == 0:
+                x = np.round(x, 1)
+            if i % 5 == 0:
+                x[rng.integers(0, x.size)] = x[0]
+            expected = np.median(x)
+            got = _median(x)
+            assert got == expected and type(got) is type(expected), x
