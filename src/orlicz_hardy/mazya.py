@@ -16,10 +16,10 @@ hold only for p > n.
 
 `mazya_B` takes the supremum on a log grid.  The inner integral near a is
 probed once on a decade ladder (`_endpoint_probe`): ratios of neighbouring
-rungs below 1 - 1e-6 mean an integrable endpoint, anything larger a
-divergent one.  Beyond the probe the inner integral is accumulated in
-pieces between neighbouring grid points (`_Objective`), so the sweep costs
-one short integral per grid step.
+rungs below 0.9 mean an integrable endpoint, anything larger a divergent
+one (the rule assumes a power-law endpoint).  Beyond the probe the inner
+integral is accumulated in pieces between neighbouring grid points
+(`_Objective`), so the sweep costs one short integral per grid step.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EvaluationError, PreconditionError
+from .errors import PreconditionError
 from .hardy import CheckReport, _report
 from .quadrature import (
     QuadratureSpec,
@@ -54,9 +54,8 @@ __all__ = [
 
 INNER_CAP = 1e12
 OBJECTIVE_CAP = 1e12
-# endpoint ladder ratios at or above this count as 1 (divergent endpoint)
-RATIO_CUTOFF = 1.0 - 1e-6
 PROBE_WIDTH = 1e-3  # the endpoint probe covers (a, a + PROBE_WIDTH]
+PROBE_RUNGS = 10  # decades of the endpoint ladder
 
 
 @dataclass(frozen=True)
@@ -110,32 +109,30 @@ def _nu_integrand(pair: MeasurePair):
     return integrand
 
 
-def _endpoint_probe(pair: MeasurePair, width: float = PROBE_WIDTH,
-                    rungs: int = 10) -> tuple[float, bool, bool]:
-    """int over (a, a+width] of nu_density^(-1/(p-1)), probed on its own scale.
+def _endpoint_probe(pair: MeasurePair) -> tuple[float, bool, bool]:
+    """int over (a, a+PROBE_WIDTH] of nu_density^(-1/(p-1)), on its own scale.
 
     The endpoint is approached through a decade ladder.  For an integrand
     ~ x^(-e) near a, successive ladder pieces form a geometric sequence with
     ratio 10^(e-1): ratios below 1 mean an integrable endpoint (the remaining
     tail is recovered by geometric extrapolation, exact for pure powers),
-    ratios of 1 or more mean logarithmic or power blow-up.  The rungs are
-    integrated to 1e-10, so measured ratios agree with 10^(e-1) to about 12
-    digits: a ratio at or above RATIO_CUTOFF counts as 1.
+    ratios at or above ~1 mean logarithmic or power blow-up.  The rule
+    assumes a power-law endpoint and counts a ratio of 0.9 or more as 1.
 
     Returns (value, finite, converged); converged is False when a rung's
     quadrature did not converge.
     """
     integrand = _nu_integrand(pair)
     pieces = []
-    hi = pair.a + width
+    hi = pair.a + PROBE_WIDTH
     total = 0.0
     converged = True
-    for k in range(1, rungs + 1):
-        lo = pair.a + width * 10.0 ** (-k)
+    for k in range(1, PROBE_RUNGS + 1):
+        lo = pair.a + PROBE_WIDTH * 10.0 ** (-k)
         try:
             piece = integrate_interval(integrand, lo, hi, rel_tol=1e-10,
                                        abs_tol=1e-300)
-        except (EvaluationError, ArithmeticError):
+        except Exception:
             return math.inf, False, converged
         converged = converged and not piece.angular_warning
         pieces.append(piece.value)
@@ -148,7 +145,7 @@ def _endpoint_probe(pair: MeasurePair, width: float = PROBE_WIDTH,
         return total, True, converged
     ratios = [pieces[j + 1] / pieces[j] for j in range(len(pieces) - 3, len(pieces) - 1)
               if pieces[j] > 0.0]
-    if not ratios or max(ratios) >= RATIO_CUTOFF:
+    if not ratios or max(ratios) >= 0.9:
         return math.inf, False, converged
     rho = max(ratios)
     return total + pieces[-1] * rho / (1.0 - rho), True, converged
@@ -161,10 +158,10 @@ class _Objective:
     probe up to a + PROBE_WIDTH plus pieces between increasing knots.  A
     call with store=True makes r a knot, so a sweep over an increasing grid
     integrates each piece [r_(i-1), r_i] once; any other r costs one piece
-    from the largest knot at or below it.  Pieces are positive, so each I(r) keeps the
-    relative accuracy of its pieces.  A point whose mu tail is 0 scores 0
-    without integrating; an integration error or a non-finite I(r) scores
-    inf, and so does every later knot.
+    from the largest knot at or below it.  Pieces are positive, so each I(r)
+    keeps the relative accuracy of its pieces.  A point whose mu tail is 0
+    scores 0 without integrating; an integration error or a non-finite I(r)
+    scores inf, and so does every later knot.
     """
 
     def __init__(self, pair: MeasurePair, probe: float, converged: bool):
@@ -182,7 +179,7 @@ class _Objective:
         try:
             piece = integrate_interval(self._integrand, lo, r,
                                        rel_tol=1e-9, abs_tol=1e-16)
-        except (EvaluationError, ArithmeticError):
+        except Exception:
             return math.inf
         self.converged = self.converged and not piece.angular_warning
         return inner + piece.value
@@ -212,7 +209,7 @@ def mazya_B(pair: MeasurePair, spec: QuadratureSpec | None = None,
     One sweep up the grid integrates the inner integral piece by piece
     between neighbouring grid points; each golden-section step around the
     grid maximum adds one piece to the stored value at the grid point below.
-    Divergence is flagged when the endpoint probe's decade ratios reach 1
+    Divergence is flagged when the endpoint probe's decade ratios reach 0.9
     (the inner integral blows up at the left endpoint), when the objective
     exceeds its cap or a piece cannot be integrated, or when it keeps growing
     across the last decade of the grid.  `converged` is False when any probe
