@@ -34,16 +34,18 @@ for label, r, s, t in rows:
     print(f"  {label:10s} ||grad u|| = {r:8.4f}   sqrt(||hess|| ||u||) = {s:8.4f}"
           f"   ||u|| = {t:8.4f}")
 
-fit_mod, _ = fit_lk_modular_envelope(fields, nf, None,
-                                     theta_grid=(0.25, 0.5, 1.0))
+fit_mod, terms = fit_lk_modular_envelope(fields, nf, None,
+                                         theta_grid=(0.25, 0.5, 1.0))
 print(f"\nmodular envelope: C1 = {fit_mod.c1:g}, C2 = {fit_mod.c2:g}; "
       f"theta sweep with the theta = 1 constants:")
 for theta in (0.25, 0.5, 1.0):
-    verdicts = [check_lk_modular(u, nf, fit_mod.c1, fit_mod.c2, theta).verdict
-                for u in fields]
+    verdicts = [check_lk_modular(by_theta[theta], fit_mod.c1, fit_mod.c2,
+                                 theta).verdict
+                for by_theta in terms.values()]
     print(f"  theta = {theta:4.2f}: {verdicts}")
 
-rep = additive_lk_from_hardy(fields[0], nf, n, fit_mod.c1, fit_mod.c2)
+rep = additive_lk_from_hardy(fields[0], nf, n, terms[fields[0].label][1.0],
+                             fit_mod.c1, fit_mod.c2)
 print(f"\nprovenance chain for '{fields[0].label}': Hardy form "
       f"{rep.provenance['hardy_form']} verdict {rep.provenance['hardy_verdict']}"
       f" -> LK verdict {rep.verdict}")

@@ -223,18 +223,23 @@ def load_pair_config(path) -> "mazya_mod.MeasurePair":
 
 
 def _mazya_check(res, verdict: str, **fields) -> dict:
-    """A Maz'ya check; a non-converged integral makes it indeterminate."""
-    check = {"id": "mazjacond", "verdict": verdict, **fields}
+    """A Maz'ya check recording the search's own tolerances; a non-converged
+    integral makes it indeterminate."""
+    details = {"probe_rel_tol": mazya_mod.PROBE_REL_TOL,
+               "probe_abs_tol": mazya_mod.PROBE_ABS_TOL,
+               "piece_rel_tol": mazya_mod.PIECE_REL_TOL,
+               "piece_abs_tol": mazya_mod.PIECE_ABS_TOL}
+    check = {"id": "mazjacond", "verdict": verdict, "details": details, **fields}
     if not res.converged:
         check["verdict"] = "indeterminate"
-        check["details"] = {"reason": "a quadrature behind B did not converge"}
+        details["reason"] = "a quadrature behind B did not converge"
     return check
 
 
-def run_mazya(spec, checks: list, series: dict, gaussian=None, classical=False,
+def run_mazya(checks: list, series: dict, gaussian=None, classical=False,
               pair=None):
     if pair is not None:
-        res = mazya_mod.mazya_B(pair, spec)
+        res = mazya_mod.mazya_B(pair)
         checks.append(_mazya_check(
             res, "holds" if not res.divergent else "indeterminate",
             check_id=f"mazya:pair:{pair.label}",
@@ -246,7 +251,7 @@ def run_mazya(spec, checks: list, series: dict, gaussian=None, classical=False,
             for r, v in mazya_mod.objective_series(pair)]
     if classical:
         pair = mazya_mod.classical_pair()
-        res = mazya_mod.mazya_B(pair, spec)
+        res = mazya_mod.mazya_B(pair)
         ok = (not res.divergent) and abs(res.B - 1.0) <= 1e-6
         checks.append(_mazya_check(
             res, "holds" if ok else "fails",
@@ -256,7 +261,7 @@ def run_mazya(spec, checks: list, series: dict, gaussian=None, classical=False,
         series["mazya_classical"] = [
             {"r": r, "objective": v} for r, v in mazya_mod.objective_series(pair)]
     for p, n in (gaussian or []):
-        verdict, res = mazya_mod.gaussian_hardy_pq(p, n, spec)
+        verdict, res = mazya_mod.gaussian_hardy_pq(p, n)
         expected = "finite" if p > n else "divergent"
         checks.append(_mazya_check(
             res, "holds" if verdict == expected else "fails",
@@ -293,11 +298,13 @@ def run_lk(manifest, spec, dims, checks: list, series: dict, fits: dict,
                                    "binding": fit_norm.binding_label},
                 "nfunc_label": nf_label, "n": n,
             })
-            for u in fields:
-                rep = lk_mod.check_lk_norm(u, nf, fit_norm.c1, fit_norm.c2, spec)
-                _collect(checks, rep, "statB2gauss", nf_label, u.label, n)
+            for label, *triple in rows:
+                rep = lk_mod.check_lk_norm(triple, fit_norm.c1, fit_norm.c2,
+                                           nfunc_label=nf.label,
+                                           subject_label=label, n=n)
+                _collect(checks, rep, "statB2gauss", nf_label, label, n)
 
-            fit_mod, term_rows = lk_mod.fit_lk_modular_envelope(
+            fit_mod, terms = lk_mod.fit_lk_modular_envelope(
                 fields, nf, spec, fit_grid, theta_grid)
             fits[f"statB1gauss:{nf_label}:n={n}"] = {
                 "C1": fit_mod.c1, "C2": fit_mod.c2,
@@ -309,15 +316,17 @@ def run_lk(manifest, spec, dims, checks: list, series: dict, fits: dict,
             series[f"lk_theta_sweep:{nf_label}:n={n}"] = [
                 {"subject": label, "theta": th, "lhs": lhs,
                  "hess_modular": a, "func_modular": b}
-                for label, th, lhs, a, b in term_rows]
+                for label, by_theta in terms.items()
+                for th, (lhs, a, b, _) in by_theta.items() if fit_mod.feasible]
             for u in fields:
                 for theta in theta_grid:
                     rep = lk_mod.check_lk_modular(
-                        u, nf, fit_mod.c1, fit_mod.c2, theta, spec)
+                        terms[u.label][theta], fit_mod.c1, fit_mod.c2, theta,
+                        nfunc_label=nf.label, subject_label=u.label, n=n)
                     _collect(checks, rep, f"statB1:theta={theta:g}",
                              nf_label, u.label, n)
                 rep = lk_mod.additive_lk_from_hardy(
-                    u, nf, n, fit_mod.c1, fit_mod.c2, spec)
+                    u, nf, n, terms[u.label][1.0], fit_mod.c1, fit_mod.c2, spec)
                 _collect(checks, rep, "statB1gauss_from_hardy",
                          nf_label, u.label, n)
 
@@ -430,7 +439,7 @@ def main(argv=None) -> int:
                 classical = True
                 gaussian = [(p, n) for p in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
                             for n in (1, 2, 3)]
-            run_mazya(spec, checks, series, gaussian=gaussian,
+            run_mazya(checks, series, gaussian=gaussian,
                       classical=classical, pair=pair)
         elif args.subcommand == "lk":
             grid = (tuple(float(c) for c in args.fit_grid.split(","))
@@ -446,7 +455,7 @@ def main(argv=None) -> int:
             for p in (3.0, 4.0):
                 for n in dims[:2]:
                     run_sharpness(p, n, DEFAULT_ALPHAS, spec, checks, series)
-            run_mazya(spec, checks, series, classical=True,
+            run_mazya(checks, series, classical=True,
                       gaussian=[(p, n) for p in (1.5, 2.0, 3.0, 4.0)
                                 for n in (1, 2, 3)])
             run_lk(manifest, spec, [n for n in dims if n <= 2], checks, series,

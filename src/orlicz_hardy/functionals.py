@@ -144,15 +144,6 @@ def _compose_hint(arg_hint: SupportHint, weight_degree: float,
     return SupportHint.decaying(D * (arg_hint.degree + weight_degree), e * rate)
 
 
-def _modular_component(fn, hint, nf, n, spec, breakpoints) -> tuple[float, float, bool]:
-    """One modular integral; returns (value, err, divergent)."""
-    env = _compose_hint(hint, 0.0, nf)
-    if env.kind == "decaying" and 1.0 + env.rate <= 0.0:
-        return math.inf, math.inf, True
-    res = integrate_radial(fn, n, spec, envelope=env, breakpoints=breakpoints)
-    return res.value, res.err_est, False
-
-
 def modular_triple_radial(u: RadialTestFunction, nf: NFunction, n: int,
                           spec: QuadratureSpec | None = None) -> ModularTriple:
     """K, L, G of a radial profile against dmu_n."""

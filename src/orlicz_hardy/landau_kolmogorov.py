@@ -61,6 +61,8 @@ class LKReport:
 
     form: str
     lhs: float
+    rhs: float
+    slack: float
     rhs_terms: dict
     constants_used: dict
     tolerance: float
@@ -71,14 +73,6 @@ class LKReport:
     subject_label: str = ""
     n: int | None = None
     provenance: dict = field(default_factory=dict)
-
-    @property
-    def rhs(self) -> float:
-        return sum(self.rhs_terms.values())
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
 
     @property
     def passed(self) -> bool:
@@ -145,11 +139,11 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, theta: float = 1.0,
     return lhs.value, a.value, b.value, (lhs.err_est, a.err_est, b.err_est)
 
 
-def check_lk_modular(u: FieldFunction, nf: NFunction, c1: float, c2: float,
-                     theta: float = 1.0, spec: QuadratureSpec | None = None,
-                     normalized: bool = False, **meta) -> LKReport:
-    """Check lhs <= C1 * hess_term + C2 * func_term at the given theta."""
-    lhs, a, b, errs = lk_modular_terms(u, nf, theta, spec, normalized)
+def check_lk_modular(terms: tuple, c1: float, c2: float, theta: float = 1.0,
+                     **meta) -> LKReport:
+    """Check lhs <= C1 * hess_term + C2 * func_term for the terms
+    (lhs, hess_term, func_term, errs) of `lk_modular_terms` at theta."""
+    lhs, a, b, errs = terms
     rhs = c1 * a + c2 * b
     err = errs[0] + c1 * errs[1] + c2 * errs[2]
     tol = comparison_tol(rhs)
@@ -162,10 +156,10 @@ def check_lk_modular(u: FieldFunction, nf: NFunction, c1: float, c2: float,
         verdict = "holds" if slack >= -tol else "fails"
     return LKReport(
         form="statB1gauss" if theta == 1.0 else "statB1_theta",
-        lhs=lhs, rhs_terms={"hessian": c1 * a, "function": c2 * b},
+        lhs=lhs, rhs=rhs, slack=slack,
+        rhs_terms={"hessian": c1 * a, "function": c2 * b},
         constants_used={"C1": c1, "C2": c2, "hess_modular": a, "func_modular": b},
-        tolerance=tol, err_est=err, verdict=verdict, theta=theta,
-        nfunc_label=nf.label, subject_label=u.label, n=u.n, **meta)
+        tolerance=tol, err_est=err, verdict=verdict, theta=theta, **meta)
 
 
 def lk_norm_triple(u: FieldFunction, nf: NFunction,
@@ -186,11 +180,10 @@ def lk_norm_triple(u: FieldFunction, nf: NFunction,
     return norm_grad, math.sqrt(norm_hess * norm_u), norm_u
 
 
-def check_lk_norm(u: FieldFunction, nf: NFunction, c1: float, c2: float,
-                  spec: QuadratureSpec | None = None,
-                  normalized: bool = False, **meta) -> LKReport:
-    """Check ||grad u|| <= C1~ sqrt(||hess u|| ||u||) + C2~ ||u||."""
-    r, s, t = lk_norm_triple(u, nf, spec, normalized)
+def check_lk_norm(triple: tuple, c1: float, c2: float, **meta) -> LKReport:
+    """Check ||grad u|| <= C1~ sqrt(||hess u|| ||u||) + C2~ ||u|| for the
+    (r, s, t) of `lk_norm_triple`."""
+    r, s, t = triple
     rhs = c1 * s + c2 * t
     tol = comparison_tol(rhs)
     err = 3e-9 * max(1.0, rhs)
@@ -202,11 +195,10 @@ def check_lk_norm(u: FieldFunction, nf: NFunction, c1: float, c2: float,
     else:
         verdict = "holds" if slack >= -tol else "fails"
     return LKReport(
-        form="statB2gauss", lhs=r,
+        form="statB2gauss", lhs=r, rhs=rhs, slack=slack,
         rhs_terms={"geometric_mean": c1 * s, "function_norm": c2 * t},
         constants_used={"C1": c1, "C2": c2, "r": r, "s": s, "t": t},
-        tolerance=tol, err_est=err, verdict=verdict,
-        nfunc_label=nf.label, subject_label=u.label, n=u.n, **meta)
+        tolerance=tol, err_est=err, verdict=verdict, **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +252,20 @@ def fit_lk_norm_envelope(corpus, nf: NFunction,
 def fit_lk_modular_envelope(corpus, nf: NFunction,
                             spec: QuadratureSpec | None = None,
                             grid=DEFAULT_FIT_GRID,
-                            theta_grid=(0.25, 0.5, 1.0)) -> tuple[LKFit, list]:
+                            theta_grid=(0.25, 0.5, 1.0)) -> tuple[LKFit, dict]:
     """Fit (C1, C2) for the modular form at theta = 1 and validate the pair
     across the declared theta grid.
 
     Selection minimises C1 + C2 over grid pairs feasible at theta = 1; if
     the cheapest pair fails at some smaller theta, the next grid pairs are
-    tried (the selection rule is part of the reported provenance).
+    tried (the selection rule is part of the reported provenance).  Returns
+    the fit and, feasible or not, the terms it was fitted on: member label ->
+    theta -> (lhs, hess_term, func_term, errs), thetas in increasing order
+    and theta = 1 always among them.
     """
-    terms = {}
-    for u in corpus:
-        by_theta = {}
-        for theta in sorted(set(theta_grid) | {1.0}):
-            by_theta[theta] = lk_modular_terms(u, nf, theta, spec)
-        terms[u.label] = by_theta
+    thetas = sorted(set(theta_grid) | {1.0})
+    terms = {u.label: {theta: lk_modular_terms(u, nf, theta, spec) for theta in thetas}
+             for u in corpus}
 
     def feasible_at(c1, c2, theta):
         for label, by_theta in terms.items():
@@ -285,13 +277,13 @@ def fit_lk_modular_envelope(corpus, nf: NFunction,
     candidates = sorted(((c1 + c2, c1, c2) for c1 in grid for c2 in grid))
     chosen = None
     for _, c1, c2 in candidates:
-        if all(feasible_at(c1, c2, th) for th in sorted(set(theta_grid) | {1.0})):
+        if all(feasible_at(c1, c2, th) for th in thetas):
             chosen = (c1, c2)
             break
     if chosen is None:
         fit = LKFit(math.inf, math.inf, "", tuple(grid),
                     tuple(terms.keys()), "statB1gauss", feasible=False)
-        return fit, []
+        return fit, terms
     c1, c2 = chosen
     slack = {label: min(c1 * vals[1] + c2 * vals[2] - vals[0]
                         for vals in by_theta.values())
@@ -299,26 +291,27 @@ def fit_lk_modular_envelope(corpus, nf: NFunction,
     binding = min(slack, key=slack.get)
     fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=tuple(grid),
                 corpus_labels=tuple(terms.keys()), form="statB1gauss")
-    rows = [(label, th) + terms[label][th][:3]
-            for label in terms for th in sorted(terms[label])]
-    return fit, rows
+    return fit, terms
 
 
 def additive_lk_from_hardy(u: FieldFunction, nf: NFunction, n: int,
-                           c1: float, c2: float,
+                           terms: tuple, c1: float, c2: float,
                            spec: QuadratureSpec | None = None,
                            **meta) -> LKReport:
     """theta = 1 modular check gated on the Hardy hypothesis.
 
-    The Gaussian Hardy inequality (form hn1) is verified for (u, nf, n)
-    first; the resulting report is recorded as provenance of the LK check.
+    terms: the theta = 1 `lk_modular_terms` of (u, nf).  The Gaussian Hardy
+    inequality (form hn1) is verified for (u, nf, n) first; the resulting
+    report is recorded as provenance of the LK check.
     """
+    _require_lk_hypotheses(u, nf)
     spec = spec or QuadratureSpec()
     hardy_rep = check_nd(u, nf, n, "hn1", spec)
     if hardy_rep.verdict == "fails":
         raise PreconditionError(
             f"Hardy hypothesis fails for ('{u.label}', '{nf.label}', n={n})")
-    rep = check_lk_modular(u, nf, c1, c2, theta=1.0, spec=spec, **meta)
+    rep = check_lk_modular(terms, c1, c2, theta=1.0, nfunc_label=nf.label,
+                           subject_label=u.label, n=u.n, **meta)
     rep.provenance = {
         "hardy_form": "hn1",
         "hardy_verdict": hardy_rep.verdict,

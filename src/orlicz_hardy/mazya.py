@@ -56,6 +56,9 @@ INNER_CAP = 1e12
 OBJECTIVE_CAP = 1e12
 PROBE_WIDTH = 1e-3  # the endpoint probe covers (a, a + PROBE_WIDTH]
 PROBE_RUNGS = 10  # decades of the endpoint ladder
+# Tolerances of the supremum search; the run's QuadratureSpec does not apply.
+PROBE_REL_TOL, PROBE_ABS_TOL = 1e-10, 1e-300  # each rung of the endpoint probe
+PIECE_REL_TOL, PIECE_ABS_TOL = 1e-9, 1e-16  # each piece between knots
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,8 @@ def _endpoint_probe(pair: MeasurePair) -> tuple[float, bool, bool]:
     for k in range(1, PROBE_RUNGS + 1):
         lo = pair.a + PROBE_WIDTH * 10.0 ** (-k)
         try:
-            piece = integrate_interval(integrand, lo, hi, rel_tol=1e-10,
-                                       abs_tol=1e-300)
+            piece = integrate_interval(integrand, lo, hi, rel_tol=PROBE_REL_TOL,
+                                       abs_tol=PROBE_ABS_TOL)
         except Exception:
             return math.inf, False, converged
         converged = converged and not piece.angular_warning
@@ -178,7 +181,7 @@ class _Objective:
             return inner
         try:
             piece = integrate_interval(self._integrand, lo, r,
-                                       rel_tol=1e-9, abs_tol=1e-16)
+                                       rel_tol=PIECE_REL_TOL, abs_tol=PIECE_ABS_TOL)
         except Exception:
             return math.inf
         self.converged = self.converged and not piece.angular_warning
@@ -202,8 +205,7 @@ def _log_grid(pair: MeasurePair, grid_points: int) -> tuple[np.ndarray, np.ndarr
     return offsets, pair.a + offsets
 
 
-def mazya_B(pair: MeasurePair, spec: QuadratureSpec | None = None,
-            grid_points: int = 240) -> MazyaResult:
+def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
     """Supremum of the Maz'ya objective over a log grid with local refinement.
 
     One sweep up the grid integrates the inner integral piece by piece
@@ -215,7 +217,6 @@ def mazya_B(pair: MeasurePair, spec: QuadratureSpec | None = None,
     across the last decade of the grid.  `converged` is False when any probe
     rung or piece did not converge.
     """
-    spec = spec or QuadratureSpec()
     offsets, rs = _log_grid(pair, grid_points)
 
     # left-endpoint convergence is shared by every grid point; probe it once
@@ -349,8 +350,7 @@ def objective_series(pair: MeasurePair, grid_points: int = 60):
     return [(float(r), objective(float(r), store=True)) for r in rs]
 
 
-def gaussian_hardy_pq(p: float, n: int,
-                      spec: QuadratureSpec | None = None) -> tuple[str, MazyaResult]:
+def gaussian_hardy_pq(p: float, n: int) -> tuple[str, MazyaResult]:
     """Finiteness verdict for the Gaussian Hardy transform pair.
 
     Returns ("finite" | "divergent", MazyaResult).  Analytically the inner
@@ -359,7 +359,7 @@ def gaussian_hardy_pq(p: float, n: int,
     """
     if p <= 1.0:
         raise PreconditionError(f"requires p > 1, got p={p}")
-    res = mazya_B(gaussian_pair(p, n), spec)
+    res = mazya_B(gaussian_pair(p, n))
     return ("divergent" if res.divergent else "finite"), res
 
 

@@ -151,13 +151,13 @@ def test_06_c1_lower_bound_and_stirling(spec):
                f"ratio dev {worst:.2e}, stirling gap {stirling_gap:.2e}")
 
 
-def test_07_mazya_gaussian_verdicts(spec):
+def test_07_mazya_gaussian_verdicts():
     ok = True
     for p in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
         for n in (1, 2, 3):
-            verdict, _ = gaussian_hardy_pq(p, n, spec)
+            verdict, _ = gaussian_hardy_pq(p, n)
             ok &= verdict == ("finite" if p > n else "divergent")
-    classical = mazya_B(classical_pair(), spec)
+    classical = mazya_B(classical_pair())
     ok &= (not classical.divergent) and abs(classical.B - 1.0) <= 1e-6
     _criterion(7, "Maz'ya criterion matches p > n; classical B = 1",
                ok, f"classical B = {classical.B:.9f}")
@@ -222,13 +222,13 @@ def test_10_lk_envelopes(manifest, spec):
             fit_norm, _ = fit_lk_norm_envelope(fields, nf, spec)
             ok &= fit_norm.feasible and math.isfinite(fit_norm.c1 + fit_norm.c2)
             ok &= fit_norm.binding_label in {f.label for f in fields}
-            fit_mod, _ = fit_lk_modular_envelope(fields, nf, spec,
-                                                 theta_grid=(0.25, 0.5, 1.0))
+            fit_mod, terms = fit_lk_modular_envelope(fields, nf, spec,
+                                                     theta_grid=(0.25, 0.5, 1.0))
             ok &= fit_mod.feasible
             for u in fields:
                 for theta in (0.25, 0.5, 1.0):
-                    rep = check_lk_modular(u, nf, fit_mod.c1, fit_mod.c2,
-                                           theta, spec)
+                    rep = check_lk_modular(terms[u.label][theta], fit_mod.c1,
+                                           fit_mod.c2, theta)
                     ok &= rep.verdict in ("holds", "indeterminate")
             # stability: a larger corpus cannot shrink the envelope
             fit_small, _ = fit_lk_norm_envelope(fields[:2], nf, spec)

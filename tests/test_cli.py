@@ -2,6 +2,10 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import jsonschema
+import pytest
 
 from orlicz_hardy.cli import main
 from orlicz_hardy.reporting import canonical_json
@@ -60,6 +64,17 @@ class TestSubcommands:
             assert fit["feasible"]
             assert fit["binding"] in fit["corpus"]
 
+    def test_lk_checks_carry_rhs_and_slack(self, tmp_path):
+        rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p2", "--dim", "1"])
+        assert rc == 0
+        doc = load_report(tmp_path / "lk.json")
+        lk_checks = [c for c in doc["body"]["checks"] if "rhs_terms" in c]
+        assert lk_checks
+        for check in lk_checks:
+            assert isinstance(check["rhs"], float), check["check_id"]
+            assert check["rhs"] == sum(check["rhs_terms"].values())
+            assert check["slack"] == check["rhs"] - check["lhs"]
+
     def test_console_script_runs(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "orlicz_hardy.cli", "--out", str(tmp_path),
@@ -95,3 +110,19 @@ class TestDeterminism:
             label = check.get("subject_label")
             if label:
                 assert label in body["corpus"]
+
+
+SCHEMA = json.loads(
+    (Path(__file__).parent.parent / "docs" / "report-schema.json").read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify"],
+    ["hardy", "--dim", "1"],
+    ["sharpness", "--p", "3", "--n", "1"],
+    ["mazya", "--classical"],
+    ["lk", "--nfunc", "p2", "--dim", "1"],
+], ids=lambda argv: argv[0])
+def test_report_matches_schema(tmp_path, argv):
+    main(["--out", str(tmp_path), "--report", str(tmp_path / "r.json")] + argv)
+    jsonschema.validate(load_report(tmp_path / "r.json"), SCHEMA)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from orlicz_hardy import landau_kolmogorov as lk_mod
+from orlicz_hardy.cli import DEFAULT_THETAS, run_lk
 from orlicz_hardy.errors import PreconditionError
 from orlicz_hardy.functionals import FieldFunction, SupportHint, hessian_hs_norm
 from orlicz_hardy.landau_kolmogorov import (
@@ -12,6 +14,7 @@ from orlicz_hardy.landau_kolmogorov import (
     fit_envelope,
     fit_lk_modular_envelope,
     fit_lk_norm_envelope,
+    lk_modular_terms,
     lk_norm_triple,
 )
 from orlicz_hardy.nfunc import power_nfunction
@@ -31,18 +34,19 @@ class TestHypotheses:
                           grad=lambda X: np.zeros(X.shape),
                           n=2, hint=SupportHint.decaying(0.0, 0.0))
         with pytest.raises(PreconditionError, match="Hessian"):
-            check_lk_modular(f, manifest.nfunc("p2"), 1.0, 1.0)
+            lk_modular_terms(f, manifest.nfunc("p2"))
 
     def test_slow_growth_rejected(self, manifest, spec):
         # lower exponent 1.5 < 2: M(r)/r^2 is decreasing
         field = manifest.field_functions["fx_lin"].instantiate(2)
         with pytest.raises(PreconditionError, match="non-decreasing"):
-            additive_lk_from_hardy(field, power_nfunction(1.5), 2, 1.0, 1.0, spec)
+            additive_lk_from_hardy(field, power_nfunction(1.5), 2,
+                                   (0.0, 0.0, 0.0, (0.0, 0.0, 0.0)), 1.0, 1.0, spec)
 
     def test_theta_out_of_range(self, manifest):
         field = manifest.field_functions["fx_lin"].instantiate(2)
         with pytest.raises(PreconditionError, match="theta"):
-            check_lk_modular(field, manifest.nfunc("p2"), 1.0, 1.0, theta=1.5)
+            lk_modular_terms(field, manifest.nfunc("p2"), theta=1.5)
 
 
 class TestHessianNorm:
@@ -58,8 +62,8 @@ class TestHessianNorm:
 
 class TestModularCheck:
     def test_zero_field_holds(self, manifest, spec):
-        rep = check_lk_modular(zero_field(), manifest.nfunc("p2"), 2.0, 2.0,
-                               spec=spec)
+        terms = lk_modular_terms(zero_field(), manifest.nfunc("p2"), spec=spec)
+        rep = check_lk_modular(terms, 2.0, 2.0)
         assert rep.verdict == "holds" and rep.lhs == 0.0
 
     def test_truncated_linear_function_dominated_by_function_term(
@@ -67,8 +71,8 @@ class TestModularCheck:
         # u = x1 inside radius 8: the Hessian vanishes there, so the bound
         # must come from the function term
         field = manifest.field_functions["fx_cut"].instantiate(1)
-        lhs_rep = check_lk_modular(field, manifest.nfunc("p2"), 1.0, 1.0, 1.0,
-                                   spec)
+        terms = lk_modular_terms(field, manifest.nfunc("p2"), 1.0, spec)
+        lhs_rep = check_lk_modular(terms, 1.0, 1.0, 1.0)
         assert lhs_rep.rhs_terms["hessian"] < 1e-6 * lhs_rep.rhs_terms["function"]
         assert lhs_rep.verdict in ("holds", "indeterminate")
 
@@ -119,10 +123,12 @@ class TestEnvelopeFit:
         assert fit.feasible
         assert math.isfinite(fit.c1) and math.isfinite(fit.c2)
         assert fit.binding_label in {f.label for f in fields}
-        for u in fields:
-            rep = check_lk_norm(u, nf, fit.c1, fit.c2, spec)
+        for u, (label, *triple) in zip(fields, rows):
+            assert label == u.label
+            assert tuple(triple) == lk_norm_triple(u, nf, spec)
+            rep = check_lk_norm(triple, fit.c1, fit.c2)
             assert rep.verdict in ("holds", "indeterminate", "trivial"), \
-                (u.label, rep.slack)
+                (label, rep.slack)
 
     def test_envelope_monotone_under_corpus_union(self, manifest, spec):
         nf = manifest.nfunc("p2")
@@ -137,12 +143,13 @@ class TestEnvelopeFit:
         nf = manifest.nfunc("p2")
         fields = [f.instantiate(2) for f in manifest.field_functions.values()
                   if f.compatible(2)]
-        fit, rows = fit_lk_modular_envelope(fields, nf, spec,
-                                            theta_grid=(0.25, 0.5, 1.0))
+        fit, terms = fit_lk_modular_envelope(fields, nf, spec,
+                                             theta_grid=(0.25, 0.5, 1.0))
         assert fit.feasible
         for u in fields:
             for theta in (0.25, 0.5, 1.0):
-                rep = check_lk_modular(u, nf, fit.c1, fit.c2, theta, spec)
+                assert terms[u.label][theta] == lk_modular_terms(u, nf, theta, spec)
+                rep = check_lk_modular(terms[u.label][theta], fit.c1, fit.c2, theta)
                 assert rep.verdict in ("holds", "indeterminate"), \
                     (u.label, theta, rep.slack)
 
@@ -151,7 +158,9 @@ class TestProvenanceChain:
     def test_hardy_gate_recorded(self, manifest, spec):
         field = manifest.field_functions["fr_wide"].instantiate(2)
         nf = manifest.nfunc("p2")
-        rep = additive_lk_from_hardy(field, nf, 2, 64.0, 64.0, spec)
+        rep = additive_lk_from_hardy(field, nf, 2,
+                                     lk_modular_terms(field, nf, 1.0, spec),
+                                     64.0, 64.0, spec)
         assert rep.provenance["hardy_form"] == "hn1"
         assert rep.provenance["hardy_verdict"] == "holds"
         assert rep.theta == 1.0
@@ -159,7 +168,9 @@ class TestProvenanceChain:
     def test_boundary_growth_quadratic_runs(self, manifest, spec):
         # M = r^2 sits exactly at the d = 2 boundary and must be accepted
         field = manifest.field_functions["fx_quad"].instantiate(2)
-        rep = additive_lk_from_hardy(field, manifest.nfunc("p2"), 2,
+        nf = manifest.nfunc("p2")
+        rep = additive_lk_from_hardy(field, nf, 2,
+                                     lk_modular_terms(field, nf, 1.0, spec),
                                      64.0, 64.0, spec)
         assert rep.verdict in ("holds", "indeterminate")
 
@@ -170,8 +181,32 @@ class TestProvenanceChain:
             if not factory.compatible(2):
                 continue
             u = factory.instantiate(2)
-            lhs, a, b, errs = __import__(
-                "orlicz_hardy.landau_kolmogorov", fromlist=["lk_modular_terms"]
-            ).lk_modular_terms(u, nf, 1.0, spec)
+            lhs, a, b, errs = lk_modular_terms(u, nf, 1.0, spec)
             if math.isfinite(a) and math.isfinite(b):
                 assert math.isfinite(lhs)
+
+
+class TestRunLkComputesOnce:
+    def test_one_call_per_distinct_argument(self, manifest, spec, monkeypatch):
+        calls = {"norm": [], "modular": []}
+
+        def counted(kind, fn, key):
+            def wrapper(u, nf, *args, **kwargs):
+                calls[kind].append(key(u, nf, *args, **kwargs))
+                return fn(u, nf, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lk_mod, "lk_norm_triple", counted(
+            "norm", lk_mod.lk_norm_triple, lambda u, nf, *a, **k: (u.label, nf.label, u.n)))
+        monkeypatch.setattr(lk_mod, "lk_modular_terms", counted(
+            "modular", lk_mod.lk_modular_terms,
+            lambda u, nf, theta, *a, **k: (u.label, nf.label, u.n, theta)))
+        run_lk(manifest, spec, [1, 2], [], {}, {})
+        expected_norm = {(label, nf_label, n)
+                         for nf_label in ("p2", "p3") for n in (1, 2)
+                         for label, factory in manifest.field_functions.items()
+                         if factory.compatible(n)}
+        expected_modular = {key + (theta,) for key in expected_norm
+                            for theta in DEFAULT_THETAS}
+        assert sorted(calls["norm"]) == sorted(expected_norm)
+        assert sorted(calls["modular"]) == sorted(expected_modular)

@@ -356,3 +356,21 @@ class TestNonConvergence:
         (check,) = doc["body"]["checks"]
         assert check["verdict"] == "indeterminate"
         assert "did not converge" in check["details"]["reason"]
+
+
+class TestSearchTolerances:
+    def test_rel_tol_flag_leaves_B_and_reports_search_tolerances(self, tmp_path):
+        argv = ["mazya", "--gaussian", "--p", "3", "--n", "2"]
+        main(["--out", str(tmp_path / "default")] + argv)
+        main(["--out", str(tmp_path / "loose"), "--rel-tol", "1e-4"] + argv)
+        (default,) = json.loads(
+            (tmp_path / "default" / "mazya.json").read_text())["body"]["checks"]
+        doc = json.loads((tmp_path / "loose" / "mazya.json").read_text())["body"]
+        (loose,) = doc["checks"]
+        assert doc["quadrature_spec"]["rel_tol"] == 1e-4
+        assert loose["constants_used"]["B"] == default["constants_used"]["B"]
+        assert loose["details"] == {
+            "probe_rel_tol": 1e-10, "probe_abs_tol": 1e-300,
+            "piece_rel_tol": 1e-9, "piece_abs_tol": 1e-16}
+        assert (mazya_mod.PROBE_REL_TOL, mazya_mod.PIECE_REL_TOL,
+                mazya_mod.PIECE_ABS_TOL) == (1e-10, 1e-9, 1e-16)
