@@ -2,7 +2,6 @@
 Landau-Kolmogorov inequalities under Gaussian and radial measures."""
 
 from .errors import (
-    AccuracyError,
     CertificationError,
     DivergenceError,
     EvaluationError,
@@ -21,7 +20,6 @@ from .functionals import (
     truncate,
 )
 from .hardy import (
-    CheckReport,
     beta_gamma,
     check_alternative,
     check_convex_case,
@@ -35,7 +33,6 @@ from .hardy import (
 )
 from .landau_kolmogorov import (
     LKFit,
-    LKReport,
     additive_lk_from_hardy,
     check_lk_modular,
     check_lk_norm,
@@ -79,6 +76,7 @@ from .sharpness import (
     extremal_moments,
     stirling_ratio,
 )
+from .reporting import Check, verdict
 from .corpus import CorpusManifest, load_manifest
 
 __version__ = "0.1.0"

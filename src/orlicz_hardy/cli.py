@@ -28,8 +28,9 @@ from .functionals import modular_triple_radial
 from .quadrature import QuadratureSpec
 from .reporting import (
     TOOL_VERSION,
-    report_to_dict,
+    Check,
     summarize_verdicts,
+    verdict,
     write_report,
 )
 
@@ -52,34 +53,17 @@ def _spec_from_args(args) -> QuadratureSpec:
                           sphere_nodes=args.sphere_nodes, seed=seed)
 
 
-def _check_id(form: str, nf_label: str, subject: str, n) -> str:
-    return f"{form}:{nf_label}:{subject}:n={n}"
-
-
-def _collect(checks: list, rep, form: str, nf_label: str, subject: str, n):
-    d = report_to_dict(rep)
-    d["check_id"] = _check_id(form, nf_label, subject, n)
-    checks.append(d)
-
-
 # ---------------------------------------------------------------------------
 # Batteries
 # ---------------------------------------------------------------------------
 
 def run_certify(manifest, spec, checks: list):
     for label, nf in manifest.nfunctions.items():
-        d = {
-            "check_id": f"certify:{label}",
-            "id": "certify",
-            "verdict": "holds",
-            "nfunc_label": label,
-            "constants_used": {
-                "d_exp": nf.d_exp, "D_exp": nf.D_exp,
-                "delta2_const": nf.delta2_const,
-            },
-            "details": {"grid_fingerprint": nf.grid_fingerprint},
-        }
-        checks.append(d)
+        checks.append(Check(
+            "certify", "holds", check_id=f"certify:{label}", nfunc_label=label,
+            constants_used={"d_exp": nf.d_exp, "D_exp": nf.D_exp,
+                            "delta2_const": nf.delta2_const},
+            details={"grid_fingerprint": nf.grid_fingerprint}))
 
 
 def _radial_triples(manifest, nf, n, spec):
@@ -102,43 +86,41 @@ def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
                 if triple.valid:
                     triples[u_label] = (u, triple)
 
+            def labels(family, u_label):
+                return {"check_id": f"{family}:{nf_label}:{u_label}:n={n}",
+                        "nfunc_label": nf_label, "subject_label": u_label}
+
             if form in (None, "term1", "term2") and d >= 2.0 and D > 2.0:
                 for u_label, (u, triple) in triples.items():
-                    rep = hardy_mod.check_alternative(
-                        triple, d, D, n, nfunc_label=nf_label, subject_label=u_label)
-                    _collect(checks, rep, "alternative", nf_label, u_label, n)
+                    checks.append(hardy_mod.check_alternative(
+                        triple, d, D, n, **labels("alternative", u_label)))
 
             if form in (None, "liniowe") and d >= 2.0 and D > 2.0 \
                     and D + n >= math.e + 2.0:
                 c1, c2 = hardy_mod.linear_constants(D, d, n)
                 for u_label, (u, triple) in triples.items():
-                    rep = hardy_mod.check_linear(
-                        triple, c1, c2, n=n, nfunc_label=nf_label,
-                        subject_label=u_label)
-                    _collect(checks, rep, "liniowe", nf_label, u_label, n)
+                    checks.append(hardy_mod.check_linear(
+                        triple, c1, c2, n=n, **labels("liniowe", u_label)))
 
             if form in (None, "ww"):
                 for u_label, (u, triple) in triples.items():
-                    rep = hardy_mod.check_convex_case(
+                    checks.append(hardy_mod.check_convex_case(
                         triple, D, n, convex_certified=nf.convex,
-                        nfunc_label=nf_label, subject_label=u_label)
-                    _collect(checks, rep, "ww", nf_label, u_label, n)
+                        **labels("ww", u_label)))
 
             if form in (None, "p2_exact") and abs(D - 2.0) < 1e-12 \
                     and abs(d - 2.0) < 1e-12:
                 for u_label, (u, triple) in triples.items():
-                    rep = hardy_mod.check_p2_exact(
-                        triple, n, nfunc_label=nf_label, subject_label=u_label)
-                    _collect(checks, rep, "p2_exact", nf_label, u_label, n)
+                    checks.append(hardy_mod.check_p2_exact(
+                        triple, n, **labels("p2_exact", u_label)))
 
             if form in (None, "www"):
                 subset = (triples.keys() if form == "www" else
                           [s for s in norm_form_subset if s in triples])
                 for u_label in subset:
                     u, _ = triples[u_label]
-                    rep = hardy_mod.check_norm_form_radial(
-                        u, nf, n, spec, nfunc_label=nf_label, subject_label=u_label)
-                    _collect(checks, rep, "www", nf_label, u_label, n)
+                    checks.append(hardy_mod.check_norm_form_radial(
+                        u, nf, n, spec, **labels("www", u_label)))
 
             # n-dimensional forms over the field corpus
             nd_forms = []
@@ -154,10 +136,9 @@ def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
                     if not factory.compatible(n):
                         continue
                     field = factory.instantiate(n)
-                    rep = hardy_mod.check_nd(
+                    checks.append(hardy_mod.check_nd(
                         field, nf, n, nd_form, spec, normalized=normalized,
-                        nfunc_label=nf_label, subject_label=f_label)
-                    _collect(checks, rep, nd_form, nf_label, f_label, n)
+                        **labels(nd_form, f_label)))
 
 
 def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
@@ -178,30 +159,23 @@ def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
                 abs(tri.K - cf.K) / cf.K,
                 abs(tri.L - cf.L) / cf.L,
                 (abs(tri.G - cf.G) / cf.G) if cf.G > 0 else abs(tri.G))
-            checks.append({
-                "check_id": _check_id("alfa_closed_form", f"r^{p:g}",
-                                      f"alpha={alpha:g}", n),
-                "id": "alfa_closed_form",
-                "verdict": "holds" if worst <= 1e-7 else "fails",
-                "lhs": worst, "rhs": 1e-7,
-                "constants_used": {"K": cf.K, "L": cf.L, "G": cf.G},
-                "nfunc_label": f"r^{p:g}", "subject_label": f"alpha={alpha:g}",
-                "n": n,
-            })
+            checks.append(Check(
+                "alfa_closed_form", verdict(worst, 1e-7, 0.0, 0.0),
+                check_id=f"alfa_closed_form:r^{p:g}:alpha={alpha:g}:n={n}",
+                lhs=worst, rhs=1e-7, constants_used={"K": cf.K, "L": cf.L, "G": cf.G},
+                nfunc_label=f"r^{p:g}", subject_label=f"alpha={alpha:g}", n=n))
     series[f"sharpness_p{p:g}_n{n}"] = rows
     scan_alphas = [a for a in alphas if a > 0.0]
     if p > 2.0 and len(scan_alphas) >= 2:
         req = sharp_mod.c2_infeasibility_scan(p, n, scan_alphas)
         increasing = bool(np.all(np.diff(req) > 0.0))
-        checks.append({
-            "check_id": _check_id("c1_required_divergence", f"r^{p:g}", "scan", n),
-            "id": "c1_required_divergence",
-            "verdict": "holds" if increasing else "fails",
-            "constants_used": {"alphas": list(scan_alphas),
-                               "C1_required": [float(v) for v in req],
-                               "c1_lower_bound": sharp_mod.c1_lower_bound(p, n)},
-            "n": n,
-        })
+        checks.append(Check(
+            "c1_required_divergence", "holds" if increasing else "fails",
+            check_id=f"c1_required_divergence:r^{p:g}:scan:n={n}",
+            constants_used={"alphas": list(scan_alphas),
+                            "C1_required": [float(v) for v in req],
+                            "c1_lower_bound": sharp_mod.c1_lower_bound(p, n)},
+            n=n))
 
 
 def load_pair_config(path) -> "mazya_mod.MeasurePair":
@@ -222,17 +196,17 @@ def load_pair_config(path) -> "mazya_mod.MeasurePair":
     raise PreconditionError(f"unknown measure-pair kind {kind!r}")
 
 
-def _mazya_check(res, verdict: str, **fields) -> dict:
+def _mazya_check(res, outcome: str, **fields) -> Check:
     """A Maz'ya check recording the search's own tolerances; a non-converged
     integral makes it indeterminate."""
-    details = {"probe_rel_tol": mazya_mod.PROBE_REL_TOL,
-               "probe_abs_tol": mazya_mod.PROBE_ABS_TOL,
-               "piece_rel_tol": mazya_mod.PIECE_REL_TOL,
-               "piece_abs_tol": mazya_mod.PIECE_ABS_TOL}
-    check = {"id": "mazjacond", "verdict": verdict, "details": details, **fields}
+    check = Check("mazjacond", outcome, details={
+        "probe_rel_tol": mazya_mod.PROBE_REL_TOL,
+        "probe_abs_tol": mazya_mod.PROBE_ABS_TOL,
+        "piece_rel_tol": mazya_mod.PIECE_REL_TOL,
+        "piece_abs_tol": mazya_mod.PIECE_ABS_TOL}, **fields)
     if not res.converged:
-        check["verdict"] = "indeterminate"
-        details["reason"] = "a quadrature behind B did not converge"
+        check.verdict = "indeterminate"
+        check.details["reason"] = "a quadrature behind B did not converge"
     return check
 
 
@@ -261,17 +235,31 @@ def run_mazya(checks: list, series: dict, gaussian=None, classical=False,
         series["mazya_classical"] = [
             {"r": r, "objective": v} for r, v in mazya_mod.objective_series(pair)]
     for p, n in (gaussian or []):
-        verdict, res = mazya_mod.gaussian_hardy_pq(p, n)
+        numeric, res = mazya_mod.gaussian_hardy_pq(p, n)
         expected = "finite" if p > n else "divergent"
         checks.append(_mazya_check(
-            res, "holds" if verdict == expected else "fails",
+            res, "holds" if numeric == expected else "fails",
             check_id=f"mazya:gaussian:p={p:g}:n={n}",
             constants_used={
                 "p": p, "n": n, "B": res.B, "argmax_r": res.argmax_r,
-                "verdict_numeric": verdict, "verdict_expected": expected,
+                "verdict_numeric": numeric, "verdict_expected": expected,
                 "reason": res.reason,
             },
             subject_label=f"gaussian[p={p:g},n={n}]"))
+
+
+def _record_fit(fit, nf_label: str, n: int, checks: list, fits: dict, **extra):
+    """Record an LK envelope fit and its check, which an infeasible fit fails."""
+    fits[f"{fit.form}:{nf_label}:n={n}"] = {
+        "C1": fit.c1, "C2": fit.c2, "binding": fit.binding_label,
+        "corpus": list(fit.corpus_labels), "grid": list(fit.grid),
+        "feasible": fit.feasible, **extra,
+    }
+    checks.append(Check(
+        fit.form, "holds" if fit.feasible else "fails",
+        check_id=f"{fit.form}_envelope:{nf_label}:corpus:n={n}",
+        constants_used={"C1": fit.c1, "C2": fit.c2, "binding": fit.binding_label},
+        nfunc_label=nf_label, n=n))
 
 
 def run_lk(manifest, spec, dims, checks: list, series: dict, fits: dict,
@@ -284,35 +272,17 @@ def run_lk(manifest, spec, dims, checks: list, series: dict, fits: dict,
                       for label, factory in sorted(manifest.field_functions.items())
                       if factory.compatible(n)]
             fit_norm, rows = lk_mod.fit_lk_norm_envelope(fields, nf, spec, fit_grid)
-            fits[f"statB2gauss:{nf_label}:n={n}"] = {
-                "C1": fit_norm.c1, "C2": fit_norm.c2,
-                "binding": fit_norm.binding_label,
-                "corpus": list(fit_norm.corpus_labels),
-                "grid": list(fit_norm.grid), "feasible": fit_norm.feasible,
-            }
-            checks.append({
-                "check_id": _check_id("statB2gauss_envelope", nf_label, "corpus", n),
-                "id": "statB2gauss",
-                "verdict": "holds" if fit_norm.feasible else "fails",
-                "constants_used": {"C1": fit_norm.c1, "C2": fit_norm.c2,
-                                   "binding": fit_norm.binding_label},
-                "nfunc_label": nf_label, "n": n,
-            })
+            _record_fit(fit_norm, nf_label, n, checks, fits)
             for label, *triple in rows:
-                rep = lk_mod.check_lk_norm(triple, fit_norm.c1, fit_norm.c2,
-                                           nfunc_label=nf.label,
-                                           subject_label=label, n=n)
-                _collect(checks, rep, "statB2gauss", nf_label, label, n)
+                checks.append(lk_mod.check_lk_norm(
+                    triple, fit_norm.c1, fit_norm.c2,
+                    check_id=f"statB2gauss:{nf_label}:{label}:n={n}",
+                    nfunc_label=nf.label, subject_label=label, n=n))
 
             fit_mod, terms = lk_mod.fit_lk_modular_envelope(
                 fields, nf, spec, fit_grid, theta_grid)
-            fits[f"statB1gauss:{nf_label}:n={n}"] = {
-                "C1": fit_mod.c1, "C2": fit_mod.c2,
-                "binding": fit_mod.binding_label,
-                "corpus": list(fit_mod.corpus_labels),
-                "grid": list(fit_mod.grid), "feasible": fit_mod.feasible,
-                "theta_grid": list(theta_grid),
-            }
+            _record_fit(fit_mod, nf_label, n, checks, fits,
+                        theta_grid=list(theta_grid))
             series[f"lk_theta_sweep:{nf_label}:n={n}"] = [
                 {"subject": label, "theta": th, "lhs": lhs,
                  "hess_modular": a, "func_modular": b}
@@ -320,15 +290,13 @@ def run_lk(manifest, spec, dims, checks: list, series: dict, fits: dict,
                 for th, (lhs, a, b, _) in by_theta.items() if fit_mod.feasible]
             for u in fields:
                 for theta in theta_grid:
-                    rep = lk_mod.check_lk_modular(
+                    checks.append(lk_mod.check_lk_modular(
                         terms[u.label][theta], fit_mod.c1, fit_mod.c2, theta,
-                        nfunc_label=nf.label, subject_label=u.label, n=n)
-                    _collect(checks, rep, f"statB1:theta={theta:g}",
-                             nf_label, u.label, n)
-                rep = lk_mod.additive_lk_from_hardy(
-                    u, nf, n, terms[u.label][1.0], fit_mod.c1, fit_mod.c2, spec)
-                _collect(checks, rep, "statB1gauss_from_hardy",
-                         nf_label, u.label, n)
+                        check_id=f"statB1:theta={theta:g}:{nf_label}:{u.label}:n={n}",
+                        nfunc_label=nf.label, subject_label=u.label, n=n))
+                checks.append(lk_mod.additive_lk_from_hardy(
+                    u, nf, n, terms[u.label][1.0], fit_mod.c1, fit_mod.c2, spec,
+                    check_id=f"statB1gauss_from_hardy:{nf_label}:{u.label}:n={n}"))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +432,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    checks.sort(key=lambda c: c["check_id"])
+    checks.sort(key=lambda c: c.check_id)
     summary = summarize_verdicts(checks)
     body = {
         "tool_version": TOOL_VERSION,
@@ -476,7 +444,7 @@ def main(argv=None) -> int:
             "sphere_nodes": spec.sphere_nodes, "seed": spec.seed,
         },
         "normalization": "normalized" if args.normalized else "unnormalized",
-        "checks": checks,
+        "checks": [c.as_dict() for c in checks],
         "fits": fits,
         "series": series,
         "summary": summary,

@@ -21,9 +21,5 @@ class EvaluationError(OrliczHardyError):
     """An integrand or function produced a non-finite value at a node."""
 
 
-class AccuracyError(OrliczHardyError):
-    """Requested tolerance cannot be met under the truncation policy."""
-
-
 class ManifestError(OrliczHardyError):
     """A corpus manifest failed to parse or validate."""

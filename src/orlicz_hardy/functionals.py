@@ -144,11 +144,33 @@ def _compose_hint(arg_hint: SupportHint, weight_degree: float,
     return SupportHint.decaying(D * (arg_hint.degree + weight_degree), e * rate)
 
 
+def _modular_triple(fns, hint: SupportHint, deriv_hint: SupportHint,
+                     nf: NFunction, integrate) -> ModularTriple:
+    """K, L, G from the integrands fns = (k_fn, l_fn, g_fn) of a function
+    with decay hint `hint` and derivative hint `deriv_hint`.
+
+    integrate(fn, envelope) returns the IntegralResult of one integrand; a
+    modular whose envelope does not decay against the measure is divergent.
+    """
+    k_hint = replace(hint, degree=hint.degree + 1.0) if hint.kind == "decaying" else hint
+    parts = []
+    for fn, arg_hint in zip(fns, (k_hint, hint, deriv_hint)):
+        env = _compose_hint(arg_hint, 0.0, nf)
+        if env.kind == "decaying" and 1.0 + env.rate <= 0.0:
+            parts.append((math.inf, math.inf, True))
+            continue
+        res = integrate(fn, env)
+        parts.append((res.value, res.err_est, False))
+    return ModularTriple(
+        K=parts[0][0], L=parts[1][0], G=parts[2][0],
+        errs=(parts[0][1], parts[1][1], parts[2][1]),
+        divergent=(parts[0][2], parts[1][2], parts[2][2]))
+
+
 def modular_triple_radial(u: RadialTestFunction, nf: NFunction, n: int,
                           spec: QuadratureSpec | None = None) -> ModularTriple:
     """K, L, G of a radial profile against dmu_n."""
     spec = spec or QuadratureSpec()
-    d, D = nf.require_exponents()
 
     def k_fn(r):
         return nf.eval(r * np.abs(u.u(r)))
@@ -159,23 +181,10 @@ def modular_triple_radial(u: RadialTestFunction, nf: NFunction, n: int,
     def g_fn(r):
         return nf.eval(np.abs(u.du(r)))
 
-    parts = []
-    hints = [
-        replace(u.hint, degree=u.hint.degree + 1.0) if u.hint.kind == "decaying" else u.hint,
-        u.hint,
-        u.du_hint(),
-    ]
-    for fn, hint in zip((k_fn, l_fn, g_fn), hints):
-        env = _compose_hint(hint, 0.0, nf)
-        if env.kind == "decaying" and 1.0 + env.rate <= 0.0:
-            parts.append((math.inf, math.inf, True))
-            continue
-        res = integrate_radial(fn, n, spec, envelope=env, breakpoints=u.breakpoints)
-        parts.append((res.value, res.err_est, False))
-    return ModularTriple(
-        K=parts[0][0], L=parts[1][0], G=parts[2][0],
-        errs=(parts[0][1], parts[1][1], parts[2][1]),
-        divergent=(parts[0][2], parts[1][2], parts[2][2]))
+    return _modular_triple(
+        (k_fn, l_fn, g_fn), u.hint, u.du_hint(), nf,
+        lambda fn, env: integrate_radial(fn, n, spec, envelope=env,
+                                         breakpoints=u.breakpoints))
 
 
 def hessian_hs_norm(u: FieldFunction, pts: np.ndarray) -> np.ndarray:
@@ -219,23 +228,10 @@ def modular_triple_nd(u: FieldFunction, nf: NFunction,
         gr = np.asarray(u.grad(pts), dtype=float)
         return nf.eval(np.linalg.norm(gr, axis=-1))
 
-    hints = [
-        replace(u.hint, degree=u.hint.degree + 1.0) if u.hint.kind == "decaying" else u.hint,
-        u.hint,
-        u.grad_hint(),
-    ]
-    parts = []
-    for fn, hint in zip((k_fn, l_fn, g_fn), hints):
-        env = _compose_hint(hint, 0.0, nf)
-        if env.kind == "decaying" and 1.0 + env.rate <= 0.0:
-            parts.append((math.inf, math.inf, True))
-            continue
-        res = integrate_gaussian_nd(fn, n, spec, envelope=env, normalized=normalized)
-        parts.append((res.value, res.err_est, False))
-    return ModularTriple(
-        K=parts[0][0], L=parts[1][0], G=parts[2][0],
-        errs=(parts[0][1], parts[1][1], parts[2][1]),
-        divergent=(parts[0][2], parts[1][2], parts[2][2]))
+    return _modular_triple(
+        (k_fn, l_fn, g_fn), u.hint, u.grad_hint(), nf,
+        lambda fn, env: integrate_gaussian_nd(fn, n, spec, envelope=env,
+                                              normalized=normalized))
 
 
 # ---------------------------------------------------------------------------

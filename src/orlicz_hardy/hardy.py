@@ -10,7 +10,6 @@ decision boundary, never coerced to a pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,9 +29,9 @@ from .quadrature import (
     RadialMeasure,
     SupportHint,
 )
+from .reporting import Check, verdict
 
 __all__ = [
-    "CheckReport",
     "check_alternative",
     "linear_constants",
     "check_linear",
@@ -45,51 +44,11 @@ __all__ = [
     "check_nd",
 ]
 
-INEQUALITY_IDS = ("term1", "term2", "liniowe", "ww", "www",
-                  "hn1", "hn11", "wwww", "p2_exact")
-
-_TINY = 1e-300
-
-
-@dataclass
-class CheckReport:
-    """Outcome of a single inequality check."""
-
-    inequality_id: str
-    lhs: float
-    rhs: float
-    slack: float
-    constants_used: dict
-    tolerance: float
-    err_est: float
-    verdict: str
-    nfunc_label: str = ""
-    subject_label: str = ""
-    n: int | None = None
-    normalization: str = "unnormalized"
-    details: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in ("holds", "trivial", "indeterminate")
-
-
-def _verdict(lhs: float, rhs: float, err_est: float, tol: float) -> str:
-    slack = rhs - lhs
-    if abs(lhs) <= _TINY and abs(rhs) <= _TINY:
-        return "holds"
-    if err_est > 0.0 and abs(slack) <= err_est:
-        return "indeterminate"
-    return "holds" if slack >= -tol else "fails"
-
-
-def _report(inequality_id: str, lhs: float, rhs: float, constants: dict,
-            err_est: float, tol_scale: float = 1e-12, **meta) -> CheckReport:
-    tol = comparison_tol(rhs, tol_scale)
-    return CheckReport(
-        inequality_id=inequality_id, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-        constants_used=constants, tolerance=tol, err_est=err_est,
-        verdict=_verdict(lhs, rhs, err_est, tol), **meta)
+def _check(inequality_id: str, lhs: float, rhs: float, constants: dict,
+           err_est: float, **meta) -> Check:
+    meta.setdefault("normalization", "unnormalized")
+    return Check.compare(inequality_id, lhs, rhs, err_est, comparison_tol(rhs),
+                         constants_used=constants, **meta)
 
 
 def _require_valid(triple: ModularTriple):
@@ -107,7 +66,7 @@ def _term2_rhs(L: float, G: float, D: float, n: int) -> float:
 
 
 def check_alternative(triple: ModularTriple, d: float, D: float, n: int,
-                      **meta) -> CheckReport:
+                      **meta) -> Check:
     """Check the two-branch bound K <= (D/d)^(D/(D-2)) L  or  K <= term2(L, G).
 
     term2(L, G) = ((D/2) G^(1/D) + sqrt(D^2/4 G^(2/D) + (D+n-2) L^(2/D)))^D.
@@ -126,22 +85,20 @@ def check_alternative(triple: ModularTriple, d: float, D: float, n: int,
     e_t2 = abs(_term2_rhs(L + eL, G + eG, D, n) - t2)
     unconditional = (D + n) >= math.e + 2.0
 
-    v1 = _verdict(K, t1, eK + e_t1, comparison_tol(t1))
-    v2 = _verdict(K, t2, eK + e_t2, comparison_tol(t2))
+    v1 = verdict(K, t1, eK + e_t1, comparison_tol(t1))
+    v2 = verdict(K, t2, eK + e_t2, comparison_tol(t2))
     # the report carries the branch being asserted: term2 when it held or is
     # unconditional in this regime, otherwise the disjunction's other branch
     if unconditional or v2 in ("holds", "indeterminate"):
-        rhs, err, branch, verdict = t2, eK + e_t2, "term2", v2
+        rhs, err, branch, held = t2, eK + e_t2, "term2", v2
     else:
-        rhs, err, branch, verdict = t1, eK + e_t1, "term1", v1
+        rhs, err, branch, held = t1, eK + e_t1, "term1", v1
     constants = {"d": d, "D": D, "term1_rhs": t1, "term2_rhs": t2,
                  "term1_coef": (D / d) ** (D / (D - 2.0))}
-    rep = _report(branch, K, rhs, constants, err, n=n, **meta)
-    rep.verdict = verdict
-    rep.details = {"branch_held": branch if verdict != "fails" else "none",
-                   "term1_verdict": v1, "term2_verdict": v2,
-                   "term2_unconditional": unconditional}
-    return rep
+    details = {"branch_held": branch if held != "fails" else "none",
+               "term1_verdict": v1, "term2_verdict": v2,
+               "term2_unconditional": unconditional}
+    return _check(branch, K, rhs, constants, err, n=n, details=details, **meta)
 
 
 def linear_constants(D: float, d: float, n: int) -> tuple[float, float]:
@@ -162,20 +119,19 @@ def linear_constants(D: float, d: float, n: int) -> tuple[float, float]:
 
 
 def check_linear(triple: ModularTriple, c1: float, c2: float,
-                 inequality_id: str = "liniowe", **meta) -> CheckReport:
+                 inequality_id: str = "liniowe", **meta) -> Check:
     """Check K <= C1 L + C2 G with combined quadrature tolerance."""
     _require_valid(triple)
     K, L, G = triple.K, triple.L, triple.G
     eK, eL, eG = triple.errs
     rhs = c1 * L + c2 * G
     err = eK + c1 * eL + c2 * eG
-    return _report(inequality_id, K, rhs, {"C1": c1, "C2": c2}, err, **meta)
+    return _check(inequality_id, K, rhs, {"C1": c1, "C2": c2}, err, **meta)
 
 
-def check_p2_exact(triple: ModularTriple, n: int, **meta) -> CheckReport:
+def check_p2_exact(triple: ModularTriple, n: int, **meta) -> Check:
     """The quadratic-case bound with its exact constants: K <= 2n L + 4 G."""
-    rep = check_linear(triple, 2.0 * n, 4.0, inequality_id="p2_exact", n=n, **meta)
-    return rep
+    return check_linear(triple, 2.0 * n, 4.0, inequality_id="p2_exact", n=n, **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +193,7 @@ def beta_gamma(rho: float, D: float) -> tuple[float, float]:
 
 
 def tradeoff_check(triple: ModularTriple, rho: float, D: float, n: int,
-                   **meta) -> tuple[CheckReport, CheckReport]:
+                   **meta) -> tuple[Check, Check]:
     """Both linear trade-off forms derived from the term2 bound:
 
         K <= beta(rho) (D+n-2)^(D/2) L + rho D^D G
@@ -285,20 +241,20 @@ def convex_constants(D: float, n: int) -> tuple[float, float, dict]:
 
 
 def check_convex_case(triple: ModularTriple, D: float, n: int,
-                      convex_certified: bool = True, **meta) -> CheckReport:
+                      convex_certified: bool = True, **meta) -> Check:
     """Doubling-only linear bound with the materialised constants."""
     if not convex_certified:
         raise PreconditionError("convexity certification required")
     c1, c2, proof = convex_constants(D, n)
-    rep = check_linear(triple, c1, c2, inequality_id="ww", n=n, **meta)
-    rep.constants_used.update(proof)
-    rep.constants_used["D"] = D
-    return rep
+    check = check_linear(triple, c1, c2, inequality_id="ww", n=n, **meta)
+    check.constants_used.update(proof)
+    check.constants_used["D"] = D
+    return check
 
 
 def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
                            spec: QuadratureSpec | None = None,
-                           **meta) -> CheckReport:
+                           **meta) -> Check:
     """Norm form ||r u|| <= C (||u|| + ||u'||) with C = C1 + C2 + 1.
 
     C1, C2 are the doubling-case constants; the norm argument applies the
@@ -318,10 +274,10 @@ def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
     denom = norm_u + norm_du
     constants = {"C": c, "C1": c1, "C2": c2, **proof,
                  "norm_u": norm_u, "norm_du": norm_du}
-    if denom == 0.0:
-        rep = _report("www", 0.0, 0.0, constants, 0.0, n=n, **meta)
-        rep.verdict = "trivial"
-        return rep
+    if denom == 0.0:  # nothing to compare
+        check = _check("www", 0.0, 0.0, constants, 0.0, n=n, **meta)
+        check.verdict = "trivial"
+        return check
     weighted = ScalarProfile(
         lambda r: np.asarray(r, dtype=float) * np.abs(u.u(r)),
         (u.hint if u.hint.kind == "compact"
@@ -330,10 +286,8 @@ def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
     norm_ru = luxemburg_norm(weighted, nf, meas, spec)
     constants["norm_ru"] = norm_ru
     ratio = norm_ru / denom
-    rep = _report("www", ratio, c, constants, err_est=3e-9 * max(1.0, ratio),
-                  n=n, **meta)
-    rep.details["ratio"] = ratio
-    return rep
+    return _check("www", ratio, c, constants, err_est=3e-9 * max(1.0, ratio),
+                  n=n, details={"ratio": ratio}, **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +296,7 @@ def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
 
 def check_nd(u: FieldFunction, nf: NFunction, n: int, form: str,
              spec: QuadratureSpec | None = None, normalized: bool = False,
-             use_radial_reduction: bool = False, **meta) -> CheckReport:
+             **meta) -> Check:
     """Gaussian-measure inequality on R^n.
 
     form="wwww": the term2-type bound, requires d >= 2 and D > max(2, e+2-n).
@@ -367,27 +321,24 @@ def check_nd(u: FieldFunction, nf: NFunction, n: int, form: str,
             raise PreconditionError(
                 f"form wwww needs D > max(2, e+2-n) = {max(2.0, math.e + 2.0 - n):.3f}, "
                 f"got D={D} for '{nf.label}'")
-        triple = modular_triple_nd(u, nf, spec, normalized=normalized,
-                                   use_radial_reduction=use_radial_reduction)
+        triple = modular_triple_nd(u, nf, spec, normalized=normalized)
         _require_valid(triple)
         rhs = _term2_rhs(triple.L, triple.G, D, n)
         e_rhs = abs(_term2_rhs(triple.L + triple.errs[1],
                                triple.G + triple.errs[2], D, n) - rhs)
-        rep = _report("wwww", triple.K, rhs, {"d": d, "D": D},
+        return _check("wwww", triple.K, rhs, {"d": d, "D": D},
                       triple.errs[0] + e_rhs, **meta)
-        return rep
 
     if form == "hn1":
         if nf.delta2_const is None or not nf.convex:
             raise PreconditionError(
                 f"form hn1 needs a convex doubling N-function, got '{nf.label}'")
-        triple = modular_triple_nd(u, nf, spec, normalized=normalized,
-                                   use_radial_reduction=use_radial_reduction)
+        triple = modular_triple_nd(u, nf, spec, normalized=normalized)
         _require_valid(triple)
         c1, c2, proof = convex_constants(D, n)
-        rep = check_linear(triple, c1, c2, inequality_id="hn1", **meta)
-        rep.constants_used.update(proof)
-        return rep
+        check = check_linear(triple, c1, c2, inequality_id="hn1", **meta)
+        check.constants_used.update(proof)
+        return check
 
     if form == "hn11":
         if nf.delta2_const is None or not nf.convex:
@@ -403,19 +354,17 @@ def check_nd(u: FieldFunction, nf: NFunction, n: int, form: str,
                           u.grad_hint()), nf, meas, spec)
         denom = norm_u + norm_grad
         constants = {"C": c, "C1": c1, "C2": c2, **proof}
-        if denom == 0.0:
-            rep = _report("hn11", 0.0, 0.0, constants, 0.0, **meta)
-            rep.verdict = "trivial"
-            return rep
+        if denom == 0.0:  # nothing to compare
+            check = _check("hn11", 0.0, 0.0, constants, 0.0, **meta)
+            check.verdict = "trivial"
+            return check
         weighted = ScalarProfile(
             lambda pts: np.linalg.norm(pts, axis=-1) * np.abs(u.u(pts)),
             (u.hint if u.hint.kind == "compact"
              else SupportHint.decaying(u.hint.degree + 1.0, u.hint.rate)))
         norm_xu = luxemburg_norm(weighted, nf, meas, spec)
         ratio = norm_xu / denom
-        rep = _report("hn11", ratio, c, constants,
-                      err_est=3e-9 * max(1.0, ratio), **meta)
-        rep.details["ratio"] = ratio
-        return rep
+        return _check("hn11", ratio, c, constants, err_est=3e-9 * max(1.0, ratio),
+                      details={"ratio": ratio}, **meta)
 
     raise PreconditionError(f"unknown n-dimensional form {form!r}")

@@ -19,7 +19,7 @@ universality beyond the corpus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,9 @@ from .quadrature import (
     QuadratureSpec,
     integrate_gaussian_nd,
 )
+from .reporting import TINY, Check
 
 __all__ = [
-    "LKReport",
     "LKFit",
     "lk_modular_terms",
     "check_lk_modular",
@@ -53,30 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_FIT_GRID = tuple(2.0 ** k for k in range(-3, 15))
-
-
-@dataclass
-class LKReport:
-    """Outcome of one Landau-Kolmogorov check."""
-
-    form: str
-    lhs: float
-    rhs: float
-    slack: float
-    rhs_terms: dict
-    constants_used: dict
-    tolerance: float
-    err_est: float
-    verdict: str
-    theta: float | None = None
-    nfunc_label: str = ""
-    subject_label: str = ""
-    n: int | None = None
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in ("holds", "trivial", "indeterminate")
 
 
 @dataclass(frozen=True)
@@ -140,26 +116,17 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, theta: float = 1.0,
 
 
 def check_lk_modular(terms: tuple, c1: float, c2: float, theta: float = 1.0,
-                     **meta) -> LKReport:
+                     **meta) -> Check:
     """Check lhs <= C1 * hess_term + C2 * func_term for the terms
     (lhs, hess_term, func_term, errs) of `lk_modular_terms` at theta."""
     lhs, a, b, errs = terms
     rhs = c1 * a + c2 * b
     err = errs[0] + c1 * errs[1] + c2 * errs[2]
-    tol = comparison_tol(rhs)
-    slack = rhs - lhs
-    if lhs <= 1e-300 and rhs <= 1e-300:
-        verdict = "holds"
-    elif err > 0.0 and abs(slack) <= err:
-        verdict = "indeterminate"
-    else:
-        verdict = "holds" if slack >= -tol else "fails"
-    return LKReport(
-        form="statB1gauss" if theta == 1.0 else "statB1_theta",
-        lhs=lhs, rhs=rhs, slack=slack,
-        rhs_terms={"hessian": c1 * a, "function": c2 * b},
+    return Check.compare(
+        "statB1gauss" if theta == 1.0 else "statB1_theta", lhs, rhs, err,
+        comparison_tol(rhs), rhs_terms={"hessian": c1 * a, "function": c2 * b},
         constants_used={"C1": c1, "C2": c2, "hess_modular": a, "func_modular": b},
-        tolerance=tol, err_est=err, verdict=verdict, theta=theta, **meta)
+        theta=theta, **meta)
 
 
 def lk_norm_triple(u: FieldFunction, nf: NFunction,
@@ -180,25 +147,18 @@ def lk_norm_triple(u: FieldFunction, nf: NFunction,
     return norm_grad, math.sqrt(norm_hess * norm_u), norm_u
 
 
-def check_lk_norm(triple: tuple, c1: float, c2: float, **meta) -> LKReport:
+def check_lk_norm(triple: tuple, c1: float, c2: float, **meta) -> Check:
     """Check ||grad u|| <= C1~ sqrt(||hess u|| ||u||) + C2~ ||u|| for the
     (r, s, t) of `lk_norm_triple`."""
     r, s, t = triple
     rhs = c1 * s + c2 * t
-    tol = comparison_tol(rhs)
-    err = 3e-9 * max(1.0, rhs)
-    slack = rhs - r
-    if r <= 1e-300 and rhs <= 1e-300:
-        verdict = "trivial"
-    elif abs(slack) <= err:
-        verdict = "indeterminate"
-    else:
-        verdict = "holds" if slack >= -tol else "fails"
-    return LKReport(
-        form="statB2gauss", lhs=r, rhs=rhs, slack=slack,
+    check = Check.compare(
+        "statB2gauss", r, rhs, 3e-9 * max(1.0, rhs), comparison_tol(rhs),
         rhs_terms={"geometric_mean": c1 * s, "function_norm": c2 * t},
-        constants_used={"C1": c1, "C2": c2, "r": r, "s": s, "t": t},
-        tolerance=tol, err_est=err, verdict=verdict, **meta)
+        constants_used={"C1": c1, "C2": c2, "r": r, "s": s, "t": t}, **meta)
+    if r <= TINY and rhs <= TINY:  # nothing to compare
+        check.verdict = "trivial"
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +257,7 @@ def fit_lk_modular_envelope(corpus, nf: NFunction,
 def additive_lk_from_hardy(u: FieldFunction, nf: NFunction, n: int,
                            terms: tuple, c1: float, c2: float,
                            spec: QuadratureSpec | None = None,
-                           **meta) -> LKReport:
+                           **meta) -> Check:
     """theta = 1 modular check gated on the Hardy hypothesis.
 
     terms: the theta = 1 `lk_modular_terms` of (u, nf).  The Gaussian Hardy
@@ -306,16 +266,16 @@ def additive_lk_from_hardy(u: FieldFunction, nf: NFunction, n: int,
     """
     _require_lk_hypotheses(u, nf)
     spec = spec or QuadratureSpec()
-    hardy_rep = check_nd(u, nf, n, "hn1", spec)
-    if hardy_rep.verdict == "fails":
+    hardy_check = check_nd(u, nf, n, "hn1", spec)
+    if hardy_check.verdict == "fails":
         raise PreconditionError(
             f"Hardy hypothesis fails for ('{u.label}', '{nf.label}', n={n})")
-    rep = check_lk_modular(terms, c1, c2, theta=1.0, nfunc_label=nf.label,
-                           subject_label=u.label, n=u.n, **meta)
-    rep.provenance = {
+    provenance = {
         "hardy_form": "hn1",
-        "hardy_verdict": hardy_rep.verdict,
-        "hardy_slack": hardy_rep.slack,
-        "hardy_constants": dict(hardy_rep.constants_used),
+        "hardy_verdict": hardy_check.verdict,
+        "hardy_slack": hardy_check.slack,
+        "hardy_constants": dict(hardy_check.constants_used),
     }
-    return rep
+    return check_lk_modular(terms, c1, c2, theta=1.0, nfunc_label=nf.label,
+                            subject_label=u.label, n=u.n, provenance=provenance,
+                            **meta)

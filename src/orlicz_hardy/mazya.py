@@ -32,13 +32,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PreconditionError
-from .hardy import CheckReport, _report
+from .nfunc import comparison_tol
 from .quadrature import (
-    QuadratureSpec,
     gaussian_tail,
     integrate_interval,
     truncation_radius,
 )
+from .reporting import Check
 
 __all__ = [
     "MeasurePair",
@@ -59,6 +59,10 @@ PROBE_RUNGS = 10  # decades of the endpoint ladder
 # Tolerances of the supremum search; the run's QuadratureSpec does not apply.
 PROBE_REL_TOL, PROBE_ABS_TOL = 1e-10, 1e-300  # each rung of the endpoint probe
 PIECE_REL_TOL, PIECE_ABS_TOL = 1e-9, 1e-16  # each piece between knots
+# Relative tolerances of the transform check; the run's QuadratureSpec does
+# not apply either.
+TRANSFORM_INNER_REL_TOL = 1e-10  # the primitive F and the rhs integral
+TRANSFORM_OUTER_REL_TOL = 1e-9  # the outer integral of |F|^q dmu
 
 
 @dataclass(frozen=True)
@@ -378,15 +382,14 @@ class TransformInput:
 
 
 def check_hardy_transform(f: TransformInput, pair: MeasurePair, C: float,
-                          spec: QuadratureSpec | None = None,
-                          **meta) -> CheckReport:
+                          **meta) -> Check:
     """Evaluate both sides of the transform inequality for a concrete f.
 
     lhs = ( int_a^oo |F|^q dmu )^(1/q) with F(x) = int_a^x f,
-    rhs = C ( int |f|^p dnu )^(1/p); the report's details carry the ratio
-    lhs / rhs_base for comparison against B-derived constants.
+    rhs = C ( int |f|^p dnu )^(1/p); the check's details carry the ratio
+    lhs / rhs_base for comparison against B-derived constants, and the
+    fixed quadrature tolerances.
     """
-    spec = spec or QuadratureSpec()
     if pair.mu_density is None:
         raise PreconditionError(f"pair '{pair.label}' has no mu density")
     lo = max(pair.a, f.lo)
@@ -397,7 +400,8 @@ def check_hardy_transform(f: TransformInput, pair: MeasurePair, C: float,
         top = min(x, f.hi)
         if top <= lo:
             return 0.0
-        return integrate_interval(f.fn, lo, top, rel_tol=1e-10).value
+        return integrate_interval(f.fn, lo, top,
+                                  rel_tol=TRANSFORM_INNER_REL_TOL).value
 
     def lhs_integrand(xs):
         xs = np.asarray(xs, dtype=float)
@@ -414,7 +418,8 @@ def check_hardy_transform(f: TransformInput, pair: MeasurePair, C: float,
             break
         hi *= 2.0
     outer = integrate_interval(lhs_integrand, pair.a + 1e-12, hi,
-                               rel_tol=1e-9, breakpoints=(f.lo, f.hi))
+                               rel_tol=TRANSFORM_OUTER_REL_TOL,
+                               breakpoints=(f.lo, f.hi))
     tail_bound = abs(primitive(hi)) ** pair.q * float(pair.mu_tail(hi))
     lhs = (outer.value + 0.0) ** (1.0 / pair.q)
 
@@ -423,18 +428,22 @@ def check_hardy_transform(f: TransformInput, pair: MeasurePair, C: float,
         return (np.abs(np.asarray(f.fn(xs), dtype=float)) ** pair.p
                 * np.asarray(pair.nu_density(xs), dtype=float))
 
-    base = integrate_interval(rhs_integrand, f.lo, f.hi, rel_tol=1e-10)
+    base = integrate_interval(rhs_integrand, f.lo, f.hi,
+                              rel_tol=TRANSFORM_INNER_REL_TOL)
     rhs_base = base.value ** (1.0 / pair.p)
     rhs = C * rhs_base
+    details = {"inner_rel_tol": TRANSFORM_INNER_REL_TOL,
+               "outer_rel_tol": TRANSFORM_OUTER_REL_TOL}
     if rhs_base == 0.0 and lhs == 0.0:
-        rep = _report("mazhar", 0.0, 0.0, {"C": C}, 0.0, **meta)
-        rep.verdict = "holds"
-        return rep
-    if not math.isfinite(rhs):
-        rep = _report("mazhar", lhs, rhs, {"C": C}, math.inf, **meta)
-        rep.verdict = "indeterminate"
-        return rep
+        return Check.compare("mazhar", 0.0, 0.0, 0.0, comparison_tol(0.0),
+                             constants_used={"C": C}, details=details, **meta)
+    if not math.isfinite(rhs):  # no finite bound to compare against
+        check = Check.compare("mazhar", lhs, rhs, math.inf, comparison_tol(rhs),
+                              constants_used={"C": C}, details=details, **meta)
+        check.verdict = "indeterminate"
+        return check
     err = (outer.err_est + tail_bound) / max(pair.q * max(lhs, 1e-300) ** (pair.q - 1.0), 1e-300)
-    rep = _report("mazhar", lhs, rhs, {"C": C, "rhs_base": rhs_base}, err, **meta)
-    rep.details["ratio"] = lhs / rhs_base if rhs_base > 0 else math.inf
-    return rep
+    details["ratio"] = lhs / rhs_base if rhs_base > 0 else math.inf
+    return Check.compare("mazhar", lhs, rhs, err, comparison_tol(rhs),
+                         constants_used={"C": C, "rhs_base": rhs_base},
+                         details=details, **meta)

@@ -15,7 +15,7 @@ envelope's exact Gaussian tail falls below the absolute tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
@@ -111,9 +111,6 @@ class QuadratureSpec:
             raise PreconditionError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
         if self.sphere_nodes < 1:
             raise PreconditionError("sphere_nodes must be >= 1")
-
-    def with_seed(self, seed: int) -> "QuadratureSpec":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -321,20 +318,9 @@ def integrate_radial(f, n: int, spec: QuadratureSpec | None = None,
     combines the panel estimates with the exact Gaussian tail of the declared
     envelope beyond the truncation radius.
     """
-    spec = spec or QuadratureSpec()
-    if n < 1:
-        raise PreconditionError(f"dimension must be >= 1, got {n}")
-    radius, deg, rate = _resolve_radius(n, spec, envelope)
-
-    def weighted(r):
-        vals = np.asarray(f(r), dtype=float)
-        w = np.power(r, n - 1) * np.exp(-0.5 * r * r)
-        return vals * w
-
-    edges = _build_edges(0.0, radius, breakpoints, _radial_seeds(radius, deg, rate))
-    val, err, ok = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol)
-    tail = 0.0 if not math.isfinite(rate) else gaussian_tail(deg, rate, radius)
-    return IntegralResult(float(val[0]), float(err[0]) + tail, radius,
+    vals, errs, radius, ok = integrate_radial_family(
+        f, n, spec, envelope=envelope, breakpoints=breakpoints)
+    return IntegralResult(float(vals[0]), float(errs[0]), radius,
                           angular_warning=not ok)
 
 
@@ -342,9 +328,12 @@ def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None,
                             envelope=None, breakpoints=()):
     """Shared-panel integration of a family of radial profiles.
 
-    fs maps an array of radii (k,) to a matrix (m, k).  Returns
-    (values (m,), errors (m,), radius)."""
+    fs maps an array of radii (k,) to a matrix (m, k), or to a vector (k,)
+    for a family of one.  Returns (values (m,), errors (m,), radius,
+    converged)."""
     spec = spec or QuadratureSpec()
+    if n < 1:
+        raise PreconditionError(f"dimension must be >= 1, got {n}")
     radius, deg, rate = _resolve_radius(n, spec, envelope)
 
     def weighted(r):

@@ -5,22 +5,74 @@ vary between runs) and `body` (everything the verification produced).  The
 body is canonicalised -- sorted keys, floats round-tripped through 17
 significant digits -- so identical runs produce byte-identical bodies, which
 `meta.body_sha256` records for cheap diffing.
+
+Every battery reports its outcomes as `Check` records, and every comparison
+of a left-hand side against a right-hand side gets its verdict from
+`verdict`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict, dataclass, field, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-__all__ = ["canonicalize", "canonical_json", "body_digest", "write_report",
-           "summarize_verdicts", "report_to_dict"]
+__all__ = ["Check", "verdict", "canonicalize", "canonical_json", "body_digest",
+           "write_report", "summarize_verdicts"]
 
 TOOL_VERSION = "0.1.0"
+TINY = 1e-300  # sides at or below this magnitude count as zero
+
+
+def verdict(lhs: float, rhs: float, err_est: float, tol: float) -> str:
+    """Does lhs <= rhs hold?  `indeterminate` whenever the error band
+    err_est straddles the decision boundary, never coerced to a pass."""
+    slack = rhs - lhs
+    if abs(lhs) <= TINY and abs(rhs) <= TINY:
+        return "holds"
+    if err_est > 0.0 and abs(slack) <= err_est:
+        return "indeterminate"
+    return "holds" if slack >= -tol else "fails"
+
+
+@dataclass
+class Check:
+    """One check of a report; the fields are the check items of
+    `docs/report-schema.json`."""
+
+    id: str
+    verdict: str
+    check_id: str = ""
+    lhs: float | None = None
+    rhs: float | None = None
+    slack: float | None = None
+    tolerance: float | None = None
+    err_est: float | None = None
+    constants_used: dict = field(default_factory=dict)
+    nfunc_label: str = ""
+    subject_label: str = ""
+    n: int | None = None
+    normalization: str | None = None
+    theta: float | None = None
+    rhs_terms: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)
+    details: dict = field(default_factory=dict)
+
+    @classmethod
+    def compare(cls, id: str, lhs: float, rhs: float, err_est: float, tol: float,
+                **fields) -> "Check":
+        """The check of lhs <= rhs, with its slack and `verdict`."""
+        return cls(id, verdict(lhs, rhs, err_est, tol), lhs=lhs, rhs=rhs,
+                   slack=rhs - lhs, tolerance=tol, err_est=err_est, **fields)
+
+    def as_dict(self) -> dict:
+        """The report body's form: fields that are None or empty left out."""
+        return {k: v for k, v in asdict(self).items()
+                if v not in (None, "", {})}
 
 
 def canonicalize(obj):
@@ -39,8 +91,8 @@ def canonicalize(obj):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return float(f"{obj:.17g}")
-    if dataclasses.is_dataclass(obj):
-        return canonicalize(dataclasses.asdict(obj))
+    if is_dataclass(obj):
+        return canonicalize(asdict(obj))
     return canonicalize(str(obj))
 
 
@@ -52,19 +104,10 @@ def body_digest(body) -> str:
     return hashlib.sha256(canonical_json(body).encode()).hexdigest()
 
 
-def report_to_dict(report) -> dict:
-    """Flatten a CheckReport/LKReport dataclass into a JSON-ready dict."""
-    d = dataclasses.asdict(report)
-    ineq = d.pop("inequality_id", None) or d.pop("form", None)
-    d["id"] = ineq
-    return d
-
-
-def summarize_verdicts(reports) -> dict:
+def summarize_verdicts(checks) -> dict:
     counts = {"holds": 0, "fails": 0, "indeterminate": 0, "trivial": 0}
-    for rep in reports:
-        v = rep["verdict"] if isinstance(rep, dict) else rep.verdict
-        counts[v] = counts.get(v, 0) + 1
+    for check in checks:
+        counts[check.verdict] = counts.get(check.verdict, 0) + 1
     return counts
 
 

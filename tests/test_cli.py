@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +9,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from orlicz_hardy import landau_kolmogorov as lk_mod
 from orlicz_hardy.cli import main
 from orlicz_hardy.reporting import canonical_json
+
+SCHEMA = json.loads(
+    (Path(__file__).parent.parent / "docs" / "report-schema.json").read_text())
 
 
 def load_report(path):
@@ -75,6 +81,31 @@ class TestSubcommands:
             assert check["rhs"] == sum(check["rhs_terms"].values())
             assert check["slack"] == check["rhs"] - check["lhs"]
 
+    def test_infeasible_fits_fail(self, tmp_path):
+        rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p3", "--dim", "1..2",
+                   "--fit-grid", "0.001,0.002", "--theta-grid", "0.5,1.0"])
+        assert rc == 1
+        body = load_report(tmp_path / "lk.json")["body"]
+        assert body["summary"]["fails"] == 4
+        assert {c["check_id"] for c in body["checks"] if c["verdict"] == "fails"} == {
+            f"{form}_envelope:p3:corpus:n={n}"
+            for form in ("statB1gauss", "statB2gauss") for n in (1, 2)}
+
+    def test_infeasible_modular_fit_alone_exits_nonzero(self, tmp_path, monkeypatch):
+        fit = lk_mod.fit_lk_modular_envelope
+
+        def infeasible(*args, **kwargs):
+            fitted, terms = fit(*args, **kwargs)
+            return dataclasses.replace(fitted, c1=math.inf, c2=math.inf,
+                                       binding_label="", feasible=False), terms
+
+        monkeypatch.setattr(lk_mod, "fit_lk_modular_envelope", infeasible)
+        rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p2", "--dim", "1"])
+        assert rc == 1
+        checks = load_report(tmp_path / "lk.json")["body"]["checks"]
+        assert [c["check_id"] for c in checks if c["verdict"] == "fails"] == [
+            "statB1gauss_envelope:p2:corpus:n=1"]
+
     def test_console_script_runs(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "orlicz_hardy.cli", "--out", str(tmp_path),
@@ -85,14 +116,28 @@ class TestSubcommands:
 
 
 class TestDeterminism:
-    def test_all_runs_byte_identical(self, tmp_path):
-        rc1 = main(["--out", str(tmp_path / "a"), "all", "--dim", "1"])
-        rc2 = main(["--out", str(tmp_path / "b"), "all", "--dim", "1"])
+    @pytest.fixture(scope="class")
+    def all_runs(self, tmp_path_factory):
+        """Two runs of `all --dim 1`: (exit codes, report documents)."""
+        out = tmp_path_factory.mktemp("all")
+        rcs = [main(["--out", str(out / run), "all", "--dim", "1"]) for run in "ab"]
+        return rcs, [load_report(out / run / "all.json") for run in "ab"]
+
+    def test_all_runs_byte_identical(self, all_runs):
+        (rc1, rc2), (doc_a, doc_b) = all_runs
         assert rc1 == 0 and rc2 == 0
-        doc_a = load_report(tmp_path / "a" / "all.json")
-        doc_b = load_report(tmp_path / "b" / "all.json")
         assert doc_a["meta"]["body_sha256"] == doc_b["meta"]["body_sha256"]
         assert canonical_json(doc_a["body"]) == canonical_json(doc_b["body"])
+
+    def test_all_report_matches_schema(self, all_runs):
+        _, (doc, _) = all_runs
+        jsonschema.validate(doc, SCHEMA)
+
+    def test_all_checks_have_no_empty_values(self, all_runs):
+        _, (doc, _) = all_runs
+        for check in doc["body"]["checks"]:
+            for key, value in check.items():
+                assert value not in (None, "", {}, []), (check["check_id"], key)
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ORLICZ_SEED", "4242")
@@ -110,10 +155,6 @@ class TestDeterminism:
             label = check.get("subject_label")
             if label:
                 assert label in body["corpus"]
-
-
-SCHEMA = json.loads(
-    (Path(__file__).parent.parent / "docs" / "report-schema.json").read_text())
 
 
 @pytest.mark.parametrize("argv", [

@@ -154,6 +154,11 @@ class TestTransform:
         r7 = check_hardy_transform(box(height=7.0), classical_pair(), C=2.0)
         assert r1.details["ratio"] == pytest.approx(r7.details["ratio"], rel=1e-9)
 
+    def test_tolerances_reported(self):
+        rep = check_hardy_transform(box(), classical_pair(), C=2.0)
+        assert rep.details["inner_rel_tol"] == mazya_mod.TRANSFORM_INNER_REL_TOL == 1e-10
+        assert rep.details["outer_rel_tol"] == mazya_mod.TRANSFORM_OUTER_REL_TOL == 1e-9
+
     def test_gaussian_pair_ratio_capped(self):
         pair = gaussian_pair(3.0, 2)
         _, res = gaussian_hardy_pq(3.0, 2)
