@@ -11,6 +11,7 @@ from .errors import (
 )
 from .functionals import (
     FieldFunction,
+    FieldSamples,
     ModularTriple,
     RadialTestFunction,
     ScalarProfile,
@@ -25,6 +26,7 @@ from .hardy import (
     check_convex_case,
     check_linear,
     check_nd,
+    check_norm_form_nd,
     check_norm_form_radial,
     check_p2_exact,
     convex_constants,
@@ -63,6 +65,7 @@ from .quadrature import (
     GaussianMeasure,
     QuadratureSpec,
     RadialMeasure,
+    SampleStore,
     SupportHint,
     integrate_gaussian_nd,
     integrate_radial,

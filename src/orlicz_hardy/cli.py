@@ -24,7 +24,7 @@ from . import landau_kolmogorov as lk_mod
 from . import mazya as mazya_mod
 from . import sharpness as sharp_mod
 from .errors import ManifestError, OrliczHardyError, PreconditionError
-from .functionals import modular_triple_radial
+from .functionals import FieldSamples, modular_triple_nd, modular_triple_radial
 from .quadrature import QuadratureSpec
 from .reporting import (
     TOOL_VERSION,
@@ -122,23 +122,29 @@ def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
                     checks.append(hardy_mod.check_norm_form_radial(
                         u, nf, n, spec, **labels("www", u_label)))
 
-            # n-dimensional forms over the field corpus
+            # n-dimensional forms over the field corpus, one modular triple
+            # per field for every modular form
             nd_forms = []
             if form in (None, "hn1"):
                 nd_forms.append("hn1")
             if form in (None, "wwww") and d >= 2.0 \
                     and D > max(2.0, math.e + 2.0 - n):
                 nd_forms.append("wwww")
-            if form == "hn11":
-                nd_forms.append("hn11")
-            for nd_form in nd_forms:
-                for f_label, factory in sorted(manifest.field_functions.items()):
-                    if not factory.compatible(n):
-                        continue
-                    field = factory.instantiate(n)
-                    checks.append(hardy_mod.check_nd(
-                        field, nf, n, nd_form, spec, normalized=normalized,
-                        **labels(nd_form, f_label)))
+            norm_tag = "normalized" if normalized else "unnormalized"
+            for f_label, factory in sorted(manifest.field_functions.items()):
+                if not factory.compatible(n):
+                    continue
+                field = factory.instantiate(n)
+                if form == "hn11":
+                    checks.append(hardy_mod.check_norm_form_nd(
+                        field, nf, n, spec, normalized=normalized,
+                        **labels("hn11", f_label)))
+                elif nd_forms:
+                    triple = modular_triple_nd(field, nf, spec, normalized=normalized)
+                    for nd_form in nd_forms:
+                        checks.append(hardy_mod.check_nd(
+                            triple, nf, n, nd_form, normalization=norm_tag,
+                            **labels(nd_form, f_label)))
 
 
 def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
@@ -248,7 +254,8 @@ def run_mazya(checks: list, series: dict, gaussian=None, classical=False,
             subject_label=f"gaussian[p={p:g},n={n}]"))
 
 
-def _record_fit(fit, nf_label: str, n: int, checks: list, fits: dict, **extra):
+def _record_fit(fit, nf_label: str, n: int, checks: list, fits: dict,
+                normalization=None, **extra):
     """Record an LK envelope fit and its check, which an infeasible fit fails."""
     fits[f"{fit.form}:{nf_label}:n={n}"] = {
         "C1": fit.c1, "C2": fit.c2, "binding": fit.binding_label,
@@ -259,44 +266,60 @@ def _record_fit(fit, nf_label: str, n: int, checks: list, fits: dict, **extra):
         fit.form, "holds" if fit.feasible else "fails",
         check_id=f"{fit.form}_envelope:{nf_label}:corpus:n={n}",
         constants_used={"C1": fit.c1, "C2": fit.c2, "binding": fit.binding_label},
-        nfunc_label=nf_label, n=n))
+        nfunc_label=nf_label, n=n, normalization=normalization))
 
 
 def run_lk(manifest, spec, dims, checks: list, series: dict, fits: dict,
            nfunc_labels=("p2", "p3"), theta_grid=DEFAULT_THETAS,
-           fit_grid=lk_mod.DEFAULT_FIT_GRID):
+           fit_grid=lk_mod.DEFAULT_FIT_GRID, normalized=False):
     for nf_label in nfunc_labels:
         nf = manifest.nfunc(nf_label)
         for n in dims:
             fields = [factory.instantiate(n)
                       for label, factory in sorted(manifest.field_functions.items())
                       if factory.compatible(n)]
-            fit_norm, rows = lk_mod.fit_lk_norm_envelope(fields, nf, spec, fit_grid)
-            _record_fit(fit_norm, nf_label, n, checks, fits)
-            for label, *triple in rows:
-                checks.append(lk_mod.check_lk_norm(
-                    triple, fit_norm.c1, fit_norm.c2,
-                    check_id=f"statB2gauss:{nf_label}:{label}:n={n}",
-                    nfunc_label=nf.label, subject_label=label, n=n))
+            _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
+                         theta_grid, fit_grid, normalized)
 
-            fit_mod, terms = lk_mod.fit_lk_modular_envelope(
-                fields, nf, spec, fit_grid, theta_grid)
-            _record_fit(fit_mod, nf_label, n, checks, fits,
-                        theta_grid=list(theta_grid))
-            series[f"lk_theta_sweep:{nf_label}:n={n}"] = [
-                {"subject": label, "theta": th, "lhs": lhs,
-                 "hess_modular": a, "func_modular": b}
-                for label, by_theta in terms.items()
-                for th, (lhs, a, b, _) in by_theta.items() if fit_mod.feasible]
-            for u in fields:
-                for theta in theta_grid:
-                    checks.append(lk_mod.check_lk_modular(
-                        terms[u.label][theta], fit_mod.c1, fit_mod.c2, theta,
-                        check_id=f"statB1:theta={theta:g}:{nf_label}:{u.label}:n={n}",
-                        nfunc_label=nf.label, subject_label=u.label, n=n))
-                checks.append(lk_mod.additive_lk_from_hardy(
-                    u, nf, n, terms[u.label][1.0], fit_mod.c1, fit_mod.c2, spec,
-                    check_id=f"statB1gauss_from_hardy:{nf_label}:{u.label}:n={n}"))
+
+def _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
+                 theta_grid, fit_grid, normalized):
+    """The LK battery for one (N-function, n).  Every integral of a field
+    reads the field's sample stores, which are freed on return."""
+    samples = {u.label: FieldSamples.of(u, spec) for u in fields}
+    # LK checks name only the normalized measure; the unnormalized default
+    # is left to the report's own `normalization`, as before
+    norm = "normalized" if normalized else None
+    fit_norm, rows = lk_mod.fit_lk_norm_envelope(fields, nf, spec, fit_grid,
+                                                 normalized, samples)
+    _record_fit(fit_norm, nf_label, n, checks, fits, norm)
+    for label, *triple in rows:
+        checks.append(lk_mod.check_lk_norm(
+            triple, fit_norm.c1, fit_norm.c2,
+            check_id=f"statB2gauss:{nf_label}:{label}:n={n}",
+            nfunc_label=nf.label, subject_label=label, n=n, normalization=norm))
+
+    fit_mod, terms = lk_mod.fit_lk_modular_envelope(
+        fields, nf, spec, fit_grid, theta_grid, normalized, samples)
+    _record_fit(fit_mod, nf_label, n, checks, fits, norm,
+                theta_grid=list(theta_grid))
+    series[f"lk_theta_sweep:{nf_label}:n={n}"] = [
+        {"subject": label, "theta": th, "lhs": lhs,
+         "hess_modular": a, "func_modular": b}
+        for label, by_theta in terms.items()
+        for th, (lhs, a, b, _) in by_theta.items() if fit_mod.feasible]
+    for u in fields:
+        for theta in theta_grid:
+            checks.append(lk_mod.check_lk_modular(
+                terms[u.label][theta], fit_mod.c1, fit_mod.c2, theta,
+                check_id=f"statB1:theta={theta:g}:{nf_label}:{u.label}:n={n}",
+                nfunc_label=nf.label, subject_label=u.label, n=n,
+                normalization=norm))
+        checks.append(lk_mod.additive_lk_from_hardy(
+            u, nf, n, terms[u.label][1.0], fit_mod.c1, fit_mod.c2, spec,
+            normalized, samples[u.label],
+            check_id=f"statB1gauss_from_hardy:{nf_label}:{u.label}:n={n}",
+            normalization=norm))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +438,7 @@ def main(argv=None) -> int:
             thetas = tuple(float(t) for t in args.theta_grid.split(","))
             run_lk(manifest, spec, _parse_dims(args.dim), checks, series, fits,
                    nfunc_labels=[s for s in args.nfunc.split(",") if s],
-                   theta_grid=thetas, fit_grid=grid)
+                   theta_grid=thetas, fit_grid=grid, normalized=args.normalized)
         elif args.subcommand == "all":
             dims = _parse_dims(args.dim)
             run_certify(manifest, spec, checks)
@@ -427,7 +450,7 @@ def main(argv=None) -> int:
                       gaussian=[(p, n) for p in (1.5, 2.0, 3.0, 4.0)
                                 for n in (1, 2, 3)])
             run_lk(manifest, spec, [n for n in dims if n <= 2], checks, series,
-                   fits, nfunc_labels=("p2", "p3"))
+                   fits, nfunc_labels=("p2", "p3"), normalized=args.normalized)
     except (ManifestError, OrliczHardyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

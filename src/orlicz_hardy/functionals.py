@@ -25,6 +25,7 @@ from .quadrature import (
     GaussianMeasure,
     QuadratureSpec,
     RadialMeasure,
+    SampleStore,
     SupportHint,
     integrate_gaussian_nd,
     integrate_radial,
@@ -35,6 +36,7 @@ __all__ = [
     "SupportHint",
     "RadialTestFunction",
     "FieldFunction",
+    "FieldSamples",
     "ModularTriple",
     "ScalarProfile",
     "modular_triple_radial",
@@ -149,7 +151,8 @@ def _modular_triple(fns, hint: SupportHint, deriv_hint: SupportHint,
     """K, L, G from the integrands fns = (k_fn, l_fn, g_fn) of a function
     with decay hint `hint` and derivative hint `deriv_hint`.
 
-    integrate(fn, envelope) returns the IntegralResult of one integrand; a
+    integrate(fn, envelope) returns the IntegralResult of one integrand of
+    fns, in whatever form the caller's integrator takes; a
     modular whose envelope does not decay against the measure is divergent.
     """
     k_hint = replace(hint, degree=hint.degree + 1.0) if hint.kind == "decaying" else hint
@@ -195,11 +198,38 @@ def hessian_hs_norm(u: FieldFunction, pts: np.ndarray) -> np.ndarray:
     return np.sqrt((h * h).sum(axis=(-2, -1)))
 
 
+@dataclass(frozen=True)
+class FieldSamples:
+    """Sample stores of a field's |u|, |grad u| and ||hess u||_HS (None
+    without a Hessian): every Gaussian integral of the field reads these, so
+    each profile is evaluated once per radius."""
+
+    u: SampleStore
+    grad: SampleStore
+    hess: SampleStore | None
+
+    @classmethod
+    def of(cls, u: FieldFunction,
+           spec: QuadratureSpec | None = None) -> "FieldSamples":
+        def abs_u(pts):
+            return np.abs(u.u(pts))
+
+        def grad_norm(pts):
+            return np.linalg.norm(np.asarray(u.grad(pts), dtype=float), axis=-1)
+
+        hess = (SampleStore(lambda pts: hessian_hs_norm(u, pts), u.n, spec)
+                if u.hess is not None else None)
+        return cls(SampleStore(abs_u, u.n, spec), SampleStore(grad_norm, u.n, spec),
+                   hess)
+
+
 def modular_triple_nd(u: FieldFunction, nf: NFunction,
                       spec: QuadratureSpec | None = None,
                       normalized: bool = False,
-                      use_radial_reduction: bool = False) -> ModularTriple:
-    """K, L, G of a field against the Gaussian measure on R^n.
+                      use_radial_reduction: bool = False,
+                      samples: FieldSamples | None = None) -> ModularTriple:
+    """K, L, G of a field against the Gaussian measure on R^n, read from
+    the field's sample stores (fresh ones unless `samples` is given).
 
     With use_radial_reduction and a declared radial profile, the exact
     spherical reduction (surface area times the radial modular) is used
@@ -216,22 +246,21 @@ def modular_triple_nd(u: FieldFunction, nf: NFunction,
 
     if u.grad is None:
         raise PreconditionError(f"field '{u.label}' has no gradient")
+    if samples is None:
+        samples = FieldSamples.of(u, spec)
 
-    def k_fn(pts):
-        rr = np.linalg.norm(pts, axis=-1)
-        return nf.eval(rr * np.abs(u.u(pts)))
+    def k_fn(abs_u, r):
+        return nf.eval(samples.u.norms(r) * abs_u)
 
-    def l_fn(pts):
-        return nf.eval(np.abs(u.u(pts)))
-
-    def g_fn(pts):
-        gr = np.asarray(u.grad(pts), dtype=float)
-        return nf.eval(np.linalg.norm(gr, axis=-1))
+    def m_fn(values, r):
+        return nf.eval(values)
 
     return _modular_triple(
-        (k_fn, l_fn, g_fn), u.hint, u.grad_hint(), nf,
-        lambda fn, env: integrate_gaussian_nd(fn, n, spec, envelope=env,
-                                              normalized=normalized))
+        ((samples.u, k_fn), (samples.u, m_fn), (samples.grad, m_fn)),
+        u.hint, u.grad_hint(), nf,
+        lambda fn, env: integrate_gaussian_nd(fn[0], n, spec, envelope=env,
+                                              normalized=normalized,
+                                              transform=fn[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +269,8 @@ def modular_triple_nd(u: FieldFunction, nf: NFunction,
 
 def _as_profile(f, measure) -> ScalarProfile:
     if isinstance(f, ScalarProfile):
+        if isinstance(f.fn, SampleStore) and not isinstance(measure, GaussianMeasure):
+            raise PreconditionError("a sample store profile needs a Gaussian measure")
         return f
     if isinstance(measure, RadialMeasure) and isinstance(f, RadialTestFunction):
         return ScalarProfile(f.u, f.hint, f.breakpoints)
@@ -259,9 +290,9 @@ def _modular_of_scaled(profile: ScalarProfile, nf: NFunction, measure, spec,
                                measure.n, spec, envelope=env,
                                breakpoints=profile.breakpoints)
         return res.value
-    res = integrate_gaussian_nd(lambda pts: nf.eval(np.abs(profile.fn(pts)) / scale),
-                                measure.n, spec, envelope=env,
-                                normalized=measure.normalized)
+    res = integrate_gaussian_nd(profile.fn, measure.n, spec, envelope=env,
+                                normalized=measure.normalized,
+                                transform=lambda v, r: nf.eval(np.abs(v) / scale))
     return res.value
 
 
@@ -279,13 +310,16 @@ def luxemburg_norm(f, nf: NFunction, measure, spec: QuadratureSpec | None = None
     Under the doubling condition the modular is exactly 1 at the norm, so the
     value is found as the root of modular(K) = 1: a doubling/halving search
     brackets it from K=1, then log-secant steps with a bisection safeguard
-    run until the modular lies within [1 - norm_tol, 1 + norm_tol].
+    run until the modular lies within [1 - norm_tol, 1 + norm_tol].  On a
+    Gaussian measure every scale reads one sample store of the profile.
     """
     spec = spec or QuadratureSpec()
     if nf.delta2_const is None:
         raise PreconditionError(
             f"N-function '{nf.label}' is not doubling-certified")
     profile = _as_profile(f, measure)
+    if isinstance(measure, GaussianMeasure) and not isinstance(profile.fn, SampleStore):
+        profile = replace(profile, fn=SampleStore(profile.fn, measure.n, spec))
 
     def modular(k: float) -> float:
         return _modular_of_scaled(profile, nf, measure, spec, k)

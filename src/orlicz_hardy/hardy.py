@@ -16,10 +16,10 @@ import numpy as np
 from .errors import PreconditionError
 from .functionals import (
     FieldFunction,
+    FieldSamples,
     ModularTriple,
     RadialTestFunction,
     ScalarProfile,
-    modular_triple_nd,
     luxemburg_norm,
 )
 from .nfunc import NFunction, comparison_tol
@@ -42,6 +42,7 @@ __all__ = [
     "check_convex_case",
     "check_norm_form_radial",
     "check_nd",
+    "check_norm_form_nd",
 ]
 
 def _check(inequality_id: str, lhs: float, rhs: float, constants: dict,
@@ -294,24 +295,19 @@ def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
 # n-dimensional forms
 # ---------------------------------------------------------------------------
 
-def check_nd(u: FieldFunction, nf: NFunction, n: int, form: str,
-             spec: QuadratureSpec | None = None, normalized: bool = False,
+def check_nd(triple: ModularTriple, nf: NFunction, n: int, form: str,
              **meta) -> Check:
-    """Gaussian-measure inequality on R^n.
+    """Gaussian-measure modular inequality on R^n for the `modular_triple_nd`
+    of a field; meta may name its normalization (default unnormalized).
 
     form="wwww": the term2-type bound, requires d >= 2 and D > max(2, e+2-n).
     form="hn1":  linear bound with the doubling-case constants.
-    form="hn11": norm form ||.|x| u|| <= C (||u|| + ||grad u||), C = C1+C2+1.
 
     The constants transfer unchanged from the radial case: the spherical
     slicing applies the radial bound direction by direction.
     """
-    spec = spec or QuadratureSpec()
-    if n != u.n:
-        raise PreconditionError(f"field '{u.label}' has dimension {u.n}, not {n}")
     d, D = nf.require_exponents()
-    norm_tag = "normalized" if normalized else "unnormalized"
-    meta = {**meta, "n": n, "normalization": norm_tag}
+    meta = {**meta, "n": n}
 
     if form == "wwww":
         if d < 2.0 - 1e-12:
@@ -321,7 +317,6 @@ def check_nd(u: FieldFunction, nf: NFunction, n: int, form: str,
             raise PreconditionError(
                 f"form wwww needs D > max(2, e+2-n) = {max(2.0, math.e + 2.0 - n):.3f}, "
                 f"got D={D} for '{nf.label}'")
-        triple = modular_triple_nd(u, nf, spec, normalized=normalized)
         _require_valid(triple)
         rhs = _term2_rhs(triple.L, triple.G, D, n)
         e_rhs = abs(_term2_rhs(triple.L + triple.errs[1],
@@ -333,38 +328,46 @@ def check_nd(u: FieldFunction, nf: NFunction, n: int, form: str,
         if nf.delta2_const is None or not nf.convex:
             raise PreconditionError(
                 f"form hn1 needs a convex doubling N-function, got '{nf.label}'")
-        triple = modular_triple_nd(u, nf, spec, normalized=normalized)
         _require_valid(triple)
         c1, c2, proof = convex_constants(D, n)
         check = check_linear(triple, c1, c2, inequality_id="hn1", **meta)
         check.constants_used.update(proof)
         return check
 
-    if form == "hn11":
-        if nf.delta2_const is None or not nf.convex:
-            raise PreconditionError(
-                f"form hn11 needs a convex doubling N-function, got '{nf.label}'")
-        c1, c2, proof = convex_constants(D, n)
-        c = c1 + c2 + 1.0
-        meas = GaussianMeasure(n, normalized)
-        norm_u = luxemburg_norm(u, nf, meas, spec)
-        norm_grad = luxemburg_norm(
-            ScalarProfile(lambda pts: np.linalg.norm(np.asarray(u.grad(pts), float),
-                                                     axis=-1),
-                          u.grad_hint()), nf, meas, spec)
-        denom = norm_u + norm_grad
-        constants = {"C": c, "C1": c1, "C2": c2, **proof}
-        if denom == 0.0:  # nothing to compare
-            check = _check("hn11", 0.0, 0.0, constants, 0.0, **meta)
-            check.verdict = "trivial"
-            return check
-        weighted = ScalarProfile(
-            lambda pts: np.linalg.norm(pts, axis=-1) * np.abs(u.u(pts)),
-            (u.hint if u.hint.kind == "compact"
-             else SupportHint.decaying(u.hint.degree + 1.0, u.hint.rate)))
-        norm_xu = luxemburg_norm(weighted, nf, meas, spec)
-        ratio = norm_xu / denom
-        return _check("hn11", ratio, c, constants, err_est=3e-9 * max(1.0, ratio),
-                      details={"ratio": ratio}, **meta)
+    raise PreconditionError(f"unknown n-dimensional modular form {form!r}")
 
-    raise PreconditionError(f"unknown n-dimensional form {form!r}")
+
+def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
+                       spec: QuadratureSpec | None = None,
+                       normalized: bool = False, **meta) -> Check:
+    """Norm form hn11 on R^n: ||.|x| u|| <= C (||u|| + ||grad u||),
+    C = C1 + C2 + 1 with the doubling-case constants."""
+    spec = spec or QuadratureSpec()
+    if n != u.n:
+        raise PreconditionError(f"field '{u.label}' has dimension {u.n}, not {n}")
+    if nf.delta2_const is None or not nf.convex:
+        raise PreconditionError(
+            f"form hn11 needs a convex doubling N-function, got '{nf.label}'")
+    _, D = nf.require_exponents()
+    meta = {**meta, "n": n,
+            "normalization": "normalized" if normalized else "unnormalized"}
+    c1, c2, proof = convex_constants(D, n)
+    c = c1 + c2 + 1.0
+    meas = GaussianMeasure(n, normalized)
+    samples = FieldSamples.of(u, spec)
+    norm_u = luxemburg_norm(ScalarProfile(samples.u, u.hint), nf, meas, spec)
+    norm_grad = luxemburg_norm(ScalarProfile(samples.grad, u.grad_hint()), nf, meas, spec)
+    denom = norm_u + norm_grad
+    constants = {"C": c, "C1": c1, "C2": c2, **proof}
+    if denom == 0.0:  # nothing to compare
+        check = _check("hn11", 0.0, 0.0, constants, 0.0, **meta)
+        check.verdict = "trivial"
+        return check
+    weighted = ScalarProfile(
+        lambda pts: np.linalg.norm(pts, axis=-1) * np.abs(u.u(pts)),
+        (u.hint if u.hint.kind == "compact"
+         else SupportHint.decaying(u.hint.degree + 1.0, u.hint.rate)))
+    norm_xu = luxemburg_norm(weighted, nf, meas, spec)
+    ratio = norm_xu / denom
+    return _check("hn11", ratio, c, constants, err_est=3e-9 * max(1.0, ratio),
+                  details={"ratio": ratio}, **meta)

@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PreconditionError
 from .functionals import (
     FieldFunction,
+    FieldSamples,
     ScalarProfile,
-    hessian_hs_norm,
+    _compose_hint,
     luxemburg_norm,
+    modular_triple_nd,
 )
 from .hardy import check_nd
 from .nfunc import NFunction, comparison_tol
@@ -84,34 +84,27 @@ def _require_lk_hypotheses(u: FieldFunction, nf: NFunction):
 
 def lk_modular_terms(u: FieldFunction, nf: NFunction, theta: float = 1.0,
                      spec: QuadratureSpec | None = None,
-                     normalized: bool = False) -> tuple[float, float, float, tuple]:
-    """(lhs, hess_term, func_term, errs) of the theta-form modular inequality."""
+                     normalized: bool = False,
+                     samples: FieldSamples | None = None
+                     ) -> tuple[float, float, float, tuple]:
+    """(lhs, hess_term, func_term, errs) of the theta-form modular
+    inequality, read from the field's sample stores (fresh ones unless
+    `samples` is given)."""
     _require_lk_hypotheses(u, nf)
     if not (0.0 < theta <= 1.0):
         raise PreconditionError(f"theta must lie in (0, 1], got {theta}")
     spec = spec or QuadratureSpec()
-    n = u.n
-
-    def grad_fn(pts):
-        g = np.asarray(u.grad(pts), dtype=float)
-        return nf.eval(np.linalg.norm(g, axis=-1))
-
-    def hess_fn(pts):
-        return nf.eval(theta * hessian_hs_norm(u, pts))
-
-    def func_fn(pts):
-        return nf.eval(np.abs(u.u(pts)) / theta)
-
-    from .functionals import _compose_hint  # shared envelope logic
-    lhs = integrate_gaussian_nd(grad_fn, n, spec,
-                                envelope=_compose_hint(u.grad_hint(), 0.0, nf),
-                                normalized=normalized)
-    a = integrate_gaussian_nd(hess_fn, n, spec,
-                              envelope=_compose_hint(u.hess_hint(), 0.0, nf),
-                              normalized=normalized)
-    b = integrate_gaussian_nd(func_fn, n, spec,
-                              envelope=_compose_hint(u.hint, 0.0, nf),
-                              normalized=normalized)
+    if samples is None:
+        samples = FieldSamples.of(u, spec)
+    terms = (
+        (samples.grad, u.grad_hint(), lambda v, r: nf.eval(v)),
+        (samples.hess, u.hess_hint(), lambda v, r: nf.eval(theta * v)),
+        (samples.u, u.hint, lambda v, r: nf.eval(v / theta)),
+    )
+    lhs, a, b = (integrate_gaussian_nd(store, u.n, spec,
+                                       envelope=_compose_hint(hint, 0.0, nf),
+                                       normalized=normalized, transform=transform)
+                 for store, hint, transform in terms)
     return lhs.value, a.value, b.value, (lhs.err_est, a.err_est, b.err_est)
 
 
@@ -131,19 +124,19 @@ def check_lk_modular(terms: tuple, c1: float, c2: float, theta: float = 1.0,
 
 def lk_norm_triple(u: FieldFunction, nf: NFunction,
                    spec: QuadratureSpec | None = None,
-                   normalized: bool = False) -> tuple[float, float, float]:
-    """(r, s, t) = (||grad u||, sqrt(||hess u|| ||u||), ||u||) in Luxemburg norms."""
+                   normalized: bool = False,
+                   samples: FieldSamples | None = None) -> tuple[float, float, float]:
+    """(r, s, t) = (||grad u||, sqrt(||hess u|| ||u||), ||u||) in Luxemburg
+    norms, read from the field's sample stores (fresh ones unless `samples`
+    is given)."""
     _require_lk_hypotheses(u, nf)
     spec = spec or QuadratureSpec()
+    if samples is None:
+        samples = FieldSamples.of(u, spec)
     meas = GaussianMeasure(u.n, normalized)
-    norm_u = luxemburg_norm(ScalarProfile(u.u, u.hint), nf, meas, spec)
-    norm_grad = luxemburg_norm(
-        ScalarProfile(lambda pts: np.linalg.norm(np.asarray(u.grad(pts), float),
-                                                 axis=-1), u.grad_hint()),
-        nf, meas, spec)
-    norm_hess = luxemburg_norm(
-        ScalarProfile(lambda pts: hessian_hs_norm(u, pts), u.hess_hint()),
-        nf, meas, spec)
+    norm_u = luxemburg_norm(ScalarProfile(samples.u, u.hint), nf, meas, spec)
+    norm_grad = luxemburg_norm(ScalarProfile(samples.grad, u.grad_hint()), nf, meas, spec)
+    norm_hess = luxemburg_norm(ScalarProfile(samples.hess, u.hess_hint()), nf, meas, spec)
     return norm_grad, math.sqrt(norm_hess * norm_u), norm_u
 
 
@@ -191,13 +184,16 @@ def fit_envelope(items, grid=DEFAULT_FIT_GRID) -> tuple[float, float, str, bool]
 
 def fit_lk_norm_envelope(corpus, nf: NFunction,
                          spec: QuadratureSpec | None = None,
-                         grid=DEFAULT_FIT_GRID) -> tuple[LKFit, list]:
+                         grid=DEFAULT_FIT_GRID, normalized: bool = False,
+                         samples: dict | None = None) -> tuple[LKFit, list]:
     """Fit the norm-form envelope over a corpus of fields; returns the fit
-    plus per-member (label, r, s, t) rows."""
+    plus per-member (label, r, s, t) rows.  samples maps a member's label
+    to its FieldSamples."""
+    samples = samples or {}
     rows = []
     items = []
     for u in corpus:
-        r, s, t = lk_norm_triple(u, nf, spec)
+        r, s, t = lk_norm_triple(u, nf, spec, normalized, samples.get(u.label))
         rows.append((u.label, r, s, t))
         if t <= 0.0 and r <= 0.0:
             continue
@@ -212,7 +208,8 @@ def fit_lk_norm_envelope(corpus, nf: NFunction,
 def fit_lk_modular_envelope(corpus, nf: NFunction,
                             spec: QuadratureSpec | None = None,
                             grid=DEFAULT_FIT_GRID,
-                            theta_grid=(0.25, 0.5, 1.0)) -> tuple[LKFit, dict]:
+                            theta_grid=(0.25, 0.5, 1.0), normalized: bool = False,
+                            samples: dict | None = None) -> tuple[LKFit, dict]:
     """Fit (C1, C2) for the modular form at theta = 1 and validate the pair
     across the declared theta grid.
 
@@ -221,10 +218,14 @@ def fit_lk_modular_envelope(corpus, nf: NFunction,
     tried (the selection rule is part of the reported provenance).  Returns
     the fit and, feasible or not, the terms it was fitted on: member label ->
     theta -> (lhs, hess_term, func_term, errs), thetas in increasing order
-    and theta = 1 always among them.
+    and theta = 1 always among them.  samples maps a member's label to its
+    FieldSamples.
     """
+    samples = samples or {}
     thetas = sorted(set(theta_grid) | {1.0})
-    terms = {u.label: {theta: lk_modular_terms(u, nf, theta, spec) for theta in thetas}
+    terms = {u.label: {theta: lk_modular_terms(u, nf, theta, spec, normalized,
+                                               samples.get(u.label))
+                       for theta in thetas}
              for u in corpus}
 
     def feasible_at(c1, c2, theta):
@@ -257,16 +258,20 @@ def fit_lk_modular_envelope(corpus, nf: NFunction,
 def additive_lk_from_hardy(u: FieldFunction, nf: NFunction, n: int,
                            terms: tuple, c1: float, c2: float,
                            spec: QuadratureSpec | None = None,
+                           normalized: bool = False,
+                           samples: FieldSamples | None = None,
                            **meta) -> Check:
     """theta = 1 modular check gated on the Hardy hypothesis.
 
     terms: the theta = 1 `lk_modular_terms` of (u, nf).  The Gaussian Hardy
-    inequality (form hn1) is verified for (u, nf, n) first; the resulting
-    report is recorded as provenance of the LK check.
+    inequality (form hn1) is verified for (u, nf, n) first, on the modular
+    triple read from `samples`; the resulting report is recorded as
+    provenance of the LK check.
     """
     _require_lk_hypotheses(u, nf)
     spec = spec or QuadratureSpec()
-    hardy_check = check_nd(u, nf, n, "hn1", spec)
+    triple = modular_triple_nd(u, nf, spec, normalized=normalized, samples=samples)
+    hardy_check = check_nd(triple, nf, n, "hn1")
     if hardy_check.verdict == "fails":
         raise PreconditionError(
             f"Hardy hypothesis fails for ('{u.label}', '{nf.label}', n={n})")

@@ -35,6 +35,7 @@ __all__ = [
     "integrate_radial",
     "integrate_gaussian_nd",
     "sphere_directions",
+    "SampleStore",
 ]
 
 DEFAULT_SEED = 20260809
@@ -351,6 +352,8 @@ def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
     """Reproducible directions on S^(n-1) in antithetic pairs (y, -y).
 
     For n=1 the two unit vectors are returned exactly."""
+    if n < 1:
+        raise PreconditionError(f"dimension must be >= 1, got {n}")
     if n == 1:
         return np.array([[1.0], [-1.0]])
     pairs = max(1, (count + 1) // 2)
@@ -364,23 +367,77 @@ def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
     return np.concatenate([y, -y], axis=0)
 
 
+class SampleStore:
+    """The samples g(r y_j) of one point function g on R^n at the spec's
+    sphere directions y_j, each radius evaluated once.
+
+    Calling the store with radii r of shape (k,) returns the (directions x k)
+    block g(r_i y_j).  g is called only at radii the store has not seen,
+    keyed on the exact float, so a repeated radius costs a lookup and reads
+    the very values a fresh evaluation would give.  Every Gaussian integral
+    of one profile can read one store.
+    """
+
+    def __init__(self, g, n: int, spec: QuadratureSpec | None = None):
+        spec = spec or QuadratureSpec()
+        self.directions = sphere_directions(n, spec.sphere_nodes, spec.seed)
+        self.g = g
+        self.n = n
+        self.sphere = (spec.sphere_nodes, spec.seed)
+        self._radii = np.empty(0)                       # sorted, distinct
+        self._values = np.empty((self.directions.shape[0], 0))
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self._radii, r)
+        seen = idx < self._radii.size
+        seen[seen] = self._radii[idx[seen]] == r[seen]
+        if not seen.all():
+            new = np.unique(r[~seen])
+            vals = np.asarray(self.g(self.points(new)), dtype=float)
+            if vals.shape != (self.directions.shape[0], new.size):
+                raise PreconditionError(
+                    f"point function returned shape {vals.shape}, "
+                    f"not one value per point {(self.directions.shape[0], new.size)}")
+            radii = np.concatenate([self._radii, new])
+            order = np.argsort(radii)
+            self._radii = radii[order]
+            self._values = np.concatenate([self._values, vals], axis=1).take(order, axis=1)
+            idx = np.searchsorted(self._radii, r)
+        # a C-ordered block, as g returns it: the panel sums depend on layout
+        return self._values.take(idx, axis=1)
+
+    def points(self, r: np.ndarray) -> np.ndarray:
+        """The (directions x k x n) points r_i y_j."""
+        return r[None, :, None] * self.directions[:, None, :]
+
+    def norms(self, r: np.ndarray) -> np.ndarray:
+        """|r_i y_j|, as np.linalg.norm of the points gives it."""
+        return np.linalg.norm(self.points(r), axis=-1)
+
+
 def integrate_gaussian_nd(g, n: int, spec: QuadratureSpec | None = None,
                           envelope=None, normalized: bool = False,
-                          breakpoints=()) -> IntegralResult:
+                          breakpoints=(), transform=None) -> IntegralResult:
     """Integral of g against exp(-|x|^2/2) dx on R^n by spherical reduction.
 
-    g maps an array of points of shape (..., n) to values of shape (...).
+    g is a SampleStore or a point function mapping an array of points of
+    shape (..., n) to values of shape (...); a point function gets a store
+    of its own.  transform(values, r), when given, maps the store's
+    (directions x k) block at radii r to the integrand pointwise.
     The angular average over sampled directions is scaled by the sphere
     surface area; `normalized` switches to the (2 pi)^(-n/2)-normalised
     Gaussian.  The error estimate adds the angular standard error of the
     antithetic-pair means to the mean radial quadrature error.
     """
     spec = spec or QuadratureSpec()
-    dirs = sphere_directions(n, spec.sphere_nodes, spec.seed)
+    store = g if isinstance(g, SampleStore) else SampleStore(g, n, spec)
+    if store.n != n or store.sphere != (spec.sphere_nodes, spec.seed):
+        raise PreconditionError(
+            "sample store was drawn for another dimension or sphere rule")
+    dirs = store.directions
 
     def family(r):
-        pts = r[None, :, None] * dirs[:, None, :]
-        return np.asarray(g(pts), dtype=float)
+        return store(r) if transform is None else transform(store(r), r)
 
     vals, errs, radius, ok = integrate_radial_family(
         family, n, spec, envelope=envelope, breakpoints=breakpoints)

@@ -13,6 +13,7 @@ from orlicz_hardy.cli import main as cli_main
 from orlicz_hardy.functionals import (
     ScalarProfile,
     luxemburg_norm,
+    modular_triple_nd,
     modular_triple_radial,
     modular_value,
 )
@@ -192,7 +193,7 @@ def test_09_nd_consistency(manifest, spec):
     nf3 = manifest.nfunc("p3")
     d, D = nf3.require_exponents()
     field = manifest.field_functions["fr_smooth"].instantiate(2)
-    rep_nd = check_nd(field, nf3, 2, "wwww", spec)
+    rep_nd = check_nd(modular_triple_nd(field, nf3, spec), nf3, 2, "wwww")
     rep_rad = check_alternative(
         modular_triple_radial(field.radial_profile, nf3, 2, spec), d, D, 2)
     scale = surface_area(2)
@@ -202,10 +203,11 @@ def test_09_nd_consistency(manifest, spec):
     nonradial_ok = True
     for label in ("fx_lin", "fx_quad", "fx_cross", "fx_cut"):
         f2 = manifest.field_functions[label].instantiate(2)
-        nonradial_ok &= check_nd(f2, manifest.nfunc("p4"), 2, "wwww",
-                                 spec).verdict in ("holds", "indeterminate")
-        nonradial_ok &= check_nd(f2, manifest.nfunc("p2"), 2, "hn1",
-                                 spec).verdict == "holds"
+        p4, p2 = manifest.nfunc("p4"), manifest.nfunc("p2")
+        nonradial_ok &= check_nd(modular_triple_nd(f2, p4, spec), p4, 2,
+                                 "wwww").verdict in ("holds", "indeterminate")
+        nonradial_ok &= check_nd(modular_triple_nd(f2, p2, spec), p2, 2,
+                                 "hn1").verdict == "holds"
     _criterion(9, "spherical reduction consistency and non-radial transfer",
                agree and nonradial_ok,
                f"radial slack agreement within {rep_nd.err_est:.2e}")

@@ -9,8 +9,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from orlicz_hardy import cli, functionals
+from orlicz_hardy import hardy as hardy_mod
 from orlicz_hardy import landau_kolmogorov as lk_mod
-from orlicz_hardy.cli import main
+from orlicz_hardy.cli import main, run_hardy
 from orlicz_hardy.reporting import canonical_json
 
 SCHEMA = json.loads(
@@ -80,6 +82,29 @@ class TestSubcommands:
             assert isinstance(check["rhs"], float), check["check_id"]
             assert check["rhs"] == sum(check["rhs_terms"].values())
             assert check["slack"] == check["rhs"] - check["lhs"]
+
+    def test_lk_normalized_reaches_the_battery(self, tmp_path):
+        bodies = []
+        for flags in ([], ["--normalized"]):
+            out = tmp_path / str(len(flags))
+            assert main(["--out", str(out), *flags, "lk", "--nfunc", "p2",
+                         "--dim", "1"]) == 0
+            bodies.append(load_report(out / "lk.json")["body"])
+        plain, normalized = bodies
+        factor = (2.0 * math.pi) ** -0.5
+        sweep = "lk_theta_sweep:p2:n=1"
+        assert len(plain["series"][sweep]) == len(normalized["series"][sweep]) > 0
+        for a, b in zip(plain["series"][sweep], normalized["series"][sweep]):
+            for term in ("lhs", "hess_modular", "func_modular"):
+                assert b[term] != a[term]
+                assert b[term] == pytest.approx(factor * a[term], rel=1e-14)
+
+        def verdicts(body):
+            return {c["check_id"]: c["verdict"] for c in body["checks"]}
+
+        assert verdicts(normalized) == verdicts(plain)
+        assert all(c["normalization"] == "normalized" for c in normalized["checks"])
+        assert all("normalization" not in c for c in plain["checks"])
 
     def test_infeasible_fits_fail(self, tmp_path):
         rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p3", "--dim", "1..2",
@@ -167,3 +192,21 @@ class TestDeterminism:
 def test_report_matches_schema(tmp_path, argv):
     main(["--out", str(tmp_path), "--report", str(tmp_path / "r.json")] + argv)
     jsonschema.validate(load_report(tmp_path / "r.json"), SCHEMA)
+
+
+def test_run_hardy_computes_each_nd_triple_once(manifest, spec, monkeypatch):
+    calls = []
+
+    def counted(u, nf, *args, **kwargs):
+        calls.append((u.label, nf.label, u.n))
+        return original(u, nf, *args, **kwargs)
+
+    original = functionals.modular_triple_nd
+    for module in (cli, hardy_mod):
+        monkeypatch.setattr(module, "modular_triple_nd", counted, raising=False)
+    run_hardy(manifest, spec, [1, 2], [])
+    expected = [(label, nf_label, n)
+                for nf_label in manifest.nfunctions for n in (1, 2)
+                for label, factory in manifest.field_functions.items()
+                if factory.compatible(n)]
+    assert sorted(calls) == sorted(expected)

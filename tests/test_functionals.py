@@ -6,6 +6,7 @@ import pytest
 from orlicz_hardy.errors import DivergenceError, PreconditionError
 from orlicz_hardy.functionals import (
     FieldFunction,
+    FieldSamples,
     RadialTestFunction,
     ScalarProfile,
     SupportHint,
@@ -18,8 +19,12 @@ from orlicz_hardy.functionals import (
     validate_radial,
 )
 from orlicz_hardy.nfunc import power_nfunction
+from orlicz_hardy.landau_kolmogorov import lk_modular_terms, lk_norm_triple
 from orlicz_hardy.quadrature import (
+    GaussianMeasure,
     RadialMeasure,
+    SampleStore,
+    integrate_gaussian_nd,
     integrate_radial,
     surface_area,
 )
@@ -100,6 +105,19 @@ class TestLuxemburg:
                                       breakpoints=u.breakpoints).value ** (1.0 / p)
                 lux = luxemburg_norm(u, nf, RadialMeasure(n))
                 assert lux == pytest.approx(lp, rel=1e-8)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_gaussian_power_norm_is_lp_norm(self, manifest, spec, p):
+        nf = manifest.nfunc(f"p{p}")
+        for label, factory in sorted(manifest.field_functions.items()):
+            for n in (1, 2):
+                if not factory.compatible(n):
+                    continue
+                u = factory.instantiate(n)
+                lp = integrate_gaussian_nd(lambda x: np.abs(u.u(x)) ** p, n, spec,
+                                           envelope=u.hint).value ** (1.0 / p)
+                lux = luxemburg_norm(u, nf, GaussianMeasure(n), spec)
+                assert lux == pytest.approx(lp, rel=1e-8), (label, n)
 
     def test_norm_bounded_by_modular_plus_one(self, manifest, admissible_triples):
         for (nf_label, u_label, n), tri in admissible_triples.items():
@@ -253,3 +271,42 @@ class TestModularTripleNd:
                                   n=2, hint=SupportHint.decaying(0.0, 0.0))
         with pytest.raises(PreconditionError, match="gradient"):
             modular_triple_nd(none_grad, power_nfunction(2))
+
+
+class FreshStore(SampleStore):
+    """Test-only reference: evaluates g at every requested radius, as each
+    integral did before sample stores, instead of reading earlier samples."""
+
+    def __call__(self, r):
+        return np.asarray(self.g(self.points(r)), dtype=float)
+
+
+def fresh_samples(u, spec):
+    stores = FieldSamples.of(u, spec)
+    return FieldSamples(*(FreshStore(s.g, u.n, spec) for s in
+                          (stores.u, stores.grad, stores.hess)))
+
+
+class TestSampleStoreOracle:
+    @pytest.mark.parametrize("nf_label", ["p2", "p3"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stores_equal_fresh_evaluation(self, manifest, spec, nf_label, n):
+        # one shared store set per field, read in run_lk's order, against
+        # a reference that re-evaluates every profile for every integral
+        nf = manifest.nfunc(nf_label)
+        for label, factory in sorted(manifest.field_functions.items()):
+            if not factory.compatible(n):
+                continue
+            u = factory.instantiate(n)
+            shared, fresh = FieldSamples.of(u, spec), fresh_samples(u, spec)
+            assert (lk_norm_triple(u, nf, spec, samples=shared)
+                    == lk_norm_triple(u, nf, spec, samples=fresh)), label
+            for theta in (0.25, 0.5, 1.0):
+                assert (lk_modular_terms(u, nf, theta, spec, samples=shared)
+                        == lk_modular_terms(u, nf, theta, spec, samples=fresh)), label
+            assert (modular_triple_nd(u, nf, spec, samples=shared)
+                    == modular_triple_nd(u, nf, spec, samples=fresh)), label
+            meas = GaussianMeasure(n)
+            assert (luxemburg_norm(u, nf, meas, spec)
+                    == luxemburg_norm(ScalarProfile(FreshStore(u.u, n, spec), u.hint),
+                                      nf, meas, spec)), label

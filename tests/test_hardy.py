@@ -6,6 +6,7 @@ import pytest
 from orlicz_hardy.errors import PreconditionError
 from orlicz_hardy.functionals import (
     ModularTriple,
+    modular_triple_nd,
     modular_triple_radial,
 )
 from orlicz_hardy.hardy import (
@@ -14,6 +15,7 @@ from orlicz_hardy.hardy import (
     check_convex_case,
     check_linear,
     check_nd,
+    check_norm_form_nd,
     check_norm_form_radial,
     check_p2_exact,
     convex_constants,
@@ -262,7 +264,7 @@ class TestCheckNd:
         factory = manifest.field_functions["fr_smooth"]
         for n in (2, 3):
             field = factory.instantiate(n)
-            rep_nd = check_nd(field, nf, n, "wwww", spec)
+            rep_nd = check_nd(modular_triple_nd(field, nf, spec), nf, n, "wwww")
             tri_rad = modular_triple_radial(field.radial_profile, nf, n, spec)
             rep_rad = check_alternative(tri_rad, d, D, n)
             area = surface_area(n)
@@ -273,7 +275,7 @@ class TestCheckNd:
         nf = manifest.nfunc("p2")
         factory = manifest.field_functions["fr_wide"]
         field = factory.instantiate(2)
-        rep_nd = check_nd(field, nf, 2, "hn1", spec)
+        rep_nd = check_nd(modular_triple_nd(field, nf, spec), nf, 2, "hn1")
         tri_rad = modular_triple_radial(field.radial_profile, nf, 2, spec)
         rep_rad = check_convex_case(tri_rad, 2.0, 2)
         assert rep_nd.verdict == rep_rad.verdict == "holds"
@@ -284,27 +286,28 @@ class TestCheckNd:
         nf4 = manifest.nfunc("p4")
         for label in ("fx_lin", "fx_quad", "fx_cut"):
             field = manifest.field_functions[label].instantiate(2)
-            rep = check_nd(field, nf4, 2, "wwww", spec)
+            rep = check_nd(modular_triple_nd(field, nf4, spec), nf4, 2, "wwww")
             assert rep.verdict in ("holds", "indeterminate"), (label, rep.slack)
-            rep = check_nd(field, manifest.nfunc("p2"), 2, "hn1", spec)
+            p2 = manifest.nfunc("p2")
+            rep = check_nd(modular_triple_nd(field, p2, spec), p2, 2, "hn1")
             assert rep.verdict == "holds", (label, rep.slack)
 
     def test_norm_form_nd(self, manifest, spec):
         field = manifest.field_functions["fx_lin"].instantiate(2)
-        rep = check_nd(field, manifest.nfunc("p2"), 2, "hn11", spec)
+        rep = check_norm_form_nd(field, manifest.nfunc("p2"), 2, spec)
         assert rep.verdict == "holds"
         assert rep.details["ratio"] < rep.constants_used["C"]
 
     def test_hypothesis_mismatch_named(self, manifest, spec):
-        field = manifest.field_functions["fx_lin"].instantiate(1)
         with pytest.raises(PreconditionError, match="wwww"):
-            check_nd(field, manifest.nfunc("p3"), 1, "wwww", spec)
+            check_nd(ZERO, manifest.nfunc("p3"), 1, "wwww")
 
     def test_normalization_invariance(self, manifest, spec):
         nf = manifest.nfunc("p3")
         field = manifest.field_functions["fx_quad"].instantiate(2)
-        plain = check_nd(field, nf, 2, "wwww", spec)
-        norm = check_nd(field, nf, 2, "wwww", spec, normalized=True)
+        plain = check_nd(modular_triple_nd(field, nf, spec), nf, 2, "wwww")
+        norm = check_nd(modular_triple_nd(field, nf, spec, normalized=True), nf, 2,
+                        "wwww", normalization="normalized")
         factor = (2.0 * math.pi) ** (-1.0)
         assert norm.verdict == plain.verdict
         assert norm.slack == pytest.approx(factor * plain.slack, rel=1e-9)

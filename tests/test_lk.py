@@ -1,10 +1,14 @@
+import dataclasses
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from orlicz_hardy import landau_kolmogorov as lk_mod
 from orlicz_hardy.cli import DEFAULT_THETAS, run_lk
+from orlicz_hardy.corpus import FieldFactory
 from orlicz_hardy.errors import PreconditionError
 from orlicz_hardy.functionals import FieldFunction, SupportHint, hessian_hs_norm
 from orlicz_hardy.landau_kolmogorov import (
@@ -210,3 +214,31 @@ class TestRunLkComputesOnce:
                             for theta in DEFAULT_THETAS}
         assert sorted(calls["norm"]) == sorted(expected_norm)
         assert sorted(calls["modular"]) == sorted(expected_modular)
+
+
+class TestRunLkSamplesOnce:
+    def test_no_profile_evaluated_twice_at_a_radius(self, manifest, spec, monkeypatch):
+        # every instantiate call of run_lk is one (N-function, n) iteration
+        evaluations = Counter()
+        iteration = itertools.count()
+        original = FieldFactory.instantiate
+
+        def recorded(key, fn):
+            def wrapper(pts):
+                assert pts.ndim == 3  # (directions, radii, n): one column per radius
+                evaluations.update((key, col.tobytes()) for col in pts.swapaxes(0, 1))
+                return fn(pts)
+            return wrapper
+
+        def instantiate(factory, n):
+            u = original(factory, n)
+            i = next(iteration)
+            return dataclasses.replace(
+                u, u=recorded((i, "u"), u.u), grad=recorded((i, "grad"), u.grad),
+                hess=recorded((i, "hess"), u.hess))
+
+        monkeypatch.setattr(FieldFactory, "instantiate", instantiate)
+        run_lk(manifest, spec, [1, 2], [], {}, {})
+        assert {key[1] for key, _ in evaluations} == {"u", "grad", "hess"}
+        repeated = [key for key, count in evaluations.items() if count > 1]
+        assert repeated == []

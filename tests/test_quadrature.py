@@ -7,6 +7,7 @@ from orlicz_hardy.errors import DivergenceError, EvaluationError, PreconditionEr
 from orlicz_hardy.quadrature import (
     GaussianMeasure,
     QuadratureSpec,
+    SampleStore,
     SupportHint,
     gaussian_tail,
     integrate_gaussian_nd,
@@ -134,11 +135,74 @@ class TestGaussianNd:
         np.testing.assert_allclose(dirs[:16], -dirs[16:], atol=0)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-12)
 
+    def test_zero_dimension_rejected(self):
+        # formerly the direction re-draw loop spun forever for n = 0
+        with pytest.raises(PreconditionError, match="dimension"):
+            integrate_gaussian_nd(lambda x: 1.0 + 0.0 * x[..., 0], 0)
+        with pytest.raises(PreconditionError, match="dimension"):
+            SampleStore(lambda x: x[..., 0], 0)
+        with pytest.raises(PreconditionError, match="dimension"):
+            sphere_directions(-1, 32, seed=5)
+
     def test_spec_validation(self):
         with pytest.raises(PreconditionError):
             QuadratureSpec(rel_tol=0.5)
         with pytest.raises(PreconditionError):
             GaussianMeasure(0)
+
+
+def bump(x):
+    s = (x * x).sum(axis=-1)
+    return (1.0 + x[..., 0] ** 3) * np.exp(-0.3 * s)
+
+
+class TestSampleStore:
+    def test_block_is_a_fresh_evaluation(self):
+        store = SampleStore(bump, 3)
+        r = np.random.default_rng(2).uniform(0.0, 6.0, 40)
+        store(r[:25])
+        block = store(r)
+        fresh = bump(r[None, :, None] * store.directions[:, None, :])
+        assert block.shape == (32, 40) and block.flags["C_CONTIGUOUS"]
+        assert np.array_equal(block, fresh)
+        assert np.array_equal(store.norms(r), np.linalg.norm(store.points(r), axis=-1))
+
+    def test_evaluates_only_unseen_radii(self):
+        seen = []
+
+        def g(x):
+            seen.append(x.shape[1])
+            return bump(x)
+
+        store = SampleStore(g, 2)
+        store(np.array([1.0, 2.0, 3.0]))
+        store(np.array([3.0, 2.0, 1.0]))
+        store(np.array([0.5, 2.0, 0.5, 4.0]))
+        assert seen == [3, 2]
+
+    def test_integral_reads_the_store_bit_for_bit(self):
+        env = SupportHint.decaying(3.0, 0.6)
+        plain = integrate_gaussian_nd(bump, 2, envelope=env)
+        store = SampleStore(bump, 2)
+        first = integrate_gaussian_nd(store, 2, envelope=env)
+        again = integrate_gaussian_nd(store, 2, envelope=env)
+        assert plain == first == again
+        squared = integrate_gaussian_nd(store, 2, envelope=env,
+                                        transform=lambda v, r: v * v)
+        assert squared == integrate_gaussian_nd(lambda x: bump(x) * bump(x), 2,
+                                                envelope=env)
+
+    def test_one_value_per_point_required(self):
+        # a scalar once gave a NaN error estimate with no warning
+        with pytest.raises(PreconditionError, match="one value per point"):
+            integrate_gaussian_nd(lambda x: 1.0, 2)
+
+    def test_store_of_another_rule_rejected(self):
+        store = SampleStore(bump, 2)
+        with pytest.raises(PreconditionError, match="sample store"):
+            integrate_gaussian_nd(store, 3)
+        with pytest.raises(PreconditionError, match="sample store"):
+            integrate_gaussian_nd(store, 2, QuadratureSpec(sphere_nodes=16))
 
 
 class TestMedian:
