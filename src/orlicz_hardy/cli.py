@@ -343,37 +343,54 @@ def _write_series_csv(out_dir: Path, series: dict):
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _shared_flags(suppress: bool = False) -> argparse.ArgumentParser:
+    """The flags every subcommand accepts, before or after its name.
+
+    The subcommands' copies default to SUPPRESS, so a flag given only before
+    the subcommand is not overwritten by the subcommand's default."""
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--corpus", default=default(None), help="manifest JSON path")
+    flags.add_argument("--out", default=default("reports"), help="output directory")
+    flags.add_argument("--report", default=default(None), help="report JSON path")
+    flags.add_argument("--seed", type=int, default=default(QuadratureSpec().seed))
+    flags.add_argument("--rel-tol", type=float, default=default(1e-10))
+    flags.add_argument("--abs-tol", type=float, default=default(1e-14))
+    flags.add_argument("--sphere-nodes", type=int, default=default(32))
+    flags.add_argument("--normalized", action="store_true", default=default(False),
+                       help="use the (2 pi)^(-n/2)-normalized Gaussian measure")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orlicz-hardy",
         description="Numerical verification of Gaussian-measure Orlicz "
-                    "Hardy and Landau-Kolmogorov inequalities.")
-    parser.add_argument("--corpus", default=None, help="manifest JSON path")
-    parser.add_argument("--out", default="reports", help="output directory")
-    parser.add_argument("--report", default=None, help="report JSON path")
-    parser.add_argument("--seed", type=int, default=QuadratureSpec().seed)
-    parser.add_argument("--rel-tol", type=float, default=1e-10)
-    parser.add_argument("--abs-tol", type=float, default=1e-14)
-    parser.add_argument("--sphere-nodes", type=int, default=32)
-    parser.add_argument("--normalized", action="store_true",
-                        help="use the (2 pi)^(-n/2)-normalized Gaussian measure")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+                    "Hardy and Landau-Kolmogorov inequalities.",
+        parents=[_shared_flags()])
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    shared = _shared_flags(suppress=True)
 
-    sub.add_parser("certify", help="certify corpus N-functions")
+    def sub(name, **kwargs):
+        return subparsers.add_parser(name, parents=[shared], **kwargs)
 
-    hp = sub.add_parser("hardy", help="Hardy inequality battery")
+    sub("certify", help="certify corpus N-functions")
+
+    hp = sub("hardy", help="Hardy inequality battery")
     hp.add_argument("--nfunc", default=None)
     hp.add_argument("--dim", default="1..2")
     hp.add_argument("--form", default=None,
                     choices=["term1", "term2", "liniowe", "ww", "www",
                              "hn1", "hn11", "wwww", "p2_exact"])
 
-    sp = sub.add_parser("sharpness", help="extremal-family sharpness scan")
+    sp = sub("sharpness", help="extremal-family sharpness scan")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--alphas", default=",".join(str(a) for a in DEFAULT_ALPHAS))
 
-    mp = sub.add_parser("mazya", help="Maz'ya criterion")
+    mp = sub("mazya", help="Maz'ya criterion")
     mp.add_argument("--gaussian", action="store_true")
     mp.add_argument("--classical", action="store_true")
     mp.add_argument("--p", type=float, default=None)
@@ -382,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="measure-pair config JSON (kind: classical | "
                          "gaussian {p, n} | table {x, mu_density, nu_density, p, q})")
 
-    lp = sub.add_parser("lk", help="Landau-Kolmogorov envelope fits")
+    lp = sub("lk", help="Landau-Kolmogorov envelope fits")
     lp.add_argument("--nfunc", default="p2,p3")
     lp.add_argument("--dim", default="1..2")
     lp.add_argument("--theta-grid", default=",".join(str(t) for t in DEFAULT_THETAS))
     lp.add_argument("--fit-grid", default=None,
                     help="comma-separated constant grid (default powers of 2)")
 
-    ap = sub.add_parser("all", help="full verification battery")
+    ap = sub("all", help="full verification battery")
     ap.add_argument("--dim", default="1..2")
     return parser
 

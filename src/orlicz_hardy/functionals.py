@@ -307,11 +307,19 @@ def luxemburg_norm(f, nf: NFunction, measure, spec: QuadratureSpec | None = None
                    norm_tol: float = 1e-9) -> float:
     """The Luxemburg norm inf{K > 0 : int M(|f|/K) dmu <= 1}.
 
-    Under the doubling condition the modular is exactly 1 at the norm, so the
-    value is found as the root of modular(K) = 1: a doubling/halving search
-    brackets it from K=1, then log-secant steps with a bisection safeguard
-    run until the modular lies within [1 - norm_tol, 1 + norm_tol].  On a
-    Gaussian measure every scale reads one sample store of the profile.
+    Under the doubling condition the modular is exactly 1 at the norm.  The
+    growth indices d <= D of M give k^d M(r) <= M(k r) <= k^D M(r) for
+    k >= 1, so the modular m1 at K = 1 puts log K in the bracket between
+    log(m1)/D and log(m1)/d.  For a power (d = D = p) that bracket is a
+    point: the norm is m1^(1/p), taken from the one modular when m1 was
+    resolved to relative accuracy (m1 * rel_tol >= abs_tol), else rescaled
+    exactly by a second modular at m1^(1/p), where it is O(1).  Otherwise
+    log-log secant steps run inside the bracket, which every evaluated
+    modular narrows, until the modular lies within [1 - norm_tol,
+    1 + norm_tol]; an iterate that contradicts the indices (certified
+    `table` indices are grid estimates) hands over to a doubling/halving
+    search from K = 1 and bracketed secant steps.  On a Gaussian measure
+    every scale reads one sample store of the profile.
     """
     spec = spec or QuadratureSpec()
     if nf.delta2_const is None:
@@ -324,9 +332,59 @@ def luxemburg_norm(f, nf: NFunction, measure, spec: QuadratureSpec | None = None
     def modular(k: float) -> float:
         return _modular_of_scaled(profile, nf, measure, spec, k)
 
+    def resolved(m: float) -> bool:
+        return m * spec.rel_tol >= spec.abs_tol
+
     m1 = modular(1.0)
     if m1 <= 0.0:
         return 0.0
+    d, D = nf.require_exponents()
+    if d == D:
+        k1 = m1 ** (1.0 / D)
+        return k1 if resolved(m1) else k1 * modular(k1) ** (1.0 / D)
+    # a certified d of 0 (a table flat beyond its convexity check) bounds nothing
+    k = _index_secant(modular, m1, d, D, norm_tol, resolved) if d > 0.0 else None
+    return k if k is not None else _widening_secant(modular, m1, norm_tol)
+
+
+def _index_secant(modular, m1: float, d: float, D: float, norm_tol: float,
+                  resolved) -> float | None:
+    """The norm by log-log secant steps inside the growth-index bracket.
+
+    In x = log K, y = log modular the indices give every evaluated point a
+    bracket [x + y/D, x + y/d] (ends swapped when y < 0) around the root;
+    the steps stay in the intersection of these brackets, over the points
+    whose modular is resolved to relative accuracy.  Returns None when the
+    intersection empties or the steps stall, i.e. the indices are wrong.
+    """
+    lo, hi = -math.inf, math.inf
+    x, m = 0.0, m1
+    x_new = 2.0 * math.log(m1) / (d + D)
+    for _ in range(32):
+        y = math.log(m)
+        if resolved(m):
+            lo = max(lo, x + min(y / D, y / d))
+            hi = min(hi, x + max(y / D, y / d))
+        if m > 1.0:
+            lo = max(lo, x)
+        else:
+            hi = min(hi, x)
+        if not lo < hi:
+            return None
+        x_new = min(max(x_new, lo), hi)
+        m_new = modular(math.exp(x_new))
+        if abs(m_new - 1.0) <= norm_tol:
+            return math.exp(x_new)
+        if m_new <= 0.0 or m_new == m:
+            return None
+        y_new = math.log(m_new)
+        x, x_new, m = x_new, x_new - y_new * (x_new - x) / (y_new - y), m_new
+    return None
+
+
+def _widening_secant(modular, m1: float, norm_tol: float) -> float:
+    """The norm by a doubling/halving search for a bracket from K = 1, then
+    log-secant steps with a bisection safeguard, clipped into the bracket."""
     lo = hi = 1.0
     m_lo = m_hi = m1
     if m1 > 1.0:

@@ -106,6 +106,23 @@ class TestSubcommands:
         assert all(c["normalization"] == "normalized" for c in normalized["checks"])
         assert all("normalization" not in c for c in plain["checks"])
 
+    @pytest.mark.parametrize("flag, field, value", [
+        (["--normalized"], "normalization", "normalized"),
+        (["--rel-tol", "1e-8"], "quadrature_spec", {
+            "rel_tol": 1e-8, "abs_tol": 1e-14, "sphere_nodes": 32,
+            "seed": cli.QuadratureSpec().seed}),
+    ])
+    def test_shared_flags_after_the_subcommand(self, tmp_path, flag, field, value):
+        battery = ["lk", "--nfunc", "p2", "--dim", "1"]
+        bodies = []
+        for where in ("before", "after"):
+            shared = ["--out", str(tmp_path / where), *flag]
+            argv = [*shared, *battery] if where == "before" else [*battery, *shared]
+            assert main(argv) == 0
+            bodies.append(load_report(tmp_path / where / "lk.json")["body"])
+        assert bodies[0] == bodies[1]
+        assert bodies[0][field] == value
+
     def test_infeasible_fits_fail(self, tmp_path):
         rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p3", "--dim", "1..2",
                    "--fit-grid", "0.001,0.002", "--theta-grid", "0.5,1.0"])

@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from orlicz_hardy import functionals
+from orlicz_hardy import hardy as hardy_mod
+from orlicz_hardy.cli import run_hardy
 from orlicz_hardy.errors import DivergenceError, PreconditionError
 from orlicz_hardy.functionals import (
     FieldFunction,
@@ -10,6 +14,7 @@ from orlicz_hardy.functionals import (
     RadialTestFunction,
     ScalarProfile,
     SupportHint,
+    hessian_hs_norm,
     luxemburg_norm,
     modular_triple_nd,
     modular_triple_radial,
@@ -18,10 +23,11 @@ from orlicz_hardy.functionals import (
     validate_field,
     validate_radial,
 )
-from orlicz_hardy.nfunc import power_nfunction
+from orlicz_hardy.nfunc import GridSpec, certify, power_nfunction, table_nfunction
 from orlicz_hardy.landau_kolmogorov import lk_modular_terms, lk_norm_triple
 from orlicz_hardy.quadrature import (
     GaussianMeasure,
+    QuadratureSpec,
     RadialMeasure,
     SampleStore,
     integrate_gaussian_nd,
@@ -310,3 +316,182 @@ class TestSampleStoreOracle:
             assert (luxemburg_norm(u, nf, meas, spec)
                     == luxemburg_norm(ScalarProfile(FreshStore(u.u, n, spec), u.hint),
                                       nf, meas, spec)), label
+
+
+# ---------------------------------------------------------------------------
+# Luxemburg norms from the growth indices
+# ---------------------------------------------------------------------------
+
+def reference_norm(f, nf, measure, norm_tol=1e-9, abs_tol=1e-40):
+    """Test-only reference: the index-free root-finder (a doubling/halving
+    search for a bracket from K = 1, then clipped log-secant steps), by
+    default with every modular at abs_tol 1e-40, so that none sits on the
+    absolute tolerance floor."""
+    spec = QuadratureSpec(abs_tol=abs_tol)
+
+    def modular(k):
+        return modular_value(f, nf, measure, spec, scale=k)
+
+    m1 = modular(1.0)
+    if m1 <= 0.0:
+        return 0.0
+    lo = hi = 1.0
+    m_lo = m_hi = m1
+    step = 2.0 if m1 > 1.0 else 0.5
+    while (m_hi > 1.0) if step > 1.0 else (m_lo < 1.0):
+        if step > 1.0:
+            lo, m_lo, hi = hi, m_hi, hi * step
+            m_hi = modular(hi)
+        else:
+            hi, m_hi, lo = lo, m_lo, lo * step
+            m_lo = modular(lo)
+    for _ in range(200):
+        for k, m in ((hi, m_hi), (lo, m_lo)):
+            if abs(m - 1.0) <= norm_tol:
+                return k
+        llo, lhi = math.log(lo), math.log(hi)
+        t = math.log(m_lo) / (math.log(m_lo) - math.log(m_hi))
+        k = math.exp(llo + min(max(t, 0.05), 0.95) * (lhi - llo))
+        mk = modular(k)
+        if mk > 1.0:
+            lo, m_lo = k, mk
+        else:
+            hi, m_hi = k, mk
+    raise AssertionError("reference Luxemburg search did not converge")
+
+
+def hessian_profile(u):
+    return ScalarProfile(lambda pts: hessian_hs_norm(u, pts), u.hess_hint())
+
+
+# ga_sharp's p4 modular decays like exp(-r^2 / 20): at abs_tol 1e-40 its
+# truncation radius is so large that M(u) overflows, so its reference runs at
+# the default floor, which its O(1) modular at K = 1 is far above
+REFERENCE_ABS_TOL = {("p4", "ga_sharp"): QuadratureSpec().abs_tol}
+
+
+@pytest.fixture(scope="module")
+def table_nf():
+    # piecewise-linear samples of r^2 (1 + log(1 + r)), one knot per decade:
+    # d != D, and the certified indices are grid estimates
+    rs = np.concatenate(([0.0], np.logspace(-4, 4, 9)))
+    nf = table_nfunction(rs, rs ** 2 * (1.0 + np.log1p(rs)), label="tab_p2log")
+    return certify(nf, GridSpec(rs[1], rs[-1], 200))
+
+
+def oracle_nfunctions(manifest, table_nf):
+    return [*sorted(manifest.nfunctions.items()), (table_nf.label, table_nf)]
+
+
+class TestLuxemburgIndices:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_hessian_norm_below_abs_tol_floor(self, manifest, spec, p, n):
+        # fx_cut's Hessian lives on 8 <= |x| <= 10: its modular at K = 1 is
+        # ~1e-14, on the abs_tol floor, so m1^(1/p) alone is wrong by ~40%
+        u = manifest.field_functions["fx_cut"].instantiate(n)
+        nf = manifest.nfunc(f"p{p}")
+        lux = luxemburg_norm(hessian_profile(u), nf, GaussianMeasure(n), spec)
+        ref = reference_norm(hessian_profile(u), nf, GaussianMeasure(n))
+        assert lux == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_radial_members_match_reference(self, manifest, spec, table_nf, n):
+        meas = RadialMeasure(n)
+        for nf_label, nf in oracle_nfunctions(manifest, table_nf):
+            for label, u in sorted(manifest.radial_functions.items()):
+                if not modular_triple_radial(u, nf, n, spec).valid:
+                    continue
+                self.assert_matches_reference(
+                    u, nf, meas, spec, (nf_label, label),
+                    abs_tol=REFERENCE_ABS_TOL.get((nf_label, label), 1e-40))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_field_members_match_reference(self, manifest, spec, table_nf, n):
+        meas = GaussianMeasure(n)
+        for nf_label, nf in oracle_nfunctions(manifest, table_nf):
+            for label, factory in sorted(manifest.field_functions.items()):
+                if factory.compatible(n):
+                    self.assert_matches_reference(factory.instantiate(n), nf, meas,
+                                                  spec, (nf_label, label))
+
+    @staticmethod
+    def assert_matches_reference(u, nf, meas, spec, where, norm_tol=1e-9,
+                                 abs_tol=1e-40):
+        lux = luxemburg_norm(u, nf, meas, spec, norm_tol)
+        ref = reference_norm(u, nf, meas, norm_tol, abs_tol)
+        assert lux == pytest.approx(ref, rel=norm_tol), where
+        if nf.d_exp != nf.D_exp:
+            assert modular_value(u, nf, meas, spec, scale=lux) == pytest.approx(
+                1.0, abs=norm_tol), where
+
+    def test_contradicted_indices_fall_back_to_widening(self, manifest, spec,
+                                                        monkeypatch):
+        # p2log declared with D = 2.05 < 3: the index bracket excludes the
+        # norm, and the search must notice and widen by doubling instead
+        fallbacks = []
+        original = functionals._widening_secant
+
+        def counted(*args):
+            fallbacks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(functionals, "_widening_secant", counted)
+        nf = replace(manifest.nfunc("p2log"), D_exp=2.05)
+        for label in ("bump_mid", "ga_mild", "pg_slow"):
+            self.assert_matches_reference(manifest.radial_functions[label], nf,
+                                          RadialMeasure(1), spec, label)
+        assert len(fallbacks) == 3
+
+    def test_zero_lower_index_bounds_nothing(self, manifest, spec):
+        # constant beyond r = 1000, past the corpus convexity check: the
+        # certified d is 0, which brackets no norm
+        nf = certify(table_nfunction([0.0, 1e-3, 1e2, 1e3, 2e3],
+                                     [0.0, 1e-6, 1e4, 1e6, 1e6]),
+                     GridSpec(1e-3, 2e3, 200))
+        assert nf.d_exp == 0.0
+        self.assert_matches_reference(manifest.radial_functions["pg_decay"], nf,
+                                      RadialMeasure(1), spec, "flat tail")
+
+    def test_power_norm_takes_at_most_two_modulars(self, manifest, spec,
+                                                   monkeypatch):
+        calls = count_modulars(monkeypatch)
+        for nf_label in ("p2", "p2.5", "p3", "p4"):
+            nf = manifest.nfunc(nf_label)
+            for n in (1, 2):
+                u = manifest.field_functions["fx_cut"].instantiate(n)
+                profiles = [(f, GaussianMeasure(n)) for f in (u, hessian_profile(u))]
+                profiles += [(r, RadialMeasure(n))
+                             for r in manifest.radial_functions.values()
+                             if modular_triple_radial(r, nf, n, spec).valid]
+                for f, meas in profiles:
+                    calls.clear()
+                    luxemburg_norm(f, nf, meas, spec)
+                    assert 1 <= len(calls) <= 2, (nf_label, n)
+
+    def test_power_log_norms_of_run_hardy_take_fewer_modulars(
+            self, manifest, spec, monkeypatch):
+        # the index-free search took 9.44 modulars per p2log norm here
+        calls = count_modulars(monkeypatch)
+        norms = []
+
+        def counted_norm(*args, **kwargs):
+            norms.append(args[1].label)
+            return luxemburg_norm(*args, **kwargs)
+
+        monkeypatch.setattr(hardy_mod, "luxemburg_norm", counted_norm)
+        run_hardy(manifest, spec, [1, 2, 3], [], nfunc_label="p2log")
+        assert norms and set(norms) == {"p2log"}
+        assert len(calls) / len(norms) < 9.44
+
+
+def count_modulars(monkeypatch):
+    calls = []
+    original = functionals._modular_of_scaled
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "_modular_of_scaled", counted)
+    return calls
