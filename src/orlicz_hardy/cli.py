@@ -1,20 +1,22 @@
 """Command-line entry point.
 
-Subcommands: certify, hardy, sharpness, mazya, lk, all.  Every run writes a
-JSON report whose body is canonical (byte-identical across repeated runs
-with the same flags, manifest, and seed; the ORLICZ_SEED environment
-variable overrides the angular-sampling seed).  Exit status is nonzero iff
-any non-trivial check fails.
+The subcommands are the rows of `BATTERIES`: certify, hardy, sharpness,
+mazya, lk, and all, which runs every other row once with fixed arguments.
+Every run writes a JSON report whose body is canonical (byte-identical
+across repeated runs with the same flags, manifest, and seed).  Exit status
+is nonzero iff any non-trivial check fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
-import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -47,10 +49,8 @@ def _parse_dims(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t]
 
 
-def _spec_from_args(args) -> QuadratureSpec:
-    seed = int(os.environ.get("ORLICZ_SEED", args.seed))
-    return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                          sphere_nodes=args.sphere_nodes, seed=seed)
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split(",") if t)
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +66,6 @@ def run_certify(manifest, spec, checks: list):
             details={"grid_fingerprint": nf.grid_fingerprint}))
 
 
-def _radial_triples(manifest, nf, n, spec):
-    for label, u in sorted(manifest.radial_functions.items()):
-        yield label, u, modular_triple_radial(u, nf, n, spec)
-
-
 def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
               normalized=False,
               norm_form_subset=("ga_mild", "bump_mid", "pg_decay")):
@@ -82,7 +77,8 @@ def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
         for n in dims:
             # admissible corpus: members whose modulars are finite for this M
             triples = dict()
-            for u_label, u, triple in _radial_triples(manifest, nf, n, spec):
+            for u_label, u in sorted(manifest.radial_functions.items()):
+                triple = modular_triple_radial(u, nf, n, spec)
                 if triple.valid:
                     triples[u_label] = (u, triple)
 
@@ -328,19 +324,126 @@ def _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
 
 def _write_series_csv(out_dir: Path, series: dict):
     for name, rows in series.items():
-        if not rows:
-            continue
-        path = out_dir / (name.replace(":", "_") + ".csv")
-        keys = list(rows[0].keys())
-        with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=keys)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+        if rows:
+            with (out_dir / (name.replace(":", "_") + ".csv")).open("w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing and dispatch
+# The battery table
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Run:
+    """What the batteries of one invocation share and fill in."""
+
+    spec: QuadratureSpec
+    normalized: bool = False
+    manifest: object = None
+    checks: list = field(default_factory=list)
+    series: dict = field(default_factory=dict)
+    fits: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Battery:
+    """One subcommand.  `flags` are its own (flag, argparse keywords) pairs;
+    `from_args` turns the parsed flags into keywords of `run(run, **kw)`, and
+    `in_all` turns the --dim list of `all` into the keywords `all` runs the
+    row with (None: not part of `all`)."""
+
+    name: str
+    help: str
+    run: Callable
+    flags: tuple = ()
+    needs_manifest: bool = True
+    from_args: Callable = lambda args: {}
+    in_all: Callable | None = None
+
+
+def _mazya_kwargs(args) -> dict:
+    """--gaussian (with --p, --n), --classical and --pair, each optional;
+    with none of them the classical pair and a (p, n) grid."""
+    pair = load_pair_config(args.pair) if args.pair else None
+    gaussian = []
+    if args.gaussian:
+        if args.p is None or args.n is None:
+            raise PreconditionError("--gaussian requires --p and --n")
+        gaussian = [(args.p, args.n)]
+    if not gaussian and not args.classical and pair is None:
+        return {"classical": True, "gaussian": [
+            (p, n) for p in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0) for n in (1, 2, 3)]}
+    return {"gaussian": gaussian, "classical": args.classical, "pair": pair}
+
+
+def _run_all(run: Run, dims):
+    for battery in BATTERIES:
+        if battery.in_all is not None:
+            battery.run(run, **battery.in_all(dims))
+
+
+_DIM = ("--dim", {"type": _parse_dims, "default": [1, 2]})
+
+BATTERIES = (
+    Battery("certify", "certify corpus N-functions",
+            lambda run: run_certify(run.manifest, run.spec, run.checks),
+            in_all=lambda dims: {}),
+    Battery("hardy", "Hardy inequality battery",
+            lambda run, **kw: run_hardy(run.manifest, run.spec, checks=run.checks,
+                                        normalized=run.normalized, **kw),
+            flags=(("--nfunc", {"default": None}), _DIM,
+                   ("--form", {"default": None, "choices": [
+                       "term1", "term2", "liniowe", "ww", "www", "hn1", "hn11",
+                       "wwww", "p2_exact"]})),
+            from_args=lambda args: {"dims": args.dim, "nfunc_label": args.nfunc,
+                                    "form": args.form},
+            in_all=lambda dims: {"dims": dims}),
+    Battery("sharpness", "extremal-family sharpness scan",
+            lambda run, cases, alphas: [
+                run_sharpness(p, n, alphas, run.spec, run.checks, run.series)
+                for p, n in cases],
+            flags=(("--p", {"type": float, "required": True}),
+                   ("--n", {"type": int, "required": True}),
+                   ("--alphas", {"type": _floats, "default": DEFAULT_ALPHAS})),
+            needs_manifest=False,
+            from_args=lambda args: {"cases": [(args.p, args.n)], "alphas": args.alphas},
+            in_all=lambda dims: {"cases": [(p, n) for p in (3.0, 4.0) for n in dims[:2]],
+                                 "alphas": DEFAULT_ALPHAS}),
+    Battery("mazya", "Maz'ya criterion",
+            lambda run, **kw: run_mazya(run.checks, run.series, **kw),
+            flags=(("--gaussian", {"action": "store_true"}),
+                   ("--classical", {"action": "store_true"}),
+                   ("--p", {"type": float, "default": None}),
+                   ("--n", {"type": int, "default": None}),
+                   ("--pair", {"default": None, "help": (
+                       "measure-pair config JSON (kind: classical | gaussian "
+                       "{p, n} | table {x, mu_density, nu_density, p, q})")})),
+            needs_manifest=False, from_args=_mazya_kwargs,
+            in_all=lambda dims: {"classical": True, "gaussian": [
+                (p, n) for p in (1.5, 2.0, 3.0, 4.0) for n in (1, 2, 3)]}),
+    Battery("lk", "Landau-Kolmogorov envelope fits",
+            lambda run, **kw: run_lk(run.manifest, run.spec, checks=run.checks,
+                                     series=run.series, fits=run.fits,
+                                     normalized=run.normalized, **kw),
+            flags=(("--nfunc", {"type": lambda s: [t for t in s.split(",") if t],
+                                "default": ("p2", "p3")}), _DIM,
+                   ("--theta-grid", {"type": _floats, "default": DEFAULT_THETAS}),
+                   ("--fit-grid", {"type": _floats, "default": lk_mod.DEFAULT_FIT_GRID,
+                                   "help": "comma-separated constant grid "
+                                           "(default powers of 2)"})),
+            from_args=lambda args: {"dims": args.dim, "nfunc_labels": args.nfunc,
+                                    "theta_grid": args.theta_grid,
+                                    "fit_grid": args.fit_grid},
+            in_all=lambda dims: {"dims": [n for n in dims if n <= 2]}),
+    Battery("all", "full verification battery", _run_all, flags=(_DIM,),
+            from_args=lambda args: {"dims": args.dim}),
+)
+
+
+# ---------------------------------------------------------------------------
+# Argument parsing and reports
 # ---------------------------------------------------------------------------
 
 def _shared_flags(suppress: bool = False) -> argparse.ArgumentParser:
@@ -364,7 +467,9 @@ def _shared_flags(suppress: bool = False) -> argparse.ArgumentParser:
     return flags
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every row of `BATTERIES`, built once per process."""
     parser = argparse.ArgumentParser(
         prog="orlicz-hardy",
         description="Numerical verification of Gaussian-measure Orlicz "
@@ -372,108 +477,33 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_shared_flags()])
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     shared = _shared_flags(suppress=True)
-
-    def sub(name, **kwargs):
-        return subparsers.add_parser(name, parents=[shared], **kwargs)
-
-    sub("certify", help="certify corpus N-functions")
-
-    hp = sub("hardy", help="Hardy inequality battery")
-    hp.add_argument("--nfunc", default=None)
-    hp.add_argument("--dim", default="1..2")
-    hp.add_argument("--form", default=None,
-                    choices=["term1", "term2", "liniowe", "ww", "www",
-                             "hn1", "hn11", "wwww", "p2_exact"])
-
-    sp = sub("sharpness", help="extremal-family sharpness scan")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--alphas", default=",".join(str(a) for a in DEFAULT_ALPHAS))
-
-    mp = sub("mazya", help="Maz'ya criterion")
-    mp.add_argument("--gaussian", action="store_true")
-    mp.add_argument("--classical", action="store_true")
-    mp.add_argument("--p", type=float, default=None)
-    mp.add_argument("--n", type=int, default=None)
-    mp.add_argument("--pair", default=None,
-                    help="measure-pair config JSON (kind: classical | "
-                         "gaussian {p, n} | table {x, mu_density, nu_density, p, q})")
-
-    lp = sub("lk", help="Landau-Kolmogorov envelope fits")
-    lp.add_argument("--nfunc", default="p2,p3")
-    lp.add_argument("--dim", default="1..2")
-    lp.add_argument("--theta-grid", default=",".join(str(t) for t in DEFAULT_THETAS))
-    lp.add_argument("--fit-grid", default=None,
-                    help="comma-separated constant grid (default powers of 2)")
-
-    ap = sub("all", help="full verification battery")
-    ap.add_argument("--dim", default="1..2")
+    for battery in BATTERIES:
+        sub = subparsers.add_parser(battery.name, parents=[shared], help=battery.help)
+        for flag, kwargs in battery.flags:
+            sub.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    spec = _spec_from_args(args)
+    battery = next(b for b in BATTERIES if b.name == args.subcommand)
+    run = Run(QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
+                             sphere_nodes=args.sphere_nodes, seed=args.seed),
+              args.normalized)
     out_dir = Path(args.out)
     report_path = Path(args.report) if args.report else \
         out_dir / f"{args.subcommand}.json"
-
-    checks: list = []
-    series: dict = {}
-    fits: dict = {}
-    manifest = None
     try:
-        if args.subcommand in ("certify", "hardy", "lk", "all"):
-            manifest = corpus_mod.load_manifest(args.corpus)
-
-        if args.subcommand == "certify":
-            run_certify(manifest, spec, checks)
-        elif args.subcommand == "hardy":
-            run_hardy(manifest, spec, _parse_dims(args.dim), checks,
-                      nfunc_label=args.nfunc, form=args.form,
-                      normalized=args.normalized)
-        elif args.subcommand == "sharpness":
-            alphas = [float(a) for a in args.alphas.split(",") if a]
-            run_sharpness(args.p, args.n, alphas, spec, checks, series)
-        elif args.subcommand == "mazya":
-            gaussian = []
-            classical = args.classical
-            pair = load_pair_config(args.pair) if args.pair else None
-            if args.gaussian:
-                if args.p is None or args.n is None:
-                    raise PreconditionError("--gaussian requires --p and --n")
-                gaussian = [(args.p, args.n)]
-            if not gaussian and not classical and pair is None:
-                classical = True
-                gaussian = [(p, n) for p in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
-                            for n in (1, 2, 3)]
-            run_mazya(checks, series, gaussian=gaussian,
-                      classical=classical, pair=pair)
-        elif args.subcommand == "lk":
-            grid = (tuple(float(c) for c in args.fit_grid.split(","))
-                    if args.fit_grid else lk_mod.DEFAULT_FIT_GRID)
-            thetas = tuple(float(t) for t in args.theta_grid.split(","))
-            run_lk(manifest, spec, _parse_dims(args.dim), checks, series, fits,
-                   nfunc_labels=[s for s in args.nfunc.split(",") if s],
-                   theta_grid=thetas, fit_grid=grid, normalized=args.normalized)
-        elif args.subcommand == "all":
-            dims = _parse_dims(args.dim)
-            run_certify(manifest, spec, checks)
-            run_hardy(manifest, spec, dims, checks, normalized=args.normalized)
-            for p in (3.0, 4.0):
-                for n in dims[:2]:
-                    run_sharpness(p, n, DEFAULT_ALPHAS, spec, checks, series)
-            run_mazya(checks, series, classical=True,
-                      gaussian=[(p, n) for p in (1.5, 2.0, 3.0, 4.0)
-                                for n in (1, 2, 3)])
-            run_lk(manifest, spec, [n for n in dims if n <= 2], checks, series,
-                   fits, nfunc_labels=("p2", "p3"), normalized=args.normalized)
+        if battery.needs_manifest:
+            run.manifest = corpus_mod.load_manifest(args.corpus)
+        battery.run(run, **battery.from_args(args))
     except (ManifestError, OrliczHardyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    checks.sort(key=lambda c: c.check_id)
+    checks = sorted(run.checks, key=lambda c: c.check_id)
     summary = summarize_verdicts(checks)
+    manifest, spec = run.manifest, run.spec
     body = {
         "tool_version": TOOL_VERSION,
         "subcommand": args.subcommand,
@@ -485,13 +515,13 @@ def main(argv=None) -> int:
         },
         "normalization": "normalized" if args.normalized else "unnormalized",
         "checks": [c.as_dict() for c in checks],
-        "fits": fits,
-        "series": series,
+        "fits": run.fits,
+        "series": run.series,
         "summary": summary,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report(report_path, body)
-    _write_series_csv(out_dir, series)
+    _write_series_csv(out_dir, run.series)
     print(f"{args.subcommand}: {summary['holds']} holds, {summary['fails']} fails, "
           f"{summary['indeterminate']} indeterminate, {summary['trivial']} trivial "
           f"-> {report_path}")

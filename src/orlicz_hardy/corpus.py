@@ -447,8 +447,10 @@ def load_manifest(path=None, grid: GridSpec | None = None) -> CorpusManifest:
                                           min(max(rs), grid.r_max),
                                           grid.points, grid.scale)
                 nf = certify(nf, local_grid)
-                _check_nfunction_shape(nf, problems)
-                _CERT_CACHE[cache_key] = nf
+                known = len(problems)
+                _check_nfunction_shape(nf, local_grid, problems)
+                if len(problems) == known:  # a rejected member is checked again
+                    _CERT_CACHE[cache_key] = nf
             nfunctions[label] = nf
         except Exception as exc:
             problems.append(f"nfunction '{label}': {exc}")
@@ -492,14 +494,16 @@ def load_manifest(path=None, grid: GridSpec | None = None) -> CorpusManifest:
         fingerprint=fingerprint(raw), member_fingerprints=member_fps, grid=grid)
 
 
-def _check_nfunction_shape(nf: NFunction, problems: list):
-    """N-function shape checks: M(0) = 0, M(r)/r -> 0 at 0, midpoint convexity."""
+def _check_nfunction_shape(nf: NFunction, grid: GridSpec, problems: list):
+    """N-function shape checks: M(0) = 0, M(r)/r -> 0 at 0, midpoint convexity
+    on [1e-3, 100] and on the certification grid, and a certified lower
+    index d >= 1, which every convex M with M(0) = 0 has."""
     if abs(float(nf.eval(0.0))) > 1e-12:
         problems.append(f"'{nf.label}': M(0) = {float(nf.eval(0.0)):.3g} != 0")
     small = float(nf.eval(1e-8)) / 1e-8
     if small > 1e-3:
         problems.append(f"'{nf.label}': M(r)/r does not vanish at 0 ({small:.3g})")
-    r = np.logspace(-3, 2, 120)
+    r = np.union1d(np.logspace(-3, 2, 120), grid.nodes())
     x, y = r[:-1], r[1:]
     mid = np.asarray(nf.eval(0.5 * (x + y)), dtype=float)
     avg = 0.5 * (np.asarray(nf.eval(x), dtype=float)
@@ -508,3 +512,6 @@ def _check_nfunction_shape(nf: NFunction, problems: list):
     if np.any(bad):
         problems.append(f"'{nf.label}': midpoint convexity fails near "
                         f"r={x[bad][0]:.4g}")
+    if nf.d_exp < 1.0:
+        problems.append(f"'{nf.label}': certified lower index d = {nf.d_exp:.4g} "
+                        "< 1, which no convex M with M(0) = 0 has")

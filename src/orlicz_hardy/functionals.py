@@ -29,7 +29,6 @@ from .quadrature import (
     SupportHint,
     integrate_gaussian_nd,
     integrate_radial,
-    surface_area,
 )
 
 __all__ = [
@@ -64,14 +63,8 @@ class RadialTestFunction:
     hint: SupportHint = field(default_factory=lambda: SupportHint.decaying(0.0, 1.0))
     label: str = ""
 
-    @property
-    def smoothness(self) -> str:
-        return "piecewise_C1" if self.breakpoints else "C1"
-
     def du_hint(self) -> SupportHint:
-        if self.hint.kind == "compact":
-            return self.hint
-        return SupportHint.decaying(self.hint.degree + 1.0, self.hint.rate)
+        return self.hint.times_power(1.0)
 
 
 @dataclass
@@ -91,19 +84,11 @@ class FieldFunction:
     label: str = ""
     radial_profile: Optional[RadialTestFunction] = None
 
-    @property
-    def smoothness(self) -> str:
-        return "C2" if self.hess is not None else "C1"
-
     def grad_hint(self) -> SupportHint:
-        if self.hint.kind == "compact":
-            return self.hint
-        return SupportHint.decaying(self.hint.degree + 1.0, self.hint.rate)
+        return self.hint.times_power(1.0)
 
     def hess_hint(self) -> SupportHint:
-        if self.hint.kind == "compact":
-            return self.hint
-        return SupportHint.decaying(self.hint.degree + 2.0, self.hint.rate)
+        return self.hint.times_power(2.0)
 
 
 @dataclass(frozen=True)
@@ -131,9 +116,8 @@ class ScalarProfile:
     breakpoints: tuple = ()
 
 
-def _compose_hint(arg_hint: SupportHint, weight_degree: float,
-                  nf: NFunction) -> SupportHint:
-    """Envelope of M(weight * |f|) given the envelope of f.
+def _compose_hint(arg_hint: SupportHint, nf: NFunction) -> SupportHint:
+    """Envelope of M(|f|) given the envelope of f.
 
     Decaying arguments are eventually < 1 where M(x) <= M(1) x^d governs the
     tail; growing arguments use the upper exponent D.
@@ -143,7 +127,7 @@ def _compose_hint(arg_hint: SupportHint, weight_degree: float,
         return arg_hint
     rate = arg_hint.rate
     e = d if rate > 0.0 else D
-    return SupportHint.decaying(D * (arg_hint.degree + weight_degree), e * rate)
+    return SupportHint.decaying(D * arg_hint.degree, e * rate)
 
 
 def _modular_triple(fns, hint: SupportHint, deriv_hint: SupportHint,
@@ -155,10 +139,9 @@ def _modular_triple(fns, hint: SupportHint, deriv_hint: SupportHint,
     fns, in whatever form the caller's integrator takes; a
     modular whose envelope does not decay against the measure is divergent.
     """
-    k_hint = replace(hint, degree=hint.degree + 1.0) if hint.kind == "decaying" else hint
     parts = []
-    for fn, arg_hint in zip(fns, (k_hint, hint, deriv_hint)):
-        env = _compose_hint(arg_hint, 0.0, nf)
+    for fn, arg_hint in zip(fns, (hint.times_power(1.0), hint, deriv_hint)):
+        env = _compose_hint(arg_hint, nf)
         if env.kind == "decaying" and 1.0 + env.rate <= 0.0:
             parts.append((math.inf, math.inf, True))
             continue
@@ -226,24 +209,11 @@ class FieldSamples:
 def modular_triple_nd(u: FieldFunction, nf: NFunction,
                       spec: QuadratureSpec | None = None,
                       normalized: bool = False,
-                      use_radial_reduction: bool = False,
                       samples: FieldSamples | None = None) -> ModularTriple:
     """K, L, G of a field against the Gaussian measure on R^n, read from
-    the field's sample stores (fresh ones unless `samples` is given).
-
-    With use_radial_reduction and a declared radial profile, the exact
-    spherical reduction (surface area times the radial modular) is used
-    instead of angular sampling.
-    """
+    the field's sample stores (fresh ones unless `samples` is given)."""
     spec = spec or QuadratureSpec()
     n = u.n
-    if use_radial_reduction and u.radial_profile is not None:
-        tri = modular_triple_radial(u.radial_profile, nf, n, spec)
-        factor = surface_area(n) * (GaussianMeasure(n, normalized).mass_factor)
-        return ModularTriple(
-            K=tri.K * factor, L=tri.L * factor, G=tri.G * factor,
-            errs=tuple(e * factor for e in tri.errs), divergent=tri.divergent)
-
     if u.grad is None:
         raise PreconditionError(f"field '{u.label}' has no gradient")
     if samples is None:
@@ -282,7 +252,7 @@ def _as_profile(f, measure) -> ScalarProfile:
 
 def _modular_of_scaled(profile: ScalarProfile, nf: NFunction, measure, spec,
                        scale: float) -> float:
-    env = _compose_hint(profile.hint, 0.0, nf)
+    env = _compose_hint(profile.hint, nf)
     if env.kind == "decaying" and 1.0 + env.rate <= 0.0:
         raise DivergenceError("modular diverges under the truncation policy")
     if isinstance(measure, RadialMeasure):

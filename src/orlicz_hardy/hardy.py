@@ -27,7 +27,7 @@ from .quadrature import (
     GaussianMeasure,
     QuadratureSpec,
     RadialMeasure,
-    SupportHint,
+    golden_max,
 )
 from .reporting import Check, verdict
 
@@ -139,28 +139,6 @@ def check_p2_exact(triple: ModularTriple, n: int, **meta) -> Check:
 # beta/gamma trade-off
 # ---------------------------------------------------------------------------
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 200) -> float:
-    """Golden-section maximum of a unimodal-enough fn on [lo, hi] (log scale)."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(math.exp(c)), fn(math.exp(d))
-    for _ in range(iters):
-        if b - a < 1e-13:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(math.exp(d))
-    xs = [math.exp(0.5 * (a + b)), math.exp(a), math.exp(b)]
-    return max(fn(x) for x in xs)
-
-
 def beta_gamma(rho: float, D: float) -> tuple[float, float]:
     """Suprema over w > 0 of the two trade-off profiles
 
@@ -168,7 +146,8 @@ def beta_gamma(rho: float, D: float) -> tuple[float, float]:
         gamma: (1/2 + sqrt(1/4 + w^2))^D - rho w^D
 
     Both tend to 1 as w -> 0 and to -oo as w -> oo (rho > 1), so the supremum
-    is located by a coarse log-grid scan refined by golden-section ascent.
+    is located by a coarse log-grid scan refined by golden-section ascent
+    in log w.
     """
     if rho <= 1.0:
         raise PreconditionError(
@@ -189,7 +168,8 @@ def beta_gamma(rho: float, D: float) -> tuple[float, float]:
         i = int(np.argmax(vals))
         lo = ws[max(i - 2, 0)]
         hi = ws[min(i + 2, ws.size - 1)]
-        out.append(max(_golden_max(fn, lo, hi), 1.0))
+        _, best = golden_max(lambda x: fn(math.exp(x)), math.log(lo), math.log(hi))
+        out.append(max(best, float(vals[i]), 1.0))
     return out[0], out[1]
 
 
@@ -253,42 +233,46 @@ def check_convex_case(triple: ModularTriple, D: float, n: int,
     return check
 
 
-def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
-                           spec: QuadratureSpec | None = None,
-                           **meta) -> Check:
-    """Norm form ||r u|| <= C (||u|| + ||u'||) with C = C1 + C2 + 1.
+def _check_norm_form(form: str, profiles: tuple, nf: NFunction, measure,
+                     n: int, spec: QuadratureSpec, **meta) -> Check:
+    """Norm form ||r f|| <= C (||f|| + ||f'||) with C = C1 + C2 + 1, from the
+    ScalarProfiles (f, f', r f) on the measure.
 
     C1, C2 are the doubling-case constants; the norm argument applies the
-    modular bound to u scaled by ||u|| + ||u'|| and uses that the modular
+    modular bound to f scaled by ||f|| + ||f'|| and uses that the modular
     equals 1 at the Luxemburg norm under doubling.
     """
-    spec = spec or QuadratureSpec()
-    if nf.delta2_const is None:
-        raise PreconditionError(f"'{nf.label}' must be doubling-certified")
     _, D = nf.require_exponents()
     c1, c2, proof = convex_constants(D, n)
     c = c1 + c2 + 1.0
-    meas = RadialMeasure(n)
-    norm_u = luxemburg_norm(u, nf, meas, spec)
-    norm_du = luxemburg_norm(
-        ScalarProfile(u.du, u.du_hint(), u.breakpoints), nf, meas, spec)
+    f, df, rf = profiles
+    norm_u = luxemburg_norm(f, nf, measure, spec)
+    norm_du = luxemburg_norm(df, nf, measure, spec)
     denom = norm_u + norm_du
     constants = {"C": c, "C1": c1, "C2": c2, **proof,
                  "norm_u": norm_u, "norm_du": norm_du}
     if denom == 0.0:  # nothing to compare
-        check = _check("www", 0.0, 0.0, constants, 0.0, n=n, **meta)
+        check = _check(form, 0.0, 0.0, constants, 0.0, n=n, **meta)
         check.verdict = "trivial"
         return check
-    weighted = ScalarProfile(
-        lambda r: np.asarray(r, dtype=float) * np.abs(u.u(r)),
-        (u.hint if u.hint.kind == "compact"
-         else SupportHint.decaying(u.hint.degree + 1.0, u.hint.rate)),
-        u.breakpoints)
-    norm_ru = luxemburg_norm(weighted, nf, meas, spec)
-    constants["norm_ru"] = norm_ru
+    constants["norm_ru"] = norm_ru = luxemburg_norm(rf, nf, measure, spec)
     ratio = norm_ru / denom
-    return _check("www", ratio, c, constants, err_est=3e-9 * max(1.0, ratio),
+    return _check(form, ratio, c, constants, err_est=3e-9 * max(1.0, ratio),
                   n=n, details={"ratio": ratio}, **meta)
+
+
+def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
+                           spec: QuadratureSpec | None = None,
+                           **meta) -> Check:
+    """Norm form www: ||r u|| <= C (||u|| + ||u'||) on the radial measure."""
+    if nf.delta2_const is None:
+        raise PreconditionError(f"'{nf.label}' must be doubling-certified")
+    weighted = ScalarProfile(lambda r: np.asarray(r, dtype=float) * np.abs(u.u(r)),
+                             u.hint.times_power(1.0), u.breakpoints)
+    return _check_norm_form(
+        "www", (ScalarProfile(u.u, u.hint, u.breakpoints),
+                ScalarProfile(u.du, u.du_hint(), u.breakpoints), weighted),
+        nf, RadialMeasure(n), n, spec or QuadratureSpec(), **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -340,34 +324,20 @@ def check_nd(triple: ModularTriple, nf: NFunction, n: int, form: str,
 def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
                        spec: QuadratureSpec | None = None,
                        normalized: bool = False, **meta) -> Check:
-    """Norm form hn11 on R^n: ||.|x| u|| <= C (||u|| + ||grad u||),
-    C = C1 + C2 + 1 with the doubling-case constants."""
+    """Norm form hn11 on R^n: ||.|x| u|| <= C (||u|| + ||grad u||), with
+    the samples of |u| and |grad u| read from the field's sample stores."""
     spec = spec or QuadratureSpec()
     if n != u.n:
         raise PreconditionError(f"field '{u.label}' has dimension {u.n}, not {n}")
     if nf.delta2_const is None or not nf.convex:
         raise PreconditionError(
             f"form hn11 needs a convex doubling N-function, got '{nf.label}'")
-    _, D = nf.require_exponents()
-    meta = {**meta, "n": n,
-            "normalization": "normalized" if normalized else "unnormalized"}
-    c1, c2, proof = convex_constants(D, n)
-    c = c1 + c2 + 1.0
-    meas = GaussianMeasure(n, normalized)
     samples = FieldSamples.of(u, spec)
-    norm_u = luxemburg_norm(ScalarProfile(samples.u, u.hint), nf, meas, spec)
-    norm_grad = luxemburg_norm(ScalarProfile(samples.grad, u.grad_hint()), nf, meas, spec)
-    denom = norm_u + norm_grad
-    constants = {"C": c, "C1": c1, "C2": c2, **proof}
-    if denom == 0.0:  # nothing to compare
-        check = _check("hn11", 0.0, 0.0, constants, 0.0, **meta)
-        check.verdict = "trivial"
-        return check
     weighted = ScalarProfile(
         lambda pts: np.linalg.norm(pts, axis=-1) * np.abs(u.u(pts)),
-        (u.hint if u.hint.kind == "compact"
-         else SupportHint.decaying(u.hint.degree + 1.0, u.hint.rate)))
-    norm_xu = luxemburg_norm(weighted, nf, meas, spec)
-    ratio = norm_xu / denom
-    return _check("hn11", ratio, c, constants, err_est=3e-9 * max(1.0, ratio),
-                  details={"ratio": ratio}, **meta)
+        u.hint.times_power(1.0))
+    return _check_norm_form(
+        "hn11", (ScalarProfile(samples.u, u.hint),
+                 ScalarProfile(samples.grad, u.grad_hint()), weighted),
+        nf, GaussianMeasure(n, normalized), n, spec,
+        normalization="normalized" if normalized else "unnormalized", **meta)

@@ -102,7 +102,7 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, theta: float = 1.0,
         (samples.u, u.hint, lambda v, r: nf.eval(v / theta)),
     )
     lhs, a, b = (integrate_gaussian_nd(store, u.n, spec,
-                                       envelope=_compose_hint(hint, 0.0, nf),
+                                       envelope=_compose_hint(hint, nf),
                                        normalized=normalized, transform=transform)
                  for store, hint, transform in terms)
     return lhs.value, a.value, b.value, (lhs.err_est, a.err_est, b.err_est)

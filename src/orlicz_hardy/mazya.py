@@ -35,6 +35,7 @@ from .errors import PreconditionError
 from .nfunc import comparison_tol
 from .quadrature import (
     gaussian_tail,
+    golden_max,
     integrate_interval,
     truncation_radius,
 )
@@ -250,29 +251,11 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
                                "objective still growing at the grid boundary",
                                objective.converged)
 
-    lo = float(rs[max(i - 1, 0)])
-    hi = float(rs[min(i + 1, rs.size - 1)])
     best_r, best_v = float(rs[i]), float(vals[i])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = lo, hi
-    c_ = b_ - phi * (b_ - a_)
-    d_ = a_ + phi * (b_ - a_)
-    fc = objective(c_)
-    fd = objective(d_)
-    for _ in range(80):
-        if b_ - a_ < 1e-10 * max(1.0, b_):
-            break
-        if fc >= fd:
-            b_, d_, fd = d_, c_, fc
-            c_ = b_ - phi * (b_ - a_)
-            fc = objective(c_)
-        else:
-            a_, c_, fc = c_, d_, fd
-            d_ = a_ + phi * (b_ - a_)
-            fd = objective(d_)
-    for r, v in ((c_, fc), (d_, fd)):
-        if v > best_v:
-            best_r, best_v = r, v
+    r, v = golden_max(objective, float(rs[max(i - 1, 0)]),
+                      float(rs[min(i + 1, rs.size - 1)]))
+    if v > best_v:
+        best_r, best_v = r, v
     return MazyaResult(best_v, best_r, False, converged=objective.converged)
 
 

@@ -36,9 +36,12 @@ __all__ = [
     "integrate_gaussian_nd",
     "sphere_directions",
     "SampleStore",
+    "golden_max",
 ]
 
 DEFAULT_SEED = 20260809
+# where exp(-r^2/2) falls to the smallest normal double, about 37.6
+MAX_RADIUS = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,13 @@ class SupportHint:
     def decaying(cls, degree: float, rate: float) -> "SupportHint":
         return cls("decaying", degree=float(degree), rate=float(rate))
 
+    def times_power(self, k: float) -> "SupportHint":
+        """The envelope of r^k f for f within this one (the rule the decay
+        hints of derivatives follow too)."""
+        if self.kind == "compact":
+            return self
+        return SupportHint.decaying(self.degree + k, self.rate)
+
 
 @dataclass(frozen=True)
 class RadialMeasure:
@@ -86,24 +96,19 @@ class GaussianMeasure:
         if self.n < 1:
             raise PreconditionError(f"dimension must be >= 1, got {self.n}")
 
-    @property
-    def mass_factor(self) -> float:
-        return (2.0 * math.pi) ** (-self.n / 2.0) if self.normalized else 1.0
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Accuracy and sampling policy for all integrations.
 
-    max_radius=None means the truncation radius is chosen automatically from
-    the integrand envelope; a float pins it.  sphere_nodes is the total number
-    of sampled directions on S^(n-1) (antithetic pairs, so it must be even for
-    n >= 2).  The seed makes angular sampling reproducible.
+    The truncation radius is chosen from the integrand envelope and abs_tol.
+    sphere_nodes is the total number of sampled directions on S^(n-1)
+    (antithetic pairs, so it must be even for n >= 2).  The seed makes
+    angular sampling reproducible.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    max_radius: float | None = None
     sphere_nodes: int = 32
     seed: int = DEFAULT_SEED
 
@@ -121,10 +126,6 @@ class IntegralResult:
     radius: float = math.inf
     angular_sem: float = 0.0
     angular_warning: bool = False
-
-    def __iter__(self):
-        # allows `value, err = integrate_radial(...)`
-        return iter((self.value, self.err_est))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +230,28 @@ def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
     return IntegralResult(float(val[0]), float(err[0]), b, angular_warning=not ok)
 
 
+def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section ascent of fn on [lo, hi] until the interval is shorter
+    than 1e-10 * max(1, hi), at most 80 steps.  Returns the better
+    (x, fn(x)) of the last two interior points, the first one on a tie."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(80):
+        if b - a < 1e-10 * max(1.0, b):
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form moments and truncation policy
 # ---------------------------------------------------------------------------
@@ -289,7 +312,9 @@ def _build_edges(a: float, b: float, breakpoints, seeds) -> np.ndarray:
 
 
 def _resolve_radius(n: int, spec: QuadratureSpec, envelope) -> tuple[float, float, float]:
-    """Returns (R, envelope degree incl. measure, total Gaussian rate)."""
+    """Returns (R, envelope degree incl. measure, total Gaussian rate).  R is
+    at most MAX_RADIUS, past which the weight exp(-r^2/2) is subnormal while
+    f may overflow; the envelope's exact tail from R stays in the error."""
     if envelope is None:
         envelope = SupportHint.decaying(8.0, 1.0)
     if envelope.kind == "compact":
@@ -299,9 +324,7 @@ def _resolve_radius(n: int, spec: QuadratureSpec, envelope) -> tuple[float, floa
     if rate <= 0.0:
         raise DivergenceError(
             f"integrand envelope does not decay (net Gaussian rate {rate:.3g} <= 0)")
-    if spec.max_radius is not None:
-        return float(spec.max_radius), deg, rate
-    return truncation_radius(deg, rate, spec.abs_tol), deg, rate
+    return min(truncation_radius(deg, rate, spec.abs_tol), MAX_RADIUS), deg, rate
 
 
 def _radial_seeds(radius: float, deg: float, rate: float) -> list[float]:
@@ -385,7 +408,9 @@ class SampleStore:
         self.n = n
         self.sphere = (spec.sphere_nodes, spec.seed)
         self._radii = np.empty(0)                       # sorted, distinct
-        self._values = np.empty((self.directions.shape[0], 0))
+        self._columns = np.empty(0, dtype=np.intp)      # their buffer columns
+        self._buffer = np.empty((self.directions.shape[0], 0))
+        self._used = 0
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._radii, r)
@@ -398,13 +423,21 @@ class SampleStore:
                 raise PreconditionError(
                     f"point function returned shape {vals.shape}, "
                     f"not one value per point {(self.directions.shape[0], new.size)}")
-            radii = np.concatenate([self._radii, new])
-            order = np.argsort(radii)
-            self._radii = radii[order]
-            self._values = np.concatenate([self._values, vals], axis=1).take(order, axis=1)
+            # new columns go to the end of a buffer that doubles when full;
+            # only the 1-d index of radii to columns is kept sorted
+            end = self._used + new.size
+            if end > self._buffer.shape[1]:
+                grown = np.empty((self._buffer.shape[0], 2 * end))
+                grown[:, :self._used] = self._buffer[:, :self._used]
+                self._buffer = grown
+            self._buffer[:, self._used:end] = vals
+            at = np.searchsorted(self._radii, new)
+            self._radii = np.insert(self._radii, at, new)
+            self._columns = np.insert(self._columns, at, np.arange(self._used, end))
+            self._used = end
             idx = np.searchsorted(self._radii, r)
         # a C-ordered block, as g returns it: the panel sums depend on layout
-        return self._values.take(idx, axis=1)
+        return self._buffer.take(self._columns[idx], axis=1)
 
     def points(self, r: np.ndarray) -> np.ndarray:
         """The (directions x k x n) points r_i y_j."""

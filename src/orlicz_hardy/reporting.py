@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -70,9 +70,10 @@ class Check:
                    slack=rhs - lhs, tolerance=tol, err_est=err_est, **fields)
 
     def as_dict(self) -> dict:
-        """The report body's form: fields that are None or empty left out."""
-        return {k: v for k, v in asdict(self).items()
-                if v not in (None, "", {})}
+        """The report body's form: fields that are None or empty left out.
+        The values are the check's own, not copies."""
+        return {f.name: v for f in fields(self)
+                if (v := getattr(self, f.name)) not in (None, "", {})}
 
 
 def canonicalize(obj):
@@ -112,16 +113,18 @@ def summarize_verdicts(checks) -> dict:
 
 
 def write_report(path, body: dict, extra_meta: dict | None = None) -> dict:
-    """Write {meta, body} JSON; returns the full document."""
-    body = canonicalize(body)
+    """Write {meta, body} JSON; returns the full document.  The body is
+    canonicalised once: the digest is taken of its canonical JSON, and the
+    document holds that JSON read back."""
+    text = canonical_json(body)
     meta = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "argv": sys.argv,
-        "body_sha256": body_digest(body),
+        "body_sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
     if extra_meta:
         meta.update(extra_meta)
-    doc = {"meta": meta, "body": body}
+    doc = {"meta": meta, "body": json.loads(text)}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")

@@ -181,12 +181,6 @@ class TestDeterminism:
             for key, value in check.items():
                 assert value not in (None, "", {}, []), (check["check_id"], key)
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ORLICZ_SEED", "4242")
-        main(["--out", str(tmp_path), "certify"])
-        doc = load_report(tmp_path / "certify.json")
-        assert doc["body"]["quadrature_spec"]["seed"] == 4242
-
     def test_reports_carry_corpus_fingerprints(self, tmp_path):
         main(["--out", str(tmp_path), "hardy", "--nfunc", "p2", "--dim", "1",
               "--form", "p2_exact"])
@@ -205,6 +199,8 @@ class TestDeterminism:
     ["sharpness", "--p", "3", "--n", "1"],
     ["mazya", "--classical"],
     ["lk", "--nfunc", "p2", "--dim", "1"],
+    pytest.param(["hardy", "--form", "hn11", "--dim", "2"], id="hardy-hn11"),
+    pytest.param(["hardy", "--form", "www", "--dim", "1"], id="hardy-www"),
 ], ids=lambda argv: argv[0])
 def test_report_matches_schema(tmp_path, argv):
     main(["--out", str(tmp_path), "--report", str(tmp_path / "r.json")] + argv)
@@ -227,3 +223,42 @@ def test_run_hardy_computes_each_nd_triple_once(manifest, spec, monkeypatch):
                 for label, factory in manifest.field_functions.items()
                 if factory.compatible(n)]
     assert sorted(calls) == sorted(expected)
+
+
+def test_every_battery_is_a_subcommand_and_all_runs_each_once(tmp_path, monkeypatch):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    names = [battery.name for battery in cli.BATTERIES]
+    assert "{" + ",".join(names) + "}" in parser.format_help()
+    calls = []
+
+    def recording(battery):
+        def run(run, **kwargs):
+            calls.append((battery.name, kwargs))
+            if battery.name == "all":
+                battery.run(run, **kwargs)
+        return dataclasses.replace(battery, run=run)
+
+    monkeypatch.setattr(cli, "BATTERIES", tuple(map(recording, cli.BATTERIES)))
+    assert main(["--out", str(tmp_path), "all", "--dim", "1..3"]) == 0
+    assert [name for name, _ in calls] == names[-1:] + names[:-1]
+    kwargs = dict(calls)
+    assert kwargs["hardy"] == {"dims": [1, 2, 3]}
+    assert kwargs["sharpness"]["cases"] == [(3.0, 1), (3.0, 2), (4.0, 1), (4.0, 2)]
+    assert kwargs["mazya"]["classical"] and len(kwargs["mazya"]["gaussian"]) == 12
+    assert kwargs["lk"] == {"dims": [1, 2]}
+
+
+def test_tight_abs_tol_hardy_runs(tmp_path, manifest):
+    # at abs_tol 1e-30 the uncapped radius for ga_sharp under p4 lay where
+    # M(u) = exp(0.45 r^2) overflows, and the battery exited 2
+    assert main(["--out", str(tmp_path), "--abs-tol", "1e-30", "hardy",
+                 "--nfunc", "p4", "--dim", "1"]) == 0
+    assert load_report(tmp_path / "hardy.json")["body"]["summary"]["holds"] == 36
+    u, nf = manifest.radial_functions["ga_sharp"], manifest.nfunc("p4")
+    tight = functionals.modular_triple_radial(u, nf, 1, cli.QuadratureSpec(abs_tol=1e-30))
+    loose = functionals.modular_triple_radial(u, nf, 1, cli.QuadratureSpec())
+    assert tight.valid
+    for a, b, ea, eb in zip((tight.K, tight.L, tight.G), (loose.K, loose.L, loose.G),
+                            tight.errs, loose.errs):
+        assert abs(a - b) <= ea + eb

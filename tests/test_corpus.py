@@ -72,6 +72,20 @@ class TestRejection:
         with pytest.raises(ManifestError, match="nonconstant"):
             load_manifest(path)
 
+    def test_lower_index_below_one_rejected(self, tmp_path):
+        # constant past r = 1000: not convex there, and certified d = 0
+        path = write_manifest(tmp_path, {
+            "schema": 1,
+            "nfunctions": [{"label": "flat_tail", "kind": "table",
+                            "params": {"r": [0, 0.001, 100, 1000, 2000],
+                                       "m": [0, 1e-6, 1e4, 1e6, 1e6]}}],
+        })
+        for _ in range(2):  # a rejected member is not cached as certified
+            with pytest.raises(ManifestError) as err:
+                load_manifest(path)
+            assert "'flat_tail': certified lower index d = 0 < 1" in str(err.value)
+            assert "'flat_tail': midpoint convexity fails near r=995" in str(err.value)
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = write_manifest(tmp_path, {
             "schema": 1,

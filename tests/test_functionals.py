@@ -247,15 +247,6 @@ class TestModularTripleNd:
             assert tri_nd.L == pytest.approx(area * tri_rad.L, rel=1e-8)
             assert tri_nd.G == pytest.approx(area * tri_rad.G, rel=1e-8)
 
-    def test_radial_reduction_shortcut_matches(self, manifest, spec):
-        nf = manifest.nfunc("p2")
-        field = manifest.field_functions["fr_wide"].instantiate(2)
-        full = modular_triple_nd(field, nf, spec)
-        fast = modular_triple_nd(field, nf, spec, use_radial_reduction=True)
-        assert full.K == pytest.approx(fast.K, rel=1e-8)
-        assert full.L == pytest.approx(fast.L, rel=1e-8)
-        assert full.G == pytest.approx(fast.G, rel=1e-8)
-
     def test_gaussian_field_closed_form(self, spec):
         # u = exp(-|x|^2/4), M = r^2, n = 2: every component is a moment with
         # a shifted Gaussian rate

@@ -5,6 +5,7 @@ import pytest
 
 from orlicz_hardy.errors import DivergenceError, EvaluationError, PreconditionError
 from orlicz_hardy.quadrature import (
+    MAX_RADIUS,
     GaussianMeasure,
     QuadratureSpec,
     SampleStore,
@@ -79,9 +80,6 @@ class TestRadial:
                                envelope=SupportHint.decaying(1, 0.0))
         left = integrate_interval(
             lambda r: (1.0 - r) * np.exp(-0.5 * r * r), 0.0, 1.0)
-        right = integrate_radial(lambda r: r - 1.0, 1,
-                                 envelope=SupportHint.decaying(1, 0.0),
-                                 spec=QuadratureSpec(max_radius=30.0))
         # second piece: int_1^oo (r-1) e^(-r^2/2) dr via complement
         full = integrate_radial(lambda r: r - 1.0, 1,
                                 envelope=SupportHint.decaying(1, 0.0))
@@ -94,6 +92,20 @@ class TestRadial:
             radius = truncation_radius(deg, rate, tol)
             assert radius ** deg * math.exp(-0.5 * rate * radius * radius) < tol
             assert gaussian_tail(deg, rate, radius) < tol * 10
+
+    def test_radius_capped_where_the_weight_underflows(self):
+        # exp(0.45 r^2) overflows near r = 40, where an abs_tol of 1e-30
+        # would put the radius; the capped integral keeps the exact tail of
+        # its envelope; int_0^oo exp(-0.05 r^2) dr = sqrt(5 pi)
+        env = SupportHint.decaying(0.0, -0.9)
+        res = integrate_radial(lambda r: np.exp(0.45 * r * r), 1,
+                               QuadratureSpec(abs_tol=1e-30), envelope=env)
+        assert res.radius == MAX_RADIUS
+        assert math.exp(-0.5 * MAX_RADIUS ** 2) == pytest.approx(
+            np.finfo(float).tiny, rel=1e-12)
+        assert res.err_est >= gaussian_tail(0.0, 0.1, MAX_RADIUS) > 0.0
+        exact = math.sqrt(5.0 * math.pi)
+        assert abs(res.value - exact) <= res.err_est
 
 
 class TestGaussianNd:
@@ -191,6 +203,21 @@ class TestSampleStore:
                                         transform=lambda v, r: v * v)
         assert squared == integrate_gaussian_nd(lambda x: bump(x) * bump(x), 2,
                                                 envelope=env)
+
+    def test_interleaved_calls_match_fresh_evaluation(self):
+        # new radii, repeats and out-of-order radii, many calls to one
+        # store: every block equals a fresh evaluation, C-ordered
+        rng = np.random.default_rng(5)
+        store = SampleStore(bump, 2)
+        pool = rng.uniform(0.0, 6.0, 400)
+        for _ in range(120):
+            r = np.concatenate([rng.choice(pool, rng.integers(1, 20)),
+                                rng.uniform(0.0, 6.0, rng.integers(0, 30))])
+            rng.shuffle(r)
+            block = store(r)
+            assert block.flags["C_CONTIGUOUS"]
+            assert np.array_equal(
+                block, bump(r[None, :, None] * store.directions[:, None, :]))
 
     def test_one_value_per_point_required(self):
         # a scalar once gave a NaN error estimate with no warning
