@@ -14,6 +14,7 @@ import csv
 import functools
 import math
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -345,6 +346,7 @@ class Run:
     checks: list = field(default_factory=list)
     series: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict)
+    battery_s: dict = field(default_factory=dict)  # wall seconds per battery
 
 
 @dataclass(frozen=True)
@@ -381,7 +383,9 @@ def _mazya_kwargs(args) -> dict:
 def _run_all(run: Run, dims):
     for battery in BATTERIES:
         if battery.in_all is not None:
+            start = time.perf_counter()
             battery.run(run, **battery.in_all(dims))
+            run.battery_s[battery.name] = time.perf_counter() - start
 
 
 _DIM = ("--dim", {"type": _parse_dims, "default": [1, 2]})
@@ -496,7 +500,10 @@ def main(argv=None) -> int:
     try:
         if battery.needs_manifest:
             run.manifest = corpus_mod.load_manifest(args.corpus)
+        start = time.perf_counter()
         battery.run(run, **battery.from_args(args))
+        # `all` has timed each of its rows; any other battery is one total
+        run.battery_s = run.battery_s or {battery.name: time.perf_counter() - start}
     except (ManifestError, OrliczHardyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -520,7 +527,7 @@ def main(argv=None) -> int:
         "summary": summary,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_report(report_path, body)
+    write_report(report_path, body, {"battery_s": run.battery_s})
     _write_series_csv(out_dir, run.series)
     print(f"{args.subcommand}: {summary['holds']} holds, {summary['fails']} fails, "
           f"{summary['indeterminate']} indeterminate, {summary['trivial']} trivial "

@@ -19,7 +19,11 @@ probed once on a decade ladder (`_endpoint_probe`): ratios of neighbouring
 rungs below 0.9 mean an integrable endpoint, anything larger a divergent
 one (the rule assumes a power-law endpoint).  Beyond the probe the inner
 integral is accumulated in pieces between neighbouring grid points
-(`_Objective`), so the sweep costs one short integral per grid step.
+(`_Objective`).  The ladder rungs, and the grid pieces of a sweep, first
+get one Gauss-Kronrod panel each in a single vectorised call
+(`first_panels`); only a piece that panel does not resolve is integrated
+on its own, so a sweep costs a few short integrals rather than one per
+grid step.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import numpy as np
 from .errors import PreconditionError
 from .nfunc import comparison_tol
 from .quadrature import (
-    gaussian_tail,
+    first_panels,
+    gaussian_tail_fn,
     golden_max,
     integrate_interval,
     truncation_radius,
@@ -126,28 +131,32 @@ def _endpoint_probe(pair: MeasurePair) -> tuple[float, bool, bool]:
     tail is recovered by geometric extrapolation, exact for pure powers),
     ratios at or above ~1 mean logarithmic or power blow-up.  The rule
     assumes a power-law endpoint and counts a ratio of 0.9 or more as 1.
+    Every rung first gets one batched panel (`first_panels`); a rung it
+    does not resolve is integrated when the ladder reaches it.
 
     Returns (value, finite, converged); converged is False when a rung's
     quadrature did not converge.
     """
     integrand = _nu_integrand(pair)
+    los = [pair.a + PROBE_WIDTH * 10.0 ** (-k) for k in range(1, PROBE_RUNGS + 1)]
+    his = [pair.a + PROBE_WIDTH] + los[:-1]
+    firsts = first_panels(integrand, los, his, PROBE_REL_TOL, PROBE_ABS_TOL)
     pieces = []
-    hi = pair.a + PROBE_WIDTH
     total = 0.0
     converged = True
-    for k in range(1, PROBE_RUNGS + 1):
-        lo = pair.a + PROBE_WIDTH * 10.0 ** (-k)
-        try:
-            piece = integrate_interval(integrand, lo, hi, rel_tol=PROBE_REL_TOL,
-                                       abs_tol=PROBE_ABS_TOL)
-        except Exception:
-            return math.inf, False, converged
-        converged = converged and not piece.angular_warning
-        pieces.append(piece.value)
-        total += piece.value
+    for lo, hi, (value, panel) in zip(los, his, firsts):
+        if value is None:
+            try:
+                piece = integrate_interval(integrand, lo, hi, rel_tol=PROBE_REL_TOL,
+                                           abs_tol=PROBE_ABS_TOL, first=panel)
+            except Exception:
+                return math.inf, False, converged
+            converged = converged and not piece.angular_warning
+            value = piece.value
+        pieces.append(value)
+        total += value
         if not math.isfinite(total) or total > INNER_CAP:
             return math.inf, False, converged
-        hi = lo
     floor = 1e-13 * max(abs(total), 1e-30)
     if abs(pieces[-1]) <= floor:
         return total, True, converged
@@ -179,30 +188,50 @@ class _Objective:
         self._knots = [pair.a + PROBE_WIDTH]
         self._inner = [probe]
 
-    def _inner_at(self, r: float) -> float:
+    def _inner_at(self, r: float, first=None) -> float:
+        """I(r); first = (lo, value, panel) is the `first_panels` entry of
+        the piece [lo, r]."""
         j = max(bisect.bisect_right(self._knots, r) - 1, 0)
         lo, inner = self._knots[j], self._inner[j]
         if r <= lo or not math.isfinite(inner):
             return inner
+        value, panel = first[1:] if first is not None and first[0] == lo else (None, None)
+        if value is not None:
+            return inner + value
         try:
-            piece = integrate_interval(self._integrand, lo, r,
-                                       rel_tol=PIECE_REL_TOL, abs_tol=PIECE_ABS_TOL)
+            piece = integrate_interval(self._integrand, lo, r, rel_tol=PIECE_REL_TOL,
+                                       abs_tol=PIECE_ABS_TOL, first=panel)
         except Exception:
             return math.inf
         self.converged = self.converged and not piece.angular_warning
         return inner + piece.value
 
-    def __call__(self, r: float, store: bool = False) -> float:
+    def __call__(self, r: float, store: bool = False, first=None) -> float:
         tail = float(self.pair.mu_tail(r))
         if tail <= 0.0:
             return 0.0
-        inner = self._inner_at(r)
+        inner = self._inner_at(r, first)
         if store and r > self._knots[-1]:
             self._knots.append(r)
             self._inner.append(inner)
         if not math.isfinite(inner):
             return math.inf
         return tail ** (1.0 / self.pair.q) * inner ** ((self.pair.p - 1.0) / self.pair.p)
+
+    def sweep(self, rs):
+        """Yield self(r, store=True) for each r of the increasing grid rs.
+
+        The pieces [r_(i-1), r_i], the first one from the largest knot, get
+        one panel each in a single `first_panels` call.  A piece that panel
+        does not resolve is refined by `integrate_interval` only when the
+        walk reaches it, so a caller that stops early integrates nothing
+        past its stop.
+        """
+        rs = [float(r) for r in rs]
+        los = [self._knots[-1]] + rs[:-1]
+        firsts = first_panels(self._integrand, los, rs, PIECE_REL_TOL, PIECE_ABS_TOL)
+        for lo, r, entry in zip(los, rs, firsts):
+            yield self(r, store=True, first=(lo, *entry))
 
 
 def _log_grid(pair: MeasurePair, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,14 +242,16 @@ def _log_grid(pair: MeasurePair, grid_points: int) -> tuple[np.ndarray, np.ndarr
 def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
     """Supremum of the Maz'ya objective over a log grid with local refinement.
 
-    One sweep up the grid integrates the inner integral piece by piece
-    between neighbouring grid points; each golden-section step around the
-    grid maximum adds one piece to the stored value at the grid point below.
-    Divergence is flagged when the endpoint probe's decade ratios reach 0.9
-    (the inner integral blows up at the left endpoint), when the objective
-    exceeds its cap or a piece cannot be integrated, or when it keeps growing
-    across the last decade of the grid.  `converged` is False when any probe
-    rung or piece did not converge.
+    One sweep up the grid (`_Objective.sweep`) accumulates the inner
+    integral piece by piece between neighbouring grid points: one batched
+    panel per piece, and `integrate_interval` for the pieces that panel does
+    not resolve, taken in grid order up to where the sweep stops.  Each
+    golden-section step around the grid maximum adds one piece to the stored
+    value at the grid point below.  Divergence is flagged when the endpoint
+    probe's decade ratios reach 0.9 (the inner integral blows up at the left
+    endpoint), when the objective exceeds its cap or a piece cannot be
+    integrated, or when it keeps growing across the last decade of the grid.
+    `converged` is False when any probe rung or piece did not converge.
     """
     offsets, rs = _log_grid(pair, grid_points)
 
@@ -233,8 +264,7 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
 
     objective = _Objective(pair, probe, converged)
     vals = np.empty(rs.size)
-    for i, r in enumerate(rs):
-        v = objective(float(r), store=True)
+    for i, (r, v) in enumerate(zip(rs, objective.sweep(rs))):
         if v > OBJECTIVE_CAP:
             return MazyaResult(math.inf, float(r), True,
                                f"objective exceeds cap at r={r:.6g}",
@@ -278,9 +308,10 @@ def gaussian_pair(p: float, n: int) -> MeasurePair:
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     m = p + n - 1.0  # power of r in the mu-density
+    mu_tail = gaussian_tail_fn(m, 1.0)
 
     def tail(r):
-        return gaussian_tail(m, 1.0, float(r))
+        return mu_tail(float(r))
 
     def nu_density(x):
         x = np.asarray(x, dtype=float)
@@ -334,7 +365,7 @@ def objective_series(pair: MeasurePair, grid_points: int = 60):
     if not ok:
         return [(float(r), math.inf) for r in rs]
     objective = _Objective(pair, probe, converged)
-    return [(float(r), objective(float(r), store=True)) for r in rs]
+    return [(float(r), v) for r, v in zip(rs, objective.sweep(rs))]
 
 
 def gaussian_hardy_pq(p: float, n: int) -> tuple[str, MazyaResult]:

@@ -31,6 +31,7 @@ __all__ = [
     "moment",
     "surface_area",
     "truncation_radius",
+    "first_panels",
     "integrate_interval",
     "integrate_radial",
     "integrate_gaussian_nd",
@@ -189,13 +190,15 @@ def _median(x: np.ndarray):
 
 
 def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float,
-              max_panels: int = 4096):
+              max_panels: int = 4096, first=None):
     """Adaptive panel subdivision until every component meets its tolerance.
 
+    first is the (vals, errs) that `_gk_panels` gives on the edges' panels,
+    when the caller has already evaluated them.
     Returns (values (m,), errors (m,), converged bool)."""
     lo = np.asarray(edges[:-1], dtype=float)
     hi = np.asarray(edges[1:], dtype=float)
-    vals, errs = _gk_panels(f, lo, hi)
+    vals, errs = _gk_panels(f, lo, hi) if first is None else first
     for _ in range(64):
         tot = vals.sum(axis=1)
         tot_err = errs.sum(axis=1)
@@ -220,13 +223,39 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float,
     return vals.sum(axis=1), errs.sum(axis=1), False
 
 
+def first_panels(f, lo, hi, rel_tol: float, abs_tol: float) -> list:
+    """One GK15 panel on every [lo_i, hi_i], all in one `_gk_panels` call.
+
+    Entry i is (value, None) when the panel meets max(abs_tol, rel_tol |value|),
+    the test `_adaptive` makes after its first sweep: value is then what
+    `integrate_interval(f, lo_i, hi_i, rel_tol, abs_tol)` returns, bit for
+    bit.  Otherwise it is (None, panel), the `first` to hand integrate_interval,
+    or (None, None) when the panel is not finite.  If the batch raises, every
+    entry is (None, None), and integrate_interval meets the error again on the
+    pieces the caller goes on to integrate.
+    """
+    try:
+        vals, errs = _gk_panels(f, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    except Exception:
+        return [(None, None)] * len(lo)
+    finite = np.isfinite(vals[0]) & np.isfinite(errs[0])
+    ok = finite & (errs[0] <= np.maximum(abs_tol, rel_tol * np.abs(vals[0])))
+    return [(float(vals[0, i]), None) if ok[i]
+            else (None, (vals[:, i:i + 1], errs[:, i:i + 1]) if finite[i] else None)
+            for i in range(len(lo))]
+
+
 def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
-                       abs_tol: float = 1e-14, breakpoints=()) -> IntegralResult:
-    """Plain adaptive integral of f over [a, b] (no measure weight)."""
+                       abs_tol: float = 1e-14, breakpoints=(),
+                       first=None) -> IntegralResult:
+    """Plain adaptive integral of f over [a, b] (no measure weight).
+
+    first is the (vals, errs) of `_gk_panels(f, [a], [b])`, when the caller
+    has already evaluated that panel (then without breakpoints)."""
     if not b > a:
         return IntegralResult(0.0, 0.0, b)
     edges = _build_edges(a, b, breakpoints, seeds=())
-    val, err, ok = _adaptive(f, edges, rel_tol, abs_tol)
+    val, err, ok = _adaptive(f, edges, rel_tol, abs_tol, first=first)
     return IntegralResult(float(val[0]), float(err[0]), b, angular_warning=not ok)
 
 
@@ -270,12 +299,22 @@ def surface_area(n: int) -> float:
 
 def gaussian_tail(degree: float, rate: float, radius: float) -> float:
     """Exact tail integral of r^degree exp(-rate r^2/2) dr over [radius, oo)."""
+    return gaussian_tail_fn(degree, rate)(radius)
+
+
+def gaussian_tail_fn(degree: float, rate: float):
+    """radius -> gaussian_tail(degree, rate, radius), with the Gamma scale
+    computed once."""
     if rate <= 0.0:
-        return math.inf
+        return lambda radius: math.inf
     s = 0.5 * (degree + 1.0)
     scale = math.exp(0.5 * (degree - 1.0) * math.log(2.0)
                      - s * math.log(rate) + gammaln(s))
-    return scale * float(gammaincc(s, 0.5 * rate * radius * radius))
+
+    def tail(radius: float) -> float:
+        return scale * float(gammaincc(s, 0.5 * rate * radius * radius))
+
+    return tail
 
 
 def truncation_radius(degree: float, rate: float, abs_tol: float) -> float:

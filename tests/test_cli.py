@@ -171,6 +171,20 @@ class TestDeterminism:
         assert doc_a["meta"]["body_sha256"] == doc_b["meta"]["body_sha256"]
         assert canonical_json(doc_a["body"]) == canonical_json(doc_b["body"])
 
+    def test_all_meta_times_each_battery_outside_the_body(self, all_runs):
+        _, (doc_a, doc_b) = all_runs
+        assert canonical_json(doc_a["body"]) == canonical_json(doc_b["body"])
+        names = [battery.name for battery in cli.BATTERIES if battery.in_all is not None]
+        for doc in (doc_a, doc_b):
+            assert list(doc["meta"]["battery_s"]) == sorted(names)
+            assert all(s >= 0.0 for s in doc["meta"]["battery_s"].values())
+            assert "battery_s" not in canonical_json(doc["body"])
+
+    def test_subcommand_meta_records_its_own_total(self, tmp_path):
+        main(["--out", str(tmp_path), "mazya", "--classical"])
+        (name,) = load_report(tmp_path / "mazya.json")["meta"]["battery_s"]
+        assert name == "mazya"
+
     def test_all_report_matches_schema(self, all_runs):
         _, (doc, _) = all_runs
         jsonschema.validate(doc, SCHEMA)

@@ -323,18 +323,169 @@ class TestCumulativeSearchOracle:
 
 
 # ---------------------------------------------------------------------------
+# Oracle: the per-piece sweep that the batched first panels replaced
+# ---------------------------------------------------------------------------
+
+def per_piece_probe(pair):
+    """The endpoint ladder with one integrate_interval call per rung."""
+    integrand = mazya_mod._nu_integrand(pair)
+    pieces, total, converged = [], 0.0, True
+    hi = pair.a + mazya_mod.PROBE_WIDTH
+    for k in range(1, mazya_mod.PROBE_RUNGS + 1):
+        lo = pair.a + mazya_mod.PROBE_WIDTH * 10.0 ** (-k)
+        try:
+            piece = integrate_interval(integrand, lo, hi, rel_tol=mazya_mod.PROBE_REL_TOL,
+                                       abs_tol=mazya_mod.PROBE_ABS_TOL)
+        except Exception:
+            return math.inf, False, converged
+        converged = converged and not piece.angular_warning
+        pieces.append(piece.value)
+        total += piece.value
+        if not math.isfinite(total) or total > mazya_mod.INNER_CAP:
+            return math.inf, False, converged
+        hi = lo
+    if abs(pieces[-1]) <= 1e-13 * max(abs(total), 1e-30):
+        return total, True, converged
+    ratios = [pieces[j + 1] / pieces[j] for j in range(len(pieces) - 3, len(pieces) - 1)
+              if pieces[j] > 0.0]
+    if not ratios or max(ratios) >= 0.9:
+        return math.inf, False, converged
+    rho = max(ratios)
+    return total + pieces[-1] * rho / (1.0 - rho), True, converged
+
+
+def per_piece_mazya_B(pair, grid_points=240):
+    """mazya_B with one integrate_interval call per grid piece and rung."""
+    offsets, rs = mazya_mod._log_grid(pair, grid_points)
+    probe, ok0, converged = per_piece_probe(pair)
+    if not ok0:
+        return mazya_mod.MazyaResult(math.inf, float(rs[0]), True,
+                                     "inner integral diverges at the left endpoint",
+                                     converged)
+    objective = mazya_mod._Objective(pair, probe, converged)
+    vals = np.empty(rs.size)
+    for i, r in enumerate(rs):
+        v = objective(float(r), store=True)
+        if v > OBJECTIVE_CAP:
+            return mazya_mod.MazyaResult(math.inf, float(r), True,
+                                         f"objective exceeds cap at r={r:.6g}",
+                                         objective.converged)
+        vals[i] = v
+    i = int(np.argmax(vals))
+    if i == rs.size - 1:
+        decade = offsets >= offsets[-1] / 10.0
+        first = vals[decade][0]
+        if first > 0 and vals[-1] > first * 1.01:
+            return mazya_mod.MazyaResult(float(vals[-1]), float(rs[-1]), True,
+                                         "objective still growing at the grid boundary",
+                                         objective.converged)
+    best_r, best_v = float(rs[i]), float(vals[i])
+    r, v = quadrature.golden_max(objective, float(rs[max(i - 1, 0)]),
+                                 float(rs[min(i + 1, rs.size - 1)]))
+    if v > best_v:
+        best_r, best_v = r, v
+    return mazya_mod.MazyaResult(best_v, best_r, False, converged=objective.converged)
+
+
+def per_piece_series(pair, grid_points=60):
+    _, rs = mazya_mod._log_grid(pair, grid_points)
+    probe, ok, converged = per_piece_probe(pair)
+    if not ok:
+        return [(float(r), math.inf) for r in rs]
+    objective = mazya_mod._Objective(pair, probe, converged)
+    return [(float(r), objective(float(r), store=True)) for r in rs]
+
+
+def count_interval_calls(monkeypatch):
+    calls = []
+    real = mazya_mod.integrate_interval
+
+    def counting(f, a, b, *args, **kwargs):
+        calls.append((a, b))
+        return real(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(mazya_mod, "integrate_interval", counting)
+    return calls
+
+
+class TestBatchedSweepOracle:
+    @pytest.mark.parametrize("name", ORACLE_PAIRS)
+    def test_equals_per_piece_sweep(self, name):
+        pair = ORACLE_PAIRS[name]()
+        assert mazya_B(pair) == per_piece_mazya_B(pair)
+        assert mazya_mod._endpoint_probe(pair) == per_piece_probe(pair)
+        assert objective_series(pair) == per_piece_series(pair)
+
+    def test_multi_panel_pieces_reach_integrate_interval(self, monkeypatch):
+        pair = gaussian_pair(2.2, 2)
+        _, rs = mazya_mod._log_grid(pair, 240)
+        calls = count_interval_calls(monkeypatch)
+        res = mazya_B(pair)
+        grid_pieces = set(zip(rs[:-1].tolist(), rs[1:].tolist()))
+        assert 5 <= sum(call in grid_pieces for call in calls) < 40
+        assert res == per_piece_mazya_B(pair)
+
+    def test_density_raising_past_the_cap_is_never_reached(self):
+        # the inner integrand e^x drives the objective past the cap near
+        # r = 59; the density raises only from r = 100 on, which the batch
+        # reaches but the walk does not
+        def nu(x):
+            x = np.asarray(x, float)
+            if np.any(x > 100.0):
+                raise ValueError("density undefined")
+            return np.exp(-x)
+
+        pair = dataclasses.replace(classical_pair(), nu_density=nu, label="raises-late")
+        res = mazya_B(pair)
+        assert res == per_piece_mazya_B(pair)
+        assert res.divergent and res.converged
+        assert "exceeds cap at r=" in res.reason
+        assert float(res.reason.rsplit("=", 1)[1]) < 100.0
+
+    def test_integral_count(self, monkeypatch):
+        calls = count_interval_calls(monkeypatch)
+        mazya_B(gaussian_pair(3, 2))
+        assert len(calls) <= 80  # the per-piece sweep makes 294
+
+    def test_n1_probe_rungs_resolve_in_one_batch(self, monkeypatch):
+        calls = count_interval_calls(monkeypatch)
+        value, finite, converged = mazya_mod._endpoint_probe(gaussian_pair(3.0, 1))
+        assert calls == [] and finite and converged
+        assert value == per_piece_probe(gaussian_pair(3.0, 1))[0]
+
+    def test_gaussian_mu_tail_equals_gaussian_tail(self):
+        for p, n in GAUSSIAN_GRID:
+            pair = gaussian_pair(p, n)
+            _, rs = mazya_mod._log_grid(pair, 240)
+            m = p + n - 1.0
+            assert [pair.mu_tail(r) for r in rs] == [
+                quadrature.gaussian_tail(m, 1.0, float(r)) for r in rs]
+
+
+# ---------------------------------------------------------------------------
 # Non-converged quadrature is never silent
 # ---------------------------------------------------------------------------
 
 def force_nonconverged(monkeypatch, flagged_tol):
-    """Mark every integral Maz'ya takes at rel_tol == flagged_tol non-converged."""
-    def flagged(f, a, b, rel_tol=1e-10, abs_tol=1e-14, breakpoints=()):
-        res = integrate_interval(f, a, b, rel_tol, abs_tol, breakpoints)
+    """Mark every integral Maz'ya takes at rel_tol == flagged_tol non-converged.
+
+    The batched first panels at that tolerance resolve nothing, so each such
+    integral reaches integrate_interval."""
+    def flagged(f, a, b, rel_tol=1e-10, abs_tol=1e-14, breakpoints=(), first=None):
+        res = integrate_interval(f, a, b, rel_tol, abs_tol, breakpoints, first)
         if rel_tol == flagged_tol:
             res = dataclasses.replace(res, angular_warning=True)
         return res
 
+    real_first = mazya_mod.first_panels
+
+    def unresolved(integrand, lo, hi, rel_tol, abs_tol):
+        if rel_tol == flagged_tol:
+            return [(None, None)] * len(lo)
+        return real_first(integrand, lo, hi, rel_tol, abs_tol)
+
     monkeypatch.setattr(mazya_mod, "integrate_interval", flagged)
+    monkeypatch.setattr(mazya_mod, "first_panels", unresolved)
 
 
 class TestNonConvergence:
@@ -347,6 +498,27 @@ class TestNonConvergence:
         res = mazya_B(classical_pair())
         assert not res.converged
         assert res.B == pytest.approx(1.0, abs=1e-6)
+
+    def test_flagged_grid_fallback_piece_reaches_result(self, monkeypatch):
+        # gaussian(2.2, 2) has grid pieces that one panel does not resolve;
+        # flag only those, not the golden-section steps or the probe rungs
+        pair = gaussian_pair(2.2, 2)
+        _, rs = mazya_mod._log_grid(pair, 240)
+        grid_pieces = set(zip(rs[:-1].tolist(), rs[1:].tolist()))
+        seen = []
+
+        def flagged(f, a, b, rel_tol=1e-10, abs_tol=1e-14, breakpoints=(), first=None):
+            res = integrate_interval(f, a, b, rel_tol, abs_tol, breakpoints, first)
+            if (a, b) in grid_pieces:
+                seen.append((a, b))
+                res = dataclasses.replace(res, angular_warning=True)
+            return res
+
+        monkeypatch.setattr(mazya_mod, "integrate_interval", flagged)
+        res = mazya_B(pair)
+        assert len(seen) >= 5
+        assert not res.converged and not res.divergent
+        assert res.B == mazya_B(gaussian_pair(2.2, 2)).B
 
     @pytest.mark.parametrize("argv", [
         ["mazya", "--classical"],
