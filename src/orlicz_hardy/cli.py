@@ -39,6 +39,8 @@ from .reporting import (
 
 DEFAULT_ALPHAS = (0.0, 0.5, 0.9, 0.99, 0.999)
 DEFAULT_THETAS = (0.25, 0.5, 1.0)
+# radial members whose www norm form runs when no --form is given
+NORM_FORM_SUBSET = ("ga_mild", "bump_mid", "pg_decay")
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -68,8 +70,7 @@ def run_certify(manifest, spec, checks: list):
 
 
 def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
-              normalized=False,
-              norm_form_subset=("ga_mild", "bump_mid", "pg_decay")):
+              normalized=False):
     """Radial and n-dimensional Hardy batteries over the corpus."""
     nfuncs = ({nfunc_label: manifest.nfunc(nfunc_label)} if nfunc_label
               else manifest.nfunctions)
@@ -113,7 +114,7 @@ def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
 
             if form in (None, "www"):
                 subset = (triples.keys() if form == "www" else
-                          [s for s in norm_form_subset if s in triples])
+                          [s for s in NORM_FORM_SUBSET if s in triples])
                 for u_label in subset:
                     u, _ = triples[u_label]
                     checks.append(hardy_mod.check_norm_form_radial(
@@ -423,7 +424,8 @@ BATTERIES = (
                    ("--n", {"type": int, "default": None}),
                    ("--pair", {"default": None, "help": (
                        "measure-pair config JSON (kind: classical | gaussian "
-                       "{p, n} | table {x, mu_density, nu_density, p, q})")})),
+                       "{p, n} | table {x, mu_density, nu_density, p, q}), "
+                       "e.g. docs/examples/pair_table.json")})),
             needs_manifest=False, from_args=_mazya_kwargs,
             in_all=lambda dims: {"classical": True, "gaussian": [
                 (p, n) for p in (1.5, 2.0, 3.0, 4.0) for n in (1, 2, 3)]}),

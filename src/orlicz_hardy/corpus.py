@@ -49,9 +49,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# certification results keyed by (member fingerprint, grid fingerprint)
-_CERT_CACHE: dict[tuple[str, str], NFunction] = {}
-
 
 def fingerprint(obj) -> str:
     """Content hash of a JSON-serialisable object (canonical key order)."""
@@ -432,25 +429,17 @@ def load_manifest(path=None, grid: GridSpec | None = None) -> CorpusManifest:
     nfunctions = {}
     for entry in raw.get("nfunctions", []):
         label = entry.get("label", "?")
-        fp = fingerprint(entry)
-        member_fps[label] = fp
+        member_fps[label] = fingerprint(entry)
         try:
             nf = build_nfunction(entry)
-            cache_key = (fp, grid.fingerprint())
-            if cache_key in _CERT_CACHE:
-                nf = _CERT_CACHE[cache_key]
-            else:
-                local_grid = grid
-                if entry.get("kind") == "table":
-                    rs = entry["params"]["r"]
-                    local_grid = GridSpec(max(min(rs), grid.r_min),
-                                          min(max(rs), grid.r_max),
-                                          grid.points, grid.scale)
-                nf = certify(nf, local_grid)
-                known = len(problems)
-                _check_nfunction_shape(nf, local_grid, problems)
-                if len(problems) == known:  # a rejected member is checked again
-                    _CERT_CACHE[cache_key] = nf
+            local_grid = grid
+            if entry.get("kind") == "table":
+                rs = entry["params"]["r"]
+                local_grid = GridSpec(max(min(rs), grid.r_min),
+                                      min(max(rs), grid.r_max),
+                                      grid.points, grid.scale)
+            nf = certify(nf, local_grid)
+            _check_nfunction_shape(nf, local_grid, problems)
             nfunctions[label] = nf
         except Exception as exc:
             problems.append(f"nfunction '{label}': {exc}")

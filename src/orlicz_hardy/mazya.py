@@ -19,11 +19,11 @@ probed once on a decade ladder (`_endpoint_probe`): ratios of neighbouring
 rungs below 0.9 mean an integrable endpoint, anything larger a divergent
 one (the rule assumes a power-law endpoint).  Beyond the probe the inner
 integral is accumulated in pieces between neighbouring grid points
-(`_Objective`).  The ladder rungs, and the grid pieces of a sweep, first
-get one Gauss-Kronrod panel each in a single vectorised call
-(`first_panels`); only a piece that panel does not resolve is integrated
-on its own, so a sweep costs a few short integrals rather than one per
-grid step.
+(`_Objective`).  The ladder rungs, and the grid pieces of a sweep, are
+each read from one `quadrature.integrate_pieces` generator: every piece
+gets one Gauss-Kronrod panel in a single vectorised call, and only a piece
+that panel does not resolve is refined, when the walk reaches it, so a
+sweep costs a few short integrals rather than one per grid step.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ import numpy as np
 from .errors import PreconditionError
 from .nfunc import comparison_tol
 from .quadrature import (
-    first_panels,
     gaussian_tail_fn,
     golden_max,
     integrate_interval,
+    integrate_pieces,
     truncation_radius,
 )
 from .reporting import Check
@@ -75,8 +75,9 @@ TRANSFORM_OUTER_REL_TOL = 1e-9  # the outer integral of |F|^q dmu
 class MeasurePair:
     """(mu, nu) with exponents 1 < p <= q < oo on (a, oo).
 
-    mu_tail(r) = mu([r, oo)); nu_density is dnu*/dx.  mu_density is optional
-    and only needed by the transform check.
+    mu_tail(r) = mu([r, oo)) is a measure's tail, so it is non-negative and
+    never increases; nu_density is dnu*/dx.  mu_density is optional and only
+    needed by the transform check.
     """
 
     a: float
@@ -131,32 +132,25 @@ def _endpoint_probe(pair: MeasurePair) -> tuple[float, bool, bool]:
     tail is recovered by geometric extrapolation, exact for pure powers),
     ratios at or above ~1 mean logarithmic or power blow-up.  The rule
     assumes a power-law endpoint and counts a ratio of 0.9 or more as 1.
-    Every rung first gets one batched panel (`first_panels`); a rung it
-    does not resolve is integrated when the ladder reaches it.
+    The rungs are one `integrate_pieces` batch, so a rung its first panel
+    does not resolve is refined only when the ladder reaches it.
 
     Returns (value, finite, converged); converged is False when a rung's
     quadrature did not converge.
     """
-    integrand = _nu_integrand(pair)
     los = [pair.a + PROBE_WIDTH * 10.0 ** (-k) for k in range(1, PROBE_RUNGS + 1)]
     his = [pair.a + PROBE_WIDTH] + los[:-1]
-    firsts = first_panels(integrand, los, his, PROBE_REL_TOL, PROBE_ABS_TOL)
-    pieces = []
-    total = 0.0
-    converged = True
-    for lo, hi, (value, panel) in zip(los, his, firsts):
-        if value is None:
-            try:
-                piece = integrate_interval(integrand, lo, hi, rel_tol=PROBE_REL_TOL,
-                                           abs_tol=PROBE_ABS_TOL, first=panel)
-            except Exception:
-                return math.inf, False, converged
+    pieces, total, converged = [], 0.0, True
+    try:
+        for piece in integrate_pieces(_nu_integrand(pair), los, his,
+                                      PROBE_REL_TOL, PROBE_ABS_TOL):
             converged = converged and not piece.angular_warning
-            value = piece.value
-        pieces.append(value)
-        total += value
-        if not math.isfinite(total) or total > INNER_CAP:
-            return math.inf, False, converged
+            pieces.append(piece.value)
+            total += piece.value
+            if not math.isfinite(total) or total > INNER_CAP:
+                return math.inf, False, converged
+    except Exception:
+        return math.inf, False, converged
     floor = 1e-13 * max(abs(total), 1e-30)
     if abs(pieces[-1]) <= floor:
         return total, True, converged
@@ -173,12 +167,12 @@ class _Objective:
 
     The inner integral I(r) = int_a^r nu_density^(-1/(p-1)) is the endpoint
     probe up to a + PROBE_WIDTH plus pieces between increasing knots.  A
-    call with store=True makes r a knot, so a sweep over an increasing grid
-    integrates each piece [r_(i-1), r_i] once; any other r costs one piece
-    from the largest knot at or below it.  Pieces are positive, so each I(r)
-    keeps the relative accuracy of its pieces.  A point whose mu tail is 0
-    scores 0 without integrating; an integration error or a non-finite I(r)
-    scores inf, and so does every later knot.
+    sweep makes each grid point a knot, so it integrates each piece
+    [r_(i-1), r_i] once; any other r costs one piece from the largest knot
+    at or below it.  Pieces are positive, so each I(r) keeps the relative
+    accuracy of its pieces.  A point whose mu tail is 0 scores 0 without
+    integrating; an integration error or a non-finite I(r) scores inf, and
+    so does every later knot.
     """
 
     def __init__(self, pair: MeasurePair, probe: float, converged: bool):
@@ -188,50 +182,54 @@ class _Objective:
         self._knots = [pair.a + PROBE_WIDTH]
         self._inner = [probe]
 
-    def _inner_at(self, r: float, first=None) -> float:
-        """I(r); first = (lo, value, panel) is the `first_panels` entry of
-        the piece [lo, r]."""
-        j = max(bisect.bisect_right(self._knots, r) - 1, 0)
-        lo, inner = self._knots[j], self._inner[j]
-        if r <= lo or not math.isfinite(inner):
+    def _add(self, inner: float, piece) -> float:
+        """inner plus the integral piece() returns; inf when it raises."""
+        if not math.isfinite(inner):
             return inner
-        value, panel = first[1:] if first is not None and first[0] == lo else (None, None)
-        if value is not None:
-            return inner + value
         try:
-            piece = integrate_interval(self._integrand, lo, r, rel_tol=PIECE_REL_TOL,
-                                       abs_tol=PIECE_ABS_TOL, first=panel)
+            result = piece()
         except Exception:
             return math.inf
-        self.converged = self.converged and not piece.angular_warning
-        return inner + piece.value
+        self.converged = self.converged and not result.angular_warning
+        return inner + result.value
 
-    def __call__(self, r: float, store: bool = False, first=None) -> float:
-        tail = float(self.pair.mu_tail(r))
+    def _score(self, tail: float, inner: float) -> float:
         if tail <= 0.0:
             return 0.0
-        inner = self._inner_at(r, first)
-        if store and r > self._knots[-1]:
-            self._knots.append(r)
-            self._inner.append(inner)
         if not math.isfinite(inner):
             return math.inf
         return tail ** (1.0 / self.pair.q) * inner ** ((self.pair.p - 1.0) / self.pair.p)
 
-    def sweep(self, rs):
-        """Yield self(r, store=True) for each r of the increasing grid rs.
+    def __call__(self, r: float) -> float:
+        tail = float(self.pair.mu_tail(r))
+        j = max(bisect.bisect_right(self._knots, r) - 1, 0)
+        lo, inner = self._knots[j], self._inner[j]
+        if tail > 0.0 and r > lo:
+            inner = self._add(inner, lambda: integrate_interval(
+                self._integrand, lo, r, PIECE_REL_TOL, PIECE_ABS_TOL))
+        return self._score(tail, inner)
 
-        The pieces [r_(i-1), r_i], the first one from the largest knot, get
-        one panel each in a single `first_panels` call.  A piece that panel
-        does not resolve is refined by `integrate_interval` only when the
-        walk reaches it, so a caller that stops early integrates nothing
-        past its stop.
+    def sweep(self, rs):
+        """Yield the objective at each r of the increasing grid rs, making
+        each r beyond the last knot a knot.
+
+        The pieces [r_(i-1), r_i] from the last knot on are one
+        `integrate_pieces` batch, so a piece its first panel does not
+        resolve is refined only when the walk reaches it.  mu tails never
+        increase, so from the first zero tail on nothing is integrated.
         """
         rs = [float(r) for r in rs]
-        los = [self._knots[-1]] + rs[:-1]
-        firsts = first_panels(self._integrand, los, rs, PIECE_REL_TOL, PIECE_ABS_TOL)
-        for lo, r, entry in zip(los, rs, firsts):
-            yield self(r, store=True, first=(lo, *entry))
+        k = bisect.bisect_right(rs, self._knots[-1])
+        yield from map(self, rs[:k])
+        pieces = integrate_pieces(self._integrand, [self._knots[-1]] + rs[k:-1], rs[k:],
+                                  PIECE_REL_TOL, PIECE_ABS_TOL)
+        tail = 1.0
+        for r in rs[k:]:
+            tail = float(self.pair.mu_tail(r)) if tail > 0.0 else 0.0
+            if tail > 0.0:
+                self._knots.append(r)
+                self._inner.append(self._add(self._inner[-1], pieces.__next__))
+            yield self._score(tail, self._inner[-1])
 
 
 def _log_grid(pair: MeasurePair, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,9 +241,8 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
     """Supremum of the Maz'ya objective over a log grid with local refinement.
 
     One sweep up the grid (`_Objective.sweep`) accumulates the inner
-    integral piece by piece between neighbouring grid points: one batched
-    panel per piece, and `integrate_interval` for the pieces that panel does
-    not resolve, taken in grid order up to where the sweep stops.  Each
+    integral piece by piece between neighbouring grid points, all read
+    from one `integrate_pieces` batch up to where the sweep stops.  Each
     golden-section step around the grid maximum adds one piece to the stored
     value at the grid point below.  Divergence is flagged when the endpoint
     probe's decade ratios reach 0.9 (the inner integral blows up at the left
@@ -337,8 +334,13 @@ def table_pair(xs, mu_density_vals, nu_density_vals, p: float, q: float,
     nu_v = np.asarray(nu_density_vals, dtype=float)
     if xs.ndim != 1 or xs.shape != mu_v.shape or xs.shape != nu_v.shape:
         raise PreconditionError("table arrays must share one shape")
-    if np.any(np.diff(xs) <= 0):
-        raise PreconditionError("table abscissae must increase")
+    if xs.size < 2:
+        raise PreconditionError(f"table x needs at least 2 abscissae, got {xs.size}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
+        raise PreconditionError("table x must be finite and increasing")
+    for name, vals in (("mu_density", mu_v), ("nu_density", nu_v)):
+        if not np.all(np.isfinite(vals) & (vals >= 0.0)):
+            raise PreconditionError(f"table {name} must be finite and non-negative")
 
     def mu_density(x):
         return np.interp(x, xs, mu_v, left=0.0, right=0.0)

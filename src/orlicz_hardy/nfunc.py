@@ -153,13 +153,11 @@ def certify_growth(nf: NFunction, grid: GridSpec | None = None,
     idx = np.argwhere(upper)
     if nf.d_exp is not None:
         bad = slopes < nf.d_exp - tol
-        for j, k in idx[bad][:5]:
+        if np.any(bad):
+            j, k = idx[bad][0]
             violations.append(
                 f"d_exp={nf.d_exp}: slope {slopes[bad][0]:.12g} < d_exp at "
                 f"pair (r1={r[k]:.6g}, r2={r[j]:.6g})")
-            break
-        if np.any(bad) and not violations:
-            violations.append(f"d_exp={nf.d_exp} violated")
     if nf.D_exp is not None:
         bad = slopes > nf.D_exp + tol
         if np.any(bad):

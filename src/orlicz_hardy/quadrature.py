@@ -31,8 +31,8 @@ __all__ = [
     "moment",
     "surface_area",
     "truncation_radius",
-    "first_panels",
     "integrate_interval",
+    "integrate_pieces",
     "integrate_radial",
     "integrate_gaussian_nd",
     "sphere_directions",
@@ -194,7 +194,7 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float,
     """Adaptive panel subdivision until every component meets its tolerance.
 
     first is the (vals, errs) that `_gk_panels` gives on the edges' panels,
-    when the caller has already evaluated them.
+    when `integrate_pieces` has already evaluated them.
     Returns (values (m,), errors (m,), converged bool)."""
     lo = np.asarray(edges[:-1], dtype=float)
     hi = np.asarray(edges[1:], dtype=float)
@@ -223,40 +223,47 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float,
     return vals.sum(axis=1), errs.sum(axis=1), False
 
 
-def first_panels(f, lo, hi, rel_tol: float, abs_tol: float) -> list:
-    """One GK15 panel on every [lo_i, hi_i], all in one `_gk_panels` call.
-
-    Entry i is (value, None) when the panel meets max(abs_tol, rel_tol |value|),
-    the test `_adaptive` makes after its first sweep: value is then what
-    `integrate_interval(f, lo_i, hi_i, rel_tol, abs_tol)` returns, bit for
-    bit.  Otherwise it is (None, panel), the `first` to hand integrate_interval,
-    or (None, None) when the panel is not finite.  If the batch raises, every
-    entry is (None, None), and integrate_interval meets the error again on the
-    pieces the caller goes on to integrate.
-    """
-    try:
-        vals, errs = _gk_panels(f, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    except Exception:
-        return [(None, None)] * len(lo)
-    finite = np.isfinite(vals[0]) & np.isfinite(errs[0])
-    ok = finite & (errs[0] <= np.maximum(abs_tol, rel_tol * np.abs(vals[0])))
-    return [(float(vals[0, i]), None) if ok[i]
-            else (None, (vals[:, i:i + 1], errs[:, i:i + 1]) if finite[i] else None)
-            for i in range(len(lo))]
-
-
 def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
-                       abs_tol: float = 1e-14, breakpoints=(),
-                       first=None) -> IntegralResult:
-    """Plain adaptive integral of f over [a, b] (no measure weight).
-
-    first is the (vals, errs) of `_gk_panels(f, [a], [b])`, when the caller
-    has already evaluated that panel (then without breakpoints)."""
+                       abs_tol: float = 1e-14, breakpoints=()) -> IntegralResult:
+    """Plain adaptive integral of f over [a, b] (no measure weight)."""
     if not b > a:
         return IntegralResult(0.0, 0.0, b)
     edges = _build_edges(a, b, breakpoints, seeds=())
-    val, err, ok = _adaptive(f, edges, rel_tol, abs_tol, first=first)
+    val, err, ok = _adaptive(f, edges, rel_tol, abs_tol)
     return IntegralResult(float(val[0]), float(err[0]), b, angular_warning=not ok)
+
+
+def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
+    """Yield `integrate_interval(f, lo_i, hi_i, rel_tol, abs_tol)` for each
+    piece [lo_i, hi_i] in order, bit for bit.
+
+    Every piece of positive width gets one GK15 panel, all in one
+    `_gk_panels` call; a piece that panel does not resolve (the test
+    `_adaptive` makes after its first sweep) is refined from it only when
+    the caller reaches it.  A zero-width piece yields 0 without evaluating
+    f.  If the batch raises, each piece is integrated on its own when
+    reached, so a piece's error surfaces only at that piece.
+    """
+    los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    wide = his > los
+    try:
+        vals, errs = (_gk_panels(f, los[wide], his[wide]) if wide.any()
+                      else (np.empty((1, 0)), np.empty((1, 0))))
+    except Exception:
+        for lo, hi in zip(los.tolist(), his.tolist()):
+            yield integrate_interval(f, lo, hi, rel_tol, abs_tol)
+        return
+    ok = (errs <= np.maximum(abs_tol, rel_tol * np.abs(vals))).all(axis=0).tolist()
+    values, errors = vals[0].tolist(), errs[0].tolist()
+    for i, lo, hi in zip((np.cumsum(wide) - 1).tolist(), los.tolist(), his.tolist()):
+        if not hi > lo:
+            yield IntegralResult(0.0, 0.0, hi)
+        elif ok[i]:
+            yield IntegralResult(values[i], errors[i], hi)
+        else:
+            val, err, conv = _adaptive(f, np.array([lo, hi]), rel_tol, abs_tol,
+                                       first=(vals[:, i:i + 1], errs[:, i:i + 1]))
+            yield IntegralResult(float(val[0]), float(err[0]), hi, angular_warning=not conv)
 
 
 def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:

@@ -12,6 +12,7 @@ import pytest
 from orlicz_hardy import cli, functionals
 from orlicz_hardy import hardy as hardy_mod
 from orlicz_hardy import landau_kolmogorov as lk_mod
+from orlicz_hardy import mazya as mazya_mod
 from orlicz_hardy.cli import main, run_hardy
 from orlicz_hardy.reporting import canonical_json
 
@@ -276,3 +277,56 @@ def test_tight_abs_tol_hardy_runs(tmp_path, manifest):
     for a, b, ea, eb in zip((tight.K, tight.L, tight.G), (loose.K, loose.L, loose.G),
                             tight.errs, loose.errs):
         assert abs(a - b) <= ea + eb
+
+
+# ---------------------------------------------------------------------------
+# mazya --pair
+# ---------------------------------------------------------------------------
+
+EXAMPLE_PAIR = Path(__file__).parent.parent / "docs" / "examples" / "pair_table.json"
+
+
+def write_pair(tmp_path, cfg):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def table_cfg(x, mu, nu):
+    return {"kind": "table", "label": "t",
+            "params": {"x": x, "mu_density": mu, "nu_density": nu, "p": 2, "q": 2}}
+
+
+class TestMazyaPair:
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "classical"},
+        {"kind": "gaussian", "params": {"p": 3, "n": 2}},
+        json.loads(EXAMPLE_PAIR.read_text()),
+    ], ids=["classical", "gaussian", "table"])
+    def test_pair_config_reads_mazya_B(self, tmp_path, cfg):
+        path = write_pair(tmp_path, cfg)
+        assert main(["--out", str(tmp_path), "mazya", "--pair", str(path)]) == 0
+        (check,) = load_report(tmp_path / "mazya.json")["body"]["checks"]
+        res = mazya_mod.mazya_B(cli.load_pair_config(path))
+        assert check["verdict"] == "holds" and not res.divergent
+        assert check["constants_used"]["B"] == res.B
+        assert check["check_id"] == f"mazya:pair:{cli.load_pair_config(path).label}"
+
+    def test_unknown_kind_exits_two(self, tmp_path, capsys):
+        path = write_pair(tmp_path, {"kind": "weibull"})
+        assert main(["--out", str(tmp_path), "mazya", "--pair", str(path)]) == 2
+        assert "unknown measure-pair kind 'weibull'" in capsys.readouterr().err
+        assert not (tmp_path / "mazya.json").exists()
+
+    @pytest.mark.parametrize("cfg, reason", [
+        (table_cfg([0, 1, 2], [1, float("nan"), 1], [1, 1, float("nan")]),
+         "table mu_density must be finite and non-negative"),
+        (table_cfg([0, 1, 2], [-1, -1, -1], [1, 1, 1]),
+         "table mu_density must be finite and non-negative"),
+        (table_cfg([0], [1], [1]), "table x needs at least 2 abscissae"),
+    ], ids=["nan-density", "negative-mu", "one-point"])
+    def test_invalid_table_exits_two_with_reason(self, tmp_path, capsys, cfg, reason):
+        path = write_pair(tmp_path, cfg)
+        assert main(["--out", str(tmp_path), "mazya", "--pair", str(path)]) == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "mazya.json").exists()

@@ -139,9 +139,3 @@ class TestBuilders:
     def test_fingerprint_stable(self):
         entry = {"label": "p3", "kind": "power", "params": {"p": 3}}
         assert fingerprint(entry) == fingerprint(json.loads(json.dumps(entry)))
-
-    def test_certification_cache_hit(self, manifest):
-        from orlicz_hardy import corpus as corpus_mod
-        key_count = len(corpus_mod._CERT_CACHE)
-        load_manifest()  # same manifest, same grid
-        assert len(corpus_mod._CERT_CACHE) == key_count

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import json
 import math
@@ -183,6 +184,28 @@ class TestSeriesAndTable:
         assert res.B == pytest.approx(math.exp(-0.5), rel=1e-2)
 
 
+class TestTablePairValidation:
+    @pytest.mark.parametrize("xs, mu, nu, reason", [
+        ([0.0], [1.0], [1.0], "table x needs at least 2 abscissae"),
+        ([0.0, 1.0, 1.0], [1.0] * 3, [1.0] * 3, "table x must be finite and increasing"),
+        ([0.0, math.nan, 2.0], [1.0] * 3, [1.0] * 3, "table x must be finite"),
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 1.0], [1.0] * 3, "table mu_density"),
+        ([0.0, 1.0, 2.0], [1.0] * 3, [1.0, math.inf, 1.0], "table nu_density"),
+        ([0.0, 1.0, 2.0], [-1.0] * 3, [1.0] * 3, "table mu_density"),
+        ([0.0, 1.0, 2.0], [1.0] * 3, [1.0, -1e-300, 1.0], "table nu_density"),
+    ], ids=["one-point", "repeated-x", "nan-x", "nan-mu", "inf-nu", "negative-mu",
+            "negative-nu"])
+    def test_rejects_a_table_that_is_not_a_measure_pair(self, xs, mu, nu, reason):
+        with pytest.raises(PreconditionError, match=reason):
+            table_pair(xs, mu, nu, p=2.0, q=2.0)
+
+    def test_table_tail_is_a_measure_tail(self):
+        pair = exp_table_pair()
+        _, rs = mazya_mod._log_grid(pair, 240)
+        tails = [pair.mu_tail(float(r)) for r in rs]
+        assert min(tails) >= 0.0 and tails == sorted(tails, reverse=True)
+
+
 # ---------------------------------------------------------------------------
 # Oracle: the fresh-integral search that the cumulative sweep replaced
 # ---------------------------------------------------------------------------
@@ -354,6 +377,39 @@ def per_piece_probe(pair):
     return total + pieces[-1] * rho / (1.0 - rho), True, converged
 
 
+class PerPieceObjective:
+    """The Maz'ya objective with one integrate_interval call per piece, from
+    the largest knot at or below r; knot=True makes r a knot."""
+
+    def __init__(self, pair, probe, converged):
+        self.pair, self.converged = pair, converged
+        self.integrand = mazya_mod._nu_integrand(pair)
+        self.knots, self.inner = [pair.a + mazya_mod.PROBE_WIDTH], [probe]
+
+    def __call__(self, r, knot=False):
+        tail = float(self.pair.mu_tail(r))
+        if tail <= 0.0:
+            return 0.0
+        j = max(bisect.bisect_right(self.knots, r) - 1, 0)
+        inner = self.inner[j]
+        if r > self.knots[j] and math.isfinite(inner):
+            try:
+                piece = integrate_interval(self.integrand, self.knots[j], r,
+                                           rel_tol=mazya_mod.PIECE_REL_TOL,
+                                           abs_tol=mazya_mod.PIECE_ABS_TOL)
+            except Exception:
+                inner = math.inf
+            else:
+                self.converged = self.converged and not piece.angular_warning
+                inner += piece.value
+        if knot and r > self.knots[-1]:
+            self.knots.append(r)
+            self.inner.append(inner)
+        if not math.isfinite(inner):
+            return math.inf
+        return tail ** (1.0 / self.pair.q) * inner ** ((self.pair.p - 1.0) / self.pair.p)
+
+
 def per_piece_mazya_B(pair, grid_points=240):
     """mazya_B with one integrate_interval call per grid piece and rung."""
     offsets, rs = mazya_mod._log_grid(pair, grid_points)
@@ -362,10 +418,10 @@ def per_piece_mazya_B(pair, grid_points=240):
         return mazya_mod.MazyaResult(math.inf, float(rs[0]), True,
                                      "inner integral diverges at the left endpoint",
                                      converged)
-    objective = mazya_mod._Objective(pair, probe, converged)
+    objective = PerPieceObjective(pair, probe, converged)
     vals = np.empty(rs.size)
     for i, r in enumerate(rs):
-        v = objective(float(r), store=True)
+        v = objective(float(r), knot=True)
         if v > OBJECTIVE_CAP:
             return mazya_mod.MazyaResult(math.inf, float(r), True,
                                          f"objective exceeds cap at r={r:.6g}",
@@ -392,19 +448,21 @@ def per_piece_series(pair, grid_points=60):
     probe, ok, converged = per_piece_probe(pair)
     if not ok:
         return [(float(r), math.inf) for r in rs]
-    objective = mazya_mod._Objective(pair, probe, converged)
-    return [(float(r), objective(float(r), store=True)) for r in rs]
+    objective = PerPieceObjective(pair, probe, converged)
+    return [(float(r), objective(float(r), knot=True)) for r in rs]
 
 
 def count_interval_calls(monkeypatch):
+    """Record the (lo, hi) of every piece that is refined past its first
+    panel, the step every adaptive integral takes."""
     calls = []
-    real = mazya_mod.integrate_interval
+    real = quadrature._adaptive
 
-    def counting(f, a, b, *args, **kwargs):
-        calls.append((a, b))
-        return real(f, a, b, *args, **kwargs)
+    def counting(f, edges, *args, **kwargs):
+        calls.append((float(edges[0]), float(edges[-1])))
+        return real(f, edges, *args, **kwargs)
 
-    monkeypatch.setattr(mazya_mod, "integrate_interval", counting)
+    monkeypatch.setattr(quadrature, "_adaptive", counting)
     return calls
 
 
@@ -453,6 +511,45 @@ class TestBatchedSweepOracle:
         assert calls == [] and finite and converged
         assert value == per_piece_probe(gaussian_pair(3.0, 1))[0]
 
+    def test_density_zero_at_the_first_knot_keeps_one_batch(self, monkeypatch):
+        # nu vanishes only at a + PROBE_WIDTH, the knot the sweep starts
+        # from; no grid piece evaluates there, so the batch holds (a
+        # zero-width first piece made it raise: 274 _gk_panels calls)
+        def nu(x):
+            x = np.asarray(x, float)
+            return np.where(x == mazya_mod.PROBE_WIDTH, 0.0, 1.0)
+
+        pair = dataclasses.replace(classical_pair(), nu_density=nu, label="zero-at-knot")
+        calls = {"n": 0}
+        real = quadrature._gk_panels
+
+        def counting(f, lo, hi):
+            calls["n"] += 1
+            return real(f, lo, hi)
+
+        monkeypatch.setattr(quadrature, "_gk_panels", counting)
+        res = mazya_B(pair)
+        assert calls["n"] <= 40, calls
+        assert res.B == pytest.approx(1.0, abs=1e-6) and res.converged
+        assert res == per_piece_mazya_B(pair)
+
+    def test_sweep_integrates_nothing_past_the_first_zero_tail(self, monkeypatch):
+        # mu([r, oo)) = max(1 - r, 0); nu^(-1) = e^x overflows far past r = 1
+        def nu(x):
+            x = np.asarray(x, float)
+            if np.any(x > 50.0):
+                raise ValueError("density undefined")
+            return np.exp(-x)
+
+        pair = dataclasses.replace(classical_pair(), mu_tail=lambda r: max(1.0 - r, 0.0),
+                                   nu_density=nu, label="finite-mu")
+        calls = count_interval_calls(monkeypatch)
+        res = mazya_B(pair)
+        assert not res.divergent and res.converged
+        assert all(lo < 1.0 for lo, _ in calls), calls
+        assert res == per_piece_mazya_B(pair)
+        assert objective_series(pair) == per_piece_series(pair)
+
     def test_gaussian_mu_tail_equals_gaussian_tail(self):
         for p, n in GAUSSIAN_GRID:
             pair = gaussian_pair(p, n)
@@ -467,25 +564,17 @@ class TestBatchedSweepOracle:
 # ---------------------------------------------------------------------------
 
 def force_nonconverged(monkeypatch, flagged_tol):
-    """Mark every integral Maz'ya takes at rel_tol == flagged_tol non-converged.
+    """Mark every probe rung and grid piece Maz'ya integrates at rel_tol ==
+    flagged_tol non-converged, at the `integrate_pieces` batches they are
+    read from."""
+    real = mazya_mod.integrate_pieces
 
-    The batched first panels at that tolerance resolve nothing, so each such
-    integral reaches integrate_interval."""
-    def flagged(f, a, b, rel_tol=1e-10, abs_tol=1e-14, breakpoints=(), first=None):
-        res = integrate_interval(f, a, b, rel_tol, abs_tol, breakpoints, first)
-        if rel_tol == flagged_tol:
-            res = dataclasses.replace(res, angular_warning=True)
-        return res
+    def flagged(f, los, his, rel_tol, abs_tol):
+        for piece in real(f, los, his, rel_tol, abs_tol):
+            yield (dataclasses.replace(piece, angular_warning=True)
+                   if rel_tol == flagged_tol else piece)
 
-    real_first = mazya_mod.first_panels
-
-    def unresolved(integrand, lo, hi, rel_tol, abs_tol):
-        if rel_tol == flagged_tol:
-            return [(None, None)] * len(lo)
-        return real_first(integrand, lo, hi, rel_tol, abs_tol)
-
-    monkeypatch.setattr(mazya_mod, "integrate_interval", flagged)
-    monkeypatch.setattr(mazya_mod, "first_panels", unresolved)
+    monkeypatch.setattr(mazya_mod, "integrate_pieces", flagged)
 
 
 class TestNonConvergence:
@@ -506,15 +595,16 @@ class TestNonConvergence:
         _, rs = mazya_mod._log_grid(pair, 240)
         grid_pieces = set(zip(rs[:-1].tolist(), rs[1:].tolist()))
         seen = []
+        real = quadrature._adaptive
 
-        def flagged(f, a, b, rel_tol=1e-10, abs_tol=1e-14, breakpoints=(), first=None):
-            res = integrate_interval(f, a, b, rel_tol, abs_tol, breakpoints, first)
-            if (a, b) in grid_pieces:
-                seen.append((a, b))
-                res = dataclasses.replace(res, angular_warning=True)
-            return res
+        def flagged(f, edges, *args, **kwargs):
+            val, err, ok = real(f, edges, *args, **kwargs)
+            if (float(edges[0]), float(edges[-1])) in grid_pieces:
+                seen.append((edges[0], edges[-1]))
+                ok = False
+            return val, err, ok
 
-        monkeypatch.setattr(mazya_mod, "integrate_interval", flagged)
+        monkeypatch.setattr(quadrature, "_adaptive", flagged)
         res = mazya_B(pair)
         assert len(seen) >= 5
         assert not res.converged and not res.divergent

@@ -13,6 +13,7 @@ from orlicz_hardy.quadrature import (
     gaussian_tail,
     integrate_gaussian_nd,
     integrate_interval,
+    integrate_pieces,
     integrate_radial,
     moment,
     sphere_directions,
@@ -230,6 +231,56 @@ class TestSampleStore:
             integrate_gaussian_nd(store, 3)
         with pytest.raises(PreconditionError, match="sample store"):
             integrate_gaussian_nd(store, 2, QuadratureSpec(sphere_nodes=16))
+
+
+def gauss_bump(x):
+    return np.exp(-50.0 * (np.asarray(x, float) - 0.3) ** 2)
+
+
+class TestIntegratePieces:
+    # pieces one panel resolves, pieces that need refining, and a zero-width one
+    LOS = [0.0, 0.1, 0.1, 0.2, 1.0, 1.0]
+    HIS = [0.1, 0.1, 0.2, 1.0, 3.0, 1.0 + 1e-3]
+
+    def test_each_piece_is_integrate_interval(self):
+        pieces = list(integrate_pieces(gauss_bump, self.LOS, self.HIS, 1e-10, 1e-14))
+        assert pieces == [integrate_interval(gauss_bump, lo, hi, 1e-10, 1e-14)
+                          for lo, hi in zip(self.LOS, self.HIS)]
+        assert any(p.err_est < 1e-14 for p in pieces)
+
+    def test_one_batched_panel_then_refinement_on_demand(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return gauss_bump(x)
+
+        pieces = integrate_pieces(f, self.LOS, self.HIS, 1e-10, 1e-14)
+        assert calls == []
+        next(pieces)
+        assert calls == [15 * 5]  # the zero-width piece is left out
+        next(pieces), next(pieces)
+        assert len(calls) == 1
+        next(pieces)  # [0.2, 1.0] holds the bump: one panel does not resolve it
+        assert len(calls) > 1
+
+    def test_zero_width_piece_yields_zero_without_evaluating(self):
+        def f(x):
+            raise AssertionError("evaluated")
+
+        (piece,) = integrate_pieces(f, [2.0], [2.0])
+        assert (piece.value, piece.err_est, piece.radius) == (0.0, 0.0, 2.0)
+
+    def test_error_raised_only_at_its_piece(self):
+        def f(x):
+            x = np.asarray(x, float)
+            return np.where(x < 1.0, 1.0, np.inf)
+
+        pieces = integrate_pieces(f, [0.0, 0.5, 1.0], [0.5, 1.0, 2.0])
+        assert next(pieces).value == pytest.approx(0.5, rel=1e-14)
+        assert next(pieces).value == pytest.approx(0.5, rel=1e-14)
+        with pytest.raises(EvaluationError):
+            next(pieces)
 
 
 class TestMedian:
