@@ -18,6 +18,7 @@ from orlicz_hardy import (
     fit_lk_modular_envelope,
     fit_lk_norm_envelope,
     load_manifest,
+    modular_triple_nd,
 )
 
 manifest = load_manifest()
@@ -34,7 +35,9 @@ for label, r, s, t in rows:
     print(f"  {label:10s} ||grad u|| = {r:8.4f}   sqrt(||hess|| ||u||) = {s:8.4f}"
           f"   ||u|| = {t:8.4f}")
 
-fit_mod, terms = fit_lk_modular_envelope(fields, nf, None,
+# each member's K, L, G triple: the theta-form terms and the Hardy gate read it
+triples = {u.label: modular_triple_nd(u, nf) for u in fields}
+fit_mod, terms = fit_lk_modular_envelope(fields, nf, triples, None,
                                          theta_grid=(0.25, 0.5, 1.0))
 print(f"\nmodular envelope: C1 = {fit_mod.c1:g}, C2 = {fit_mod.c2:g}; "
       f"theta sweep with the theta = 1 constants:")
@@ -44,8 +47,9 @@ for theta in (0.25, 0.5, 1.0):
                 for by_theta in terms.values()]
     print(f"  theta = {theta:4.2f}: {verdicts}")
 
-rep = additive_lk_from_hardy(fields[0], nf, n, terms[fields[0].label][1.0],
+u = fields[0]
+rep = additive_lk_from_hardy(u, nf, n, triples[u.label], terms[u.label][1.0],
                              fit_mod.c1, fit_mod.c2)
-print(f"\nprovenance chain for '{fields[0].label}': Hardy form "
+print(f"\nprovenance chain for '{u.label}': Hardy form "
       f"{rep.provenance['hardy_form']} verdict {rep.provenance['hardy_verdict']}"
       f" -> LK verdict {rep.verdict}")

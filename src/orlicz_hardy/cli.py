@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import json
 import math
 import sys
 import time
@@ -183,20 +184,36 @@ def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
 
 
 def load_pair_config(path) -> "mazya_mod.MeasurePair":
-    import json
-
-    cfg = json.loads(Path(path).read_text())
+    """The measure pair of a --pair config.  An unreadable file, or a
+    missing or malformed parameter, raises PreconditionError naming the path
+    and the key."""
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise PreconditionError(f"{path}: cannot read the measure-pair config: {exc}")
+    params = cfg.get("params", {}) if isinstance(cfg, dict) else None
+    if not isinstance(params, dict):
+        raise PreconditionError(
+            f"{path}: a measure-pair config must be a JSON object with object params")
     kind = cfg.get("kind")
-    params = cfg.get("params", {})
+
+    def param(key, convert=float):
+        if key not in params:
+            raise PreconditionError(f"{path}: a {kind} pair needs params.{key}")
+        try:
+            return convert(params[key])
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(f"{path}: params.{key} is malformed: {exc}")
+
+    array = functools.partial(np.asarray, dtype=float)
     if kind == "classical":
         return mazya_mod.classical_pair()
     if kind == "gaussian":
-        return mazya_mod.gaussian_pair(float(params["p"]), int(params["n"]))
+        return mazya_mod.gaussian_pair(param("p"), param("n", int))
     if kind == "table":
         return mazya_mod.table_pair(
-            params["x"], params["mu_density"], params["nu_density"],
-            float(params["p"]), float(params["q"]),
-            label=cfg.get("label", "table"))
+            param("x", array), param("mu_density", array), param("nu_density", array),
+            param("p"), param("q"), label=cfg.get("label", "table"))
     raise PreconditionError(f"unknown measure-pair kind {kind!r}")
 
 
@@ -297,8 +314,10 @@ def _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
             check_id=f"statB2gauss:{nf_label}:{label}:n={n}",
             nfunc_label=nf.label, subject_label=label, n=n, normalization=norm))
 
+    triples = {u.label: modular_triple_nd(u, nf, spec, normalized, samples[u.label])
+               for u in fields}
     fit_mod, terms = lk_mod.fit_lk_modular_envelope(
-        fields, nf, spec, fit_grid, theta_grid, normalized, samples)
+        fields, nf, triples, spec, fit_grid, theta_grid, normalized, samples)
     _record_fit(fit_mod, nf_label, n, checks, fits, norm,
                 theta_grid=list(theta_grid))
     series[f"lk_theta_sweep:{nf_label}:n={n}"] = [
@@ -314,8 +333,7 @@ def _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
                 nfunc_label=nf.label, subject_label=u.label, n=n,
                 normalization=norm))
         checks.append(lk_mod.additive_lk_from_hardy(
-            u, nf, n, terms[u.label][1.0], fit_mod.c1, fit_mod.c2, spec,
-            normalized, samples[u.label],
+            u, nf, n, triples[u.label], terms[u.label][1.0], fit_mod.c1, fit_mod.c2,
             check_id=f"statB1gauss_from_hardy:{nf_label}:{u.label}:n={n}",
             normalization=norm))
 

@@ -419,9 +419,12 @@ def load_manifest(path=None, grid: GridSpec | None = None) -> CorpusManifest:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: parse error at line {exc.lineno}: {exc.msg}")
-    if raw.get("schema") != SCHEMA_VERSION:
+    except (OSError, ValueError) as exc:
+        raise ManifestError(f"{path}: cannot read the manifest: {exc}")
+    schema = raw.get("schema") if isinstance(raw, dict) else None
+    if schema != SCHEMA_VERSION:
         raise ManifestError(
-            f"{path}: manifest schema must be {SCHEMA_VERSION}, got {raw.get('schema')!r}")
+            f"{path}: manifest schema must be {SCHEMA_VERSION}, got {schema!r}")
 
     member_fps = {}
     problems = []

@@ -6,9 +6,10 @@ For a radial profile u and an N-function M the three modulars are
     G = int M(|u'(r)|) dmu_n,
 
 with the n-dimensional counterparts integrating M(|x| |u|), M(|u|) and
-M(|grad u|) against exp(-|x|^2/2) dx.  Truncation envelopes for the outer
-composition are derived from the test function's decay hint and the
-N-function's certified exponents.
+M(|grad u|) against exp(-|x|^2/2) dx.  Every modular, of a triple, a norm
+or a Landau-Kolmogorov term, is one `_modular` call, which derives the
+truncation envelope of M(|f|) from the decay hint of f and the N-function's
+certified exponents; a Luxemburg norm is one bracketed log-log secant search.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import DivergenceError, PreconditionError
 from .nfunc import NFunction
 from .quadrature import (
     GaussianMeasure,
+    IntegralResult,
     QuadratureSpec,
     RadialMeasure,
     SampleStore,
@@ -130,47 +132,54 @@ def _compose_hint(arg_hint: SupportHint, nf: NFunction) -> SupportHint:
     return SupportHint.decaying(D * arg_hint.degree, e * rate)
 
 
-def _modular_triple(fns, hint: SupportHint, deriv_hint: SupportHint,
-                     nf: NFunction, integrate) -> ModularTriple:
-    """K, L, G from the integrands fns = (k_fn, l_fn, g_fn) of a function
-    with decay hint `hint` and derivative hint `deriv_hint`.
+def _modular(profile: ScalarProfile, nf: NFunction, measure, spec: QuadratureSpec,
+             transform=None) -> IntegralResult:
+    """int M(|f|) dmu of the profile f, or int M(transform(|f|, r)) dmu.
 
-    integrate(fn, envelope) returns the IntegralResult of one integrand of
-    fns, in whatever form the caller's integrator takes; a
-    modular whose envelope does not decay against the measure is divergent.
+    On a radial measure |f| is |f(r)| at radii r; on a Gaussian measure f is
+    a point function or a SampleStore and |f| its (directions x radii) block
+    at r.  The integrand's envelope is composed from the profile's hint; one
+    that does not decay against the measure raises DivergenceError.
     """
-    parts = []
-    for fn, arg_hint in zip(fns, (hint.times_power(1.0), hint, deriv_hint)):
-        env = _compose_hint(arg_hint, nf)
-        if env.kind == "decaying" and 1.0 + env.rate <= 0.0:
-            parts.append((math.inf, math.inf, True))
-            continue
-        res = integrate(fn, env)
-        parts.append((res.value, res.err_est, False))
-    return ModularTriple(
-        K=parts[0][0], L=parts[1][0], G=parts[2][0],
-        errs=(parts[0][1], parts[1][1], parts[2][1]),
-        divergent=(parts[0][2], parts[1][2], parts[2][2]))
+    env = _compose_hint(profile.hint, nf)
+    if env.kind == "decaying" and 1.0 + env.rate <= 0.0:
+        raise DivergenceError("modular diverges under the truncation policy")
+
+    def integrand(values, r):
+        a = np.abs(values)
+        return nf.eval(a if transform is None else transform(a, r))
+
+    if isinstance(measure, RadialMeasure):
+        return integrate_radial(lambda r: integrand(profile.fn(r), r), measure.n,
+                                spec, envelope=env, breakpoints=profile.breakpoints)
+    return integrate_gaussian_nd(profile.fn, measure.n, spec, envelope=env,
+                                 normalized=measure.normalized, transform=integrand)
+
+
+def _modular_triple(parts, nf: NFunction, measure,
+                    spec: QuadratureSpec) -> ModularTriple:
+    """K, L, G from the (profile, transform) of each; a modular whose
+    envelope does not decay against the measure is infinite and divergent."""
+    results = []
+    for profile, transform in parts:
+        try:
+            res = _modular(profile, nf, measure, spec, transform)
+            results.append((res.value, res.err_est, False))
+        except DivergenceError:
+            results.append((math.inf, math.inf, True))
+    values, errs, divergent = zip(*results)
+    return ModularTriple(*values, errs, divergent)
 
 
 def modular_triple_radial(u: RadialTestFunction, nf: NFunction, n: int,
                           spec: QuadratureSpec | None = None) -> ModularTriple:
     """K, L, G of a radial profile against dmu_n."""
-    spec = spec or QuadratureSpec()
-
-    def k_fn(r):
-        return nf.eval(r * np.abs(u.u(r)))
-
-    def l_fn(r):
-        return nf.eval(np.abs(u.u(r)))
-
-    def g_fn(r):
-        return nf.eval(np.abs(u.du(r)))
-
+    bps = u.breakpoints
     return _modular_triple(
-        (k_fn, l_fn, g_fn), u.hint, u.du_hint(), nf,
-        lambda fn, env: integrate_radial(fn, n, spec, envelope=env,
-                                         breakpoints=u.breakpoints))
+        ((ScalarProfile(u.u, u.hint.times_power(1.0), bps), lambda a, r: r * a),
+         (ScalarProfile(u.u, u.hint, bps), None),
+         (ScalarProfile(u.du, u.du_hint(), bps), None)),
+        nf, RadialMeasure(n), spec or QuadratureSpec())
 
 
 def hessian_hs_norm(u: FieldFunction, pts: np.ndarray) -> np.ndarray:
@@ -213,24 +222,16 @@ def modular_triple_nd(u: FieldFunction, nf: NFunction,
     """K, L, G of a field against the Gaussian measure on R^n, read from
     the field's sample stores (fresh ones unless `samples` is given)."""
     spec = spec or QuadratureSpec()
-    n = u.n
     if u.grad is None:
         raise PreconditionError(f"field '{u.label}' has no gradient")
     if samples is None:
         samples = FieldSamples.of(u, spec)
-
-    def k_fn(abs_u, r):
-        return nf.eval(samples.u.norms(r) * abs_u)
-
-    def m_fn(values, r):
-        return nf.eval(values)
-
     return _modular_triple(
-        ((samples.u, k_fn), (samples.u, m_fn), (samples.grad, m_fn)),
-        u.hint, u.grad_hint(), nf,
-        lambda fn, env: integrate_gaussian_nd(fn[0], n, spec, envelope=env,
-                                              normalized=normalized,
-                                              transform=fn[1]))
+        ((ScalarProfile(samples.u, u.hint.times_power(1.0)),
+          lambda a, r: samples.u.norms(r) * a),
+         (ScalarProfile(samples.u, u.hint), None),
+         (ScalarProfile(samples.grad, u.grad_hint()), None)),
+        nf, GaussianMeasure(u.n, normalized), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -250,27 +251,11 @@ def _as_profile(f, measure) -> ScalarProfile:
         "luxemburg_norm needs a ScalarProfile or a test function matching the measure")
 
 
-def _modular_of_scaled(profile: ScalarProfile, nf: NFunction, measure, spec,
-                       scale: float) -> float:
-    env = _compose_hint(profile.hint, nf)
-    if env.kind == "decaying" and 1.0 + env.rate <= 0.0:
-        raise DivergenceError("modular diverges under the truncation policy")
-    if isinstance(measure, RadialMeasure):
-        res = integrate_radial(lambda r: nf.eval(np.abs(profile.fn(r)) / scale),
-                               measure.n, spec, envelope=env,
-                               breakpoints=profile.breakpoints)
-        return res.value
-    res = integrate_gaussian_nd(profile.fn, measure.n, spec, envelope=env,
-                                normalized=measure.normalized,
-                                transform=lambda v, r: nf.eval(np.abs(v) / scale))
-    return res.value
-
-
 def modular_value(f, nf: NFunction, measure, spec: QuadratureSpec | None = None,
                   scale: float = 1.0) -> float:
     """int M(|f| / scale) dmu for a test function or ScalarProfile."""
-    spec = spec or QuadratureSpec()
-    return _modular_of_scaled(_as_profile(f, measure), nf, measure, spec, scale)
+    return _modular(_as_profile(f, measure), nf, measure, spec or QuadratureSpec(),
+                    lambda a, r: a / scale).value
 
 
 def luxemburg_norm(f, nf: NFunction, measure, spec: QuadratureSpec | None = None,
@@ -284,12 +269,9 @@ def luxemburg_norm(f, nf: NFunction, measure, spec: QuadratureSpec | None = None
     point: the norm is m1^(1/p), taken from the one modular when m1 was
     resolved to relative accuracy (m1 * rel_tol >= abs_tol), else rescaled
     exactly by a second modular at m1^(1/p), where it is O(1).  Otherwise
-    log-log secant steps run inside the bracket, which every evaluated
-    modular narrows, until the modular lies within [1 - norm_tol,
-    1 + norm_tol]; an iterate that contradicts the indices (certified
-    `table` indices are grid estimates) hands over to a doubling/halving
-    search from K = 1 and bracketed secant steps.  On a Gaussian measure
-    every scale reads one sample store of the profile.
+    `_log_secant` searches until the modular lies within [1 - norm_tol,
+    1 + norm_tol].  On a Gaussian measure every scale reads one sample
+    store of the profile.
     """
     spec = spec or QuadratureSpec()
     if nf.delta2_const is None:
@@ -300,7 +282,7 @@ def luxemburg_norm(f, nf: NFunction, measure, spec: QuadratureSpec | None = None
         profile = replace(profile, fn=SampleStore(profile.fn, measure.n, spec))
 
     def modular(k: float) -> float:
-        return _modular_of_scaled(profile, nf, measure, spec, k)
+        return _modular(profile, nf, measure, spec, lambda a, r: a / k).value
 
     def resolved(m: float) -> bool:
         return m * spec.rel_tol >= spec.abs_tol
@@ -312,92 +294,55 @@ def luxemburg_norm(f, nf: NFunction, measure, spec: QuadratureSpec | None = None
     if d == D:
         k1 = m1 ** (1.0 / D)
         return k1 if resolved(m1) else k1 * modular(k1) ** (1.0 / D)
-    # a certified d of 0 (a table flat beyond its convexity check) bounds nothing
-    k = _index_secant(modular, m1, d, D, norm_tol, resolved) if d > 0.0 else None
-    return k if k is not None else _widening_secant(modular, m1, norm_tol)
+    return _log_secant(modular, m1, d, D, norm_tol, resolved)
 
 
-def _index_secant(modular, m1: float, d: float, D: float, norm_tol: float,
-                  resolved) -> float | None:
-    """The norm by log-log secant steps inside the growth-index bracket.
+_LN2 = math.log(2.0)
 
-    In x = log K, y = log modular the indices give every evaluated point a
-    bracket [x + y/D, x + y/d] (ends swapped when y < 0) around the root;
-    the steps stay in the intersection of these brackets, over the points
-    whose modular is resolved to relative accuracy.  Returns None when the
-    intersection empties or the steps stall, i.e. the indices are wrong.
+
+def _log_secant(modular, m1: float, d: float, D: float, norm_tol: float,
+                resolved) -> float:
+    """The norm by log-log secant steps that keep a bracket around the root.
+
+    In x = log K, y = log modular every evaluated point narrows the bracket
+    by the sign of y, as the modular decreases in K.  While the indices
+    hold, a point whose modular is resolved to relative accuracy also
+    narrows it to [x + y/D, x + y/d] (ends swapped when y < 0).  Once the
+    indices contradict each other (certified `table` indices are grid
+    estimates), or when d = 0 (a table flat beyond its convexity check),
+    only the signs count, and a step goes at most one doubling beyond the
+    bracket's closed end towards an open side.  A step that stalls or
+    underflows bisects the bracket, or doubles towards its open side.
     """
-    lo, hi = -math.inf, math.inf
-    x, m = 0.0, m1
-    x_new = 2.0 * math.log(m1) / (d + D)
-    for _ in range(32):
-        y = math.log(m)
-        if resolved(m):
-            lo = max(lo, x + min(y / D, y / d))
-            hi = min(hi, x + max(y / D, y / d))
+    sign_lo, sign_hi = index_lo, index_hi = -math.inf, math.inf
+    indexed = d > 0.0
+    x, m, y = 0.0, m1, math.log(m1)
+    x_new = 2.0 * y / (d + D)
+    for _ in range(200):
         if m > 1.0:
-            lo = max(lo, x)
+            sign_lo = max(sign_lo, x)
         else:
-            hi = min(hi, x)
-        if not lo < hi:
-            return None
+            sign_hi = min(sign_hi, x)
+        if indexed and m > 0.0 and resolved(m):
+            index_lo = max(index_lo, x + min(y / D, y / d))
+            index_hi = min(index_hi, x + max(y / D, y / d))
+        lo, hi = max(sign_lo, index_lo), min(sign_hi, index_hi)
+        indexed = indexed and lo < hi
+        if not indexed:
+            lo, hi = sign_lo, sign_hi
+        bisect = not math.isfinite(x_new)
+        if bisect:
+            x_new = 0.5 * (lo + hi)
+        if bisect or not indexed:
+            lo, hi = ((hi - _LN2 if lo == -math.inf else lo),
+                      (lo + _LN2 if hi == math.inf else hi))
         x_new = min(max(x_new, lo), hi)
         m_new = modular(math.exp(x_new))
         if abs(m_new - 1.0) <= norm_tol:
             return math.exp(x_new)
-        if m_new <= 0.0 or m_new == m:
-            return None
-        y_new = math.log(m_new)
-        x, x_new, m = x_new, x_new - y_new * (x_new - x) / (y_new - y), m_new
-    return None
-
-
-def _widening_secant(modular, m1: float, norm_tol: float) -> float:
-    """The norm by a doubling/halving search for a bracket from K = 1, then
-    log-secant steps with a bisection safeguard, clipped into the bracket."""
-    lo = hi = 1.0
-    m_lo = m_hi = m1
-    if m1 > 1.0:
-        for _ in range(64):
-            lo, m_lo = hi, m_hi
-            hi *= 2.0
-            m_hi = modular(hi)
-            if m_hi <= 1.0:
-                break
-        else:
-            raise DivergenceError("no Luxemburg bracket within 2^64 upscaling")
-    else:
-        for _ in range(64):
-            hi, m_hi = lo, m_lo
-            lo /= 2.0
-            m_lo = modular(lo)
-            if m_lo >= 1.0:
-                break
-        else:
-            return 0.0  # modular stays below 1 for arbitrarily small K: f ~ 0
-
-    for _ in range(200):
-        if abs(m_hi - 1.0) <= norm_tol:
-            return hi
-        if abs(m_lo - 1.0) <= norm_tol:
-            return lo
-        # secant in log-log coordinates, clipped into the bracket
-        llo, lhi = math.log(lo), math.log(hi)
-        glo, ghi = math.log(m_lo), math.log(m_hi)
-        if glo > 0.0 > ghi and ghi < glo:
-            t = glo / (glo - ghi)
-            lk = llo + t * (lhi - llo)
-            lk = min(max(lk, llo + 0.05 * (lhi - llo)), lhi - 0.05 * (lhi - llo))
-            k = math.exp(lk)
-        else:
-            k = math.sqrt(lo * hi)
-        mk = modular(k)
-        if abs(mk - 1.0) <= norm_tol:
-            return k
-        if mk > 1.0:
-            lo, m_lo = k, mk
-        else:
-            hi, m_hi = k, mk
+        y_new = math.log(m_new) if m_new > 0.0 else math.nan
+        step = y_new * (x_new - x) / (y_new - y) if y_new != y else math.nan
+        x, x_new, m, y = x_new, x_new - step, m_new, y_new
     raise DivergenceError("Luxemburg iteration failed to converge")
 
 

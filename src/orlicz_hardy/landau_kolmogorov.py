@@ -25,18 +25,14 @@ from .errors import PreconditionError
 from .functionals import (
     FieldFunction,
     FieldSamples,
+    ModularTriple,
     ScalarProfile,
-    _compose_hint,
+    _modular,
     luxemburg_norm,
-    modular_triple_nd,
 )
 from .hardy import check_nd
 from .nfunc import NFunction, comparison_tol
-from .quadrature import (
-    GaussianMeasure,
-    QuadratureSpec,
-    integrate_gaussian_nd,
-)
+from .quadrature import GaussianMeasure, QuadratureSpec
 from .reporting import TINY, Check
 
 __all__ = [
@@ -82,13 +78,16 @@ def _require_lk_hypotheses(u: FieldFunction, nf: NFunction):
             f"(certified lower exponent {d:.6g} < 2)")
 
 
-def lk_modular_terms(u: FieldFunction, nf: NFunction, theta: float = 1.0,
+def lk_modular_terms(u: FieldFunction, nf: NFunction, theta: float,
+                     triple: ModularTriple,
                      spec: QuadratureSpec | None = None,
                      normalized: bool = False,
                      samples: FieldSamples | None = None
                      ) -> tuple[float, float, float, tuple]:
     """(lhs, hess_term, func_term, errs) of the theta-form modular
-    inequality, read from the field's sample stores (fresh ones unless
+    inequality.  `triple` is the `modular_triple_nd` of (u, nf): its G is
+    the lhs int M(|grad u|) and its L the theta = 1 function term.  The
+    other terms are read from the field's sample stores (fresh ones unless
     `samples` is given)."""
     _require_lk_hypotheses(u, nf)
     if not (0.0 < theta <= 1.0):
@@ -96,16 +95,15 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, theta: float = 1.0,
     spec = spec or QuadratureSpec()
     if samples is None:
         samples = FieldSamples.of(u, spec)
-    terms = (
-        (samples.grad, u.grad_hint(), lambda v, r: nf.eval(v)),
-        (samples.hess, u.hess_hint(), lambda v, r: nf.eval(theta * v)),
-        (samples.u, u.hint, lambda v, r: nf.eval(v / theta)),
-    )
-    lhs, a, b = (integrate_gaussian_nd(store, u.n, spec,
-                                       envelope=_compose_hint(hint, nf),
-                                       normalized=normalized, transform=transform)
-                 for store, hint, transform in terms)
-    return lhs.value, a.value, b.value, (lhs.err_est, a.err_est, b.err_est)
+    meas = GaussianMeasure(u.n, normalized)
+    hess = _modular(ScalarProfile(samples.hess, u.hess_hint()), nf, meas, spec,
+                    lambda a, r: theta * a)
+    func, func_err = triple.L, triple.errs[1]
+    if theta != 1.0:
+        res = _modular(ScalarProfile(samples.u, u.hint), nf, meas, spec,
+                       lambda a, r: a / theta)
+        func, func_err = res.value, res.err_est
+    return triple.G, hess.value, func, (triple.errs[2], hess.err_est, func_err)
 
 
 def check_lk_modular(terms: tuple, c1: float, c2: float, theta: float = 1.0,
@@ -205,7 +203,7 @@ def fit_lk_norm_envelope(corpus, nf: NFunction,
     return fit, rows
 
 
-def fit_lk_modular_envelope(corpus, nf: NFunction,
+def fit_lk_modular_envelope(corpus, nf: NFunction, triples: dict,
                             spec: QuadratureSpec | None = None,
                             grid=DEFAULT_FIT_GRID,
                             theta_grid=(0.25, 0.5, 1.0), normalized: bool = False,
@@ -218,13 +216,13 @@ def fit_lk_modular_envelope(corpus, nf: NFunction,
     tried (the selection rule is part of the reported provenance).  Returns
     the fit and, feasible or not, the terms it was fitted on: member label ->
     theta -> (lhs, hess_term, func_term, errs), thetas in increasing order
-    and theta = 1 always among them.  samples maps a member's label to its
-    FieldSamples.
+    and theta = 1 always among them.  triples maps a member's label to its
+    `modular_triple_nd`, samples to its FieldSamples.
     """
     samples = samples or {}
     thetas = sorted(set(theta_grid) | {1.0})
-    terms = {u.label: {theta: lk_modular_terms(u, nf, theta, spec, normalized,
-                                               samples.get(u.label))
+    terms = {u.label: {theta: lk_modular_terms(u, nf, theta, triples[u.label], spec,
+                                               normalized, samples.get(u.label))
                        for theta in thetas}
              for u in corpus}
 
@@ -256,21 +254,16 @@ def fit_lk_modular_envelope(corpus, nf: NFunction,
 
 
 def additive_lk_from_hardy(u: FieldFunction, nf: NFunction, n: int,
-                           terms: tuple, c1: float, c2: float,
-                           spec: QuadratureSpec | None = None,
-                           normalized: bool = False,
-                           samples: FieldSamples | None = None,
+                           triple: ModularTriple, terms: tuple, c1: float, c2: float,
                            **meta) -> Check:
     """theta = 1 modular check gated on the Hardy hypothesis.
 
-    terms: the theta = 1 `lk_modular_terms` of (u, nf).  The Gaussian Hardy
-    inequality (form hn1) is verified for (u, nf, n) first, on the modular
-    triple read from `samples`; the resulting report is recorded as
-    provenance of the LK check.
+    terms: the theta = 1 `lk_modular_terms` of (u, nf), read from `triple`.
+    The Gaussian Hardy inequality (form hn1) is verified for (u, nf, n)
+    first, on that triple; the resulting report is recorded as provenance
+    of the LK check.
     """
     _require_lk_hypotheses(u, nf)
-    spec = spec or QuadratureSpec()
-    triple = modular_triple_nd(u, nf, spec, normalized=normalized, samples=samples)
     hardy_check = check_nd(triple, nf, n, "hn1")
     if hardy_check.verdict == "fails":
         raise PreconditionError(

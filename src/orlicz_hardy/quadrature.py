@@ -120,7 +120,7 @@ class QuadratureSpec:
             raise PreconditionError("sphere_nodes must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen constructor costs ~3x as much
 class IntegralResult:
     value: float
     err_est: float

@@ -224,7 +224,8 @@ def test_10_lk_envelopes(manifest, spec):
             fit_norm, _ = fit_lk_norm_envelope(fields, nf, spec)
             ok &= fit_norm.feasible and math.isfinite(fit_norm.c1 + fit_norm.c2)
             ok &= fit_norm.binding_label in {f.label for f in fields}
-            fit_mod, terms = fit_lk_modular_envelope(fields, nf, spec,
+            triples = {u.label: modular_triple_nd(u, nf, spec) for u in fields}
+            fit_mod, terms = fit_lk_modular_envelope(fields, nf, triples, spec,
                                                      theta_grid=(0.25, 0.5, 1.0))
             ok &= fit_mod.feasible
             for u in fields:

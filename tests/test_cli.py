@@ -330,3 +330,41 @@ class TestMazyaPair:
         assert main(["--out", str(tmp_path), "mazya", "--pair", str(path)]) == 2
         assert reason in capsys.readouterr().err
         assert not (tmp_path / "mazya.json").exists()
+
+
+class TestUnreadableInputExitsTwo:
+    @pytest.mark.parametrize("text, reason", [
+        (json.dumps({"kind": "table", "params": {
+            "x": [0, 1, 2], "mu_density": [1, 1, 1], "p": 2, "q": 2}}),
+         "a table pair needs params.nu_density"),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"kind": "table", "params": {"x": [0, 1', "cannot read the measure-pair config"),
+        (json.dumps({"kind": "gaussian", "params": {"p": "three", "n": 2}}),
+         "params.p is malformed"),
+    ], ids=["no-nu-density", "json-list", "truncated", "non-numeric-p"])
+    def test_malformed_pair_config(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "pair.json"
+        path.write_text(text)
+        assert main(["--out", str(tmp_path), "mazya", "--pair", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and reason in err
+        assert not (tmp_path / "mazya.json").exists()
+
+    def test_missing_pair_config(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["--out", str(tmp_path), "mazya", "--pair", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "cannot read the measure-pair config" in err
+
+    @pytest.mark.parametrize("text, reason", [
+        (None, "cannot read the manifest"),
+        ("[1, 2]", "manifest schema must be"),
+    ], ids=["missing", "json-list"])
+    def test_unreadable_corpus(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "manifest.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["--corpus", str(path), "--out", str(tmp_path), "certify"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and reason in err
+        assert not (tmp_path / "certify.json").exists()

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -298,11 +299,12 @@ class TestSampleStoreOracle:
             shared, fresh = FieldSamples.of(u, spec), fresh_samples(u, spec)
             assert (lk_norm_triple(u, nf, spec, samples=shared)
                     == lk_norm_triple(u, nf, spec, samples=fresh)), label
+            triple = modular_triple_nd(u, nf, spec, samples=shared)
+            assert triple == modular_triple_nd(u, nf, spec, samples=fresh), label
             for theta in (0.25, 0.5, 1.0):
-                assert (lk_modular_terms(u, nf, theta, spec, samples=shared)
-                        == lk_modular_terms(u, nf, theta, spec, samples=fresh)), label
-            assert (modular_triple_nd(u, nf, spec, samples=shared)
-                    == modular_triple_nd(u, nf, spec, samples=fresh)), label
+                assert (lk_modular_terms(u, nf, theta, triple, spec, samples=shared)
+                        == lk_modular_terms(u, nf, theta, triple, spec,
+                                            samples=fresh)), label
             meas = GaussianMeasure(n)
             assert (luxemburg_norm(u, nf, meas, spec)
                     == luxemburg_norm(ScalarProfile(FreshStore(u.u, n, spec), u.hint),
@@ -416,23 +418,19 @@ class TestLuxemburgIndices:
             assert modular_value(u, nf, meas, spec, scale=lux) == pytest.approx(
                 1.0, abs=norm_tol), where
 
-    def test_contradicted_indices_fall_back_to_widening(self, manifest, spec,
-                                                        monkeypatch):
+    def test_contradicted_indices_leave_the_sign_bracket(self, manifest, spec,
+                                                         monkeypatch):
         # p2log declared with D = 2.05 < 3: the index bracket excludes the
-        # norm, and the search must notice and widen by doubling instead
-        fallbacks = []
-        original = functionals._widening_secant
-
-        def counted(*args):
-            fallbacks.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(functionals, "_widening_secant", counted)
+        # norm, and the search must notice and go on by the signs alone
         nf = replace(manifest.nfunc("p2log"), D_exp=2.05)
+        norm_calls = count_modulars(monkeypatch)
+        reference_calls = count_modulars(monkeypatch, within=reference_norm)
         for label in ("bump_mid", "ga_mild", "pg_slow"):
+            norm_calls.clear()
+            reference_calls.clear()
             self.assert_matches_reference(manifest.radial_functions[label], nf,
                                           RadialMeasure(1), spec, label)
-        assert len(fallbacks) == 3
+            assert len(norm_calls) < len(reference_calls), label
 
     def test_zero_lower_index_bounds_nothing(self, manifest, spec):
         # constant beyond r = 1000, past the corpus convexity check: the
@@ -476,13 +474,19 @@ class TestLuxemburgIndices:
         assert len(calls) / len(norms) < 9.44
 
 
-def count_modulars(monkeypatch):
+def count_modulars(monkeypatch, within=luxemburg_norm):
+    """The modulars integrated from here on inside calls of `within`
+    (by default the norms, not the triples that run_hardy also integrates)."""
     calls = []
-    original = functionals._modular_of_scaled
+    original = functionals._modular
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not within.__code__:
+            frame = frame.f_back
+        if frame is not None:
+            calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(functionals, "_modular_of_scaled", counted)
+    monkeypatch.setattr(functionals, "_modular", counted)
     return calls

@@ -6,11 +6,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from orlicz_hardy import functionals
 from orlicz_hardy import landau_kolmogorov as lk_mod
+from orlicz_hardy import quadrature
 from orlicz_hardy.cli import DEFAULT_THETAS, run_lk
 from orlicz_hardy.corpus import FieldFactory
 from orlicz_hardy.errors import PreconditionError
-from orlicz_hardy.functionals import FieldFunction, SupportHint, hessian_hs_norm
+from orlicz_hardy.functionals import (
+    FieldFunction,
+    FieldSamples,
+    ModularTriple,
+    SupportHint,
+    hessian_hs_norm,
+    modular_triple_nd,
+)
 from orlicz_hardy.landau_kolmogorov import (
     additive_lk_from_hardy,
     check_lk_modular,
@@ -22,6 +31,11 @@ from orlicz_hardy.landau_kolmogorov import (
     lk_norm_triple,
 )
 from orlicz_hardy.nfunc import power_nfunction
+
+
+def theta_terms(u, nf, theta, spec=None):
+    """`lk_modular_terms` of (u, nf) at theta, on a fresh modular triple."""
+    return lk_modular_terms(u, nf, theta, modular_triple_nd(u, nf, spec), spec)
 
 
 def zero_field(n=2):
@@ -38,19 +52,20 @@ class TestHypotheses:
                           grad=lambda X: np.zeros(X.shape),
                           n=2, hint=SupportHint.decaying(0.0, 0.0))
         with pytest.raises(PreconditionError, match="Hessian"):
-            lk_modular_terms(f, manifest.nfunc("p2"))
+            theta_terms(f, manifest.nfunc("p2"), 1.0)
 
     def test_slow_growth_rejected(self, manifest, spec):
         # lower exponent 1.5 < 2: M(r)/r^2 is decreasing
         field = manifest.field_functions["fx_lin"].instantiate(2)
         with pytest.raises(PreconditionError, match="non-decreasing"):
             additive_lk_from_hardy(field, power_nfunction(1.5), 2,
-                                   (0.0, 0.0, 0.0, (0.0, 0.0, 0.0)), 1.0, 1.0, spec)
+                                   ModularTriple(0.0, 0.0, 0.0),
+                                   (0.0, 0.0, 0.0, (0.0, 0.0, 0.0)), 1.0, 1.0)
 
     def test_theta_out_of_range(self, manifest):
         field = manifest.field_functions["fx_lin"].instantiate(2)
         with pytest.raises(PreconditionError, match="theta"):
-            lk_modular_terms(field, manifest.nfunc("p2"), theta=1.5)
+            theta_terms(field, manifest.nfunc("p2"), 1.5)
 
 
 class TestHessianNorm:
@@ -66,7 +81,7 @@ class TestHessianNorm:
 
 class TestModularCheck:
     def test_zero_field_holds(self, manifest, spec):
-        terms = lk_modular_terms(zero_field(), manifest.nfunc("p2"), spec=spec)
+        terms = theta_terms(zero_field(), manifest.nfunc("p2"), 1.0, spec)
         rep = check_lk_modular(terms, 2.0, 2.0)
         assert rep.verdict == "holds" and rep.lhs == 0.0
 
@@ -75,7 +90,7 @@ class TestModularCheck:
         # u = x1 inside radius 8: the Hessian vanishes there, so the bound
         # must come from the function term
         field = manifest.field_functions["fx_cut"].instantiate(1)
-        terms = lk_modular_terms(field, manifest.nfunc("p2"), 1.0, spec)
+        terms = theta_terms(field, manifest.nfunc("p2"), 1.0, spec)
         lhs_rep = check_lk_modular(terms, 1.0, 1.0, 1.0)
         assert lhs_rep.rhs_terms["hessian"] < 1e-6 * lhs_rep.rhs_terms["function"]
         assert lhs_rep.verdict in ("holds", "indeterminate")
@@ -147,12 +162,13 @@ class TestEnvelopeFit:
         nf = manifest.nfunc("p2")
         fields = [f.instantiate(2) for f in manifest.field_functions.values()
                   if f.compatible(2)]
-        fit, terms = fit_lk_modular_envelope(fields, nf, spec,
+        triples = {u.label: modular_triple_nd(u, nf, spec) for u in fields}
+        fit, terms = fit_lk_modular_envelope(fields, nf, triples, spec,
                                              theta_grid=(0.25, 0.5, 1.0))
         assert fit.feasible
         for u in fields:
             for theta in (0.25, 0.5, 1.0):
-                assert terms[u.label][theta] == lk_modular_terms(u, nf, theta, spec)
+                assert terms[u.label][theta] == theta_terms(u, nf, theta, spec)
                 rep = check_lk_modular(terms[u.label][theta], fit.c1, fit.c2, theta)
                 assert rep.verdict in ("holds", "indeterminate"), \
                     (u.label, theta, rep.slack)
@@ -162,9 +178,10 @@ class TestProvenanceChain:
     def test_hardy_gate_recorded(self, manifest, spec):
         field = manifest.field_functions["fr_wide"].instantiate(2)
         nf = manifest.nfunc("p2")
-        rep = additive_lk_from_hardy(field, nf, 2,
-                                     lk_modular_terms(field, nf, 1.0, spec),
-                                     64.0, 64.0, spec)
+        triple = modular_triple_nd(field, nf, spec)
+        rep = additive_lk_from_hardy(field, nf, 2, triple,
+                                     lk_modular_terms(field, nf, 1.0, triple, spec),
+                                     64.0, 64.0)
         assert rep.provenance["hardy_form"] == "hn1"
         assert rep.provenance["hardy_verdict"] == "holds"
         assert rep.theta == 1.0
@@ -173,9 +190,10 @@ class TestProvenanceChain:
         # M = r^2 sits exactly at the d = 2 boundary and must be accepted
         field = manifest.field_functions["fx_quad"].instantiate(2)
         nf = manifest.nfunc("p2")
-        rep = additive_lk_from_hardy(field, nf, 2,
-                                     lk_modular_terms(field, nf, 1.0, spec),
-                                     64.0, 64.0, spec)
+        triple = modular_triple_nd(field, nf, spec)
+        rep = additive_lk_from_hardy(field, nf, 2, triple,
+                                     lk_modular_terms(field, nf, 1.0, triple, spec),
+                                     64.0, 64.0)
         assert rep.verdict in ("holds", "indeterminate")
 
     def test_finiteness_propagation(self, manifest, spec):
@@ -185,7 +203,7 @@ class TestProvenanceChain:
             if not factory.compatible(2):
                 continue
             u = factory.instantiate(2)
-            lhs, a, b, errs = lk_modular_terms(u, nf, 1.0, spec)
+            lhs, a, b, errs = theta_terms(u, nf, 1.0, spec)
             if math.isfinite(a) and math.isfinite(b):
                 assert math.isfinite(lhs)
 
@@ -214,6 +232,65 @@ class TestRunLkComputesOnce:
                             for theta in DEFAULT_THETAS}
         assert sorted(calls["norm"]) == sorted(expected_norm)
         assert sorted(calls["modular"]) == sorted(expected_modular)
+
+
+class TestModularTermsFromTheTriple:
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("nf_label", ["p2", "p3"])
+    def test_terms_equal_their_own_integrals(self, manifest, spec, nf_label,
+                                             normalized):
+        # the lhs and the theta = 1 function term are read from the triple:
+        # each must equal, bit for bit, the Gaussian integral of its own term
+        nf = manifest.nfunc(nf_label)
+        for n in (1, 2, 3):
+            for label, factory in sorted(manifest.field_functions.items()):
+                if not factory.compatible(n):
+                    continue
+                u = factory.instantiate(n)
+                samples = FieldSamples.of(u, spec)
+                triple = modular_triple_nd(u, nf, spec, normalized, samples)
+                for theta in DEFAULT_THETAS:
+                    direct = [quadrature.integrate_gaussian_nd(
+                        store, n, spec, envelope=functionals._compose_hint(hint, nf),
+                        normalized=normalized, transform=transform)
+                        for store, hint, transform in (
+                            (samples.grad, u.grad_hint(), lambda v, r: nf.eval(v)),
+                            (samples.hess, u.hess_hint(),
+                             lambda v, r: nf.eval(theta * v)),
+                            (samples.u, u.hint, lambda v, r: nf.eval(v / theta)))]
+                    assert lk_modular_terms(u, nf, theta, triple, spec, normalized,
+                                            samples) == (
+                        *(res.value for res in direct),
+                        tuple(res.err_est for res in direct)), (label, n, theta)
+
+
+class TestRunLkIntegratesOnce:
+    def test_eight_gaussian_modulars_per_field_beyond_its_norms(
+            self, manifest, spec, monkeypatch):
+        # K, L, G once, M(theta |hess u|) at each theta and M(|u|/theta) at
+        # each theta != 1; every Gaussian integral is one radial family
+        integrals = Counter()
+        in_norm = []
+        norm, family = lk_mod.luxemburg_norm, quadrature.integrate_radial_family
+
+        def counted_norm(*args, **kwargs):
+            in_norm.append(True)
+            try:
+                return norm(*args, **kwargs)
+            finally:
+                in_norm.pop()
+
+        def counted_family(*args, **kwargs):
+            integrals["norm" if in_norm else "modular"] += 1
+            return family(*args, **kwargs)
+
+        monkeypatch.setattr(lk_mod, "luxemburg_norm", counted_norm)
+        monkeypatch.setattr(quadrature, "integrate_radial_family", counted_family)
+        run_lk(manifest, spec, [2], [], {}, {}, nfunc_labels=("p2",))
+        fields = [f for f in manifest.field_functions.values() if f.compatible(2)]
+        assert integrals["modular"] == 8 * len(fields)
+        # a power norm takes one or two modulars
+        assert 3 * len(fields) <= integrals["norm"] <= 6 * len(fields)
 
 
 class TestRunLkSamplesOnce:
