@@ -16,6 +16,10 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+# numpy imports these on first use; load them with the package, not inside a
+# battery pass.  np.union1d reads np.ma.
+import numpy.ma  # noqa: F401
+import numpy.polynomial  # noqa: F401
 
 from .errors import ManifestError, PreconditionError
 from .functionals import (

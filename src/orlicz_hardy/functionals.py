@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy imports it on first use otherwise)
 
 from .errors import DivergenceError, PreconditionError
 from .nfunc import NFunction

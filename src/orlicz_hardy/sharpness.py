@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import PreconditionError
 from .functionals import ModularTriple, RadialTestFunction
@@ -75,9 +74,9 @@ def extremal_moments(params: ExtremalParams) -> ModularTriple:
     """Closed-form (K, L, G) of u_alpha for M(r) = r^p."""
     a, p, n = params.alpha, params.p, params.n
     log_k = (-(n + p) / 2.0 * math.log1p(-a)
-             + (n + p - 2.0) / 2.0 * math.log(2.0) + gammaln((n + p) / 2.0))
+             + (n + p - 2.0) / 2.0 * math.log(2.0) + math.lgamma((n + p) / 2.0))
     log_l = (-n / 2.0 * math.log1p(-a)
-             + (n - 2.0) / 2.0 * math.log(2.0) + gammaln(n / 2.0))
+             + (n - 2.0) / 2.0 * math.log(2.0) + math.lgamma(n / 2.0))
     k = math.exp(log_k)
     ell = math.exp(log_l)
     g = (a / p) ** p * k
@@ -88,7 +87,8 @@ def c1_lower_bound(p: float, n: int) -> float:
     """2^(p/2) Gamma((n+p)/2) / Gamma(n/2), the alpha=0 ratio K/L."""
     if p < 2.0 or n < 1:
         raise PreconditionError(f"requires p >= 2 and n >= 1, got p={p}, n={n}")
-    return math.exp(0.5 * p * math.log(2.0) + gammaln((n + p) / 2.0) - gammaln(n / 2.0))
+    return math.exp(0.5 * p * math.log(2.0) + math.lgamma((n + p) / 2.0)
+                    - math.lgamma(n / 2.0))
 
 
 def c2_infeasibility_scan(p: float, n: int, alphas) -> np.ndarray:
@@ -111,5 +111,5 @@ def stirling_ratio(p: float, n: int) -> float:
     """2^(p/2) Gamma((n+p)/2) / ((n+p-2)^(p/2) Gamma(n/2)); tends to 1 as n grows."""
     if p <= 2.0 or n < 1:
         raise PreconditionError(f"requires p > 2 and n >= 1, got p={p}, n={n}")
-    return math.exp(0.5 * p * math.log(2.0) + gammaln((n + p) / 2.0)
-                    - 0.5 * p * math.log(n + p - 2.0) - gammaln(n / 2.0))
+    return math.exp(0.5 * p * math.log(2.0) + math.lgamma((n + p) / 2.0)
+                    - 0.5 * p * math.log(n + p - 2.0) - math.lgamma(n / 2.0))

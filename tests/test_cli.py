@@ -157,6 +157,30 @@ class TestSubcommands:
         assert proc.returncode == 0
         assert "certify" in proc.stdout
 
+    def test_batteries_load_no_numpy_or_scipy_module(self, tmp_path):
+        # numpy imports np.ma (read by np.unique), np.random and
+        # np.polynomial on first use; a battery pass must not pay for that
+        code = f"""if True:
+            import json, sys
+            from orlicz_hardy.cli import main
+            loaded = set(sys.modules)
+            codes = [main(["--out", {str(tmp_path)!r}, *argv]) for argv in (
+                ["hardy", "--dim", "1"], ["lk", "--dim", "1"],
+                ["mazya", "--gaussian", "--p", "3.5", "--n", "2"])]
+            late = set(sys.modules) - loaded
+            print(json.dumps({{
+                "codes": codes,
+                "scipy": sorted(m for m in loaded if m.startswith("scipy")),
+                "late": sorted(m for m in late if m.startswith(("numpy", "scipy")))}}))
+            """
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["codes"] == [0, 0, 0]
+        assert out["scipy"] == []
+        assert out["late"] == []
+
 
 class TestDeterminism:
     @pytest.fixture(scope="class")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,8 @@ from orlicz_hardy.quadrature import (
     surface_area,
     truncation_radius,
 )
-from orlicz_hardy.quadrature import _median
+from orlicz_hardy.quadrature import _gammaincc, _median
+from orlicz_hardy.sharpness import c1_lower_bound, stirling_ratio
 
 
 class TestMoment:
@@ -39,6 +41,87 @@ class TestMoment:
     def test_invalid(self):
         with pytest.raises(PreconditionError):
             moment(0, 1)
+
+
+EPS = np.finfo(float).eps
+# s = (p + n)/2 of the Maz'ya mu tail, p at two decimals as mazya_scan draws it
+MAZYA_S = sorted({(p + n) / 2.0 for p in (1.51, 1.76, 2.03, 2.37, 2.99, 3.05,
+                                         3.47, 3.74, 4.0) for n in (1, 2, 3)})
+
+
+class TestGammaOracle:
+    """The package's Gamma functions against mpmath at 40 digits."""
+
+    def test_gammaincc_full_accuracy(self):
+        # exp(s ln x - x - ln Gamma(s)) carries eps * (1 + x) by itself
+        s_values = [0.5 * k for k in range(1, 16)] + [0.75, 1.25, 2.75] + MAZYA_S
+        xs = list(np.geomspace(1e-7, 250.0, 36))
+        worst = (0.0, None)
+        with mpmath.workdps(40):
+            for s in s_values:
+                lgamma_s = math.lgamma(s)
+                assert _gammaincc(s, 0.0, lgamma_s) == 1.0
+                # both sides of each switch between the series and the fraction
+                edges = [1.0, s, s + 1.0, math.nextafter(s, 0.0)]
+                for x in xs + edges:
+                    exact = mpmath.gammainc(s, x, mpmath.inf, regularized=True)
+                    rel = float(abs(_gammaincc(s, x, lgamma_s) - exact) / exact)
+                    worst = max(worst, (rel / (EPS * (1.0 + x)), (s, x)))
+        assert worst[0] <= 8.0, worst
+
+    @pytest.mark.parametrize("degree", [-1.0, -1.5, -2.0, -3.0, -4.5])
+    def test_tail_below_degree_minus_one_is_finite(self, degree):
+        # Gamma(s, x) with s = (degree + 1)/2 <= 0 has no regularised form
+        s = 0.5 * (degree + 1.0)
+        with mpmath.workdps(40):
+            for rate in (0.5, 1.0, 2.0):
+                for radius in (1e-3, 0.1, 1.0, 1.5, 5.0, 12.0):
+                    x = 0.5 * rate * radius * radius
+                    exact = (mpmath.mpf(2) ** ((degree - 1) / 2) * mpmath.mpf(rate) ** -s
+                             * mpmath.gammainc(s, x, mpmath.inf))
+                    got = gaussian_tail(degree, rate, radius)
+                    # x^s alone carries eps * |s ln x|
+                    tol = 8.0 * EPS * (1.0 + x + abs(s * math.log(x)))
+                    assert abs(got - exact) <= tol * exact, (rate, radius, got, exact)
+            direct = mpmath.quad(lambda r: r ** degree * mpmath.exp(-r * r / 2),
+                                 [5, mpmath.inf])
+        assert gaussian_tail(degree, 1.0, 5.0) == pytest.approx(float(direct), rel=1e-13)
+        assert gaussian_tail(degree, 1.0, 0.0) == math.inf
+
+    def test_negative_degree_envelope_gives_a_finite_error(self):
+        # 1/(1+r) <= r^-1 on (0, oo): a valid envelope whose tail has s = 0
+        res = integrate_radial(lambda r: 1.0 / (1.0 + r), 1,
+                               envelope=SupportHint.decaying(-1.0, 0.0))
+        with mpmath.workdps(30):
+            exact = float(mpmath.quad(lambda r: mpmath.exp(-r * r / 2) / (1 + r),
+                                      [0, 1, mpmath.inf]))
+        assert math.isfinite(res.err_est)
+        assert abs(res.value - exact) <= res.err_est
+
+    def test_closed_forms_match_loggamma(self):
+        # exp of a sum of logs is good to a few ulps of the largest log term
+        def close(got, log_terms):
+            exact = mpmath.exp(mpmath.fsum(log_terms))
+            scale = 1.0 + float(mpmath.fsum(abs(t) for t in log_terms))
+            return float(abs(got - exact) / exact) <= 2.0 * EPS * scale
+
+        with mpmath.workdps(40):
+            half, log2 = mpmath.mpf(1) / 2, mpmath.log(2)
+            for n in range(1, 6):
+                for k in np.arange(0.0, 16.25, 0.25):
+                    assert close(moment(n, k), [(n + k - 2) * half * log2,
+                                                mpmath.loggamma((n + k) * half)]), (n, k)
+            for n in range(1, 30):
+                assert close(surface_area(n), [log2, n * half * mpmath.log(mpmath.pi),
+                                               -mpmath.loggamma(n * half)]), n
+            for p in (2.0, 2.5, 3.0, 3.5, 4.0, 6.0):
+                for n in (*range(1, 13), 20, 100):
+                    terms = [p * half * log2, mpmath.loggamma((n + p) * half),
+                             -mpmath.loggamma(n * half)]
+                    assert close(c1_lower_bound(p, n), terms), (p, n)
+                    if p > 2.0:
+                        terms.append(-p * half * mpmath.log(n + p - 2))
+                        assert close(stirling_ratio(p, n), terms), (p, n)
 
 
 class TestRadial:
