@@ -35,11 +35,11 @@ from .hardy import (
 )
 from .landau_kolmogorov import (
     LKFit,
-    additive_lk_from_hardy,
     check_lk_modular,
     check_lk_norm,
     fit_lk_modular_envelope,
     fit_lk_norm_envelope,
+    hardy_provenance,
     lk_norm_triple,
 )
 from .mazya import (

@@ -326,16 +326,14 @@ def _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
         for label, by_theta in terms.items()
         for th, (lhs, a, b, _) in by_theta.items() if fit_mod.feasible]
     for u in fields:
-        for theta in theta_grid:
+        # the theta = 1 check carries the Hardy hypothesis it rests on
+        provenance = lk_mod.hardy_provenance(u, nf, n, triples[u.label])
+        for theta, theta_terms in terms[u.label].items():
             checks.append(lk_mod.check_lk_modular(
-                terms[u.label][theta], fit_mod.c1, fit_mod.c2, theta,
+                theta_terms, fit_mod.c1, fit_mod.c2, theta,
                 check_id=f"statB1:theta={theta:g}:{nf_label}:{u.label}:n={n}",
                 nfunc_label=nf.label, subject_label=u.label, n=n,
-                normalization=norm))
-        checks.append(lk_mod.additive_lk_from_hardy(
-            u, nf, n, triples[u.label], terms[u.label][1.0], fit_mod.c1, fit_mod.c2,
-            check_id=f"statB1gauss_from_hardy:{nf_label}:{u.label}:n={n}",
-            normalization=norm))
+                normalization=norm, provenance=provenance if theta == 1.0 else {}))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ __all__ = [
     "fit_envelope",
     "fit_lk_norm_envelope",
     "fit_lk_modular_envelope",
-    "additive_lk_from_hardy",
+    "hardy_provenance",
     "DEFAULT_FIT_GRID",
 ]
 
@@ -157,11 +157,13 @@ def check_lk_norm(triple: tuple, c1: float, c2: float, **meta) -> Check:
 # ---------------------------------------------------------------------------
 
 def fit_envelope(items, grid=DEFAULT_FIT_GRID) -> tuple[float, float, str, bool]:
-    """Smallest (C1, C2) on the grid with lhs <= C1 x + C2 y for every item.
+    """Smallest (C1, C2) on the grid with lhs <= C1 x + C2 y + tol for every
+    item.
 
     items: iterable of (label, lhs, x, y, tol).  Selection minimises C1 + C2
-    with ties broken toward smaller C1; returns (c1, c2, binding_label,
-    feasible).  The binding item is the one with least slack at the selection.
+    with ties broken toward smaller C1, whatever the grid order; returns
+    (c1, c2, binding_label, feasible).  The binding item is the one with
+    least slack at the selection.
     """
     items = list(items)
     if not items:
@@ -169,7 +171,7 @@ def fit_envelope(items, grid=DEFAULT_FIT_GRID) -> tuple[float, float, str, bool]
     best = None
     for c1 in grid:
         for c2 in grid:
-            if best is not None and c1 + c2 >= best[0]:
+            if best is not None and (c1 + c2, c1) >= best[:2]:
                 continue
             if all(lhs <= c1 * x + c2 * y + tol for _, lhs, x, y, tol in items):
                 best = (c1 + c2, c1, c2)
@@ -208,15 +210,15 @@ def fit_lk_modular_envelope(corpus, nf: NFunction, triples: dict,
                             grid=DEFAULT_FIT_GRID,
                             theta_grid=(0.25, 0.5, 1.0), normalized: bool = False,
                             samples: dict | None = None) -> tuple[LKFit, dict]:
-    """Fit (C1, C2) for the modular form at theta = 1 and validate the pair
-    across the declared theta grid.
+    """Fit (C1, C2) for the modular form, uniform over the declared theta
+    grid and theta = 1.
 
-    Selection minimises C1 + C2 over grid pairs feasible at theta = 1; if
-    the cheapest pair fails at some smaller theta, the next grid pairs are
-    tried (the selection rule is part of the reported provenance).  Returns
-    the fit and, feasible or not, the terms it was fitted on: member label ->
-    theta -> (lhs, hess_term, func_term, errs), thetas in increasing order
-    and theta = 1 always among them.  triples maps a member's label to its
+    One `fit_envelope` runs over every (member, theta): the selected pair is
+    the cheapest grid pair feasible at every theta, and the binding member
+    the one with least slack at any theta.  Returns the fit and, feasible or
+    not, the terms it was fitted on: member label -> theta -> (lhs,
+    hess_term, func_term, errs), thetas in increasing order and theta = 1
+    always among them.  triples maps a member's label to its
     `modular_triple_nd`, samples to its FieldSamples.
     """
     samples = samples or {}
@@ -225,55 +227,30 @@ def fit_lk_modular_envelope(corpus, nf: NFunction, triples: dict,
                                                normalized, samples.get(u.label))
                        for theta in thetas}
              for u in corpus}
-
-    def feasible_at(c1, c2, theta):
-        for label, by_theta in terms.items():
-            lhs, a, b, errs = by_theta[theta]
-            if lhs > c1 * a + c2 * b + comparison_tol(c1 * a + c2 * b, 1e-9):
-                return False
-        return True
-
-    candidates = sorted(((c1 + c2, c1, c2) for c1 in grid for c2 in grid))
-    chosen = None
-    for _, c1, c2 in candidates:
-        if all(feasible_at(c1, c2, th) for th in thetas):
-            chosen = (c1, c2)
-            break
-    if chosen is None:
-        fit = LKFit(math.inf, math.inf, "", tuple(grid),
-                    tuple(terms.keys()), "statB1gauss", feasible=False)
-        return fit, terms
-    c1, c2 = chosen
-    slack = {label: min(c1 * vals[1] + c2 * vals[2] - vals[0]
-                        for vals in by_theta.values())
-             for label, by_theta in terms.items()}
-    binding = min(slack, key=slack.get)
+    items = [(label, lhs, a, b, comparison_tol(lhs, 1e-9))
+             for label, by_theta in terms.items()
+             for lhs, a, b, _ in by_theta.values()]
+    c1, c2, binding, feasible = fit_envelope(items, grid)
     fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=tuple(grid),
-                corpus_labels=tuple(terms.keys()), form="statB1gauss")
+                corpus_labels=tuple(terms.keys()), form="statB1gauss",
+                feasible=feasible)
     return fit, terms
 
 
-def additive_lk_from_hardy(u: FieldFunction, nf: NFunction, n: int,
-                           triple: ModularTriple, terms: tuple, c1: float, c2: float,
-                           **meta) -> Check:
-    """theta = 1 modular check gated on the Hardy hypothesis.
-
-    terms: the theta = 1 `lk_modular_terms` of (u, nf), read from `triple`.
-    The Gaussian Hardy inequality (form hn1) is verified for (u, nf, n)
-    first, on that triple; the resulting report is recorded as provenance
-    of the LK check.
-    """
+def hardy_provenance(u: FieldFunction, nf: NFunction, n: int,
+                     triple: ModularTriple) -> dict:
+    """The Gaussian Hardy inequality (form hn1) the LK derivation assumes,
+    checked for (u, nf, n) on u's `modular_triple_nd`, as the provenance
+    of the theta = 1 modular check.  Raises PreconditionError when the
+    Hardy check fails."""
     _require_lk_hypotheses(u, nf)
     hardy_check = check_nd(triple, nf, n, "hn1")
     if hardy_check.verdict == "fails":
         raise PreconditionError(
             f"Hardy hypothesis fails for ('{u.label}', '{nf.label}', n={n})")
-    provenance = {
+    return {
         "hardy_form": "hn1",
         "hardy_verdict": hardy_check.verdict,
         "hardy_slack": hardy_check.slack,
         "hardy_constants": dict(hardy_check.constants_used),
     }
-    return check_lk_modular(terms, c1, c2, theta=1.0, nfunc_label=nf.label,
-                            subject_label=u.label, n=u.n, provenance=provenance,
-                            **meta)

@@ -144,7 +144,7 @@ def _endpoint_probe(pair: MeasurePair) -> tuple[float, bool, bool]:
     try:
         for piece in integrate_pieces(_nu_integrand(pair), los, his,
                                       PROBE_REL_TOL, PROBE_ABS_TOL):
-            converged = converged and not piece.angular_warning
+            converged = converged and piece.converged
             pieces.append(piece.value)
             total += piece.value
             if not math.isfinite(total) or total > INNER_CAP:
@@ -190,7 +190,7 @@ class _Objective:
             result = piece()
         except Exception:
             return math.inf
-        self.converged = self.converged and not result.angular_warning
+        self.converged = self.converged and result.converged
         return inner + result.value
 
     def _score(self, tail: float, inner: float) -> float:

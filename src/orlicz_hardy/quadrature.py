@@ -138,7 +138,7 @@ class IntegralResult:
     err_est: float
     radius: float = math.inf
     angular_sem: float = 0.0
-    angular_warning: bool = False
+    converged: bool = True  # the 1-d refiner `_adaptive` met its tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
         return IntegralResult(0.0, 0.0, b)
     edges = _build_edges(a, b, breakpoints, seeds=())
     val, err, ok = _adaptive(f, edges, rel_tol, abs_tol)
-    return IntegralResult(float(val[0]), float(err[0]), b, angular_warning=not ok)
+    return IntegralResult(float(val[0]), float(err[0]), b, converged=ok)
 
 
 def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
@@ -275,7 +275,7 @@ def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14
         else:
             val, err, conv = _adaptive(f, np.array([lo, hi]), rel_tol, abs_tol,
                                        first=(vals[:, i:i + 1], errs[:, i:i + 1]))
-            yield IntegralResult(float(val[0]), float(err[0]), hi, angular_warning=not conv)
+            yield IntegralResult(float(val[0]), float(err[0]), hi, converged=conv)
 
 
 def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
@@ -465,8 +465,7 @@ def integrate_radial(f, n: int, spec: QuadratureSpec | None = None,
     """
     vals, errs, radius, ok = integrate_radial_family(
         f, n, spec, envelope=envelope, breakpoints=breakpoints)
-    return IntegralResult(float(vals[0]), float(errs[0]), radius,
-                          angular_warning=not ok)
+    return IntegralResult(float(vals[0]), float(errs[0]), radius, converged=ok)
 
 
 def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None,
@@ -606,7 +605,6 @@ def integrate_gaussian_nd(g, n: int, spec: QuadratureSpec | None = None,
         sem = 0.0
     angular_err = area * sem
     factor = (2.0 * math.pi) ** (-n / 2.0) if normalized else 1.0
-    warn = (not ok) or (angular_err > spec.rel_tol * max(abs(value), 1.0))
     return IntegralResult(value * factor,
                           (radial_err + angular_err) * factor,
-                          radius, angular_sem=sem * factor, angular_warning=warn)
+                          radius, angular_sem=sem * factor, converged=ok)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from orlicz_hardy.functionals import (
     modular_triple_nd,
 )
 from orlicz_hardy.landau_kolmogorov import (
-    additive_lk_from_hardy,
     check_lk_modular,
     check_lk_norm,
     fit_envelope,
     fit_lk_modular_envelope,
     fit_lk_norm_envelope,
+    hardy_provenance,
     lk_modular_terms,
     lk_norm_triple,
 )
@@ -58,9 +59,8 @@ class TestHypotheses:
         # lower exponent 1.5 < 2: M(r)/r^2 is decreasing
         field = manifest.field_functions["fx_lin"].instantiate(2)
         with pytest.raises(PreconditionError, match="non-decreasing"):
-            additive_lk_from_hardy(field, power_nfunction(1.5), 2,
-                                   ModularTriple(0.0, 0.0, 0.0),
-                                   (0.0, 0.0, 0.0, (0.0, 0.0, 0.0)), 1.0, 1.0)
+            hardy_provenance(field, power_nfunction(1.5), 2,
+                             ModularTriple(0.0, 0.0, 0.0))
 
     def test_theta_out_of_range(self, manifest):
         field = manifest.field_functions["fx_lin"].instantiate(2)
@@ -127,10 +127,32 @@ class TestEnvelopeFit:
         assert (c1, c2) == (1.0, 2.0)
         assert binding in ("a", "b")
 
+    def test_tie_goes_to_smaller_c1_whatever_the_grid_order(self):
+        items = [("a", 3.0, 1.0, 1.0, 0.0)]
+        for grid in ((1.0, 2.0), (2.0, 1.0)):
+            c1, c2, binding, ok = fit_envelope(items, grid=grid)
+            assert ok and (c1, c2, binding) == (1.0, 2.0, "a"), grid
+
     def test_infeasible_grid(self):
         items = [("a", 100.0, 1e-9, 1e-9, 0.0)]
         c1, c2, _, ok = fit_envelope(items, grid=(0.5, 1.0))
         assert not ok and math.isinf(c1)
+
+    def test_modular_fit_moves_past_a_pair_that_fails_below_theta_one(
+            self, monkeypatch):
+        # at theta = 1 the cheapest pair is (1, 0.5); at theta = 0.25 the
+        # function term needs C2 >= 1, so the fit takes the next pair (1, 1)
+        terms = {1.0: (1.0, 1.0, 0.0, (0.0, 0.0, 0.0)),
+                 0.25: (1.0, 0.0, 1.0, (0.0, 0.0, 0.0))}
+        monkeypatch.setattr(lk_mod, "lk_modular_terms",
+                            lambda u, nf, theta, *args: terms[theta])
+        grid = (0.5, 1.0, 2.0)
+        assert fit_envelope([("a", *terms[1.0][:3], 1e-9)], grid) == (1.0, 0.5, "a", True)
+        fit, fitted = fit_lk_modular_envelope([SimpleNamespace(label="a")], None,
+                                              {"a": None}, grid=grid,
+                                              theta_grid=(0.25,))
+        assert fit.feasible and (fit.c1, fit.c2, fit.binding_label) == (1.0, 1.0, "a")
+        assert fitted == {"a": terms}
 
     @pytest.mark.parametrize("nf_label", ["p2", "p3"])
     @pytest.mark.parametrize("n", [1, 2])
@@ -178,23 +200,46 @@ class TestProvenanceChain:
     def test_hardy_gate_recorded(self, manifest, spec):
         field = manifest.field_functions["fr_wide"].instantiate(2)
         nf = manifest.nfunc("p2")
-        triple = modular_triple_nd(field, nf, spec)
-        rep = additive_lk_from_hardy(field, nf, 2, triple,
-                                     lk_modular_terms(field, nf, 1.0, triple, spec),
-                                     64.0, 64.0)
-        assert rep.provenance["hardy_form"] == "hn1"
-        assert rep.provenance["hardy_verdict"] == "holds"
-        assert rep.theta == 1.0
+        provenance = hardy_provenance(field, nf, 2, modular_triple_nd(field, nf, spec))
+        assert provenance["hardy_form"] == "hn1"
+        assert provenance["hardy_verdict"] == "holds"
+        assert set(provenance) == {"hardy_form", "hardy_verdict", "hardy_slack",
+                                   "hardy_constants"}
 
     def test_boundary_growth_quadratic_runs(self, manifest, spec):
         # M = r^2 sits exactly at the d = 2 boundary and must be accepted
         field = manifest.field_functions["fx_quad"].instantiate(2)
         nf = manifest.nfunc("p2")
         triple = modular_triple_nd(field, nf, spec)
-        rep = additive_lk_from_hardy(field, nf, 2, triple,
-                                     lk_modular_terms(field, nf, 1.0, triple, spec),
-                                     64.0, 64.0)
+        rep = check_lk_modular(lk_modular_terms(field, nf, 1.0, triple, spec),
+                               64.0, 64.0,
+                               provenance=hardy_provenance(field, nf, 2, triple))
         assert rep.verdict in ("holds", "indeterminate")
+        assert rep.provenance["hardy_form"] == "hn1"
+
+    def test_theta_one_check_carries_the_gate_outside_the_theta_grid(
+            self, manifest, spec):
+        # theta = 1 is not in the grid: its check is still emitted, once,
+        # under a statB1:theta=1 id, and it alone carries the hn1 provenance
+        checks = []
+        run_lk(manifest, spec, [1], checks, {}, {}, nfunc_labels=("p2",),
+               theta_grid=(0.5,))
+        labels = [label for label, factory in sorted(manifest.field_functions.items())
+                  if factory.compatible(1)]
+        ids = [c.check_id for c in checks]
+        assert not [i for i in ids if i.startswith("statB1gauss_from_hardy")]
+        assert len(ids) == len(set(ids))
+        for label in labels:
+            for theta in ("0.5", "1"):
+                assert f"statB1:theta={theta}:p2:{label}:n=1" in ids
+        for check in checks:
+            if check.check_id.startswith("statB1:"):
+                assert (check.id == "statB1gauss") == (check.theta == 1.0)
+                if check.theta == 1.0:
+                    assert check.provenance["hardy_form"] == "hn1"
+                    assert check.provenance["hardy_verdict"] != "fails"
+                else:
+                    assert check.provenance == {}
 
     def test_finiteness_propagation(self, manifest, spec):
         # finite right-hand modulars force a finite left-hand side

@@ -361,7 +361,7 @@ def per_piece_probe(pair):
                                        abs_tol=mazya_mod.PROBE_ABS_TOL)
         except Exception:
             return math.inf, False, converged
-        converged = converged and not piece.angular_warning
+        converged = converged and piece.converged
         pieces.append(piece.value)
         total += piece.value
         if not math.isfinite(total) or total > mazya_mod.INNER_CAP:
@@ -400,7 +400,7 @@ class PerPieceObjective:
             except Exception:
                 inner = math.inf
             else:
-                self.converged = self.converged and not piece.angular_warning
+                self.converged = self.converged and piece.converged
                 inner += piece.value
         if knot and r > self.knots[-1]:
             self.knots.append(r)
@@ -571,7 +571,7 @@ def force_nonconverged(monkeypatch, flagged_tol):
 
     def flagged(f, los, his, rel_tol, abs_tol):
         for piece in real(f, los, his, rel_tol, abs_tol):
-            yield (dataclasses.replace(piece, angular_warning=True)
+            yield (dataclasses.replace(piece, converged=False)
                    if rel_tol == flagged_tol else piece)
 
     monkeypatch.setattr(mazya_mod, "integrate_pieces", flagged)
