@@ -242,8 +242,7 @@ def run_mazya(checks: list, series: dict, gaussian=None, classical=False,
                             "divergent": res.divergent, "reason": res.reason},
             subject_label=pair.label))
         series[f"mazya_{pair.label}"] = [
-            {"r": r, "objective": v}
-            for r, v in mazya_mod.objective_series(pair)]
+            {"r": r, "objective": v} for r, v in res.series]
     if classical:
         pair = mazya_mod.classical_pair()
         res = mazya_mod.mazya_B(pair)
@@ -254,7 +253,7 @@ def run_mazya(checks: list, series: dict, gaussian=None, classical=False,
             constants_used={"B": res.B, "argmax_r": res.argmax_r},
             subject_label="classical"))
         series["mazya_classical"] = [
-            {"r": r, "objective": v} for r, v in mazya_mod.objective_series(pair)]
+            {"r": r, "objective": v} for r, v in res.series]
     for p, n in (gaussian or []):
         numeric, res = mazya_mod.gaussian_hardy_pq(p, n)
         expected = "finite" if p > n else "divergent"

@@ -9,7 +9,6 @@ functions are dimension-generic factories instantiated per n.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -38,6 +37,7 @@ from .nfunc import (
     table_nfunction,
 )
 from .quadrature import SupportHint
+from .reporting import body_digest as fingerprint
 from .sharpness import ExtremalParams, extremal_function
 
 __all__ = [
@@ -52,12 +52,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-
-def fingerprint(obj) -> str:
-    """Content hash of a JSON-serialisable object (canonical key order)."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +352,6 @@ class FieldFactory:
 
     entry: dict
     label: str
-    member_fingerprint: str
     min_n: int = 1
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -444,7 +437,7 @@ def load_manifest(path=None, grid: GridSpec | None = None) -> CorpusManifest:
                 rs = entry["params"]["r"]
                 local_grid = GridSpec(max(min(rs), grid.r_min),
                                       min(max(rs), grid.r_max),
-                                      grid.points, grid.scale)
+                                      grid.points)
             nf = certify(nf, local_grid)
             _check_nfunction_shape(nf, local_grid, problems)
             nfunctions[label] = nf
@@ -468,11 +461,9 @@ def load_manifest(path=None, grid: GridSpec | None = None) -> CorpusManifest:
     fields = {}
     for entry in raw.get("field_functions", []):
         label = entry.get("label", "?")
-        fp = fingerprint(entry)
-        member_fps[label] = fp
+        member_fps[label] = fingerprint(entry)
         try:
             factory = FieldFactory(entry=entry, label=label,
-                                   member_fingerprint=fp,
                                    min_n=_field_min_n(entry))
             probe_n = max(2, factory.min_n)
             field_problems = validate_field(factory.instantiate(probe_n))

@@ -163,11 +163,14 @@ def fit_envelope(items, grid=DEFAULT_FIT_GRID) -> tuple[float, float, str, bool]
     items: iterable of (label, lhs, x, y, tol).  Selection minimises C1 + C2
     with ties broken toward smaller C1, whatever the grid order; returns
     (c1, c2, binding_label, feasible).  The binding item is the one with
-    least slack at the selection.
+    least slack at the selection.  An item with a non-finite lhs makes every
+    grid pair infeasible.
     """
     items = list(items)
     if not items:
         raise PreconditionError("cannot fit an envelope over an empty corpus")
+    if not all(math.isfinite(lhs) for _, lhs, *_ in items):
+        return math.inf, math.inf, "", False
     best = None
     for c1 in grid:
         for c2 in grid:

@@ -102,13 +102,16 @@ class MeasurePair:
 
 @dataclass(frozen=True)
 class MazyaResult:
-    """converged is False when a quadrature behind B did not converge."""
+    """converged is False when a quadrature behind B did not converge.
+    series holds the (r, objective) points of the grid sweep, up to the
+    point where the search stopped."""
 
     B: float
     argmax_r: float
     divergent: bool
     reason: str = ""
     converged: bool = True
+    series: tuple = ()
 
 
 def _nu_integrand(pair: MeasurePair):
@@ -249,6 +252,7 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
     endpoint), when the objective exceeds its cap or a piece cannot be
     integrated, or when it keeps growing across the last decade of the grid.
     `converged` is False when any probe rung or piece did not converge.
+    A divergent endpoint gives a series that is inf at every grid point.
     """
     offsets, rs = _log_grid(pair, grid_points)
 
@@ -257,16 +261,16 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
     if not ok0:
         return MazyaResult(math.inf, float(rs[0]), True,
                            "inner integral diverges at the left endpoint",
-                           converged)
+                           converged, tuple((r, math.inf) for r in rs.tolist()))
 
     objective = _Objective(pair, probe, converged)
-    vals = np.empty(rs.size)
-    for i, (r, v) in enumerate(zip(rs, objective.sweep(rs))):
+    series = []
+    for r, v in zip(rs.tolist(), objective.sweep(rs)):
+        series.append((r, v))
         if v > OBJECTIVE_CAP:
-            return MazyaResult(math.inf, float(r), True,
-                               f"objective exceeds cap at r={r:.6g}",
-                               objective.converged)
-        vals[i] = v
+            return MazyaResult(math.inf, r, True, f"objective exceeds cap at r={r:.6g}",
+                               objective.converged, tuple(series))
+    vals = np.array([v for _, v in series])
 
     i = int(np.argmax(vals))
     # growth across the last decade of the grid
@@ -276,14 +280,15 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
         if first > 0 and vals[-1] > first * 1.01:
             return MazyaResult(float(vals[-1]), float(rs[-1]), True,
                                "objective still growing at the grid boundary",
-                               objective.converged)
+                               objective.converged, tuple(series))
 
     best_r, best_v = float(rs[i]), float(vals[i])
     r, v = golden_max(objective, float(rs[max(i - 1, 0)]),
                       float(rs[min(i + 1, rs.size - 1)]))
     if v > best_v:
         best_r, best_v = r, v
-    return MazyaResult(best_v, best_r, False, converged=objective.converged)
+    return MazyaResult(best_v, best_r, False, converged=objective.converged,
+                       series=tuple(series))
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +363,6 @@ def table_pair(xs, mu_density_vals, nu_density_vals, p: float, q: float,
     return MeasurePair(a=float(xs[0]), mu_tail=mu_tail, nu_density=nu_density,
                        mu_density=mu_density, p=float(p), q=float(q),
                        label=label, grid_hi=float(xs[-1] - xs[0]))
-
-
-def objective_series(pair: MeasurePair, grid_points: int = 60):
-    """(r, objective) samples of the Maz'ya objective for plotting."""
-    _, rs = _log_grid(pair, grid_points)
-    probe, ok, converged = _endpoint_probe(pair)
-    if not ok:
-        return [(float(r), math.inf) for r in rs]
-    objective = _Objective(pair, probe, converged)
-    return [(float(r), v) for r, v in zip(rs, objective.sweep(rs))]
 
 
 def gaussian_hardy_pq(p: float, n: int) -> tuple[str, MazyaResult]:

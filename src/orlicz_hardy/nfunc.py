@@ -77,29 +77,25 @@ class NFunction:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid for certification: [r_min, r_max], log or linear."""
+    """Log-spaced evaluation grid for certification on [r_min, r_max]."""
 
     r_min: float = DEFAULT_GRID_BOUNDS[0]
     r_max: float = DEFAULT_GRID_BOUNDS[1]
     points: int = DEFAULT_GRID_POINTS
-    scale: str = "log"
 
     def __post_init__(self):
         if self.points < 2:
             raise PreconditionError("grid needs at least 2 points")
         if not (0.0 < self.r_min < self.r_max):
             raise PreconditionError("grid requires 0 < r_min < r_max")
-        if self.scale not in ("log", "linear"):
-            raise PreconditionError(f"unknown grid scale {self.scale!r}")
 
     def nodes(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.logspace(math.log10(self.r_min), math.log10(self.r_max),
-                               self.points)
-        return np.linspace(self.r_min, self.r_max, self.points)
+        return np.logspace(math.log10(self.r_min), math.log10(self.r_max),
+                           self.points)
 
     def fingerprint(self) -> str:
-        key = f"{self.r_min!r}|{self.r_max!r}|{self.points}|{self.scale}"
+        # "|log" keeps the fingerprints that reports recorded when the spacing was selectable
+        key = f"{self.r_min!r}|{self.r_max!r}|{self.points}|log"
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 

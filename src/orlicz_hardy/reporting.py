@@ -2,9 +2,11 @@
 
 Report files carry two top-level sections: `meta` (timestamps, argv; free to
 vary between runs) and `body` (everything the verification produced).  The
-body is canonicalised -- sorted keys, floats round-tripped through 17
-significant digits -- so identical runs produce byte-identical bodies, which
-`meta.body_sha256` records for cheap diffing.
+body is written once, in canonical form -- sorted keys, no spaces, floats in
+Python's shortest round-trip repr, non-finite floats as the strings "nan",
+"inf" and "-inf" -- so identical runs produce byte-identical bodies.  The
+file is one line, and its body bytes are exactly what `meta.body_sha256`
+hashes.
 
 Every battery reports its outcomes as `Check` records, and every comparison
 of a left-hand side against a right-hand side gets its verdict from
@@ -91,7 +93,7 @@ def canonicalize(obj):
             return "nan"
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
-        return float(f"{obj:.17g}")
+        return float(obj)
     if is_dataclass(obj):
         return canonicalize(asdict(obj))
     return canonicalize(str(obj))
@@ -112,10 +114,10 @@ def summarize_verdicts(checks) -> dict:
     return counts
 
 
-def write_report(path, body: dict, extra_meta: dict | None = None) -> dict:
-    """Write {meta, body} JSON; returns the full document.  The body is
-    canonicalised once: the digest is taken of its canonical JSON, and the
-    document holds that JSON read back."""
+def write_report(path, body: dict, extra_meta: dict | None = None) -> None:
+    """Write the one-line JSON document {"body": ..., "meta": ...}.  The body
+    is serialised once, as its canonical JSON, and `meta.body_sha256` is the
+    digest of exactly those bytes."""
     text = canonical_json(body)
     meta = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -124,8 +126,6 @@ def write_report(path, body: dict, extra_meta: dict | None = None) -> dict:
     }
     if extra_meta:
         meta.update(extra_meta)
-    doc = {"meta": meta, "body": json.loads(text)}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    return doc
+    path.write_text(f'{{"body":{text},"meta":{json.dumps(meta, sort_keys=True)}}}\n')

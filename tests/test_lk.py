@@ -31,7 +31,7 @@ from orlicz_hardy.landau_kolmogorov import (
     lk_modular_terms,
     lk_norm_triple,
 )
-from orlicz_hardy.nfunc import power_nfunction
+from orlicz_hardy.nfunc import comparison_tol, power_nfunction
 
 
 def theta_terms(u, nf, theta, spec=None):
@@ -137,6 +137,12 @@ class TestEnvelopeFit:
         items = [("a", 100.0, 1e-9, 1e-9, 0.0)]
         c1, c2, _, ok = fit_envelope(items, grid=(0.5, 1.0))
         assert not ok and math.isinf(c1)
+
+    def test_infinite_lhs_is_infeasible(self):
+        # the tol both LK fits take from the lhs is inf here, which must not
+        # let inf <= C1 x + C2 y + tol pass
+        items = [("a", math.inf, 1.0, 1.0, comparison_tol(math.inf, 1e-9))]
+        assert fit_envelope(items, grid=(1.0,)) == (math.inf, math.inf, "", False)
 
     def test_modular_fit_moves_past_a_pair_that_fails_below_theta_one(
             self, monkeypatch):

@@ -19,7 +19,6 @@ from orlicz_hardy.mazya import (
     gaussian_hardy_pq,
     gaussian_pair,
     mazya_B,
-    objective_series,
     table_pair,
 )
 from orlicz_hardy.quadrature import integrate_interval
@@ -171,7 +170,7 @@ class TestTransform:
 
 class TestSeriesAndTable:
     def test_classical_objective_flat(self):
-        rows = objective_series(classical_pair(), grid_points=24)
+        rows = mazya_B(classical_pair(), grid_points=24).series
         vals = [v for _, v in rows]
         assert max(vals) - min(vals) < 1e-9
 
@@ -273,7 +272,7 @@ def reference_mazya_B(pair, grid_points=240):
     return mazya_mod.MazyaResult(best_v, best_r, False)
 
 
-def reference_series(pair, rel_tol, grid_points=60):
+def reference_series(pair, rel_tol, grid_points=240):
     rs = pair.a + np.logspace(-3.0, math.log10(pair.grid_hi), grid_points)
     probe, ok, _ = mazya_mod._endpoint_probe(pair)
     rows = []
@@ -308,23 +307,25 @@ class TestCumulativeSearchOracle:
 
     @pytest.mark.parametrize("name", [k for k in ORACLE_PAIRS if k != "vanishing"])
     def test_series_matches_fresh_integrals(self, name):
-        # A fresh integral at the search's 1e-9 drifts up to ~4e-11 from the
-        # true value over the wide spans of the 60-point grid, so the
-        # reference series is taken at 1e-14; the short pieces match it.
+        # A fresh integral at the search's 1e-9 drifts from the true value
+        # over the wide spans of the grid, so the reference series is taken
+        # at 1e-14; the short pieces match it.
         pair = ORACLE_PAIRS[name]()
-        series, ref = objective_series(pair), reference_series(pair, 1e-14)
+        series, ref = mazya_B(pair).series, reference_series(pair, 1e-14)
         assert [r for r, _ in series] == [r for r, _ in ref]
         for (r, v), (_, w) in zip(series, ref):
             assert close(v, w, 1e-13), (r, v, w)
 
     def test_series_infinite_past_a_vanishing_density(self):
         # nu vanishes on (0.3, 0.6), so the inner integral is infinite from
-        # there on; a fresh integral that steps over the gap reads finite
-        series = objective_series(vanishing_density_pair())
+        # there on, and the search stops at its first infinite point; a
+        # fresh integral that steps over the gap reads finite
+        series = mazya_B(vanishing_density_pair()).series
         ref = reference_series(vanishing_density_pair(), 1e-9)
         first = next(i for i, (_, v) in enumerate(series) if v == math.inf)
         assert 0.3 < series[first][0] < 0.6
         assert all(v == math.inf for _, v in series[first:])
+        assert len(series) == first + 1
         assert ref[first][1] == math.inf
         for (_, v), (_, w) in zip(series[:first], ref[:first]):
             assert close(v, w, 1e-13)
@@ -417,16 +418,17 @@ def per_piece_mazya_B(pair, grid_points=240):
     if not ok0:
         return mazya_mod.MazyaResult(math.inf, float(rs[0]), True,
                                      "inner integral diverges at the left endpoint",
-                                     converged)
+                                     converged, tuple((float(r), math.inf) for r in rs))
     objective = PerPieceObjective(pair, probe, converged)
     vals = np.empty(rs.size)
     for i, r in enumerate(rs):
-        v = objective(float(r), knot=True)
+        vals[i] = v = objective(float(r), knot=True)
         if v > OBJECTIVE_CAP:
             return mazya_mod.MazyaResult(math.inf, float(r), True,
                                          f"objective exceeds cap at r={r:.6g}",
-                                         objective.converged)
-        vals[i] = v
+                                         objective.converged,
+                                         tuple(zip(rs[:i + 1].tolist(), vals[:i + 1].tolist())))
+    series = tuple(zip(rs.tolist(), vals.tolist()))
     i = int(np.argmax(vals))
     if i == rs.size - 1:
         decade = offsets >= offsets[-1] / 10.0
@@ -434,22 +436,14 @@ def per_piece_mazya_B(pair, grid_points=240):
         if first > 0 and vals[-1] > first * 1.01:
             return mazya_mod.MazyaResult(float(vals[-1]), float(rs[-1]), True,
                                          "objective still growing at the grid boundary",
-                                         objective.converged)
+                                         objective.converged, series)
     best_r, best_v = float(rs[i]), float(vals[i])
     r, v = quadrature.golden_max(objective, float(rs[max(i - 1, 0)]),
                                  float(rs[min(i + 1, rs.size - 1)]))
     if v > best_v:
         best_r, best_v = r, v
-    return mazya_mod.MazyaResult(best_v, best_r, False, converged=objective.converged)
-
-
-def per_piece_series(pair, grid_points=60):
-    _, rs = mazya_mod._log_grid(pair, grid_points)
-    probe, ok, converged = per_piece_probe(pair)
-    if not ok:
-        return [(float(r), math.inf) for r in rs]
-    objective = PerPieceObjective(pair, probe, converged)
-    return [(float(r), objective(float(r), knot=True)) for r in rs]
+    return mazya_mod.MazyaResult(best_v, best_r, False, converged=objective.converged,
+                                 series=series)
 
 
 def count_interval_calls(monkeypatch):
@@ -472,7 +466,7 @@ class TestBatchedSweepOracle:
         pair = ORACLE_PAIRS[name]()
         assert mazya_B(pair) == per_piece_mazya_B(pair)
         assert mazya_mod._endpoint_probe(pair) == per_piece_probe(pair)
-        assert objective_series(pair) == per_piece_series(pair)
+        assert mazya_B(pair).series == per_piece_mazya_B(pair).series
 
     def test_multi_panel_pieces_reach_integrate_interval(self, monkeypatch):
         pair = gaussian_pair(2.2, 2)
@@ -548,7 +542,7 @@ class TestBatchedSweepOracle:
         assert not res.divergent and res.converged
         assert all(lo < 1.0 for lo, _ in calls), calls
         assert res == per_piece_mazya_B(pair)
-        assert objective_series(pair) == per_piece_series(pair)
+        assert mazya_B(pair).series == per_piece_mazya_B(pair).series
 
     def test_gaussian_mu_tail_equals_gaussian_tail(self):
         for p, n in GAUSSIAN_GRID:

@@ -1,8 +1,18 @@
+import hashlib
+import json
 import math
+import struct
 
+import numpy as np
 import pytest
 
-from orlicz_hardy.reporting import Check, verdict
+from orlicz_hardy.reporting import (
+    Check,
+    canonical_json,
+    canonicalize,
+    verdict,
+    write_report,
+)
 
 
 @pytest.mark.parametrize("lhs, rhs, err_est, tol, expected", [
@@ -25,3 +35,36 @@ def test_check_body_leaves_out_empty_fields():
     assert check.as_dict() == {
         "id": "x", "verdict": "holds", "check_id": "x:1", "lhs": 0.0,
         "rhs": 0.0, "slack": 0.0, "tolerance": 1e-12, "err_est": 0.0}
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 0.1, 1.0 / 3.0, -2.5e-308, 5e-324,
+                               1.7976931348623157e308, np.float64(0.1)])
+def test_canonicalize_returns_finite_floats_bit_for_bit(x):
+    out = canonicalize(x)
+    assert type(out) is float
+    assert struct.pack("<d", out) == struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("x, expected", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+    (np.float64("nan"), "nan"), (np.float64("-inf"), "-inf"),
+])
+def test_canonicalize_names_non_finite_floats(x, expected):
+    assert canonicalize(x) == expected
+
+
+def test_report_file_body_bytes_are_what_the_digest_covers(tmp_path):
+    body = {"checks": [Check.compare("x", 1.0 / 3.0, math.inf, 0.0, 1e-12,
+                                     check_id="x:1").as_dict()],
+            "series": {"s": [{"r": 5e-324, "objective": math.nan}]},
+            "z": (-0.0, np.float64(2.0) ** 0.5), "a": None}
+    path = tmp_path / "report.json"
+    write_report(path, body, {"battery_s": {"x": 0.25}})
+    raw = path.read_bytes()
+    assert raw.startswith(b'{"body":') and raw.endswith(b"}\n") and raw.count(b"\n") == 1
+    text = raw[len(b'{"body":'):raw.index(b',"meta":')]
+    doc = json.loads(raw)
+    assert hashlib.sha256(text).hexdigest() == doc["meta"]["body_sha256"]
+    assert text.decode() == canonical_json(body)
+    assert doc["body"] == canonicalize(body)
+    assert doc["meta"]["battery_s"] == {"x": 0.25}
