@@ -3,7 +3,7 @@
 The subcommands are the rows of `BATTERIES`: certify, hardy, sharpness,
 mazya, lk, and all, which runs every other row once with fixed arguments.
 Every run writes a JSON report whose body is canonical (byte-identical
-across repeated runs with the same flags, manifest, and seed).  Exit status
+across repeated runs with the same flags and manifest).  Exit status
 is nonzero iff any non-trivial check fails.
 """
 
@@ -29,7 +29,7 @@ from . import mazya as mazya_mod
 from . import sharpness as sharp_mod
 from .errors import ManifestError, OrliczHardyError, PreconditionError
 from .functionals import FieldSamples, modular_triple_nd, modular_triple_radial
-from .quadrature import QuadratureSpec
+from .quadrature import SPHERE_NODES, SPHERE_SEED, QuadratureSpec
 from .reporting import (
     TOOL_VERSION,
     Check,
@@ -61,7 +61,7 @@ def _floats(text: str) -> tuple[float, ...]:
 # Batteries
 # ---------------------------------------------------------------------------
 
-def run_certify(manifest, spec, checks: list):
+def run_certify(manifest, checks: list):
     for label, nf in manifest.nfunctions.items():
         checks.append(Check(
             "certify", "holds", check_id=f"certify:{label}", nfunc_label=label,
@@ -300,7 +300,7 @@ def _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
                  theta_grid, fit_grid, normalized):
     """The LK battery for one (N-function, n).  Every integral of a field
     reads the field's sample stores, which are freed on return."""
-    samples = {u.label: FieldSamples.of(u, spec) for u in fields}
+    samples = {u.label: FieldSamples.of(u) for u in fields}
     # LK checks name only the normalized measure; the unnormalized default
     # is left to the report's own `normalization`, as before
     norm = "normalized" if normalized else None
@@ -408,7 +408,7 @@ _DIM = ("--dim", {"type": _parse_dims, "default": [1, 2]})
 
 BATTERIES = (
     Battery("certify", "certify corpus N-functions",
-            lambda run: run_certify(run.manifest, run.spec, run.checks),
+            lambda run: run_certify(run.manifest, run.checks),
             in_all=lambda dims: {}),
     Battery("hardy", "Hardy inequality battery",
             lambda run, **kw: run_hardy(run.manifest, run.spec, checks=run.checks,
@@ -479,10 +479,8 @@ def _shared_flags(suppress: bool = False) -> argparse.ArgumentParser:
     flags.add_argument("--corpus", default=default(None), help="manifest JSON path")
     flags.add_argument("--out", default=default("reports"), help="output directory")
     flags.add_argument("--report", default=default(None), help="report JSON path")
-    flags.add_argument("--seed", type=int, default=default(QuadratureSpec().seed))
     flags.add_argument("--rel-tol", type=float, default=default(1e-10))
     flags.add_argument("--abs-tol", type=float, default=default(1e-14))
-    flags.add_argument("--sphere-nodes", type=int, default=default(32))
     flags.add_argument("--normalized", action="store_true", default=default(False),
                        help="use the (2 pi)^(-n/2)-normalized Gaussian measure")
     return flags
@@ -508,13 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     battery = next(b for b in BATTERIES if b.name == args.subcommand)
-    run = Run(QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                             sphere_nodes=args.sphere_nodes, seed=args.seed),
-              args.normalized)
     out_dir = Path(args.out)
     report_path = Path(args.report) if args.report else \
         out_dir / f"{args.subcommand}.json"
     try:
+        run = Run(QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol),
+                  args.normalized)
         if battery.needs_manifest:
             run.manifest = corpus_mod.load_manifest(args.corpus)
         start = time.perf_counter()
@@ -535,7 +532,7 @@ def main(argv=None) -> int:
         "corpus": manifest.member_fingerprints if manifest else {},
         "quadrature_spec": {
             "rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol,
-            "sphere_nodes": spec.sphere_nodes, "seed": spec.seed,
+            "sphere_nodes": SPHERE_NODES, "seed": SPHERE_SEED,
         },
         "normalization": "normalized" if args.normalized else "unnormalized",
         "checks": [c.as_dict() for c in checks],

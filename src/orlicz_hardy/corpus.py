@@ -403,7 +403,7 @@ def default_manifest_path() -> Path:
         "data/default_manifest.json")))
 
 
-def load_manifest(path=None, grid: GridSpec | None = None) -> CorpusManifest:
+def load_manifest(path=None) -> CorpusManifest:
     """Load, build, and validate a corpus manifest.
 
     Declared exponents are re-certified on the grid; test functions pass
@@ -411,7 +411,7 @@ def load_manifest(path=None, grid: GridSpec | None = None) -> CorpusManifest:
     with a named reason.
     """
     path = Path(path) if path is not None else default_manifest_path()
-    grid = grid or GridSpec()
+    grid = GridSpec()
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:

@@ -202,18 +202,16 @@ class FieldSamples:
     hess: SampleStore | None
 
     @classmethod
-    def of(cls, u: FieldFunction,
-           spec: QuadratureSpec | None = None) -> "FieldSamples":
+    def of(cls, u: FieldFunction) -> "FieldSamples":
         def abs_u(pts):
             return np.abs(u.u(pts))
 
         def grad_norm(pts):
             return np.linalg.norm(np.asarray(u.grad(pts), dtype=float), axis=-1)
 
-        hess = (SampleStore(lambda pts: hessian_hs_norm(u, pts), u.n, spec)
+        hess = (SampleStore(lambda pts: hessian_hs_norm(u, pts), u.n)
                 if u.hess is not None else None)
-        return cls(SampleStore(abs_u, u.n, spec), SampleStore(grad_norm, u.n, spec),
-                   hess)
+        return cls(SampleStore(abs_u, u.n), SampleStore(grad_norm, u.n), hess)
 
 
 def modular_triple_nd(u: FieldFunction, nf: NFunction,
@@ -226,7 +224,7 @@ def modular_triple_nd(u: FieldFunction, nf: NFunction,
     if u.grad is None:
         raise PreconditionError(f"field '{u.label}' has no gradient")
     if samples is None:
-        samples = FieldSamples.of(u, spec)
+        samples = FieldSamples.of(u)
     return _modular_triple(
         ((ScalarProfile(samples.u, u.hint.times_power(1.0)),
           lambda a, r: samples.u.norms(r) * a),
@@ -280,7 +278,7 @@ def luxemburg_norm(f, nf: NFunction, measure, spec: QuadratureSpec | None = None
             f"N-function '{nf.label}' is not doubling-certified")
     profile = _as_profile(f, measure)
     if isinstance(measure, GaussianMeasure) and not isinstance(profile.fn, SampleStore):
-        profile = replace(profile, fn=SampleStore(profile.fn, measure.n, spec))
+        profile = replace(profile, fn=SampleStore(profile.fn, measure.n))
 
     def modular(k: float) -> float:
         return _modular(profile, nf, measure, spec, lambda a, r: a / k).value
@@ -401,7 +399,7 @@ def _sample_radii(u: RadialTestFunction) -> np.ndarray:
     return r
 
 
-def validate_radial(u: RadialTestFunction, deriv_rtol: float = 1e-6) -> list[str]:
+def validate_radial(u: RadialTestFunction) -> list[str]:
     """Continuity at breakpoints and derivative-vs-central-difference checks."""
     problems: list[str] = []
     for b in u.breakpoints:
@@ -426,18 +424,17 @@ def validate_radial(u: RadialTestFunction, deriv_rtol: float = 1e-6) -> list[str
     scale = np.abs(du) + 1e-6 * np.max(np.abs(np.asarray(u.u(r), dtype=float)) + 1.0)
     dev = np.abs(fd - du) / scale
     worst = int(np.argmax(dev))
-    if dev[worst] > deriv_rtol * 100:  # central differences carry O(h^2) + cancellation noise
+    if dev[worst] > 1e-4:  # central differences carry O(h^2) + cancellation noise
         problems.append(
             f"'{u.label}': derivative mismatch at r={r[worst]:.6g}: "
             f"max relative deviation {dev[worst]:.3g}")
     return problems
 
 
-def validate_field(u: FieldFunction, seed: int = 7,
-                   grad_step: float = 1e-5, grad_rtol: float = 1e-4) -> list[str]:
+def validate_field(u: FieldFunction) -> list[str]:
     """Finite-difference gradient check and exact Hessian symmetry."""
     problems: list[str] = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     radius = u.hint.radius * 0.9 if u.hint.kind == "compact" else 3.0
     pts = rng.standard_normal((24, u.n))
     pts *= (radius * rng.uniform(0.05, 1.0, size=(24, 1))
@@ -446,12 +443,12 @@ def validate_field(u: FieldFunction, seed: int = 7,
     fd = np.empty_like(g)
     for i in range(u.n):
         e = np.zeros(u.n)
-        e[i] = grad_step
+        e[i] = 1e-5
         fd[:, i] = (np.asarray(u.u(pts + e), dtype=float)
-                    - np.asarray(u.u(pts - e), dtype=float)) / (2.0 * grad_step)
+                    - np.asarray(u.u(pts - e), dtype=float)) / 2e-5
     scale = np.abs(g) + 1e-3 * (np.abs(np.asarray(u.u(pts), dtype=float))[:, None] + 1.0)
     dev = np.abs(fd - g) / scale
-    if dev.max() > grad_rtol * 10:
+    if dev.max() > 1e-3:
         j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         problems.append(
             f"'{u.label}': gradient mismatch (max rel dev {dev.max():.3g} "

@@ -61,9 +61,26 @@ def _require_valid(triple: ModularTriple):
 # The alternative bound and its linear weakenings
 # ---------------------------------------------------------------------------
 
-def _term2_rhs(L: float, G: float, D: float, n: int) -> float:
-    root = math.sqrt(0.25 * D * D * G ** (2.0 / D) + (D + n - 2.0) * L ** (2.0 / D))
-    return (0.5 * D * G ** (1.0 / D) + root) ** D
+def _rise(x: float, e: float, k: float) -> float:
+    """(x + e)^k - x^k for x, e >= 0; for e < x, where the two powers
+    nearly cancel, through log1p/expm1."""
+    return x ** k * math.expm1(k * math.log1p(e / x)) if e < x else (x + e) ** k - x ** k
+
+
+def _term2(L: float, G: float, eL: float, eG: float, D: float,
+           n: int) -> tuple[float, float]:
+    """term2(L, G) and its rise term2(L + eL, G + eG) - term2(L, G).
+
+    term2 increases in L and G, so the rise bounds the error that eL, eG
+    carry into it (a first-order derivative would not).  Each power's rise
+    comes from `_rise` and the root's from (X' - X)/(sqrt X' + sqrt X), so
+    no two nearly equal values are subtracted."""
+    X = 0.25 * D * D * G ** (2.0 / D) + (D + n - 2.0) * L ** (2.0 / D)
+    root = math.sqrt(X)
+    base = 0.5 * D * G ** (1.0 / D) + root
+    d_X = 0.25 * D * D * _rise(G, eG, 2.0 / D) + (D + n - 2.0) * _rise(L, eL, 2.0 / D)
+    d_root = d_X / (math.sqrt(X + d_X) + root) if d_X else 0.0
+    return base ** D, _rise(base, 0.5 * D * _rise(G, eG, 1.0 / D) + d_root, D)
 
 
 def check_alternative(triple: ModularTriple, d: float, D: float, n: int,
@@ -80,10 +97,9 @@ def check_alternative(triple: ModularTriple, d: float, D: float, n: int,
     K, L, G = triple.K, triple.L, triple.G
     eK, eL, eG = triple.errs
     t1 = (D / d) ** (D / (D - 2.0)) * L
-    t2 = _term2_rhs(L, G, D, n)
+    t2, e_t2 = _term2(L, G, eL, eG, D, n)
     # error propagation by one-sided perturbation of the inputs
     e_t1 = (D / d) ** (D / (D - 2.0)) * eL
-    e_t2 = abs(_term2_rhs(L + eL, G + eG, D, n) - t2)
     unconditional = (D + n) >= math.e + 2.0
 
     v1 = verdict(K, t1, eK + e_t1, comparison_tol(t1))
@@ -234,7 +250,7 @@ def check_convex_case(triple: ModularTriple, D: float, n: int,
 
 
 def _check_norm_form(form: str, profiles: tuple, nf: NFunction, measure,
-                     n: int, spec: QuadratureSpec, **meta) -> Check:
+                     n: int, spec: QuadratureSpec | None, **meta) -> Check:
     """Norm form ||r f|| <= C (||f|| + ||f'||) with C = C1 + C2 + 1, from the
     ScalarProfiles (f, f', r f) on the measure.
 
@@ -272,7 +288,7 @@ def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
     return _check_norm_form(
         "www", (ScalarProfile(u.u, u.hint, u.breakpoints),
                 ScalarProfile(u.du, u.du_hint(), u.breakpoints), weighted),
-        nf, RadialMeasure(n), n, spec or QuadratureSpec(), **meta)
+        nf, RadialMeasure(n), n, spec, **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +318,7 @@ def check_nd(triple: ModularTriple, nf: NFunction, n: int, form: str,
                 f"form wwww needs D > max(2, e+2-n) = {max(2.0, math.e + 2.0 - n):.3f}, "
                 f"got D={D} for '{nf.label}'")
         _require_valid(triple)
-        rhs = _term2_rhs(triple.L, triple.G, D, n)
-        e_rhs = abs(_term2_rhs(triple.L + triple.errs[1],
-                               triple.G + triple.errs[2], D, n) - rhs)
+        rhs, e_rhs = _term2(triple.L, triple.G, *triple.errs[1:], D, n)
         return _check("wwww", triple.K, rhs, {"d": d, "D": D},
                       triple.errs[0] + e_rhs, **meta)
 
@@ -326,13 +340,12 @@ def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
                        normalized: bool = False, **meta) -> Check:
     """Norm form hn11 on R^n: ||.|x| u|| <= C (||u|| + ||grad u||), with
     the samples of |u| and |grad u| read from the field's sample stores."""
-    spec = spec or QuadratureSpec()
     if n != u.n:
         raise PreconditionError(f"field '{u.label}' has dimension {u.n}, not {n}")
     if nf.delta2_const is None or not nf.convex:
         raise PreconditionError(
             f"form hn11 needs a convex doubling N-function, got '{nf.label}'")
-    samples = FieldSamples.of(u, spec)
+    samples = FieldSamples.of(u)
     weighted = ScalarProfile(
         lambda pts: np.linalg.norm(pts, axis=-1) * np.abs(u.u(pts)),
         u.hint.times_power(1.0))

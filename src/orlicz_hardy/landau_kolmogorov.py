@@ -94,7 +94,7 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, theta: float,
         raise PreconditionError(f"theta must lie in (0, 1], got {theta}")
     spec = spec or QuadratureSpec()
     if samples is None:
-        samples = FieldSamples.of(u, spec)
+        samples = FieldSamples.of(u)
     meas = GaussianMeasure(u.n, normalized)
     hess = _modular(ScalarProfile(samples.hess, u.hess_hint()), nf, meas, spec,
                     lambda a, r: theta * a)
@@ -128,9 +128,8 @@ def lk_norm_triple(u: FieldFunction, nf: NFunction,
     norms, read from the field's sample stores (fresh ones unless `samples`
     is given)."""
     _require_lk_hypotheses(u, nf)
-    spec = spec or QuadratureSpec()
     if samples is None:
-        samples = FieldSamples.of(u, spec)
+        samples = FieldSamples.of(u)
     meas = GaussianMeasure(u.n, normalized)
     norm_u = luxemburg_norm(ScalarProfile(samples.u, u.hint), nf, meas, spec)
     norm_grad = luxemburg_norm(ScalarProfile(samples.grad, u.grad_hint()), nf, meas, spec)

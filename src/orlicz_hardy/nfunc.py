@@ -119,14 +119,13 @@ def _grid_values(nf: NFunction, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]
     return r, m
 
 
-def certify_growth(nf: NFunction, grid: GridSpec | None = None,
-                   tol: float = 1e-9):
+def certify_growth(nf: NFunction, grid: GridSpec | None = None):
     """Estimate growth exponents from log-log chord slopes over all grid pairs.
 
     Returns (d_est, D_est, violations): d_est is the infimum and D_est the
     supremum of log(M(r2)/M(r1)) / log(r2/r1) over grid pairs r1 < r2.  When
     declared exponents are present, every pair is tested against them and the
-    offending pairs are reported in `violations`.
+    offending pairs, more than 1e-9 past them, are reported in `violations`.
     """
     grid = grid or GridSpec()
     r, m = _grid_values(nf, grid)
@@ -148,14 +147,14 @@ def certify_growth(nf: NFunction, grid: GridSpec | None = None,
     violations: list[str] = []
     idx = np.argwhere(upper)
     if nf.d_exp is not None:
-        bad = slopes < nf.d_exp - tol
+        bad = slopes < nf.d_exp - 1e-9
         if np.any(bad):
             j, k = idx[bad][0]
             violations.append(
                 f"d_exp={nf.d_exp}: slope {slopes[bad][0]:.12g} < d_exp at "
                 f"pair (r1={r[k]:.6g}, r2={r[j]:.6g})")
     if nf.D_exp is not None:
-        bad = slopes > nf.D_exp + tol
+        bad = slopes > nf.D_exp + 1e-9
         if np.any(bad):
             j, k = idx[bad][0]
             violations.append(
@@ -164,9 +163,8 @@ def certify_growth(nf: NFunction, grid: GridSpec | None = None,
     return d_est, D_est, violations
 
 
-def certify_delta2(nf: NFunction, grid: GridSpec | None = None,
-                   cap: float = 1e12) -> float:
-    """Supremum of M(2r)/M(r) over the grid; raises DivergenceError past `cap`."""
+def certify_delta2(nf: NFunction, grid: GridSpec | None = None) -> float:
+    """Supremum of M(2r)/M(r) over the grid; raises DivergenceError past 1e12."""
     grid = grid or GridSpec()
     r, m = _grid_values(nf, grid)
     pos = m > 0
@@ -177,15 +175,14 @@ def certify_delta2(nf: NFunction, grid: GridSpec | None = None,
         m2 = np.asarray(nf.eval(2.0 * r), dtype=float)
     ratio = m2 / m
     c_est = float(np.max(ratio))
-    if not math.isfinite(c_est) or c_est > cap:
+    if not math.isfinite(c_est) or c_est > 1e12:
         raise DivergenceError(
-            f"'{nf.label}': doubling ratio {c_est:.3g} exceeds cap {cap:.3g} "
+            f"'{nf.label}': doubling ratio {c_est:.3g} exceeds cap 1e+12 "
             f"at grid max r={r[-1]:.6g}")
     return c_est
 
 
-def certify(nf: NFunction, grid: GridSpec | None = None,
-            delta2_cap: float = 1e12) -> NFunction:
+def certify(nf: NFunction, grid: GridSpec | None = None) -> NFunction:
     """Return a copy with certified metadata filled in.
 
     Declared exponents are validated (violations raise); missing ones are set
@@ -195,7 +192,7 @@ def certify(nf: NFunction, grid: GridSpec | None = None,
     d_est, D_est, violations = certify_growth(nf, grid)
     if violations:
         raise CertificationError(f"'{nf.label}': " + "; ".join(violations))
-    c_est = certify_delta2(nf, grid, cap=delta2_cap)
+    c_est = certify_delta2(nf, grid)
     return replace(
         nf,
         d_exp=nf.d_exp if nf.d_exp is not None else d_est,
@@ -233,8 +230,7 @@ def _ratio_power(nf: NFunction, r, alpha: int):
     return out if out.ndim else float(out)
 
 
-def check_lemma_split(nf: NFunction, r: float, s: float, lam: float,
-                      alpha: int, tol_scale: float = 1e-12):
+def check_lemma_split(nf: NFunction, r: float, s: float, lam: float, alpha: int):
     """Check the split bound r^(-alpha) M(r) s^alpha <= c(alpha) M(r) + alpha*lam*M(s).
 
     c(1) = (1 - 1/D)(lam D)^(-1/(D-1)) and c(2) = (1 - 2/D)(lam D)^(-2/(D-2)).
@@ -254,11 +250,10 @@ def check_lemma_split(nf: NFunction, r: float, s: float, lam: float,
     lhs = float(_ratio_power(nf, r, alpha)) * s ** alpha
     coef = (1.0 - alpha / D) * (lam * D) ** (-alpha / (D - alpha))
     rhs = coef * float(nf.eval(r)) + alpha * lam * float(nf.eval(s))
-    return lhs, rhs, lhs <= rhs + comparison_tol(rhs, tol_scale)
+    return lhs, rhs, lhs <= rhs + comparison_tol(rhs)
 
 
-def check_lemma_young(nf: NFunction, a: float, b: float, eps: float,
-                      tol_scale: float = 1e-12):
+def check_lemma_young(nf: NFunction, a: float, b: float, eps: float):
     """Check M(a) b <= eps M(a) + eps^(-D_exp) M(a b) for eps in (0, 1]."""
     _, D = nf.require_exponents()
     if not nf.convex:

@@ -22,6 +22,7 @@ exist, the same fraction gives Gamma(s, x) itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +52,10 @@ __all__ = [
     "golden_max",
 ]
 
-DEFAULT_SEED = 20260809
+# The sphere rule: SPHERE_NODES directions on S^(n-1), in antithetic pairs
+# drawn from SPHERE_SEED, so every run samples the same directions.
+SPHERE_NODES = 32
+SPHERE_SEED = 20260809
 # where exp(-r^2/2) falls to the smallest normal double, about 37.6
 MAX_RADIUS = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
 _EPS = float(np.finfo(float).eps)
@@ -112,24 +116,21 @@ class GaussianMeasure:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy and sampling policy for all integrations.
-
-    The truncation radius is chosen from the integrand envelope and abs_tol.
-    sphere_nodes is the total number of sampled directions on S^(n-1)
-    (antithetic pairs, so it must be even for n >= 2).  The seed makes
-    angular sampling reproducible.
+    """Accuracy policy for all integrations: each integral is refined until
+    its error is within max(abs_tol, rel_tol * |value|), and the truncation
+    radius is chosen from the integrand envelope and abs_tol.  The sphere
+    rule is fixed (`SPHERE_NODES`, `SPHERE_SEED`).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    sphere_nodes: int = 32
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2):
             raise PreconditionError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
-        if self.sphere_nodes < 1:
-            raise PreconditionError("sphere_nodes must be >= 1")
+        if not (0.0 <= self.abs_tol < math.inf):
+            raise PreconditionError(
+                f"abs_tol must be finite and >= 0, got {self.abs_tol}")
 
 
 @dataclass(slots=True)  # not frozen: a frozen constructor costs ~3x as much
@@ -201,8 +202,7 @@ def _median(x: np.ndarray):
     return (part[h - 1] + part[h]) / 2.0
 
 
-def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float,
-              max_panels: int = 4096, first=None):
+def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None):
     """Adaptive panel subdivision until every component meets its tolerance.
 
     first is the (vals, errs) that `_gk_panels` gives on the edges' panels,
@@ -217,7 +217,7 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float,
         need = np.maximum(abs_tol, rel_tol * np.abs(tot))
         if np.all(tot_err <= need):
             return tot, tot_err, True
-        if lo.size >= max_panels:
+        if lo.size >= 4096:
             return tot, tot_err, False
         score = (errs / need[:, None]).max(axis=0)
         top = score.max()
@@ -240,7 +240,7 @@ def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
     """Plain adaptive integral of f over [a, b] (no measure weight)."""
     if not b > a:
         return IntegralResult(0.0, 0.0, b)
-    edges = _build_edges(a, b, breakpoints, seeds=())
+    edges = _build_edges(a, b, breakpoints)
     val, err, ok = _adaptive(f, edges, rel_tol, abs_tol)
     return IntegralResult(float(val[0]), float(err[0]), b, converged=ok)
 
@@ -421,12 +421,9 @@ def truncation_radius(degree: float, rate: float, abs_tol: float) -> float:
 # Radial and n-dimensional integration
 # ---------------------------------------------------------------------------
 
-def _build_edges(a: float, b: float, breakpoints, seeds) -> np.ndarray:
+def _build_edges(a: float, b: float, points) -> np.ndarray:
     pts = {a, b}
-    for p in breakpoints:
-        if a < p < b:
-            pts.add(float(p))
-    for p in seeds:
+    for p in points:
         if a < p < b:
             pts.add(float(p))
     return np.array(sorted(pts))
@@ -485,34 +482,37 @@ def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None,
         w = np.power(r, n - 1) * np.exp(-0.5 * r * r)
         return vals * w[None, :]
 
-    edges = _build_edges(0.0, radius, breakpoints, _radial_seeds(radius, deg, rate))
+    edges = _build_edges(0.0, radius, (*breakpoints, *_radial_seeds(radius, deg, rate)))
     vals, errs, ok = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol)
     tail = 0.0 if not math.isfinite(rate) else gaussian_tail(deg, rate, radius)
     return vals, errs + tail, radius, ok
 
 
-def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
-    """Reproducible directions on S^(n-1) in antithetic pairs (y, -y).
-
-    For n=1 the two unit vectors are returned exactly."""
+@functools.cache
+def sphere_directions(n: int) -> np.ndarray:
+    """The sphere rule on S^(n-1): SPHERE_NODES / 2 directions y drawn from
+    SPHERE_SEED, then their antipodes -y; for n=1 the two unit vectors.
+    Drawn once per dimension and shared, so the array is read-only."""
     if n < 1:
         raise PreconditionError(f"dimension must be >= 1, got {n}")
     if n == 1:
-        return np.array([[1.0], [-1.0]])
-    pairs = max(1, (count + 1) // 2)
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((pairs, n))
-    norms = np.linalg.norm(raw, axis=1)
-    while np.any(norms < 1e-12):  # pragma: no cover - measure-zero event
-        raw[norms < 1e-12] = rng.standard_normal((int((norms < 1e-12).sum()), n))
+        dirs = np.array([[1.0], [-1.0]])
+    else:
+        rng = np.random.default_rng(SPHERE_SEED)
+        raw = rng.standard_normal((SPHERE_NODES // 2, n))
         norms = np.linalg.norm(raw, axis=1)
-    y = raw / norms[:, None]
-    return np.concatenate([y, -y], axis=0)
+        while np.any(norms < 1e-12):  # pragma: no cover - measure-zero event
+            raw[norms < 1e-12] = rng.standard_normal((int((norms < 1e-12).sum()), n))
+            norms = np.linalg.norm(raw, axis=1)
+        y = raw / norms[:, None]
+        dirs = np.concatenate([y, -y], axis=0)
+    dirs.flags.writeable = False
+    return dirs
 
 
 class SampleStore:
-    """The samples g(r y_j) of one point function g on R^n at the spec's
-    sphere directions y_j, each radius evaluated once.
+    """The samples g(r y_j) of one point function g on R^n at the sphere
+    directions y_j, each radius evaluated once.
 
     Calling the store with radii r of shape (k,) returns the (directions x k)
     block g(r_i y_j).  g is called only at radii the store has not seen,
@@ -521,12 +521,10 @@ class SampleStore:
     of one profile can read one store.
     """
 
-    def __init__(self, g, n: int, spec: QuadratureSpec | None = None):
-        spec = spec or QuadratureSpec()
-        self.directions = sphere_directions(n, spec.sphere_nodes, spec.seed)
+    def __init__(self, g, n: int):
+        self.directions = sphere_directions(n)
         self.g = g
         self.n = n
-        self.sphere = (spec.sphere_nodes, spec.seed)
         self._radii = np.empty(0)                       # sorted, distinct
         self._columns = np.empty(0, dtype=np.intp)      # their buffer columns
         self._buffer = np.empty((self.directions.shape[0], 0))
@@ -583,10 +581,10 @@ def integrate_gaussian_nd(g, n: int, spec: QuadratureSpec | None = None,
     antithetic-pair means to the mean radial quadrature error.
     """
     spec = spec or QuadratureSpec()
-    store = g if isinstance(g, SampleStore) else SampleStore(g, n, spec)
-    if store.n != n or store.sphere != (spec.sphere_nodes, spec.seed):
+    store = g if isinstance(g, SampleStore) else SampleStore(g, n)
+    if store.n != n:
         raise PreconditionError(
-            "sample store was drawn for another dimension or sphere rule")
+            f"sample store was drawn for dimension {store.n}, not {n}")
     dirs = store.directions
 
     def family(r):

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from orlicz_hardy import cli, functionals
+from orlicz_hardy import cli, functionals, quadrature
 from orlicz_hardy import hardy as hardy_mod
 from orlicz_hardy import landau_kolmogorov as lk_mod
 from orlicz_hardy import mazya as mazya_mod
@@ -111,7 +111,7 @@ class TestSubcommands:
         (["--normalized"], "normalization", "normalized"),
         (["--rel-tol", "1e-8"], "quadrature_spec", {
             "rel_tol": 1e-8, "abs_tol": 1e-14, "sphere_nodes": 32,
-            "seed": cli.QuadratureSpec().seed}),
+            "seed": quadrature.SPHERE_SEED}),
     ])
     def test_shared_flags_after_the_subcommand(self, tmp_path, flag, field, value):
         battery = ["lk", "--nfunc", "p2", "--dim", "1"]
@@ -391,4 +391,17 @@ class TestUnreadableInputExitsTwo:
         assert main(["--corpus", str(path), "--out", str(tmp_path), "certify"]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and reason in err
+        assert not (tmp_path / "certify.json").exists()
+
+    @pytest.mark.parametrize("flag, shown", [
+        (["--rel-tol", "0.5"], "0.5"),
+        (["--abs-tol", "inf"], "inf"),
+        (["--abs-tol", "nan"], "nan"),
+        (["--abs-tol=-1"], "-1.0"),
+    ], ids=["rel-tol-0.5", "abs-tol-inf", "abs-tol-nan", "abs-tol-negative"])
+    def test_bad_tolerance_flag(self, tmp_path, capsys, flag, shown):
+        # these once ended in a traceback, a misleading message or a report
+        assert main(["--out", str(tmp_path), *flag, "certify"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"got {shown}" in err
         assert not (tmp_path / "certify.json").exists()

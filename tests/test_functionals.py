@@ -279,9 +279,9 @@ class FreshStore(SampleStore):
         return np.asarray(self.g(self.points(r)), dtype=float)
 
 
-def fresh_samples(u, spec):
-    stores = FieldSamples.of(u, spec)
-    return FieldSamples(*(FreshStore(s.g, u.n, spec) for s in
+def fresh_samples(u):
+    stores = FieldSamples.of(u)
+    return FieldSamples(*(FreshStore(s.g, u.n) for s in
                           (stores.u, stores.grad, stores.hess)))
 
 
@@ -296,7 +296,7 @@ class TestSampleStoreOracle:
             if not factory.compatible(n):
                 continue
             u = factory.instantiate(n)
-            shared, fresh = FieldSamples.of(u, spec), fresh_samples(u, spec)
+            shared, fresh = FieldSamples.of(u), fresh_samples(u)
             assert (lk_norm_triple(u, nf, spec, samples=shared)
                     == lk_norm_triple(u, nf, spec, samples=fresh)), label
             triple = modular_triple_nd(u, nf, spec, samples=shared)
@@ -307,7 +307,7 @@ class TestSampleStoreOracle:
                                             samples=fresh)), label
             meas = GaussianMeasure(n)
             assert (luxemburg_norm(u, nf, meas, spec)
-                    == luxemburg_norm(ScalarProfile(FreshStore(u.u, n, spec), u.hint),
+                    == luxemburg_norm(ScalarProfile(FreshStore(u.u, n), u.hint),
                                       nf, meas, spec)), label
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -114,6 +115,22 @@ class TestAlternative:
             assert rep.verdict != "fails", (nf_label, u_label, n, rep.slack)
             if D + n >= math.e + 2.0:
                 assert rep.details["term2_verdict"] != "fails"
+
+    def test_term2_error_is_the_exact_rise(self, admissible_triples):
+        # here L + eL rounds to L, and the rise once read 0, which bounds
+        # nothing; in 60-digit arithmetic L + eL is exact
+        tri = admissible_triples[("p4", "trunc_mild", 1)]
+        D, n = 4, 1
+        with mpmath.workdps(60):
+            def term2(L, G):
+                root = mpmath.sqrt(D * D / 4 * G ** (mpmath.mpf(2) / D)
+                                   + (D + n - 2) * L ** (mpmath.mpf(2) / D))
+                return (mpmath.mpf(D) / 2 * G ** (mpmath.mpf(1) / D) + root) ** D
+            L, G = mpmath.mpf(tri.L), mpmath.mpf(tri.G)
+            rise = float(term2(L + tri.errs[1], G + tri.errs[2]) - term2(L, G))
+        rep = check_alternative(tri, 4.0, 4.0, n)
+        assert rep.id == "term2"
+        assert rep.err_est == pytest.approx(tri.errs[0] + rise, rel=1e-12, abs=0.0)
 
     def test_invalid_exponents(self):
         with pytest.raises(PreconditionError):
@@ -291,6 +308,23 @@ class TestCheckNd:
             p2 = manifest.nfunc("p2")
             rep = check_nd(modular_triple_nd(field, p2, spec), p2, 2, "hn1")
             assert rep.verdict == "holds", (label, rep.slack)
+
+    @pytest.mark.parametrize("nf_label", ["p3", "p4"])
+    def test_term2_error_is_stable_under_one_ulp(self, manifest, spec, nf_label):
+        # the rise of term2 over the modular errors once came from a
+        # difference of two nearly equal values: one ulp of L and G moved
+        # the err_est of fr_smooth at n=2 by 6.1e-5 (p3) and 1.6e-5 (p4)
+        nf = manifest.nfunc(nf_label)
+        d, D = nf.require_exponents()
+        tri = modular_triple_nd(manifest.field_functions["fr_smooth"].instantiate(2),
+                                nf, spec)
+        nudged = ModularTriple(tri.K, math.nextafter(tri.L, math.inf),
+                               math.nextafter(tri.G, math.inf), tri.errs)
+        for check in (lambda t: check_nd(t, nf, 2, "wwww"),
+                      lambda t: check_alternative(t, d, D, 2)):
+            before, after = check(tri), check(nudged)
+            assert before.id in ("wwww", "term2")
+            assert abs(after.err_est - before.err_est) <= 1e-12 * before.err_est
 
     def test_norm_form_nd(self, manifest, spec):
         field = manifest.field_functions["fx_lin"].instantiate(2)

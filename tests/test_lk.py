@@ -298,7 +298,7 @@ class TestModularTermsFromTheTriple:
                 if not factory.compatible(n):
                     continue
                 u = factory.instantiate(n)
-                samples = FieldSamples.of(u, spec)
+                samples = FieldSamples.of(u)
                 triple = modular_triple_nd(u, nf, spec, normalized, samples)
                 for theta in DEFAULT_THETAS:
                     direct = [quadrature.integrate_gaussian_nd(

@@ -208,14 +208,12 @@ class TestGaussianNd:
             return np.exp(-0.25 * s)
         target = surface_area(3) * integrate_radial(
             lambda r: np.exp(-0.25 * r * r), 3).value
-        for seed in (1, 7, 12345):
-            res = integrate_gaussian_nd(g, 3, QuadratureSpec(seed=seed))
-            assert res.value == pytest.approx(target, rel=1e-9)
-            assert res.angular_sem < 1e-12 * abs(target)
+        res = integrate_gaussian_nd(g, 3)
+        assert res.value == pytest.approx(target, rel=1e-9)
+        assert res.angular_sem < 1e-12 * abs(target)
 
     def test_coordinate_square_within_error(self):
         res = integrate_gaussian_nd(lambda x: x[..., 0] ** 2, 2,
-                                    QuadratureSpec(sphere_nodes=256),
                                     envelope=SupportHint.decaying(2, 0.0))
         assert abs(res.value - 2.0 * math.pi) <= 4.0 * res.err_est
 
@@ -226,10 +224,20 @@ class TestGaussianNd:
         assert res.value == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-10)
 
     def test_directions_antithetic(self):
-        dirs = sphere_directions(4, 32, seed=5)
+        dirs = sphere_directions(4)
         assert dirs.shape == (32, 4)
         np.testing.assert_allclose(dirs[:16], -dirs[16:], atol=0)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_directions_are_the_fixed_rule(self, n):
+        # 16 antithetic pairs from the fixed seed, bit for bit, drawn once
+        raw = np.random.default_rng(20260809).standard_normal((16, n))
+        y = raw / np.linalg.norm(raw, axis=1)[:, None]
+        dirs = sphere_directions(n)
+        assert np.array_equal(dirs, np.concatenate([y, -y]))
+        assert not dirs.flags.writeable
+        assert sphere_directions(n) is dirs
 
     def test_zero_dimension_rejected(self):
         # formerly the direction re-draw loop spun forever for n = 0
@@ -238,11 +246,15 @@ class TestGaussianNd:
         with pytest.raises(PreconditionError, match="dimension"):
             SampleStore(lambda x: x[..., 0], 0)
         with pytest.raises(PreconditionError, match="dimension"):
-            sphere_directions(-1, 32, seed=5)
+            sphere_directions(-1)
 
     def test_spec_validation(self):
         with pytest.raises(PreconditionError):
             QuadratureSpec(rel_tol=0.5)
+        for bad in (math.inf, math.nan, -1.0):
+            with pytest.raises(PreconditionError, match="abs_tol"):
+                QuadratureSpec(abs_tol=bad)
+        assert QuadratureSpec(abs_tol=0.0).abs_tol == 0.0
         with pytest.raises(PreconditionError):
             GaussianMeasure(0)
 
@@ -310,10 +322,8 @@ class TestSampleStore:
 
     def test_store_of_another_rule_rejected(self):
         store = SampleStore(bump, 2)
-        with pytest.raises(PreconditionError, match="sample store"):
+        with pytest.raises(PreconditionError, match="sample store.* 2, not 3"):
             integrate_gaussian_nd(store, 3)
-        with pytest.raises(PreconditionError, match="sample store"):
-            integrate_gaussian_nd(store, 2, QuadratureSpec(sphere_nodes=16))
 
 
 def gauss_bump(x):
