@@ -28,13 +28,6 @@ fields = [f.instantiate(n) for f in manifest.field_functions.values()
           if f.compatible(n)]
 print(f"corpus at n = {n}: {[f.label for f in fields]}")
 
-fit, rows = fit_lk_norm_envelope(fields, nf, None)
-print(f"\nnorm-form envelope for M = r^2: C1~ = {fit.c1:g}, C2~ = {fit.c2:g} "
-      f"(binding member: {fit.binding_label})")
-for label, r, s, t in rows:
-    print(f"  {label:10s} ||grad u|| = {r:8.4f}   sqrt(||hess|| ||u||) = {s:8.4f}"
-          f"   ||u|| = {t:8.4f}")
-
 # each member's K, L, G triple: the theta-form terms and the Hardy gate read it
 triples = {u.label: modular_triple_nd(u, nf) for u in fields}
 fit_mod, terms = fit_lk_modular_envelope(fields, nf, triples, None,
@@ -46,6 +39,14 @@ for theta in (0.25, 0.5, 1.0):
                                  theta).verdict
                 for by_theta in terms.values()]
     print(f"  theta = {theta:4.2f}: {verdicts}")
+
+# the theta = 1 terms are the three norms' modulars at K = 1
+fit, rows = fit_lk_norm_envelope(fields, nf, terms, None)
+print(f"\nnorm-form envelope for M = r^2: C1~ = {fit.c1:g}, C2~ = {fit.c2:g} "
+      f"(binding member: {fit.binding_label})")
+for label, r, s, t in rows:
+    print(f"  {label:10s} ||grad u|| = {r:8.4f}   sqrt(||hess|| ||u||) = {s:8.4f}"
+          f"   ||u|| = {t:8.4f}")
 
 u = fields[0]
 rep = check_lk_modular(terms[u.label][1.0], fit_mod.c1, fit_mod.c2,

@@ -42,15 +42,23 @@ DEFAULT_ALPHAS = (0.0, 0.5, 0.9, 0.99, 0.999)
 DEFAULT_THETAS = (0.25, 0.5, 1.0)
 # radial members whose www norm form runs when no --form is given
 NORM_FORM_SUBSET = ("ga_mild", "bump_mid", "pg_decay")
+# the --form values that check fields on R^n only, and so need no radial triple
+ND_FORMS = ("hn1", "wwww", "hn11")
 
 
 def _parse_dims(text: str) -> list[int]:
-    """'2' | '1,2,3' | '1..3' -> list of dimensions."""
+    """'2' | '1,2,3' | '1..3' -> list of dimensions; an empty or descending
+    range, or a dimension below 1, is an argument error."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",") if t]
+        dims = list(range(int(lo), int(hi) + 1))
+    else:
+        dims = [int(t) for t in text.split(",") if t]
+    if not dims or min(dims) < 1:
+        raise argparse.ArgumentTypeError(
+            f"need dimensions >= 1 in a non-empty list or an ascending range, got {text!r}")
+    return dims
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -78,9 +86,11 @@ def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
     for nf_label, nf in sorted(nfuncs.items()):
         d, D = nf.require_exponents()
         for n in dims:
-            # admissible corpus: members whose modulars are finite for this M
+            # admissible corpus: members whose modulars are finite for this M,
+            # integrated only when a radial form runs
+            radial = {} if form in ND_FORMS else manifest.radial_functions
             triples = dict()
-            for u_label, u in sorted(manifest.radial_functions.items()):
+            for u_label, u in sorted(radial.items()):
                 triple = modular_triple_radial(u, nf, n, spec)
                 if triple.valid:
                     triples[u_label] = (u, triple)
@@ -117,9 +127,9 @@ def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
                 subset = (triples.keys() if form == "www" else
                           [s for s in NORM_FORM_SUBSET if s in triples])
                 for u_label in subset:
-                    u, _ = triples[u_label]
+                    u, triple = triples[u_label]
                     checks.append(hardy_mod.check_norm_form_radial(
-                        u, nf, n, spec, **labels("www", u_label)))
+                        u, nf, n, triple, spec, **labels("www", u_label)))
 
             # n-dimensional forms over the field corpus, one modular triple
             # per field for every modular form
@@ -304,7 +314,13 @@ def _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
     # LK checks name only the normalized measure; the unnormalized default
     # is left to the report's own `normalization`, as before
     norm = "normalized" if normalized else None
-    fit_norm, rows = lk_mod.fit_lk_norm_envelope(fields, nf, spec, fit_grid,
+    # the modular terms come first: their theta = 1 terms are the norms'
+    # modulars at K = 1
+    triples = {u.label: modular_triple_nd(u, nf, spec, normalized, samples[u.label])
+               for u in fields}
+    fit_mod, terms = lk_mod.fit_lk_modular_envelope(
+        fields, nf, triples, spec, fit_grid, theta_grid, normalized, samples)
+    fit_norm, rows = lk_mod.fit_lk_norm_envelope(fields, nf, terms, spec, fit_grid,
                                                  normalized, samples)
     _record_fit(fit_norm, nf_label, n, checks, fits, norm)
     for label, *triple in rows:
@@ -313,10 +329,6 @@ def _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
             check_id=f"statB2gauss:{nf_label}:{label}:n={n}",
             nfunc_label=nf.label, subject_label=label, n=n, normalization=norm))
 
-    triples = {u.label: modular_triple_nd(u, nf, spec, normalized, samples[u.label])
-               for u in fields}
-    fit_mod, terms = lk_mod.fit_lk_modular_envelope(
-        fields, nf, triples, spec, fit_grid, theta_grid, normalized, samples)
     _record_fit(fit_mod, nf_label, n, checks, fits, norm,
                 theta_grid=list(theta_grid))
     series[f"lk_theta_sweep:{nf_label}:n={n}"] = [

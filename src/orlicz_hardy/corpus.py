@@ -394,8 +394,8 @@ class CorpusManifest:
         try:
             return self.nfunctions[label]
         except KeyError:
-            raise KeyError(f"no N-function '{label}' in manifest "
-                           f"(have {sorted(self.nfunctions)})") from None
+            raise ManifestError(f"no N-function '{label}' in manifest "
+                                f"(have {sorted(self.nfunctions)})") from None
 
 
 def default_manifest_path() -> Path:

@@ -9,7 +9,8 @@ with the n-dimensional counterparts integrating M(|x| |u|), M(|u|) and
 M(|grad u|) against exp(-|x|^2/2) dx.  Every modular, of a triple, a norm
 or a Landau-Kolmogorov term, is one `_modular` call, which derives the
 truncation envelope of M(|f|) from the decay hint of f and the N-function's
-certified exponents; a Luxemburg norm is one bracketed log-log secant search.
+certified exponents; a Luxemburg norm is one bracketed log-log secant search
+from the modular at K = 1 that its caller integrated.
 """
 
 from __future__ import annotations
@@ -257,25 +258,29 @@ def modular_value(f, nf: NFunction, measure, spec: QuadratureSpec | None = None,
                     lambda a, r: a / scale).value
 
 
-def luxemburg_norm(f, nf: NFunction, measure, spec: QuadratureSpec | None = None,
+def luxemburg_norm(f, nf: NFunction, measure, m1: float,
+                   spec: QuadratureSpec | None = None,
                    norm_tol: float = 1e-9) -> float:
-    """The Luxemburg norm inf{K > 0 : int M(|f|/K) dmu <= 1}.
+    """The Luxemburg norm inf{K > 0 : int M(|f|/K) dmu <= 1} from m1, the
+    modular int M(|f|) dmu at K = 1, which a battery has integrated as a
+    triple's K, L or G or an LK term (else `modular_value` gives it).
 
     Under the doubling condition the modular is exactly 1 at the norm.  The
     growth indices d <= D of M give k^d M(r) <= M(k r) <= k^D M(r) for
-    k >= 1, so the modular m1 at K = 1 puts log K in the bracket between
-    log(m1)/D and log(m1)/d.  For a power (d = D = p) that bracket is a
-    point: the norm is m1^(1/p), taken from the one modular when m1 was
-    resolved to relative accuracy (m1 * rel_tol >= abs_tol), else rescaled
-    exactly by a second modular at m1^(1/p), where it is O(1).  Otherwise
-    `_log_secant` searches until the modular lies within [1 - norm_tol,
-    1 + norm_tol].  On a Gaussian measure every scale reads one sample
-    store of the profile.
+    k >= 1, so m1 puts log K in the bracket between log(m1)/D and
+    log(m1)/d.  For a power (d = D = p) that bracket is a point: the norm is
+    m1^(1/p) when m1 was resolved to relative accuracy (m1 * rel_tol >=
+    abs_tol), else that value rescaled exactly by one modular at m1^(1/p),
+    where it is O(1).  Otherwise `_log_secant` searches until the modular
+    lies within [1 - norm_tol, 1 + norm_tol].  On a Gaussian measure every
+    scale reads one sample store of the profile.
     """
     spec = spec or QuadratureSpec()
     if nf.delta2_const is None:
         raise PreconditionError(
             f"N-function '{nf.label}' is not doubling-certified")
+    if not (0.0 <= m1 < math.inf):
+        raise PreconditionError(f"the modular at K = 1 must be finite and >= 0, got {m1}")
     profile = _as_profile(f, measure)
     if isinstance(measure, GaussianMeasure) and not isinstance(profile.fn, SampleStore):
         profile = replace(profile, fn=SampleStore(profile.fn, measure.n))
@@ -286,8 +291,7 @@ def luxemburg_norm(f, nf: NFunction, measure, spec: QuadratureSpec | None = None
     def resolved(m: float) -> bool:
         return m * spec.rel_tol >= spec.abs_tol
 
-    m1 = modular(1.0)
-    if m1 <= 0.0:
+    if m1 == 0.0:
         return 0.0
     d, D = nf.require_exponents()
     if d == D:

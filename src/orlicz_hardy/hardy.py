@@ -21,6 +21,7 @@ from .functionals import (
     RadialTestFunction,
     ScalarProfile,
     luxemburg_norm,
+    modular_triple_nd,
 )
 from .nfunc import NFunction, comparison_tol
 from .quadrature import (
@@ -249,21 +250,24 @@ def check_convex_case(triple: ModularTriple, D: float, n: int,
     return check
 
 
-def _check_norm_form(form: str, profiles: tuple, nf: NFunction, measure,
-                     n: int, spec: QuadratureSpec | None, **meta) -> Check:
+def _check_norm_form(form: str, profiles: tuple, triple: ModularTriple,
+                     nf: NFunction, measure, n: int, spec: QuadratureSpec | None,
+                     **meta) -> Check:
     """Norm form ||r f|| <= C (||f|| + ||f'||) with C = C1 + C2 + 1, from the
-    ScalarProfiles (f, f', r f) on the measure.
+    ScalarProfiles (f, f', r f) on the measure, whose modulars at K = 1 are
+    the L, G and K of f's modular triple.
 
     C1, C2 are the doubling-case constants; the norm argument applies the
     modular bound to f scaled by ||f|| + ||f'|| and uses that the modular
     equals 1 at the Luxemburg norm under doubling.
     """
+    _require_valid(triple)
     _, D = nf.require_exponents()
     c1, c2, proof = convex_constants(D, n)
     c = c1 + c2 + 1.0
     f, df, rf = profiles
-    norm_u = luxemburg_norm(f, nf, measure, spec)
-    norm_du = luxemburg_norm(df, nf, measure, spec)
+    norm_u = luxemburg_norm(f, nf, measure, triple.L, spec)
+    norm_du = luxemburg_norm(df, nf, measure, triple.G, spec)
     denom = norm_u + norm_du
     constants = {"C": c, "C1": c1, "C2": c2, **proof,
                  "norm_u": norm_u, "norm_du": norm_du}
@@ -271,16 +275,18 @@ def _check_norm_form(form: str, profiles: tuple, nf: NFunction, measure,
         check = _check(form, 0.0, 0.0, constants, 0.0, n=n, **meta)
         check.verdict = "trivial"
         return check
-    constants["norm_ru"] = norm_ru = luxemburg_norm(rf, nf, measure, spec)
+    constants["norm_ru"] = norm_ru = luxemburg_norm(rf, nf, measure, triple.K, spec)
     ratio = norm_ru / denom
     return _check(form, ratio, c, constants, err_est=3e-9 * max(1.0, ratio),
                   n=n, details={"ratio": ratio}, **meta)
 
 
 def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
+                           triple: ModularTriple,
                            spec: QuadratureSpec | None = None,
                            **meta) -> Check:
-    """Norm form www: ||r u|| <= C (||u|| + ||u'||) on the radial measure."""
+    """Norm form www: ||r u|| <= C (||u|| + ||u'||) on the radial measure,
+    from the `modular_triple_radial` of (u, nf, n)."""
     if nf.delta2_const is None:
         raise PreconditionError(f"'{nf.label}' must be doubling-certified")
     weighted = ScalarProfile(lambda r: np.asarray(r, dtype=float) * np.abs(u.u(r)),
@@ -288,7 +294,7 @@ def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
     return _check_norm_form(
         "www", (ScalarProfile(u.u, u.hint, u.breakpoints),
                 ScalarProfile(u.du, u.du_hint(), u.breakpoints), weighted),
-        nf, RadialMeasure(n), n, spec, **meta)
+        triple, nf, RadialMeasure(n), n, spec, **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +345,8 @@ def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
                        spec: QuadratureSpec | None = None,
                        normalized: bool = False, **meta) -> Check:
     """Norm form hn11 on R^n: ||.|x| u|| <= C (||u|| + ||grad u||), with
-    the samples of |u| and |grad u| read from the field's sample stores."""
+    the samples of |u| and |grad u| read from the field's sample stores and
+    the norms' modulars at K = 1 from the field's `modular_triple_nd`."""
     if n != u.n:
         raise PreconditionError(f"field '{u.label}' has dimension {u.n}, not {n}")
     if nf.delta2_const is None or not nf.convex:
@@ -352,5 +359,6 @@ def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
     return _check_norm_form(
         "hn11", (ScalarProfile(samples.u, u.hint),
                  ScalarProfile(samples.grad, u.grad_hint()), weighted),
+        modular_triple_nd(u, nf, spec, normalized, samples),
         nf, GaussianMeasure(n, normalized), n, spec,
         normalization="normalized" if normalized else "unnormalized", **meta)

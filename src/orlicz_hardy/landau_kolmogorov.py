@@ -120,20 +120,24 @@ def check_lk_modular(terms: tuple, c1: float, c2: float, theta: float = 1.0,
         theta=theta, **meta)
 
 
-def lk_norm_triple(u: FieldFunction, nf: NFunction,
+def lk_norm_triple(u: FieldFunction, nf: NFunction, terms: tuple,
                    spec: QuadratureSpec | None = None,
                    normalized: bool = False,
                    samples: FieldSamples | None = None) -> tuple[float, float, float]:
     """(r, s, t) = (||grad u||, sqrt(||hess u|| ||u||), ||u||) in Luxemburg
     norms, read from the field's sample stores (fresh ones unless `samples`
-    is given)."""
+    is given).  The theta = 1 `lk_modular_terms` of (u, nf) hold the
+    norms' modulars at K = 1: lhs, Hessian and function term."""
     _require_lk_hypotheses(u, nf)
     if samples is None:
         samples = FieldSamples.of(u)
     meas = GaussianMeasure(u.n, normalized)
-    norm_u = luxemburg_norm(ScalarProfile(samples.u, u.hint), nf, meas, spec)
-    norm_grad = luxemburg_norm(ScalarProfile(samples.grad, u.grad_hint()), nf, meas, spec)
-    norm_hess = luxemburg_norm(ScalarProfile(samples.hess, u.hess_hint()), nf, meas, spec)
+    m_grad, m_hess, m_u, _ = terms
+    norm_u = luxemburg_norm(ScalarProfile(samples.u, u.hint), nf, meas, m_u, spec)
+    norm_grad = luxemburg_norm(ScalarProfile(samples.grad, u.grad_hint()), nf, meas,
+                               m_grad, spec)
+    norm_hess = luxemburg_norm(ScalarProfile(samples.hess, u.hess_hint()), nf, meas,
+                               m_hess, spec)
     return norm_grad, math.sqrt(norm_hess * norm_u), norm_u
 
 
@@ -163,8 +167,13 @@ def fit_envelope(items, grid=DEFAULT_FIT_GRID) -> tuple[float, float, str, bool]
     with ties broken toward smaller C1, whatever the grid order; returns
     (c1, c2, binding_label, feasible).  The binding item is the one with
     least slack at the selection.  An item with a non-finite lhs makes every
-    grid pair infeasible.
+    grid pair infeasible.  A grid that is empty or holds a constant that is
+    not finite and positive raises PreconditionError.
     """
+    grid = tuple(grid)
+    if not grid or not all(0.0 < c < math.inf for c in grid):
+        raise PreconditionError(
+            f"the constant grid must be non-empty, finite and positive, got {list(grid)}")
     items = list(items)
     if not items:
         raise PreconditionError("cannot fit an envelope over an empty corpus")
@@ -184,18 +193,20 @@ def fit_envelope(items, grid=DEFAULT_FIT_GRID) -> tuple[float, float, str, bool]
     return c1, c2, binding[0], True
 
 
-def fit_lk_norm_envelope(corpus, nf: NFunction,
+def fit_lk_norm_envelope(corpus, nf: NFunction, terms: dict,
                          spec: QuadratureSpec | None = None,
                          grid=DEFAULT_FIT_GRID, normalized: bool = False,
                          samples: dict | None = None) -> tuple[LKFit, list]:
     """Fit the norm-form envelope over a corpus of fields; returns the fit
-    plus per-member (label, r, s, t) rows.  samples maps a member's label
-    to its FieldSamples."""
+    plus per-member (label, r, s, t) rows.  terms is the label -> theta ->
+    terms map of `fit_lk_modular_envelope` (its theta = 1 terms are the
+    norms' modulars at K = 1), samples maps a label to its FieldSamples."""
     samples = samples or {}
     rows = []
     items = []
     for u in corpus:
-        r, s, t = lk_norm_triple(u, nf, spec, normalized, samples.get(u.label))
+        r, s, t = lk_norm_triple(u, nf, terms[u.label][1.0], spec, normalized,
+                                 samples.get(u.label))
         rows.append((u.label, r, s, t))
         if t <= 0.0 and r <= 0.0:
             continue

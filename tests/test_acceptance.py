@@ -221,24 +221,29 @@ def test_10_lk_envelopes(manifest, spec):
         for n in (1, 2):
             fields = [f.instantiate(n) for f in manifest.field_functions.values()
                       if f.compatible(n)]
-            fit_norm, _ = fit_lk_norm_envelope(fields, nf, spec)
-            ok &= fit_norm.feasible and math.isfinite(fit_norm.c1 + fit_norm.c2)
-            ok &= fit_norm.binding_label in {f.label for f in fields}
             triples = {u.label: modular_triple_nd(u, nf, spec) for u in fields}
             fit_mod, terms = fit_lk_modular_envelope(fields, nf, triples, spec,
                                                      theta_grid=(0.25, 0.5, 1.0))
             ok &= fit_mod.feasible
+            fit_norm, _ = fit_lk_norm_envelope(fields, nf, terms, spec)
+            ok &= fit_norm.feasible and math.isfinite(fit_norm.c1 + fit_norm.c2)
+            ok &= fit_norm.binding_label in {f.label for f in fields}
             for u in fields:
                 for theta in (0.25, 0.5, 1.0):
                     rep = check_lk_modular(terms[u.label][theta], fit_mod.c1,
                                            fit_mod.c2, theta)
                     ok &= rep.verdict in ("holds", "indeterminate")
             # stability: a larger corpus cannot shrink the envelope
-            fit_small, _ = fit_lk_norm_envelope(fields[:2], nf, spec)
+            fit_small, _ = fit_lk_norm_envelope(fields[:2], nf, terms, spec)
             ok &= fit_norm.c1 + fit_norm.c2 >= fit_small.c1 + fit_small.c2 - 1e-12
             details.append(f"{nf_label}/n={n}: ({fit_norm.c1:g},{fit_norm.c2:g})")
     _criterion(10, "finite fitted Landau-Kolmogorov envelopes with theta sweep",
                ok, "; ".join(details))
+
+
+def fresh_norm(f, nf, measure, spec):
+    """The Luxemburg norm of f, its modular at K = 1 integrated afresh."""
+    return luxemburg_norm(f, nf, measure, modular_value(f, nf, measure, spec), spec)
 
 
 def test_11_norm_layer(manifest, admissible_triples, spec):
@@ -246,11 +251,11 @@ def test_11_norm_layer(manifest, admissible_triples, spec):
     homog_ok = True
     for u_label in ("bump_mid", "pg_decay"):
         u = manifest.radial_functions[u_label]
-        base = luxemburg_norm(u, nf, RadialMeasure(1), spec)
+        base = fresh_norm(u, nf, RadialMeasure(1), spec)
         for c in (0.1, 2.0, 17.0):
             scaled = ScalarProfile(lambda r, c=c: c * np.asarray(u.u(r), float),
                                    u.hint, u.breakpoints)
-            val = luxemburg_norm(scaled, nf, RadialMeasure(1), spec)
+            val = fresh_norm(scaled, nf, RadialMeasure(1), spec)
             homog_ok &= abs(val - c * base) <= 1e-8 * max(1.0, c * base)
     bound_ok = True
     saturate_ok = True
@@ -259,7 +264,7 @@ def test_11_norm_layer(manifest, admissible_triples, spec):
             continue
         nfun = manifest.nfunc(nf_label)
         u = manifest.radial_functions[u_label]
-        lux = luxemburg_norm(u, nfun, RadialMeasure(n), spec)
+        lux = fresh_norm(u, nfun, RadialMeasure(n), spec)
         bound_ok &= lux <= tri.L + 1.0 + 1e-8
         if lux > 0:
             mod = modular_value(u, nfun, RadialMeasure(n), spec, scale=lux)

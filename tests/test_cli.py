@@ -264,6 +264,22 @@ def test_run_hardy_computes_each_nd_triple_once(manifest, spec, monkeypatch):
     assert sorted(calls) == sorted(expected)
 
 
+def test_run_hardy_integrates_no_radial_triple_for_a_form_on_r_n(manifest, spec,
+                                                                 monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = functionals.modular_triple_radial
+    monkeypatch.setattr(cli, "modular_triple_radial", counted)
+    checks = []
+    run_hardy(manifest, spec, [1, 2, 3], checks, form="hn1")
+    assert checks and {c.id for c in checks} == {"hn1"}
+    assert calls == []
+
+
 def test_every_battery_is_a_subcommand_and_all_runs_each_once(tmp_path, monkeypatch):
     parser = cli.build_parser()
     assert cli.build_parser() is parser
@@ -405,3 +421,31 @@ class TestUnreadableInputExitsTwo:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"got {shown}" in err
         assert not (tmp_path / "certify.json").exists()
+
+
+def exit_status(argv) -> int:
+    """main's return value, or the status of the SystemExit that argument
+    parsing raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["hardy", "--dim", "3..1"], "'3..1'"),
+    (["hardy", "--dim", ","], "','"),
+    (["hardy", "--nfunc", "nope", "--dim", "1"], "no N-function 'nope'"),
+    (["lk", "--nfunc", "nope", "--dim", "1"], "no N-function 'nope'"),
+    (["lk", "--fit-grid", "0", "--dim", "1"], "[0.0]"),
+    (["lk", "--fit-grid=-1,2", "--dim", "1"], "[-1.0, 2.0]"),
+    (["lk", "--fit-grid", "1,inf", "--dim", "1"], "[1.0, inf]"),
+    (["lk", "--fit-grid", ",", "--dim", "1"], "[]"),
+], ids=["dim-descending", "dim-empty", "hardy-nfunc-unknown", "lk-nfunc-unknown",
+        "fit-grid-zero", "fit-grid-negative", "fit-grid-inf", "fit-grid-empty"])
+def test_argument_naming_nothing_valid_exits_two(tmp_path, capsys, argv, shown):
+    # these once ran 0 checks and exited 0, reported fails, or ended in a
+    # KeyError traceback
+    assert exit_status(["--out", str(tmp_path), *argv]) == 2
+    assert shown in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -46,7 +46,7 @@ class TestDefaultManifest:
             assert label in manifest.member_fingerprints
 
     def test_unknown_label_helpful(self, manifest):
-        with pytest.raises(KeyError, match="p9"):
+        with pytest.raises(ManifestError, match="p9"):
             manifest.nfunc("p9")
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from dataclasses import replace
@@ -35,7 +36,14 @@ from orlicz_hardy.quadrature import (
     integrate_radial,
     surface_area,
 )
+from orlicz_hardy.reporting import canonical_json
 from orlicz_hardy.sharpness import ExtremalParams, extremal_function, extremal_moments
+
+
+def fresh_norm(f, nf, measure, spec=None, norm_tol=1e-9):
+    """The Luxemburg norm of f, its modular at K = 1 integrated afresh."""
+    return luxemburg_norm(f, nf, measure, modular_value(f, nf, measure, spec), spec,
+                          norm_tol)
 
 
 def constant_profile(c=1.0):
@@ -89,8 +97,7 @@ class TestModularTripleRadial:
 class TestLuxemburg:
     def test_constant_closed_form(self):
         # modular(K) = K^-2 sqrt(pi/2) = 1  =>  K = (pi/2)^(1/4)
-        val = luxemburg_norm(constant_profile(), power_nfunction(2),
-                             RadialMeasure(1))
+        val = fresh_norm(constant_profile(), power_nfunction(2), RadialMeasure(1))
         assert val == pytest.approx((math.pi / 2.0) ** 0.25, rel=1e-9)
         assert val == pytest.approx(1.1195151349202477, rel=1e-9)
 
@@ -99,7 +106,7 @@ class TestLuxemburg:
             u=lambda r: np.zeros_like(np.asarray(r, float)),
             du=lambda r: np.zeros_like(np.asarray(r, float)),
             hint=SupportHint.decaying(0.0, 0.0))
-        assert luxemburg_norm(zero, power_nfunction(2), RadialMeasure(1)) == 0.0
+        assert fresh_norm(zero, power_nfunction(2), RadialMeasure(1)) == 0.0
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_power_norm_is_lp_norm(self, manifest, p):
@@ -110,7 +117,7 @@ class TestLuxemburg:
                 lp = integrate_radial(lambda r: np.abs(u.u(r)) ** p, n,
                                       envelope=u.hint,
                                       breakpoints=u.breakpoints).value ** (1.0 / p)
-                lux = luxemburg_norm(u, nf, RadialMeasure(n))
+                lux = fresh_norm(u, nf, RadialMeasure(n))
                 assert lux == pytest.approx(lp, rel=1e-8)
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -123,7 +130,7 @@ class TestLuxemburg:
                 u = factory.instantiate(n)
                 lp = integrate_gaussian_nd(lambda x: np.abs(u.u(x)) ** p, n, spec,
                                            envelope=u.hint).value ** (1.0 / p)
-                lux = luxemburg_norm(u, nf, GaussianMeasure(n), spec)
+                lux = fresh_norm(u, nf, GaussianMeasure(n), spec)
                 assert lux == pytest.approx(lp, rel=1e-8), (label, n)
 
     def test_norm_bounded_by_modular_plus_one(self, manifest, admissible_triples):
@@ -132,31 +139,31 @@ class TestLuxemburg:
                 continue
             nf = manifest.nfunc(nf_label)
             u = manifest.radial_functions[u_label]
-            lux = luxemburg_norm(u, nf, RadialMeasure(n))
+            lux = fresh_norm(u, nf, RadialMeasure(n))
             assert lux <= tri.L + 1.0 + 1e-8
 
     def test_delta2_saturation(self, manifest):
         nf = manifest.nfunc("p2log")
         u = manifest.radial_functions["pg_decay"]
-        lux = luxemburg_norm(u, nf, RadialMeasure(2))
+        lux = fresh_norm(u, nf, RadialMeasure(2))
         mod = modular_value(u, nf, RadialMeasure(2), scale=lux)
         assert mod == pytest.approx(1.0, abs=1e-7)
 
     def test_homogeneity(self, manifest):
         nf = manifest.nfunc("p2log")
         u = manifest.radial_functions["bump_mid"]
-        base = luxemburg_norm(u, nf, RadialMeasure(1))
+        base = fresh_norm(u, nf, RadialMeasure(1))
         for c in (0.1, 2.0, 17.0):
             scaled = ScalarProfile(lambda r, c=c: c * np.asarray(u.u(r), float),
                                    u.hint, u.breakpoints)
-            val = luxemburg_norm(scaled, nf, RadialMeasure(1))
+            val = fresh_norm(scaled, nf, RadialMeasure(1))
             assert val == pytest.approx(c * base, rel=1e-8)
 
     def test_divergent_norm_raises(self):
         hot = ScalarProfile(lambda r: np.exp(0.25 * np.asarray(r, float) ** 2),
                             SupportHint.decaying(0.0, -0.5))
         with pytest.raises(DivergenceError):
-            luxemburg_norm(hot, power_nfunction(2), RadialMeasure(1))
+            fresh_norm(hot, power_nfunction(2), RadialMeasure(1))
 
 
 class TestTruncate:
@@ -297,18 +304,19 @@ class TestSampleStoreOracle:
                 continue
             u = factory.instantiate(n)
             shared, fresh = FieldSamples.of(u), fresh_samples(u)
-            assert (lk_norm_triple(u, nf, spec, samples=shared)
-                    == lk_norm_triple(u, nf, spec, samples=fresh)), label
             triple = modular_triple_nd(u, nf, spec, samples=shared)
             assert triple == modular_triple_nd(u, nf, spec, samples=fresh), label
             for theta in (0.25, 0.5, 1.0):
-                assert (lk_modular_terms(u, nf, theta, triple, spec, samples=shared)
-                        == lk_modular_terms(u, nf, theta, triple, spec,
-                                            samples=fresh)), label
+                terms = lk_modular_terms(u, nf, theta, triple, spec, samples=shared)
+                assert terms == lk_modular_terms(u, nf, theta, triple, spec,
+                                                 samples=fresh), label
+            # theta = 1 came last: its terms are the norms' modulars at K = 1
+            assert (lk_norm_triple(u, nf, terms, spec, samples=shared)
+                    == lk_norm_triple(u, nf, terms, spec, samples=fresh)), label
             meas = GaussianMeasure(n)
-            assert (luxemburg_norm(u, nf, meas, spec)
-                    == luxemburg_norm(ScalarProfile(FreshStore(u.u, n), u.hint),
-                                      nf, meas, spec)), label
+            assert (fresh_norm(u, nf, meas, spec)
+                    == fresh_norm(ScalarProfile(FreshStore(u.u, n), u.hint),
+                                  nf, meas, spec)), label
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +392,7 @@ class TestLuxemburgIndices:
         # ~1e-14, on the abs_tol floor, so m1^(1/p) alone is wrong by ~40%
         u = manifest.field_functions["fx_cut"].instantiate(n)
         nf = manifest.nfunc(f"p{p}")
-        lux = luxemburg_norm(hessian_profile(u), nf, GaussianMeasure(n), spec)
+        lux = fresh_norm(hessian_profile(u), nf, GaussianMeasure(n), spec)
         ref = reference_norm(hessian_profile(u), nf, GaussianMeasure(n))
         assert lux == pytest.approx(ref, rel=1e-8)
 
@@ -411,7 +419,7 @@ class TestLuxemburgIndices:
     @staticmethod
     def assert_matches_reference(u, nf, meas, spec, where, norm_tol=1e-9,
                                  abs_tol=1e-40):
-        lux = luxemburg_norm(u, nf, meas, spec, norm_tol)
+        lux = fresh_norm(u, nf, meas, spec, norm_tol)
         ref = reference_norm(u, nf, meas, norm_tol, abs_tol)
         assert lux == pytest.approx(ref, rel=norm_tol), where
         if nf.d_exp != nf.D_exp:
@@ -444,6 +452,7 @@ class TestLuxemburgIndices:
 
     def test_power_norm_takes_at_most_two_modulars(self, manifest, spec,
                                                    monkeypatch):
+        # the caller's modular at K = 1, and at most one more inside the norm
         calls = count_modulars(monkeypatch)
         for nf_label in ("p2", "p2.5", "p3", "p4"):
             nf = manifest.nfunc(nf_label)
@@ -455,8 +464,8 @@ class TestLuxemburgIndices:
                              if modular_triple_radial(r, nf, n, spec).valid]
                 for f, meas in profiles:
                     calls.clear()
-                    luxemburg_norm(f, nf, meas, spec)
-                    assert 1 <= len(calls) <= 2, (nf_label, n)
+                    fresh_norm(f, nf, meas, spec)
+                    assert len(calls) <= 1, (nf_label, n)
 
     def test_power_log_norms_of_run_hardy_take_fewer_modulars(
             self, manifest, spec, monkeypatch):
@@ -490,3 +499,50 @@ def count_modulars(monkeypatch, within=luxemburg_norm):
 
     monkeypatch.setattr(functionals, "_modular", counted)
     return calls
+
+
+def afresh_norm(f, nf, measure, m1, spec=None, norm_tol=1e-9):
+    """Test-only reference: a norm that ignores the m1 it is handed and
+    integrates its modular at K = 1 afresh, as every norm once did."""
+    return fresh_norm(f, nf, measure, spec, norm_tol)
+
+
+class TestNormsFromTheTriple:
+    @pytest.mark.parametrize("form, normalized", [
+        ("www", False), ("hn11", False), ("hn11", True)])
+    def test_norm_forms_equal_norms_of_fresh_modulars(self, manifest, spec,
+                                                      monkeypatch, form, normalized):
+        # www and hn11 hand each norm its modular from the member's triple:
+        # every check must equal, bit for bit, the one whose norms integrate
+        # their modular at K = 1 afresh
+        def run():
+            checks = []
+            run_hardy(manifest, spec, [1, 2, 3], checks, form=form,
+                      normalized=normalized)
+            return [canonical_json(c.as_dict()) for c in checks]
+
+        handed = run()
+        monkeypatch.setattr(hardy_mod, "luxemburg_norm", afresh_norm)
+        afresh = run()
+        assert len(handed) > 0
+        assert {json.loads(c)["nfunc_label"] for c in handed} == set(manifest.nfunctions)
+        assert handed == afresh
+
+    def test_www_norms_integrate_no_modular_at_k_one(self, manifest, spec,
+                                                     monkeypatch):
+        # every scale a norm integrates at is read off the norm's `modular`
+        scales = []
+        original = functionals._modular
+
+        def recorded(*args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_code.co_qualname == "luxemburg_norm.<locals>.modular":
+                scales.append(caller.f_locals["k"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "_modular", recorded)
+        checks = []
+        run_hardy(manifest, spec, [1, 2, 3], checks, form="www")
+        assert {c.id for c in checks} == {"www"}
+        assert scales, "the p2log norms search at scales other than 1"
+        assert 1.0 not in scales

@@ -251,14 +251,17 @@ class TestNormFormRadial:
             u=lambda r: np.zeros_like(np.asarray(r, float)),
             du=lambda r: np.zeros_like(np.asarray(r, float)),
             hint=fmod.SupportHint.decaying(0.0, 0.0), label="zero")
-        rep = check_norm_form_radial(zero, manifest.nfunc("p3"), 2, spec)
+        nf = manifest.nfunc("p3")
+        rep = check_norm_form_radial(zero, nf, 2,
+                                     modular_triple_radial(zero, nf, 2, spec), spec)
         assert rep.verdict == "trivial"
 
     def test_corpus_ratio_below_constant(self, manifest, spec):
         nf = manifest.nfunc("p3")
         for label in ("bump_mid", "pg_decay"):
+            u = manifest.radial_functions[label]
             rep = check_norm_form_radial(
-                manifest.radial_functions[label], nf, 2, spec)
+                u, nf, 2, modular_triple_radial(u, nf, 2, spec), spec)
             assert rep.verdict == "holds"
             assert rep.details["ratio"] < rep.constants_used["C"]
 
@@ -269,8 +272,9 @@ class TestNormFormRadial:
         scaled = dataclasses.replace(
             u, u=lambda r: 7.0 * np.asarray(u.u(r), float),
             du=lambda r: 7.0 * np.asarray(u.du(r), float), label="7x")
-        r1 = check_norm_form_radial(u, nf, 2, spec)
-        r2 = check_norm_form_radial(scaled, nf, 2, spec)
+        r1 = check_norm_form_radial(u, nf, 2, modular_triple_radial(u, nf, 2, spec), spec)
+        r2 = check_norm_form_radial(scaled, nf, 2,
+                                    modular_triple_radial(scaled, nf, 2, spec), spec)
         assert r1.details["ratio"] == pytest.approx(r2.details["ratio"], rel=1e-8)
 
 

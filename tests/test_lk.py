@@ -32,11 +32,22 @@ from orlicz_hardy.landau_kolmogorov import (
     lk_norm_triple,
 )
 from orlicz_hardy.nfunc import comparison_tol, power_nfunction
+from orlicz_hardy.reporting import canonical_json
 
 
 def theta_terms(u, nf, theta, spec=None):
     """`lk_modular_terms` of (u, nf) at theta, on a fresh modular triple."""
     return lk_modular_terms(u, nf, theta, modular_triple_nd(u, nf, spec), spec)
+
+
+def norm_triple(u, nf, spec=None):
+    """`lk_norm_triple` of (u, nf), on fresh theta = 1 terms."""
+    return lk_norm_triple(u, nf, theta_terms(u, nf, 1.0, spec), spec)
+
+
+def unit_terms(fields, nf, spec=None):
+    """The label -> theta -> terms map of the fields at theta = 1 only."""
+    return {u.label: {1.0: theta_terms(u, nf, 1.0, spec)} for u in fields}
 
 
 def zero_field(n=2):
@@ -98,7 +109,7 @@ class TestModularCheck:
 
 class TestNormTriple:
     def test_zero_norms(self, manifest, spec):
-        r, s, t = lk_norm_triple(zero_field(), manifest.nfunc("p2"), spec)
+        r, s, t = norm_triple(zero_field(), manifest.nfunc("p2"), spec)
         assert (r, s, t) == (0.0, 0.0, 0.0)
 
     def test_scaling(self, manifest, spec):
@@ -112,8 +123,8 @@ class TestNormTriple:
             hess=lambda X: c * np.asarray(field.hess(X), float),
             label="7x")
         nf = manifest.nfunc("p3")
-        r1, s1, t1 = lk_norm_triple(field, nf, spec)
-        r2, s2, t2 = lk_norm_triple(scaled, nf, spec)
+        r1, s1, t1 = norm_triple(field, nf, spec)
+        r2, s2, t2 = norm_triple(scaled, nf, spec)
         assert r2 == pytest.approx(c * r1, rel=1e-8)
         assert s2 == pytest.approx(c * s1, rel=1e-8)
         assert t2 == pytest.approx(c * t1, rel=1e-8)
@@ -166,13 +177,13 @@ class TestEnvelopeFit:
         nf = manifest.nfunc(nf_label)
         fields = [f.instantiate(n) for f in manifest.field_functions.values()
                   if f.compatible(n)]
-        fit, rows = fit_lk_norm_envelope(fields, nf, spec)
+        fit, rows = fit_lk_norm_envelope(fields, nf, unit_terms(fields, nf, spec), spec)
         assert fit.feasible
         assert math.isfinite(fit.c1) and math.isfinite(fit.c2)
         assert fit.binding_label in {f.label for f in fields}
         for u, (label, *triple) in zip(fields, rows):
             assert label == u.label
-            assert tuple(triple) == lk_norm_triple(u, nf, spec)
+            assert tuple(triple) == norm_triple(u, nf, spec)
             rep = check_lk_norm(triple, fit.c1, fit.c2)
             assert rep.verdict in ("holds", "indeterminate", "trivial"), \
                 (label, rep.slack)
@@ -181,9 +192,9 @@ class TestEnvelopeFit:
         nf = manifest.nfunc("p2")
         all_fields = [f.instantiate(2) for f in manifest.field_functions.values()
                       if f.compatible(2)]
-        small = all_fields[:2]
-        fit_small, _ = fit_lk_norm_envelope(small, nf, spec)
-        fit_all, _ = fit_lk_norm_envelope(all_fields, nf, spec)
+        terms = unit_terms(all_fields, nf, spec)
+        fit_small, _ = fit_lk_norm_envelope(all_fields[:2], nf, terms, spec)
+        fit_all, _ = fit_lk_norm_envelope(all_fields, nf, terms, spec)
         assert fit_all.c1 + fit_all.c2 >= fit_small.c1 + fit_small.c2 - 1e-12
 
     def test_modular_envelope_and_theta_sweep(self, manifest, spec):
@@ -340,8 +351,8 @@ class TestRunLkIntegratesOnce:
         run_lk(manifest, spec, [2], [], {}, {}, nfunc_labels=("p2",))
         fields = [f for f in manifest.field_functions.values() if f.compatible(2)]
         assert integrals["modular"] == 8 * len(fields)
-        # a power norm takes one or two modulars
-        assert 3 * len(fields) <= integrals["norm"] <= 6 * len(fields)
+        # a power norm's modular at K = 1 is a term: at most one more inside
+        assert integrals["norm"] <= 3 * len(fields)
 
 
 class TestRunLkSamplesOnce:
@@ -370,3 +381,30 @@ class TestRunLkSamplesOnce:
         assert {key[1] for key, _ in evaluations} == {"u", "grad", "hess"}
         repeated = [key for key, count in evaluations.items() if count > 1]
         assert repeated == []
+
+
+def afresh_norm(f, nf, measure, m1, spec=None, norm_tol=1e-9):
+    """Test-only reference: a norm that ignores the m1 it is handed and
+    integrates its modular at K = 1 afresh, as every norm once did."""
+    m1 = functionals.modular_value(f, nf, measure, spec)
+    return functionals.luxemburg_norm(f, nf, measure, m1, spec, norm_tol)
+
+
+class TestNormsFromTheTerms:
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_norms_equal_norms_of_fresh_modulars(self, manifest, spec, monkeypatch,
+                                                 normalized):
+        # the norm triple takes its three modulars at K = 1 from the
+        # theta = 1 terms: every norm check and fit must equal, bit for bit,
+        # those whose norms integrate that modular afresh
+        def run():
+            checks, fits = [], {}
+            run_lk(manifest, spec, [1, 2], checks, {}, fits, normalized=normalized)
+            return ([canonical_json(c.as_dict()) for c in checks
+                     if c.id == "statB2gauss"], canonical_json(fits))
+
+        handed = run()
+        monkeypatch.setattr(lk_mod, "luxemburg_norm", afresh_norm)
+        afresh = run()
+        assert len(handed[0]) > 0
+        assert handed == afresh

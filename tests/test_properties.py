@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orlicz_hardy.functionals import ScalarProfile, luxemburg_norm
+from orlicz_hardy.functionals import ScalarProfile, luxemburg_norm, modular_value
 from orlicz_hardy.nfunc import check_lemma_split, check_lemma_young
 from orlicz_hardy.quadrature import RadialMeasure
 
@@ -72,8 +72,10 @@ class TestNormLayer:
     def test_homogeneity_random_scale(self, manifest, c):
         nf = manifest.nfunc("p3")
         u = manifest.radial_functions["bump_mid"]
-        base = luxemburg_norm(u, nf, RadialMeasure(1))
+        meas = RadialMeasure(1)
+        base = luxemburg_norm(u, nf, meas, modular_value(u, nf, meas))
         scaled = ScalarProfile(lambda r: c * np.asarray(u.u(r), float),
                                u.hint, u.breakpoints)
-        assert luxemburg_norm(scaled, nf, RadialMeasure(1)) == pytest.approx(
+        assert luxemburg_norm(scaled, nf, meas,
+                              modular_value(scaled, nf, meas)) == pytest.approx(
             c * base, rel=1e-8)
