@@ -10,6 +10,7 @@ functions are dimension-generic factories instantiated per n.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -74,9 +75,22 @@ def build_nfunction(entry: dict) -> NFunction:
     return nf
 
 
+def _positive_roots(*polynomials) -> tuple:
+    """The positive real roots, ascending and distinct, of polynomials given
+    by ascending coefficients: where they may change sign on r > 0."""
+    roots = set()
+    for coefs in polynomials:
+        coefs = np.polynomial.polynomial.polytrim(coefs)
+        if coefs.size > 1:
+            roots.update(float(z.real) for z in np.polynomial.polynomial.polyroots(coefs)
+                         if z.real > 0.0 and abs(z.imag) <= 1e-9 * abs(z))
+    return tuple(sorted(roots))
+
+
 def _bump_function(center: float, width: float, degree: int,
                    label: str) -> RadialTestFunction:
-    """u(r) = (1 - ((r-c)/w)^2)_+^degree, compactly supported on [c-w, c+w]."""
+    """u(r) = (1 - ((r-c)/w)^2)_+^degree, compactly supported on [c-w, c+w];
+    u' changes sign at the centre c."""
     if degree < 2:
         raise ManifestError(f"bump '{label}' needs degree >= 2 for C1")
     if center < width:
@@ -96,16 +110,20 @@ def _bump_function(center: float, width: float, degree: int,
         return -2.0 * k * t / w * core ** (k - 1)
 
     return RadialTestFunction(
-        u=u, du=du, breakpoints=(c - w, c + w),
+        u=u, du=du, breakpoints=(c - w, c, c + w),
         hint=SupportHint.compact(c + w), label=label)
 
 
 def _poly_gauss_function(coefficients, rate: float,
                          label: str) -> RadialTestFunction:
-    """u(r) = P(r) exp(-rate r^2 / 2) with P given by ascending coefficients."""
+    """u(r) = P(r) exp(-rate r^2 / 2) with P given by ascending coefficients.
+    u changes sign at the positive roots of P, and u' = (P' - rate r P)
+    exp(-rate r^2 / 2) at those of P' - rate r P: the breakpoints."""
     coefs = np.asarray(coefficients, dtype=float)
     a = float(rate)
     dcoefs = coefs[1:] * np.arange(1, coefs.size)
+    poly = np.polynomial.polynomial
+    slope = poly.polysub(poly.polyder(coefs), a * poly.polymulx(coefs))
 
     def u(r):
         r = np.asarray(r, dtype=float)
@@ -118,7 +136,7 @@ def _poly_gauss_function(coefficients, rate: float,
         return (dp - a * r * p) * np.exp(-0.5 * a * r * r)
 
     return RadialTestFunction(
-        u=u, du=du, breakpoints=(),
+        u=u, du=du, breakpoints=_positive_roots(coefs, slope),
         hint=SupportHint.decaying(float(coefs.size - 1), a), label=label)
 
 
@@ -166,6 +184,8 @@ def _monomial_partial(X: np.ndarray, exps: np.ndarray, i: int) -> np.ndarray:
 
 def _monomial_gauss_field(exponents, rate: float, n: int,
                           label: str) -> FieldFunction:
+    """u(x) = x^k exp(-rate |x|^2 / 2).  Its partial derivative along x_i
+    changes sign at |x_i| = sqrt(k_i / rate): the breakpoints."""
     exps = np.zeros(n, dtype=int)
     given = np.asarray(exponents, dtype=int)
     if given.size > n:
@@ -215,16 +235,25 @@ def _monomial_gauss_field(exponents, rate: float, n: int,
 
     hint = (SupportHint.decaying(float(deg), a) if a > 0.0
             else SupportHint.decaying(float(deg), 0.0))
-    return FieldFunction(u=u, grad=grad, hess=hess, n=n, hint=hint, label=label)
+    bps = (tuple(sorted({math.sqrt(k / a) for k in exps.tolist() if k > 0}))
+           if a > 0.0 else ())
+    return FieldFunction(u=u, grad=grad, hess=hess, n=n, hint=hint, label=label,
+                         breakpoints=bps)
 
 
 def _gauss_poly_radial_field(even_coefficients, rate: float, n: int,
                              label: str) -> FieldFunction:
-    """Radial field u(x) = P(|x|^2) exp(-rate |x|^2 / 2), P by ascending coefs."""
+    """Radial field u(x) = P(|x|^2) exp(-rate |x|^2 / 2), P by ascending coefs.
+    With s = |x|^2, u changes sign where P(s) does and its radial derivative
+    where 2 P'(s) - rate P(s) does: the breakpoints are the square roots of
+    their positive roots."""
     coefs = np.asarray(even_coefficients, dtype=float)
     a = float(rate)
     dcoefs = coefs[1:] * np.arange(1, coefs.size)
     polyval = np.polynomial.polynomial.polyval
+    slope = np.polynomial.polynomial.polysub(
+        2.0 * np.polynomial.polynomial.polyder(coefs), a * coefs)
+    bps = tuple(math.sqrt(s) for s in _positive_roots(coefs, slope))
 
     def parts(X):
         X = np.asarray(X, dtype=float)
@@ -270,18 +299,19 @@ def _gauss_poly_radial_field(even_coefficients, rate: float, n: int,
         return (2.0 * dp - a * p) * r * np.exp(-0.5 * a * s)
 
     profile = RadialTestFunction(
-        u=profile_u, du=profile_du, breakpoints=(),
+        u=profile_u, du=profile_du, breakpoints=bps,
         hint=SupportHint.decaying(2.0 * (coefs.size - 1.0), a),
         label=label + "|profile")
     return FieldFunction(
         u=u, grad=grad, hess=hess, n=n,
         hint=SupportHint.decaying(2.0 * (coefs.size - 1.0), a),
-        label=label, radial_profile=profile)
+        label=label, radial_profile=profile, breakpoints=bps)
 
 
 def _cutoff_field(inner: FieldFunction, r1: float, r2: float,
                   label: str) -> FieldFunction:
-    """Multiply a field by a C2 radial cutoff: 1 on [0, r1], 0 beyond r2."""
+    """Multiply a field by a C2 radial cutoff: 1 on [0, r1], 0 beyond r2.
+    The breakpoints are the inner field's below r2, and r1 and r2."""
     if not (0.0 < r1 < r2):
         raise ManifestError(f"cutoff '{label}' needs 0 < r1 < r2")
     width = r2 - r1
@@ -326,8 +356,9 @@ def _cutoff_field(inner: FieldFunction, r1: float, r2: float,
                + (v * dchi / safe_r)[..., None, None] * (eye - outer))
         return out
 
+    bps = tuple(sorted({b for b in inner.breakpoints if b < r2} | {r1, r2}))
     return FieldFunction(u=u, grad=grad, hess=hess, n=inner.n,
-                         hint=SupportHint.compact(r2), label=label)
+                         hint=SupportHint.compact(r2), label=label, breakpoints=bps)
 
 
 def build_field_function(entry: dict, n: int) -> FieldFunction:

@@ -6,11 +6,14 @@ For a radial profile u and an N-function M the three modulars are
     G = int M(|u'(r)|) dmu_n,
 
 with the n-dimensional counterparts integrating M(|x| |u|), M(|u|) and
-M(|grad u|) against exp(-|x|^2/2) dx.  Every modular, of a triple, a norm
-or a Landau-Kolmogorov term, is one `_modular` call, which derives the
-truncation envelope of M(|f|) from the decay hint of f and the N-function's
-certified exponents; a Luxemburg norm is one bracketed log-log secant search
-from the modular at K = 1 that its caller integrated.
+M(|grad u|) against exp(-|x|^2/2) dx.  The modulars one battery needs of one
+subject -- its triple, or its Landau-Kolmogorov terms -- are one
+`_modular_family` call: one adaptive refinement on shared panels, out to the
+largest of the parts' truncation radii, with each part's own envelope tail
+from there.  Each part's envelope of M(|f|) is derived from the decay hint
+of f and the N-function's certified exponents.  A lone modular is the
+family of one (`_modular`), and a Luxemburg norm is one bracketed log-log
+secant search from the modular at K = 1 that its caller integrated.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ class FieldFunction:
     Callables are vectorised over leading axes: u maps (..., n) -> (...),
     grad maps (..., n) -> (..., n), hess maps (..., n) -> (..., n, n).
     radial_profile, when set, certifies that u(x) = profile(|x|).
+    breakpoints are radii where the field's profiles along rays may change
+    sign or fail to be smooth; every Gaussian integral of the field makes
+    them panel edges.
     """
 
     u: Callable
@@ -87,6 +93,7 @@ class FieldFunction:
     hint: SupportHint = field(default_factory=lambda: SupportHint.decaying(0.0, 1.0))
     label: str = ""
     radial_profile: Optional[RadialTestFunction] = None
+    breakpoints: tuple = ()
 
     def grad_hint(self) -> SupportHint:
         return self.hint.times_power(1.0)
@@ -134,48 +141,75 @@ def _compose_hint(arg_hint: SupportHint, nf: NFunction) -> SupportHint:
     return SupportHint.decaying(D * arg_hint.degree, e * rate)
 
 
+def _modular_family(parts, nf: NFunction, measure,
+                    spec: QuadratureSpec) -> list[IntegralResult | None]:
+    """int M(|f|) dmu, or int M(transform(|f|, r)) dmu, for each part
+    (profile f, transform) of one subject, on shared panels in one
+    `_adaptive` call.
+
+    On a radial measure |f| is |f(r)| at radii r, and the parts are one
+    `integrate_radial`.  On a Gaussian measure f is a point function or a
+    SampleStore and |f| its (directions x radii) block at r, and the parts
+    are one `integrate_gaussian_nd`.  Either reads each distinct profile
+    once per sweep.  Every part's envelope is composed from its profile's
+    hint and adds its own tail beyond the shared radius; the panel edges
+    include every part's breakpoints.  A part whose envelope does not decay
+    against the measure diverges: its entry is None and it takes no part in
+    the refinement.
+    """
+    envs = [_compose_hint(profile.hint, nf) for profile, _ in parts]
+    results: list[IntegralResult | None] = [None] * len(parts)
+    live = [i for i, env in enumerate(envs)
+            if env.kind == "compact" or 1.0 + env.rate > 0.0]
+    if not live:
+        return results
+    breakpoints = sorted({float(b) for i in live for b in parts[i][0].breakpoints})
+
+    def integrand(transform):
+        def fn(values, r):
+            a = np.abs(values)
+            return nf.eval(a if transform is None else transform(a, r))
+        return fn
+
+    rows = [(parts[i][0].fn, integrand(parts[i][1])) for i in live]
+    envelopes = [envs[i] for i in live]
+    if isinstance(measure, RadialMeasure):
+        found = integrate_radial(rows, measure.n, spec, envelopes=envelopes,
+                                 breakpoints=breakpoints)
+    else:
+        found = integrate_gaussian_nd(rows, measure.n, spec, envelopes=envelopes,
+                                      normalized=measure.normalized,
+                                      breakpoints=breakpoints)
+    for i, res in zip(live, found):
+        results[i] = res
+    return results
+
+
 def _modular(profile: ScalarProfile, nf: NFunction, measure, spec: QuadratureSpec,
              transform=None) -> IntegralResult:
-    """int M(|f|) dmu of the profile f, or int M(transform(|f|, r)) dmu.
-
-    On a radial measure |f| is |f(r)| at radii r; on a Gaussian measure f is
-    a point function or a SampleStore and |f| its (directions x radii) block
-    at r.  The integrand's envelope is composed from the profile's hint; one
-    that does not decay against the measure raises DivergenceError.
-    """
-    env = _compose_hint(profile.hint, nf)
-    if env.kind == "decaying" and 1.0 + env.rate <= 0.0:
+    """The family of one: int M(|f|) dmu of the profile f, or
+    int M(transform(|f|, r)) dmu.  One whose envelope does not decay
+    against the measure raises DivergenceError."""
+    res, = _modular_family(((profile, transform),), nf, measure, spec)
+    if res is None:
         raise DivergenceError("modular diverges under the truncation policy")
-
-    def integrand(values, r):
-        a = np.abs(values)
-        return nf.eval(a if transform is None else transform(a, r))
-
-    if isinstance(measure, RadialMeasure):
-        return integrate_radial(lambda r: integrand(profile.fn(r), r), measure.n,
-                                spec, envelope=env, breakpoints=profile.breakpoints)
-    return integrate_gaussian_nd(profile.fn, measure.n, spec, envelope=env,
-                                 normalized=measure.normalized, transform=integrand)
+    return res
 
 
 def _modular_triple(parts, nf: NFunction, measure,
                     spec: QuadratureSpec) -> ModularTriple:
-    """K, L, G from the (profile, transform) of each; a modular whose
-    envelope does not decay against the measure is infinite and divergent."""
-    results = []
-    for profile, transform in parts:
-        try:
-            res = _modular(profile, nf, measure, spec, transform)
-            results.append((res.value, res.err_est, False))
-        except DivergenceError:
-            results.append((math.inf, math.inf, True))
-    values, errs, divergent = zip(*results)
-    return ModularTriple(*values, errs, divergent)
+    """K, L, G from the (profile, transform) of each, as one family; a
+    modular whose envelope does not decay against the measure is infinite
+    and divergent."""
+    results = _modular_family(parts, nf, measure, spec)
+    return ModularTriple(*(math.inf if res is None else res.value for res in results),
+                         tuple(math.inf if res is None else res.err_est for res in results),
+                         tuple(res is None for res in results))
 
 
 def modular_triple_radial(u: RadialTestFunction, nf: NFunction, n: int,
                           spec: QuadratureSpec | None = None) -> ModularTriple:
-    """K, L, G of a radial profile against dmu_n."""
+    """K, L, G of a radial profile against dmu_n, as one family."""
     bps = u.breakpoints
     return _modular_triple(
         ((ScalarProfile(u.u, u.hint.times_power(1.0), bps), lambda a, r: r * a),
@@ -219,18 +253,20 @@ def modular_triple_nd(u: FieldFunction, nf: NFunction,
                       spec: QuadratureSpec | None = None,
                       normalized: bool = False,
                       samples: FieldSamples | None = None) -> ModularTriple:
-    """K, L, G of a field against the Gaussian measure on R^n, read from
-    the field's sample stores (fresh ones unless `samples` is given)."""
+    """K, L, G of a field against the Gaussian measure on R^n, as one
+    family read from the field's sample stores (fresh ones unless `samples`
+    is given)."""
     spec = spec or QuadratureSpec()
     if u.grad is None:
         raise PreconditionError(f"field '{u.label}' has no gradient")
     if samples is None:
         samples = FieldSamples.of(u)
+    bps = u.breakpoints
     return _modular_triple(
-        ((ScalarProfile(samples.u, u.hint.times_power(1.0)),
+        ((ScalarProfile(samples.u, u.hint.times_power(1.0), bps),
           lambda a, r: samples.u.norms(r) * a),
-         (ScalarProfile(samples.u, u.hint), None),
-         (ScalarProfile(samples.grad, u.grad_hint()), None)),
+         (ScalarProfile(samples.u, u.hint, bps), None),
+         (ScalarProfile(samples.grad, u.grad_hint(), bps), None)),
         nf, GaussianMeasure(u.n, normalized), spec)
 
 
@@ -246,7 +282,7 @@ def _as_profile(f, measure) -> ScalarProfile:
     if isinstance(measure, RadialMeasure) and isinstance(f, RadialTestFunction):
         return ScalarProfile(f.u, f.hint, f.breakpoints)
     if isinstance(measure, GaussianMeasure) and isinstance(f, FieldFunction):
-        return ScalarProfile(f.u, f.hint)
+        return ScalarProfile(f.u, f.hint, f.breakpoints)
     raise PreconditionError(
         "luxemburg_norm needs a ScalarProfile or a test function matching the measure")
 

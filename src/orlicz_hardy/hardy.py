@@ -353,12 +353,13 @@ def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
         raise PreconditionError(
             f"form hn11 needs a convex doubling N-function, got '{nf.label}'")
     samples = FieldSamples.of(u)
+    bps = u.breakpoints
     weighted = ScalarProfile(
         lambda pts: np.linalg.norm(pts, axis=-1) * np.abs(u.u(pts)),
-        u.hint.times_power(1.0))
+        u.hint.times_power(1.0), bps)
     return _check_norm_form(
-        "hn11", (ScalarProfile(samples.u, u.hint),
-                 ScalarProfile(samples.grad, u.grad_hint()), weighted),
+        "hn11", (ScalarProfile(samples.u, u.hint, bps),
+                 ScalarProfile(samples.grad, u.grad_hint(), bps), weighted),
         modular_triple_nd(u, nf, spec, normalized, samples),
         nf, GaussianMeasure(n, normalized), n, spec,
         normalization="normalized" if normalized else "unnormalized", **meta)

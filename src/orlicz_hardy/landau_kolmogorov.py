@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import DivergenceError, PreconditionError
 from .functionals import (
     FieldFunction,
     FieldSamples,
     ModularTriple,
     ScalarProfile,
-    _modular,
+    _modular_family,
     luxemburg_norm,
 )
 from .hardy import check_nd
@@ -78,32 +78,50 @@ def _require_lk_hypotheses(u: FieldFunction, nf: NFunction):
             f"(certified lower exponent {d:.6g} < 2)")
 
 
-def lk_modular_terms(u: FieldFunction, nf: NFunction, theta: float,
+def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
                      triple: ModularTriple,
                      spec: QuadratureSpec | None = None,
                      normalized: bool = False,
-                     samples: FieldSamples | None = None
-                     ) -> tuple[float, float, float, tuple]:
-    """(lhs, hess_term, func_term, errs) of the theta-form modular
-    inequality.  `triple` is the `modular_triple_nd` of (u, nf): its G is
-    the lhs int M(|grad u|) and its L the theta = 1 function term.  The
-    other terms are read from the field's sample stores (fresh ones unless
-    `samples` is given)."""
+                     samples: FieldSamples | None = None) -> dict:
+    """theta -> (lhs, hess_term, func_term, errs) of the theta-form modular
+    inequality, for each theta in thetas.  `triple` is the
+    `modular_triple_nd` of (u, nf): its G is the lhs int M(|grad u|) and its
+    L the theta = 1 function term.  The theta = 1 Hessian term, m1 of
+    ||hess u|| in `lk_norm_triple`, is a family of its own, so it does not
+    move with the other thetas; the Hessian and function terms at every
+    theta != 1 are one `_modular_family`.  All are read from the field's
+    sample stores (fresh ones unless `samples` is given)."""
     _require_lk_hypotheses(u, nf)
-    if not (0.0 < theta <= 1.0):
-        raise PreconditionError(f"theta must lie in (0, 1], got {theta}")
+    thetas = tuple(dict.fromkeys(thetas))
+    for theta in thetas:
+        if not (0.0 < theta <= 1.0):
+            raise PreconditionError(f"theta must lie in (0, 1], got {theta}")
     spec = spec or QuadratureSpec()
     if samples is None:
         samples = FieldSamples.of(u)
     meas = GaussianMeasure(u.n, normalized)
-    hess = _modular(ScalarProfile(samples.hess, u.hess_hint()), nf, meas, spec,
-                    lambda a, r: theta * a)
-    func, func_err = triple.L, triple.errs[1]
-    if theta != 1.0:
-        res = _modular(ScalarProfile(samples.u, u.hint), nf, meas, spec,
-                       lambda a, r: a / theta)
-        func, func_err = res.value, res.err_est
-    return triple.G, hess.value, func, (triple.errs[2], hess.err_est, func_err)
+    hess = ScalarProfile(samples.hess, u.hess_hint(), u.breakpoints)
+    func = ScalarProfile(samples.u, u.hint, u.breakpoints)
+
+    def family(parts):
+        results = _modular_family(parts, nf, meas, spec)
+        if None in results:
+            raise DivergenceError("modular diverges under the truncation policy")
+        return results
+
+    hess_terms, funcs = {}, {1.0: (triple.L, triple.errs[1])}
+    if 1.0 in thetas:
+        hess_terms[1.0], = family([(hess, None)])
+    scaled = [theta for theta in thetas if theta != 1.0]
+    if scaled:
+        found = family([(hess, lambda a, r, theta=theta: theta * a) for theta in scaled]
+                       + [(func, lambda a, r, theta=theta: a / theta) for theta in scaled])
+        hess_terms.update(zip(scaled, found))
+        funcs.update((theta, (res.value, res.err_est))
+                     for theta, res in zip(scaled, found[len(scaled):]))
+    return {theta: (triple.G, hess_terms[theta].value, funcs[theta][0],
+                    (triple.errs[2], hess_terms[theta].err_est, funcs[theta][1]))
+            for theta in thetas}
 
 
 def check_lk_modular(terms: tuple, c1: float, c2: float, theta: float = 1.0,
@@ -133,11 +151,12 @@ def lk_norm_triple(u: FieldFunction, nf: NFunction, terms: tuple,
         samples = FieldSamples.of(u)
     meas = GaussianMeasure(u.n, normalized)
     m_grad, m_hess, m_u, _ = terms
-    norm_u = luxemburg_norm(ScalarProfile(samples.u, u.hint), nf, meas, m_u, spec)
-    norm_grad = luxemburg_norm(ScalarProfile(samples.grad, u.grad_hint()), nf, meas,
-                               m_grad, spec)
-    norm_hess = luxemburg_norm(ScalarProfile(samples.hess, u.hess_hint()), nf, meas,
-                               m_hess, spec)
+    bps = u.breakpoints
+    norm_u = luxemburg_norm(ScalarProfile(samples.u, u.hint, bps), nf, meas, m_u, spec)
+    norm_grad = luxemburg_norm(ScalarProfile(samples.grad, u.grad_hint(), bps), nf,
+                               meas, m_grad, spec)
+    norm_hess = luxemburg_norm(ScalarProfile(samples.hess, u.hess_hint(), bps), nf,
+                               meas, m_hess, spec)
     return norm_grad, math.sqrt(norm_hess * norm_u), norm_u
 
 
@@ -236,9 +255,8 @@ def fit_lk_modular_envelope(corpus, nf: NFunction, triples: dict,
     """
     samples = samples or {}
     thetas = sorted(set(theta_grid) | {1.0})
-    terms = {u.label: {theta: lk_modular_terms(u, nf, theta, triples[u.label], spec,
-                                               normalized, samples.get(u.label))
-                       for theta in thetas}
+    terms = {u.label: lk_modular_terms(u, nf, thetas, triples[u.label], spec,
+                                       normalized, samples.get(u.label))
              for u in corpus}
     items = [(label, lhs, a, b, comparison_tol(lhs, 1e-9))
              for label, by_theta in terms.items()

@@ -4,12 +4,17 @@ against the Gaussian weight exp(-|x|^2/2) dx on R^n via spherical sampling.
 The 1-d rule is adaptive panel subdivision with an embedded Gauss-Kronrod
 15(7) pair per panel.  Integrands are evaluated in vectorised batches (one
 numpy call per refinement sweep), which also lets a whole family of radial
-profiles -- e.g. one per sphere direction -- share the panel bookkeeping.
+profiles -- several modulars of one subject, each on every sphere direction
+-- share one refinement: one `_adaptive` call, in which every row keeps its
+own tolerance test.  A panel's error is at least QUADPACK qk15's roundoff
+floor, 50 eps times the Kronrod sum of |f| (Piessens et al., QUADPACK, 1983).
 
-Truncation of the semi-infinite interval is driven by a caller-declared
-polynomial/Gaussian envelope: the integrand is assumed to be bounded by
-r^degree * exp(-rate * r^2 / 2), and the cut radius R is chosen so that the
-envelope's exact Gaussian tail falls below the absolute tolerance.
+Truncation of the semi-infinite interval is driven by caller-declared
+polynomial/Gaussian envelopes, one per row: a row is assumed to be bounded by
+r^degree * exp(-rate * r^2 / 2).  Each envelope gives a cut radius at which
+its exact Gaussian tail falls below the absolute tolerance; a family's
+panels run to the largest of these, and each row's error adds its own
+envelope's exact tail from that shared radius.
 
 That tail, and the closed-form moments, need only Gamma functions: ln Gamma
 is `math.lgamma`, and the regularised upper incomplete gamma Q(s, x) is
@@ -59,6 +64,12 @@ SPHERE_SEED = 20260809
 # where exp(-r^2/2) falls to the smallest normal double, about 37.6
 MAX_RADIUS = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
 _EPS = float(np.finfo(float).eps)
+# QUADPACK qk15's roundoff floor on a panel's error, relative to the Kronrod
+# sum of |f|.  A nonnegative integrand's summed floor is ROUNDOFF * |value|,
+# so a rel_tol at the floor cannot be met; the smallest accepted one leaves
+# as much again for |K15 - G7|.
+ROUNDOFF = 50.0 * _EPS
+MIN_REL_TOL = 2.0 * ROUNDOFF
 
 
 @dataclass(frozen=True)
@@ -118,16 +129,18 @@ class GaussianMeasure:
 class QuadratureSpec:
     """Accuracy policy for all integrations: each integral is refined until
     its error is within max(abs_tol, rel_tol * |value|), and the truncation
-    radius is chosen from the integrand envelope and abs_tol.  The sphere
-    rule is fixed (`SPHERE_NODES`, `SPHERE_SEED`).
+    radius is chosen from the integrand envelope and abs_tol.  rel_tol may
+    not go below `MIN_REL_TOL`, twice the panels' roundoff floor.  The
+    sphere rule is fixed (`SPHERE_NODES`, `SPHERE_SEED`).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-2):
-            raise PreconditionError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
+        if not (MIN_REL_TOL <= self.rel_tol <= 1e-2):
+            raise PreconditionError(
+                f"rel_tol must lie in [100 eps = {MIN_REL_TOL:.3g}, 1e-2], got {self.rel_tol}")
         if not (0.0 <= self.abs_tol < math.inf):
             raise PreconditionError(
                 f"abs_tol must be finite and >= 0, got {self.abs_tol}")
@@ -165,6 +178,7 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])            # 15 ascending
 _KRON_W = np.concatenate([_WGK[:-1], _WGK[::-1]])            # 15
 _GAUSS_W = np.zeros(15)
 _GAUSS_W[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])     # embedded G7
+_FLOOR_W = ROUNDOFF * _KRON_W                                # qk15's floor
 
 
 def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
@@ -172,7 +186,8 @@ def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
 
     f maps a flat array of abscissae to values of shape (k,) or (m, k) for a
     vector of m integrands sharing the panels.  Returns (vals, errs), each of
-    shape (m, P).
+    shape (m, P); a panel's error is |K15 - G7|, floored at `ROUNDOFF` times
+    the Kronrod sum of |f| on it, as QUADPACK's qk15 does.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -180,15 +195,15 @@ def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
     y = np.asarray(f(x), dtype=float)
     if y.ndim == 1:
         y = y[None, :]
-    if not np.all(np.isfinite(y)):
-        bad = np.argwhere(~np.isfinite(y))
-        i, j = bad[0]
-        raise EvaluationError(f"integrand non-finite at r={x[j]:.6g} (component {i})")
     yy = y.reshape(y.shape[0], lo.size, 15)
+    floor = (np.abs(yy) @ _FLOOR_W) * half
+    # the sum of |f| is finite unless some value is (or the sum overflows)
+    if not np.isfinite(floor).all() and not np.isfinite(y).all():
+        i, j = np.argwhere(~np.isfinite(y))[0]
+        raise EvaluationError(f"integrand non-finite at r={x[j]:.6g} (component {i})")
     kron = (yy * _KRON_W).sum(axis=-1) * half
     gauss = (yy * _GAUSS_W).sum(axis=-1) * half
-    err = np.abs(kron - gauss) + np.abs(kron) * 1e-16
-    return kron, err
+    return kron, np.maximum(np.abs(kron - gauss), floor)
 
 
 def _median(x: np.ndarray):
@@ -445,47 +460,83 @@ def _resolve_radius(n: int, spec: QuadratureSpec, envelope) -> tuple[float, floa
     return min(truncation_radius(deg, rate, spec.abs_tol), MAX_RADIUS), deg, rate
 
 
-def _radial_seeds(radius: float, deg: float, rate: float) -> list[float]:
+def _radial_seeds(radius: float, resolved) -> list[float]:
+    """Interior edges: halvings of the shared radius, and the peak
+    sqrt(degree / rate) of each decaying envelope."""
     seeds = [radius * 2.0 ** (-j) for j in range(1, 7)]
-    if math.isfinite(rate) and rate > 0 and deg > 0:
-        seeds.append(math.sqrt(deg / rate))
+    for _, deg, rate in resolved:
+        if math.isfinite(rate) and rate > 0 and deg > 0:
+            seeds.append(math.sqrt(deg / rate))
     return seeds
 
 
-def integrate_radial(f, n: int, spec: QuadratureSpec | None = None,
-                     envelope=None, breakpoints=()) -> IntegralResult:
-    """Integral of f(r) r^(n-1) exp(-r^2/2) dr over [0, oo).
+def _stacked(parts, rows: int):
+    """The (len(parts) * rows, k) integrand of parts (source, transform):
+    each distinct source, mapping radii r (k,) to a block of `rows` rows (or
+    a vector for one row), is read once per sweep, and transform(block, r),
+    when not None, maps its block to the part's rows pointwise."""
+    sources = {id(src): src for src, _ in parts}
 
-    f maps an array of radii to values (vectorised).  The reported error
-    combines the panel estimates with the exact Gaussian tail of the declared
-    envelope beyond the truncation radius.
+    def fs(r):
+        blocks = {key: src(r) for key, src in sources.items()}
+        out = np.empty((len(parts) * rows, r.size))
+        for i, (src, transform) in enumerate(parts):
+            block = blocks[id(src)]
+            out[i * rows:(i + 1) * rows] = block if transform is None else transform(block, r)
+        return out
+
+    return fs
+
+
+def integrate_radial(parts, n: int, spec: QuadratureSpec | None = None, *,
+                     envelopes, breakpoints=()) -> list[IntegralResult]:
+    """Integrals of f(r) r^(n-1) exp(-r^2/2) dr over [0, oo), one per part,
+    all on shared panels in one `_adaptive` call.
+
+    Each part is (f, transform): f maps an array of radii to values
+    (vectorised), and each distinct f is evaluated once per sweep;
+    transform(values, r), when not None, maps them to the part's integrand
+    pointwise.  envelopes holds one envelope per part.  A part's reported
+    error combines its panel estimates with its envelope's exact Gaussian
+    tail beyond the family's truncation radius.
     """
     vals, errs, radius, ok = integrate_radial_family(
-        f, n, spec, envelope=envelope, breakpoints=breakpoints)
-    return IntegralResult(float(vals[0]), float(errs[0]), radius, converged=ok)
+        _stacked(parts, 1), n, spec, envelopes=envelopes, breakpoints=breakpoints)
+    return [IntegralResult(float(v), float(e), radius, converged=ok)
+            for v, e in zip(vals, errs)]
 
 
-def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None,
-                            envelope=None, breakpoints=()):
-    """Shared-panel integration of a family of radial profiles.
+def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None, *,
+                            envelopes, breakpoints=()):
+    """Shared-panel integration of a family of radial profiles in one
+    `_adaptive` call.
 
-    fs maps an array of radii (k,) to a matrix (m, k), or to a vector (k,)
-    for a family of one.  Returns (values (m,), errors (m,), radius,
-    converged)."""
+    fs maps an array of radii (k,) to a matrix (m, k), and envelopes holds
+    one envelope per row (None is the default decaying(8, 1)).  The panels
+    run to the largest of the envelopes' truncation radii, and each row's
+    error adds its own envelope's exact tail from that radius.  Returns
+    (values (m,), errors (m,), radius, converged)."""
     spec = spec or QuadratureSpec()
     if n < 1:
         raise PreconditionError(f"dimension must be >= 1, got {n}")
-    radius, deg, rate = _resolve_radius(n, spec, envelope)
+    envelopes = tuple(envelopes)
+    resolved = {env: _resolve_radius(n, spec, env) for env in dict.fromkeys(envelopes)}
+    radius = max(r for r, _, _ in resolved.values())
 
     def weighted(r):
         vals = np.asarray(fs(r), dtype=float)
+        if vals.shape[0] != len(envelopes):
+            raise PreconditionError(
+                f"{len(envelopes)} envelopes for a family of {vals.shape[0]} profiles")
         w = np.power(r, n - 1) * np.exp(-0.5 * r * r)
         return vals * w[None, :]
 
-    edges = _build_edges(0.0, radius, (*breakpoints, *_radial_seeds(radius, deg, rate)))
+    edges = _build_edges(0.0, radius,
+                         (*breakpoints, *_radial_seeds(radius, resolved.values())))
     vals, errs, ok = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol)
-    tail = 0.0 if not math.isfinite(rate) else gaussian_tail(deg, rate, radius)
-    return vals, errs + tail, radius, ok
+    tails = {env: 0.0 if not math.isfinite(rate) else gaussian_tail(deg, rate, radius)
+             for env, (_, deg, rate) in resolved.items()}
+    return vals, errs + np.array([tails[env] for env in envelopes]), radius, ok
 
 
 @functools.cache
@@ -566,43 +617,54 @@ class SampleStore:
         return np.linalg.norm(self.points(r), axis=-1)
 
 
-def integrate_gaussian_nd(g, n: int, spec: QuadratureSpec | None = None,
-                          envelope=None, normalized: bool = False,
-                          breakpoints=(), transform=None) -> IntegralResult:
-    """Integral of g against exp(-|x|^2/2) dx on R^n by spherical reduction.
+def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
+                          envelopes, normalized: bool = False,
+                          breakpoints=()) -> list[IntegralResult]:
+    """Integrals against exp(-|x|^2/2) dx on R^n by spherical reduction, one
+    per part, all on shared panels in one `_adaptive` call.
 
-    g is a SampleStore or a point function mapping an array of points of
-    shape (..., n) to values of shape (...); a point function gets a store
-    of its own.  transform(values, r), when given, maps the store's
-    (directions x k) block at radii r to the integrand pointwise.
-    The angular average over sampled directions is scaled by the sphere
-    surface area; `normalized` switches to the (2 pi)^(-n/2)-normalised
-    Gaussian.  The error estimate adds the angular standard error of the
-    antithetic-pair means to the mean radial quadrature error.
+    Each part is (g, transform).  g is a SampleStore or a point function
+    mapping an array of points of shape (..., n) to values of shape (...);
+    every distinct point function gets one store, and each distinct store is
+    read once per sweep.  transform(values, r), when not None, maps the
+    store's (directions x k) block at radii r to the part's integrand
+    pointwise.  A part is a block of rows, one per sphere direction, of one
+    `integrate_radial_family`; envelopes holds one envelope per part.  A
+    part's angular average is scaled by the sphere surface area;
+    `normalized` switches to the (2 pi)^(-n/2)-normalised Gaussian.  Its
+    error estimate adds the angular standard error of the antithetic-pair
+    means to the mean radial quadrature error.
     """
     spec = spec or QuadratureSpec()
-    store = g if isinstance(g, SampleStore) else SampleStore(g, n)
-    if store.n != n:
-        raise PreconditionError(
-            f"sample store was drawn for dimension {store.n}, not {n}")
-    dirs = store.directions
-
-    def family(r):
-        return store(r) if transform is None else transform(store(r), r)
-
+    envelopes = tuple(envelopes)
+    if len(envelopes) != len(parts):
+        raise PreconditionError(f"{len(envelopes)} envelopes for {len(parts)} parts")
+    stores = {}
+    for g, _ in parts:
+        if id(g) not in stores:
+            stores[id(g)] = g if isinstance(g, SampleStore) else SampleStore(g, n)
+    for store in stores.values():
+        if store.n != n:
+            raise PreconditionError(
+                f"sample store was drawn for dimension {store.n}, not {n}")
+    m = sphere_directions(n).shape[0]
+    family = _stacked([(stores[id(g)], transform) for g, transform in parts], m)
     vals, errs, radius, ok = integrate_radial_family(
-        family, n, spec, envelope=envelope, breakpoints=breakpoints)
+        family, n, spec, envelopes=[env for env in envelopes for _ in range(m)],
+        breakpoints=breakpoints)
     area = surface_area(n)
-    value = area * float(vals.mean())
-    radial_err = area * float(errs.mean())
-    half = dirs.shape[0] // 2
-    if half >= 2:
-        pair_means = 0.5 * (vals[:half] + vals[half:])
-        sem = float(np.std(pair_means, ddof=1) / math.sqrt(half))
-    else:
-        sem = 0.0
-    angular_err = area * sem
     factor = (2.0 * math.pi) ** (-n / 2.0) if normalized else 1.0
-    return IntegralResult(value * factor,
-                          (radial_err + angular_err) * factor,
-                          radius, angular_sem=sem * factor, converged=ok)
+    half = m // 2
+    results = []
+    for i in range(len(parts)):
+        v, e = vals[i * m:(i + 1) * m], errs[i * m:(i + 1) * m]
+        if half >= 2:
+            pair_means = 0.5 * (v[:half] + v[half:])
+            sem = float(np.std(pair_means, ddof=1) / math.sqrt(half))
+        else:
+            sem = 0.0
+        results.append(IntegralResult(
+            area * float(v.mean()) * factor,
+            (area * float(e.mean()) + area * sem) * factor,
+            radius, angular_sem=sem * factor, converged=ok))
+    return results

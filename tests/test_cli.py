@@ -411,10 +411,12 @@ class TestUnreadableInputExitsTwo:
 
     @pytest.mark.parametrize("flag, shown", [
         (["--rel-tol", "0.5"], "0.5"),
+        (["--rel-tol", "1e-15"], "1e-15"),
         (["--abs-tol", "inf"], "inf"),
         (["--abs-tol", "nan"], "nan"),
         (["--abs-tol=-1"], "-1.0"),
-    ], ids=["rel-tol-0.5", "abs-tol-inf", "abs-tol-nan", "abs-tol-negative"])
+    ], ids=["rel-tol-0.5", "rel-tol-below-roundoff", "abs-tol-inf", "abs-tol-nan",
+            "abs-tol-negative"])
     def test_bad_tolerance_flag(self, tmp_path, capsys, flag, shown):
         # these once ended in a traceback, a misleading message or a report
         assert main(["--out", str(tmp_path), *flag, "certify"]) == 2

@@ -136,6 +136,30 @@ class TestBuilders:
         inner_pt = np.array([[1.0, 0.5]])
         assert field.u(inner_pt)[0] == pytest.approx(1.0)
 
+    def test_kinks_are_declared_breakpoints(self, manifest):
+        # M(|f|) has a kink where f changes sign: every interior sign change
+        # of u and u' is a panel edge
+        radial = manifest.radial_functions
+        assert radial["bump_mid"].breakpoints == (1.0, 2.0, 3.0)
+        assert radial["pg_slow"].breakpoints == pytest.approx((np.sqrt(2.0),))
+        assert radial["pg_decay"].breakpoints == ()
+        fn = build_radial_function({
+            "label": "pg", "kind": "poly_gauss",
+            "params": {"coefficients": [-1.0, 0.0, 1.0], "rate": 1.0}})
+        # u = (r^2 - 1) exp(-r^2/2): u at 1; u' = r (3 - r^2) exp(-r^2/2) at sqrt 3
+        assert fn.breakpoints == pytest.approx((1.0, np.sqrt(3.0)))
+        for label, n in (("fx_lin", 1), ("fx_quad", 2), ("fx_cross", 3)):
+            field = manifest.field_functions[label].instantiate(n)
+            assert field.breakpoints == pytest.approx((np.sqrt(2.0),)), label
+        assert manifest.field_functions["fx_cut"].instantiate(1).breakpoints == (8.0, 10.0)
+        assert manifest.field_functions["fr_smooth"].instantiate(2).breakpoints == ()
+        radial_field = build_field_function({
+            "label": "fr", "kind": "gauss_poly_radial",
+            "params": {"even_coefficients": [-1.0, 1.0], "rate": 1.0}}, 2)
+        # u = (s - 1) exp(-s/2), s = |x|^2: u at s = 1; 2 - (s - 1) at s = 3
+        assert radial_field.breakpoints == pytest.approx((1.0, np.sqrt(3.0)))
+        assert radial_field.radial_profile.breakpoints == radial_field.breakpoints
+
     def test_fingerprint_stable(self):
         entry = {"label": "p3", "kind": "power", "params": {"p": 3}}
         assert fingerprint(entry) == fingerprint(json.loads(json.dumps(entry)))

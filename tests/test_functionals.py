@@ -114,9 +114,9 @@ class TestLuxemburg:
         for label in ("bump_mid", "pg_decay", "ga_p3"):
             u = manifest.radial_functions[label]
             for n in (1, 2):
-                lp = integrate_radial(lambda r: np.abs(u.u(r)) ** p, n,
-                                      envelope=u.hint,
-                                      breakpoints=u.breakpoints).value ** (1.0 / p)
+                lp, = integrate_radial([(lambda r: np.abs(u.u(r)) ** p, None)], n,
+                                       envelopes=[u.hint], breakpoints=u.breakpoints)
+                lp = lp.value ** (1.0 / p)
                 lux = fresh_norm(u, nf, RadialMeasure(n))
                 assert lux == pytest.approx(lp, rel=1e-8)
 
@@ -128,8 +128,9 @@ class TestLuxemburg:
                 if not factory.compatible(n):
                     continue
                 u = factory.instantiate(n)
-                lp = integrate_gaussian_nd(lambda x: np.abs(u.u(x)) ** p, n, spec,
-                                           envelope=u.hint).value ** (1.0 / p)
+                lp, = integrate_gaussian_nd([(lambda x: np.abs(u.u(x)) ** p, None)], n,
+                                            spec, envelopes=[u.hint])
+                lp = lp.value ** (1.0 / p)
                 lux = fresh_norm(u, nf, GaussianMeasure(n), spec)
                 assert lux == pytest.approx(lp, rel=1e-8), (label, n)
 
@@ -278,6 +279,72 @@ class TestModularTripleNd:
             modular_triple_nd(none_grad, power_nfunction(2))
 
 
+def lone_or_none(profile, nf, measure, spec, transform=None):
+    """The modular of one part integrated alone, or None if it diverges."""
+    try:
+        return functionals._modular(profile, nf, measure, spec, transform)
+    except DivergenceError:
+        return None
+
+
+def assert_family_agrees_with_lone(rows, where):
+    """Each (value, err_est) of a family and the same modular integrated
+    alone, on panels of its own, agree within their two error estimates
+    summed; a modular that diverges alone is infinite in the family."""
+    for value, err, res in rows:
+        if res is None:
+            assert math.isinf(value), where
+        else:
+            assert abs(value - res.value) <= err + res.err_est, where
+
+
+class TestModularFamilies:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_radial_triples_agree_with_lone_modulars(self, manifest, spec, n):
+        meas = RadialMeasure(n)
+        for nf_label, nf in sorted(manifest.nfunctions.items()):
+            for label, u in sorted(manifest.radial_functions.items()):
+                triple = modular_triple_radial(u, nf, n, spec)
+                bps = u.breakpoints
+                lone = [lone_or_none(ScalarProfile(u.u, u.hint.times_power(1.0), bps), nf,
+                                     meas, spec, lambda a, r: r * a),
+                        lone_or_none(ScalarProfile(u.u, u.hint, bps), nf, meas, spec),
+                        lone_or_none(ScalarProfile(u.du, u.du_hint(), bps), nf, meas, spec)]
+                assert triple.divergent == tuple(res is None for res in lone)
+                assert_family_agrees_with_lone(
+                    zip((triple.K, triple.L, triple.G), triple.errs, lone),
+                    (nf_label, label, n))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_field_triples_and_lk_terms_agree_with_lone_modulars(self, manifest, spec, n):
+        meas = GaussianMeasure(n)
+        for nf_label in ("p2", "p3"):
+            nf = manifest.nfunc(nf_label)
+            for label, factory in sorted(manifest.field_functions.items()):
+                if not factory.compatible(n):
+                    continue
+                u = factory.instantiate(n)
+                samples, bps = FieldSamples.of(u), u.breakpoints
+                triple = modular_triple_nd(u, nf, spec, samples=samples)
+                lone = [lone_or_none(ScalarProfile(samples.u, u.hint.times_power(1.0), bps),
+                                     nf, meas, spec, lambda a, r: samples.u.norms(r) * a),
+                        lone_or_none(ScalarProfile(samples.u, u.hint, bps), nf, meas, spec),
+                        lone_or_none(ScalarProfile(samples.grad, u.grad_hint(), bps),
+                                     nf, meas, spec)]
+                assert_family_agrees_with_lone(
+                    zip((triple.K, triple.L, triple.G), triple.errs, lone),
+                    (nf_label, label, n))
+                terms = lk_modular_terms(u, nf, (0.25, 0.5, 1.0), triple, spec,
+                                         samples=samples)
+                for theta, (_, hess, func, errs) in terms.items():
+                    lone = [lone_or_none(ScalarProfile(samples.hess, u.hess_hint(), bps),
+                                         nf, meas, spec, lambda a, r: theta * a),
+                            lone_or_none(ScalarProfile(samples.u, u.hint, bps), nf, meas,
+                                         spec, lambda a, r: a / theta)]
+                    assert_family_agrees_with_lone(
+                        zip((hess, func), errs[1:], lone), (nf_label, label, n, theta))
+
+
 class FreshStore(SampleStore):
     """Test-only reference: evaluates g at every requested radius, as each
     integral did before sample stores, instead of reading earlier samples."""
@@ -306,17 +373,17 @@ class TestSampleStoreOracle:
             shared, fresh = FieldSamples.of(u), fresh_samples(u)
             triple = modular_triple_nd(u, nf, spec, samples=shared)
             assert triple == modular_triple_nd(u, nf, spec, samples=fresh), label
-            for theta in (0.25, 0.5, 1.0):
-                terms = lk_modular_terms(u, nf, theta, triple, spec, samples=shared)
-                assert terms == lk_modular_terms(u, nf, theta, triple, spec,
-                                                 samples=fresh), label
-            # theta = 1 came last: its terms are the norms' modulars at K = 1
-            assert (lk_norm_triple(u, nf, terms, spec, samples=shared)
-                    == lk_norm_triple(u, nf, terms, spec, samples=fresh)), label
+            terms = lk_modular_terms(u, nf, (0.25, 0.5, 1.0), triple, spec,
+                                     samples=shared)
+            assert terms == lk_modular_terms(u, nf, (0.25, 0.5, 1.0), triple, spec,
+                                             samples=fresh), label
+            # the theta = 1 terms are the norms' modulars at K = 1
+            assert (lk_norm_triple(u, nf, terms[1.0], spec, samples=shared)
+                    == lk_norm_triple(u, nf, terms[1.0], spec, samples=fresh)), label
             meas = GaussianMeasure(n)
             assert (fresh_norm(u, nf, meas, spec)
-                    == fresh_norm(ScalarProfile(FreshStore(u.u, n), u.hint),
-                                  nf, meas, spec)), label
+                    == fresh_norm(ScalarProfile(FreshStore(u.u, n), u.hint,
+                                                u.breakpoints), nf, meas, spec)), label
 
 
 # ---------------------------------------------------------------------------
@@ -501,28 +568,30 @@ def count_modulars(monkeypatch, within=luxemburg_norm):
     return calls
 
 
-def afresh_norm(f, nf, measure, m1, spec=None, norm_tol=1e-9):
-    """Test-only reference: a norm that ignores the m1 it is handed and
-    integrates its modular at K = 1 afresh, as every norm once did."""
-    return fresh_norm(f, nf, measure, spec, norm_tol)
-
-
 class TestNormsFromTheTriple:
     @pytest.mark.parametrize("form, normalized", [
         ("www", False), ("hn11", False), ("hn11", True)])
     def test_norm_forms_equal_norms_of_fresh_modulars(self, manifest, spec,
                                                       monkeypatch, form, normalized):
         # www and hn11 hand each norm its modular from the member's triple:
-        # every check must equal, bit for bit, the one whose norms integrate
-        # their modular at K = 1 afresh
+        # every check must equal, bit for bit, the one whose norms take their
+        # modulars at K = 1 from a fresh family of the norms' own profiles
+        # (f, f', r f), integrated afresh as (K, L, G)
         def run():
             checks = []
             run_hardy(manifest, spec, [1, 2, 3], checks, form=form,
                       normalized=normalized)
             return [canonical_json(c.as_dict()) for c in checks]
 
+        def afresh_triple(form, profiles, triple, nf, measure, *args, **kwargs):
+            f, df, rf = profiles
+            fresh = functionals._modular_triple(((rf, None), (f, None), (df, None)),
+                                                nf, measure, spec)
+            return original(form, profiles, fresh, nf, measure, *args, **kwargs)
+
         handed = run()
-        monkeypatch.setattr(hardy_mod, "luxemburg_norm", afresh_norm)
+        original = hardy_mod._check_norm_form
+        monkeypatch.setattr(hardy_mod, "_check_norm_form", afresh_triple)
         afresh = run()
         assert len(handed) > 0
         assert {json.loads(c)["nfunc_label"] for c in handed} == set(manifest.nfunctions)

@@ -36,8 +36,9 @@ from orlicz_hardy.reporting import canonical_json
 
 
 def theta_terms(u, nf, theta, spec=None):
-    """`lk_modular_terms` of (u, nf) at theta, on a fresh modular triple."""
-    return lk_modular_terms(u, nf, theta, modular_triple_nd(u, nf, spec), spec)
+    """`lk_modular_terms` of (u, nf) at theta alone, on a fresh modular
+    triple."""
+    return lk_modular_terms(u, nf, (theta,), modular_triple_nd(u, nf, spec), spec)[theta]
 
 
 def norm_triple(u, nf, spec=None):
@@ -162,7 +163,7 @@ class TestEnvelopeFit:
         terms = {1.0: (1.0, 1.0, 0.0, (0.0, 0.0, 0.0)),
                  0.25: (1.0, 0.0, 1.0, (0.0, 0.0, 0.0))}
         monkeypatch.setattr(lk_mod, "lk_modular_terms",
-                            lambda u, nf, theta, *args: terms[theta])
+                            lambda u, nf, thetas, *args: {t: terms[t] for t in thetas})
         grid = (0.5, 1.0, 2.0)
         assert fit_envelope([("a", *terms[1.0][:3], 1e-9)], grid) == (1.0, 0.5, "a", True)
         fit, fitted = fit_lk_modular_envelope([SimpleNamespace(label="a")], None,
@@ -206,8 +207,10 @@ class TestEnvelopeFit:
                                              theta_grid=(0.25, 0.5, 1.0))
         assert fit.feasible
         for u in fields:
+            # the fit's terms are one fresh family call of (u, nf), bit for bit
+            assert terms[u.label] == lk_modular_terms(u, nf, (0.25, 0.5, 1.0),
+                                                      triples[u.label], spec)
             for theta in (0.25, 0.5, 1.0):
-                assert terms[u.label][theta] == theta_terms(u, nf, theta, spec)
                 rep = check_lk_modular(terms[u.label][theta], fit.c1, fit.c2, theta)
                 assert rep.verdict in ("holds", "indeterminate"), \
                     (u.label, theta, rep.slack)
@@ -228,7 +231,7 @@ class TestProvenanceChain:
         field = manifest.field_functions["fx_quad"].instantiate(2)
         nf = manifest.nfunc("p2")
         triple = modular_triple_nd(field, nf, spec)
-        rep = check_lk_modular(lk_modular_terms(field, nf, 1.0, triple, spec),
+        rep = check_lk_modular(lk_modular_terms(field, nf, (1.0,), triple, spec)[1.0],
                                64.0, 64.0,
                                provenance=hardy_provenance(field, nf, 2, triple))
         assert rep.verdict in ("holds", "indeterminate")
@@ -284,14 +287,14 @@ class TestRunLkComputesOnce:
             "norm", lk_mod.lk_norm_triple, lambda u, nf, *a, **k: (u.label, nf.label, u.n)))
         monkeypatch.setattr(lk_mod, "lk_modular_terms", counted(
             "modular", lk_mod.lk_modular_terms,
-            lambda u, nf, theta, *a, **k: (u.label, nf.label, u.n, theta)))
+            lambda u, nf, thetas, *a, **k: (u.label, nf.label, u.n, tuple(thetas))))
         run_lk(manifest, spec, [1, 2], [], {}, {})
         expected_norm = {(label, nf_label, n)
                          for nf_label in ("p2", "p3") for n in (1, 2)
                          for label, factory in manifest.field_functions.items()
                          if factory.compatible(n)}
-        expected_modular = {key + (theta,) for key in expected_norm
-                            for theta in DEFAULT_THETAS}
+        # one family of every theta per (field, N-function, n)
+        expected_modular = {key + (DEFAULT_THETAS,) for key in expected_norm}
         assert sorted(calls["norm"]) == sorted(expected_norm)
         assert sorted(calls["modular"]) == sorted(expected_modular)
 
@@ -301,9 +304,13 @@ class TestModularTermsFromTheTriple:
     @pytest.mark.parametrize("nf_label", ["p2", "p3"])
     def test_terms_equal_their_own_integrals(self, manifest, spec, nf_label,
                                              normalized):
-        # the lhs and the theta = 1 function term are read from the triple:
-        # each must equal, bit for bit, the Gaussian integral of its own term
+        # the lhs and the theta = 1 function term are read from the triple;
+        # the theta = 1 Hessian term must equal, bit for bit, a fresh
+        # Gaussian family of that integral alone, and the Hessian and
+        # function terms at each theta != 1 a fresh family of exactly those
         nf = manifest.nfunc(nf_label)
+        thetas = DEFAULT_THETAS
+        scaled = [theta for theta in thetas if theta != 1.0]
         for n in (1, 2, 3):
             for label, factory in sorted(manifest.field_functions.items()):
                 if not factory.compatible(n):
@@ -311,29 +318,41 @@ class TestModularTermsFromTheTriple:
                 u = factory.instantiate(n)
                 samples = FieldSamples.of(u)
                 triple = modular_triple_nd(u, nf, spec, normalized, samples)
-                for theta in DEFAULT_THETAS:
-                    direct = [quadrature.integrate_gaussian_nd(
-                        store, n, spec, envelope=functionals._compose_hint(hint, nf),
-                        normalized=normalized, transform=transform)
-                        for store, hint, transform in (
-                            (samples.grad, u.grad_hint(), lambda v, r: nf.eval(v)),
-                            (samples.hess, u.hess_hint(),
-                             lambda v, r: nf.eval(theta * v)),
-                            (samples.u, u.hint, lambda v, r: nf.eval(v / theta)))]
-                    assert lk_modular_terms(u, nf, theta, triple, spec, normalized,
-                                            samples) == (
-                        *(res.value for res in direct),
-                        tuple(res.err_est for res in direct)), (label, n, theta)
+                hess_env = functionals._compose_hint(u.hess_hint(), nf)
+                func_env = functionals._compose_hint(u.hint, nf)
+
+                def family(parts, envelopes):
+                    return quadrature.integrate_gaussian_nd(
+                        parts, n, spec, envelopes=envelopes, normalized=normalized,
+                        breakpoints=u.breakpoints)
+
+                hess_one, = family([(samples.hess, lambda v, r: nf.eval(v))], [hess_env])
+                direct = family(
+                    [(samples.hess, lambda v, r, t=theta: nf.eval(t * v)) for theta in scaled]
+                    + [(samples.u, lambda v, r, t=theta: nf.eval(v / t)) for theta in scaled],
+                    [hess_env] * len(scaled) + [func_env] * len(scaled))
+                expected = {1.0: (hess_one, triple.L, triple.errs[1])}
+                expected.update((theta, (hess, func.value, func.err_est))
+                                for theta, hess, func in zip(scaled, direct, direct[len(scaled):]))
+                terms = lk_modular_terms(u, nf, thetas, triple, spec, normalized, samples)
+                assert list(terms) == list(thetas)
+                for theta, (hess, func_value, func_err) in expected.items():
+                    assert terms[theta] == (
+                        triple.G, hess.value, func_value,
+                        (triple.errs[2], hess.err_est, func_err)), (label, n, theta)
 
 
 class TestRunLkIntegratesOnce:
     def test_eight_gaussian_modulars_per_field_beyond_its_norms(
             self, manifest, spec, monkeypatch):
         # K, L, G once, M(theta |hess u|) at each theta and M(|u|/theta) at
-        # each theta != 1; every Gaussian integral is one radial family
-        integrals = Counter()
+        # each theta != 1, in three families: the triple, the theta = 1
+        # Hessian term and the other LK terms; every family is one radial
+        # family, one `_adaptive` call
+        families, modulars = Counter(), Counter()
         in_norm = []
         norm, family = lk_mod.luxemburg_norm, quadrature.integrate_radial_family
+        gaussian = functionals.integrate_gaussian_nd
 
         def counted_norm(*args, **kwargs):
             in_norm.append(True)
@@ -343,16 +362,22 @@ class TestRunLkIntegratesOnce:
                 in_norm.pop()
 
         def counted_family(*args, **kwargs):
-            integrals["norm" if in_norm else "modular"] += 1
+            families["norm" if in_norm else "modular"] += 1
             return family(*args, **kwargs)
+
+        def counted_gaussian(parts, *args, **kwargs):
+            modulars["norm" if in_norm else "modular"] += len(parts)
+            return gaussian(parts, *args, **kwargs)
 
         monkeypatch.setattr(lk_mod, "luxemburg_norm", counted_norm)
         monkeypatch.setattr(quadrature, "integrate_radial_family", counted_family)
+        monkeypatch.setattr(functionals, "integrate_gaussian_nd", counted_gaussian)
         run_lk(manifest, spec, [2], [], {}, {}, nfunc_labels=("p2",))
         fields = [f for f in manifest.field_functions.values() if f.compatible(2)]
-        assert integrals["modular"] == 8 * len(fields)
+        assert modulars["modular"] == 8 * len(fields)
+        assert families["modular"] == 3 * len(fields)
         # a power norm's modular at K = 1 is a term: at most one more inside
-        assert integrals["norm"] <= 3 * len(fields)
+        assert families["norm"] == modulars["norm"] <= 3 * len(fields)
 
 
 class TestRunLkSamplesOnce:
@@ -383,28 +408,42 @@ class TestRunLkSamplesOnce:
         assert repeated == []
 
 
-def afresh_norm(f, nf, measure, m1, spec=None, norm_tol=1e-9):
-    """Test-only reference: a norm that ignores the m1 it is handed and
-    integrates its modular at K = 1 afresh, as every norm once did."""
-    m1 = functionals.modular_value(f, nf, measure, spec)
-    return functionals.luxemburg_norm(f, nf, measure, m1, spec, norm_tol)
-
-
 class TestNormsFromTheTerms:
     @pytest.mark.parametrize("normalized", [False, True])
     def test_norms_equal_norms_of_fresh_modulars(self, manifest, spec, monkeypatch,
                                                  normalized):
         # the norm triple takes its three modulars at K = 1 from the
         # theta = 1 terms: every norm check and fit must equal, bit for bit,
-        # those whose norms integrate that modular afresh
+        # those whose norms take them from a fresh triple and fresh theta = 1
+        # terms, integrated afresh
         def run():
             checks, fits = [], {}
             run_lk(manifest, spec, [1, 2], checks, {}, fits, normalized=normalized)
             return ([canonical_json(c.as_dict()) for c in checks
                      if c.id == "statB2gauss"], canonical_json(fits))
 
+        def afresh_terms(u, nf, terms, spec=None, normalized=False, samples=None):
+            triple = modular_triple_nd(u, nf, spec, normalized)
+            fresh = lk_modular_terms(u, nf, (1.0,), triple, spec, normalized)
+            return original(u, nf, fresh[1.0], spec, normalized, samples)
+
         handed = run()
-        monkeypatch.setattr(lk_mod, "luxemburg_norm", afresh_norm)
+        original = lk_mod.lk_norm_triple
+        monkeypatch.setattr(lk_mod, "lk_norm_triple", afresh_terms)
         afresh = run()
         assert len(handed[0]) > 0
         assert handed == afresh
+
+    def test_norms_do_not_move_with_the_theta_grid(self, manifest, spec):
+        # m1 of ||hess u|| is the theta = 1 Hessian term, a family of its
+        # own: the other thetas must not move a norm check or the norm fit
+        def run(theta_grid):
+            checks, fits = [], {}
+            run_lk(manifest, spec, [1, 2], checks, {}, fits, theta_grid=theta_grid)
+            return ([canonical_json(c.as_dict()) for c in checks if c.id == "statB2gauss"],
+                    canonical_json({key: fit for key, fit in fits.items()
+                                    if key.startswith("statB2gauss:")}))
+
+        default = run(DEFAULT_THETAS)
+        assert len(default[0]) > 0 and "C1" in default[1]
+        assert default == run((0.5,)) == run((1.0,))

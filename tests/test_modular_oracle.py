@@ -1,0 +1,256 @@
+"""Exact-value oracle for the modulars the batteries integrate.
+
+Every modular the verifier reports carries an error estimate.  These tests
+hold each estimate to the true error, with no extra allowance:
+|value - exact| <= err_est.  The exact values come from numpy and mpmath
+only, never from the package's quadrature:
+
+- radial members, and packaged fields at n = 1 (where the two-direction
+  sphere is exact), by `mpmath.quad` on pieces split at the breakpoints and
+  at the sign changes of u, u' and u'', where M(|.|) has a kink;
+- K and L of the monomial fields u = x^k exp(-a|x|^2/2) at n = 2 and 3 in
+  closed form: with s = sum k_i and c = 1 + p a, the sphere moment
+  A = 2 prod Gamma((p k_i + 1)/2) / Gamma((p s + n)/2) and the radial
+  moment R(m) = 2^((m-1)/2) Gamma((m+1)/2) / c^((m+1)/2) give
+  L = A R(p s + n - 1) and K = A R(p s + p + n - 1).
+
+Each member is rebuilt here from its manifest entry as a polynomial times a
+Gaussian, piece by piece, so the oracle shares no code with the builders.
+"""
+
+import functools
+import json
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from orlicz_hardy.cli import DEFAULT_THETAS
+from orlicz_hardy.corpus import default_manifest_path, load_manifest
+from orlicz_hardy.functionals import modular_triple_nd, modular_triple_radial
+from orlicz_hardy.landau_kolmogorov import lk_modular_terms
+from orlicz_hardy.quadrature import QuadratureSpec
+
+P = np.polynomial.polynomial
+DPS = 20
+MANIFEST = load_manifest()
+ENTRIES = json.loads(default_manifest_path().read_text())
+RADIAL = {e["label"]: e for e in ENTRIES["radial_functions"]}
+FIELDS = {e["label"]: e for e in ENTRIES["field_functions"]}
+NFUNCS = {e["label"]: e for e in ENTRIES["nfunctions"]}
+SPEC = QuadratureSpec()
+
+
+def n_function(label):
+    """(p, log_factor) with M(x) = x^p, times log(1 + x) if log_factor."""
+    entry = NFUNCS[label]
+    assert entry["kind"] in ("power", "power_log")
+    return mpmath.mpf(entry["params"]["p"]), entry["kind"] == "power_log"
+
+
+# -- members as pieces (lo, hi, q, a): on [lo, hi] the member is the
+# polynomial q (ascending coefficients) times exp(-a r^2 / 2), so its
+# derivatives are taken on the coefficients.
+
+def _gauss_poly(coefs, a):
+    return [(0.0, math.inf, np.asarray(coefs, dtype=float), float(a))]
+
+
+def radial_pieces(entry):
+    kind, params = entry["kind"], entry["params"]
+    if kind == "gaussian_power":
+        return _gauss_poly([1.0], -params["alpha"] / params["p"])
+    if kind == "poly_gauss":
+        return _gauss_poly(params["coefficients"], params["rate"])
+    if kind == "bump":
+        c, w, k = params["center"], params["width"], params.get("degree", 2)
+        # (1 - ((r - c)/w)^2)^k = ((w^2 - c^2 + 2 c r - r^2) / w^2)^k
+        base = np.array([w * w - c * c, 2.0 * c, -1.0]) / (w * w)
+        return [(0.0, c - w, np.zeros(1), 0.0),
+                (c - w, c + w, P.polypow(base, k), 0.0)]
+    if kind == "truncated":
+        big_n = params["N"]
+        inner = radial_pieces(params["inner"])
+        assert len(inner) == 1
+        _, _, q, a = inner[0]
+        taper = np.array([2.0, -1.0 / big_n])   # (2N - r) / N
+        return [(0.0, big_n, q, a), (big_n, 2.0 * big_n, P.polymul(taper, q), a)]
+    raise AssertionError(kind)
+
+
+def derivative(q, a):
+    """(q exp(-a r^2/2))' = (q' - a r q) exp(-a r^2/2)."""
+    return P.polysub(P.polyder(q), a * P.polymulx(q))
+
+
+def _roots(q, lo, hi):
+    """The real roots of q inside (lo, hi): where |q| may have a kink."""
+    q = P.polytrim(q)
+    if q.size < 2:
+        return []
+    return [float(z.real) for z in P.polyroots(q)
+            if abs(z.imag) <= 1e-9 * max(1.0, abs(z)) and lo < z.real < hi]
+
+
+def exact_modular(pieces, nf_label, n, which, scale=1.0):
+    """int M(scale |f|) r^(n-1) exp(-r^2/2) dr over [0, oo) for f = r u (K),
+    u (L), u' (G) or u'' (H), split at the roots of f inside each piece."""
+    total = mpmath.mpf(0)
+    with mpmath.workdps(DPS):
+        p, log_factor = n_function(nf_label)
+        for lo, hi, q, a in pieces:
+            dq = derivative(q, a)
+            f = {"K": P.polymulx(q), "L": q, "G": dq, "H": derivative(dq, a)}[which]
+            if not np.any(f):
+                continue
+            coefs = [mpmath.mpf(float(c)) for c in f[::-1]]
+            half_a, k = mpmath.mpf(a) / 2, mpmath.mpf(scale)
+
+            def integrand(r):
+                # M(x) r^(n-1) exp(-r^2/2) with x = k |f(r)| exp(-a r^2/2),
+                # its power and the weight folded into one exponential
+                r2 = r * r
+                base = k * abs(mpmath.polyval(coefs, r))
+                power = base ** p * r ** (n - 1) * mpmath.exp(-(p * half_a + 0.5) * r2)
+                if not log_factor:
+                    return power
+                return power * mpmath.log1p(base * mpmath.exp(-half_a * r2))
+
+            edges = sorted({lo, hi, *_roots(f, lo, hi)})
+            total += mpmath.quad(integrand, [mpmath.mpf(e) if math.isfinite(e)
+                                             else mpmath.inf for e in edges])
+    return float(total)
+
+
+def _compose(outer, inner):
+    """Coefficients of outer(inner(x)), both ascending."""
+    out = np.zeros(1)
+    for c in outer[::-1]:
+        out = P.polyadd(P.polymul(out, inner), [c])
+    return out
+
+
+def field_pieces(entry):
+    """A packaged field on x >= 0 of R^1, as pieces.  |u|, |u'| and |u''|
+    are even in x for every packaged kind, so the integral over R is twice
+    the one over x >= 0."""
+    kind, params = entry["kind"], entry["params"]
+    if kind == "gauss_poly_radial":
+        coefs = np.zeros(2 * len(params["even_coefficients"]) - 1)
+        coefs[::2] = params["even_coefficients"]            # P(x^2)
+        return _gauss_poly(coefs, params["rate"])
+    if kind == "monomial_gauss":
+        k = params["exponents"][0]
+        return _gauss_poly(np.eye(k + 1)[k], params["rate"])
+    if kind == "cutoff":
+        (_, _, q, a), = field_pieces(params["inner"])
+        r1, r2 = params["r1"], params["r2"]
+        t = np.array([-r1, 1.0]) / (r2 - r1)               # (r - r1) / (r2 - r1)
+        chi = _compose(np.array([1.0, 0.0, 0.0, -10.0, 15.0, -6.0]), t)
+        return [(0.0, r1, q, a), (r1, r2, P.polymul(q, chi), a)]
+    raise AssertionError(kind)
+
+
+# -- the checks ---------------------------------------------------------------
+
+def assert_honest(value, err, exact, what):
+    assert abs(value - exact) <= err, (
+        f"{what}: |{value!r} - {exact!r}| = {abs(value - exact):.3g} "
+        f"> err_est {err:.3g}")
+
+
+@functools.cache
+def radial_triple(label, nf_label, n):
+    return modular_triple_radial(MANIFEST.radial_functions[label],
+                                 MANIFEST.nfunc(nf_label), n, SPEC)
+
+
+@functools.cache
+def field(label, n):
+    return MANIFEST.field_functions[label].instantiate(n)
+
+
+@functools.cache
+def field_triple(label, nf_label, n):
+    return modular_triple_nd(field(label, n), MANIFEST.nfunc(nf_label), SPEC)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("nf_label", sorted(NFUNCS))
+@pytest.mark.parametrize("label", sorted(RADIAL))
+def test_radial_modulars_within_their_error_estimates(label, nf_label, n):
+    # a modular the truncation policy calls divergent has no value to check
+    triple = radial_triple(label, nf_label, n)
+    pieces = radial_pieces(RADIAL[label])
+    for which, value, err, divergent in zip("KLG", (triple.K, triple.L, triple.G),
+                                            triple.errs, triple.divergent):
+        if not divergent:
+            assert_honest(value, err, exact_modular(pieces, nf_label, n, which),
+                          f"{label} {nf_label} n={n} {which}")
+
+
+N1_FIELDS = sorted(label for label, f in MANIFEST.field_functions.items()
+                   if f.compatible(1))
+
+
+@pytest.mark.parametrize("nf_label", sorted(NFUNCS))
+@pytest.mark.parametrize("label", N1_FIELDS)
+def test_field_modulars_at_n_one_within_their_error_estimates(label, nf_label):
+    triple = field_triple(label, nf_label, 1)
+    pieces = field_pieces(FIELDS[label])
+    for which, value, err in zip("KLG", (triple.K, triple.L, triple.G), triple.errs):
+        assert_honest(value, err, 2.0 * exact_modular(pieces, nf_label, 1, which),
+                      f"{label} {nf_label} n=1 {which}")
+
+
+@pytest.mark.parametrize("nf_label", ["p2", "p3"])
+@pytest.mark.parametrize("label", N1_FIELDS)
+def test_lk_terms_at_n_one_within_their_error_estimates(label, nf_label):
+    # the Hessian term at every theta and the function term at theta != 1
+    # are one family
+    terms = lk_modular_terms(field(label, 1), MANIFEST.nfunc(nf_label), DEFAULT_THETAS,
+                             field_triple(label, nf_label, 1), SPEC)
+    pieces = field_pieces(FIELDS[label])
+    for theta, (_, hess, func, errs) in terms.items():
+        exact = 2.0 * exact_modular(pieces, nf_label, 1, "H", theta)
+        assert_honest(hess, errs[1], exact, f"{label} {nf_label} theta={theta} hess")
+        if theta != 1.0:
+            exact = 2.0 * exact_modular(pieces, nf_label, 1, "L", 1.0 / theta)
+            assert_honest(func, errs[2], exact, f"{label} {nf_label} theta={theta} func")
+
+
+def monomial_exact(entry, p, n, which):
+    """K or L of x^k exp(-a|x|^2/2) for M(r) = r^p in closed form."""
+    k = entry["params"]["exponents"] + [0] * (n - len(entry["params"]["exponents"]))
+    s, c = sum(k), 1.0 + p * entry["params"]["rate"]
+    log_a = (math.log(2.0) + sum(math.lgamma((p * ki + 1.0) / 2.0) for ki in k)
+             - math.lgamma((p * s + n) / 2.0))
+    m = p * s + n - 1.0 + (p if which == "K" else 0.0)
+    log_r = ((m - 1.0) / 2.0 * math.log(2.0) + math.lgamma((m + 1.0) / 2.0)
+             - (m + 1.0) / 2.0 * math.log(c))
+    return math.exp(log_a + log_r)
+
+
+# The 32-direction Monte Carlo sphere misses these 16 at n = 3: their bars
+# are the standard error of 16 antithetic pair means, which undercounts the
+# angular error (fx_quad p4 K reads 0.526 +- 0.290 against 1.354).  A
+# deterministic sphere rule must flip them.
+SPHERE_MISSES = {(label, nf_label, 3, which) for label in ("fx_lin", "fx_quad")
+                 for nf_label in ("p2", "p2.5", "p3", "p4") for which in "KL"}
+
+MONOMIAL_CASES = [
+    pytest.param(label, nf_label, n, which,
+                 marks=[pytest.mark.xfail(strict=True, reason="Monte Carlo sphere bar")]
+                 if (label, nf_label, n, which) in SPHERE_MISSES else [])
+    for label in sorted(label for label, e in FIELDS.items() if e["kind"] == "monomial_gauss")
+    for nf_label in sorted(label for label, e in NFUNCS.items() if e["kind"] == "power")
+    for n in (2, 3) for which in "KL"]
+
+
+@pytest.mark.parametrize("label, nf_label, n, which", MONOMIAL_CASES)
+def test_monomial_k_and_l_within_their_error_estimates(label, nf_label, n, which):
+    triple = field_triple(label, nf_label, n)
+    value, err = (triple.K, triple.errs[0]) if which == "K" else (triple.L, triple.errs[1])
+    exact = monomial_exact(FIELDS[label], float(NFUNCS[nf_label]["params"]["p"]), n, which)
+    assert_honest(value, err, exact, f"{label} {nf_label} n={n} {which}")

@@ -4,9 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from orlicz_hardy import quadrature
 from orlicz_hardy.errors import DivergenceError, EvaluationError, PreconditionError
 from orlicz_hardy.quadrature import (
     MAX_RADIUS,
+    MIN_REL_TOL,
+    ROUNDOFF,
     GaussianMeasure,
     QuadratureSpec,
     SampleStore,
@@ -16,12 +19,13 @@ from orlicz_hardy.quadrature import (
     integrate_interval,
     integrate_pieces,
     integrate_radial,
+    integrate_radial_family,
     moment,
     sphere_directions,
     surface_area,
     truncation_radius,
 )
-from orlicz_hardy.quadrature import _gammaincc, _median
+from orlicz_hardy.quadrature import _gammaincc, _gk_panels, _median
 from orlicz_hardy.sharpness import c1_lower_bound, stirling_ratio
 
 
@@ -90,8 +94,8 @@ class TestGammaOracle:
 
     def test_negative_degree_envelope_gives_a_finite_error(self):
         # 1/(1+r) <= r^-1 on (0, oo): a valid envelope whose tail has s = 0
-        res = integrate_radial(lambda r: 1.0 / (1.0 + r), 1,
-                               envelope=SupportHint.decaying(-1.0, 0.0))
+        res = radial(lambda r: 1.0 / (1.0 + r), 1,
+                     envelope=SupportHint.decaying(-1.0, 0.0))
         with mpmath.workdps(30):
             exact = float(mpmath.quad(lambda r: mpmath.exp(-r * r / 2) / (1 + r),
                                       [0, 1, mpmath.inf]))
@@ -126,14 +130,14 @@ class TestGammaOracle:
 
 class TestRadial:
     def test_zero_function(self):
-        res = integrate_radial(lambda r: np.zeros_like(r), 3)
+        res = radial(lambda r: np.zeros_like(r), 3)
         assert res.value == 0.0
 
     @pytest.mark.parametrize("k", [0, 1, 2, 4, 6])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_powers_match_moments(self, n, k):
-        res = integrate_radial(lambda r: r ** k, n,
-                               envelope=SupportHint.decaying(k, 0.0))
+        res = radial(lambda r: r ** k, n,
+                     envelope=SupportHint.decaying(k, 0.0))
         assert abs(res.value - moment(n, k)) <= 1e-8 * moment(n, k)
         assert abs(res.value - moment(n, k)) <= max(res.err_est, 1e-13)
 
@@ -142,9 +146,9 @@ class TestRadial:
         g = lambda r: np.exp(-r)
         env = SupportHint.decaying(2, 0.0)
         a, b = 3.0, -0.5
-        combo = integrate_radial(lambda r: a * f(r) + b * g(r), 2, envelope=env)
-        fa = integrate_radial(f, 2, envelope=env)
-        gb = integrate_radial(g, 2, envelope=env)
+        combo = radial(lambda r: a * f(r) + b * g(r), 2, envelope=env)
+        fa = radial(f, 2, envelope=env)
+        gb = radial(g, 2, envelope=env)
         assert combo.value == pytest.approx(a * fa.value + b * gb.value,
                                             abs=3.0 * (combo.err_est + fa.err_est + gb.err_est) + 1e-12)
 
@@ -152,21 +156,21 @@ class TestRadial:
         def bad(r):
             return np.where(np.abs(r - 1.0) < 0.05, np.nan, 1.0)
         with pytest.raises(EvaluationError, match="r="):
-            integrate_radial(bad, 1)
+            radial(bad, 1)
 
     def test_divergent_envelope_rejected(self):
         with pytest.raises(DivergenceError, match="rate"):
-            integrate_radial(lambda r: np.exp(r ** 2), 1,
-                             envelope=SupportHint.decaying(0.0, -1.5))
+            radial(lambda r: np.exp(r ** 2), 1,
+                   envelope=SupportHint.decaying(0.0, -1.5))
 
     def test_breakpoint_kink(self):
-        res = integrate_radial(lambda r: np.abs(r - 1.0), 1, breakpoints=(1.0,),
-                               envelope=SupportHint.decaying(1, 0.0))
+        res = radial(lambda r: np.abs(r - 1.0), 1, breakpoints=(1.0,),
+                     envelope=SupportHint.decaying(1, 0.0))
         left = integrate_interval(
             lambda r: (1.0 - r) * np.exp(-0.5 * r * r), 0.0, 1.0)
         # second piece: int_1^oo (r-1) e^(-r^2/2) dr via complement
-        full = integrate_radial(lambda r: r - 1.0, 1,
-                                envelope=SupportHint.decaying(1, 0.0))
+        full = radial(lambda r: r - 1.0, 1,
+                      envelope=SupportHint.decaying(1, 0.0))
         expected = left.value + (full.value - integrate_interval(
             lambda r: (r - 1.0) * np.exp(-0.5 * r * r), 0.0, 1.0).value)
         assert res.value == pytest.approx(expected, rel=1e-9)
@@ -182,8 +186,8 @@ class TestRadial:
         # would put the radius; the capped integral keeps the exact tail of
         # its envelope; int_0^oo exp(-0.05 r^2) dr = sqrt(5 pi)
         env = SupportHint.decaying(0.0, -0.9)
-        res = integrate_radial(lambda r: np.exp(0.45 * r * r), 1,
-                               QuadratureSpec(abs_tol=1e-30), envelope=env)
+        res = radial(lambda r: np.exp(0.45 * r * r), 1,
+                     QuadratureSpec(abs_tol=1e-30), envelope=env)
         assert res.radius == MAX_RADIUS
         assert math.exp(-0.5 * MAX_RADIUS ** 2) == pytest.approx(
             np.finfo(float).tiny, rel=1e-12)
@@ -192,13 +196,25 @@ class TestRadial:
         assert abs(res.value - exact) <= res.err_est
 
 
+def radial(f, n, spec=None, envelope=None, **kwargs):
+    """`integrate_radial` of the one part (f, None)."""
+    res, = integrate_radial([(f, None)], n, spec, envelopes=[envelope], **kwargs)
+    return res
+
+
+def gaussian(g, n, spec=None, envelope=None, transform=None, **kwargs):
+    """`integrate_gaussian_nd` of the one part (g, transform)."""
+    res, = integrate_gaussian_nd([(g, transform)], n, spec, envelopes=[envelope], **kwargs)
+    return res
+
+
 class TestGaussianNd:
     def test_constant_two_dim(self):
-        res = integrate_gaussian_nd(lambda x: np.ones(x.shape[:-1]), 2)
+        res = gaussian(lambda x: np.ones(x.shape[:-1]), 2)
         assert res.value == pytest.approx(2.0 * math.pi, rel=1e-9)
 
     def test_normalized_flag(self):
-        res = integrate_gaussian_nd(lambda x: np.ones(x.shape[:-1]), 3,
+        res = gaussian(lambda x: np.ones(x.shape[:-1]), 3,
                                     normalized=True)
         assert res.value == pytest.approx(1.0, rel=1e-9)
 
@@ -206,21 +222,20 @@ class TestGaussianNd:
         def g(x):
             s = (x * x).sum(axis=-1)
             return np.exp(-0.25 * s)
-        target = surface_area(3) * integrate_radial(
-            lambda r: np.exp(-0.25 * r * r), 3).value
-        res = integrate_gaussian_nd(g, 3)
+        target = surface_area(3) * radial(lambda r: np.exp(-0.25 * r * r), 3).value
+        res = gaussian(g, 3)
         assert res.value == pytest.approx(target, rel=1e-9)
         assert res.angular_sem < 1e-12 * abs(target)
 
     def test_coordinate_square_within_error(self):
-        res = integrate_gaussian_nd(lambda x: x[..., 0] ** 2, 2,
+        res = gaussian(lambda x: x[..., 0] ** 2, 2,
                                     envelope=SupportHint.decaying(2, 0.0))
         assert abs(res.value - 2.0 * math.pi) <= 4.0 * res.err_est
 
     def test_one_dim_exact_directions(self):
         # S^0 = {+1, -1}: integral of (x + 1) against exp(-x^2/2) is sqrt(2 pi)
-        res = integrate_gaussian_nd(lambda x: x[..., 0] + 1.0, 1,
-                                    envelope=SupportHint.decaying(1, 0.0))
+        res = gaussian(lambda x: x[..., 0] + 1.0, 1,
+                                  envelope=SupportHint.decaying(1, 0.0))
         assert res.value == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-10)
 
     def test_directions_antithetic(self):
@@ -242,7 +257,7 @@ class TestGaussianNd:
     def test_zero_dimension_rejected(self):
         # formerly the direction re-draw loop spun forever for n = 0
         with pytest.raises(PreconditionError, match="dimension"):
-            integrate_gaussian_nd(lambda x: 1.0 + 0.0 * x[..., 0], 0)
+            gaussian(lambda x: 1.0 + 0.0 * x[..., 0], 0)
         with pytest.raises(PreconditionError, match="dimension"):
             SampleStore(lambda x: x[..., 0], 0)
         with pytest.raises(PreconditionError, match="dimension"):
@@ -251,6 +266,11 @@ class TestGaussianNd:
     def test_spec_validation(self):
         with pytest.raises(PreconditionError):
             QuadratureSpec(rel_tol=0.5)
+        # at the panels' roundoff floor no tolerance can be met
+        for low in (1e-15, ROUNDOFF, np.nextafter(MIN_REL_TOL, 0.0)):
+            with pytest.raises(PreconditionError, match="100 eps"):
+                QuadratureSpec(rel_tol=low)
+        assert QuadratureSpec(rel_tol=MIN_REL_TOL).rel_tol == MIN_REL_TOL
         for bad in (math.inf, math.nan, -1.0):
             with pytest.raises(PreconditionError, match="abs_tol"):
                 QuadratureSpec(abs_tol=bad)
@@ -290,14 +310,14 @@ class TestSampleStore:
 
     def test_integral_reads_the_store_bit_for_bit(self):
         env = SupportHint.decaying(3.0, 0.6)
-        plain = integrate_gaussian_nd(bump, 2, envelope=env)
+        plain = gaussian(bump, 2, envelope=env)
         store = SampleStore(bump, 2)
-        first = integrate_gaussian_nd(store, 2, envelope=env)
-        again = integrate_gaussian_nd(store, 2, envelope=env)
+        first = gaussian(store, 2, envelope=env)
+        again = gaussian(store, 2, envelope=env)
         assert plain == first == again
-        squared = integrate_gaussian_nd(store, 2, envelope=env,
+        squared = gaussian(store, 2, envelope=env,
                                         transform=lambda v, r: v * v)
-        assert squared == integrate_gaussian_nd(lambda x: bump(x) * bump(x), 2,
+        assert squared == gaussian(lambda x: bump(x) * bump(x), 2,
                                                 envelope=env)
 
     def test_interleaved_calls_match_fresh_evaluation(self):
@@ -318,12 +338,111 @@ class TestSampleStore:
     def test_one_value_per_point_required(self):
         # a scalar once gave a NaN error estimate with no warning
         with pytest.raises(PreconditionError, match="one value per point"):
-            integrate_gaussian_nd(lambda x: 1.0, 2)
+            gaussian(lambda x: 1.0, 2)
 
     def test_store_of_another_rule_rejected(self):
         store = SampleStore(bump, 2)
         with pytest.raises(PreconditionError, match="sample store.* 2, not 3"):
-            integrate_gaussian_nd(store, 3)
+            gaussian(store, 3)
+
+
+class TestRoundoffFloor:
+    def test_panel_error_is_at_least_fifty_eps_of_its_abs_sum(self):
+        # a polynomial of degree 5 is exact under G7: |K15 - G7| is rounding
+        lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])
+        vals, errs = _gk_panels(lambda x: np.stack([x ** 5, -x ** 5]), lo, hi)
+        exact = (hi ** 6 - lo ** 6) / 6.0
+        np.testing.assert_allclose(vals, [exact, -exact], rtol=1e-14)
+        np.testing.assert_allclose(errs, ROUNDOFF * np.array([exact, exact]), rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_smallest_accepted_rel_tol_is_met(self, n):
+        # a nonnegative row's summed floor is ROUNDOFF * |value|, half the
+        # budget MIN_REL_TOL * |value| leaves
+        spec = QuadratureSpec(rel_tol=MIN_REL_TOL, abs_tol=0.0)
+        found = integrate_radial(
+            [(lambda r: r ** 4 * np.exp(-r), None), (lambda r: 1.0 / (1.0 + r * r), None)],
+            n, spec, envelopes=[SupportHint.decaying(4, 0.0), SupportHint.decaying(0, 0.0)])
+        found.append(gaussian(lambda x: np.exp(-0.25 * (x * x).sum(axis=-1)), n, spec))
+        assert all(res.converged for res in found)
+
+
+class TestFamilies:
+    def test_each_row_adds_its_own_tail_from_the_shared_radius(self):
+        # a slowly decaying row sets the radius; a fast one is integrated
+        # out to it too, and its tail from there is far below its own cut
+        slow, fast = SupportHint.decaying(0.0, -0.5), SupportHint.decaying(0.0, 1.0)
+        vals, errs, radius, ok = integrate_radial_family(
+            lambda r: np.stack([np.exp(0.25 * r * r), np.exp(-0.5 * r * r)]), 1,
+            envelopes=(slow, fast))
+        assert ok
+        alone = [radial(lambda r: np.exp(0.25 * r * r), 1, envelope=slow),
+                 radial(lambda r: np.exp(-0.5 * r * r), 1, envelope=fast)]
+        assert radius == alone[0].radius > alone[1].radius
+        exact = [math.sqrt(math.pi), math.sqrt(math.pi) / 2.0]
+        for value, err, single, ref in zip(vals, errs, alone, exact):
+            assert abs(value - ref) <= err
+            assert abs(value - single.value) <= err + single.err_est
+        assert errs[1] >= gaussian_tail(0.0, 2.0, radius)
+
+    def test_one_envelope_per_row(self):
+        with pytest.raises(PreconditionError, match="3 envelopes for a family of 2"):
+            integrate_radial_family(lambda r: np.stack([r, r]), 1,
+                                    envelopes=(None, None, None))
+        with pytest.raises(PreconditionError, match="2 envelopes for 1 parts"):
+            integrate_gaussian_nd([(bump, None)], 2, envelopes=(None, None))
+
+    def test_gaussian_parts_read_each_store_once_per_sweep(self, monkeypatch):
+        sweeps, reads = count_sweeps(monkeypatch), []
+        plain = SampleStore.__call__
+
+        def counted(self, r):
+            reads.append((id(self), r.size))
+            return plain(self, r)
+
+        monkeypatch.setattr(SampleStore, "__call__", counted)
+        store, other = SampleStore(bump, 2), SampleStore(lambda x: x[..., 0] * bump(x), 2)
+        env = SupportHint.decaying(3.0, 0.6)
+        family = integrate_gaussian_nd(
+            [(store, None), (store, lambda v, r: v * v), (other, None),
+             (store, lambda v, r: 2.0 * v)], 2, envelopes=[env] * 4)
+        monkeypatch.undo()
+        assert len(sweeps) > 1
+        for key in (id(store), id(other)):
+            assert [size for k, size in reads if k == key] == [15 * p for p in sweeps]
+        alone = [gaussian(bump, 2, envelope=env),
+                 gaussian(bump, 2, envelope=env, transform=lambda v, r: v * v)]
+        for res, single in zip(family, alone):
+            assert abs(res.value - single.value) <= res.err_est + single.err_est
+        assert family[3].value == pytest.approx(2.0 * family[0].value, rel=1e-15)
+
+    def test_radial_parts_read_each_profile_once_per_sweep(self, monkeypatch):
+        sweeps, reads = count_sweeps(monkeypatch), []
+
+        def f(r):
+            reads.append(r.size)
+            return np.exp(-0.5 * r * r) * np.cos(r)
+
+        env = SupportHint.decaying(0.0, 1.0)
+        family = integrate_radial(
+            [(f, lambda v, r: np.abs(v)), (f, lambda v, r: v * v), (f, None)], 2,
+            envelopes=[env] * 3)
+        monkeypatch.undo()
+        assert len(sweeps) > 1 and reads == [15 * p for p in sweeps]
+        single, = integrate_radial([(f, lambda v, r: v * v)], 2, envelopes=[env])
+        assert abs(family[1].value - single.value) <= family[1].err_est + single.err_est
+
+
+def count_sweeps(monkeypatch):
+    """The panel count of every `_gk_panels` sweep from here on."""
+    sweeps, plain = [], quadrature._gk_panels
+
+    def counted(f, lo, hi):
+        sweeps.append(lo.size)
+        return plain(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_gk_panels", counted)
+    return sweeps
 
 
 def gauss_bump(x):
