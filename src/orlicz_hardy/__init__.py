@@ -11,7 +11,6 @@ from .errors import (
 )
 from .functionals import (
     FieldFunction,
-    FieldSamples,
     ModularTriple,
     RadialTestFunction,
     ScalarProfile,
@@ -65,7 +64,6 @@ from .quadrature import (
     GaussianMeasure,
     QuadratureSpec,
     RadialMeasure,
-    SampleStore,
     SupportHint,
     integrate_gaussian_nd,
     integrate_radial,

@@ -28,7 +28,7 @@ from . import landau_kolmogorov as lk_mod
 from . import mazya as mazya_mod
 from . import sharpness as sharp_mod
 from .errors import ManifestError, OrliczHardyError, PreconditionError
-from .functionals import FieldSamples, modular_triple_nd, modular_triple_radial
+from .functionals import modular_triple_nd, modular_triple_radial
 from .quadrature import SPHERE_NODES, SPHERE_SEED, QuadratureSpec
 from .reporting import (
     TOOL_VERSION,
@@ -230,15 +230,12 @@ def load_pair_config(path) -> "mazya_mod.MeasurePair":
 def _mazya_check(res, outcome: str, **fields) -> Check:
     """A Maz'ya check recording the search's own tolerances; a non-converged
     integral makes it indeterminate."""
-    check = Check("mazjacond", outcome, details={
+    return Check("mazjacond", outcome, details={
         "probe_rel_tol": mazya_mod.PROBE_REL_TOL,
         "probe_abs_tol": mazya_mod.PROBE_ABS_TOL,
         "piece_rel_tol": mazya_mod.PIECE_REL_TOL,
-        "piece_abs_tol": mazya_mod.PIECE_ABS_TOL}, **fields)
-    if not res.converged:
-        check.verdict = "indeterminate"
-        check.details["reason"] = "a quadrature behind B did not converge"
-    return check
+        "piece_abs_tol": mazya_mod.PIECE_ABS_TOL}, **fields).require_converged(
+        res.converged, "a quadrature behind B did not converge")
 
 
 def run_mazya(checks: list, series: dict, gaussian=None, classical=False,
@@ -279,8 +276,9 @@ def run_mazya(checks: list, series: dict, gaussian=None, classical=False,
 
 
 def _record_fit(fit, nf_label: str, n: int, checks: list, fits: dict,
-                normalization=None, **extra):
-    """Record an LK envelope fit and its check, which an infeasible fit fails."""
+                normalization=None, converged=True, **extra):
+    """Record an LK envelope fit and its check, which an infeasible fit
+    fails, and which is indeterminate unless the fitted terms converged."""
     fits[f"{fit.form}:{nf_label}:n={n}"] = {
         "C1": fit.c1, "C2": fit.c2, "binding": fit.binding_label,
         "corpus": list(fit.corpus_labels), "grid": list(fit.grid),
@@ -290,7 +288,8 @@ def _record_fit(fit, nf_label: str, n: int, checks: list, fits: dict,
         fit.form, "holds" if fit.feasible else "fails",
         check_id=f"{fit.form}_envelope:{nf_label}:corpus:n={n}",
         constants_used={"C1": fit.c1, "C2": fit.c2, "binding": fit.binding_label},
-        nfunc_label=nf_label, n=n, normalization=normalization))
+        nfunc_label=nf_label, n=n, normalization=normalization,
+    ).require_converged(converged, "a quadrature behind the fitted terms did not converge"))
 
 
 def run_lk(manifest, spec, dims, checks: list, series: dict, fits: dict,
@@ -308,34 +307,38 @@ def run_lk(manifest, spec, dims, checks: list, series: dict, fits: dict,
 
 def _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
                  theta_grid, fit_grid, normalized):
-    """The LK battery for one (N-function, n).  Every integral of a field
-    reads the field's sample stores, which are freed on return."""
-    samples = {u.label: FieldSamples.of(u) for u in fields}
+    """The LK battery for one (N-function, n).  A norm check, and the norm
+    fit, rest on the theta = 1 terms, whose values are the norms' modulars
+    at K = 1: each is indeterminate unless those converged."""
     # LK checks name only the normalized measure; the unnormalized default
     # is left to the report's own `normalization`, as before
     norm = "normalized" if normalized else None
     # the modular terms come first: their theta = 1 terms are the norms'
     # modulars at K = 1
-    triples = {u.label: modular_triple_nd(u, nf, spec, normalized, samples[u.label])
-               for u in fields}
+    triples = {u.label: modular_triple_nd(u, nf, spec, normalized) for u in fields}
     fit_mod, terms = lk_mod.fit_lk_modular_envelope(
-        fields, nf, triples, spec, fit_grid, theta_grid, normalized, samples)
+        fields, nf, triples, spec, fit_grid, theta_grid, normalized)
     fit_norm, rows = lk_mod.fit_lk_norm_envelope(fields, nf, terms, spec, fit_grid,
-                                                 normalized, samples)
-    _record_fit(fit_norm, nf_label, n, checks, fits, norm)
+                                                 normalized)
+    m1_converged = {label: by_theta[1.0].converged for label, by_theta in terms.items()}
+    _record_fit(fit_norm, nf_label, n, checks, fits, norm, all(m1_converged.values()))
     for label, *triple in rows:
         checks.append(lk_mod.check_lk_norm(
             triple, fit_norm.c1, fit_norm.c2,
             check_id=f"statB2gauss:{nf_label}:{label}:n={n}",
-            nfunc_label=nf.label, subject_label=label, n=n, normalization=norm))
+            nfunc_label=nf.label, subject_label=label, n=n, normalization=norm,
+        ).require_converged(
+            m1_converged[label],
+            "a quadrature behind the norms' modulars did not converge"))
 
     _record_fit(fit_mod, nf_label, n, checks, fits, norm,
+                all(t.converged for by_theta in terms.values() for t in by_theta.values()),
                 theta_grid=list(theta_grid))
     series[f"lk_theta_sweep:{nf_label}:n={n}"] = [
         {"subject": label, "theta": th, "lhs": lhs,
          "hess_modular": a, "func_modular": b}
         for label, by_theta in terms.items()
-        for th, (lhs, a, b, _) in by_theta.items() if fit_mod.feasible]
+        for th, (lhs, a, b, *_) in by_theta.items() if fit_mod.feasible]
     for u in fields:
         # the theta = 1 check carries the Hardy hypothesis it rests on
         provenance = lk_mod.hardy_provenance(u, nf, n, triples[u.label])

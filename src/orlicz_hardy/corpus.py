@@ -16,9 +16,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-# numpy imports these on first use; load them with the package, not inside a
-# battery pass.  np.union1d reads np.ma.
-import numpy.ma  # noqa: F401
+# numpy imports it on first use; load it with the package, not inside a
+# battery pass
 import numpy.polynomial  # noqa: F401
 
 from .errors import ManifestError, PreconditionError
@@ -521,7 +520,9 @@ def _check_nfunction_shape(nf: NFunction, grid: GridSpec, problems: list):
     small = float(nf.eval(1e-8)) / 1e-8
     if small > 1e-3:
         problems.append(f"'{nf.label}': M(r)/r does not vanish at 0 ({small:.3g})")
-    r = np.union1d(np.logspace(-3, 2, 120), grid.nodes())
+    # np.union1d, without the numpy.ma it imports: sorted, duplicates dropped
+    r = np.sort(np.concatenate([np.logspace(-3, 2, 120), grid.nodes()]))
+    r = r[np.concatenate(([True], r[1:] != r[:-1]))]
     x, y = r[:-1], r[1:]
     mid = np.asarray(nf.eval(0.5 * (x + y)), dtype=float)
     avg = 0.5 * (np.asarray(nf.eval(x), dtype=float)

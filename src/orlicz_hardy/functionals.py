@@ -19,7 +19,7 @@ secant search from the modular at K = 1 that its caller integrated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +32,6 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     RadialMeasure,
-    SampleStore,
     SupportHint,
     integrate_gaussian_nd,
     integrate_radial,
@@ -42,9 +41,9 @@ __all__ = [
     "SupportHint",
     "RadialTestFunction",
     "FieldFunction",
-    "FieldSamples",
     "ModularTriple",
     "ScalarProfile",
+    "field_profiles",
     "modular_triple_radial",
     "modular_triple_nd",
     "modular_value",
@@ -104,13 +103,15 @@ class FieldFunction:
 
 @dataclass(frozen=True)
 class ModularTriple:
-    """The three modular integrals with error estimates and divergence flags."""
+    """The three modular integrals with error estimates and divergence flags;
+    converged is False when an integral behind them did not converge."""
 
     K: float
     L: float
     G: float
     errs: tuple = (0.0, 0.0, 0.0)
     divergent: tuple = (False, False, False)
+    converged: bool = True
 
     @property
     def valid(self) -> bool:
@@ -143,19 +144,20 @@ def _compose_hint(arg_hint: SupportHint, nf: NFunction) -> SupportHint:
 
 def _modular_family(parts, nf: NFunction, measure,
                     spec: QuadratureSpec) -> list[IntegralResult | None]:
-    """int M(|f|) dmu, or int M(transform(|f|, r)) dmu, for each part
+    """int M(|f|) dmu, or int M(transform(|f|, x)) dmu, for each part
     (profile f, transform) of one subject, on shared panels in one
     `_adaptive` call.
 
-    On a radial measure |f| is |f(r)| at radii r, and the parts are one
-    `integrate_radial`.  On a Gaussian measure f is a point function or a
-    SampleStore and |f| its (directions x radii) block at r, and the parts
-    are one `integrate_gaussian_nd`.  Either reads each distinct profile
-    once per sweep.  Every part's envelope is composed from its profile's
-    hint and adds its own tail beyond the shared radius; the panel edges
-    include every part's breakpoints.  A part whose envelope does not decay
-    against the measure diverges: its entry is None and it takes no part in
-    the refinement.
+    On a radial measure x is the radii r, |f| is |f(r)|, and the parts are
+    one `integrate_radial`.  On a Gaussian measure f is a point function, x
+    the sweep's (directions x radii x n) points, |f| its values there, and
+    the parts are one `integrate_gaussian_nd`.  Either calls each distinct
+    profile function once per sweep, so the parts that read one profile
+    share its function.  Every part's envelope is composed from its
+    profile's hint and adds its own tail beyond the shared radius; the panel
+    edges include every part's breakpoints.  A part whose envelope does not
+    decay against the measure diverges: its entry is None and it takes no
+    part in the refinement.
     """
     envs = [_compose_hint(profile.hint, nf) for profile, _ in parts]
     results: list[IntegralResult | None] = [None] * len(parts)
@@ -166,9 +168,9 @@ def _modular_family(parts, nf: NFunction, measure,
     breakpoints = sorted({float(b) for i in live for b in parts[i][0].breakpoints})
 
     def integrand(transform):
-        def fn(values, r):
+        def fn(values, x):
             a = np.abs(values)
-            return nf.eval(a if transform is None else transform(a, r))
+            return nf.eval(a if transform is None else transform(a, x))
         return fn
 
     rows = [(parts[i][0].fn, integrand(parts[i][1])) for i in live]
@@ -188,7 +190,7 @@ def _modular_family(parts, nf: NFunction, measure,
 def _modular(profile: ScalarProfile, nf: NFunction, measure, spec: QuadratureSpec,
              transform=None) -> IntegralResult:
     """The family of one: int M(|f|) dmu of the profile f, or
-    int M(transform(|f|, r)) dmu.  One whose envelope does not decay
+    int M(transform(|f|, x)) dmu.  One whose envelope does not decay
     against the measure raises DivergenceError."""
     res, = _modular_family(((profile, transform),), nf, measure, spec)
     if res is None:
@@ -204,7 +206,8 @@ def _modular_triple(parts, nf: NFunction, measure,
     results = _modular_family(parts, nf, measure, spec)
     return ModularTriple(*(math.inf if res is None else res.value for res in results),
                          tuple(math.inf if res is None else res.err_est for res in results),
-                         tuple(res is None for res in results))
+                         tuple(res is None for res in results),
+                         all(res.converged for res in results if res is not None))
 
 
 def modular_triple_radial(u: RadialTestFunction, nf: NFunction, n: int,
@@ -226,47 +229,34 @@ def hessian_hs_norm(u: FieldFunction, pts: np.ndarray) -> np.ndarray:
     return np.sqrt((h * h).sum(axis=(-2, -1)))
 
 
-@dataclass(frozen=True)
-class FieldSamples:
-    """Sample stores of a field's |u|, |grad u| and ||hess u||_HS (None
-    without a Hessian): every Gaussian integral of the field reads these, so
-    each profile is evaluated once per radius."""
+def field_profiles(u: FieldFunction) -> tuple:
+    """The ScalarProfiles of a field's u, |grad u| and ||hess u||_HS (None
+    without a Hessian), with their decay hints and the field's breakpoints.
+    Each holds one point function, which the parts of a family built from
+    that profile share."""
+    def grad_norm(pts):
+        return np.linalg.norm(np.asarray(u.grad(pts), dtype=float), axis=-1)
 
-    u: SampleStore
-    grad: SampleStore
-    hess: SampleStore | None
-
-    @classmethod
-    def of(cls, u: FieldFunction) -> "FieldSamples":
-        def abs_u(pts):
-            return np.abs(u.u(pts))
-
-        def grad_norm(pts):
-            return np.linalg.norm(np.asarray(u.grad(pts), dtype=float), axis=-1)
-
-        hess = (SampleStore(lambda pts: hessian_hs_norm(u, pts), u.n)
-                if u.hess is not None else None)
-        return cls(SampleStore(abs_u, u.n), SampleStore(grad_norm, u.n), hess)
+    bps = u.breakpoints
+    hess = (ScalarProfile(lambda pts: hessian_hs_norm(u, pts), u.hess_hint(), bps)
+            if u.hess is not None else None)
+    return (ScalarProfile(u.u, u.hint, bps), ScalarProfile(grad_norm, u.grad_hint(), bps),
+            hess)
 
 
 def modular_triple_nd(u: FieldFunction, nf: NFunction,
                       spec: QuadratureSpec | None = None,
-                      normalized: bool = False,
-                      samples: FieldSamples | None = None) -> ModularTriple:
+                      normalized: bool = False) -> ModularTriple:
     """K, L, G of a field against the Gaussian measure on R^n, as one
-    family read from the field's sample stores (fresh ones unless `samples`
-    is given)."""
+    family in which K and L read one profile of u."""
     spec = spec or QuadratureSpec()
     if u.grad is None:
         raise PreconditionError(f"field '{u.label}' has no gradient")
-    if samples is None:
-        samples = FieldSamples.of(u)
-    bps = u.breakpoints
+    profile, grad, _ = field_profiles(u)
     return _modular_triple(
-        ((ScalarProfile(samples.u, u.hint.times_power(1.0), bps),
-          lambda a, r: samples.u.norms(r) * a),
-         (ScalarProfile(samples.u, u.hint, bps), None),
-         (ScalarProfile(samples.grad, u.grad_hint(), bps), None)),
+        ((ScalarProfile(profile.fn, u.hint.times_power(1.0), profile.breakpoints),
+          lambda a, x: np.linalg.norm(x, axis=-1) * a),
+         (profile, None), (grad, None)),
         nf, GaussianMeasure(u.n, normalized), spec)
 
 
@@ -276,8 +266,6 @@ def modular_triple_nd(u: FieldFunction, nf: NFunction,
 
 def _as_profile(f, measure) -> ScalarProfile:
     if isinstance(f, ScalarProfile):
-        if isinstance(f.fn, SampleStore) and not isinstance(measure, GaussianMeasure):
-            raise PreconditionError("a sample store profile needs a Gaussian measure")
         return f
     if isinstance(measure, RadialMeasure) and isinstance(f, RadialTestFunction):
         return ScalarProfile(f.u, f.hint, f.breakpoints)
@@ -308,8 +296,8 @@ def luxemburg_norm(f, nf: NFunction, measure, m1: float,
     m1^(1/p) when m1 was resolved to relative accuracy (m1 * rel_tol >=
     abs_tol), else that value rescaled exactly by one modular at m1^(1/p),
     where it is O(1).  Otherwise `_log_secant` searches until the modular
-    lies within [1 - norm_tol, 1 + norm_tol].  On a Gaussian measure every
-    scale reads one sample store of the profile.
+    lies within [1 - norm_tol, 1 + norm_tol].  Each scale it tries is one
+    integral of the profile, which evaluates it afresh.
     """
     spec = spec or QuadratureSpec()
     if nf.delta2_const is None:
@@ -318,8 +306,6 @@ def luxemburg_norm(f, nf: NFunction, measure, m1: float,
     if not (0.0 <= m1 < math.inf):
         raise PreconditionError(f"the modular at K = 1 must be finite and >= 0, got {m1}")
     profile = _as_profile(f, measure)
-    if isinstance(measure, GaussianMeasure) and not isinstance(profile.fn, SampleStore):
-        profile = replace(profile, fn=SampleStore(profile.fn, measure.n))
 
     def modular(k: float) -> float:
         return _modular(profile, nf, measure, spec, lambda a, r: a / k).value

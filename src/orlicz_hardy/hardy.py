@@ -16,10 +16,10 @@ import numpy as np
 from .errors import PreconditionError
 from .functionals import (
     FieldFunction,
-    FieldSamples,
     ModularTriple,
     RadialTestFunction,
     ScalarProfile,
+    field_profiles,
     luxemburg_norm,
     modular_triple_nd,
 )
@@ -47,10 +47,13 @@ __all__ = [
 ]
 
 def _check(inequality_id: str, lhs: float, rhs: float, constants: dict,
-           err_est: float, **meta) -> Check:
+           err_est: float, triple: ModularTriple, **meta) -> Check:
+    """The check of lhs <= rhs, indeterminate unless every integral of the
+    modular triple it rests on converged."""
     meta.setdefault("normalization", "unnormalized")
     return Check.compare(inequality_id, lhs, rhs, err_est, comparison_tol(rhs),
-                         constants_used=constants, **meta)
+                         constants_used=constants, **meta).require_converged(
+        triple.converged, "a quadrature behind the modular triple did not converge")
 
 
 def _require_valid(triple: ModularTriple):
@@ -116,7 +119,7 @@ def check_alternative(triple: ModularTriple, d: float, D: float, n: int,
     details = {"branch_held": branch if held != "fails" else "none",
                "term1_verdict": v1, "term2_verdict": v2,
                "term2_unconditional": unconditional}
-    return _check(branch, K, rhs, constants, err, n=n, details=details, **meta)
+    return _check(branch, K, rhs, constants, err, triple, n=n, details=details, **meta)
 
 
 def linear_constants(D: float, d: float, n: int) -> tuple[float, float]:
@@ -144,7 +147,7 @@ def check_linear(triple: ModularTriple, c1: float, c2: float,
     eK, eL, eG = triple.errs
     rhs = c1 * L + c2 * G
     err = eK + c1 * eL + c2 * eG
-    return _check(inequality_id, K, rhs, {"C1": c1, "C2": c2}, err, **meta)
+    return _check(inequality_id, K, rhs, {"C1": c1, "C2": c2}, err, triple, **meta)
 
 
 def check_p2_exact(triple: ModularTriple, n: int, **meta) -> Check:
@@ -271,13 +274,14 @@ def _check_norm_form(form: str, profiles: tuple, triple: ModularTriple,
     denom = norm_u + norm_du
     constants = {"C": c, "C1": c1, "C2": c2, **proof,
                  "norm_u": norm_u, "norm_du": norm_du}
-    if denom == 0.0:  # nothing to compare
-        check = _check(form, 0.0, 0.0, constants, 0.0, n=n, **meta)
-        check.verdict = "trivial"
+    if denom == 0.0:  # nothing to compare, unless a modular did not converge
+        check = _check(form, 0.0, 0.0, constants, 0.0, triple, n=n, **meta)
+        if triple.converged:
+            check.verdict = "trivial"
         return check
     constants["norm_ru"] = norm_ru = luxemburg_norm(rf, nf, measure, triple.K, spec)
     ratio = norm_ru / denom
-    return _check(form, ratio, c, constants, err_est=3e-9 * max(1.0, ratio),
+    return _check(form, ratio, c, constants, 3e-9 * max(1.0, ratio), triple,
                   n=n, details={"ratio": ratio}, **meta)
 
 
@@ -326,7 +330,7 @@ def check_nd(triple: ModularTriple, nf: NFunction, n: int, form: str,
         _require_valid(triple)
         rhs, e_rhs = _term2(triple.L, triple.G, *triple.errs[1:], D, n)
         return _check("wwww", triple.K, rhs, {"d": d, "D": D},
-                      triple.errs[0] + e_rhs, **meta)
+                      triple.errs[0] + e_rhs, triple, **meta)
 
     if form == "hn1":
         if nf.delta2_const is None or not nf.convex:
@@ -344,22 +348,20 @@ def check_nd(triple: ModularTriple, nf: NFunction, n: int, form: str,
 def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
                        spec: QuadratureSpec | None = None,
                        normalized: bool = False, **meta) -> Check:
-    """Norm form hn11 on R^n: ||.|x| u|| <= C (||u|| + ||grad u||), with
-    the samples of |u| and |grad u| read from the field's sample stores and
-    the norms' modulars at K = 1 from the field's `modular_triple_nd`."""
+    """Norm form hn11 on R^n: ||.|x| u|| <= C (||u|| + ||grad u||), the
+    norms of the field's profiles u and |grad u| and of |x| |u|, with their
+    modulars at K = 1 from the field's `modular_triple_nd`."""
     if n != u.n:
         raise PreconditionError(f"field '{u.label}' has dimension {u.n}, not {n}")
     if nf.delta2_const is None or not nf.convex:
         raise PreconditionError(
             f"form hn11 needs a convex doubling N-function, got '{nf.label}'")
-    samples = FieldSamples.of(u)
-    bps = u.breakpoints
+    profile, grad, _ = field_profiles(u)
     weighted = ScalarProfile(
         lambda pts: np.linalg.norm(pts, axis=-1) * np.abs(u.u(pts)),
-        u.hint.times_power(1.0), bps)
+        u.hint.times_power(1.0), u.breakpoints)
     return _check_norm_form(
-        "hn11", (ScalarProfile(samples.u, u.hint, bps),
-                 ScalarProfile(samples.grad, u.grad_hint(), bps), weighted),
-        modular_triple_nd(u, nf, spec, normalized, samples),
+        "hn11", (profile, grad, weighted),
+        modular_triple_nd(u, nf, spec, normalized),
         nf, GaussianMeasure(n, normalized), n, spec,
         normalization="normalized" if normalized else "unnormalized", **meta)

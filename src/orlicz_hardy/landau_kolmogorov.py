@@ -20,23 +20,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DivergenceError, PreconditionError
 from .functionals import (
     FieldFunction,
-    FieldSamples,
     ModularTriple,
-    ScalarProfile,
     _modular_family,
+    field_profiles,
     luxemburg_norm,
 )
 from .hardy import check_nd
 from .nfunc import NFunction, comparison_tol
-from .quadrature import GaussianMeasure, QuadratureSpec
+from .quadrature import GaussianMeasure, IntegralResult, QuadratureSpec
 from .reporting import TINY, Check
 
 __all__ = [
     "LKFit",
+    "LKTerms",
     "lk_modular_terms",
     "check_lk_modular",
     "lk_norm_triple",
@@ -49,6 +50,19 @@ __all__ = [
 ]
 
 DEFAULT_FIT_GRID = tuple(2.0 ** k for k in range(-3, 15))
+
+
+class LKTerms(NamedTuple):
+    """The theta-form modular inequality's terms at one theta: lhs
+    int M(|grad u|), the Hessian term int M(theta |hess u|_HS), the function
+    term int M(|u| / theta), their errors, and whether every integral behind
+    them converged."""
+
+    lhs: float
+    hess_term: float
+    func_term: float
+    errs: tuple
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -81,27 +95,23 @@ def _require_lk_hypotheses(u: FieldFunction, nf: NFunction):
 def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
                      triple: ModularTriple,
                      spec: QuadratureSpec | None = None,
-                     normalized: bool = False,
-                     samples: FieldSamples | None = None) -> dict:
-    """theta -> (lhs, hess_term, func_term, errs) of the theta-form modular
-    inequality, for each theta in thetas.  `triple` is the
-    `modular_triple_nd` of (u, nf): its G is the lhs int M(|grad u|) and its
-    L the theta = 1 function term.  The theta = 1 Hessian term, m1 of
-    ||hess u|| in `lk_norm_triple`, is a family of its own, so it does not
-    move with the other thetas; the Hessian and function terms at every
-    theta != 1 are one `_modular_family`.  All are read from the field's
-    sample stores (fresh ones unless `samples` is given)."""
+                     normalized: bool = False) -> dict:
+    """theta -> `LKTerms` of the theta-form modular inequality, for each
+    theta in thetas.  `triple` is the `modular_triple_nd` of (u, nf): its G
+    is the lhs int M(|grad u|) and its L the theta = 1 function term.  The
+    theta = 1 Hessian term, m1 of ||hess u|| in `lk_norm_triple`, is a
+    family of its own, so it does not move with the other thetas; the
+    Hessian and function terms at every theta != 1 are one
+    `_modular_family`, whose Hessian parts share one profile of the field,
+    as its function parts do."""
     _require_lk_hypotheses(u, nf)
     thetas = tuple(dict.fromkeys(thetas))
     for theta in thetas:
         if not (0.0 < theta <= 1.0):
             raise PreconditionError(f"theta must lie in (0, 1], got {theta}")
     spec = spec or QuadratureSpec()
-    if samples is None:
-        samples = FieldSamples.of(u)
     meas = GaussianMeasure(u.n, normalized)
-    hess = ScalarProfile(samples.hess, u.hess_hint(), u.breakpoints)
-    func = ScalarProfile(samples.u, u.hint, u.breakpoints)
+    func, _, hess = field_profiles(u)
 
     def family(parts):
         results = _modular_family(parts, nf, meas, spec)
@@ -109,54 +119,51 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
             raise DivergenceError("modular diverges under the truncation policy")
         return results
 
-    hess_terms, funcs = {}, {1.0: (triple.L, triple.errs[1])}
+    hess_terms, funcs = {}, {1.0: IntegralResult(triple.L, triple.errs[1])}
     if 1.0 in thetas:
         hess_terms[1.0], = family([(hess, None)])
     scaled = [theta for theta in thetas if theta != 1.0]
     if scaled:
-        found = family([(hess, lambda a, r, theta=theta: theta * a) for theta in scaled]
-                       + [(func, lambda a, r, theta=theta: a / theta) for theta in scaled])
+        found = family([(hess, lambda a, x, theta=theta: theta * a) for theta in scaled]
+                       + [(func, lambda a, x, theta=theta: a / theta) for theta in scaled])
         hess_terms.update(zip(scaled, found))
-        funcs.update((theta, (res.value, res.err_est))
-                     for theta, res in zip(scaled, found[len(scaled):]))
-    return {theta: (triple.G, hess_terms[theta].value, funcs[theta][0],
-                    (triple.errs[2], hess_terms[theta].err_est, funcs[theta][1]))
+        funcs.update(zip(scaled, found[len(scaled):]))
+    return {theta: LKTerms(triple.G, hess_terms[theta].value, funcs[theta].value,
+                           (triple.errs[2], hess_terms[theta].err_est, funcs[theta].err_est),
+                           triple.converged and hess_terms[theta].converged
+                           and funcs[theta].converged)
             for theta in thetas}
 
 
-def check_lk_modular(terms: tuple, c1: float, c2: float, theta: float = 1.0,
+def check_lk_modular(terms: LKTerms, c1: float, c2: float, theta: float = 1.0,
                      **meta) -> Check:
-    """Check lhs <= C1 * hess_term + C2 * func_term for the terms
-    (lhs, hess_term, func_term, errs) of `lk_modular_terms` at theta."""
-    lhs, a, b, errs = terms
+    """Check lhs <= C1 * hess_term + C2 * func_term for the `LKTerms` of
+    `lk_modular_terms` at theta; indeterminate unless they converged."""
+    lhs, a, b, errs, converged = terms
     rhs = c1 * a + c2 * b
     err = errs[0] + c1 * errs[1] + c2 * errs[2]
     return Check.compare(
         "statB1gauss" if theta == 1.0 else "statB1_theta", lhs, rhs, err,
         comparison_tol(rhs), rhs_terms={"hessian": c1 * a, "function": c2 * b},
         constants_used={"C1": c1, "C2": c2, "hess_modular": a, "func_modular": b},
-        theta=theta, **meta)
+        theta=theta, **meta).require_converged(
+            converged, "a quadrature behind the LK modular terms did not converge")
 
 
 def lk_norm_triple(u: FieldFunction, nf: NFunction, terms: tuple,
                    spec: QuadratureSpec | None = None,
-                   normalized: bool = False,
-                   samples: FieldSamples | None = None) -> tuple[float, float, float]:
+                   normalized: bool = False) -> tuple[float, float, float]:
     """(r, s, t) = (||grad u||, sqrt(||hess u|| ||u||), ||u||) in Luxemburg
-    norms, read from the field's sample stores (fresh ones unless `samples`
-    is given).  The theta = 1 `lk_modular_terms` of (u, nf) hold the
-    norms' modulars at K = 1: lhs, Hessian and function term."""
+    norms of the field's profiles.  The theta = 1 `lk_modular_terms` of
+    (u, nf) hold the norms' modulars at K = 1: lhs, Hessian and function
+    term."""
     _require_lk_hypotheses(u, nf)
-    if samples is None:
-        samples = FieldSamples.of(u)
     meas = GaussianMeasure(u.n, normalized)
-    m_grad, m_hess, m_u, _ = terms
-    bps = u.breakpoints
-    norm_u = luxemburg_norm(ScalarProfile(samples.u, u.hint, bps), nf, meas, m_u, spec)
-    norm_grad = luxemburg_norm(ScalarProfile(samples.grad, u.grad_hint(), bps), nf,
-                               meas, m_grad, spec)
-    norm_hess = luxemburg_norm(ScalarProfile(samples.hess, u.hess_hint(), bps), nf,
-                               meas, m_hess, spec)
+    m_grad, m_hess, m_u, *_ = terms
+    profile, grad, hess = field_profiles(u)
+    norm_u = luxemburg_norm(profile, nf, meas, m_u, spec)
+    norm_grad = luxemburg_norm(grad, nf, meas, m_grad, spec)
+    norm_hess = luxemburg_norm(hess, nf, meas, m_hess, spec)
     return norm_grad, math.sqrt(norm_hess * norm_u), norm_u
 
 
@@ -214,18 +221,16 @@ def fit_envelope(items, grid=DEFAULT_FIT_GRID) -> tuple[float, float, str, bool]
 
 def fit_lk_norm_envelope(corpus, nf: NFunction, terms: dict,
                          spec: QuadratureSpec | None = None,
-                         grid=DEFAULT_FIT_GRID, normalized: bool = False,
-                         samples: dict | None = None) -> tuple[LKFit, list]:
+                         grid=DEFAULT_FIT_GRID,
+                         normalized: bool = False) -> tuple[LKFit, list]:
     """Fit the norm-form envelope over a corpus of fields; returns the fit
     plus per-member (label, r, s, t) rows.  terms is the label -> theta ->
     terms map of `fit_lk_modular_envelope` (its theta = 1 terms are the
-    norms' modulars at K = 1), samples maps a label to its FieldSamples."""
-    samples = samples or {}
+    norms' modulars at K = 1)."""
     rows = []
     items = []
     for u in corpus:
-        r, s, t = lk_norm_triple(u, nf, terms[u.label][1.0], spec, normalized,
-                                 samples.get(u.label))
+        r, s, t = lk_norm_triple(u, nf, terms[u.label][1.0], spec, normalized)
         rows.append((u.label, r, s, t))
         if t <= 0.0 and r <= 0.0:
             continue
@@ -240,27 +245,25 @@ def fit_lk_norm_envelope(corpus, nf: NFunction, terms: dict,
 def fit_lk_modular_envelope(corpus, nf: NFunction, triples: dict,
                             spec: QuadratureSpec | None = None,
                             grid=DEFAULT_FIT_GRID,
-                            theta_grid=(0.25, 0.5, 1.0), normalized: bool = False,
-                            samples: dict | None = None) -> tuple[LKFit, dict]:
+                            theta_grid=(0.25, 0.5, 1.0),
+                            normalized: bool = False) -> tuple[LKFit, dict]:
     """Fit (C1, C2) for the modular form, uniform over the declared theta
     grid and theta = 1.
 
     One `fit_envelope` runs over every (member, theta): the selected pair is
     the cheapest grid pair feasible at every theta, and the binding member
     the one with least slack at any theta.  Returns the fit and, feasible or
-    not, the terms it was fitted on: member label -> theta -> (lhs,
-    hess_term, func_term, errs), thetas in increasing order and theta = 1
-    always among them.  triples maps a member's label to its
-    `modular_triple_nd`, samples to its FieldSamples.
+    not, the terms it was fitted on: member label -> theta -> `LKTerms`,
+    thetas in increasing order and theta = 1 always among them.  triples
+    maps a member's label to its `modular_triple_nd`.
     """
-    samples = samples or {}
     thetas = sorted(set(theta_grid) | {1.0})
     terms = {u.label: lk_modular_terms(u, nf, thetas, triples[u.label], spec,
-                                       normalized, samples.get(u.label))
+                                       normalized)
              for u in corpus}
     items = [(label, lhs, a, b, comparison_tol(lhs, 1e-9))
              for label, by_theta in terms.items()
-             for lhs, a, b, _ in by_theta.values()]
+             for lhs, a, b, *_ in by_theta.values()]
     c1, c2, binding, feasible = fit_envelope(items, grid)
     fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=tuple(grid),
                 corpus_labels=tuple(terms.keys()), form="statB1gauss",

@@ -32,9 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# numpy imports these on first use; load them with the package, not inside a
-# battery pass.  np.unique reads np.ma.
-import numpy.ma  # noqa: F401
+# numpy imports it on first use; load it with the package, not inside a
+# battery pass
 import numpy.random  # noqa: F401
 
 from .errors import DivergenceError, EvaluationError, PreconditionError
@@ -53,7 +52,6 @@ __all__ = [
     "integrate_radial",
     "integrate_gaussian_nd",
     "sphere_directions",
-    "SampleStore",
     "golden_max",
 ]
 
@@ -470,19 +468,21 @@ def _radial_seeds(radius: float, resolved) -> list[float]:
     return seeds
 
 
-def _stacked(parts, rows: int):
-    """The (len(parts) * rows, k) integrand of parts (source, transform):
-    each distinct source, mapping radii r (k,) to a block of `rows` rows (or
-    a vector for one row), is read once per sweep, and transform(block, r),
-    when not None, maps its block to the part's rows pointwise."""
+def _stacked(parts, rows: int, at=None):
+    """The (len(parts) * rows, k) integrand of parts (source, transform) at
+    radii r (k,).  Each distinct source is called once per sweep, on x = r
+    or, given `at`, on x = at(r), and gives a block of `rows` rows (or a
+    vector for one row); transform(block, x), when not None, maps its block
+    to the part's rows pointwise."""
     sources = {id(src): src for src, _ in parts}
 
     def fs(r):
-        blocks = {key: src(r) for key, src in sources.items()}
+        x = r if at is None else at(r)
+        blocks = {key: src(x) for key, src in sources.items()}
         out = np.empty((len(parts) * rows, r.size))
         for i, (src, transform) in enumerate(parts):
             block = blocks[id(src)]
-            out[i * rows:(i + 1) * rows] = block if transform is None else transform(block, r)
+            out[i * rows:(i + 1) * rows] = block if transform is None else transform(block, x)
         return out
 
     return fs
@@ -561,94 +561,45 @@ def sphere_directions(n: int) -> np.ndarray:
     return dirs
 
 
-class SampleStore:
-    """The samples g(r y_j) of one point function g on R^n at the sphere
-    directions y_j, each radius evaluated once.
-
-    Calling the store with radii r of shape (k,) returns the (directions x k)
-    block g(r_i y_j).  g is called only at radii the store has not seen,
-    keyed on the exact float, so a repeated radius costs a lookup and reads
-    the very values a fresh evaluation would give.  Every Gaussian integral
-    of one profile can read one store.
-    """
-
-    def __init__(self, g, n: int):
-        self.directions = sphere_directions(n)
-        self.g = g
-        self.n = n
-        self._radii = np.empty(0)                       # sorted, distinct
-        self._columns = np.empty(0, dtype=np.intp)      # their buffer columns
-        self._buffer = np.empty((self.directions.shape[0], 0))
-        self._used = 0
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._radii, r)
-        seen = idx < self._radii.size
-        seen[seen] = self._radii[idx[seen]] == r[seen]
-        if not seen.all():
-            new = np.unique(r[~seen])
-            vals = np.asarray(self.g(self.points(new)), dtype=float)
-            if vals.shape != (self.directions.shape[0], new.size):
-                raise PreconditionError(
-                    f"point function returned shape {vals.shape}, "
-                    f"not one value per point {(self.directions.shape[0], new.size)}")
-            # new columns go to the end of a buffer that doubles when full;
-            # only the 1-d index of radii to columns is kept sorted
-            end = self._used + new.size
-            if end > self._buffer.shape[1]:
-                grown = np.empty((self._buffer.shape[0], 2 * end))
-                grown[:, :self._used] = self._buffer[:, :self._used]
-                self._buffer = grown
-            self._buffer[:, self._used:end] = vals
-            at = np.searchsorted(self._radii, new)
-            self._radii = np.insert(self._radii, at, new)
-            self._columns = np.insert(self._columns, at, np.arange(self._used, end))
-            self._used = end
-            idx = np.searchsorted(self._radii, r)
-        # a C-ordered block, as g returns it: the panel sums depend on layout
-        return self._buffer.take(self._columns[idx], axis=1)
-
-    def points(self, r: np.ndarray) -> np.ndarray:
-        """The (directions x k x n) points r_i y_j."""
-        return r[None, :, None] * self.directions[:, None, :]
-
-    def norms(self, r: np.ndarray) -> np.ndarray:
-        """|r_i y_j|, as np.linalg.norm of the points gives it."""
-        return np.linalg.norm(self.points(r), axis=-1)
-
-
 def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
                           envelopes, normalized: bool = False,
                           breakpoints=()) -> list[IntegralResult]:
     """Integrals against exp(-|x|^2/2) dx on R^n by spherical reduction, one
     per part, all on shared panels in one `_adaptive` call.
 
-    Each part is (g, transform).  g is a SampleStore or a point function
-    mapping an array of points of shape (..., n) to values of shape (...);
-    every distinct point function gets one store, and each distinct store is
-    read once per sweep.  transform(values, r), when not None, maps the
-    store's (directions x k) block at radii r to the part's integrand
-    pointwise.  A part is a block of rows, one per sphere direction, of one
-    `integrate_radial_family`; envelopes holds one envelope per part.  A
-    part's angular average is scaled by the sphere surface area;
-    `normalized` switches to the (2 pi)^(-n/2)-normalised Gaussian.  Its
-    error estimate adds the angular standard error of the antithetic-pair
-    means to the mean radial quadrature error.
+    Each part is (g, transform): g is a point function mapping an array of
+    points of shape (..., n) to one value per point.  On each sweep the
+    points x = r y_j at the sweep's radii r and the sphere directions y_j,
+    of shape (directions, k, n), are built once, and each distinct g is
+    called once on them.  transform(values, x), when not None, maps g's
+    (directions x k) values at x to the part's integrand pointwise; one that
+    reads |x| takes np.linalg.norm(x, axis=-1).  A part is a block of rows,
+    one per sphere direction, of one `integrate_radial_family`; envelopes
+    holds one envelope per part.  A part's angular average is scaled by the
+    sphere surface area; `normalized` switches to the (2 pi)^(-n/2)-
+    normalised Gaussian.  Its error estimate adds the angular standard error
+    of the antithetic-pair means to the mean radial quadrature error.
     """
     spec = spec or QuadratureSpec()
     envelopes = tuple(envelopes)
     if len(envelopes) != len(parts):
         raise PreconditionError(f"{len(envelopes)} envelopes for {len(parts)} parts")
-    stores = {}
-    for g, _ in parts:
-        if id(g) not in stores:
-            stores[id(g)] = g if isinstance(g, SampleStore) else SampleStore(g, n)
-    for store in stores.values():
-        if store.n != n:
-            raise PreconditionError(
-                f"sample store was drawn for dimension {store.n}, not {n}")
-    m = sphere_directions(n).shape[0]
-    family = _stacked([(stores[id(g)], transform) for g, transform in parts], m)
+    dirs = sphere_directions(n)
+    m = dirs.shape[0]
+
+    def one_value_per_point(g):
+        def values(x):
+            vals = np.asarray(g(x), dtype=float)
+            if vals.shape != x.shape[:-1]:
+                raise PreconditionError(
+                    f"point function returned shape {vals.shape}, "
+                    f"not one value per point {x.shape[:-1]}")
+            return vals
+        return values
+
+    checked = {id(g): one_value_per_point(g) for g, _ in parts}
+    family = _stacked([(checked[id(g)], transform) for g, transform in parts], m,
+                      lambda r: r[None, :, None] * dirs[:, None, :])
     vals, errs, radius, ok = integrate_radial_family(
         family, n, spec, envelopes=[env for env in envelopes for _ in range(m)],
         breakpoints=breakpoints)

@@ -71,6 +71,14 @@ class Check:
         return cls(id, verdict(lhs, rhs, err_est, tol), lhs=lhs, rhs=rhs,
                    slack=rhs - lhs, tolerance=tol, err_est=err_est, **fields)
 
+    def require_converged(self, converged: bool, reason: str) -> "Check":
+        """The check itself, made `indeterminate` with details.reason when an
+        integral it rests on did not converge."""
+        if not converged:
+            self.verdict = "indeterminate"
+            self.details["reason"] = reason
+        return self
+
     def as_dict(self) -> dict:
         """The report body's form: fields that are None or empty left out.
         The values are the check's own, not copies."""

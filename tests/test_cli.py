@@ -13,7 +13,7 @@ from orlicz_hardy import cli, functionals, quadrature
 from orlicz_hardy import hardy as hardy_mod
 from orlicz_hardy import landau_kolmogorov as lk_mod
 from orlicz_hardy import mazya as mazya_mod
-from orlicz_hardy.cli import main, run_hardy
+from orlicz_hardy.cli import main, run_hardy, run_lk
 from orlicz_hardy.reporting import canonical_json
 
 SCHEMA = json.loads(
@@ -158,8 +158,8 @@ class TestSubcommands:
         assert "certify" in proc.stdout
 
     def test_batteries_load_no_numpy_or_scipy_module(self, tmp_path):
-        # numpy imports np.ma (read by np.unique), np.random and
-        # np.polynomial on first use; a battery pass must not pay for that
+        # numpy imports np.random and np.polynomial on first use; a battery
+        # pass must not pay for that
         code = f"""if True:
             import json, sys
             from orlicz_hardy.cli import main
@@ -180,6 +180,20 @@ class TestSubcommands:
         assert out["codes"] == [0, 0, 0]
         assert out["scipy"] == []
         assert out["late"] == []
+
+    def test_all_never_imports_numpy_ma(self, tmp_path):
+        # np.unique and np.union1d import numpy.ma, about a tenth of the
+        # package's import time; no battery needs it
+        code = f"""if True:
+            import sys
+            from orlicz_hardy.cli import main
+            status = main(["--out", {str(tmp_path)!r}, "all", "--dim", "1..3"])
+            print(status, "numpy.ma" in sys.modules)
+            """
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 class TestDeterminism:
@@ -244,6 +258,91 @@ class TestDeterminism:
 def test_report_matches_schema(tmp_path, argv):
     main(["--out", str(tmp_path), "--report", str(tmp_path / "r.json")] + argv)
     jsonschema.validate(load_report(tmp_path / "r.json"), SCHEMA)
+
+
+def fail_first_family(monkeypatch, rows: int) -> list:
+    """Make the first `_adaptive` call on a family of `rows` rows report
+    non-convergence, as a refinement that runs out of panels does; returns
+    the list that records that it happened."""
+    plain, failed = quadrature._adaptive, []
+
+    def adaptive(*args, **kwargs):
+        vals, errs, ok = plain(*args, **kwargs)
+        if vals.shape[0] == rows and not failed:
+            failed.append(True)
+            return vals, errs, False
+        return vals, errs, ok
+
+    monkeypatch.setattr(quadrature, "_adaptive", adaptive)
+    return failed
+
+
+def changed_checks(before: list, after: list) -> dict:
+    """check_id -> check dict of the checks that differ between two runs."""
+    assert [c.check_id for c in before] == [c.check_id for c in after]
+    return {b.check_id: b.as_dict() for a, b in zip(before, after)
+            if canonical_json(a.as_dict()) != canonical_json(b.as_dict())}
+
+
+class TestNonConvergedQuadrature:
+    def test_hardy_check_on_an_unconverged_triple_is_indeterminate(
+            self, manifest, spec, monkeypatch):
+        # the first field's triple at n = 2 (3 modulars x 32 directions)
+        before, after = [], []
+        run_hardy(manifest, spec, [2], before, nfunc_label="p2", form="hn1")
+        failed = fail_first_family(monkeypatch, 3 * 32)
+        run_hardy(manifest, spec, [2], after, nfunc_label="p2", form="hn1")
+        assert failed
+        changed = changed_checks(before, after)
+        assert list(changed) == ["hn1:p2:fr_smooth:n=2"]
+        check = changed["hn1:p2:fr_smooth:n=2"]
+        assert check["verdict"] == "indeterminate"
+        assert check["details"] == {
+            "reason": "a quadrature behind the modular triple did not converge"}
+        assert all("reason" not in c.details for c in before)
+
+    def test_lk_checks_on_unconverged_terms_are_indeterminate(
+            self, manifest, spec, monkeypatch):
+        # the first field's theta != 1 family at n = 1: its Hessian and
+        # function terms at 0.25 and 0.5 (4 modulars x 2 directions); the
+        # theta = 1 check and the norm checks do not rest on it
+        def run():
+            checks = []
+            run_lk(manifest, spec, [1], checks, {}, {}, nfunc_labels=("p2",))
+            return checks
+
+        before = run()
+        failed = fail_first_family(monkeypatch, 4 * 2)
+        after = run()
+        assert failed
+        changed = changed_checks(before, after)
+        terms = "a quadrature behind the LK modular terms did not converge"
+        assert {check_id: (c["verdict"], c["details"]["reason"])
+                for check_id, c in changed.items()} == {
+            "statB1:theta=0.25:p2:fr_smooth:n=1": ("indeterminate", terms),
+            "statB1:theta=0.5:p2:fr_smooth:n=1": ("indeterminate", terms),
+            "statB1gauss_envelope:p2:corpus:n=1": (
+                "indeterminate", "a quadrature behind the fitted terms did not converge")}
+
+    def test_lk_norm_checks_rest_on_the_theta_one_terms(self, manifest, spec,
+                                                        monkeypatch):
+        # the first field's theta = 1 Hessian term at n = 1, the norm's m1
+        def run():
+            checks = []
+            run_lk(manifest, spec, [1], checks, {}, {}, nfunc_labels=("p2",))
+            return checks
+
+        before = run()
+        failed = fail_first_family(monkeypatch, 1 * 2)
+        after = run()
+        assert failed
+        changed = changed_checks(before, after)
+        assert {check_id: c["verdict"] for check_id, c in changed.items()} == dict.fromkeys(
+            ["statB1:theta=1:p2:fr_smooth:n=1", "statB1gauss_envelope:p2:corpus:n=1",
+             "statB2gauss:p2:fr_smooth:n=1", "statB2gauss_envelope:p2:corpus:n=1"],
+            "indeterminate")
+        assert changed["statB2gauss:p2:fr_smooth:n=1"]["details"] == {
+            "reason": "a quadrature behind the norms' modulars did not converge"}
 
 
 def test_run_hardy_computes_each_nd_triple_once(manifest, spec, monkeypatch):

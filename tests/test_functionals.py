@@ -12,10 +12,10 @@ from orlicz_hardy.cli import run_hardy
 from orlicz_hardy.errors import DivergenceError, PreconditionError
 from orlicz_hardy.functionals import (
     FieldFunction,
-    FieldSamples,
     RadialTestFunction,
     ScalarProfile,
     SupportHint,
+    field_profiles,
     hessian_hs_norm,
     luxemburg_norm,
     modular_triple_nd,
@@ -26,12 +26,11 @@ from orlicz_hardy.functionals import (
     validate_radial,
 )
 from orlicz_hardy.nfunc import GridSpec, certify, power_nfunction, table_nfunction
-from orlicz_hardy.landau_kolmogorov import lk_modular_terms, lk_norm_triple
+from orlicz_hardy.landau_kolmogorov import lk_modular_terms
 from orlicz_hardy.quadrature import (
     GaussianMeasure,
     QuadratureSpec,
     RadialMeasure,
-    SampleStore,
     integrate_gaussian_nd,
     integrate_radial,
     surface_area,
@@ -324,66 +323,21 @@ class TestModularFamilies:
                 if not factory.compatible(n):
                     continue
                 u = factory.instantiate(n)
-                samples, bps = FieldSamples.of(u), u.breakpoints
-                triple = modular_triple_nd(u, nf, spec, samples=samples)
-                lone = [lone_or_none(ScalarProfile(samples.u, u.hint.times_power(1.0), bps),
-                                     nf, meas, spec, lambda a, r: samples.u.norms(r) * a),
-                        lone_or_none(ScalarProfile(samples.u, u.hint, bps), nf, meas, spec),
-                        lone_or_none(ScalarProfile(samples.grad, u.grad_hint(), bps),
-                                     nf, meas, spec)]
+                profile, grad, hess_profile = field_profiles(u)
+                triple = modular_triple_nd(u, nf, spec)
+                lone = [lone_or_none(replace(profile, hint=u.hint.times_power(1.0)), nf,
+                                     meas, spec, lambda a, x: np.linalg.norm(x, axis=-1) * a),
+                        lone_or_none(profile, nf, meas, spec),
+                        lone_or_none(grad, nf, meas, spec)]
                 assert_family_agrees_with_lone(
                     zip((triple.K, triple.L, triple.G), triple.errs, lone),
                     (nf_label, label, n))
-                terms = lk_modular_terms(u, nf, (0.25, 0.5, 1.0), triple, spec,
-                                         samples=samples)
-                for theta, (_, hess, func, errs) in terms.items():
-                    lone = [lone_or_none(ScalarProfile(samples.hess, u.hess_hint(), bps),
-                                         nf, meas, spec, lambda a, r: theta * a),
-                            lone_or_none(ScalarProfile(samples.u, u.hint, bps), nf, meas,
-                                         spec, lambda a, r: a / theta)]
+                terms = lk_modular_terms(u, nf, (0.25, 0.5, 1.0), triple, spec)
+                for theta, (_, hess, func, errs, _) in terms.items():
+                    lone = [lone_or_none(hess_profile, nf, meas, spec, lambda a, x: theta * a),
+                            lone_or_none(profile, nf, meas, spec, lambda a, x: a / theta)]
                     assert_family_agrees_with_lone(
                         zip((hess, func), errs[1:], lone), (nf_label, label, n, theta))
-
-
-class FreshStore(SampleStore):
-    """Test-only reference: evaluates g at every requested radius, as each
-    integral did before sample stores, instead of reading earlier samples."""
-
-    def __call__(self, r):
-        return np.asarray(self.g(self.points(r)), dtype=float)
-
-
-def fresh_samples(u):
-    stores = FieldSamples.of(u)
-    return FieldSamples(*(FreshStore(s.g, u.n) for s in
-                          (stores.u, stores.grad, stores.hess)))
-
-
-class TestSampleStoreOracle:
-    @pytest.mark.parametrize("nf_label", ["p2", "p3"])
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_stores_equal_fresh_evaluation(self, manifest, spec, nf_label, n):
-        # one shared store set per field, read in run_lk's order, against
-        # a reference that re-evaluates every profile for every integral
-        nf = manifest.nfunc(nf_label)
-        for label, factory in sorted(manifest.field_functions.items()):
-            if not factory.compatible(n):
-                continue
-            u = factory.instantiate(n)
-            shared, fresh = FieldSamples.of(u), fresh_samples(u)
-            triple = modular_triple_nd(u, nf, spec, samples=shared)
-            assert triple == modular_triple_nd(u, nf, spec, samples=fresh), label
-            terms = lk_modular_terms(u, nf, (0.25, 0.5, 1.0), triple, spec,
-                                     samples=shared)
-            assert terms == lk_modular_terms(u, nf, (0.25, 0.5, 1.0), triple, spec,
-                                             samples=fresh), label
-            # the theta = 1 terms are the norms' modulars at K = 1
-            assert (lk_norm_triple(u, nf, terms[1.0], spec, samples=shared)
-                    == lk_norm_triple(u, nf, terms[1.0], spec, samples=fresh)), label
-            meas = GaussianMeasure(n)
-            assert (fresh_norm(u, nf, meas, spec)
-                    == fresh_norm(ScalarProfile(FreshStore(u.u, n), u.hint,
-                                                u.breakpoints), nf, meas, spec)), label
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ from orlicz_hardy.corpus import FieldFactory
 from orlicz_hardy.errors import PreconditionError
 from orlicz_hardy.functionals import (
     FieldFunction,
-    FieldSamples,
     ModularTriple,
     SupportHint,
+    field_profiles,
     hessian_hs_norm,
     modular_triple_nd,
 )
 from orlicz_hardy.landau_kolmogorov import (
+    LKTerms,
     check_lk_modular,
     check_lk_norm,
     fit_envelope,
@@ -268,7 +269,7 @@ class TestProvenanceChain:
             if not factory.compatible(2):
                 continue
             u = factory.instantiate(2)
-            lhs, a, b, errs = theta_terms(u, nf, 1.0, spec)
+            lhs, a, b, errs, _ = theta_terms(u, nf, 1.0, spec)
             if math.isfinite(a) and math.isfinite(b):
                 assert math.isfinite(lhs)
 
@@ -316,8 +317,8 @@ class TestModularTermsFromTheTriple:
                 if not factory.compatible(n):
                     continue
                 u = factory.instantiate(n)
-                samples = FieldSamples.of(u)
-                triple = modular_triple_nd(u, nf, spec, normalized, samples)
+                func_profile, _, hess_profile = field_profiles(u)
+                triple = modular_triple_nd(u, nf, spec, normalized)
                 hess_env = functionals._compose_hint(u.hess_hint(), nf)
                 func_env = functionals._compose_hint(u.hint, nf)
 
@@ -326,20 +327,21 @@ class TestModularTermsFromTheTriple:
                         parts, n, spec, envelopes=envelopes, normalized=normalized,
                         breakpoints=u.breakpoints)
 
-                hess_one, = family([(samples.hess, lambda v, r: nf.eval(v))], [hess_env])
+                hess_one, = family([(hess_profile.fn, lambda v, x: nf.eval(v))], [hess_env])
                 direct = family(
-                    [(samples.hess, lambda v, r, t=theta: nf.eval(t * v)) for theta in scaled]
-                    + [(samples.u, lambda v, r, t=theta: nf.eval(v / t)) for theta in scaled],
+                    [(hess_profile.fn, lambda v, x, t=theta: nf.eval(t * v)) for theta in scaled]
+                    + [(func_profile.fn, lambda v, x, t=theta: nf.eval(np.abs(v) / t))
+                       for theta in scaled],
                     [hess_env] * len(scaled) + [func_env] * len(scaled))
                 expected = {1.0: (hess_one, triple.L, triple.errs[1])}
                 expected.update((theta, (hess, func.value, func.err_est))
                                 for theta, hess, func in zip(scaled, direct, direct[len(scaled):]))
-                terms = lk_modular_terms(u, nf, thetas, triple, spec, normalized, samples)
+                terms = lk_modular_terms(u, nf, thetas, triple, spec, normalized)
                 assert list(terms) == list(thetas)
                 for theta, (hess, func_value, func_err) in expected.items():
-                    assert terms[theta] == (
+                    assert terms[theta] == LKTerms(
                         triple.G, hess.value, func_value,
-                        (triple.errs[2], hess.err_est, func_err)), (label, n, theta)
+                        (triple.errs[2], hess.err_est, func_err), True), (label, n, theta)
 
 
 class TestRunLkIntegratesOnce:
@@ -382,28 +384,35 @@ class TestRunLkIntegratesOnce:
 
 class TestRunLkSamplesOnce:
     def test_no_profile_evaluated_twice_at_a_radius(self, manifest, spec, monkeypatch):
-        # every instantiate call of run_lk is one (N-function, n) iteration
+        # within one Gaussian integral (one family) no profile is evaluated
+        # twice at a radius; different families evaluate their own radii
         evaluations = Counter()
-        iteration = itertools.count()
-        original = FieldFactory.instantiate
+        integral = itertools.count()
+        current = [None]
+        original, gaussian = FieldFactory.instantiate, functionals.integrate_gaussian_nd
 
-        def recorded(key, fn):
+        def recorded(name, fn):
             def wrapper(pts):
                 assert pts.ndim == 3  # (directions, radii, n): one column per radius
-                evaluations.update((key, col.tobytes()) for col in pts.swapaxes(0, 1))
+                evaluations.update((current[0], name, col.tobytes())
+                                   for col in pts.swapaxes(0, 1))
                 return fn(pts)
             return wrapper
 
         def instantiate(factory, n):
             u = original(factory, n)
-            i = next(iteration)
             return dataclasses.replace(
-                u, u=recorded((i, "u"), u.u), grad=recorded((i, "grad"), u.grad),
-                hess=recorded((i, "hess"), u.hess))
+                u, u=recorded((u.label, "u"), u.u), grad=recorded((u.label, "grad"), u.grad),
+                hess=recorded((u.label, "hess"), u.hess))
+
+        def counted_gaussian(*args, **kwargs):
+            current[0] = next(integral)
+            return gaussian(*args, **kwargs)
 
         monkeypatch.setattr(FieldFactory, "instantiate", instantiate)
+        monkeypatch.setattr(functionals, "integrate_gaussian_nd", counted_gaussian)
         run_lk(manifest, spec, [1, 2], [], {}, {})
-        assert {key[1] for key, _ in evaluations} == {"u", "grad", "hess"}
+        assert {name[1] for _, name, _ in evaluations} == {"u", "grad", "hess"}
         repeated = [key for key, count in evaluations.items() if count > 1]
         assert repeated == []
 
@@ -422,10 +431,10 @@ class TestNormsFromTheTerms:
             return ([canonical_json(c.as_dict()) for c in checks
                      if c.id == "statB2gauss"], canonical_json(fits))
 
-        def afresh_terms(u, nf, terms, spec=None, normalized=False, samples=None):
+        def afresh_terms(u, nf, terms, spec=None, normalized=False):
             triple = modular_triple_nd(u, nf, spec, normalized)
             fresh = lk_modular_terms(u, nf, (1.0,), triple, spec, normalized)
-            return original(u, nf, fresh[1.0], spec, normalized, samples)
+            return original(u, nf, fresh[1.0], spec, normalized)
 
         handed = run()
         original = lk_mod.lk_norm_triple

@@ -12,7 +12,11 @@ only, never from the package's quadrature:
   closed form: with s = sum k_i and c = 1 + p a, the sphere moment
   A = 2 prod Gamma((p k_i + 1)/2) / Gamma((p s + n)/2) and the radial
   moment R(m) = 2^((m-1)/2) Gamma((m+1)/2) / c^((m+1)/2) give
-  L = A R(p s + n - 1) and K = A R(p s + p + n - 1).
+  L = A R(p s + n - 1) and K = A R(p s + p + n - 1);
+- G of the monomial and radial Gaussian-polynomial fields at n = 2 and 3
+  for even p: grad u = w(x) exp(-a|x|^2/2) with w polynomial, so |w|^p is
+  a polynomial against exp(-c|x|^2/2), and tensor Gauss-Hermite on
+  x = t / sqrt(c) integrates it exactly.
 
 Each member is rebuilt here from its manifest entry as a polynomial times a
 Gaussian, piece by piece, so the oracle shares no code with the builders.
@@ -212,7 +216,7 @@ def test_lk_terms_at_n_one_within_their_error_estimates(label, nf_label):
     terms = lk_modular_terms(field(label, 1), MANIFEST.nfunc(nf_label), DEFAULT_THETAS,
                              field_triple(label, nf_label, 1), SPEC)
     pieces = field_pieces(FIELDS[label])
-    for theta, (_, hess, func, errs) in terms.items():
+    for theta, (_, hess, func, errs, _) in terms.items():
         exact = 2.0 * exact_modular(pieces, nf_label, 1, "H", theta)
         assert_honest(hess, errs[1], exact, f"{label} {nf_label} theta={theta} hess")
         if theta != 1.0:
@@ -254,3 +258,55 @@ def test_monomial_k_and_l_within_their_error_estimates(label, nf_label, n, which
     value, err = (triple.K, triple.errs[0]) if which == "K" else (triple.L, triple.errs[1])
     exact = monomial_exact(FIELDS[label], float(NFUNCS[nf_label]["params"]["p"]), n, which)
     assert_honest(value, err, exact, f"{label} {nf_label} n={n} {which}")
+
+
+def gradient_factor(entry, x):
+    """w(x) with grad u = w(x) exp(-a|x|^2/2), and a, at points x (..., n)."""
+    params = entry["params"]
+    a = params["rate"]
+    if entry["kind"] == "monomial_gauss":
+        k = np.array(params["exponents"] + [0] * (x.shape[-1] - len(params["exponents"])))
+        mono = np.prod(x ** k, axis=-1)
+        # d/dx_i x^k = k_i x^(k - e_i), zero where k_i = 0
+        lowered = [np.prod(x ** (k - np.eye(k.size, dtype=int)[i]), axis=-1) * k[i]
+                   for i in range(k.size)]
+        return np.stack(lowered, axis=-1) - a * mono[..., None] * x, a
+    assert entry["kind"] == "gauss_poly_radial"
+    coefs = np.asarray(params["even_coefficients"], dtype=float)
+    s = (x * x).sum(axis=-1)
+    # u = P(s) exp(-a s/2): grad u = (2 P'(s) - a P(s)) x exp(-a s/2)
+    slope = 2.0 * P.polyval(s, P.polyder(coefs)) - a * P.polyval(s, coefs)
+    return slope[..., None] * x, a
+
+
+def gauss_hermite_g(entry, p, n, nodes=60):
+    """int |grad u|^p exp(-|x|^2/2) dx on R^n for an even integer p."""
+    t, w = np.polynomial.hermite_e.hermegauss(nodes)   # weight exp(-t^2/2)
+    grid = np.stack(np.meshgrid(*[t] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    weights = np.prod(np.stack(np.meshgrid(*[w] * n, indexing="ij"), axis=-1)
+                      .reshape(-1, n), axis=-1)
+    _, a = gradient_factor(entry, grid)
+    c = 1.0 + p * a
+    factor, _ = gradient_factor(entry, grid / math.sqrt(c))
+    norm2 = (factor * factor).sum(axis=-1)
+    return float((weights * norm2 ** (p // 2)).sum()) / c ** (n / 2.0)
+
+
+# The same sphere bar misses these three G at n = 3 (by 1.21, 1.44 and 1.07
+# times err_est); every G at n = 2 lies within its bar.
+G_MISSES = {("fx_lin", "p2"), ("fx_cross", "p2"), ("fx_cross", "p4")}
+SPHERE_MISSES |= {(label, nf_label, 3, "G") for label, nf_label in G_MISSES}
+
+GAUSSIAN_G_CASES = [
+    pytest.param(label, nf_label, n,
+                 marks=[pytest.mark.xfail(strict=True, reason="Monte Carlo sphere bar")]
+                 if (label, nf_label, n, "G") in SPHERE_MISSES else [])
+    for label in ("fx_lin", "fx_quad", "fx_cross", "fr_smooth", "fr_wide")
+    for nf_label in ("p2", "p4") for n in (2, 3)]
+
+
+@pytest.mark.parametrize("label, nf_label, n", GAUSSIAN_G_CASES)
+def test_gaussian_polynomial_g_within_its_error_estimate(label, nf_label, n):
+    triple = field_triple(label, nf_label, n)
+    exact = gauss_hermite_g(FIELDS[label], int(NFUNCS[nf_label]["params"]["p"]), n)
+    assert_honest(triple.G, triple.errs[2], exact, f"{label} {nf_label} n={n} G")

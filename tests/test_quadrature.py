@@ -12,7 +12,6 @@ from orlicz_hardy.quadrature import (
     ROUNDOFF,
     GaussianMeasure,
     QuadratureSpec,
-    SampleStore,
     SupportHint,
     gaussian_tail,
     integrate_gaussian_nd,
@@ -25,7 +24,7 @@ from orlicz_hardy.quadrature import (
     surface_area,
     truncation_radius,
 )
-from orlicz_hardy.quadrature import _gammaincc, _gk_panels, _median
+from orlicz_hardy.quadrature import _NODES, _gammaincc, _gk_panels, _median
 from orlicz_hardy.sharpness import c1_lower_bound, stirling_ratio
 
 
@@ -259,8 +258,6 @@ class TestGaussianNd:
         with pytest.raises(PreconditionError, match="dimension"):
             gaussian(lambda x: 1.0 + 0.0 * x[..., 0], 0)
         with pytest.raises(PreconditionError, match="dimension"):
-            SampleStore(lambda x: x[..., 0], 0)
-        with pytest.raises(PreconditionError, match="dimension"):
             sphere_directions(-1)
 
     def test_spec_validation(self):
@@ -285,65 +282,12 @@ def bump(x):
 
 
 class TestSampleStore:
-    def test_block_is_a_fresh_evaluation(self):
-        store = SampleStore(bump, 3)
-        r = np.random.default_rng(2).uniform(0.0, 6.0, 40)
-        store(r[:25])
-        block = store(r)
-        fresh = bump(r[None, :, None] * store.directions[:, None, :])
-        assert block.shape == (32, 40) and block.flags["C_CONTIGUOUS"]
-        assert np.array_equal(block, fresh)
-        assert np.array_equal(store.norms(r), np.linalg.norm(store.points(r), axis=-1))
-
-    def test_evaluates_only_unseen_radii(self):
-        seen = []
-
-        def g(x):
-            seen.append(x.shape[1])
-            return bump(x)
-
-        store = SampleStore(g, 2)
-        store(np.array([1.0, 2.0, 3.0]))
-        store(np.array([3.0, 2.0, 1.0]))
-        store(np.array([0.5, 2.0, 0.5, 4.0]))
-        assert seen == [3, 2]
-
-    def test_integral_reads_the_store_bit_for_bit(self):
-        env = SupportHint.decaying(3.0, 0.6)
-        plain = gaussian(bump, 2, envelope=env)
-        store = SampleStore(bump, 2)
-        first = gaussian(store, 2, envelope=env)
-        again = gaussian(store, 2, envelope=env)
-        assert plain == first == again
-        squared = gaussian(store, 2, envelope=env,
-                                        transform=lambda v, r: v * v)
-        assert squared == gaussian(lambda x: bump(x) * bump(x), 2,
-                                                envelope=env)
-
-    def test_interleaved_calls_match_fresh_evaluation(self):
-        # new radii, repeats and out-of-order radii, many calls to one
-        # store: every block equals a fresh evaluation, C-ordered
-        rng = np.random.default_rng(5)
-        store = SampleStore(bump, 2)
-        pool = rng.uniform(0.0, 6.0, 400)
-        for _ in range(120):
-            r = np.concatenate([rng.choice(pool, rng.integers(1, 20)),
-                                rng.uniform(0.0, 6.0, rng.integers(0, 30))])
-            rng.shuffle(r)
-            block = store(r)
-            assert block.flags["C_CONTIGUOUS"]
-            assert np.array_equal(
-                block, bump(r[None, :, None] * store.directions[:, None, :]))
+    """The contract of a point function that `integrate_gaussian_nd` samples."""
 
     def test_one_value_per_point_required(self):
         # a scalar once gave a NaN error estimate with no warning
         with pytest.raises(PreconditionError, match="one value per point"):
             gaussian(lambda x: 1.0, 2)
-
-    def test_store_of_another_rule_rejected(self):
-        store = SampleStore(bump, 2)
-        with pytest.raises(PreconditionError, match="sample store.* 2, not 3"):
-            gaussian(store, 3)
 
 
 class TestRoundoffFloor:
@@ -393,25 +337,42 @@ class TestFamilies:
             integrate_gaussian_nd([(bump, None)], 2, envelopes=(None, None))
 
     def test_gaussian_parts_read_each_store_once_per_sweep(self, monkeypatch):
-        sweeps, reads = count_sweeps(monkeypatch), []
-        plain = SampleStore.__call__
+        # each distinct point function is called exactly once per sweep, on
+        # that sweep's points r y_j: the GK15 abscissae of its panels times
+        # the sphere directions
+        sweeps, calls = [], []
+        plain = quadrature._gk_panels
 
-        def counted(self, r):
-            reads.append((id(self), r.size))
-            return plain(self, r)
+        def counted(f, lo, hi):
+            sweeps.append((lo, hi))
+            return plain(f, lo, hi)
 
-        monkeypatch.setattr(SampleStore, "__call__", counted)
-        store, other = SampleStore(bump, 2), SampleStore(lambda x: x[..., 0] * bump(x), 2)
+        def recorded(g):
+            def fn(x):
+                calls.append((g, x))
+                return g(x)
+            return fn
+
+        monkeypatch.setattr(quadrature, "_gk_panels", counted)
+
+        def cross(x):
+            return x[..., 0] * bump(x)
+
+        g, other = recorded(bump), recorded(cross)
         env = SupportHint.decaying(3.0, 0.6)
         family = integrate_gaussian_nd(
-            [(store, None), (store, lambda v, r: v * v), (other, None),
-             (store, lambda v, r: 2.0 * v)], 2, envelopes=[env] * 4)
+            [(g, None), (g, lambda v, x: v * v), (other, None),
+             (g, lambda v, x: 2.0 * v)], 2, envelopes=[env] * 4)
         monkeypatch.undo()
         assert len(sweeps) > 1
-        for key in (id(store), id(other)):
-            assert [size for k, size in reads if k == key] == [15 * p for p in sweeps]
+        assert [fn for fn, _ in calls] == [bump, cross] * len(sweeps)
+        dirs = sphere_directions(2)
+        for (lo, hi), (_, x) in zip([sweep for sweep in sweeps for _ in range(2)], calls):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            r = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+            assert np.array_equal(x, r[None, :, None] * dirs[:, None, :])
         alone = [gaussian(bump, 2, envelope=env),
-                 gaussian(bump, 2, envelope=env, transform=lambda v, r: v * v)]
+                 gaussian(bump, 2, envelope=env, transform=lambda v, x: v * v)]
         for res, single in zip(family, alone):
             assert abs(res.value - single.value) <= res.err_est + single.err_est
         assert family[3].value == pytest.approx(2.0 * family[0].value, rel=1e-15)
