@@ -6,14 +6,12 @@ For a profile u, three modular integrals are compared:
 
 The sharp two-branch bound gives K <= max-of-two right-hand sides; its
 linear weakening K <= C1 L + C2 G comes with the explicit constants
-C1 = 2^(D-1) (D+n-2)^(D/2), C2 = 2^(D-1) D^D when D + n >= e + 2, and a
-beta/gamma trade-off curve lets either constant be pushed toward its
-frontier at the other's expense.
+C1 = 2^(D-1) (D+n-2)^(D/2), C2 = 2^(D-1) D^D when D + n >= e + 2, and
+doubling alone still gives (much larger) linear constants.
 """
 
 from orlicz_hardy import (
     ExtremalParams,
-    beta_gamma,
     check_alternative,
     check_convex_case,
     check_linear,
@@ -39,12 +37,6 @@ rep = check_linear(tri, c1, c2)
 print(f"linear bound with C1={c1:.3f}, C2={c2:.0f}: verdict={rep.verdict}, "
       f"slack={rep.slack:.4f}")
 
-print()
-print("beta/gamma trade-off: pushing C2 toward its frontier D^D inflates C1")
-for rho in (2.0, 1.2, 1.02):
-    beta, gamma = beta_gamma(rho, 3.0)
-    print(f"  rho={rho:5.2f}: C1 = {beta * (3.0 + n - 2.0) ** 1.5:10.2f}, "
-          f"C2 = {rho * 27.0:7.2f}   (C2 frontier: 27)")
 
 print()
 print("doubling-only route (no lower growth exponent): constants exist but are")

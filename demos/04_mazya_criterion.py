@@ -8,10 +8,7 @@ behaves like x^(-(n-1)/(p-1)) at zero, so B is finite iff p > n -- which
 the numeric divergence detector reproduces without being told.
 """
 
-import numpy as np
-
 from orlicz_hardy import classical_pair, gaussian_hardy_pq, mazya_B
-from orlicz_hardy.mazya import TransformInput, check_hardy_transform
 
 res = mazya_B(classical_pair())
 print(f"classical pair: B = {res.B:.9f} at r = {res.argmax_r:.3g} "
@@ -27,10 +24,3 @@ for p in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
         row.append(f"{verdict:9s}" if r.divergent else f"B={r.B:7.3f}")
     print(f"  p={p:3.1f}  " + "  ".join(row))
 print("(finite exactly above the diagonal p > n)")
-
-print()
-f = TransformInput(fn=lambda x: np.ones_like(np.asarray(x, float)),
-                   lo=1.0, hi=2.0, label="indicator of [1,2]")
-rep = check_hardy_transform(f, classical_pair(), C=2.0)
-print(f"transform check for f = {f.label}: lhs = {rep.lhs:.6f}, "
-      f"ratio lhs/||f|| = {rep.details['ratio']:.6f} <= B * 2 = 2")

@@ -20,7 +20,6 @@ from .functionals import (
     truncate,
 )
 from .hardy import (
-    beta_gamma,
     check_alternative,
     check_convex_case,
     check_linear,
@@ -30,7 +29,6 @@ from .hardy import (
     check_p2_exact,
     convex_constants,
     linear_constants,
-    tradeoff_check,
 )
 from .landau_kolmogorov import (
     LKFit,
@@ -43,7 +41,6 @@ from .landau_kolmogorov import (
 )
 from .mazya import (
     MeasurePair,
-    check_hardy_transform,
     classical_pair,
     gaussian_hardy_pq,
     gaussian_pair,

@@ -24,12 +24,7 @@ from .functionals import (
     modular_triple_nd,
 )
 from .nfunc import NFunction, comparison_tol
-from .quadrature import (
-    GaussianMeasure,
-    QuadratureSpec,
-    RadialMeasure,
-    golden_max,
-)
+from .quadrature import GaussianMeasure, QuadratureSpec, RadialMeasure
 from .reporting import Check, verdict
 
 __all__ = [
@@ -37,8 +32,6 @@ __all__ = [
     "linear_constants",
     "check_linear",
     "check_p2_exact",
-    "beta_gamma",
-    "tradeoff_check",
     "convex_constants",
     "check_convex_case",
     "check_norm_form_radial",
@@ -125,15 +118,16 @@ def check_alternative(triple: ModularTriple, d: float, D: float, n: int,
 def linear_constants(D: float, d: float, n: int) -> tuple[float, float]:
     """Explicit linear constants C1 = 2^(D-1) (D+n-2)^(D/2), C2 = 2^(D-1) D^D.
 
-    Valid in the regime D + n >= e + 2; outside it the beta/gamma trade-off
-    must be used instead.
+    Valid in the regime D + n >= e + 2; outside it the two-branch bound
+    (`check_alternative`) and the doubling-only constants (`check_convex_case`,
+    form ww) still apply.
     """
     if D <= 2.0 or d < 2.0 - 1e-12:
         raise PreconditionError(f"requires D > 2 and d >= 2, got D={D}, d={d}")
     if D + n < math.e + 2.0:
         raise PreconditionError(
             f"explicit constants need D + n >= e + 2 ({D + n:.3f} < {math.e + 2.0:.3f}); "
-            "use the beta/gamma trade-off instead")
+            "outside it use the two-branch bound or the doubling-only form ww")
     c1 = 2.0 ** (D - 1.0) * (D + n - 2.0) ** (D / 2.0)
     c2 = 2.0 ** (D - 1.0) * D ** D
     return c1, c2
@@ -153,61 +147,6 @@ def check_linear(triple: ModularTriple, c1: float, c2: float,
 def check_p2_exact(triple: ModularTriple, n: int, **meta) -> Check:
     """The quadratic-case bound with its exact constants: K <= 2n L + 4 G."""
     return check_linear(triple, 2.0 * n, 4.0, inequality_id="p2_exact", n=n, **meta)
-
-
-# ---------------------------------------------------------------------------
-# beta/gamma trade-off
-# ---------------------------------------------------------------------------
-
-def beta_gamma(rho: float, D: float) -> tuple[float, float]:
-    """Suprema over w > 0 of the two trade-off profiles
-
-        beta:  (w/2 + sqrt(w^2/4 + 1))^D - rho w^D
-        gamma: (1/2 + sqrt(1/4 + w^2))^D - rho w^D
-
-    Both tend to 1 as w -> 0 and to -oo as w -> oo (rho > 1), so the supremum
-    is located by a coarse log-grid scan refined by golden-section ascent
-    in log w.
-    """
-    if rho <= 1.0:
-        raise PreconditionError(
-            f"rho must exceed 1 (suprema blow up as rho -> 1+), got {rho}")
-    if D <= 2.0:
-        raise PreconditionError(f"requires D > 2, got {D}")
-
-    def f_beta(w):
-        return (0.5 * w + math.sqrt(0.25 * w * w + 1.0)) ** D - rho * w ** D
-
-    def f_gamma(w):
-        return (0.5 + math.sqrt(0.25 + w * w)) ** D - rho * w ** D
-
-    out = []
-    ws = np.logspace(-8.0, 4.0, 600)
-    for fn in (f_beta, f_gamma):
-        vals = np.array([fn(w) for w in ws])
-        i = int(np.argmax(vals))
-        lo = ws[max(i - 2, 0)]
-        hi = ws[min(i + 2, ws.size - 1)]
-        _, best = golden_max(lambda x: fn(math.exp(x)), math.log(lo), math.log(hi))
-        out.append(max(best, float(vals[i]), 1.0))
-    return out[0], out[1]
-
-
-def tradeoff_check(triple: ModularTriple, rho: float, D: float, n: int,
-                   **meta) -> tuple[Check, Check]:
-    """Both linear trade-off forms derived from the term2 bound:
-
-        K <= beta(rho) (D+n-2)^(D/2) L + rho D^D G
-        K <= rho (D+n-2)^(D/2) L + gamma(rho) D^D G
-    """
-    b, g = beta_gamma(rho, D)
-    base_l = (D + n - 2.0) ** (D / 2.0)
-    base_g = D ** D
-    rep_b = check_linear(triple, b * base_l, rho * base_g, n=n, **meta)
-    rep_b.constants_used.update({"rho": rho, "beta": b, "form": "beta"})
-    rep_g = check_linear(triple, rho * base_l, g * base_g, n=n, **meta)
-    rep_g.constants_used.update({"rho": rho, "gamma": g, "form": "gamma"})
-    return rep_b, rep_g
 
 
 # ---------------------------------------------------------------------------

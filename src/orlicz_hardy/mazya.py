@@ -31,12 +31,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import PreconditionError
-from .nfunc import comparison_tol
 from .quadrature import (
     gaussian_tail_fn,
     golden_max,
@@ -44,18 +43,15 @@ from .quadrature import (
     integrate_pieces,
     truncation_radius,
 )
-from .reporting import Check
 
 __all__ = [
     "MeasurePair",
     "MazyaResult",
     "mazya_B",
     "gaussian_hardy_pq",
-    "check_hardy_transform",
     "classical_pair",
     "gaussian_pair",
     "table_pair",
-    "TransformInput",
 ]
 
 INNER_CAP = 1e12
@@ -65,10 +61,6 @@ PROBE_RUNGS = 10  # decades of the endpoint ladder
 # Tolerances of the supremum search; the run's QuadratureSpec does not apply.
 PROBE_REL_TOL, PROBE_ABS_TOL = 1e-10, 1e-300  # each rung of the endpoint probe
 PIECE_REL_TOL, PIECE_ABS_TOL = 1e-9, 1e-16  # each piece between knots
-# Relative tolerances of the transform check; the run's QuadratureSpec does
-# not apply either.
-TRANSFORM_INNER_REL_TOL = 1e-10  # the primitive F and the rhs integral
-TRANSFORM_OUTER_REL_TOL = 1e-9  # the outer integral of |F|^q dmu
 
 
 @dataclass(frozen=True)
@@ -76,8 +68,7 @@ class MeasurePair:
     """(mu, nu) with exponents 1 < p <= q < oo on (a, oo).
 
     mu_tail(r) = mu([r, oo)) is a measure's tail, so it is non-negative and
-    never increases; nu_density is dnu*/dx.  mu_density is optional and only
-    needed by the transform check.
+    never increases; nu_density is dnu*/dx.
     """
 
     a: float
@@ -85,7 +76,6 @@ class MeasurePair:
     nu_density: Callable
     p: float
     q: float
-    mu_density: Optional[Callable] = None
     label: str = ""
     grid_hi: float = 100.0
 
@@ -301,7 +291,6 @@ def classical_pair() -> MeasurePair:
         a=0.0,
         mu_tail=lambda r: 1.0 / r,
         nu_density=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        mu_density=lambda x: np.asarray(x, dtype=float) ** (-2.0),
         p=2.0, q=2.0, label="classical", grid_hi=1e3)
 
 
@@ -319,15 +308,10 @@ def gaussian_pair(p: float, n: int) -> MeasurePair:
         x = np.asarray(x, dtype=float)
         return np.power(x, n - 1.0) * np.exp(-0.5 * x * x)
 
-    def mu_density(x):
-        x = np.asarray(x, dtype=float)
-        return np.power(x, m) * np.exp(-0.5 * x * x)
-
     # keep exp(r^2 / (2(p-1))) inside float range along the whole grid
     hi = min(truncation_radius(m, 1.0, 1e-16) + 10.0,
              math.sqrt(900.0 * (p - 1.0)))
-    return MeasurePair(a=0.0, mu_tail=tail, nu_density=nu_density,
-                       mu_density=mu_density, p=float(p), q=float(p),
+    return MeasurePair(a=0.0, mu_tail=tail, nu_density=nu_density, p=float(p), q=float(p),
                        label=f"gaussian[p={p:g},n={n}]", grid_hi=hi)
 
 
@@ -347,9 +331,6 @@ def table_pair(xs, mu_density_vals, nu_density_vals, p: float, q: float,
         if not np.all(np.isfinite(vals) & (vals >= 0.0)):
             raise PreconditionError(f"table {name} must be finite and non-negative")
 
-    def mu_density(x):
-        return np.interp(x, xs, mu_v, left=0.0, right=0.0)
-
     # right-continuous tail by cumulative trapezoid from the right
     cum = np.concatenate([[0.0], np.cumsum(np.diff(xs) * 0.5 * (mu_v[1:] + mu_v[:-1]))])
     total = cum[-1]
@@ -361,8 +342,7 @@ def table_pair(xs, mu_density_vals, nu_density_vals, p: float, q: float,
         return np.interp(x, xs, nu_v, left=0.0, right=0.0)
 
     return MeasurePair(a=float(xs[0]), mu_tail=mu_tail, nu_density=nu_density,
-                       mu_density=mu_density, p=float(p), q=float(q),
-                       label=label, grid_hi=float(xs[-1] - xs[0]))
+                       p=float(p), q=float(q), label=label, grid_hi=float(xs[-1] - xs[0]))
 
 
 def gaussian_hardy_pq(p: float, n: int) -> tuple[str, MazyaResult]:
@@ -377,84 +357,3 @@ def gaussian_hardy_pq(p: float, n: int) -> tuple[str, MazyaResult]:
     res = mazya_B(gaussian_pair(p, n))
     return ("divergent" if res.divergent else "finite"), res
 
-
-# ---------------------------------------------------------------------------
-# Transform check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransformInput:
-    """A concrete f for the transform check, supported on [lo, hi]."""
-
-    fn: Callable
-    lo: float
-    hi: float
-    label: str = ""
-
-
-def check_hardy_transform(f: TransformInput, pair: MeasurePair, C: float,
-                          **meta) -> Check:
-    """Evaluate both sides of the transform inequality for a concrete f.
-
-    lhs = ( int_a^oo |F|^q dmu )^(1/q) with F(x) = int_a^x f,
-    rhs = C ( int |f|^p dnu )^(1/p); the check's details carry the ratio
-    lhs / rhs_base for comparison against B-derived constants, and the
-    fixed quadrature tolerances.
-    """
-    if pair.mu_density is None:
-        raise PreconditionError(f"pair '{pair.label}' has no mu density")
-    lo = max(pair.a, f.lo)
-
-    def primitive(x: float) -> float:
-        if x <= lo:
-            return 0.0
-        top = min(x, f.hi)
-        if top <= lo:
-            return 0.0
-        return integrate_interval(f.fn, lo, top,
-                                  rel_tol=TRANSFORM_INNER_REL_TOL).value
-
-    def lhs_integrand(xs):
-        xs = np.asarray(xs, dtype=float)
-        vals = np.array([abs(primitive(float(x))) ** pair.q for x in xs])
-        return vals * np.asarray(pair.mu_density(xs), dtype=float)
-
-    # F is constant beyond supp f, so the outer tail is |F(hi)|^q mu([hi,oo));
-    # push hi out until that bound is negligible
-    hi = max(f.hi * 4.0, pair.a + 1.0)
-    f_mass_q = abs(primitive(f.hi * 2.0)) ** pair.q
-    for _ in range(60):
-        tail_bound = f_mass_q * float(pair.mu_tail(hi))
-        if tail_bound <= 1e-12 * max(f_mass_q, 1e-30) or hi > 1e15:
-            break
-        hi *= 2.0
-    outer = integrate_interval(lhs_integrand, pair.a + 1e-12, hi,
-                               rel_tol=TRANSFORM_OUTER_REL_TOL,
-                               breakpoints=(f.lo, f.hi))
-    tail_bound = abs(primitive(hi)) ** pair.q * float(pair.mu_tail(hi))
-    lhs = (outer.value + 0.0) ** (1.0 / pair.q)
-
-    def rhs_integrand(xs):
-        xs = np.asarray(xs, dtype=float)
-        return (np.abs(np.asarray(f.fn(xs), dtype=float)) ** pair.p
-                * np.asarray(pair.nu_density(xs), dtype=float))
-
-    base = integrate_interval(rhs_integrand, f.lo, f.hi,
-                              rel_tol=TRANSFORM_INNER_REL_TOL)
-    rhs_base = base.value ** (1.0 / pair.p)
-    rhs = C * rhs_base
-    details = {"inner_rel_tol": TRANSFORM_INNER_REL_TOL,
-               "outer_rel_tol": TRANSFORM_OUTER_REL_TOL}
-    if rhs_base == 0.0 and lhs == 0.0:
-        return Check.compare("mazhar", 0.0, 0.0, 0.0, comparison_tol(0.0),
-                             constants_used={"C": C}, details=details, **meta)
-    if not math.isfinite(rhs):  # no finite bound to compare against
-        check = Check.compare("mazhar", lhs, rhs, math.inf, comparison_tol(rhs),
-                              constants_used={"C": C}, details=details, **meta)
-        check.verdict = "indeterminate"
-        return check
-    err = (outer.err_est + tail_bound) / max(pair.q * max(lhs, 1e-300) ** (pair.q - 1.0), 1e-300)
-    details["ratio"] = lhs / rhs_base if rhs_base > 0 else math.inf
-    return Check.compare("mazhar", lhs, rhs, err, comparison_tol(rhs),
-                         constants_used={"C": C, "rhs_base": rhs_base},
-                         details=details, **meta)

@@ -31,7 +31,6 @@ __all__ = [
     "certify_delta2",
     "check_lemma_split",
     "check_lemma_young",
-    "derivative",
     "power_nfunction",
     "power_log_nfunction",
     "table_nfunction",
@@ -56,7 +55,6 @@ class NFunction:
     """
 
     eval: Callable
-    deriv: Optional[Callable] = None
     d_exp: Optional[float] = None
     D_exp: Optional[float] = None
     delta2_const: Optional[float] = None
@@ -64,9 +62,6 @@ class NFunction:
     differentiable: bool = False
     convex: bool = True
     grid_fingerprint: Optional[str] = None
-
-    def __call__(self, r):
-        return self.eval(r)
 
     def require_exponents(self) -> tuple[float, float]:
         if self.d_exp is None or self.D_exp is None:
@@ -202,15 +197,6 @@ def certify(nf: NFunction, grid: GridSpec | None = None) -> NFunction:
     )
 
 
-def derivative(nf: NFunction, r: float) -> float:
-    """M'(r), analytic when available, else central differences."""
-    if nf.deriv is not None:
-        return float(nf.deriv(r))
-    h = max(1e-6, 1e-6 * abs(r))
-    lo = max(r - h, 0.0)
-    return float((nf.eval(r + h) - nf.eval(lo)) / (r + h - lo))
-
-
 # ---------------------------------------------------------------------------
 # Pointwise inequality checks
 # ---------------------------------------------------------------------------
@@ -278,10 +264,7 @@ def power_nfunction(p: float) -> NFunction:
     def m(r):
         return np.power(r, p)
 
-    def dm(r):
-        return p * np.power(r, p - 1.0)
-
-    return NFunction(eval=m, deriv=dm, d_exp=p, D_exp=p, delta2_const=2.0 ** p,
+    return NFunction(eval=m, d_exp=p, D_exp=p, delta2_const=2.0 ** p,
                      label=f"r^{p:g}", differentiable=True, convex=True)
 
 
@@ -293,11 +276,7 @@ def power_log_nfunction(p: float = 2.0) -> NFunction:
     def m(r):
         return np.power(r, p) * np.log1p(r)
 
-    def dm(r):
-        r = np.asarray(r, dtype=float)
-        return p * np.power(r, p - 1.0) * np.log1p(r) + np.power(r, p) / (1.0 + r)
-
-    return NFunction(eval=m, deriv=dm, d_exp=p, D_exp=p + 1.0,
+    return NFunction(eval=m, d_exp=p, D_exp=p + 1.0,
                      delta2_const=2.0 ** (p + 1.0),
                      label=f"r^{p:g}*log(1+r)", differentiable=True, convex=True)
 

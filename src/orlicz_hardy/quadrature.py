@@ -249,12 +249,11 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None):
 
 
 def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
-                       abs_tol: float = 1e-14, breakpoints=()) -> IntegralResult:
+                       abs_tol: float = 1e-14) -> IntegralResult:
     """Plain adaptive integral of f over [a, b] (no measure weight)."""
     if not b > a:
         return IntegralResult(0.0, 0.0, b)
-    edges = _build_edges(a, b, breakpoints)
-    val, err, ok = _adaptive(f, edges, rel_tol, abs_tol)
+    val, err, ok = _adaptive(f, np.array([a, b], dtype=float), rel_tol, abs_tol)
     return IntegralResult(float(val[0]), float(err[0]), b, converged=ok)
 
 

@@ -11,7 +11,6 @@ from orlicz_hardy.functionals import (
     modular_triple_radial,
 )
 from orlicz_hardy.hardy import (
-    beta_gamma,
     check_alternative,
     check_convex_case,
     check_linear,
@@ -21,7 +20,6 @@ from orlicz_hardy.hardy import (
     check_p2_exact,
     convex_constants,
     linear_constants,
-    tradeoff_check,
 )
 from orlicz_hardy.nfunc import power_nfunction
 from orlicz_hardy.quadrature import surface_area
@@ -161,56 +159,6 @@ class TestP2Exact:
                     for a in (0.9, 0.99, 0.999)]
             assert vals == sorted(vals)
             assert vals[-1] == pytest.approx(n * 1.999, rel=1e-9)
-
-
-class TestBetaGamma:
-    def test_matches_dense_grid_oracle(self):
-        b, g = beta_gamma(2.0, 4.0)
-        ws = np.logspace(-6, 3, 10 ** 6)
-        fb = (0.5 * ws + np.sqrt(0.25 * ws ** 2 + 1.0)) ** 4 - 2.0 * ws ** 4
-        fg = (0.5 + np.sqrt(0.25 + ws ** 2)) ** 4 - 2.0 * ws ** 4
-        assert b == pytest.approx(float(fb.max()), rel=1e-6)
-        assert g == pytest.approx(float(fg.max()), rel=1e-6)
-
-    def test_rho_at_most_one_rejected(self):
-        with pytest.raises(PreconditionError, match="rho"):
-            beta_gamma(1.0, 4.0)
-
-    def test_limits(self):
-        # sup -> 1 (the w -> 0 value) as rho grows, at rate rho^(-1/(D-1))
-        gaps = []
-        for rho in (1e2, 1e6, 1e12):
-            b, g = beta_gamma(rho, 5.0)
-            assert b >= 1.0 and g >= 1.0
-            gaps.append((b - 1.0, g - 1.0))
-        assert gaps[0] > gaps[1] > gaps[2]
-        assert gaps[2][0] < 0.01 and gaps[2][1] < 0.01
-
-    def test_monotone_in_rho(self):
-        rhos = (1.1, 1.5, 2.0, 5.0, 50.0)
-        bs, gs = zip(*(beta_gamma(r, 3.5) for r in rhos))
-        assert all(bs[i] >= bs[i + 1] - 1e-12 for i in range(len(bs) - 1))
-        assert all(gs[i] >= gs[i + 1] - 1e-12 for i in range(len(gs) - 1))
-
-
-class TestTradeoff:
-    def test_zero(self):
-        rb, rg = tradeoff_check(ZERO, 1.5, 4.0, 3)
-        assert rb.verdict == "holds" and rg.verdict == "holds"
-
-    def test_growth_family(self):
-        for alpha in (0.0, 0.5, 0.9):
-            tri = extremal_moments(ExtremalParams(alpha, 4, 3))
-            rb, rg = tradeoff_check(tri, 1.5, 4.0, 3)
-            assert rb.verdict == "holds", (alpha, rb.slack)
-            assert rg.verdict == "holds", (alpha, rg.slack)
-
-    def test_c2_frontier_approaches_limit(self):
-        # the derivative coefficient rho D^D tends to D^D from above
-        D = 4.0
-        coefs = [rho * D ** D for rho in (1.5, 1.1, 1.01, 1.001)]
-        assert coefs == sorted(coefs, reverse=True)
-        assert coefs[-1] == pytest.approx(D ** D, rel=2e-3)
 
 
 class TestConvexCase:

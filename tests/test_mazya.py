@@ -13,8 +13,6 @@ from orlicz_hardy.errors import PreconditionError
 from orlicz_hardy.mazya import (
     OBJECTIVE_CAP,
     MeasurePair,
-    TransformInput,
-    check_hardy_transform,
     classical_pair,
     gaussian_hardy_pq,
     gaussian_pair,
@@ -22,12 +20,6 @@ from orlicz_hardy.mazya import (
     table_pair,
 )
 from orlicz_hardy.quadrature import integrate_interval
-
-
-def box(lo=1.0, hi=2.0, height=1.0):
-    return TransformInput(
-        fn=lambda x: height * np.ones_like(np.asarray(x, float)),
-        lo=lo, hi=hi, label="box")
 
 
 class TestMazyaB:
@@ -131,41 +123,6 @@ class TestGaussianVerdicts:
         _, res1 = gaussian_hardy_pq(3.0, 2)
         _, res2 = gaussian_hardy_pq(3.0, 2)
         assert res1.B == res2.B
-
-
-class TestTransform:
-    def test_zero_function(self):
-        rep = check_hardy_transform(
-            TransformInput(fn=lambda x: np.zeros_like(np.asarray(x, float)),
-                           lo=1.0, hi=2.0), classical_pair(), C=1.0)
-        assert rep.verdict == "holds" and rep.lhs == 0.0
-
-    def test_classical_box_closed_form(self):
-        # F(x) = (x-1) on [1,2], 1 beyond: lhs^2 = (1.5 - 2 ln 2) + 1/2
-        rep = check_hardy_transform(box(), classical_pair(), C=2.0)
-        expected = math.sqrt(2.0 - 2.0 * math.log(2.0))
-        assert rep.lhs == pytest.approx(expected, rel=1e-9)
-        assert rep.verdict == "holds"
-        # ratio below B times the p = q = 2 universal factor
-        assert rep.details["ratio"] <= 1.0 * 2.0
-
-    def test_scaling_invariance(self):
-        r1 = check_hardy_transform(box(height=1.0), classical_pair(), C=2.0)
-        r7 = check_hardy_transform(box(height=7.0), classical_pair(), C=2.0)
-        assert r1.details["ratio"] == pytest.approx(r7.details["ratio"], rel=1e-9)
-
-    def test_tolerances_reported(self):
-        rep = check_hardy_transform(box(), classical_pair(), C=2.0)
-        assert rep.details["inner_rel_tol"] == mazya_mod.TRANSFORM_INNER_REL_TOL == 1e-10
-        assert rep.details["outer_rel_tol"] == mazya_mod.TRANSFORM_OUTER_REL_TOL == 1e-9
-
-    def test_gaussian_pair_ratio_capped(self):
-        pair = gaussian_pair(3.0, 2)
-        _, res = gaussian_hardy_pq(3.0, 2)
-        factor = 3.0 ** (1.0 / 3.0) * 1.5 ** (2.0 / 3.0)  # p^(1/p) (p')^(1/p')
-        rep = check_hardy_transform(box(), pair, C=res.B * factor)
-        assert rep.verdict == "holds"
-        assert rep.details["ratio"] <= res.B * factor
 
 
 class TestSeriesAndTable:

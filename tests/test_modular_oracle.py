@@ -32,9 +32,16 @@ import pytest
 
 from orlicz_hardy.cli import DEFAULT_THETAS
 from orlicz_hardy.corpus import default_manifest_path, load_manifest
-from orlicz_hardy.functionals import modular_triple_nd, modular_triple_radial
+from orlicz_hardy.functionals import (
+    ScalarProfile,
+    _modular,
+    field_profiles,
+    luxemburg_norm,
+    modular_triple_nd,
+    modular_triple_radial,
+)
 from orlicz_hardy.landau_kolmogorov import lk_modular_terms
-from orlicz_hardy.quadrature import QuadratureSpec
+from orlicz_hardy.quadrature import GaussianMeasure, QuadratureSpec, RadialMeasure
 
 P = np.polynomial.polynomial
 DPS = 20
@@ -310,3 +317,117 @@ def test_gaussian_polynomial_g_within_its_error_estimate(label, nf_label, n):
     triple = field_triple(label, nf_label, n)
     exact = gauss_hermite_g(FIELDS[label], int(NFUNCS[nf_label]["params"]["p"]), n)
     assert_honest(triple.G, triple.errs[2], exact, f"{label} {nf_label} n={n} G")
+
+
+# -- Luxemburg norms of the powers --------------------------------------------
+# For M(r) = r^p the norm of f is m1^(1/p), with m1 = int M(|f|) dmu the
+# modular a battery integrated, when m1 was resolved to relative accuracy;
+# else k1 (modular at k1)^(1/p), with the modular at k1 = m1^(1/p) integrated
+# afresh.  Whichever modular m the norm rests on, the exact norm lies within
+# the image of [m - err_est, m + err_est] under t -> t^(1/p) (times k1), so
+# that width is the bar, with no extra allowance.
+
+POWERS = sorted(label for label, e in NFUNCS.items() if e["kind"] == "power")
+
+
+def assert_norm_honest(profile, nf_label, measure, m1, err, exact_at, what):
+    """exact_at(scale) is the exact int M(scale |f|) dmu."""
+    p = float(NFUNCS[nf_label]["params"]["p"])
+    nf = MANIFEST.nfunc(nf_label)
+    norm = luxemburg_norm(profile, nf, measure, m1, SPEC)
+    k1 = 1.0
+    if 0.0 < m1 * SPEC.rel_tol < SPEC.abs_tol:  # unresolved: the rescaled branch
+        k1 = m1 ** (1.0 / p)
+        res = _modular(profile, nf, measure, SPEC, lambda a, r: a / k1)
+        m1, err = res.value, res.err_est
+    bar = k1 * ((m1 + err) ** (1.0 / p) - max(m1 - err, 0.0) ** (1.0 / p))
+    exact = k1 * exact_at(1.0 / k1) ** (1.0 / p)
+    assert abs(norm - exact) <= bar, (
+        f"{what}: |{norm!r} - {exact!r}| = {abs(norm - exact):.3g} > bar {bar:.3g}")
+
+
+def weighted(fn, hint, breakpoints, radius):
+    """The profile |x| |f|, whose modular is K."""
+    return ScalarProfile(lambda x: radius(x) * np.abs(fn(x)), hint.times_power(1.0),
+                         breakpoints)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("nf_label", POWERS)
+@pytest.mark.parametrize("label", sorted(RADIAL))
+def test_radial_power_norms_within_their_modulars_bars(label, nf_label, n):
+    u = MANIFEST.radial_functions[label]
+    triple = radial_triple(label, nf_label, n)
+    pieces = radial_pieces(RADIAL[label])
+    profiles = (weighted(u.u, u.hint, u.breakpoints, lambda r: np.asarray(r, dtype=float)),
+                ScalarProfile(u.u, u.hint, u.breakpoints),
+                ScalarProfile(u.du, u.du_hint(), u.breakpoints))
+    for which, profile, m1, err, divergent in zip(
+            "KLG", profiles, (triple.K, triple.L, triple.G), triple.errs, triple.divergent):
+        if not divergent:
+            assert_norm_honest(
+                profile, nf_label, RadialMeasure(n), m1, err,
+                lambda scale: exact_modular(pieces, nf_label, n, which, scale),
+                f"{label} {nf_label} n={n} ||{which}||")
+
+
+def field_norm_profiles(u):
+    """The profiles whose modulars are a field's K, L, G and H."""
+    profile, grad, hess = field_profiles(u)
+    return {"K": weighted(u.u, u.hint, u.breakpoints,
+                          lambda x: np.linalg.norm(x, axis=-1)),
+            "L": profile, "G": grad, "H": hess}
+
+
+@pytest.mark.parametrize("nf_label", POWERS)
+@pytest.mark.parametrize("label", N1_FIELDS)
+def test_field_power_norms_at_n_one_within_their_modulars_bars(label, nf_label):
+    triple = field_triple(label, nf_label, 1)
+    pieces = field_pieces(FIELDS[label])
+    profiles = field_norm_profiles(field(label, 1))
+    modulars = {"K": (triple.K, triple.errs[0]), "L": (triple.L, triple.errs[1]),
+                "G": (triple.G, triple.errs[2])}
+    if nf_label in ("p2", "p3"):  # the oracle's LK terms: H at theta = 1
+        terms = lk_modular_terms(field(label, 1), MANIFEST.nfunc(nf_label), DEFAULT_THETAS,
+                                 triple, SPEC)[1.0]
+        modulars["H"] = (terms.hess_term, terms.errs[1])
+    for which, (m1, err) in modulars.items():
+        assert_norm_honest(
+            profiles[which], nf_label, GaussianMeasure(1), m1, err,
+            lambda scale: 2.0 * exact_modular(pieces, nf_label, 1, which, scale),
+            f"{label} {nf_label} n=1 ||{which}||")
+
+
+# the n = 2 cases of the monomial K, L and Gauss-Hermite G oracles
+N2_POWER_CASES = (
+    [(label, nf_label, which) for label, nf_label, n, which in
+     (case.values for case in MONOMIAL_CASES) if n == 2]
+    + [(label, nf_label, "G") for label, nf_label, n in
+       (case.values for case in GAUSSIAN_G_CASES) if n == 2])
+
+
+@pytest.mark.parametrize("label, nf_label, which", N2_POWER_CASES)
+def test_field_power_norms_at_n_two_within_their_modulars_bars(label, nf_label, which):
+    triple = field_triple(label, nf_label, 2)
+    p = float(NFUNCS[nf_label]["params"]["p"])
+    m1, err = {"K": (triple.K, triple.errs[0]), "L": (triple.L, triple.errs[1]),
+               "G": (triple.G, triple.errs[2])}[which]
+    exact = (gauss_hermite_g(FIELDS[label], int(p), 2) if which == "G"
+             else monomial_exact(FIELDS[label], p, 2, which))
+    assert_norm_honest(field_norm_profiles(field(label, 2))[which], nf_label,
+                       GaussianMeasure(2), m1, err, lambda scale: exact * scale ** p,
+                       f"{label} {nf_label} n=2 ||{which}||")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("nf_label", POWERS)
+def test_unresolved_power_norms_within_the_rescaled_bar(nf_label, n):
+    # no packaged modular is below abs_tol / rel_tol; 1e-3 u is, at every power
+    u = MANIFEST.radial_functions["pg_decay"]
+    small = ScalarProfile(lambda r: 1e-3 * u.u(r), u.hint, u.breakpoints)
+    m1 = _modular(small, MANIFEST.nfunc(nf_label), RadialMeasure(n), SPEC)
+    assert m1.value * SPEC.rel_tol < SPEC.abs_tol
+    pieces = radial_pieces(RADIAL["pg_decay"])
+    assert_norm_honest(small, nf_label, RadialMeasure(n), m1.value, m1.err_est,
+                       lambda scale: exact_modular(pieces, nf_label, n, "L", 1e-3 * scale),
+                       f"1e-3 pg_decay {nf_label} n={n} ||L||")

@@ -11,7 +11,6 @@ from orlicz_hardy.nfunc import (
     certify_growth,
     check_lemma_split,
     check_lemma_young,
-    derivative,
     power_log_nfunction,
     power_nfunction,
     table_nfunction,
@@ -137,25 +136,6 @@ class TestLemmaYoung:
     def test_eps_out_of_range(self):
         with pytest.raises(PreconditionError, match="eps"):
             check_lemma_young(power_nfunction(2), 1.0, 1.0, 1.5)
-
-
-class TestDerivative:
-    def test_analytic(self):
-        assert derivative(power_nfunction(3), 2.0) == pytest.approx(12.0)
-
-    def test_finite_difference_fallback(self):
-        nf = NFunction(eval=lambda r: np.asarray(r, float) ** 3)
-        assert derivative(nf, 2.0) == pytest.approx(12.0, rel=1e-6)
-
-    def test_doubling_derivative_bound(self, manifest):
-        # M'(r) <= D * M(r) / r wherever M is differentiable
-        r = np.logspace(-2, 1, 40)
-        for nf in manifest.nfunctions.values():
-            if not nf.differentiable:
-                continue
-            for ri in r:
-                bound = nf.D_exp * float(nf.eval(ri)) / ri
-                assert derivative(nf, ri) <= bound * (1.0 + 1e-9) + 1e-12
 
 
 class TestTable:
