@@ -42,8 +42,6 @@ DEFAULT_ALPHAS = (0.0, 0.5, 0.9, 0.99, 0.999)
 DEFAULT_THETAS = (0.25, 0.5, 1.0)
 # radial members whose www norm form runs when no --form is given
 NORM_FORM_SUBSET = ("ga_mild", "bump_mid", "pg_decay")
-# the --form values that check fields on R^n only, and so need no radial triple
-ND_FORMS = ("hn1", "wwww", "hn11")
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -78,82 +76,96 @@ def run_certify(manifest, checks: list):
             details={"grid_fingerprint": nf.grid_fingerprint}))
 
 
+def _hardy_forms(form, nf, n: int) -> tuple[list, list]:
+    """The radial and the n-dimensional forms a hardy run of `form` (None:
+    every form but hn11) checks under nf at dimension n."""
+    d, D = nf.require_exponents()
+    above_two = d >= 2.0 and D > 2.0
+    radial = [name for name, selects, admitted in (
+        ("alternative", ("term1", "term2"), above_two),
+        ("liniowe", ("liniowe",), above_two and D + n >= math.e + 2.0),
+        ("ww", ("ww",), True),
+        ("p2_exact", ("p2_exact",), abs(D - 2.0) < 1e-12 and abs(d - 2.0) < 1e-12),
+        ("www", ("www",), True),
+        ) if admitted and form in (None, *selects)]
+    nd = [name for name, selected, admitted in (
+        ("hn1", form in (None, "hn1"), True),
+        ("wwww", form in (None, "wwww"), d >= 2.0 and D > max(2.0, math.e + 2.0 - n)),
+        ("hn11", form == "hn11", True),
+        ) if selected and admitted]
+    return radial, nd
+
+
+def _radial_check(name: str, u, triple, nf, n: int, spec, **meta):
+    """The radial Hardy check of form `name` on u's triple under nf."""
+    d, D = nf.require_exponents()
+    if name == "alternative":
+        return hardy_mod.check_alternative(triple, d, D, n, **meta)
+    if name == "liniowe":
+        c1, c2 = hardy_mod.linear_constants(D, d, n)
+        return hardy_mod.check_linear(triple, c1, c2, n=n, **meta)
+    if name == "ww":
+        return hardy_mod.check_convex_case(triple, D, n, convex_certified=nf.convex, **meta)
+    if name == "p2_exact":
+        return hardy_mod.check_p2_exact(triple, n, **meta)
+    return hardy_mod.check_norm_form_radial(u, nf, n, triple, spec, **meta)
+
+
 def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
               normalized=False):
-    """Radial and n-dimensional Hardy batteries over the corpus."""
-    nfuncs = ({nfunc_label: manifest.nfunc(nfunc_label)} if nfunc_label
-              else manifest.nfunctions)
-    for nf_label, nf in sorted(nfuncs.items()):
-        d, D = nf.require_exponents()
-        for n in dims:
-            # admissible corpus: members whose modulars are finite for this M,
-            # integrated only when a radial form runs
-            radial = {} if form in ND_FORMS else manifest.radial_functions
-            triples = dict()
-            for u_label, u in sorted(radial.items()):
-                triple = modular_triple_radial(u, nf, n, spec)
-                if triple.valid:
-                    triples[u_label] = (u, triple)
+    """Radial and n-dimensional Hardy batteries over the corpus.  At each
+    dimension every radial member, and every field, is one modular family
+    spanning each N-function it is checked under."""
+    nfuncs = dict(sorted(({nfunc_label: manifest.nfunc(nfunc_label)} if nfunc_label
+                          else manifest.nfunctions).items()))
+    norm_tag = "normalized" if normalized else "unnormalized"
+    for n in dims:
+        forms = {nf_label: _hardy_forms(form, nf, n) for nf_label, nf in nfuncs.items()}
+
+        def spanning(side: int, subjects, triples_of) -> dict:
+            """label -> (subject, {N-function label: triple}): each subject's
+            triples under every N-function whose radial (side 0) or
+            n-dimensional (side 1) forms run, from one family."""
+            under = [nf_label for nf_label in nfuncs if forms[nf_label][side]]
+            if not under:
+                return {}
+            nfs = [nfuncs[nf_label] for nf_label in under]
+            return {label: (u, dict(zip(under, triples_of(u, nfs)))) for label, u in subjects}
+
+        radial = spanning(0, sorted(manifest.radial_functions.items()),
+                          lambda u, nfs: modular_triple_radial(u, nfs, n, spec))
+        fields = spanning(
+            1, [(label, factory.instantiate(n))
+                for label, factory in sorted(manifest.field_functions.items())
+                if factory.compatible(n)],
+            lambda u, nfs: modular_triple_nd(u, nfs, spec, normalized=normalized))
+        for nf_label, nf in nfuncs.items():
+            radial_forms, nd_forms = forms[nf_label]
 
             def labels(family, u_label):
                 return {"check_id": f"{family}:{nf_label}:{u_label}:n={n}",
                         "nfunc_label": nf_label, "subject_label": u_label}
 
-            if form in (None, "term1", "term2") and d >= 2.0 and D > 2.0:
-                for u_label, (u, triple) in triples.items():
-                    checks.append(hardy_mod.check_alternative(
-                        triple, d, D, n, **labels("alternative", u_label)))
-
-            if form in (None, "liniowe") and d >= 2.0 and D > 2.0 \
-                    and D + n >= math.e + 2.0:
-                c1, c2 = hardy_mod.linear_constants(D, d, n)
-                for u_label, (u, triple) in triples.items():
-                    checks.append(hardy_mod.check_linear(
-                        triple, c1, c2, n=n, **labels("liniowe", u_label)))
-
-            if form in (None, "ww"):
-                for u_label, (u, triple) in triples.items():
-                    checks.append(hardy_mod.check_convex_case(
-                        triple, D, n, convex_certified=nf.convex,
-                        **labels("ww", u_label)))
-
-            if form in (None, "p2_exact") and abs(D - 2.0) < 1e-12 \
-                    and abs(d - 2.0) < 1e-12:
-                for u_label, (u, triple) in triples.items():
-                    checks.append(hardy_mod.check_p2_exact(
-                        triple, n, **labels("p2_exact", u_label)))
-
-            if form in (None, "www"):
-                subset = (triples.keys() if form == "www" else
-                          [s for s in NORM_FORM_SUBSET if s in triples])
-                for u_label in subset:
-                    u, triple = triples[u_label]
-                    checks.append(hardy_mod.check_norm_form_radial(
-                        u, nf, n, triple, spec, **labels("www", u_label)))
-
-            # n-dimensional forms over the field corpus, one modular triple
-            # per field for every modular form
-            nd_forms = []
-            if form in (None, "hn1"):
-                nd_forms.append("hn1")
-            if form in (None, "wwww") and d >= 2.0 \
-                    and D > max(2.0, math.e + 2.0 - n):
-                nd_forms.append("wwww")
-            norm_tag = "normalized" if normalized else "unnormalized"
-            for f_label, factory in sorted(manifest.field_functions.items()):
-                if not factory.compatible(n):
+            # admissible corpus: members whose modulars are finite for this M;
+            # without --form the www norm form runs on a subset of them
+            for u_label, (u, by_nf) in radial.items():
+                triple = by_nf.get(nf_label)
+                if triple is None or not triple.valid:
                     continue
-                field = factory.instantiate(n)
-                if form == "hn11":
-                    checks.append(hardy_mod.check_norm_form_nd(
-                        field, nf, n, spec, normalized=normalized,
-                        **labels("hn11", f_label)))
-                elif nd_forms:
-                    triple = modular_triple_nd(field, nf, spec, normalized=normalized)
-                    for nd_form in nd_forms:
+                for name in radial_forms:
+                    if name != "www" or form == "www" or u_label in NORM_FORM_SUBSET:
+                        checks.append(_radial_check(name, u, triple, nf, n, spec,
+                                                    **labels(name, u_label)))
+            for f_label, (field, by_nf) in fields.items():
+                for name in nd_forms:
+                    if name == "hn11":
+                        checks.append(hardy_mod.check_norm_form_nd(
+                            field, nf, n, by_nf[nf_label], spec, normalized=normalized,
+                            **labels(name, f_label)))
+                    else:
                         checks.append(hardy_mod.check_nd(
-                            triple, nf, n, nd_form, normalization=norm_tag,
-                            **labels(nd_form, f_label)))
+                            by_nf[nf_label], nf, n, name, normalization=norm_tag,
+                            **labels(name, f_label)))
 
 
 def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):

@@ -7,20 +7,23 @@ For a radial profile u and an N-function M the three modulars are
 
 with the n-dimensional counterparts integrating M(|x| |u|), M(|u|) and
 M(|grad u|) against exp(-|x|^2/2) dx.  The modulars one battery needs of one
-subject -- its triple, or its Landau-Kolmogorov terms -- are one
-`_modular_family` call: one adaptive refinement on shared panels, out to the
-largest of the parts' truncation radii, with each part's own envelope tail
-from there.  Each part's envelope of M(|f|) is derived from the decay hint
-of f and the N-function's certified exponents.  A lone modular is the
-family of one (`_modular`), and a Luxemburg norm is one bracketed log-log
-secant search from the modular at K = 1 that its caller integrated.
+subject -- its triples under every N-function the Hardy battery checks it
+under, or its Landau-Kolmogorov terms under one -- are one `_modular_family`
+call: one adaptive refinement on shared panels, out to the largest of the
+parts' truncation radii, with each part's own envelope tail from there.
+Each part carries its own N-function, and its envelope of M(|f|) is derived
+from the decay hint of f and that N-function's certified exponents.  A
+triple under one N-function is the family of one N-function, and a lone
+modular the family of one part (`_modular`); a Luxemburg norm is one
+bracketed log-log secant search from the modular at K = 1 that its caller
+integrated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy imports it on first use otherwise)
@@ -142,38 +145,42 @@ def _compose_hint(arg_hint: SupportHint, nf: NFunction) -> SupportHint:
     return SupportHint.decaying(D * arg_hint.degree, e * rate)
 
 
-def _modular_family(parts, nf: NFunction, measure,
-                    spec: QuadratureSpec) -> list[IntegralResult | None]:
+def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult | None]:
     """int M(|f|) dmu, or int M(transform(|f|, x)) dmu, for each part
-    (profile f, transform) of one subject, on shared panels in one
+    (profile f, N-function M, transform), on shared panels in one
     `_adaptive` call.
 
     On a radial measure x is the radii r, |f| is |f(r)|, and the parts are
     one `integrate_radial`.  On a Gaussian measure f is a point function, x
     the sweep's (directions x radii x n) points, |f| its values there, and
-    the parts are one `integrate_gaussian_nd`.  Either calls each distinct
-    profile function once per sweep, so the parts that read one profile
-    share its function.  Every part's envelope is composed from its
-    profile's hint and adds its own tail beyond the shared radius; the panel
-    edges include every part's breakpoints.  A part whose envelope does not
-    decay against the measure diverges: its entry is None and it takes no
-    part in the refinement.
+    the parts are one `integrate_gaussian_nd`.  Each distinct profile
+    function is called, and its absolute value taken, once per sweep, so the
+    parts that read one profile -- under one N-function or several -- share
+    it.  Every part's envelope is composed from its profile's hint and its
+    own N-function's exponents, and adds its own tail beyond the shared
+    radius; the panel edges include every part's breakpoints.  A part whose
+    envelope does not decay against the measure diverges: its entry is None
+    and it takes no part in the refinement, so a family whose parts all
+    diverge integrates nothing.
     """
-    envs = [_compose_hint(profile.hint, nf) for profile, _ in parts]
+    envs = [_compose_hint(profile.hint, nf) for profile, nf, _ in parts]
     results: list[IntegralResult | None] = [None] * len(parts)
     live = [i for i, env in enumerate(envs)
             if env.kind == "compact" or 1.0 + env.rate > 0.0]
     if not live:
         return results
     breakpoints = sorted({float(b) for i in live for b in parts[i][0].breakpoints})
+    magnitudes = {}  # one |f| per distinct profile function
 
-    def integrand(transform):
-        def fn(values, x):
-            a = np.abs(values)
-            return nf.eval(a if transform is None else transform(a, x))
-        return fn
+    def magnitude(fn):
+        return magnitudes.setdefault(id(fn), lambda x: np.abs(fn(x)))
 
-    rows = [(parts[i][0].fn, integrand(parts[i][1])) for i in live]
+    def integrand(nf, transform):
+        if transform is None:
+            return lambda a, x: nf.eval(a)
+        return lambda a, x: nf.eval(transform(a, x))
+
+    rows = [(magnitude(parts[i][0].fn), integrand(*parts[i][1:])) for i in live]
     envelopes = [envs[i] for i in live]
     if isinstance(measure, RadialMeasure):
         found = integrate_radial(rows, measure.n, spec, envelopes=envelopes,
@@ -192,27 +199,40 @@ def _modular(profile: ScalarProfile, nf: NFunction, measure, spec: QuadratureSpe
     """The family of one: int M(|f|) dmu of the profile f, or
     int M(transform(|f|, x)) dmu.  One whose envelope does not decay
     against the measure raises DivergenceError."""
-    res, = _modular_family(((profile, transform),), nf, measure, spec)
+    res, = _modular_family(((profile, nf, transform),), measure, spec)
     if res is None:
         raise DivergenceError("modular diverges under the truncation policy")
     return res
 
 
-def _modular_triple(parts, nf: NFunction, measure,
-                    spec: QuadratureSpec) -> ModularTriple:
-    """K, L, G from the (profile, transform) of each, as one family; a
-    modular whose envelope does not decay against the measure is infinite
-    and divergent."""
-    results = _modular_family(parts, nf, measure, spec)
-    return ModularTriple(*(math.inf if res is None else res.value for res in results),
-                         tuple(math.inf if res is None else res.err_est for res in results),
-                         tuple(res is None for res in results),
-                         all(res.converged for res in results if res is not None))
+def _modular_triple(parts, nf: NFunction | Sequence[NFunction], measure,
+                    spec: QuadratureSpec) -> ModularTriple | list[ModularTriple]:
+    """K, L, G from the (profile, transform) of each, under nf, or under
+    each N-function of the sequence nf, as one family: a ModularTriple, or
+    one per N-function in order.  A modular whose envelope does not decay
+    against the measure is infinite and divergent; every triple's
+    `converged` is the family's."""
+    nfs = (nf,) if isinstance(nf, NFunction) else tuple(nf)
+    results = _modular_family([(profile, m, transform) for m in nfs
+                               for profile, transform in parts], measure, spec)
+    triples = []
+    for i in range(0, len(results), len(parts)):
+        own = results[i:i + len(parts)]
+        triples.append(ModularTriple(
+            *(math.inf if res is None else res.value for res in own),
+            tuple(math.inf if res is None else res.err_est for res in own),
+            tuple(res is None for res in own),
+            all(res.converged for res in own if res is not None)))
+    return triples[0] if isinstance(nf, NFunction) else triples
 
 
-def modular_triple_radial(u: RadialTestFunction, nf: NFunction, n: int,
-                          spec: QuadratureSpec | None = None) -> ModularTriple:
-    """K, L, G of a radial profile against dmu_n, as one family."""
+def modular_triple_radial(u: RadialTestFunction, nf: NFunction | Sequence[NFunction],
+                          n: int, spec: QuadratureSpec | None = None
+                          ) -> ModularTriple | list[ModularTriple]:
+    """K, L, G of a radial profile against dmu_n, as one family: the
+    ModularTriple under the NFunction nf, or, for a sequence of
+    N-functions, the list of their triples from one family spanning all
+    of them."""
     bps = u.breakpoints
     return _modular_triple(
         ((ScalarProfile(u.u, u.hint.times_power(1.0), bps), lambda a, r: r * a),
@@ -244,11 +264,13 @@ def field_profiles(u: FieldFunction) -> tuple:
             hess)
 
 
-def modular_triple_nd(u: FieldFunction, nf: NFunction,
+def modular_triple_nd(u: FieldFunction, nf: NFunction | Sequence[NFunction],
                       spec: QuadratureSpec | None = None,
-                      normalized: bool = False) -> ModularTriple:
+                      normalized: bool = False) -> ModularTriple | list[ModularTriple]:
     """K, L, G of a field against the Gaussian measure on R^n, as one
-    family in which K and L read one profile of u."""
+    family in which K and L read one profile of u: the ModularTriple under
+    the NFunction nf, or, for a sequence of N-functions, the list of their
+    triples from one family spanning all of them."""
     spec = spec or QuadratureSpec()
     if u.grad is None:
         raise PreconditionError(f"field '{u.label}' has no gradient")

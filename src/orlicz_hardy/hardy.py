@@ -21,7 +21,6 @@ from .functionals import (
     ScalarProfile,
     field_profiles,
     luxemburg_norm,
-    modular_triple_nd,
 )
 from .nfunc import NFunction, comparison_tol
 from .quadrature import GaussianMeasure, QuadratureSpec, RadialMeasure
@@ -285,11 +284,12 @@ def check_nd(triple: ModularTriple, nf: NFunction, n: int, form: str,
 
 
 def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
+                       triple: ModularTriple,
                        spec: QuadratureSpec | None = None,
                        normalized: bool = False, **meta) -> Check:
     """Norm form hn11 on R^n: ||.|x| u|| <= C (||u|| + ||grad u||), the
-    norms of the field's profiles u and |grad u| and of |x| |u|, with their
-    modulars at K = 1 from the field's `modular_triple_nd`."""
+    norms of the field's profiles u and |grad u| and of |x| |u|, from the
+    `modular_triple_nd` of (u, nf) on the measure `normalized` names."""
     if n != u.n:
         raise PreconditionError(f"field '{u.label}' has dimension {u.n}, not {n}")
     if nf.delta2_const is None or not nf.convex:
@@ -300,7 +300,6 @@ def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
         lambda pts: np.linalg.norm(pts, axis=-1) * np.abs(u.u(pts)),
         u.hint.times_power(1.0), u.breakpoints)
     return _check_norm_form(
-        "hn11", (profile, grad, weighted),
-        modular_triple_nd(u, nf, spec, normalized),
+        "hn11", (profile, grad, weighted), triple,
         nf, GaussianMeasure(n, normalized), n, spec,
         normalization="normalized" if normalized else "unnormalized", **meta)

@@ -114,18 +114,18 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
     func, _, hess = field_profiles(u)
 
     def family(parts):
-        results = _modular_family(parts, nf, meas, spec)
+        results = _modular_family(parts, meas, spec)
         if None in results:
             raise DivergenceError("modular diverges under the truncation policy")
         return results
 
     hess_terms, funcs = {}, {1.0: IntegralResult(triple.L, triple.errs[1])}
     if 1.0 in thetas:
-        hess_terms[1.0], = family([(hess, None)])
+        hess_terms[1.0], = family([(hess, nf, None)])
     scaled = [theta for theta in thetas if theta != 1.0]
     if scaled:
-        found = family([(hess, lambda a, x, theta=theta: theta * a) for theta in scaled]
-                       + [(func, lambda a, x, theta=theta: a / theta) for theta in scaled])
+        found = family([(hess, nf, lambda a, x, theta=theta: theta * a) for theta in scaled]
+                       + [(func, nf, lambda a, x, theta=theta: a / theta) for theta in scaled])
         hess_terms.update(zip(scaled, found))
         funcs.update(zip(scaled, found[len(scaled):]))
     return {theta: LKTerms(triple.G, hess_terms[theta].value, funcs[theta].value,

@@ -346,18 +346,18 @@ class TestNonConvergedQuadrature:
 
 
 def test_run_hardy_computes_each_nd_triple_once(manifest, spec, monkeypatch):
+    # one family per (field, n), spanning every N-function of the manifest
     calls = []
 
-    def counted(u, nf, *args, **kwargs):
-        calls.append((u.label, nf.label, u.n))
-        return original(u, nf, *args, **kwargs)
+    def counted(u, nfs, *args, **kwargs):
+        calls.append((u.label, tuple(nf.label for nf in nfs), u.n))
+        return original(u, nfs, *args, **kwargs)
 
     original = functionals.modular_triple_nd
     for module in (cli, hardy_mod):
         monkeypatch.setattr(module, "modular_triple_nd", counted, raising=False)
     run_hardy(manifest, spec, [1, 2], [])
-    expected = [(label, nf_label, n)
-                for nf_label in manifest.nfunctions for n in (1, 2)
+    expected = [(label, tuple(sorted(manifest.nfunctions)), n) for n in (1, 2)
                 for label, factory in manifest.field_functions.items()
                 if factory.compatible(n)]
     assert sorted(calls) == sorted(expected)

@@ -340,6 +340,71 @@ class TestModularFamilies:
                         zip((hess, func), errs[1:], lone), (nf_label, label, n, theta))
 
 
+def assert_spanning_agrees_with_single(spanning, single, where):
+    """A triple from the family spanning several N-functions and the one
+    from that N-function's own family have the same divergence flags, and
+    each of K, L, G agrees within the two error estimates summed."""
+    assert spanning.divergent == single.divergent, where
+    for a, b, ea, eb, divergent in zip((spanning.K, spanning.L, spanning.G),
+                                       (single.K, single.L, single.G),
+                                       spanning.errs, single.errs, spanning.divergent):
+        if divergent:
+            assert math.isinf(a) and math.isinf(b), where
+        else:
+            assert abs(a - b) <= ea + eb, where
+
+
+class TestFamiliesSpanningNFunctions:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_radial_triples_agree_with_single_n_function_triples(self, manifest, spec, n):
+        nfs = sorted(manifest.nfunctions.items())
+        for label, u in sorted(manifest.radial_functions.items()):
+            spanning = modular_triple_radial(u, [nf for _, nf in nfs], n, spec)
+            for (nf_label, nf), triple in zip(nfs, spanning):
+                assert_spanning_agrees_with_single(
+                    triple, modular_triple_radial(u, nf, n, spec), (label, nf_label, n))
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_field_triples_agree_with_single_n_function_triples(self, manifest, spec, n,
+                                                                normalized):
+        nfs = sorted(manifest.nfunctions.items())
+        for label, factory in sorted(manifest.field_functions.items()):
+            if not factory.compatible(n):
+                continue
+            u = factory.instantiate(n)
+            spanning = modular_triple_nd(u, [nf for _, nf in nfs], spec, normalized)
+            for (nf_label, nf), triple in zip(nfs, spanning):
+                assert_spanning_agrees_with_single(
+                    triple, modular_triple_nd(u, nf, spec, normalized),
+                    (label, nf_label, n, normalized))
+
+    def test_a_single_n_function_is_the_family_of_one(self, manifest, spec):
+        u, nf = manifest.radial_functions["bump_mid"], manifest.nfunc("p3")
+        assert modular_triple_radial(u, [nf], 2, spec) == [modular_triple_radial(u, nf, 2, spec)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_divergent_n_function_leaves_the_live_ones_alone(self, manifest, spec, n,
+                                                               monkeypatch):
+        # ga_mild grows like exp(r^2 / 8): under p4 each of its modulars
+        # diverges against dmu_n, under p2 and p3 none does
+        u = manifest.radial_functions["ga_mild"]
+        p2, p3, p4 = (manifest.nfunc(label) for label in ("p2", "p3", "p4"))
+        mixed = modular_triple_radial(u, [p2, p4, p3], n, spec)
+        assert [t.divergent for t in mixed] == [(False,) * 3, (True,) * 3, (False,) * 3]
+        assert (mixed[1].K, mixed[1].L, mixed[1].G) == (math.inf,) * 3
+        # divergent parts take no part in the refinement: the live triples
+        # are, bit for bit, those of the family without p4
+        assert [mixed[0], mixed[2]] == modular_triple_radial(u, [p2, p3], n, spec)
+
+        def integrator(*args, **kwargs):
+            raise AssertionError("a family of divergent parts integrated something")
+
+        monkeypatch.setattr(functionals, "integrate_radial", integrator)
+        alone, = modular_triple_radial(u, [p4], n, spec)
+        assert alone.divergent == (True,) * 3 and alone.converged
+
+
 # ---------------------------------------------------------------------------
 # Luxemburg norms from the growth indices
 # ---------------------------------------------------------------------------
@@ -527,10 +592,13 @@ class TestNormsFromTheTriple:
         ("www", False), ("hn11", False), ("hn11", True)])
     def test_norm_forms_equal_norms_of_fresh_modulars(self, manifest, spec,
                                                       monkeypatch, form, normalized):
-        # www and hn11 hand each norm its modular from the member's triple:
-        # every check must equal, bit for bit, the one whose norms take their
-        # modulars at K = 1 from a fresh family of the norms' own profiles
-        # (f, f', r f), integrated afresh as (K, L, G)
+        # www and hn11 hand each norm its modular from the member's triple,
+        # taken from the family spanning the run's N-functions: every check
+        # must equal, bit for bit, the one whose norms take their modulars at
+        # K = 1 from a fresh family of the norms' own profiles (f, f', r f),
+        # integrated afresh as (K, L, G) under every N-function of the run
+        nfs = [nf for _, nf in sorted(manifest.nfunctions.items())]
+
         def run():
             checks = []
             run_hardy(manifest, spec, [1, 2, 3], checks, form=form,
@@ -540,8 +608,9 @@ class TestNormsFromTheTriple:
         def afresh_triple(form, profiles, triple, nf, measure, *args, **kwargs):
             f, df, rf = profiles
             fresh = functionals._modular_triple(((rf, None), (f, None), (df, None)),
-                                                nf, measure, spec)
-            return original(form, profiles, fresh, nf, measure, *args, **kwargs)
+                                                nfs, measure, spec)
+            return original(form, profiles, fresh[nfs.index(nf)], nf, measure,
+                            *args, **kwargs)
 
         handed = run()
         original = hardy_mod._check_norm_form

@@ -279,8 +279,8 @@ class TestCheckNd:
             assert abs(after.err_est - before.err_est) <= 1e-12 * before.err_est
 
     def test_norm_form_nd(self, manifest, spec):
-        field = manifest.field_functions["fx_lin"].instantiate(2)
-        rep = check_norm_form_nd(field, manifest.nfunc("p2"), 2, spec)
+        field, nf = manifest.field_functions["fx_lin"].instantiate(2), manifest.nfunc("p2")
+        rep = check_norm_form_nd(field, nf, 2, modular_triple_nd(field, nf, spec), spec)
         assert rep.verdict == "holds"
         assert rep.details["ratio"] < rep.constants_used["C"]
 
