@@ -45,14 +45,15 @@ NORM_FORM_SUBSET = ("ga_mild", "bump_mid", "pg_decay")
 
 
 def _parse_dims(text: str) -> list[int]:
-    """'2' | '1,2,3' | '1..3' -> list of dimensions; an empty or descending
-    range, or a dimension below 1, is an argument error."""
+    """'2' | '1,2,3' | '1..3' -> list of dimensions, repeats dropped in
+    order; an empty or descending range, or a dimension below 1, is an
+    argument error."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..")
         dims = list(range(int(lo), int(hi) + 1))
     else:
-        dims = [int(t) for t in text.split(",") if t]
+        dims = list(dict.fromkeys(int(t) for t in text.split(",") if t))
     if not dims or min(dims) < 1:
         raise argparse.ArgumentTypeError(
             f"need dimensions >= 1 in a non-empty list or an ascending range, got {text!r}")
@@ -475,8 +476,9 @@ BATTERIES = (
             lambda run, **kw: run_lk(run.manifest, run.spec, checks=run.checks,
                                      series=run.series, fits=run.fits,
                                      normalized=run.normalized, **kw),
-            flags=(("--nfunc", {"type": lambda s: [t for t in s.split(",") if t],
-                                "default": ("p2", "p3")}), _DIM,
+            flags=(("--nfunc", {
+                       "type": lambda s: list(dict.fromkeys(t for t in s.split(",") if t)),
+                       "default": ("p2", "p3")}), _DIM,
                    ("--theta-grid", {"type": _floats, "default": DEFAULT_THETAS}),
                    ("--fit-grid", {"type": _floats, "default": lk_mod.DEFAULT_FIT_GRID,
                                    "help": "comma-separated constant grid "

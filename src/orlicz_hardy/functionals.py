@@ -6,24 +6,27 @@ For a radial profile u and an N-function M the three modulars are
     G = int M(|u'(r)|) dmu_n,
 
 with the n-dimensional counterparts integrating M(|x| |u|), M(|u|) and
-M(|grad u|) against exp(-|x|^2/2) dx.  The modulars one battery needs of one
+M(|grad u|) against exp(-|x|^2/2) dx.  Each subject names the profiles of
+these modulars once, as its `parts()`: K's is |u| under the pointwise
+transform r a (|x| a on R^n), so K and L read one function of u, and a
+field adds H, its ||hess u||_HS.  The modulars one battery needs of one
 subject -- its triples under every N-function the Hardy battery checks it
 under, or its Landau-Kolmogorov terms under one -- are one `_modular_family`
-call: one adaptive refinement on shared panels, out to the largest of the
-parts' truncation radii, with each part's own envelope tail from there.
-Each part carries its own N-function, and its envelope of M(|f|) is derived
-from the decay hint of f and that N-function's certified exponents.  A
-triple under one N-function is the family of one N-function, and a lone
-modular the family of one part (`_modular`); a Luxemburg norm is one
-bracketed log-log secant search from the modular at K = 1 that its caller
-integrated.
+call of (part, N-function) pairs: one adaptive refinement on shared panels,
+out to the largest of the parts' truncation radii, with each part's own
+envelope tail from there.  A part's envelope of M(|f|) is derived from its
+decay hint and its N-function's certified exponents.  A triple under one
+N-function is the family of one N-function, and a lone modular the family
+of one part (`_modular`); a Luxemburg norm of a part is one bracketed
+log-log secant search from the modular at K = 1 that its caller
+integrated, each scale composed onto the part's transform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy imports it on first use otherwise)
@@ -46,7 +49,7 @@ __all__ = [
     "FieldFunction",
     "ModularTriple",
     "ScalarProfile",
-    "field_profiles",
+    "Parts",
     "modular_triple_radial",
     "modular_triple_nd",
     "modular_value",
@@ -56,6 +59,31 @@ __all__ = [
     "validate_field",
     "hessian_hs_norm",
 ]
+
+
+@dataclass(frozen=True)
+class ScalarProfile:
+    """A scalar-valued integrand with its decay hint (radial or on R^n).
+
+    transform(|f|, x), when set, maps |f| at the points x (the radii r, or
+    the points of R^n) to the integrand's argument pointwise, and the hint
+    bounds that argument; profiles that share fn share one |f| per sweep.
+    """
+
+    fn: Callable
+    hint: SupportHint
+    breakpoints: tuple = ()
+    transform: Optional[Callable] = None
+
+
+class Parts(NamedTuple):
+    """The profiles of a subject's modulars K, L, G and H (a field's
+    ||hess u||_HS; None for a radial profile or a field without a Hessian)."""
+
+    K: ScalarProfile
+    L: ScalarProfile
+    G: ScalarProfile
+    H: Optional[ScalarProfile] = None
 
 
 @dataclass
@@ -72,8 +100,12 @@ class RadialTestFunction:
     hint: SupportHint = field(default_factory=lambda: SupportHint.decaying(0.0, 1.0))
     label: str = ""
 
-    def du_hint(self) -> SupportHint:
-        return self.hint.times_power(1.0)
+    def parts(self) -> Parts:
+        """The profiles of K = int M(r |u|), L = int M(|u|), G = int M(|u'|)."""
+        bps, weighted = self.breakpoints, self.hint.times_power(1.0)
+        return Parts(ScalarProfile(self.u, weighted, bps, lambda a, r: r * a),
+                     ScalarProfile(self.u, self.hint, bps),
+                     ScalarProfile(self.du, weighted, bps))
 
 
 @dataclass
@@ -97,11 +129,22 @@ class FieldFunction:
     radial_profile: Optional[RadialTestFunction] = None
     breakpoints: tuple = ()
 
-    def grad_hint(self) -> SupportHint:
-        return self.hint.times_power(1.0)
+    def parts(self) -> Parts:
+        """The profiles of K = int M(|x| |u|), L = int M(|u|),
+        G = int M(|grad u|) and H = int M(||hess u||_HS), as point
+        functions with the field's breakpoints; H is None without a
+        Hessian."""
+        def grad_norm(pts):
+            return np.linalg.norm(np.asarray(self.grad(pts), dtype=float), axis=-1)
 
-    def hess_hint(self) -> SupportHint:
-        return self.hint.times_power(2.0)
+        bps, weighted = self.breakpoints, self.hint.times_power(1.0)
+        hess = (ScalarProfile(lambda pts: hessian_hs_norm(self, pts),
+                              self.hint.times_power(2.0), bps)
+                if self.hess is not None else None)
+        return Parts(ScalarProfile(self.u, weighted, bps,
+                                   lambda a, x: np.linalg.norm(x, axis=-1) * a),
+                     ScalarProfile(self.u, self.hint, bps),
+                     ScalarProfile(grad_norm, weighted, bps), hess)
 
 
 @dataclass(frozen=True)
@@ -122,15 +165,6 @@ class ModularTriple:
                 and all(math.isfinite(v) and v >= 0.0 for v in (self.K, self.L, self.G)))
 
 
-@dataclass(frozen=True)
-class ScalarProfile:
-    """A scalar-valued integrand with its decay hint (radial or on R^n)."""
-
-    fn: Callable
-    hint: SupportHint
-    breakpoints: tuple = ()
-
-
 def _compose_hint(arg_hint: SupportHint, nf: NFunction) -> SupportHint:
     """Envelope of M(|f|) given the envelope of f.
 
@@ -147,7 +181,7 @@ def _compose_hint(arg_hint: SupportHint, nf: NFunction) -> SupportHint:
 
 def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult | None]:
     """int M(|f|) dmu, or int M(transform(|f|, x)) dmu, for each part
-    (profile f, N-function M, transform), on shared panels in one
+    (profile f with its transform, N-function M), on shared panels in one
     `_adaptive` call.
 
     On a radial measure x is the radii r, |f| is |f(r)|, and the parts are
@@ -163,7 +197,7 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
     and it takes no part in the refinement, so a family whose parts all
     diverge integrates nothing.
     """
-    envs = [_compose_hint(profile.hint, nf) for profile, nf, _ in parts]
+    envs = [_compose_hint(profile.hint, nf) for profile, nf in parts]
     results: list[IntegralResult | None] = [None] * len(parts)
     live = [i for i, env in enumerate(envs)
             if env.kind == "compact" or 1.0 + env.rate > 0.0]
@@ -180,7 +214,8 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
             return lambda a, x: nf.eval(a)
         return lambda a, x: nf.eval(transform(a, x))
 
-    rows = [(magnitude(parts[i][0].fn), integrand(*parts[i][1:])) for i in live]
+    rows = [(magnitude(parts[i][0].fn), integrand(parts[i][1], parts[i][0].transform))
+            for i in live]
     envelopes = [envs[i] for i in live]
     if isinstance(measure, RadialMeasure):
         found = integrate_radial(rows, measure.n, spec, envelopes=envelopes,
@@ -194,12 +229,12 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
     return results
 
 
-def _modular(profile: ScalarProfile, nf: NFunction, measure, spec: QuadratureSpec,
-             transform=None) -> IntegralResult:
-    """The family of one: int M(|f|) dmu of the profile f, or
+def _modular(profile: ScalarProfile, nf: NFunction, measure,
+             spec: QuadratureSpec) -> IntegralResult:
+    """The family of one: the modular of the profile f, int M(|f|) dmu or
     int M(transform(|f|, x)) dmu.  One whose envelope does not decay
     against the measure raises DivergenceError."""
-    res, = _modular_family(((profile, nf, transform),), measure, spec)
+    res, = _modular_family(((profile, nf),), measure, spec)
     if res is None:
         raise DivergenceError("modular diverges under the truncation policy")
     return res
@@ -207,14 +242,14 @@ def _modular(profile: ScalarProfile, nf: NFunction, measure, spec: QuadratureSpe
 
 def _modular_triple(parts, nf: NFunction | Sequence[NFunction], measure,
                     spec: QuadratureSpec) -> ModularTriple | list[ModularTriple]:
-    """K, L, G from the (profile, transform) of each, under nf, or under
-    each N-function of the sequence nf, as one family: a ModularTriple, or
+    """K, L, G from the profile of each, under nf, or under each
+    N-function of the sequence nf, as one family: a ModularTriple, or
     one per N-function in order.  A modular whose envelope does not decay
     against the measure is infinite and divergent; every triple's
     `converged` is the family's."""
     nfs = (nf,) if isinstance(nf, NFunction) else tuple(nf)
-    results = _modular_family([(profile, m, transform) for m in nfs
-                               for profile, transform in parts], measure, spec)
+    results = _modular_family([(profile, m) for m in nfs for profile in parts],
+                              measure, spec)
     triples = []
     for i in range(0, len(results), len(parts)):
         own = results[i:i + len(parts)]
@@ -233,12 +268,7 @@ def modular_triple_radial(u: RadialTestFunction, nf: NFunction | Sequence[NFunct
     ModularTriple under the NFunction nf, or, for a sequence of
     N-functions, the list of their triples from one family spanning all
     of them."""
-    bps = u.breakpoints
-    return _modular_triple(
-        ((ScalarProfile(u.u, u.hint.times_power(1.0), bps), lambda a, r: r * a),
-         (ScalarProfile(u.u, u.hint, bps), None),
-         (ScalarProfile(u.du, u.du_hint(), bps), None)),
-        nf, RadialMeasure(n), spec or QuadratureSpec())
+    return _modular_triple(u.parts()[:3], nf, RadialMeasure(n), spec or QuadratureSpec())
 
 
 def hessian_hs_norm(u: FieldFunction, pts: np.ndarray) -> np.ndarray:
@@ -249,21 +279,6 @@ def hessian_hs_norm(u: FieldFunction, pts: np.ndarray) -> np.ndarray:
     return np.sqrt((h * h).sum(axis=(-2, -1)))
 
 
-def field_profiles(u: FieldFunction) -> tuple:
-    """The ScalarProfiles of a field's u, |grad u| and ||hess u||_HS (None
-    without a Hessian), with their decay hints and the field's breakpoints.
-    Each holds one point function, which the parts of a family built from
-    that profile share."""
-    def grad_norm(pts):
-        return np.linalg.norm(np.asarray(u.grad(pts), dtype=float), axis=-1)
-
-    bps = u.breakpoints
-    hess = (ScalarProfile(lambda pts: hessian_hs_norm(u, pts), u.hess_hint(), bps)
-            if u.hess is not None else None)
-    return (ScalarProfile(u.u, u.hint, bps), ScalarProfile(grad_norm, u.grad_hint(), bps),
-            hess)
-
-
 def modular_triple_nd(u: FieldFunction, nf: NFunction | Sequence[NFunction],
                       spec: QuadratureSpec | None = None,
                       normalized: bool = False) -> ModularTriple | list[ModularTriple]:
@@ -271,45 +286,35 @@ def modular_triple_nd(u: FieldFunction, nf: NFunction | Sequence[NFunction],
     family in which K and L read one profile of u: the ModularTriple under
     the NFunction nf, or, for a sequence of N-functions, the list of their
     triples from one family spanning all of them."""
-    spec = spec or QuadratureSpec()
     if u.grad is None:
         raise PreconditionError(f"field '{u.label}' has no gradient")
-    profile, grad, _ = field_profiles(u)
-    return _modular_triple(
-        ((ScalarProfile(profile.fn, u.hint.times_power(1.0), profile.breakpoints),
-          lambda a, x: np.linalg.norm(x, axis=-1) * a),
-         (profile, None), (grad, None)),
-        nf, GaussianMeasure(u.n, normalized), spec)
+    return _modular_triple(u.parts()[:3], nf, GaussianMeasure(u.n, normalized),
+                           spec or QuadratureSpec())
 
 
 # ---------------------------------------------------------------------------
 # Luxemburg norm
 # ---------------------------------------------------------------------------
 
-def _as_profile(f, measure) -> ScalarProfile:
-    if isinstance(f, ScalarProfile):
-        return f
-    if isinstance(measure, RadialMeasure) and isinstance(f, RadialTestFunction):
-        return ScalarProfile(f.u, f.hint, f.breakpoints)
-    if isinstance(measure, GaussianMeasure) and isinstance(f, FieldFunction):
-        return ScalarProfile(f.u, f.hint, f.breakpoints)
-    raise PreconditionError(
-        "luxemburg_norm needs a ScalarProfile or a test function matching the measure")
+def _scaled(profile: ScalarProfile, k: float) -> ScalarProfile:
+    """The profile whose integrand's argument is the profile's over k."""
+    transform = profile.transform or (lambda a, x: a)
+    return replace(profile, transform=lambda a, x: transform(a, x) / k)
 
 
-def modular_value(f, nf: NFunction, measure, spec: QuadratureSpec | None = None,
-                  scale: float = 1.0) -> float:
-    """int M(|f| / scale) dmu for a test function or ScalarProfile."""
-    return _modular(_as_profile(f, measure), nf, measure, spec or QuadratureSpec(),
-                    lambda a, r: a / scale).value
+def modular_value(profile: ScalarProfile, nf: NFunction, measure,
+                  spec: QuadratureSpec | None = None, scale: float = 1.0) -> float:
+    """int M(f / scale) dmu of the profile's argument f (|f| or its transform)."""
+    return _modular(_scaled(profile, scale), nf, measure, spec or QuadratureSpec()).value
 
 
-def luxemburg_norm(f, nf: NFunction, measure, m1: float,
+def luxemburg_norm(profile: ScalarProfile, nf: NFunction, measure, m1: float,
                    spec: QuadratureSpec | None = None,
                    norm_tol: float = 1e-9) -> float:
-    """The Luxemburg norm inf{K > 0 : int M(|f|/K) dmu <= 1} from m1, the
-    modular int M(|f|) dmu at K = 1, which a battery has integrated as a
-    triple's K, L or G or an LK term (else `modular_value` gives it).
+    """The Luxemburg norm inf{K > 0 : int M(f/K) dmu <= 1} of the profile's
+    argument f (|f|, or its transform) from m1, the modular int M(f) dmu at
+    K = 1, which a battery has integrated as a triple's K, L or G or an LK
+    term (else `modular_value` gives it).
 
     Under the doubling condition the modular is exactly 1 at the norm.  The
     growth indices d <= D of M give k^d M(r) <= M(k r) <= k^D M(r) for
@@ -327,10 +332,9 @@ def luxemburg_norm(f, nf: NFunction, measure, m1: float,
             f"N-function '{nf.label}' is not doubling-certified")
     if not (0.0 <= m1 < math.inf):
         raise PreconditionError(f"the modular at K = 1 must be finite and >= 0, got {m1}")
-    profile = _as_profile(f, measure)
 
     def modular(k: float) -> float:
-        return _modular(profile, nf, measure, spec, lambda a, r: a / k).value
+        return _modular(_scaled(profile, k), nf, measure, spec).value
 
     def resolved(m: float) -> bool:
         return m * spec.rel_tol >= spec.abs_tol

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import PreconditionError
 from .functionals import (
     FieldFunction,
     ModularTriple,
+    Parts,
     RadialTestFunction,
-    ScalarProfile,
-    field_profiles,
     luxemburg_norm,
 )
 from .nfunc import NFunction, comparison_tol
@@ -191,12 +188,12 @@ def check_convex_case(triple: ModularTriple, D: float, n: int,
     return check
 
 
-def _check_norm_form(form: str, profiles: tuple, triple: ModularTriple,
+def _check_norm_form(form: str, parts: Parts, triple: ModularTriple,
                      nf: NFunction, measure, n: int, spec: QuadratureSpec | None,
                      **meta) -> Check:
     """Norm form ||r f|| <= C (||f|| + ||f'||) with C = C1 + C2 + 1, from the
-    ScalarProfiles (f, f', r f) on the measure, whose modulars at K = 1 are
-    the L, G and K of f's modular triple.
+    `parts()` of f on the measure, whose modulars at K = 1 are the L, G and
+    K of f's modular triple.
 
     C1, C2 are the doubling-case constants; the norm argument applies the
     modular bound to f scaled by ||f|| + ||f'|| and uses that the modular
@@ -206,9 +203,8 @@ def _check_norm_form(form: str, profiles: tuple, triple: ModularTriple,
     _, D = nf.require_exponents()
     c1, c2, proof = convex_constants(D, n)
     c = c1 + c2 + 1.0
-    f, df, rf = profiles
-    norm_u = luxemburg_norm(f, nf, measure, triple.L, spec)
-    norm_du = luxemburg_norm(df, nf, measure, triple.G, spec)
+    norm_u = luxemburg_norm(parts.L, nf, measure, triple.L, spec)
+    norm_du = luxemburg_norm(parts.G, nf, measure, triple.G, spec)
     denom = norm_u + norm_du
     constants = {"C": c, "C1": c1, "C2": c2, **proof,
                  "norm_u": norm_u, "norm_du": norm_du}
@@ -217,7 +213,7 @@ def _check_norm_form(form: str, profiles: tuple, triple: ModularTriple,
         if triple.converged:
             check.verdict = "trivial"
         return check
-    constants["norm_ru"] = norm_ru = luxemburg_norm(rf, nf, measure, triple.K, spec)
+    constants["norm_ru"] = norm_ru = luxemburg_norm(parts.K, nf, measure, triple.K, spec)
     ratio = norm_ru / denom
     return _check(form, ratio, c, constants, 3e-9 * max(1.0, ratio), triple,
                   n=n, details={"ratio": ratio}, **meta)
@@ -231,12 +227,7 @@ def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
     from the `modular_triple_radial` of (u, nf, n)."""
     if nf.delta2_const is None:
         raise PreconditionError(f"'{nf.label}' must be doubling-certified")
-    weighted = ScalarProfile(lambda r: np.asarray(r, dtype=float) * np.abs(u.u(r)),
-                             u.hint.times_power(1.0), u.breakpoints)
-    return _check_norm_form(
-        "www", (ScalarProfile(u.u, u.hint, u.breakpoints),
-                ScalarProfile(u.du, u.du_hint(), u.breakpoints), weighted),
-        triple, nf, RadialMeasure(n), n, spec, **meta)
+    return _check_norm_form("www", u.parts(), triple, nf, RadialMeasure(n), n, spec, **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +286,6 @@ def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
     if nf.delta2_const is None or not nf.convex:
         raise PreconditionError(
             f"form hn11 needs a convex doubling N-function, got '{nf.label}'")
-    profile, grad, _ = field_profiles(u)
-    weighted = ScalarProfile(
-        lambda pts: np.linalg.norm(pts, axis=-1) * np.abs(u.u(pts)),
-        u.hint.times_power(1.0), u.breakpoints)
     return _check_norm_form(
-        "hn11", (profile, grad, weighted), triple,
-        nf, GaussianMeasure(n, normalized), n, spec,
+        "hn11", u.parts(), triple, nf, GaussianMeasure(n, normalized), n, spec,
         normalization="normalized" if normalized else "unnormalized", **meta)

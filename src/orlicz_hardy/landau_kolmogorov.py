@@ -19,7 +19,7 @@ universality beyond the corpus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import DivergenceError, PreconditionError
@@ -27,7 +27,6 @@ from .functionals import (
     FieldFunction,
     ModularTriple,
     _modular_family,
-    field_profiles,
     luxemburg_norm,
 )
 from .hardy import check_nd
@@ -102,8 +101,9 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
     theta = 1 Hessian term, m1 of ||hess u|| in `lk_norm_triple`, is a
     family of its own, so it does not move with the other thetas; the
     Hessian and function terms at every theta != 1 are one
-    `_modular_family`, whose Hessian parts share one profile of the field,
-    as its function parts do."""
+    `_modular_family` of the field's H and L parts, each scaled by theta
+    through its transform, so the Hessian parts share one profile of the
+    field, as its function parts do."""
     _require_lk_hypotheses(u, nf)
     thetas = tuple(dict.fromkeys(thetas))
     for theta in thetas:
@@ -111,7 +111,7 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
             raise PreconditionError(f"theta must lie in (0, 1], got {theta}")
     spec = spec or QuadratureSpec()
     meas = GaussianMeasure(u.n, normalized)
-    func, _, hess = field_profiles(u)
+    parts = u.parts()
 
     def family(parts):
         results = _modular_family(parts, meas, spec)
@@ -121,11 +121,14 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
 
     hess_terms, funcs = {}, {1.0: IntegralResult(triple.L, triple.errs[1])}
     if 1.0 in thetas:
-        hess_terms[1.0], = family([(hess, nf, None)])
+        hess_terms[1.0], = family([(parts.H, nf)])
     scaled = [theta for theta in thetas if theta != 1.0]
     if scaled:
-        found = family([(hess, nf, lambda a, x, theta=theta: theta * a) for theta in scaled]
-                       + [(func, nf, lambda a, x, theta=theta: a / theta) for theta in scaled])
+        found = family(
+            [(replace(parts.H, transform=lambda a, x, theta=theta: theta * a), nf)
+             for theta in scaled]
+            + [(replace(parts.L, transform=lambda a, x, theta=theta: a / theta), nf)
+               for theta in scaled])
         hess_terms.update(zip(scaled, found))
         funcs.update(zip(scaled, found[len(scaled):]))
     return {theta: LKTerms(triple.G, hess_terms[theta].value, funcs[theta].value,
@@ -154,16 +157,16 @@ def lk_norm_triple(u: FieldFunction, nf: NFunction, terms: tuple,
                    spec: QuadratureSpec | None = None,
                    normalized: bool = False) -> tuple[float, float, float]:
     """(r, s, t) = (||grad u||, sqrt(||hess u|| ||u||), ||u||) in Luxemburg
-    norms of the field's profiles.  The theta = 1 `lk_modular_terms` of
-    (u, nf) hold the norms' modulars at K = 1: lhs, Hessian and function
+    norms of the field's G, H and L parts.  The theta = 1 `lk_modular_terms`
+    of (u, nf) hold the norms' modulars at K = 1: lhs, Hessian and function
     term."""
     _require_lk_hypotheses(u, nf)
     meas = GaussianMeasure(u.n, normalized)
     m_grad, m_hess, m_u, *_ = terms
-    profile, grad, hess = field_profiles(u)
-    norm_u = luxemburg_norm(profile, nf, meas, m_u, spec)
-    norm_grad = luxemburg_norm(grad, nf, meas, m_grad, spec)
-    norm_hess = luxemburg_norm(hess, nf, meas, m_hess, spec)
+    parts = u.parts()
+    norm_u = luxemburg_norm(parts.L, nf, meas, m_u, spec)
+    norm_grad = luxemburg_norm(parts.G, nf, meas, m_grad, spec)
+    norm_hess = luxemburg_norm(parts.H, nf, meas, m_hess, spec)
     return norm_grad, math.sqrt(norm_hess * norm_u), norm_u
 
 

@@ -251,7 +251,7 @@ def test_11_norm_layer(manifest, admissible_triples, spec):
     homog_ok = True
     for u_label in ("bump_mid", "pg_decay"):
         u = manifest.radial_functions[u_label]
-        base = fresh_norm(u, nf, RadialMeasure(1), spec)
+        base = fresh_norm(u.parts().L, nf, RadialMeasure(1), spec)
         for c in (0.1, 2.0, 17.0):
             scaled = ScalarProfile(lambda r, c=c: c * np.asarray(u.u(r), float),
                                    u.hint, u.breakpoints)
@@ -264,10 +264,10 @@ def test_11_norm_layer(manifest, admissible_triples, spec):
             continue
         nfun = manifest.nfunc(nf_label)
         u = manifest.radial_functions[u_label]
-        lux = fresh_norm(u, nfun, RadialMeasure(n), spec)
+        lux = fresh_norm(u.parts().L, nfun, RadialMeasure(n), spec)
         bound_ok &= lux <= tri.L + 1.0 + 1e-8
         if lux > 0:
-            mod = modular_value(u, nfun, RadialMeasure(n), spec, scale=lux)
+            mod = modular_value(u.parts().L, nfun, RadialMeasure(n), spec, scale=lux)
             saturate_ok &= abs(mod - 1.0) <= 1e-7
     _criterion(11, "Luxemburg homogeneity, norm-modular bound, saturation",
                homog_ok and bound_ok and saturate_ok)

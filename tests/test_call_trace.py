@@ -26,6 +26,7 @@ COMMANDS = (
     ["lk", "--dim", "1..2", "--theta-grid", "0.5"],
     ["mazya", "--pair", str(ROOT / "docs" / "examples" / "pair_table.json")],
     ["hardy", "--form", "hn11", "--dim", "1..3"],
+    ["hardy", "--form", "www", "--dim", "1..3"],
 )
 
 NOT_IN_A_BATTERY = {

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -416,6 +417,57 @@ def test_tight_abs_tol_hardy_runs(tmp_path, manifest):
     for a, b, ea, eb in zip((tight.K, tight.L, tight.G), (loose.K, loose.L, loose.G),
                             tight.errs, loose.errs):
         assert abs(a - b) <= ea + eb
+
+
+@pytest.mark.parametrize("doubled, single", [
+    (["lk", "--nfunc", "p2,p2", "--dim", "1"], ["lk", "--nfunc", "p2", "--dim", "1"]),
+    (["hardy", "--dim", "1,1"], ["hardy", "--dim", "1"]),
+], ids=["lk-nfunc", "hardy-dim"])
+def test_a_repeated_flag_value_runs_once(tmp_path, doubled, single):
+    checks = []
+    for name, argv in (("doubled", doubled), ("single", single)):
+        path = tmp_path / f"{name}.json"
+        assert main(["--out", str(tmp_path), "--report", str(path), *argv]) == 0
+        checks.append(load_report(path)["body"]["checks"])
+    assert checks[0] == checks[1]
+
+
+ROOT = Path(__file__).parent.parent
+
+
+def full_battery_commands() -> list:
+    """The arguments of each command in the workflow's "Full battery" step,
+    its --out flag dropped."""
+    lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if "- name: Full battery" in line)
+    commands = []
+    for line in lines[start + 1:]:
+        if "- name:" in line:
+            break
+        words = shlex.split(line.strip())
+        if "orlicz_hardy.cli" in words:
+            argv = words[words.index("orlicz_hardy.cli") + 1:]
+            out = argv.index("--out")
+            commands.append(argv[:out] + argv[out + 2:])
+    return commands
+
+
+FULL_BATTERY = full_battery_commands()
+
+
+def test_the_full_battery_step_is_read():
+    assert ["all", "--dim", "1..3"] in FULL_BATTERY
+    assert ["hardy", "--form", "www", "--dim", "1..3"] in FULL_BATTERY
+
+
+@pytest.mark.parametrize("argv", FULL_BATTERY, ids=" ".join)
+def test_every_full_battery_report_has_unique_check_ids(tmp_path, argv):
+    # the workflow runs from the repository root; a path argument is read there
+    argv = [str(ROOT / word) if (ROOT / word).is_file() else word for word in argv]
+    path = tmp_path / "r.json"
+    assert main(["--out", str(tmp_path), "--report", str(path), *argv]) == 0
+    ids = [check["check_id"] for check in load_report(path)["body"]["checks"]]
+    assert ids and len(ids) == len(set(ids))
 
 
 # ---------------------------------------------------------------------------

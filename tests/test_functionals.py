@@ -15,7 +15,6 @@ from orlicz_hardy.functionals import (
     RadialTestFunction,
     ScalarProfile,
     SupportHint,
-    field_profiles,
     hessian_hs_norm,
     luxemburg_norm,
     modular_triple_nd,
@@ -96,7 +95,7 @@ class TestModularTripleRadial:
 class TestLuxemburg:
     def test_constant_closed_form(self):
         # modular(K) = K^-2 sqrt(pi/2) = 1  =>  K = (pi/2)^(1/4)
-        val = fresh_norm(constant_profile(), power_nfunction(2), RadialMeasure(1))
+        val = fresh_norm(constant_profile().parts().L, power_nfunction(2), RadialMeasure(1))
         assert val == pytest.approx((math.pi / 2.0) ** 0.25, rel=1e-9)
         assert val == pytest.approx(1.1195151349202477, rel=1e-9)
 
@@ -105,7 +104,7 @@ class TestLuxemburg:
             u=lambda r: np.zeros_like(np.asarray(r, float)),
             du=lambda r: np.zeros_like(np.asarray(r, float)),
             hint=SupportHint.decaying(0.0, 0.0))
-        assert fresh_norm(zero, power_nfunction(2), RadialMeasure(1)) == 0.0
+        assert fresh_norm(zero.parts().L, power_nfunction(2), RadialMeasure(1)) == 0.0
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_power_norm_is_lp_norm(self, manifest, p):
@@ -116,7 +115,7 @@ class TestLuxemburg:
                 lp, = integrate_radial([(lambda r: np.abs(u.u(r)) ** p, None)], n,
                                        envelopes=[u.hint], breakpoints=u.breakpoints)
                 lp = lp.value ** (1.0 / p)
-                lux = fresh_norm(u, nf, RadialMeasure(n))
+                lux = fresh_norm(u.parts().L, nf, RadialMeasure(n))
                 assert lux == pytest.approx(lp, rel=1e-8)
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -130,7 +129,7 @@ class TestLuxemburg:
                 lp, = integrate_gaussian_nd([(lambda x: np.abs(u.u(x)) ** p, None)], n,
                                             spec, envelopes=[u.hint])
                 lp = lp.value ** (1.0 / p)
-                lux = fresh_norm(u, nf, GaussianMeasure(n), spec)
+                lux = fresh_norm(u.parts().L, nf, GaussianMeasure(n), spec)
                 assert lux == pytest.approx(lp, rel=1e-8), (label, n)
 
     def test_norm_bounded_by_modular_plus_one(self, manifest, admissible_triples):
@@ -139,20 +138,20 @@ class TestLuxemburg:
                 continue
             nf = manifest.nfunc(nf_label)
             u = manifest.radial_functions[u_label]
-            lux = fresh_norm(u, nf, RadialMeasure(n))
+            lux = fresh_norm(u.parts().L, nf, RadialMeasure(n))
             assert lux <= tri.L + 1.0 + 1e-8
 
     def test_delta2_saturation(self, manifest):
         nf = manifest.nfunc("p2log")
         u = manifest.radial_functions["pg_decay"]
-        lux = fresh_norm(u, nf, RadialMeasure(2))
-        mod = modular_value(u, nf, RadialMeasure(2), scale=lux)
+        lux = fresh_norm(u.parts().L, nf, RadialMeasure(2))
+        mod = modular_value(u.parts().L, nf, RadialMeasure(2), scale=lux)
         assert mod == pytest.approx(1.0, abs=1e-7)
 
     def test_homogeneity(self, manifest):
         nf = manifest.nfunc("p2log")
         u = manifest.radial_functions["bump_mid"]
-        base = fresh_norm(u, nf, RadialMeasure(1))
+        base = fresh_norm(u.parts().L, nf, RadialMeasure(1))
         for c in (0.1, 2.0, 17.0):
             scaled = ScalarProfile(lambda r, c=c: c * np.asarray(u.u(r), float),
                                    u.hint, u.breakpoints)
@@ -278,10 +277,10 @@ class TestModularTripleNd:
             modular_triple_nd(none_grad, power_nfunction(2))
 
 
-def lone_or_none(profile, nf, measure, spec, transform=None):
+def lone_or_none(profile, nf, measure, spec):
     """The modular of one part integrated alone, or None if it diverges."""
     try:
-        return functionals._modular(profile, nf, measure, spec, transform)
+        return functionals._modular(profile, nf, measure, spec)
     except DivergenceError:
         return None
 
@@ -304,11 +303,7 @@ class TestModularFamilies:
         for nf_label, nf in sorted(manifest.nfunctions.items()):
             for label, u in sorted(manifest.radial_functions.items()):
                 triple = modular_triple_radial(u, nf, n, spec)
-                bps = u.breakpoints
-                lone = [lone_or_none(ScalarProfile(u.u, u.hint.times_power(1.0), bps), nf,
-                                     meas, spec, lambda a, r: r * a),
-                        lone_or_none(ScalarProfile(u.u, u.hint, bps), nf, meas, spec),
-                        lone_or_none(ScalarProfile(u.du, u.du_hint(), bps), nf, meas, spec)]
+                lone = [lone_or_none(part, nf, meas, spec) for part in u.parts()[:3]]
                 assert triple.divergent == tuple(res is None for res in lone)
                 assert_family_agrees_with_lone(
                     zip((triple.K, triple.L, triple.G), triple.errs, lone),
@@ -323,19 +318,18 @@ class TestModularFamilies:
                 if not factory.compatible(n):
                     continue
                 u = factory.instantiate(n)
-                profile, grad, hess_profile = field_profiles(u)
+                parts = u.parts()
                 triple = modular_triple_nd(u, nf, spec)
-                lone = [lone_or_none(replace(profile, hint=u.hint.times_power(1.0)), nf,
-                                     meas, spec, lambda a, x: np.linalg.norm(x, axis=-1) * a),
-                        lone_or_none(profile, nf, meas, spec),
-                        lone_or_none(grad, nf, meas, spec)]
+                lone = [lone_or_none(part, nf, meas, spec) for part in parts[:3]]
                 assert_family_agrees_with_lone(
                     zip((triple.K, triple.L, triple.G), triple.errs, lone),
                     (nf_label, label, n))
                 terms = lk_modular_terms(u, nf, (0.25, 0.5, 1.0), triple, spec)
                 for theta, (_, hess, func, errs, _) in terms.items():
-                    lone = [lone_or_none(hess_profile, nf, meas, spec, lambda a, x: theta * a),
-                            lone_or_none(profile, nf, meas, spec, lambda a, x: a / theta)]
+                    lone = [lone_or_none(replace(parts.H, transform=lambda a, x: theta * a),
+                                         nf, meas, spec),
+                            lone_or_none(replace(parts.L, transform=lambda a, x: a / theta),
+                                         nf, meas, spec)]
                     assert_family_agrees_with_lone(
                         zip((hess, func), errs[1:], lone), (nf_label, label, n, theta))
 
@@ -448,7 +442,7 @@ def reference_norm(f, nf, measure, norm_tol=1e-9, abs_tol=1e-40):
 
 
 def hessian_profile(u):
-    return ScalarProfile(lambda pts: hessian_hs_norm(u, pts), u.hess_hint())
+    return ScalarProfile(lambda pts: hessian_hs_norm(u, pts), u.hint.times_power(2.0))
 
 
 # ga_sharp's p4 modular decays like exp(-r^2 / 20): at abs_tol 1e-40 its
@@ -490,7 +484,7 @@ class TestLuxemburgIndices:
                 if not modular_triple_radial(u, nf, n, spec).valid:
                     continue
                 self.assert_matches_reference(
-                    u, nf, meas, spec, (nf_label, label),
+                    u.parts().L, nf, meas, spec, (nf_label, label),
                     abs_tol=REFERENCE_ABS_TOL.get((nf_label, label), 1e-40))
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -499,8 +493,8 @@ class TestLuxemburgIndices:
         for nf_label, nf in oracle_nfunctions(manifest, table_nf):
             for label, factory in sorted(manifest.field_functions.items()):
                 if factory.compatible(n):
-                    self.assert_matches_reference(factory.instantiate(n), nf, meas,
-                                                  spec, (nf_label, label))
+                    self.assert_matches_reference(factory.instantiate(n).parts().L, nf,
+                                                  meas, spec, (nf_label, label))
 
     @staticmethod
     def assert_matches_reference(u, nf, meas, spec, where, norm_tol=1e-9,
@@ -522,7 +516,7 @@ class TestLuxemburgIndices:
         for label in ("bump_mid", "ga_mild", "pg_slow"):
             norm_calls.clear()
             reference_calls.clear()
-            self.assert_matches_reference(manifest.radial_functions[label], nf,
+            self.assert_matches_reference(manifest.radial_functions[label].parts().L, nf,
                                           RadialMeasure(1), spec, label)
             assert len(norm_calls) < len(reference_calls), label
 
@@ -533,7 +527,7 @@ class TestLuxemburgIndices:
                                      [0.0, 1e-6, 1e4, 1e6, 1e6]),
                      GridSpec(1e-3, 2e3, 200))
         assert nf.d_exp == 0.0
-        self.assert_matches_reference(manifest.radial_functions["pg_decay"], nf,
+        self.assert_matches_reference(manifest.radial_functions["pg_decay"].parts().L, nf,
                                       RadialMeasure(1), spec, "flat tail")
 
     def test_power_norm_takes_at_most_two_modulars(self, manifest, spec,
@@ -544,8 +538,8 @@ class TestLuxemburgIndices:
             nf = manifest.nfunc(nf_label)
             for n in (1, 2):
                 u = manifest.field_functions["fx_cut"].instantiate(n)
-                profiles = [(f, GaussianMeasure(n)) for f in (u, hessian_profile(u))]
-                profiles += [(r, RadialMeasure(n))
+                profiles = [(f, GaussianMeasure(n)) for f in (u.parts().L, hessian_profile(u))]
+                profiles += [(r.parts().L, RadialMeasure(n))
                              for r in manifest.radial_functions.values()
                              if modular_triple_radial(r, nf, n, spec).valid]
                 for f, meas in profiles:
@@ -595,7 +589,7 @@ class TestNormsFromTheTriple:
         # www and hn11 hand each norm its modular from the member's triple,
         # taken from the family spanning the run's N-functions: every check
         # must equal, bit for bit, the one whose norms take their modulars at
-        # K = 1 from a fresh family of the norms' own profiles (f, f', r f),
+        # K = 1 from a fresh family of the norms' own parts (r f, f, f'),
         # integrated afresh as (K, L, G) under every N-function of the run
         nfs = [nf for _, nf in sorted(manifest.nfunctions.items())]
 
@@ -605,11 +599,9 @@ class TestNormsFromTheTriple:
                       normalized=normalized)
             return [canonical_json(c.as_dict()) for c in checks]
 
-        def afresh_triple(form, profiles, triple, nf, measure, *args, **kwargs):
-            f, df, rf = profiles
-            fresh = functionals._modular_triple(((rf, None), (f, None), (df, None)),
-                                                nfs, measure, spec)
-            return original(form, profiles, fresh[nfs.index(nf)], nf, measure,
+        def afresh_triple(form, parts, triple, nf, measure, *args, **kwargs):
+            fresh = functionals._modular_triple(parts[:3], nfs, measure, spec)
+            return original(form, parts, fresh[nfs.index(nf)], nf, measure,
                             *args, **kwargs)
 
         handed = run()
@@ -638,3 +630,31 @@ class TestNormsFromTheTriple:
         assert {c.id for c in checks} == {"www"}
         assert scales, "the p2log norms search at scales other than 1"
         assert 1.0 not in scales
+
+    @pytest.mark.parametrize("nf_label", ["p2log", "p3"])
+    def test_weighted_part_reads_the_explicit_weighted_profile(self, manifest, spec,
+                                                               nf_label):
+        # the norm of K's part, |u| under the transform r a (|x| a on R^n),
+        # equals bit for bit the norm of the profile r |u| (|x| |u|) built
+        # out in full, from the same modular at K = 1: p2log takes the
+        # secant search, p3 the power path
+        nf = manifest.nfunc(nf_label)
+        cases = [(u, RadialMeasure(n), modular_triple_radial(u, nf, n, spec),
+                  ScalarProfile(lambda r, u=u: np.asarray(r, dtype=float) * np.abs(u.u(r)),
+                                u.hint.times_power(1.0), u.breakpoints))
+                 for _, u in sorted(manifest.radial_functions.items()) for n in (1, 2)]
+        cases += [(u, GaussianMeasure(2), modular_triple_nd(u, nf, spec),
+                   ScalarProfile(lambda x, u=u: np.linalg.norm(x, axis=-1) * np.abs(u.u(x)),
+                                 u.hint.times_power(1.0), u.breakpoints))
+                  for u in (factory.instantiate(2)
+                            for _, factory in sorted(manifest.field_functions.items())
+                            if factory.compatible(2))]
+        compared = 0
+        for u, meas, triple, explicit in cases:
+            if triple.divergent[0]:
+                continue
+            via_part = luxemburg_norm(u.parts().K, nf, meas, triple.K, spec)
+            assert via_part == luxemburg_norm(explicit, nf, meas, triple.K, spec), (
+                u.label, meas)
+            compared += 1
+        assert compared > len(manifest.field_functions)

@@ -17,7 +17,6 @@ from orlicz_hardy.functionals import (
     FieldFunction,
     ModularTriple,
     SupportHint,
-    field_profiles,
     hessian_hs_norm,
     modular_triple_nd,
 )
@@ -317,9 +316,9 @@ class TestModularTermsFromTheTriple:
                 if not factory.compatible(n):
                     continue
                 u = factory.instantiate(n)
-                func_profile, _, hess_profile = field_profiles(u)
+                _, func_profile, _, hess_profile = u.parts()
                 triple = modular_triple_nd(u, nf, spec, normalized)
-                hess_env = functionals._compose_hint(u.hess_hint(), nf)
+                hess_env = functionals._compose_hint(u.hint.times_power(2.0), nf)
                 func_env = functionals._compose_hint(u.hint, nf)
 
                 def family(parts, envelopes):

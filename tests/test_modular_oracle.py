@@ -35,7 +35,7 @@ from orlicz_hardy.corpus import default_manifest_path, load_manifest
 from orlicz_hardy.functionals import (
     ScalarProfile,
     _modular,
-    field_profiles,
+    _scaled,
     luxemburg_norm,
     modular_triple_nd,
     modular_triple_radial,
@@ -412,18 +412,12 @@ def assert_norm_honest(profile, nf_label, measure, m1, err, exact_at, what):
     k1 = 1.0
     if 0.0 < m1 * SPEC.rel_tol < SPEC.abs_tol:  # unresolved: the rescaled branch
         k1 = m1 ** (1.0 / p)
-        res = _modular(profile, nf, measure, SPEC, lambda a, r: a / k1)
+        res = _modular(_scaled(profile, k1), nf, measure, SPEC)
         m1, err = res.value, res.err_est
     bar = k1 * ((m1 + err) ** (1.0 / p) - max(m1 - err, 0.0) ** (1.0 / p))
     exact = k1 * exact_at(1.0 / k1) ** (1.0 / p)
     assert abs(norm - exact) <= bar, (
         f"{what}: |{norm!r} - {exact!r}| = {abs(norm - exact):.3g} > bar {bar:.3g}")
-
-
-def weighted(fn, hint, breakpoints, radius):
-    """The profile |x| |f|, whose modular is K."""
-    return ScalarProfile(lambda x: radius(x) * np.abs(fn(x)), hint.times_power(1.0),
-                         breakpoints)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -433,11 +427,8 @@ def test_radial_power_norms_within_their_modulars_bars(label, nf_label, n):
     u = MANIFEST.radial_functions[label]
     triple = radial_triple(label, nf_label, n)
     pieces = radial_pieces(RADIAL[label])
-    profiles = (weighted(u.u, u.hint, u.breakpoints, lambda r: np.asarray(r, dtype=float)),
-                ScalarProfile(u.u, u.hint, u.breakpoints),
-                ScalarProfile(u.du, u.du_hint(), u.breakpoints))
     for which, profile, m1, err, divergent in zip(
-            "KLG", profiles, (triple.K, triple.L, triple.G), triple.errs, triple.divergent):
+            "KLG", u.parts(), (triple.K, triple.L, triple.G), triple.errs, triple.divergent):
         if not divergent:
             assert_norm_honest(
                 profile, nf_label, RadialMeasure(n), m1, err,
@@ -447,10 +438,7 @@ def test_radial_power_norms_within_their_modulars_bars(label, nf_label, n):
 
 def field_norm_profiles(u):
     """The profiles whose modulars are a field's K, L, G and H."""
-    profile, grad, hess = field_profiles(u)
-    return {"K": weighted(u.u, u.hint, u.breakpoints,
-                          lambda x: np.linalg.norm(x, axis=-1)),
-            "L": profile, "G": grad, "H": hess}
+    return u.parts()._asdict()
 
 
 @pytest.mark.parametrize("nf_label", POWERS)

@@ -73,7 +73,7 @@ class TestNormLayer:
         nf = manifest.nfunc("p3")
         u = manifest.radial_functions["bump_mid"]
         meas = RadialMeasure(1)
-        base = luxemburg_norm(u, nf, meas, modular_value(u, nf, meas))
+        base = luxemburg_norm(u.parts().L, nf, meas, modular_value(u.parts().L, nf, meas))
         scaled = ScalarProfile(lambda r: c * np.asarray(u.u(r), float),
                                u.hint, u.breakpoints)
         assert luxemburg_norm(scaled, nf, meas,
