@@ -44,9 +44,10 @@ for theta in (0.25, 0.5, 1.0):
 fit, rows = fit_lk_norm_envelope(fields, nf, terms, None)
 print(f"\nnorm-form envelope for M = r^2: C1~ = {fit.c1:g}, C2~ = {fit.c2:g} "
       f"(binding member: {fit.binding_label})")
+# each norm comes with the bracket [lo, hi] that holds the exact one
 for label, r, s, t in rows:
-    print(f"  {label:10s} ||grad u|| = {r:8.4f}   sqrt(||hess|| ||u||) = {s:8.4f}"
-          f"   ||u|| = {t:8.4f}")
+    print(f"  {label:10s} ||grad u|| = {r.value:8.4f}   sqrt(||hess|| ||u||) = {s.value:8.4f}"
+          f"   ||u|| = {t.value:8.4f}   (||u|| in [{t.lo:.6g}, {t.hi:.6g}])")
 
 u = fields[0]
 rep = check_lk_modular(terms[u.label][1.0], fit_mod.c1, fit_mod.c2,

@@ -456,7 +456,9 @@ BATTERIES = (
                    ("--n", {"type": int, "required": True}),
                    ("--alphas", {"type": _floats, "default": DEFAULT_ALPHAS})),
             needs_manifest=False,
-            from_args=lambda args: {"cases": [(args.p, args.n)], "alphas": args.alphas},
+            # the divergence scan reads the alphas in increasing order
+            from_args=lambda args: {"cases": [(args.p, args.n)],
+                                    "alphas": tuple(sorted(set(args.alphas)))},
             in_all=lambda dims: {"cases": [(p, n) for p in (3.0, 4.0) for n in dims[:2]],
                                  "alphas": DEFAULT_ALPHAS}),
     Battery("mazya", "Maz'ya criterion",

@@ -16,10 +16,13 @@ call of (part, N-function) pairs: one adaptive refinement on shared panels,
 out to the largest of the parts' truncation radii, with each part's own
 envelope tail from there.  A part's envelope of M(|f|) is derived from its
 decay hint and its N-function's certified exponents.  A triple under one
-N-function is the family of one N-function, and a lone modular the family
-of one part (`_modular`); a Luxemburg norm of a part is one bracketed
-log-log secant search from the modular at K = 1 that its caller
-integrated, each scale composed onto the part's transform.
+N-function is the family of one N-function, and a lone modular
+(`modular_value`) the family of one part.  The Luxemburg norms of one check are found
+from the modulars at K = 1 that its caller integrated: a power's in closed
+form, any other's as the root of its modular on the Kronrod rule of the
+panels its family converged on.  One family of the parts at their roots,
+each scale composed onto the part's transform, verifies them, and the
+growth indices turn each verified modular into a bracket on its norm.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .quadrature import (
     QuadratureSpec,
     RadialMeasure,
     SupportHint,
+    gk_rule,
     integrate_gaussian_nd,
     integrate_radial,
 )
@@ -50,6 +54,7 @@ __all__ = [
     "ModularTriple",
     "ScalarProfile",
     "Parts",
+    "Norm",
     "modular_triple_radial",
     "modular_triple_nd",
     "modular_value",
@@ -150,7 +155,8 @@ class FieldFunction:
 @dataclass(frozen=True)
 class ModularTriple:
     """The three modular integrals with error estimates and divergence flags;
-    converged is False when an integral behind them did not converge."""
+    converged is False when an integral behind them did not converge, and
+    panels are the (lo, hi) their family converged on."""
 
     K: float
     L: float
@@ -158,11 +164,17 @@ class ModularTriple:
     errs: tuple = (0.0, 0.0, 0.0)
     divergent: tuple = (False, False, False)
     converged: bool = True
+    panels: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def valid(self) -> bool:
         return (not any(self.divergent)
                 and all(math.isfinite(v) and v >= 0.0 for v in (self.K, self.L, self.G)))
+
+    def modulars(self) -> tuple[IntegralResult, IntegralResult, IntegralResult]:
+        """K, L and G as integrals on the family's panels."""
+        return tuple(IntegralResult(value, err, converged=self.converged, panels=self.panels)
+                     for value, err in zip((self.K, self.L, self.G), self.errs))
 
 
 def _compose_hint(arg_hint: SupportHint, nf: NFunction) -> SupportHint:
@@ -229,17 +241,6 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
     return results
 
 
-def _modular(profile: ScalarProfile, nf: NFunction, measure,
-             spec: QuadratureSpec) -> IntegralResult:
-    """The family of one: the modular of the profile f, int M(|f|) dmu or
-    int M(transform(|f|, x)) dmu.  One whose envelope does not decay
-    against the measure raises DivergenceError."""
-    res, = _modular_family(((profile, nf),), measure, spec)
-    if res is None:
-        raise DivergenceError("modular diverges under the truncation policy")
-    return res
-
-
 def _modular_triple(parts, nf: NFunction | Sequence[NFunction], measure,
                     spec: QuadratureSpec) -> ModularTriple | list[ModularTriple]:
     """K, L, G from the profile of each, under nf, or under each
@@ -250,6 +251,7 @@ def _modular_triple(parts, nf: NFunction | Sequence[NFunction], measure,
     nfs = (nf,) if isinstance(nf, NFunction) else tuple(nf)
     results = _modular_family([(profile, m) for m in nfs for profile in parts],
                               measure, spec)
+    panels = next((res.panels for res in results if res is not None), None)
     triples = []
     for i in range(0, len(results), len(parts)):
         own = results[i:i + len(parts)]
@@ -257,7 +259,7 @@ def _modular_triple(parts, nf: NFunction | Sequence[NFunction], measure,
             *(math.inf if res is None else res.value for res in own),
             tuple(math.inf if res is None else res.err_est for res in own),
             tuple(res is None for res in own),
-            all(res.converged for res in own if res is not None)))
+            all(res.converged for res in own if res is not None), panels))
     return triples[0] if isinstance(nf, NFunction) else triples
 
 
@@ -304,48 +306,134 @@ def _scaled(profile: ScalarProfile, k: float) -> ScalarProfile:
 
 def modular_value(profile: ScalarProfile, nf: NFunction, measure,
                   spec: QuadratureSpec | None = None, scale: float = 1.0) -> float:
-    """int M(f / scale) dmu of the profile's argument f (|f| or its transform)."""
-    return _modular(_scaled(profile, scale), nf, measure, spec or QuadratureSpec()).value
+    """int M(f / scale) dmu of the profile's argument f (|f| or its
+    transform), as the family of one part.  One whose envelope does not
+    decay against the measure raises DivergenceError."""
+    res, = _modular_family(((_scaled(profile, scale), nf),), measure,
+                           spec or QuadratureSpec())
+    if res is None:
+        raise DivergenceError("modular diverges under the truncation policy")
+    return res.value
 
 
-def luxemburg_norm(profile: ScalarProfile, nf: NFunction, measure, m1: float,
-                   spec: QuadratureSpec | None = None,
-                   norm_tol: float = 1e-9) -> float:
-    """The Luxemburg norm inf{K > 0 : int M(f/K) dmu <= 1} of the profile's
-    argument f (|f|, or its transform) from m1, the modular int M(f) dmu at
-    K = 1, which a battery has integrated as a triple's K, L or G or an LK
-    term (else `modular_value` gives it).
+class Norm(NamedTuple):
+    """A Luxemburg norm and the bracket [lo, hi] that holds the exact norm;
+    converged is False when the integral that verified it did not converge."""
 
-    Under the doubling condition the modular is exactly 1 at the norm.  The
+    value: float
+    lo: float
+    hi: float
+    converged: bool = True
+
+
+def _bracket(k: float, m: float, err: float, d: float, D: float) -> tuple[float, float]:
+    """The norm's bracket from the modular m +- err at the scale k.  The
     growth indices d <= D of M give k^d M(r) <= M(k r) <= k^D M(r) for
-    k >= 1, so m1 puts log K in the bracket between log(m1)/D and
-    log(m1)/d.  For a power (d = D = p) that bracket is a point: the norm is
-    m1^(1/p) when m1 was resolved to relative accuracy (m1 * rel_tol >=
-    abs_tol), else that value rescaled exactly by one modular at m1^(1/p),
-    where it is O(1).  Otherwise `_log_secant` searches until the modular
-    lies within [1 - norm_tol, 1 + norm_tol].  Each scale it tries is one
-    integral of the profile, which evaluates it afresh.
+    k >= 1, so a modular m' at k puts the norm in k [m'^(1/D), m'^(1/d)],
+    ends swapped when m' < 1; both ends grow with m'."""
+    def root(t: float, p: float) -> float:
+        if p > 0.0:
+            return t ** (1.0 / p)
+        return math.inf if t > 1.0 else float(t == 1.0)  # d = 0 bounds nothing
+
+    low, high = max(m - err, 0.0), m + err
+    return (k * min(root(low, D), root(low, d)), k * max(root(high, D), root(high, d)))
+
+
+def _on_rule(profile: ScalarProfile, nf: NFunction, measure, panels):
+    """k -> sum_i w_i M(a_i / k), the modular at K = k of the profile's
+    argument a (|f| or its transform) by the Kronrod rule (`gk_rule`) of
+    the panels its family converged on; a is evaluated once."""
+    if panels is None:
+        raise PreconditionError("the modular at K = 1 carries no panels to find a norm on")
+    points, weights = gk_rule(panels, measure)
+    a = np.abs(profile.fn(points))
+    if profile.transform is not None:
+        a = profile.transform(a, points)
+    return lambda k: float(np.sum(weights * nf.eval(a / k)))
+
+
+# a root on a rule is found to RULE_TOL * norm_tol, leaving the rest of
+# norm_tol for the rule's own error; MAX_ROUNDS bounds the verifying families
+RULE_TOL = 0.01
+MAX_ROUNDS = 4
+
+
+def luxemburg_norm(norms, nf: NFunction, measure, spec: QuadratureSpec | None = None,
+                   norm_tol: float = 1e-9) -> list[Norm]:
+    """The Luxemburg norm inf{K > 0 : int M(f/K) dmu <= 1} of each profile's
+    argument f (|f|, or its transform), as a `Norm`, for the (profile,
+    modular) pairs of one check.  The modular is int M(f) dmu at K = 1, the
+    IntegralResult that a battery integrated as a triple's K, L or G or an
+    LK term, with the panels its family converged on.
+
+    Under the doubling condition the modular is exactly 1 at the norm, and
+    the growth indices d <= D of M bracket the norm by the modular at any
+    scale (`_bracket`).  A modular of 0 gives the norm 0.  For a power
+    (d = D = p) the norm is m1^(1/p), bracketed by the image of
+    [m1 - err, m1 + err], when m1 was resolved to relative accuracy
+    (m1 * rel_tol >= abs_tol); else it is that value k rescaled exactly by
+    the modular m at k, where it is O(1), and bracketed from m.  Otherwise
+    k is the root of the modular on the Kronrod rule of the family's
+    panels (`_on_rule`), which `_log_secant` finds without integrating,
+    and the modular m at k brackets the norm; the norm is k m^(2/(d+D)),
+    inside that bracket (the power's rescale is the case d = D).  The
+    modulars at every such k are one `_modular_family`, integrated from
+    the default panels.  A root whose m misses 1 by more than norm_tol
+    (the rule did not resolve M at that scale) is found again on the rule
+    of the verifying family's own panels, and verified again.
     """
     spec = spec or QuadratureSpec()
     if nf.delta2_const is None:
         raise PreconditionError(
             f"N-function '{nf.label}' is not doubling-certified")
-    if not (0.0 <= m1 < math.inf):
-        raise PreconditionError(f"the modular at K = 1 must be finite and >= 0, got {m1}")
-
-    def modular(k: float) -> float:
-        return _modular(_scaled(profile, k), nf, measure, spec).value
+    d, D = nf.require_exponents()
 
     def resolved(m: float) -> bool:
         return m * spec.rel_tol >= spec.abs_tol
 
-    if m1 == 0.0:
-        return 0.0
-    d, D = nf.require_exponents()
-    if d == D:
-        k1 = m1 ** (1.0 / D)
-        return k1 if resolved(m1) else k1 * modular(k1) ** (1.0 / D)
-    return _log_secant(modular, m1, d, D, norm_tol, resolved)
+    def root(profile: ScalarProfile, k: float, m: IntegralResult) -> float:
+        """The scale at which the modular is 1, from the modular m at k."""
+        if d == D:
+            return k * m.value ** (1.0 / D)
+        return k * _log_secant(_on_rule(_scaled(profile, k), nf, measure, m.panels),
+                               m.value, d, D, RULE_TOL * norm_tol, resolved)
+
+    def norm(k: float, m: IntegralResult, converged: bool = True) -> Norm:
+        """The norm from the modular m at the scale k, inside its bracket."""
+        return Norm(k * m.value ** (2.0 / (d + D)), *_bracket(k, m.value, m.err_est, d, D),
+                    converged)
+
+    found: list[Norm | None] = []
+    pending = []  # (index, profile, k, modular at k) of the norms not yet settled
+    for profile, m1 in norms:
+        if m1 is None:
+            raise DivergenceError("modular diverges under the truncation policy")
+        if not (0.0 <= m1.value < math.inf):
+            raise PreconditionError(
+                f"the modular at K = 1 must be finite and >= 0, got {m1.value}")
+        if m1.value == 0.0 or (d == D and resolved(m1.value)):
+            found.append(norm(1.0, m1))
+        else:
+            pending.append((len(found), profile, 1.0, m1))
+            found.append(None)
+    for _ in range(MAX_ROUNDS):
+        if not pending:
+            break
+        scales = [root(profile, k, m) for _, profile, k, m in pending]
+        verified = _modular_family([(_scaled(profile, k), nf)
+                                    for (_, profile, *_), k in zip(pending, scales)],
+                                   measure, spec)
+        if None in verified:
+            raise DivergenceError("modular diverges under the truncation policy")
+        unsettled = []
+        for (i, profile, *_), k, m in zip(pending, scales, verified):
+            found[i] = norm(k, m, m.converged)
+            if d != D and abs(m.value - 1.0) > norm_tol:
+                unsettled.append((i, profile, k, m))
+        pending = unsettled
+    return found
+
 
 
 _LN2 = math.log(2.0)
@@ -353,7 +441,10 @@ _LN2 = math.log(2.0)
 
 def _log_secant(modular, m1: float, d: float, D: float, norm_tol: float,
                 resolved) -> float:
-    """The norm by log-log secant steps that keep a bracket around the root.
+    """The root K of modular(K) = 1 by log-log secant steps that keep a
+    bracket around it, from the modular m1 at K = 1.  `luxemburg_norm`
+    hands it the modular on a family's Kronrod rule, so a step integrates
+    nothing.
 
     In x = log K, y = log modular every evaluated point narrows the bracket
     by the sign of y, as the modular decreases in K.  While the indices

@@ -193,7 +193,8 @@ def _check_norm_form(form: str, parts: Parts, triple: ModularTriple,
                      **meta) -> Check:
     """Norm form ||r f|| <= C (||f|| + ||f'||) with C = C1 + C2 + 1, from the
     `parts()` of f on the measure, whose modulars at K = 1 are the L, G and
-    K of f's modular triple.
+    K of f's modular triple.  The ratio's error is the widest it moves
+    within the brackets of the three norms.
 
     C1, C2 are the doubling-case constants; the norm argument applies the
     modular bound to f scaled by ||f|| + ||f'|| and uses that the modular
@@ -203,20 +204,27 @@ def _check_norm_form(form: str, parts: Parts, triple: ModularTriple,
     _, D = nf.require_exponents()
     c1, c2, proof = convex_constants(D, n)
     c = c1 + c2 + 1.0
-    norm_u = luxemburg_norm(parts.L, nf, measure, triple.L, spec)
-    norm_du = luxemburg_norm(parts.G, nf, measure, triple.G, spec)
-    denom = norm_u + norm_du
+    m_K, m_L, m_G = triple.modulars()
+    norms = luxemburg_norm([(parts.L, m_L), (parts.G, m_G), (parts.K, m_K)],
+                           nf, measure, spec)
+    norm_u, norm_du, norm_ru = norms
+    denom = norm_u.value + norm_du.value
     constants = {"C": c, "C1": c1, "C2": c2, **proof,
-                 "norm_u": norm_u, "norm_du": norm_du}
+                 "norm_u": norm_u.value, "norm_du": norm_du.value}
     if denom == 0.0:  # nothing to compare, unless a modular did not converge
         check = _check(form, 0.0, 0.0, constants, 0.0, triple, n=n, **meta)
         if triple.converged:
             check.verdict = "trivial"
         return check
-    constants["norm_ru"] = norm_ru = luxemburg_norm(parts.K, nf, measure, triple.K, spec)
-    ratio = norm_ru / denom
-    return _check(form, ratio, c, constants, 3e-9 * max(1.0, ratio), triple,
-                  n=n, details={"ratio": ratio}, **meta)
+    constants["norm_ru"] = norm_ru.value
+    ratio = norm_ru.value / denom
+    low = norm_ru.lo / (norm_u.hi + norm_du.hi)
+    high = (norm_ru.hi / (norm_u.lo + norm_du.lo) if norm_u.lo + norm_du.lo > 0.0
+            else math.inf)
+    return _check(form, ratio, c, constants, max(high - ratio, ratio - low), triple,
+                  n=n, details={"ratio": ratio}, **meta).require_converged(
+        all(norm.converged for norm in norms),
+        "a quadrature verifying a Luxemburg norm did not converge")
 
 
 def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,

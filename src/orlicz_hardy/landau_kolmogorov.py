@@ -26,6 +26,7 @@ from .errors import DivergenceError, PreconditionError
 from .functionals import (
     FieldFunction,
     ModularTriple,
+    Norm,
     _modular_family,
     luxemburg_norm,
 )
@@ -54,14 +55,16 @@ DEFAULT_FIT_GRID = tuple(2.0 ** k for k in range(-3, 15))
 class LKTerms(NamedTuple):
     """The theta-form modular inequality's terms at one theta: lhs
     int M(|grad u|), the Hessian term int M(theta |hess u|_HS), the function
-    term int M(|u| / theta), their errors, and whether every integral behind
-    them converged."""
+    term int M(|u| / theta), their errors, whether every integral behind
+    them converged, and the panels (lo, hi) each term's family converged
+    on."""
 
     lhs: float
     hess_term: float
     func_term: float
     errs: tuple
     converged: bool
+    panels: tuple = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,8 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
             raise DivergenceError("modular diverges under the truncation policy")
         return results
 
-    hess_terms, funcs = {}, {1.0: IntegralResult(triple.L, triple.errs[1])}
+    hess_terms = {}
+    funcs = {1.0: IntegralResult(triple.L, triple.errs[1], panels=triple.panels)}
     if 1.0 in thetas:
         hess_terms[1.0], = family([(parts.H, nf)])
     scaled = [theta for theta in thetas if theta != 1.0]
@@ -134,7 +138,8 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
     return {theta: LKTerms(triple.G, hess_terms[theta].value, funcs[theta].value,
                            (triple.errs[2], hess_terms[theta].err_est, funcs[theta].err_est),
                            triple.converged and hess_terms[theta].converged
-                           and funcs[theta].converged)
+                           and funcs[theta].converged,
+                           (triple.panels, hess_terms[theta].panels, funcs[theta].panels))
             for theta in thetas}
 
 
@@ -142,7 +147,7 @@ def check_lk_modular(terms: LKTerms, c1: float, c2: float, theta: float = 1.0,
                      **meta) -> Check:
     """Check lhs <= C1 * hess_term + C2 * func_term for the `LKTerms` of
     `lk_modular_terms` at theta; indeterminate unless they converged."""
-    lhs, a, b, errs, converged = terms
+    lhs, a, b, errs, converged, _ = terms
     rhs = c1 * a + c2 * b
     err = errs[0] + c1 * errs[1] + c2 * errs[2]
     return Check.compare(
@@ -153,35 +158,44 @@ def check_lk_modular(terms: LKTerms, c1: float, c2: float, theta: float = 1.0,
             converged, "a quadrature behind the LK modular terms did not converge")
 
 
-def lk_norm_triple(u: FieldFunction, nf: NFunction, terms: tuple,
+def lk_norm_triple(u: FieldFunction, nf: NFunction, terms: LKTerms,
                    spec: QuadratureSpec | None = None,
-                   normalized: bool = False) -> tuple[float, float, float]:
+                   normalized: bool = False) -> tuple[Norm, Norm, Norm]:
     """(r, s, t) = (||grad u||, sqrt(||hess u|| ||u||), ||u||) in Luxemburg
-    norms of the field's G, H and L parts.  The theta = 1 `lk_modular_terms`
-    of (u, nf) hold the norms' modulars at K = 1: lhs, Hessian and function
-    term."""
+    norms of the field's G, H and L parts, each a `Norm` with its bracket
+    (s's from the brackets of ||hess u|| and ||u||), from one
+    `luxemburg_norm` call.  The theta = 1 `lk_modular_terms` of (u, nf)
+    hold the norms' modulars at K = 1: lhs, Hessian and function term."""
     _require_lk_hypotheses(u, nf)
-    meas = GaussianMeasure(u.n, normalized)
-    m_grad, m_hess, m_u, *_ = terms
     parts = u.parts()
-    norm_u = luxemburg_norm(parts.L, nf, meas, m_u, spec)
-    norm_grad = luxemburg_norm(parts.G, nf, meas, m_grad, spec)
-    norm_hess = luxemburg_norm(parts.H, nf, meas, m_hess, spec)
-    return norm_grad, math.sqrt(norm_hess * norm_u), norm_u
+    modulars = [IntegralResult(value, err, panels=panels)
+                for value, err, panels in zip(terms[:3], terms.errs, terms.panels)]
+    norm_grad, norm_hess, norm_u = luxemburg_norm(
+        list(zip((parts.G, parts.H, parts.L), modulars)), nf,
+        GaussianMeasure(u.n, normalized), spec)
+    geometric = Norm(*(math.sqrt(h * t) for h, t in zip(norm_hess[:3], norm_u[:3])),
+                     norm_hess.converged and norm_u.converged)
+    return norm_grad, geometric, norm_u
 
 
 def check_lk_norm(triple: tuple, c1: float, c2: float, **meta) -> Check:
     """Check ||grad u|| <= C1~ sqrt(||hess u|| ||u||) + C2~ ||u|| for the
-    (r, s, t) of `lk_norm_triple`."""
+    (r, s, t) of `lk_norm_triple`.  The error is the widest the slack moves
+    within the three brackets; the check is indeterminate unless the
+    integrals verifying the norms converged."""
     r, s, t = triple
-    rhs = c1 * s + c2 * t
+    rhs = c1 * s.value + c2 * t.value
+    err = max(rhs - (c1 * s.lo + c2 * t.lo) + r.hi - r.value,
+              c1 * s.hi + c2 * t.hi - rhs + r.value - r.lo)
     check = Check.compare(
-        "statB2gauss", r, rhs, 3e-9 * max(1.0, rhs), comparison_tol(rhs),
-        rhs_terms={"geometric_mean": c1 * s, "function_norm": c2 * t},
-        constants_used={"C1": c1, "C2": c2, "r": r, "s": s, "t": t}, **meta)
-    if r <= TINY and rhs <= TINY:  # nothing to compare
+        "statB2gauss", r.value, rhs, err, comparison_tol(rhs),
+        rhs_terms={"geometric_mean": c1 * s.value, "function_norm": c2 * t.value},
+        constants_used={"C1": c1, "C2": c2, "r": r.value, "s": s.value, "t": t.value},
+        **meta)
+    if r.value <= TINY and rhs <= TINY:  # nothing to compare
         check.verdict = "trivial"
-    return check
+    return check.require_converged(all(norm.converged for norm in triple),
+                                   "a quadrature verifying a Luxemburg norm did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +241,18 @@ def fit_lk_norm_envelope(corpus, nf: NFunction, terms: dict,
                          grid=DEFAULT_FIT_GRID,
                          normalized: bool = False) -> tuple[LKFit, list]:
     """Fit the norm-form envelope over a corpus of fields; returns the fit
-    plus per-member (label, r, s, t) rows.  terms is the label -> theta ->
-    terms map of `fit_lk_modular_envelope` (its theta = 1 terms are the
-    norms' modulars at K = 1)."""
+    plus per-member (label, r, s, t) rows, r, s and t the `Norm`s of
+    `lk_norm_triple`.  terms is the label -> theta -> terms map of
+    `fit_lk_modular_envelope` (its theta = 1 terms are the norms' modulars
+    at K = 1)."""
     rows = []
     items = []
     for u in corpus:
         r, s, t = lk_norm_triple(u, nf, terms[u.label][1.0], spec, normalized)
         rows.append((u.label, r, s, t))
-        if t <= 0.0 and r <= 0.0:
+        if t.value <= 0.0 and r.value <= 0.0:
             continue
-        items.append((u.label, r, s, t, comparison_tol(r, 1e-9)))
+        items.append((u.label, r.value, s.value, t.value, comparison_tol(r.value, 1e-9)))
     c1, c2, binding, feasible = fit_envelope(items, grid)
     fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=tuple(grid),
                 corpus_labels=tuple(u.label for u in corpus),

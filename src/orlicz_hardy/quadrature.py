@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 # numpy imports it on first use; load it with the package, not inside a
@@ -52,6 +52,7 @@ __all__ = [
     "integrate_radial",
     "integrate_gaussian_nd",
     "sphere_directions",
+    "gk_rule",
     "golden_max",
 ]
 
@@ -151,6 +152,8 @@ class IntegralResult:
     radius: float = math.inf
     angular_sem: float = 0.0
     converged: bool = True  # the 1-d refiner `_adaptive` met its tolerance
+    # the panels (lo, hi) its family converged on, one pair shared by the family
+    panels: tuple | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +223,9 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None):
 
     first is the (vals, errs) that `_gk_panels` gives on the edges' panels,
     when `integrate_pieces` has already evaluated them.
-    Returns (values (m,), errors (m,), converged bool)."""
+    Returns (values (m,), errors (m,), converged bool, panels): panels is
+    (lo, hi), the ends of the final panels in the order the values sum
+    their `_gk_panels` totals."""
     lo = np.asarray(edges[:-1], dtype=float)
     hi = np.asarray(edges[1:], dtype=float)
     vals, errs = _gk_panels(f, lo, hi) if first is None else first
@@ -229,9 +234,9 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None):
         tot_err = errs.sum(axis=1)
         need = np.maximum(abs_tol, rel_tol * np.abs(tot))
         if np.all(tot_err <= need):
-            return tot, tot_err, True
+            return tot, tot_err, True, (lo, hi)
         if lo.size >= 4096:
-            return tot, tot_err, False
+            return tot, tot_err, False, (lo, hi)
         score = (errs / need[:, None]).max(axis=0)
         top = score.max()
         split = score >= min(max(top * 0.25, _median(score)), top)
@@ -245,7 +250,7 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None):
         vals = np.concatenate([vals[:, keep], new_vals], axis=1)
         errs = np.concatenate([errs[:, keep], new_errs], axis=1)
         lo, hi = nlo, nhi
-    return vals.sum(axis=1), errs.sum(axis=1), False
+    return vals.sum(axis=1), errs.sum(axis=1), False, (lo, hi)
 
 
 def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
@@ -253,7 +258,7 @@ def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
     """Plain adaptive integral of f over [a, b] (no measure weight)."""
     if not b > a:
         return IntegralResult(0.0, 0.0, b)
-    val, err, ok = _adaptive(f, np.array([a, b], dtype=float), rel_tol, abs_tol)
+    val, err, ok, _ = _adaptive(f, np.array([a, b], dtype=float), rel_tol, abs_tol)
     return IntegralResult(float(val[0]), float(err[0]), b, converged=ok)
 
 
@@ -285,8 +290,8 @@ def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14
         elif ok[i]:
             yield IntegralResult(values[i], errors[i], hi)
         else:
-            val, err, conv = _adaptive(f, np.array([lo, hi]), rel_tol, abs_tol,
-                                       first=(vals[:, i:i + 1], errs[:, i:i + 1]))
+            val, err, conv, _ = _adaptive(f, np.array([lo, hi]), rel_tol, abs_tol,
+                                          first=(vals[:, i:i + 1], errs[:, i:i + 1]))
             yield IntegralResult(float(val[0]), float(err[0]), hi, converged=conv)
 
 
@@ -499,9 +504,9 @@ def integrate_radial(parts, n: int, spec: QuadratureSpec | None = None, *,
     error combines its panel estimates with its envelope's exact Gaussian
     tail beyond the family's truncation radius.
     """
-    vals, errs, radius, ok = integrate_radial_family(
+    vals, errs, radius, ok, panels = integrate_radial_family(
         _stacked(parts, 1), n, spec, envelopes=envelopes, breakpoints=breakpoints)
-    return [IntegralResult(float(v), float(e), radius, converged=ok)
+    return [IntegralResult(float(v), float(e), radius, converged=ok, panels=panels)
             for v, e in zip(vals, errs)]
 
 
@@ -514,7 +519,8 @@ def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None, *,
     one envelope per row (None is the default decaying(8, 1)).  The panels
     run to the largest of the envelopes' truncation radii, and each row's
     error adds its own envelope's exact tail from that radius.  Returns
-    (values (m,), errors (m,), radius, converged)."""
+    (values (m,), errors (m,), radius, converged, panels), panels the
+    (lo, hi) `_adaptive` converged on."""
     spec = spec or QuadratureSpec()
     if n < 1:
         raise PreconditionError(f"dimension must be >= 1, got {n}")
@@ -532,10 +538,10 @@ def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None, *,
 
     edges = _build_edges(0.0, radius,
                          (*breakpoints, *_radial_seeds(radius, resolved.values())))
-    vals, errs, ok = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol)
+    vals, errs, ok, panels = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol)
     tails = {env: 0.0 if not math.isfinite(rate) else gaussian_tail(deg, rate, radius)
              for env, (_, deg, rate) in resolved.items()}
-    return vals, errs + np.array([tails[env] for env in envelopes]), radius, ok
+    return vals, errs + np.array([tails[env] for env in envelopes]), radius, ok, panels
 
 
 @functools.cache
@@ -599,7 +605,7 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
     checked = {id(g): one_value_per_point(g) for g, _ in parts}
     family = _stacked([(checked[id(g)], transform) for g, transform in parts], m,
                       lambda r: r[None, :, None] * dirs[:, None, :])
-    vals, errs, radius, ok = integrate_radial_family(
+    vals, errs, radius, ok, panels = integrate_radial_family(
         family, n, spec, envelopes=[env for env in envelopes for _ in range(m)],
         breakpoints=breakpoints)
     area = surface_area(n)
@@ -616,5 +622,29 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
         results.append(IntegralResult(
             area * float(v.mean()) * factor,
             (area * float(e.mean()) + area * sem) * factor,
-            radius, angular_sem=sem * factor, converged=ok))
+            radius, angular_sem=sem * factor, converged=ok, panels=panels))
     return results
+
+
+def gk_rule(panels, measure) -> tuple[np.ndarray, np.ndarray]:
+    """The Kronrod rule of a family's panels (lo, hi) against the measure:
+    (points, weights) with sum(weights * f(points)) the Kronrod sum that
+    `integrate_radial` or `integrate_gaussian_nd` takes of int f dmu on
+    those panels.  On a RadialMeasure the points are the abscissae r (k,)
+    and the weights carry r^(n-1) exp(-r^2/2).  On a GaussianMeasure they
+    are the points r y_j of the sphere directions, (directions, k, n), and
+    the weights (directions, k) also carry the angular mean, the sphere's
+    surface area and, when normalized, (2 pi)^(-n/2)."""
+    lo, hi = panels
+    half = 0.5 * (hi - lo)
+    r = (0.5 * (lo + hi)[:, None] + half[:, None] * _NODES).ravel()
+    n = measure.n
+    w = (half[:, None] * _KRON_W).ravel() * np.power(r, n - 1) * np.exp(-0.5 * r * r)
+    if isinstance(measure, RadialMeasure):
+        return r, w
+    dirs = sphere_directions(n)
+    scale = surface_area(n) / dirs.shape[0]
+    if measure.normalized:
+        scale *= (2.0 * math.pi) ** (-n / 2.0)
+    return (r[None, :, None] * dirs[:, None, :],
+            np.broadcast_to(scale * w, (dirs.shape[0], r.size)))

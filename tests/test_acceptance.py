@@ -12,6 +12,7 @@ import numpy as np
 from orlicz_hardy.cli import main as cli_main
 from orlicz_hardy.functionals import (
     ScalarProfile,
+    _modular_family,
     luxemburg_norm,
     modular_triple_nd,
     modular_triple_radial,
@@ -242,8 +243,11 @@ def test_10_lk_envelopes(manifest, spec):
 
 
 def fresh_norm(f, nf, measure, spec):
-    """The Luxemburg norm of f, its modular at K = 1 integrated afresh."""
-    return luxemburg_norm(f, nf, measure, modular_value(f, nf, measure, spec), spec)
+    """The Luxemburg norm of f, its modular at K = 1 integrated afresh as
+    the family of f alone."""
+    m1, = _modular_family([(f, nf)], measure, spec)
+    norm, = luxemburg_norm([(f, m1)], nf, measure, spec)
+    return norm.value
 
 
 def test_11_norm_layer(manifest, admissible_triples, spec):

@@ -268,11 +268,11 @@ def fail_first_family(monkeypatch, rows: int) -> list:
     plain, failed = quadrature._adaptive, []
 
     def adaptive(*args, **kwargs):
-        vals, errs, ok = plain(*args, **kwargs)
+        vals, errs, ok, panels = plain(*args, **kwargs)
         if vals.shape[0] == rows and not failed:
             failed.append(True)
-            return vals, errs, False
-        return vals, errs, ok
+            return vals, errs, False, panels
+        return vals, errs, ok, panels
 
     monkeypatch.setattr(quadrature, "_adaptive", adaptive)
     return failed
@@ -429,6 +429,23 @@ def test_a_repeated_flag_value_runs_once(tmp_path, doubled, single):
         path = tmp_path / f"{name}.json"
         assert main(["--out", str(tmp_path), "--report", str(path), *argv]) == 0
         checks.append(load_report(path)["body"]["checks"])
+    assert checks[0] == checks[1]
+
+
+@pytest.mark.parametrize("alphas", ["0.9,0.5", "0.5,0.5"], ids=["descending", "repeated"])
+def test_sharpness_alphas_run_sorted_and_once(tmp_path, alphas):
+    # the c1 divergence scan needs increasing alphas, and a repeated alpha
+    # must not emit its check twice
+    checks = []
+    for name, given in (("given", alphas), ("sorted", ",".join(
+            str(a) for a in sorted({float(t) for t in alphas.split(",")})))):
+        path = tmp_path / f"{name}.json"
+        argv = ["sharpness", "--p", "3", "--n", "1", "--alphas", given]
+        assert main(["--out", str(tmp_path), "--report", str(path), *argv]) == 0
+        checks.append(load_report(path)["body"]["checks"])
+    ids = [c["check_id"] for c in checks[0]]
+    assert len(ids) == len(set(ids))
+    assert "fails" not in {c["verdict"] for c in checks[0]}
     assert checks[0] == checks[1]
 
 

@@ -39,9 +39,11 @@ from orlicz_hardy.sharpness import ExtremalParams, extremal_function, extremal_m
 
 
 def fresh_norm(f, nf, measure, spec=None, norm_tol=1e-9):
-    """The Luxemburg norm of f, its modular at K = 1 integrated afresh."""
-    return luxemburg_norm(f, nf, measure, modular_value(f, nf, measure, spec), spec,
-                          norm_tol)
+    """The Luxemburg norm of f, its modular at K = 1 integrated afresh as
+    the family of f alone."""
+    m1, = functionals._modular_family([(f, nf)], measure, spec or QuadratureSpec())
+    norm, = luxemburg_norm([(f, m1)], nf, measure, spec, norm_tol)
+    return norm.value
 
 
 def constant_profile(c=1.0):
@@ -279,10 +281,7 @@ class TestModularTripleNd:
 
 def lone_or_none(profile, nf, measure, spec):
     """The modular of one part integrated alone, or None if it diverges."""
-    try:
-        return functionals._modular(profile, nf, measure, spec)
-    except DivergenceError:
-        return None
+    return functionals._modular_family([(profile, nf)], measure, spec)[0]
 
 
 def assert_family_agrees_with_lone(rows, where):
@@ -325,7 +324,7 @@ class TestModularFamilies:
                     zip((triple.K, triple.L, triple.G), triple.errs, lone),
                     (nf_label, label, n))
                 terms = lk_modular_terms(u, nf, (0.25, 0.5, 1.0), triple, spec)
-                for theta, (_, hess, func, errs, _) in terms.items():
+                for theta, (_, hess, func, errs, *_) in terms.items():
                     lone = [lone_or_none(replace(parts.H, transform=lambda a, x: theta * a),
                                          nf, meas, spec),
                             lone_or_none(replace(parts.L, transform=lambda a, x: a / theta),
@@ -561,13 +560,16 @@ class TestLuxemburgIndices:
         run_hardy(manifest, spec, [1, 2, 3], [], nfunc_label="p2log")
         assert norms and set(norms) == {"p2log"}
         assert len(calls) / len(norms) < 9.44
+        # one verifying family per check
+        assert len(calls) <= len(norms)
 
 
 def count_modulars(monkeypatch, within=luxemburg_norm):
-    """The modulars integrated from here on inside calls of `within`
-    (by default the norms, not the triples that run_hardy also integrates)."""
+    """The modular families integrated from here on inside calls of
+    `within` (by default the norms, not the triples that run_hardy also
+    integrates)."""
     calls = []
-    original = functionals._modular
+    original = functionals._modular_family
 
     def counted(*args, **kwargs):
         frame = sys._getframe(1)
@@ -577,7 +579,7 @@ def count_modulars(monkeypatch, within=luxemburg_norm):
             calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(functionals, "_modular", counted)
+    monkeypatch.setattr(functionals, "_modular_family", counted)
     return calls
 
 
@@ -614,21 +616,23 @@ class TestNormsFromTheTriple:
 
     def test_www_norms_integrate_no_modular_at_k_one(self, manifest, spec,
                                                      monkeypatch):
-        # every scale a norm integrates at is read off the norm's `modular`
+        # a norm integrates only to verify its root, at that root, never at
+        # K = 1, whose modular the triple holds (`root` scales a profile to
+        # evaluate it on a rule, which integrates nothing)
         scales = []
-        original = functionals._modular
+        original = functionals._scaled
 
-        def recorded(*args, **kwargs):
-            caller = sys._getframe(1)
-            if caller.f_code.co_qualname == "luxemburg_norm.<locals>.modular":
-                scales.append(caller.f_locals["k"])
-            return original(*args, **kwargs)
+        def recorded(profile, k):
+            caller = sys._getframe(1).f_code.co_qualname
+            if caller.startswith("luxemburg_norm") and not caller.endswith(".root"):
+                scales.append(k)
+            return original(profile, k)
 
-        monkeypatch.setattr(functionals, "_modular", recorded)
+        monkeypatch.setattr(functionals, "_scaled", recorded)
         checks = []
         run_hardy(manifest, spec, [1, 2, 3], checks, form="www")
         assert {c.id for c in checks} == {"www"}
-        assert scales, "the p2log norms search at scales other than 1"
+        assert scales, "the p2log norms verify their roots"
         assert 1.0 not in scales
 
     @pytest.mark.parametrize("nf_label", ["p2log", "p3"])
@@ -653,8 +657,9 @@ class TestNormsFromTheTriple:
         for u, meas, triple, explicit in cases:
             if triple.divergent[0]:
                 continue
-            via_part = luxemburg_norm(u.parts().K, nf, meas, triple.K, spec)
-            assert via_part == luxemburg_norm(explicit, nf, meas, triple.K, spec), (
+            m_K = triple.modulars()[0]
+            via_part = luxemburg_norm([(u.parts().K, m_K)], nf, meas, spec)
+            assert via_part == luxemburg_norm([(explicit, m_K)], nf, meas, spec), (
                 u.label, meas)
             compared += 1
         assert compared > len(manifest.field_functions)

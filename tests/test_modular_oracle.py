@@ -34,14 +34,18 @@ from orlicz_hardy.cli import DEFAULT_THETAS
 from orlicz_hardy.corpus import default_manifest_path, load_manifest
 from orlicz_hardy.functionals import (
     ScalarProfile,
-    _modular,
-    _scaled,
+    _modular_family,
     luxemburg_norm,
     modular_triple_nd,
     modular_triple_radial,
 )
 from orlicz_hardy.landau_kolmogorov import lk_modular_terms
-from orlicz_hardy.quadrature import GaussianMeasure, QuadratureSpec, RadialMeasure
+from orlicz_hardy.quadrature import (
+    GaussianMeasure,
+    IntegralResult,
+    QuadratureSpec,
+    RadialMeasure,
+)
 
 P = np.polynomial.polynomial
 DPS = 20
@@ -238,7 +242,7 @@ def test_lk_terms_at_n_one_within_their_error_estimates(label, nf_label):
     terms = lk_modular_terms(field(label, 1), MANIFEST.nfunc(nf_label), DEFAULT_THETAS,
                              field_triple(label, nf_label, 1), SPEC)
     pieces = field_pieces(FIELDS[label])
-    for theta, (_, hess, func, errs, _) in terms.items():
+    for theta, (_, hess, func, errs, *_) in terms.items():
         exact = 2.0 * exact_modular(pieces, nf_label, 1, "H", theta)
         assert_honest(hess, errs[1], exact, f"{label} {nf_label} theta={theta} hess")
         if theta != 1.0:
@@ -393,47 +397,77 @@ def test_spanning_gaussian_polynomial_g_within_its_error_estimate(label, nf_labe
                                 label, nf_label, n)
 
 
-# -- Luxemburg norms of the powers --------------------------------------------
-# For M(r) = r^p the norm of f is m1^(1/p), with m1 = int M(|f|) dmu the
-# modular a battery integrated, when m1 was resolved to relative accuracy;
-# else k1 (modular at k1)^(1/p), with the modular at k1 = m1^(1/p) integrated
-# afresh.  Whichever modular m the norm rests on, the exact norm lies within
-# the image of [m - err_est, m + err_est] under t -> t^(1/p) (times k1), so
-# that width is the bar, with no extra allowance.
+# -- Luxemburg norms ------------------------------------------------------------
+# A norm comes with the bracket [lo, hi] its modulars and the growth indices
+# give it: for M(r) = r^p the image of [m1 - err_est, m1 + err_est] under
+# t -> t^(1/p) when m1 was resolved to relative accuracy, else the image of
+# the modular at k1 = m1^(1/p), integrated afresh, under t -> k1 t^(1/p);
+# for M(r) = r^2 log(1 + r) (indices 2 and 3) the bracket the modular at
+# the norm's root, integrated afresh, gives it.  The exact norm must lie in
+# the bracket, with no extra allowance: for a power it is the exact m1 to
+# the power 1/p, for r^2 log(1 + r) the root of the exact modular.
 
 POWERS = sorted(label for label, e in NFUNCS.items() if e["kind"] == "power")
 
 
-def assert_norm_honest(profile, nf_label, measure, m1, err, exact_at, what):
-    """exact_at(scale) is the exact int M(scale |f|) dmu."""
-    p = float(NFUNCS[nf_label]["params"]["p"])
-    nf = MANIFEST.nfunc(nf_label)
-    norm = luxemburg_norm(profile, nf, measure, m1, SPEC)
-    k1 = 1.0
-    if 0.0 < m1 * SPEC.rel_tol < SPEC.abs_tol:  # unresolved: the rescaled branch
-        k1 = m1 ** (1.0 / p)
-        res = _modular(_scaled(profile, k1), nf, measure, SPEC)
-        m1, err = res.value, res.err_est
-    bar = k1 * ((m1 + err) ** (1.0 / p) - max(m1 - err, 0.0) ** (1.0 / p))
-    exact = k1 * exact_at(1.0 / k1) ** (1.0 / p)
-    assert abs(norm - exact) <= bar, (
-        f"{what}: |{norm!r} - {exact!r}| = {abs(norm - exact):.3g} > bar {bar:.3g}")
+def assert_bracket_holds(profile, nf_label, measure, m1, exact, what):
+    """The norm of the profile from its modular m1 (an IntegralResult) has a
+    bracket holding the exact norm."""
+    norm, = luxemburg_norm([(profile, m1)], MANIFEST.nfunc(nf_label), measure, SPEC)
+    assert norm.lo <= norm.value <= norm.hi, (what, norm)
+    assert norm.lo <= exact <= norm.hi, (
+        f"{what}: exact {exact!r} outside [{norm.lo!r}, {norm.hi!r}] around {norm.value!r}")
 
 
-@pytest.mark.parametrize("n", [1, 2])
+def power_norm(nf_label, exact_m1):
+    return exact_m1 ** (1.0 / float(NFUNCS[nf_label]["params"]["p"]))
+
+
+def exact_root(exact_at, start):
+    """The K > 0 with exact_at(1 / K) = 1, by secant steps in log K from
+    start to 1e-14 of 1 in the modular."""
+    x0, x1 = math.log(start), math.log(start) + 1e-6
+    y0, y1 = (math.log(exact_at(math.exp(-x))) for x in (x0, x1))
+    for _ in range(20):
+        if abs(y1) <= 1e-14:
+            return math.exp(x1)
+        x0, x1 = x1, x1 - y1 * (x1 - x0) / (y1 - y0)
+        y0, y1 = y1, math.log(exact_at(math.exp(-x1)))
+    raise AssertionError("the exact root did not converge")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("nf_label", POWERS)
 @pytest.mark.parametrize("label", sorted(RADIAL))
 def test_radial_power_norms_within_their_modulars_bars(label, nf_label, n):
     u = MANIFEST.radial_functions[label]
     triple = radial_triple(label, nf_label, n)
-    pieces = radial_pieces(RADIAL[label])
-    for which, profile, m1, err, divergent in zip(
-            "KLG", u.parts(), (triple.K, triple.L, triple.G), triple.errs, triple.divergent):
+    for which, profile, m1, divergent in zip("KLG", u.parts(), triple.modulars(),
+                                             triple.divergent):
         if not divergent:
-            assert_norm_honest(
-                profile, nf_label, RadialMeasure(n), m1, err,
-                lambda scale: exact_modular(pieces, nf_label, n, which, scale),
+            assert_bracket_holds(
+                profile, nf_label, RadialMeasure(n), m1,
+                power_norm(nf_label, radial_exact(label, nf_label, n, which)),
                 f"{label} {nf_label} n={n} ||{which}||")
+
+
+@pytest.mark.parametrize("label", sorted(RADIAL))
+def test_radial_power_log_norms_at_n_one_bracket_the_exact_root(label):
+    # the triples the hardy battery integrates: one family spanning every
+    # N-function, whose panels the roots are found on
+    u = MANIFEST.radial_functions[label]
+    triple = spanning_radial_triples(label, 1)["p2log"]
+    pieces = radial_pieces(RADIAL[label])
+    for which, profile, m1, divergent in zip("KLG", u.parts(), triple.modulars(),
+                                             triple.divergent):
+        if divergent:
+            continue
+        norm, = luxemburg_norm([(profile, m1)], MANIFEST.nfunc("p2log"), RadialMeasure(1),
+                               SPEC)
+        exact = 0.0 if m1.value == 0.0 else exact_root(
+            lambda scale: exact_modular(pieces, "p2log", 1, which, scale), norm.value)
+        assert_bracket_holds(profile, "p2log", RadialMeasure(1), m1, exact,
+                             f"{label} p2log n=1 ||{which}||")
 
 
 def field_norm_profiles(u):
@@ -447,16 +481,16 @@ def test_field_power_norms_at_n_one_within_their_modulars_bars(label, nf_label):
     triple = field_triple(label, nf_label, 1)
     pieces = field_pieces(FIELDS[label])
     profiles = field_norm_profiles(field(label, 1))
-    modulars = {"K": (triple.K, triple.errs[0]), "L": (triple.L, triple.errs[1]),
-                "G": (triple.G, triple.errs[2])}
+    modulars = dict(zip("KLG", triple.modulars()))
     if nf_label in ("p2", "p3"):  # the oracle's LK terms: H at theta = 1
         terms = lk_modular_terms(field(label, 1), MANIFEST.nfunc(nf_label), DEFAULT_THETAS,
                                  triple, SPEC)[1.0]
-        modulars["H"] = (terms.hess_term, terms.errs[1])
-    for which, (m1, err) in modulars.items():
-        assert_norm_honest(
-            profiles[which], nf_label, GaussianMeasure(1), m1, err,
-            lambda scale: 2.0 * exact_modular(pieces, nf_label, 1, which, scale),
+        modulars["H"] = IntegralResult(terms.hess_term, terms.errs[1],
+                                       panels=terms.panels[1])
+    for which, m1 in modulars.items():
+        assert_bracket_holds(
+            profiles[which], nf_label, GaussianMeasure(1), m1,
+            power_norm(nf_label, 2.0 * exact_modular(pieces, nf_label, 1, which)),
             f"{label} {nf_label} n=1 ||{which}||")
 
 
@@ -472,13 +506,11 @@ N2_POWER_CASES = (
 def test_field_power_norms_at_n_two_within_their_modulars_bars(label, nf_label, which):
     triple = field_triple(label, nf_label, 2)
     p = float(NFUNCS[nf_label]["params"]["p"])
-    m1, err = {"K": (triple.K, triple.errs[0]), "L": (triple.L, triple.errs[1]),
-               "G": (triple.G, triple.errs[2])}[which]
     exact = (gauss_hermite_g(FIELDS[label], int(p), 2) if which == "G"
              else monomial_exact(FIELDS[label], p, 2, which))
-    assert_norm_honest(field_norm_profiles(field(label, 2))[which], nf_label,
-                       GaussianMeasure(2), m1, err, lambda scale: exact * scale ** p,
-                       f"{label} {nf_label} n=2 ||{which}||")
+    assert_bracket_holds(field_norm_profiles(field(label, 2))[which], nf_label,
+                         GaussianMeasure(2), dict(zip("KLG", triple.modulars()))[which],
+                         power_norm(nf_label, exact), f"{label} {nf_label} n=2 ||{which}||")
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -487,9 +519,8 @@ def test_unresolved_power_norms_within_the_rescaled_bar(nf_label, n):
     # no packaged modular is below abs_tol / rel_tol; 1e-3 u is, at every power
     u = MANIFEST.radial_functions["pg_decay"]
     small = ScalarProfile(lambda r: 1e-3 * u.u(r), u.hint, u.breakpoints)
-    m1 = _modular(small, MANIFEST.nfunc(nf_label), RadialMeasure(n), SPEC)
+    m1, = _modular_family([(small, MANIFEST.nfunc(nf_label))], RadialMeasure(n), SPEC)
     assert m1.value * SPEC.rel_tol < SPEC.abs_tol
-    pieces = radial_pieces(RADIAL["pg_decay"])
-    assert_norm_honest(small, nf_label, RadialMeasure(n), m1.value, m1.err_est,
-                       lambda scale: exact_modular(pieces, nf_label, n, "L", 1e-3 * scale),
-                       f"1e-3 pg_decay {nf_label} n={n} ||L||")
+    exact = exact_modular(radial_pieces(RADIAL["pg_decay"]), nf_label, n, "L", 1e-3)
+    assert_bracket_holds(small, nf_label, RadialMeasure(n), m1, power_norm(nf_label, exact),
+                         f"1e-3 pg_decay {nf_label} n={n} ||L||")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orlicz_hardy.functionals import ScalarProfile, luxemburg_norm, modular_value
+from orlicz_hardy.functionals import ScalarProfile, _modular_family, luxemburg_norm
 from orlicz_hardy.nfunc import check_lemma_split, check_lemma_young
-from orlicz_hardy.quadrature import RadialMeasure
+from orlicz_hardy.quadrature import QuadratureSpec, RadialMeasure
 
 GRID = np.logspace(-3, 1, 50)
 SPLIT_MEMBERS = ("p2.5", "p3", "p4", "p2log")  # d >= 2, D > 2
@@ -73,9 +73,11 @@ class TestNormLayer:
         nf = manifest.nfunc("p3")
         u = manifest.radial_functions["bump_mid"]
         meas = RadialMeasure(1)
-        base = luxemburg_norm(u.parts().L, nf, meas, modular_value(u.parts().L, nf, meas))
+        def norm(f):
+            m1, = _modular_family([(f, nf)], meas, QuadratureSpec())
+            return luxemburg_norm([(f, m1)], nf, meas)[0].value
+
+        base = norm(u.parts().L)
         scaled = ScalarProfile(lambda r: c * np.asarray(u.u(r), float),
                                u.hint, u.breakpoints)
-        assert luxemburg_norm(scaled, nf, meas,
-                              modular_value(scaled, nf, meas)) == pytest.approx(
-            c * base, rel=1e-8)
+        assert norm(scaled) == pytest.approx(c * base, rel=1e-8)

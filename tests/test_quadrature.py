@@ -12,8 +12,10 @@ from orlicz_hardy.quadrature import (
     ROUNDOFF,
     GaussianMeasure,
     QuadratureSpec,
+    RadialMeasure,
     SupportHint,
     gaussian_tail,
+    gk_rule,
     integrate_gaussian_nd,
     integrate_interval,
     integrate_pieces,
@@ -316,7 +318,7 @@ class TestFamilies:
         # a slowly decaying row sets the radius; a fast one is integrated
         # out to it too, and its tail from there is far below its own cut
         slow, fast = SupportHint.decaying(0.0, -0.5), SupportHint.decaying(0.0, 1.0)
-        vals, errs, radius, ok = integrate_radial_family(
+        vals, errs, radius, ok, _ = integrate_radial_family(
             lambda r: np.stack([np.exp(0.25 * r * r), np.exp(-0.5 * r * r)]), 1,
             envelopes=(slow, fast))
         assert ok
@@ -408,6 +410,40 @@ def count_sweeps(monkeypatch):
 
 def gauss_bump(x):
     return np.exp(-50.0 * (np.asarray(x, float) - 0.3) ** 2)
+
+
+class TestReturnedPanels:
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_gk_panels_on_the_returned_panels_reproduce_the_totals(self, rows):
+        # the panels `_adaptive` returns, in its order, give its totals bit
+        # for bit when the GK15 pair runs on them again
+        def f(x):
+            return np.stack([np.cos(k * x) * np.exp(-x * x) for k in range(1, rows + 1)])
+
+        vals, errs, ok, panels = quadrature._adaptive(f, np.array([0.0, 1.0, 6.0]),
+                                                      1e-12, 1e-15)
+        lo, hi = panels
+        assert ok and lo.size > 2 and np.all(hi > lo)
+        assert np.array_equal(np.sort(lo)[1:], np.sort(hi)[:-1])  # they tile [0, 6]
+        again, again_errs = _gk_panels(f, lo, hi)
+        assert np.array_equal(again.sum(axis=1), vals)
+        assert np.array_equal(again_errs.sum(axis=1), errs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_rule_of_the_panels_sums_to_the_family_value(self, n):
+        # `gk_rule` of a family's panels is the Kronrod sum the family took;
+        # the reported error adds only the tail beyond the panels
+        radial, = integrate_radial([(gauss_bump, None)], n,
+                                   envelopes=[SupportHint.decaying(0.0, 1.0)])
+        r, w = gk_rule(radial.panels, RadialMeasure(n))
+        assert np.sum(w * gauss_bump(r)) == pytest.approx(radial.value, rel=1e-14)
+        for normalized in (False, True):
+            gaussian, = integrate_gaussian_nd([(bump, None)], n,
+                                              envelopes=[SupportHint.decaying(3.0, 0.6)],
+                                              normalized=normalized)
+            x, w = gk_rule(gaussian.panels, GaussianMeasure(n, normalized))
+            assert x.shape == w.shape + (n,)
+            assert np.sum(w * bump(x)) == pytest.approx(gaussian.value, rel=1e-14)
 
 
 class TestIntegratePieces:
