@@ -14,6 +14,10 @@ No closed-form constants exist at this generality, so both are certified as
 fitted envelopes over a declared corpus and constant grid: the report names
 the selected pair, the grid, and the binding corpus member, and never claims
 universality beyond the corpus.
+
+For a power M(r) = r^p, theta factors out of the modular form's terms
+exactly, M(theta a) = theta^p M(a), so `lk_modular_terms` rescales the
+theta = 1 terms rather than integrating them again at each theta.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .errors import DivergenceError, PreconditionError
+from .errors import DivergenceError, EvaluationError, PreconditionError
 from .functionals import (
     FieldFunction,
     ModularTriple,
@@ -101,12 +105,17 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
     """theta -> `LKTerms` of the theta-form modular inequality, for each
     theta in thetas.  `triple` is the `modular_triple_nd` of (u, nf): its G
     is the lhs int M(|grad u|) and its L the theta = 1 function term.  The
-    theta = 1 Hessian term, m1 of ||hess u|| in `lk_norm_triple`, is a
-    family of its own, so it does not move with the other thetas; the
-    Hessian and function terms at every theta != 1 are one
-    `_modular_family` of the field's H and L parts, each scaled by theta
-    through its transform, so the Hessian parts share one profile of the
-    field, as its function parts do."""
+    theta = 1 Hessian term H1, m1 of ||hess u|| in `lk_norm_triple`, is a
+    family of its own, so it does not move with the other thetas.
+
+    Under a power M (certified d = D = p, as `luxemburg_norm` tests it),
+    M(theta a) = theta^p M(a) pointwise, so the terms at theta != 1 are
+    theta^p H1 and theta^-p L, their errors scaled alike, and integrate
+    nothing; a scaled term that is not finite raises EvaluationError.
+    Under any other M the Hessian and function terms at every theta != 1
+    are one `_modular_family` of the field's H and L parts, each scaled by
+    theta through its transform, so the Hessian parts share one profile of
+    the field, as its function parts do."""
     _require_lk_hypotheses(u, nf)
     thetas = tuple(dict.fromkeys(thetas))
     for theta in thetas:
@@ -115,6 +124,8 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
     spec = spec or QuadratureSpec()
     meas = GaussianMeasure(u.n, normalized)
     parts = u.parts()
+    d, D = nf.require_exponents()
+    scaled = [theta for theta in thetas if theta != 1.0]
 
     def family(parts):
         results = _modular_family(parts, meas, spec)
@@ -123,11 +134,15 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
         return results
 
     hess_terms = {}
-    funcs = {1.0: IntegralResult(triple.L, triple.errs[1], panels=triple.panels)}
-    if 1.0 in thetas:
+    funcs = {1.0: IntegralResult(triple.L, triple.errs[1], converged=triple.converged,
+                                 panels=triple.panels)}
+    if 1.0 in thetas or (d == D and scaled):
         hess_terms[1.0], = family([(parts.H, nf)])
-    scaled = [theta for theta in thetas if theta != 1.0]
-    if scaled:
+    if d == D:
+        for theta in scaled:
+            hess_terms[theta] = _rescaled(hess_terms[1.0], theta, D)
+            funcs[theta] = _rescaled(funcs[1.0], theta, -D)
+    elif scaled:
         found = family(
             [(replace(parts.H, transform=lambda a, x, theta=theta: theta * a), nf)
              for theta in scaled]
@@ -141,6 +156,21 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
                            and funcs[theta].converged,
                            (triple.panels, hess_terms[theta].panels, funcs[theta].panels))
             for theta in thetas}
+
+
+def _rescaled(term: IntegralResult, theta: float, power: float) -> IntegralResult:
+    """The term of a power M at theta: theta^power times the term at theta
+    = 1 and its error, on that term's panels."""
+    try:
+        scale = theta ** power
+    except OverflowError:
+        scale = math.inf
+    value, err = scale * term.value, scale * term.err_est
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise EvaluationError(
+            f"LK term non-finite at theta={theta:g}: theta^{power:g} times its "
+            f"theta = 1 value overflows")
+    return replace(term, value=value, err_est=err)
 
 
 def check_lk_modular(terms: LKTerms, c1: float, c2: float, theta: float = 1.0,

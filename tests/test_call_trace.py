@@ -24,6 +24,7 @@ PACKAGE = Path(orlicz_hardy.__file__).parent
 COMMANDS = (
     ["all", "--dim", "1..3"],
     ["lk", "--dim", "1..2", "--theta-grid", "0.5"],
+    ["lk", "--nfunc", "p2log", "--dim", "1..2"],
     ["mazya", "--pair", str(ROOT / "docs" / "examples" / "pair_table.json")],
     ["hardy", "--form", "hn11", "--dim", "1..3"],
     ["hardy", "--form", "www", "--dim", "1..3"],

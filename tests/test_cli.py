@@ -150,6 +150,15 @@ class TestSubcommands:
         assert [c["check_id"] for c in checks if c["verdict"] == "fails"] == [
             "statB1gauss_envelope:p2:corpus:n=1"]
 
+    def test_lk_term_overflowing_at_a_tiny_theta_exits_two(self, tmp_path, capsys):
+        # theta^-2 of the power p2 overflows at theta = 1e-300: an error that
+        # names the theta, and exit 2, not a traceback
+        rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p2", "--dim", "1",
+                   "--theta-grid", "1e-300"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: LK term non-finite at theta=1e-300")
+        assert not (tmp_path / "lk.json").exists()
+
     def test_console_script_runs(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "orlicz_hardy.cli", "--out", str(tmp_path),
@@ -304,12 +313,13 @@ class TestNonConvergedQuadrature:
 
     def test_lk_checks_on_unconverged_terms_are_indeterminate(
             self, manifest, spec, monkeypatch):
-        # the first field's theta != 1 family at n = 1: its Hessian and
-        # function terms at 0.25 and 0.5 (4 modulars x 2 directions); the
-        # theta = 1 check and the norm checks do not rest on it
+        # under p2log, the first field's theta != 1 family at n = 1: its
+        # Hessian and function terms at 0.25 and 0.5 (4 modulars x 2
+        # directions); the theta = 1 check and the norm checks do not rest
+        # on it
         def run():
             checks = []
-            run_lk(manifest, spec, [1], checks, {}, {}, nfunc_labels=("p2",))
+            run_lk(manifest, spec, [1], checks, {}, {}, nfunc_labels=("p2log",))
             return checks
 
         before = run()
@@ -320,14 +330,16 @@ class TestNonConvergedQuadrature:
         terms = "a quadrature behind the LK modular terms did not converge"
         assert {check_id: (c["verdict"], c["details"]["reason"])
                 for check_id, c in changed.items()} == {
-            "statB1:theta=0.25:p2:fr_smooth:n=1": ("indeterminate", terms),
-            "statB1:theta=0.5:p2:fr_smooth:n=1": ("indeterminate", terms),
-            "statB1gauss_envelope:p2:corpus:n=1": (
+            "statB1:theta=0.25:p2log:fr_smooth:n=1": ("indeterminate", terms),
+            "statB1:theta=0.5:p2log:fr_smooth:n=1": ("indeterminate", terms),
+            "statB1gauss_envelope:p2log:corpus:n=1": (
                 "indeterminate", "a quadrature behind the fitted terms did not converge")}
 
     def test_lk_norm_checks_rest_on_the_theta_one_terms(self, manifest, spec,
                                                         monkeypatch):
-        # the first field's theta = 1 Hessian term at n = 1, the norm's m1
+        # the first field's theta = 1 Hessian term at n = 1, the norm's m1;
+        # under p2 the Hessian terms at theta != 1 are rescaled from it, so
+        # their checks rest on it too
         def run():
             checks = []
             run_lk(manifest, spec, [1], checks, {}, {}, nfunc_labels=("p2",))
@@ -339,7 +351,8 @@ class TestNonConvergedQuadrature:
         assert failed
         changed = changed_checks(before, after)
         assert {check_id: c["verdict"] for check_id, c in changed.items()} == dict.fromkeys(
-            ["statB1:theta=1:p2:fr_smooth:n=1", "statB1gauss_envelope:p2:corpus:n=1",
+            ["statB1:theta=0.25:p2:fr_smooth:n=1", "statB1:theta=0.5:p2:fr_smooth:n=1",
+             "statB1:theta=1:p2:fr_smooth:n=1", "statB1gauss_envelope:p2:corpus:n=1",
              "statB2gauss:p2:fr_smooth:n=1", "statB2gauss_envelope:p2:corpus:n=1"],
             "indeterminate")
         assert changed["statB2gauss:p2:fr_smooth:n=1"]["details"] == {

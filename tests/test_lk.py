@@ -12,7 +12,7 @@ from orlicz_hardy import landau_kolmogorov as lk_mod
 from orlicz_hardy import quadrature
 from orlicz_hardy.cli import DEFAULT_THETAS, run_lk
 from orlicz_hardy.corpus import FieldFactory
-from orlicz_hardy.errors import PreconditionError
+from orlicz_hardy.errors import EvaluationError, PreconditionError
 from orlicz_hardy.functionals import (
     FieldFunction,
     ModularTriple,
@@ -106,6 +106,16 @@ class TestModularCheck:
         lhs_rep = check_lk_modular(terms, 1.0, 1.0, 1.0)
         assert lhs_rep.rhs_terms["hessian"] < 1e-6 * lhs_rep.rhs_terms["function"]
         assert lhs_rep.verdict in ("holds", "indeterminate")
+
+    @pytest.mark.parametrize("theta", [1e-300, 1e-150])
+    def test_a_power_term_that_overflows_is_an_evaluation_error(self, manifest, spec,
+                                                                 theta):
+        # theta^-2 overflows at 1e-300; at 1e-150 it is 1e300, and its
+        # product with L = 1e10 overflows
+        field = manifest.field_functions["fr_smooth"].instantiate(1)
+        with pytest.raises(EvaluationError, match=f"theta={theta:g}"):
+            lk_modular_terms(field, manifest.nfunc("p2"), (theta,),
+                             ModularTriple(1.0, 1e10, 1.0), spec)
 
 
 class TestNormTriple:
@@ -302,14 +312,18 @@ class TestRunLkComputesOnce:
 
 class TestModularTermsFromTheTriple:
     @pytest.mark.parametrize("normalized", [False, True])
-    @pytest.mark.parametrize("nf_label", ["p2", "p3"])
+    @pytest.mark.parametrize("nf_label", ["p2", "p3", "p2log"])
     def test_terms_equal_their_own_integrals(self, manifest, spec, nf_label,
                                              normalized):
         # the lhs and the theta = 1 function term are read from the triple;
         # the theta = 1 Hessian term must equal, bit for bit, a fresh
-        # Gaussian family of that integral alone, and the Hessian and
-        # function terms at each theta != 1 a fresh family of exactly those
+        # Gaussian family of that integral alone.  Under a power M = r^p the
+        # Hessian and function terms at each theta != 1 are theta^p and
+        # theta^-p times the theta = 1 terms, bit for bit, and lie within
+        # both error estimates of a fresh family of exactly those; under
+        # any other M they equal that fresh family bit for bit
         nf = manifest.nfunc(nf_label)
+        p = None if nf_label == "p2log" else nf.D_exp
         thetas = DEFAULT_THETAS
         scaled = [theta for theta in thetas if theta != 1.0]
         for n in (1, 2, 3):
@@ -333,25 +347,37 @@ class TestModularTermsFromTheTriple:
                     + [(func_profile.fn, lambda v, x, t=theta: nf.eval(np.abs(v) / t))
                        for theta in scaled],
                     [hess_env] * len(scaled) + [func_env] * len(scaled))
-                expected = {1.0: (hess_one, triple.L, triple.errs[1])}
-                expected.update((theta, (hess, func.value, func.err_est))
-                                for theta, hess, func in zip(scaled, direct, direct[len(scaled):]))
+                expected = {1.0: (hess_one.value, hess_one.err_est, triple.L, triple.errs[1])}
+                for theta, hess, func in zip(scaled, direct, direct[len(scaled):]):
+                    expected[theta] = (
+                        (hess.value, hess.err_est, func.value, func.err_est) if p is None
+                        else (theta ** p * hess_one.value, theta ** p * hess_one.err_est,
+                              theta ** -p * triple.L, theta ** -p * triple.errs[1]))
                 terms = lk_modular_terms(u, nf, thetas, triple, spec, normalized)
                 assert list(terms) == list(thetas)
-                for theta, (hess, func_value, func_err) in expected.items():
+                for theta, (hess, hess_err, func, func_err) in expected.items():
                     assert terms[theta][:5] == LKTerms(
-                        triple.G, hess.value, func_value,
-                        (triple.errs[2], hess.err_est, func_err), True)[:5], (label, n, theta)
+                        triple.G, hess, func, (triple.errs[2], hess_err, func_err),
+                        True)[:5], (label, n, theta)
                     assert terms[theta].panels[0] is triple.panels
+                for theta, hess, func in zip(scaled, direct, direct[len(scaled):]):
+                    _, hess_term, func_term, (_, hess_err, func_err), *_ = terms[theta]
+                    assert abs(hess_term - hess.value) <= hess_err + hess.err_est, \
+                        (label, n, theta)
+                    assert abs(func_term - func.value) <= func_err + func.err_est, \
+                        (label, n, theta)
 
 
 class TestRunLkIntegratesOnce:
-    def test_eight_gaussian_modulars_per_field_beyond_its_norms(
-            self, manifest, spec, monkeypatch):
-        # K, L, G once, M(theta |hess u|) at each theta and M(|u|/theta) at
-        # each theta != 1, in three families: the triple, the theta = 1
-        # Hessian term and the other LK terms; every family is one radial
-        # family, one `_adaptive` call
+    @pytest.mark.parametrize("nf_label, per_field, families_per_field",
+                             [("p2", 4, 2), ("p2log", 8, 3)])
+    def test_gaussian_modulars_per_field_beyond_its_norms(
+            self, manifest, spec, monkeypatch, nf_label, per_field, families_per_field):
+        # K, L, G once and M(|hess u|) at theta = 1, in two families: the
+        # triple and the theta = 1 Hessian term.  Under a power M the terms
+        # at theta != 1 are rescaled from those; under any other M,
+        # M(theta |hess u|) and M(|u|/theta) at each theta != 1 are a third
+        # family.  Every family is one radial family, one `_adaptive` call
         families, modulars = Counter(), Counter()
         in_norm = []
         norm, family = lk_mod.luxemburg_norm, quadrature.integrate_radial_family
@@ -375,12 +401,13 @@ class TestRunLkIntegratesOnce:
         monkeypatch.setattr(lk_mod, "luxemburg_norm", counted_norm)
         monkeypatch.setattr(quadrature, "integrate_radial_family", counted_family)
         monkeypatch.setattr(functionals, "integrate_gaussian_nd", counted_gaussian)
-        run_lk(manifest, spec, [2], [], {}, {}, nfunc_labels=("p2",))
+        run_lk(manifest, spec, [2], [], {}, {}, nfunc_labels=(nf_label,))
         fields = [f for f in manifest.field_functions.values() if f.compatible(2)]
-        assert modulars["modular"] == 8 * len(fields)
-        assert families["modular"] == 3 * len(fields)
-        # a power norm's modular at K = 1 is a term: at most one more inside
-        assert families["norm"] == modulars["norm"] <= 3 * len(fields)
+        assert modulars["modular"] == per_field * len(fields)
+        assert families["modular"] == families_per_field * len(fields)
+        if nf_label == "p2":
+            # a power norm's modular at K = 1 is a term: at most one more inside
+            assert families["norm"] == modulars["norm"] <= 3 * len(fields)
 
 
 class TestRunLkSamplesOnce:

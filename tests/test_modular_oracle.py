@@ -237,8 +237,8 @@ def assert_field_triple_honest_at_n_one(triple, label, nf_label):
 @pytest.mark.parametrize("nf_label", ["p2", "p3"])
 @pytest.mark.parametrize("label", N1_FIELDS)
 def test_lk_terms_at_n_one_within_their_error_estimates(label, nf_label):
-    # the Hessian term at every theta and the function term at theta != 1
-    # are one family
+    # the Hessian term at every theta and the function term at theta != 1;
+    # under a power those at theta != 1 are rescaled from theta = 1
     terms = lk_modular_terms(field(label, 1), MANIFEST.nfunc(nf_label), DEFAULT_THETAS,
                              field_triple(label, nf_label, 1), SPEC)
     pieces = field_pieces(FIELDS[label])

@@ -58,6 +58,33 @@ class TestCertifyGrowth:
         _, _, violations = certify_growth(nf)
         assert violations and "D_exp" in violations[0]
 
+    @pytest.mark.parametrize("nf", [power_nfunction(2.5), power_log_nfunction(2.0),
+                                    table_nfunction([0, 1, 2, 3], [0, 1, 5, 6])],
+                             ids=["power", "power-log", "table"])
+    def test_extremes_equal_the_all_pairs_chord_extremes(self, nf):
+        # brute force over every pair r1 < r2 of a small grid
+        grid = GridSpec(1e-3, 1e3, 60)
+        logr, logm = np.log(grid.nodes()), np.log(nf.eval(grid.nodes()))
+        j, k = np.triu_indices(logr.size, 1)
+        chords = (logm[k] - logm[j]) / (logr[k] - logr[j])
+        d, D, _ = certify_growth(nf, grid)
+        assert d == pytest.approx(chords.min(), rel=1e-12, abs=1e-12)
+        assert D == pytest.approx(chords.max(), rel=1e-12)
+
+    def test_violation_names_the_pair_of_its_slope(self):
+        # the table's steepest and flattest slopes lie between different
+        # nodes than its first offending ones
+        nf = table_nfunction([0, 1, 2, 3], [0, 1, 5, 6])
+        nf.d_exp, nf.D_exp = 1.5, 2.0
+        _, _, violations = certify_growth(nf)
+        assert len(violations) == 2
+        for text in violations:
+            slope = float(text.split("slope ")[1].split(" ")[0])
+            r1, r2 = (float(text.split(f"{name}=")[1].split(",")[0].rstrip(")"))
+                      for name in ("r1", "r2"))
+            m1, m2 = nf.eval(r1), nf.eval(r2)
+            assert math.log(m2 / m1) / math.log(r2 / r1) == pytest.approx(slope, rel=1e-4)
+
     def test_constant_rejected(self):
         nf = NFunction(eval=lambda r: np.ones_like(np.asarray(r, float)),
                        label="const")
