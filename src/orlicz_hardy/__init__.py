@@ -55,7 +55,6 @@ from .nfunc import (
     check_lemma_young,
     power_log_nfunction,
     power_nfunction,
-    table_nfunction,
 )
 from .quadrature import (
     GaussianMeasure,

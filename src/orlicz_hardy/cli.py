@@ -106,7 +106,7 @@ def _radial_check(name: str, u, triple, nf, n: int, spec, **meta):
         c1, c2 = hardy_mod.linear_constants(D, d, n)
         return hardy_mod.check_linear(triple, c1, c2, n=n, **meta)
     if name == "ww":
-        return hardy_mod.check_convex_case(triple, D, n, convex_certified=nf.convex, **meta)
+        return hardy_mod.check_convex_case(triple, D, n, **meta)
     if name == "p2_exact":
         return hardy_mod.check_p2_exact(triple, n, **meta)
     return hardy_mod.check_norm_form_radial(u, nf, n, triple, spec, **meta)

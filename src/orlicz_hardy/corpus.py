@@ -34,7 +34,6 @@ from .nfunc import (
     certify,
     power_log_nfunction,
     power_nfunction,
-    table_nfunction,
 )
 from .quadrature import SupportHint
 from .reporting import body_digest as fingerprint
@@ -66,8 +65,6 @@ def build_nfunction(entry: dict) -> NFunction:
         nf = power_nfunction(float(params["p"]))
     elif kind == "power_log":
         nf = power_log_nfunction(float(params.get("p", 2.0)))
-    elif kind == "table":
-        nf = table_nfunction(params["r"], params["m"], label=label)
     else:
         raise ManifestError(f"unknown N-function kind {kind!r} for '{label}'")
     nf.label = label
@@ -86,15 +83,26 @@ def _positive_roots(*polynomials) -> tuple:
     return tuple(sorted(roots))
 
 
-def _bump_function(center: float, width: float, degree: int,
+def _whole(value, what: str, label: str) -> int:
+    """A declared integer parameter: a non-negative whole number, such as
+    2 or 2.0, as an int."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer() or value < 0):
+        raise ManifestError(
+            f"'{label}' needs a non-negative integer {what}, got {value!r}")
+    return int(value)
+
+
+def _bump_function(center: float, width: float, degree,
                    label: str) -> RadialTestFunction:
     """u(r) = (1 - ((r-c)/w)^2)_+^degree, compactly supported on [c-w, c+w];
     u' changes sign at the centre c."""
-    if degree < 2:
+    k = _whole(degree, "degree", label)
+    if k < 2:
         raise ManifestError(f"bump '{label}' needs degree >= 2 for C1")
     if center < width:
         raise ManifestError(f"bump '{label}' must satisfy center >= width")
-    c, w, k = float(center), float(width), int(degree)
+    c, w = float(center), float(width)
 
     def u(r):
         r = np.asarray(r, dtype=float)
@@ -183,10 +191,11 @@ def _monomial_partial(X: np.ndarray, exps: np.ndarray, i: int) -> np.ndarray:
 
 def _monomial_gauss_field(exponents, rate: float, n: int,
                           label: str) -> FieldFunction:
-    """u(x) = x^k exp(-rate |x|^2 / 2).  Its partial derivative along x_i
+    """u(x) = x^k exp(-rate |x|^2 / 2), k a multi-index of non-negative
+    integers.  Its partial derivative along x_i
     changes sign at |x_i| = sqrt(k_i / rate): the breakpoints."""
     exps = np.zeros(n, dtype=int)
-    given = np.asarray(exponents, dtype=int)
+    given = np.array([_whole(k, "exponent", label) for k in exponents], dtype=int)
     if given.size > n:
         raise ManifestError(
             f"field '{label}' needs dimension >= {given.size}, got n={n}")
@@ -418,7 +427,6 @@ class CorpusManifest:
     field_functions: dict
     fingerprint: str
     member_fingerprints: dict
-    grid: GridSpec
 
     def nfunc(self, label: str) -> NFunction:
         try:
@@ -461,15 +469,8 @@ def load_manifest(path=None) -> CorpusManifest:
         label = entry.get("label", "?")
         member_fps[label] = fingerprint(entry)
         try:
-            nf = build_nfunction(entry)
-            local_grid = grid
-            if entry.get("kind") == "table":
-                rs = entry["params"]["r"]
-                local_grid = GridSpec(max(min(rs), grid.r_min),
-                                      min(max(rs), grid.r_max),
-                                      grid.points)
-            nf = certify(nf, local_grid)
-            _check_nfunction_shape(nf, local_grid, problems)
+            nf = certify(build_nfunction(entry), grid)
+            _check_nfunction_shape(nf, grid, problems)
             nfunctions[label] = nf
         except Exception as exc:
             problems.append(f"nfunction '{label}': {exc}")
@@ -508,7 +509,7 @@ def load_manifest(path=None) -> CorpusManifest:
         raise ManifestError(f"{path}: " + "; ".join(problems))
     return CorpusManifest(
         nfunctions=nfunctions, radial_functions=radial, field_functions=fields,
-        fingerprint=fingerprint(raw), member_fingerprints=member_fps, grid=grid)
+        fingerprint=fingerprint(raw), member_fingerprints=member_fps)
 
 
 def _check_nfunction_shape(nf: NFunction, grid: GridSpec, problems: list):

@@ -331,13 +331,9 @@ def _bracket(k: float, m: float, err: float, d: float, D: float) -> tuple[float,
     growth indices d <= D of M give k^d M(r) <= M(k r) <= k^D M(r) for
     k >= 1, so a modular m' at k puts the norm in k [m'^(1/D), m'^(1/d)],
     ends swapped when m' < 1; both ends grow with m'."""
-    def root(t: float, p: float) -> float:
-        if p > 0.0:
-            return t ** (1.0 / p)
-        return math.inf if t > 1.0 else float(t == 1.0)  # d = 0 bounds nothing
-
     low, high = max(m - err, 0.0), m + err
-    return (k * min(root(low, D), root(low, d)), k * max(root(high, D), root(high, d)))
+    return (k * min(low ** (1.0 / D), low ** (1.0 / d)),
+            k * max(high ** (1.0 / D), high ** (1.0 / d)))
 
 
 def _on_rule(profile: ScalarProfile, nf: NFunction, measure, panels):
@@ -381,7 +377,9 @@ def luxemburg_norm(norms, nf: NFunction, measure, spec: QuadratureSpec | None = 
     modulars at every such k are one `_modular_family`, integrated from
     the default panels.  A root whose m misses 1 by more than norm_tol
     (the rule did not resolve M at that scale) is found again on the rule
-    of the verifying family's own panels, and verified again.
+    of the verifying family's own panels, and verified again: under p2log,
+    fx_cut's Hessian norm (k ~ 1e-6) takes this second round at n = 1
+    and 2.
     """
     spec = spec or QuadratureSpec()
     if nf.delta2_const is None:
@@ -435,7 +433,6 @@ def luxemburg_norm(norms, nf: NFunction, measure, spec: QuadratureSpec | None = 
     return found
 
 
-
 _LN2 = math.log(2.0)
 
 
@@ -447,38 +444,28 @@ def _log_secant(modular, m1: float, d: float, D: float, norm_tol: float,
     nothing.
 
     In x = log K, y = log modular every evaluated point narrows the bracket
-    by the sign of y, as the modular decreases in K.  While the indices
-    hold, a point whose modular is resolved to relative accuracy also
-    narrows it to [x + y/D, x + y/d] (ends swapped when y < 0).  Once the
-    indices contradict each other (certified `table` indices are grid
-    estimates), or when d = 0 (a table flat beyond its convexity check),
-    only the signs count, and a step goes at most one doubling beyond the
-    bracket's closed end towards an open side.  A step that stalls or
-    underflows bisects the bracket, or doubles towards its open side.
+    by the sign of y, as the modular decreases in K.  A point whose
+    modular is resolved to relative accuracy also narrows it to
+    [x + y/D, x + y/d] (ends swapped when y < 0), by the declared growth
+    indices 1 <= d <= D.  A step that stalls or underflows bisects the
+    bracket, or doubles towards its open side.
     """
-    sign_lo, sign_hi = index_lo, index_hi = -math.inf, math.inf
-    indexed = d > 0.0
+    lo, hi = -math.inf, math.inf
     x, m, y = 0.0, m1, math.log(m1)
     x_new = 2.0 * y / (d + D)
     for _ in range(200):
         if m > 1.0:
-            sign_lo = max(sign_lo, x)
+            lo = max(lo, x)
         else:
-            sign_hi = min(sign_hi, x)
-        if indexed and m > 0.0 and resolved(m):
-            index_lo = max(index_lo, x + min(y / D, y / d))
-            index_hi = min(index_hi, x + max(y / D, y / d))
-        lo, hi = max(sign_lo, index_lo), min(sign_hi, index_hi)
-        indexed = indexed and lo < hi
-        if not indexed:
-            lo, hi = sign_lo, sign_hi
-        bisect = not math.isfinite(x_new)
-        if bisect:
-            x_new = 0.5 * (lo + hi)
-        if bisect or not indexed:
-            lo, hi = ((hi - _LN2 if lo == -math.inf else lo),
-                      (lo + _LN2 if hi == math.inf else hi))
-        x_new = min(max(x_new, lo), hi)
+            hi = min(hi, x)
+        if m > 0.0 and resolved(m):
+            lo = max(lo, x + min(y / D, y / d))
+            hi = min(hi, x + max(y / D, y / d))
+        if math.isfinite(x_new):
+            x_new = min(max(x_new, lo), hi)
+        else:
+            x_new = (hi - _LN2 if lo == -math.inf
+                     else lo + _LN2 if hi == math.inf else 0.5 * (lo + hi))
         m_new = modular(math.exp(x_new))
         if abs(m_new - 1.0) <= norm_tol:
             return math.exp(x_new)

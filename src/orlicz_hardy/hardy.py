@@ -176,11 +176,8 @@ def convex_constants(D: float, n: int) -> tuple[float, float, dict]:
     return c1, c2, {"eps": eps, "kappa": kappa}
 
 
-def check_convex_case(triple: ModularTriple, D: float, n: int,
-                      convex_certified: bool = True, **meta) -> Check:
+def check_convex_case(triple: ModularTriple, D: float, n: int, **meta) -> Check:
     """Doubling-only linear bound with the materialised constants."""
-    if not convex_certified:
-        raise PreconditionError("convexity certification required")
     c1, c2, proof = convex_constants(D, n)
     check = check_linear(triple, c1, c2, inequality_id="ww", n=n, **meta)
     check.constants_used.update(proof)
@@ -270,9 +267,9 @@ def check_nd(triple: ModularTriple, nf: NFunction, n: int, form: str,
                       triple.errs[0] + e_rhs, triple, **meta)
 
     if form == "hn1":
-        if nf.delta2_const is None or not nf.convex:
+        if nf.delta2_const is None:
             raise PreconditionError(
-                f"form hn1 needs a convex doubling N-function, got '{nf.label}'")
+                f"form hn1 needs a doubling N-function, got '{nf.label}'")
         _require_valid(triple)
         c1, c2, proof = convex_constants(D, n)
         check = check_linear(triple, c1, c2, inequality_id="hn1", **meta)
@@ -291,9 +288,9 @@ def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
     `modular_triple_nd` of (u, nf) on the measure `normalized` names."""
     if n != u.n:
         raise PreconditionError(f"field '{u.label}' has dimension {u.n}, not {n}")
-    if nf.delta2_const is None or not nf.convex:
+    if nf.delta2_const is None:
         raise PreconditionError(
-            f"form hn11 needs a convex doubling N-function, got '{nf.label}'")
+            f"form hn11 needs a doubling N-function, got '{nf.label}'")
     return _check_norm_form(
         "hn11", u.parts(), triple, nf, GaussianMeasure(n, normalized), n, spec,
         normalization="normalized" if normalized else "unnormalized", **meta)

@@ -6,11 +6,11 @@ toolkit works with the two-sided power bounds
     M(a r) <= a^D_exp * M(r)   for a >= 1,
     M(a r) <= a^d_exp * M(r)   for a in (0, 1),
 
-and the doubling constant M(2r) <= delta2_const * M(r).  Since these are
-assumptions rather than computable properties, `certify_growth` and
-`certify_delta2` test them on a declared grid and record estimates; exact
-exponents for analytic families (powers, power-log) are pinned by their
-constructors.
+and the doubling constant M(2r) <= delta2_const * M(r).  Each family's
+constructor (powers, power-log) declares them in closed form; since they
+are assumptions about all r rather than computable properties, `certify`
+tests the declared exponents on a grid and rejects any that the grid
+contradicts.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "check_lemma_young",
     "power_nfunction",
     "power_log_nfunction",
-    "table_nfunction",
 ]
 
 DEFAULT_GRID_BOUNDS = (1e-6, 1e6)
@@ -47,11 +46,11 @@ def comparison_tol(rhs: float, scale: float = 1e-12) -> float:
 
 @dataclass
 class NFunction:
-    """An evaluable N-function with optional certified metadata.
+    """An evaluable N-function with its declared growth metadata.
 
     eval must accept scalars and numpy arrays of r >= 0.  d_exp / D_exp /
-    delta2_const stay None until pinned by a constructor or a certification
-    run; grid_fingerprint records the grid the estimates came from.
+    delta2_const are declared by a constructor (None when undeclared);
+    grid_fingerprint records the grid `certify` confirmed them on.
     """
 
     eval: Callable
@@ -60,7 +59,6 @@ class NFunction:
     delta2_const: Optional[float] = None
     label: str = ""
     differentiable: bool = False
-    convex: bool = True
     grid_fingerprint: Optional[str] = None
 
     def require_exponents(self) -> tuple[float, float]:
@@ -168,23 +166,21 @@ def certify_delta2(nf: NFunction, grid: GridSpec | None = None) -> float:
 
 
 def certify(nf: NFunction, grid: GridSpec | None = None) -> NFunction:
-    """Return a copy with certified metadata filled in.
+    """Return a copy whose declared exponents the grid has confirmed.
 
-    Declared exponents are validated (violations raise); missing ones are set
-    to the grid estimates.
+    d_exp, D_exp and delta2_const must be declared; a grid slope past
+    either exponent raises, and so does a doubling ratio past
+    `certify_delta2`'s cap.  Nothing is filled in from the grid.
     """
+    if None in (nf.d_exp, nf.D_exp, nf.delta2_const):
+        raise PreconditionError(
+            f"'{nf.label}': certify needs declared d_exp, D_exp and delta2_const")
     grid = grid or GridSpec()
-    d_est, D_est, violations = certify_growth(nf, grid)
+    _, _, violations = certify_growth(nf, grid)
     if violations:
         raise CertificationError(f"'{nf.label}': " + "; ".join(violations))
-    c_est = certify_delta2(nf, grid)
-    return replace(
-        nf,
-        d_exp=nf.d_exp if nf.d_exp is not None else d_est,
-        D_exp=nf.D_exp if nf.D_exp is not None else D_est,
-        delta2_const=nf.delta2_const if nf.delta2_const is not None else c_est,
-        grid_fingerprint=grid.fingerprint(),
-    )
+    certify_delta2(nf, grid)
+    return replace(nf, grid_fingerprint=grid.fingerprint())
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +228,6 @@ def check_lemma_split(nf: NFunction, r: float, s: float, lam: float, alpha: int)
 def check_lemma_young(nf: NFunction, a: float, b: float, eps: float):
     """Check M(a) b <= eps M(a) + eps^(-D_exp) M(a b) for eps in (0, 1]."""
     _, D = nf.require_exponents()
-    if not nf.convex:
-        raise PreconditionError(f"'{nf.label}': convexity required")
     if not (0.0 < eps <= 1.0):
         raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
     ma = float(nf.eval(a))
@@ -255,7 +249,7 @@ def power_nfunction(p: float) -> NFunction:
         return np.power(r, p)
 
     return NFunction(eval=m, d_exp=p, D_exp=p, delta2_const=2.0 ** p,
-                     label=f"r^{p:g}", differentiable=True, convex=True)
+                     label=f"r^{p:g}", differentiable=True)
 
 
 def power_log_nfunction(p: float = 2.0) -> NFunction:
@@ -268,21 +262,4 @@ def power_log_nfunction(p: float = 2.0) -> NFunction:
 
     return NFunction(eval=m, d_exp=p, D_exp=p + 1.0,
                      delta2_const=2.0 ** (p + 1.0),
-                     label=f"r^{p:g}*log(1+r)", differentiable=True, convex=True)
-
-
-def table_nfunction(rs, ms, label: str = "table") -> NFunction:
-    """Piecewise-linear N-function through monotone (r, M(r)) samples."""
-    rs = np.asarray(rs, dtype=float)
-    ms = np.asarray(ms, dtype=float)
-    if rs.ndim != 1 or rs.shape != ms.shape or rs.size < 2:
-        raise PreconditionError("table needs matching 1-d arrays with >= 2 rows")
-    if np.any(np.diff(rs) <= 0):
-        raise PreconditionError("table radii must be strictly increasing")
-    if np.any(np.diff(ms) < 0):
-        raise CertificationError(f"'{label}': table values must be non-decreasing")
-
-    def m(r):
-        return np.interp(r, rs, ms)
-
-    return NFunction(eval=m, label=label, differentiable=False, convex=True)
+                     label=f"r^{p:g}*log(1+r)", differentiable=True)

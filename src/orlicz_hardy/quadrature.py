@@ -21,8 +21,7 @@ is `math.lgamma`, and the regularised upper incomplete gamma Q(s, x) is
 computed here in full double precision -- from the power series of
 P = 1 - Q below x = max(1, s), and from Legendre's continued fraction,
 evaluated bottom-up, above it (see Numerical Recipes, 3rd ed., section 6.2,
-and DiDonato & Morris, ACM TOMS 12 (1986)).  For s <= 0, where Q does not
-exist, the same fraction gives Gamma(s, x) itself.
+and DiDonato & Morris, ACM TOMS 12 (1986)).
 """
 
 from __future__ import annotations
@@ -343,15 +342,16 @@ def gaussian_tail_fn(degree: float, rate: float):
     computed once.
 
     The tail is 2^((degree-1)/2) rate^(-s) Gamma(s, rate radius^2 / 2) with
-    s = (degree + 1)/2.  For degree <= -1 (s <= 0) it is finite at every
-    radius > 0 and infinite at 0."""
+    s = (degree + 1)/2.  It needs degree > -1 (s > 0), which every
+    envelope a corpus member declares has; a degree <= -1 raises
+    PreconditionError."""
     if rate <= 0.0:
         return lambda radius: math.inf
     s = 0.5 * (degree + 1.0)
-    log_scale = 0.5 * (degree - 1.0) * math.log(2.0) - s * math.log(rate)
     if s <= 0.0:
-        scale = math.exp(log_scale)
-        return lambda radius: scale * _upper_gamma(s, 0.5 * rate * radius * radius)
+        raise PreconditionError(
+            f"the Gaussian tail needs an envelope degree > -1, got {degree:g}")
+    log_scale = 0.5 * (degree - 1.0) * math.log(2.0) - s * math.log(rate)
     lgamma_s = math.lgamma(s)
     scale = math.exp(log_scale + lgamma_s)
 
@@ -379,33 +379,12 @@ def _gammaincc(s: float, x: float, lgamma_s: float) -> float:
     return 1.0 - front * total
 
 
-def _upper_gamma(s: float, x: float) -> float:
-    """Gamma(s, x) for s <= 0, where Q does not exist: the continued fraction
-    for x >= 1; below, Gamma(s, 1) plus the integral of t^(s-1) e^-t over
-    [x, 1], sum_k (-1)^k / k! * (1 - x^(s+k)) / (s+k), whose term at
-    s + k = 0 is -ln x."""
-    if x <= 0.0:
-        return math.inf
-    if x >= 1.0:
-        return math.exp(s * math.log(x) - x) * _gamma_fraction(s, x)
-    log_x = math.log(x)
-    total, coef, k = 0.0, 1.0, 0
-    while True:
-        a = s + k
-        term = coef * (-math.expm1(a * log_x) / a if a != 0.0 else -log_x)
-        total += term
-        if a > 0.0 and abs(term) <= _EPS * total:
-            return total + math.exp(-1.0) * _gamma_fraction(s, 1.0)
-        k += 1
-        coef /= -k
-
-
 def _gamma_fraction(s: float, x: float) -> float:
     """h with Gamma(s, x) = x^s e^-x h, for x >= max(1, s): Legendre's
     continued fraction 1/(x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(x+5-s - ...))),
     evaluated bottom-up from a fixed depth.
 
-    The depth reaches full double precision over -5 <= s <= 60 (checked
+    The depth reaches full double precision over 0 < s <= 60 (checked
     against a 3000-deep evaluation).  Bottom-up evaluation keeps the error
     within an ulp or two; a top-down (Lentz) one gathers up to about 20 ulps
     near x = 1."""

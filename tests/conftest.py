@@ -1,7 +1,35 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
 from orlicz_hardy.corpus import load_manifest
 from orlicz_hardy.quadrature import QuadratureSpec
+
+ROOT = Path(__file__).parent.parent
+
+
+def full_battery_commands() -> list:
+    """The arguments of each command in the workflow's "Full battery" step,
+    its --out flag dropped."""
+    lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if "- name: Full battery" in line)
+    commands = []
+    for line in lines[start + 1:]:
+        if "- name:" in line:
+            break
+        words = shlex.split(line.strip())
+        if "orlicz_hardy.cli" in words:
+            argv = words[words.index("orlicz_hardy.cli") + 1:]
+            out = argv.index("--out")
+            commands.append(argv[:out] + argv[out + 2:])
+    return commands
+
+
+def from_the_root(argv: list) -> list:
+    """argv with each word that names a file under the repository root made
+    absolute: the workflow runs from the root, and reads path arguments there."""
+    return [str(ROOT / word) if (ROOT / word).is_file() else word for word in argv]
 
 
 @pytest.fixture(scope="session")

@@ -15,20 +15,13 @@ import types
 from pathlib import Path
 
 import orlicz_hardy
+from conftest import from_the_root, full_battery_commands
 from orlicz_hardy.cli import main
 
-ROOT = Path(__file__).parent.parent
 PACKAGE = Path(orlicz_hardy.__file__).parent
 
 # The commands of CI's full-battery step; `all` runs every battery's default.
-COMMANDS = (
-    ["all", "--dim", "1..3"],
-    ["lk", "--dim", "1..2", "--theta-grid", "0.5"],
-    ["lk", "--nfunc", "p2log", "--dim", "1..2"],
-    ["mazya", "--pair", str(ROOT / "docs" / "examples" / "pair_table.json")],
-    ["hardy", "--form", "hn11", "--dim", "1..3"],
-    ["hardy", "--form", "www", "--dim", "1..3"],
-)
+COMMANDS = [from_the_root(argv) for argv in full_battery_commands()]
 
 NOT_IN_A_BATTERY = {
     ("nfunc", "check_lemma_split"):
@@ -40,9 +33,6 @@ NOT_IN_A_BATTERY = {
     ("functionals", "modular_value"):
         "acceptance criterion 11 and the Luxemburg reference tests use it",
     ("quadrature", "moment"): "the exact reference of the quadrature tests",
-    ("nfunc", "table_nfunction"): "a manifest or a library caller may declare a table N-function",
-    ("nfunc", "table_nfunction.<locals>.m"): "the evaluator of a table N-function",
-    ("quadrature", "_upper_gamma"): "the Gaussian tail of an envelope of degree <= -1",
     ("corpus", "_gauss_poly_radial_field.<locals>.profile_u"):
         "the radial profile of a radial field, which criterion 9 reads",
     ("corpus", "_gauss_poly_radial_field.<locals>.profile_du"):

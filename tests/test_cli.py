@@ -2,13 +2,13 @@ import csv
 import dataclasses
 import json
 import math
-import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from conftest import from_the_root, full_battery_commands
 
 from orlicz_hardy import cli, functionals, quadrature
 from orlicz_hardy import hardy as hardy_mod
@@ -462,26 +462,6 @@ def test_sharpness_alphas_run_sorted_and_once(tmp_path, alphas):
     assert checks[0] == checks[1]
 
 
-ROOT = Path(__file__).parent.parent
-
-
-def full_battery_commands() -> list:
-    """The arguments of each command in the workflow's "Full battery" step,
-    its --out flag dropped."""
-    lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines()
-    start = next(i for i, line in enumerate(lines) if "- name: Full battery" in line)
-    commands = []
-    for line in lines[start + 1:]:
-        if "- name:" in line:
-            break
-        words = shlex.split(line.strip())
-        if "orlicz_hardy.cli" in words:
-            argv = words[words.index("orlicz_hardy.cli") + 1:]
-            out = argv.index("--out")
-            commands.append(argv[:out] + argv[out + 2:])
-    return commands
-
-
 FULL_BATTERY = full_battery_commands()
 
 
@@ -492,10 +472,8 @@ def test_the_full_battery_step_is_read():
 
 @pytest.mark.parametrize("argv", FULL_BATTERY, ids=" ".join)
 def test_every_full_battery_report_has_unique_check_ids(tmp_path, argv):
-    # the workflow runs from the repository root; a path argument is read there
-    argv = [str(ROOT / word) if (ROOT / word).is_file() else word for word in argv]
     path = tmp_path / "r.json"
-    assert main(["--out", str(tmp_path), "--report", str(path), *argv]) == 0
+    assert main(["--out", str(tmp_path), "--report", str(path), *from_the_root(argv)]) == 0
     ids = [check["check_id"] for check in load_report(path)["body"]["checks"]]
     assert ids and len(ids) == len(set(ids))
 

@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from orlicz_hardy import corpus
 from orlicz_hardy.corpus import (
     build_field_function,
     build_radial_function,
     fingerprint,
     load_manifest,
 )
-from orlicz_hardy.errors import ManifestError, PreconditionError
+from orlicz_hardy.errors import CertificationError, ManifestError, PreconditionError
+from orlicz_hardy.nfunc import GridSpec, NFunction, certify
 
 
 def write_manifest(tmp_path, payload, name="manifest.json"):
@@ -62,29 +64,21 @@ class TestRejection:
         with pytest.raises(ManifestError, match="line"):
             load_manifest(path)
 
-    def test_constant_nfunction_rejected(self, tmp_path):
-        path = write_manifest(tmp_path, {
-            "schema": 1,
-            "nfunctions": [{"label": "flat", "kind": "table",
-                            "params": {"r": [0.1, 1.0, 10.0],
-                                       "m": [1.0, 1.0, 1.0]}}],
-        })
-        with pytest.raises(ManifestError, match="nonconstant"):
-            load_manifest(path)
+    def test_constant_nfunction_rejected(self):
+        flat = NFunction(eval=lambda r: np.interp(r, [0.1, 1.0, 10.0], [1.0, 1.0, 1.0]),
+                         d_exp=2.0, D_exp=2.0, delta2_const=4.0, label="flat")
+        with pytest.raises(CertificationError, match="nonconstant"):
+            certify(flat, GridSpec(0.1, 10.0))
 
-    def test_lower_index_below_one_rejected(self, tmp_path):
-        # constant past r = 1000: not convex there, and certified d = 0
-        path = write_manifest(tmp_path, {
-            "schema": 1,
-            "nfunctions": [{"label": "flat_tail", "kind": "table",
-                            "params": {"r": [0, 0.001, 100, 1000, 2000],
-                                       "m": [0, 1e-6, 1e4, 1e6, 1e6]}}],
-        })
-        for _ in range(2):  # a rejected member is not cached as certified
-            with pytest.raises(ManifestError) as err:
-                load_manifest(path)
-            assert "'flat_tail': certified lower index d = 0 < 1" in str(err.value)
-            assert "'flat_tail': midpoint convexity fails near r=995" in str(err.value)
+    def test_lower_index_below_one_rejected(self):
+        # constant past r = 1000: not convex there, and its lower index is 0
+        flat_tail = NFunction(
+            eval=lambda r: np.interp(r, [0, 0.001, 100, 1000, 2000], [0, 1e-6, 1e4, 1e6, 1e6]),
+            d_exp=0.0, label="flat_tail")
+        problems = []
+        corpus._check_nfunction_shape(flat_tail, GridSpec(1e-6, 2000.0), problems)
+        assert "'flat_tail': certified lower index d = 0 < 1" in " ".join(problems)
+        assert "'flat_tail': midpoint convexity fails near r=995" in " ".join(problems)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = write_manifest(tmp_path, {
@@ -93,6 +87,50 @@ class TestRejection:
         })
         with pytest.raises(ManifestError, match="unknown"):
             load_manifest(path)
+
+    def test_table_is_an_unknown_kind(self, tmp_path):
+        # N-functions declare their growth indices; a table could only
+        # estimate them from its samples
+        path = write_manifest(tmp_path, {
+            "schema": 1,
+            "nfunctions": [{"label": "tab3", "kind": "table",
+                            "params": {"r": [0.0, 1.0, 2.0], "m": [0.0, 1.0, 8.0]}}],
+        })
+        with pytest.raises(ManifestError,
+                           match="unknown N-function kind 'table' for 'tab3'"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("section, entry", [
+        ("field_functions", {"kind": "monomial_gauss",
+                             "params": {"exponents": [-1], "rate": 1.0}}),
+        ("field_functions", {"kind": "monomial_gauss",
+                             "params": {"exponents": [1.5], "rate": 1.0}}),
+        ("field_functions", {"kind": "monomial_gauss",
+                             "params": {"exponents": [1, 0.5], "rate": 1.0}}),
+        ("radial_functions", {"kind": "bump",
+                              "params": {"center": 2.0, "width": 1.0, "degree": 2.5}}),
+    ], ids=["negative-exponent", "fractional-exponent", "second-exponent",
+            "fractional-degree"])
+    def test_non_integral_or_negative_integer_parameter_rejected(self, tmp_path,
+                                                                 section, entry):
+        path = write_manifest(tmp_path, {
+            "schema": 1, section: [{"label": "odd", **entry}]})
+        with pytest.raises(ManifestError, match="'odd' needs a non-negative integer"):
+            load_manifest(path)
+
+    def test_whole_float_integer_parameters_load(self, tmp_path):
+        path = write_manifest(tmp_path, {
+            "schema": 1,
+            "radial_functions": [{"label": "b", "kind": "bump",
+                                  "params": {"center": 2.0, "width": 1.0, "degree": 3.0}}],
+            "field_functions": [{"label": "m", "kind": "monomial_gauss",
+                                 "params": {"exponents": [2.0, 1], "rate": 1.0}}],
+        })
+        manifest = load_manifest(path)
+        u = manifest.field_functions["m"].instantiate(2)
+        x = np.array([[0.5, 2.0]])
+        assert u.u(x)[0] == pytest.approx(0.25 * 2.0 * np.exp(-0.5 * 4.25), rel=1e-15)
+        assert manifest.radial_functions["b"].u(2.5) == pytest.approx(0.75 ** 3, rel=1e-15)
 
     def test_derivative_mismatch_rejected(self):
         # a bump declared with the wrong width in du shows up as a mismatch

@@ -187,10 +187,6 @@ class TestConvexCase:
             rep = check_convex_case(tri, nf.D_exp, n)
             assert rep.verdict == "holds"
 
-    def test_nonconvex_rejected(self):
-        with pytest.raises(PreconditionError, match="convex"):
-            check_convex_case(ZERO, 3.0, 1, convex_certified=False)
-
 
 class TestNormFormRadial:
     def test_zero_trivial(self, manifest, spec):

@@ -7,44 +7,53 @@ from orlicz_hardy.errors import CertificationError, DivergenceError, Preconditio
 from orlicz_hardy.nfunc import (
     GridSpec,
     NFunction,
+    certify,
     certify_delta2,
     certify_growth,
     check_lemma_split,
     check_lemma_young,
     power_log_nfunction,
     power_nfunction,
-    table_nfunction,
 )
 
 
-def dense_chord_slopes(fn, r_min, r_max, points=5000):
-    """Independent oracle: chord slopes of log M vs log r on a dense grid.
-
-    Extreme chords over all pairs coincide with extremes over consecutive
-    pairs (any chord is a convex combination of consecutive chords)."""
+def all_pairs_chord_slopes(fn, r_min, r_max, points):
+    """Independent oracle: the least and the greatest chord slope of log M
+    against log r, by brute force over every pair r1 < r2 of a log grid."""
     r = np.logspace(math.log10(r_min), math.log10(r_max), points)
-    m = np.asarray(fn(r), dtype=float)
-    slopes = np.diff(np.log(m)) / np.diff(np.log(r))
-    return float(slopes.min()), float(slopes.max())
+    logr, logm = np.log(r), np.log(np.asarray(fn(r), dtype=float))
+    j, k = np.triu_indices(r.size, 1)
+    chords = (logm[k] - logm[j]) / (logr[k] - logr[j])
+    return float(chords.min()), float(chords.max())
+
+
+def piecewise_linear(rs, ms, label="piecewise"):
+    """An NFunction through the samples (rs, ms), linear between them."""
+    return NFunction(eval=lambda r: np.interp(r, rs, ms), label=label)
 
 
 class TestCertifyGrowth:
     @pytest.mark.parametrize("p", [2, 2.5, 3, 4, 7])
     def test_pure_power(self, p):
-        d, D, violations = certify_growth(power_nfunction(p))
+        grid = GridSpec()
+        d, D, violations = certify_growth(power_nfunction(p), grid)
         assert abs(d - p) < 1e-9
         assert abs(D - p) < 1e-9
         assert violations == []
+        d_oracle, D_oracle = all_pairs_chord_slopes(power_nfunction(p).eval, grid.r_min,
+                                                    grid.r_max, grid.points)
+        assert d == pytest.approx(d_oracle, rel=1e-12, abs=1e-12)
+        assert D == pytest.approx(D_oracle, rel=1e-12)
 
     def test_power_log_matches_grid_oracle(self):
         nf = power_log_nfunction(2.0)
         grid = GridSpec()
         d_est, D_est, violations = certify_growth(nf, grid)
         assert violations == []
-        d_oracle, D_oracle = dense_chord_slopes(nf.eval, grid.r_min, grid.r_max,
-                                                points=grid.points)
-        assert abs(D_est - D_oracle) < 1e-9
-        assert abs(d_est - d_oracle) < 1e-9
+        d_oracle, D_oracle = all_pairs_chord_slopes(nf.eval, grid.r_min, grid.r_max,
+                                                    grid.points)
+        assert d_est == pytest.approx(d_oracle, rel=1e-12, abs=1e-12)
+        assert D_est == pytest.approx(D_oracle, rel=1e-12)
         # upper slope approaches p+1 = 3 at small radii
         assert abs(D_est - 3.0) < 1e-6
         # lower slope approaches p = 2 from above as the grid extends
@@ -58,23 +67,10 @@ class TestCertifyGrowth:
         _, _, violations = certify_growth(nf)
         assert violations and "D_exp" in violations[0]
 
-    @pytest.mark.parametrize("nf", [power_nfunction(2.5), power_log_nfunction(2.0),
-                                    table_nfunction([0, 1, 2, 3], [0, 1, 5, 6])],
-                             ids=["power", "power-log", "table"])
-    def test_extremes_equal_the_all_pairs_chord_extremes(self, nf):
-        # brute force over every pair r1 < r2 of a small grid
-        grid = GridSpec(1e-3, 1e3, 60)
-        logr, logm = np.log(grid.nodes()), np.log(nf.eval(grid.nodes()))
-        j, k = np.triu_indices(logr.size, 1)
-        chords = (logm[k] - logm[j]) / (logr[k] - logr[j])
-        d, D, _ = certify_growth(nf, grid)
-        assert d == pytest.approx(chords.min(), rel=1e-12, abs=1e-12)
-        assert D == pytest.approx(chords.max(), rel=1e-12)
-
     def test_violation_names_the_pair_of_its_slope(self):
-        # the table's steepest and flattest slopes lie between different
-        # nodes than its first offending ones
-        nf = table_nfunction([0, 1, 2, 3], [0, 1, 5, 6])
+        # its steepest and flattest slopes lie between different nodes than
+        # its first offending ones
+        nf = piecewise_linear([0, 1, 2, 3], [0, 1, 5, 6])
         nf.d_exp, nf.D_exp = 1.5, 2.0
         _, _, violations = certify_growth(nf)
         assert len(violations) == 2
@@ -96,6 +92,22 @@ class TestCertifyGrowth:
                        label="wiggle")
         with pytest.raises(CertificationError, match="non-decreasing"):
             certify_growth(nf, GridSpec(0.1, 10.0, 100))
+
+
+class TestCertify:
+    @pytest.mark.parametrize("undeclared", ["d_exp", "D_exp", "delta2_const"])
+    def test_undeclared_metadata_rejected(self, undeclared):
+        # certify confirms declared indices; it estimates none from the grid
+        nf = power_nfunction(3)
+        setattr(nf, undeclared, None)
+        with pytest.raises(PreconditionError, match="declared"):
+            certify(nf)
+
+    def test_contradicted_exponent_rejected(self):
+        nf = power_log_nfunction(2.0)
+        nf.D_exp = 2.5
+        with pytest.raises(CertificationError, match="D_exp=2.5"):
+            certify(nf)
 
 
 class TestCertifyDelta2:
@@ -163,17 +175,3 @@ class TestLemmaYoung:
     def test_eps_out_of_range(self):
         with pytest.raises(PreconditionError, match="eps"):
             check_lemma_young(power_nfunction(2), 1.0, 1.0, 1.5)
-
-
-class TestTable:
-    def test_roundtrip(self):
-        # certify at the table's own knots, where interpolation is exact
-        rs = np.logspace(-2, 2, 50)
-        nf = table_nfunction(rs, rs ** 3, label="tab3")
-        d, D, _ = certify_growth(nf, GridSpec(rs[0], rs[-1], 50))
-        assert d == pytest.approx(3.0, abs=1e-9)
-        assert D == pytest.approx(3.0, abs=1e-9)
-
-    def test_decreasing_rejected(self):
-        with pytest.raises(CertificationError, match="non-decreasing"):
-            table_nfunction([1.0, 2.0, 3.0], [1.0, 0.5, 2.0])
