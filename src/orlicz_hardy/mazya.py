@@ -17,18 +17,22 @@ hold only for p > n.
 `mazya_B` takes the supremum on a log grid.  The inner integral near a is
 probed once on a decade ladder (`_endpoint_probe`): ratios of neighbouring
 rungs below 0.9 mean an integrable endpoint, anything larger a divergent
-one (the rule assumes a power-law endpoint).  Beyond the probe the inner
+one (the rule assumes a power-law endpoint).  Each rung is five geometric
+sub-pieces, which one panel each resolves.  Beyond the probe the inner
 integral is accumulated in pieces between neighbouring grid points
-(`_Objective`).  The ladder rungs, and the grid pieces of a sweep, are
-each read from one `quadrature.integrate_pieces` generator: every piece
-gets one Gauss-Kronrod panel in a single vectorised call, and only a piece
-that panel does not resolve is refined, when the walk reaches it, so a
-sweep costs a few short integrals rather than one per grid step.
+(`_Objective`).  The probe's sub-pieces, and the grid pieces of a sweep,
+are each read from one `quadrature.integrate_pieces` generator: every
+piece gets one Gauss-Kronrod panel in a single vectorised call, and only a
+piece that panel does not resolve is refined, when the walk reaches it, so
+a sweep costs a few short integrals rather than one per grid step.  Around
+the grid maximum, Brent's parabolic/golden-section search
+(`quadrature.brent_max`) starts from the grid value.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -37,8 +41,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .quadrature import (
+    brent_max,
     gaussian_tail_fn,
-    golden_max,
     integrate_interval,
     integrate_pieces,
     truncation_radius,
@@ -58,8 +62,9 @@ INNER_CAP = 1e12
 OBJECTIVE_CAP = 1e12
 PROBE_WIDTH = 1e-3  # the endpoint probe covers (a, a + PROBE_WIDTH]
 PROBE_RUNGS = 10  # decades of the endpoint ladder
+PROBE_SPLIT = 5  # geometric sub-pieces per rung, each 10^(1/5) wide
 # Tolerances of the supremum search; the run's QuadratureSpec does not apply.
-PROBE_REL_TOL, PROBE_ABS_TOL = 1e-10, 1e-300  # each rung of the endpoint probe
+PROBE_REL_TOL, PROBE_ABS_TOL = 1e-10, 1e-300  # each sub-piece of the endpoint probe
 PIECE_REL_TOL, PIECE_ABS_TOL = 1e-9, 1e-16  # each piece between knots
 
 
@@ -120,39 +125,46 @@ def _endpoint_probe(pair: MeasurePair) -> tuple[float, bool, bool]:
     """int over (a, a+PROBE_WIDTH] of nu_density^(-1/(p-1)), on its own scale.
 
     The endpoint is approached through a decade ladder.  For an integrand
-    ~ x^(-e) near a, successive ladder pieces form a geometric sequence with
+    ~ x^(-e) near a, successive ladder rungs form a geometric sequence with
     ratio 10^(e-1): ratios below 1 mean an integrable endpoint (the remaining
     tail is recovered by geometric extrapolation, exact for pure powers),
     ratios at or above ~1 mean logarithmic or power blow-up.  The rule
     assumes a power-law endpoint and counts a ratio of 0.9 or more as 1.
-    The rungs are one `integrate_pieces` batch, so a rung its first panel
-    does not resolve is refined only when the ladder reaches it.
+    Each rung is PROBE_SPLIT geometric sub-pieces, short enough that one
+    Gauss-Kronrod panel resolves each of them for a power-law endpoint, and
+    its value is their sum in order.  The sub-pieces are one
+    `integrate_pieces` batch, so one that its first panel does not resolve
+    is refined only when the ladder reaches it.
 
-    Returns (value, finite, converged); converged is False when a rung's
+    Returns (value, finite, converged); converged is False when a sub-piece's
     quadrature did not converge.
     """
-    los = [pair.a + PROBE_WIDTH * 10.0 ** (-k) for k in range(1, PROBE_RUNGS + 1)]
-    his = [pair.a + PROBE_WIDTH] + los[:-1]
-    pieces, total, converged = [], 0.0, True
+    ends = [pair.a + PROBE_WIDTH * 10.0 ** (-m / PROBE_SPLIT)
+            for m in range(PROBE_RUNGS * PROBE_SPLIT + 1)]
+    rungs, total, converged = [], 0.0, True
     try:
-        for piece in integrate_pieces(_nu_integrand(pair), los, his,
-                                      PROBE_REL_TOL, PROBE_ABS_TOL):
-            converged = converged and piece.converged
-            pieces.append(piece.value)
-            total += piece.value
+        pieces = integrate_pieces(_nu_integrand(pair), ends[1:], ends[:-1],
+                                  PROBE_REL_TOL, PROBE_ABS_TOL)
+        for _ in range(PROBE_RUNGS):
+            rung = 0.0
+            for piece in itertools.islice(pieces, PROBE_SPLIT):
+                converged = converged and piece.converged
+                rung += piece.value
+            rungs.append(rung)
+            total += rung
             if not math.isfinite(total) or total > INNER_CAP:
                 return math.inf, False, converged
     except Exception:
         return math.inf, False, converged
     floor = 1e-13 * max(abs(total), 1e-30)
-    if abs(pieces[-1]) <= floor:
+    if abs(rungs[-1]) <= floor:
         return total, True, converged
-    ratios = [pieces[j + 1] / pieces[j] for j in range(len(pieces) - 3, len(pieces) - 1)
-              if pieces[j] > 0.0]
+    ratios = [rungs[j + 1] / rungs[j] for j in range(len(rungs) - 3, len(rungs) - 1)
+              if rungs[j] > 0.0]
     if not ratios or max(ratios) >= 0.9:
         return math.inf, False, converged
     rho = max(ratios)
-    return total + pieces[-1] * rho / (1.0 - rho), True, converged
+    return total + rungs[-1] * rho / (1.0 - rho), True, converged
 
 
 class _Objective:
@@ -235,13 +247,15 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
 
     One sweep up the grid (`_Objective.sweep`) accumulates the inner
     integral piece by piece between neighbouring grid points, all read
-    from one `integrate_pieces` batch up to where the sweep stops.  Each
-    golden-section step around the grid maximum adds one piece to the stored
-    value at the grid point below.  Divergence is flagged when the endpoint
-    probe's decade ratios reach 0.9 (the inner integral blows up at the left
-    endpoint), when the objective exceeds its cap or a piece cannot be
-    integrated, or when it keeps growing across the last decade of the grid.
-    `converged` is False when any probe rung or piece did not converge.
+    from one `integrate_pieces` batch up to where the sweep stops.  Brent's
+    search (`brent_max`) on the grid points either side of the grid maximum
+    starts from it, and each step adds one piece to the stored value at the
+    grid point below; the grid value stands unless a step beats it.
+    Divergence is flagged when the endpoint probe's decade ratios reach 0.9
+    (the inner integral blows up at the left endpoint), when the objective
+    exceeds its cap or a piece cannot be integrated, or when it keeps growing
+    across the last decade of the grid.  `converged` is False when any probe
+    sub-piece or piece did not converge.
     A divergent endpoint gives a series that is inf at every grid point.
     """
     offsets, rs = _log_grid(pair, grid_points)
@@ -273,8 +287,8 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
                                objective.converged, tuple(series))
 
     best_r, best_v = float(rs[i]), float(vals[i])
-    r, v = golden_max(objective, float(rs[max(i - 1, 0)]),
-                      float(rs[min(i + 1, rs.size - 1)]))
+    r, v = brent_max(objective, float(rs[max(i - 1, 0)]),
+                     float(rs[min(i + 1, rs.size - 1)]), best_r, best_v)
     if v > best_v:
         best_r, best_v = r, v
     return MazyaResult(best_v, best_r, False, converged=objective.converged,

@@ -147,7 +147,9 @@ def certify_growth(nf: NFunction, grid: GridSpec | None = None):
 
 
 def certify_delta2(nf: NFunction, grid: GridSpec | None = None) -> float:
-    """Supremum of M(2r)/M(r) over the grid; raises DivergenceError past 1e12."""
+    """Supremum of M(2r)/M(r) over the grid; raises DivergenceError past
+    1e12, and CertificationError, naming the ratio and its r, when it is
+    more than 1e-9 above a declared delta2_const."""
     grid = grid or GridSpec()
     r, m = _grid_values(nf, grid)
     pos = m > 0
@@ -157,20 +159,27 @@ def certify_delta2(nf: NFunction, grid: GridSpec | None = None) -> float:
     with np.errstate(over="ignore"):
         m2 = np.asarray(nf.eval(2.0 * r), dtype=float)
     ratio = m2 / m
-    c_est = float(np.max(ratio))
+    top = int(np.argmax(ratio))
+    c_est = float(ratio[top])
     if not math.isfinite(c_est) or c_est > 1e12:
         raise DivergenceError(
             f"'{nf.label}': doubling ratio {c_est:.3g} exceeds cap 1e+12 "
             f"at grid max r={r[-1]:.6g}")
+    if nf.delta2_const is not None and c_est > nf.delta2_const + 1e-9:
+        raise CertificationError(
+            f"'{nf.label}': delta2_const={nf.delta2_const}: doubling ratio "
+            f"{c_est:.12g} > delta2_const at r={r[top]:.6g}")
     return c_est
 
 
 def certify(nf: NFunction, grid: GridSpec | None = None) -> NFunction:
-    """Return a copy whose declared exponents the grid has confirmed.
+    """Return a copy whose declared exponents and doubling constant the grid
+    has confirmed.
 
     d_exp, D_exp and delta2_const must be declared; a grid slope past
-    either exponent raises, and so does a doubling ratio past
-    `certify_delta2`'s cap.  Nothing is filled in from the grid.
+    either exponent raises, and so does a doubling ratio that
+    `certify_delta2` finds past its cap or above delta2_const.  Nothing is
+    filled in from the grid.
     """
     if None in (nf.d_exp, nf.D_exp, nf.delta2_const):
         raise PreconditionError(

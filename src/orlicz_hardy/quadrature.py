@@ -52,7 +52,7 @@ __all__ = [
     "integrate_gaussian_nd",
     "sphere_directions",
     "gk_rule",
-    "golden_max",
+    "brent_max",
 ]
 
 # The sphere rule: SPHERE_NODES directions on S^(n-1), in antithetic pairs
@@ -269,8 +269,9 @@ def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14
     `_gk_panels` call; a piece that panel does not resolve (the test
     `_adaptive` makes after its first sweep) is refined from it only when
     the caller reaches it.  A zero-width piece yields 0 without evaluating
-    f.  If the batch raises, each piece is integrated on its own when
-    reached, so a piece's error surfaces only at that piece.
+    f.  If the batch raises, it is halved, and each half is tried as a
+    batch of its own when the caller reaches it, so a piece's error
+    surfaces only at that piece and every piece before it keeps a batch.
     """
     los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
     wide = his > los
@@ -278,8 +279,11 @@ def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14
         vals, errs = (_gk_panels(f, los[wide], his[wide]) if wide.any()
                       else (np.empty((1, 0)), np.empty((1, 0))))
     except Exception:
-        for lo, hi in zip(los.tolist(), his.tolist()):
-            yield integrate_interval(f, lo, hi, rel_tol, abs_tol)
+        if los.size == 1:  # integrate_interval raises the same from the same panel
+            raise
+        h = los.size // 2
+        yield from integrate_pieces(f, los[:h], his[:h], rel_tol, abs_tol)
+        yield from integrate_pieces(f, los[h:], his[h:], rel_tol, abs_tol)
         return
     ok = (errs <= np.maximum(abs_tol, rel_tol * np.abs(vals))).all(axis=0).tolist()
     values, errors = vals[0].tolist(), errs[0].tolist()
@@ -294,26 +298,65 @@ def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14
             yield IntegralResult(float(val[0]), float(err[0]), hi, converged=conv)
 
 
-def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section ascent of fn on [lo, hi] until the interval is shorter
-    than 1e-10 * max(1, hi), at most 80 steps.  Returns the better
-    (x, fn(x)) of the last two interior points, the first one on a tie."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
+def brent_max(fn, lo: float, hi: float, x: float, fx: float) -> tuple[float, float]:
+    """Brent's parabolic/golden-section ascent of fn on [lo, hi] from x in it,
+    whose value fx is known, until the bracket is shorter than
+    1e-10 * max(1, hi), at most 80 evaluations (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5).
+
+    A parabola through the best three points gives the step where it lies
+    inside the bracket and shrinks it fast enough; otherwise the step is a
+    golden section of the larger side.  No step is shorter than a third of
+    the stopping width, so the bracket can close.  Returns the best
+    (x, fn(x)) seen, the latest on a tie.
+    """
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
     for _ in range(80):
-        if b - a < 1e-10 * max(1.0, b):
+        width = 1e-10 * max(1.0, b)
+        if b - a < width:
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
+        tol = width / 3.0
+        m = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > tol:
+            # vertex of the parabola through (x, fx), (w, fw), (v, fv)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+            if parabolic:
+                e, d = d, p / q
+                if (x + d) - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = tol if x < m else -tol
+        if not parabolic:
+            e = (b - x) if x < m else (a - x)
+            d = golden * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = fn(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 # ---------------------------------------------------------------------------

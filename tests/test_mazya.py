@@ -184,7 +184,10 @@ def reference_objective(pair, r, probe, rel_tol=1e-9, probe_width=1e-3):
     return tail ** (1.0 / pair.q) * inner ** ((pair.p - 1.0) / pair.p), True
 
 
-def reference_mazya_B(pair, grid_points=240):
+def reference_mazya_B(pair, grid_points=240, searched=None):
+    """mazya_B with a fresh inner integral at every point, and the
+    golden-section search that Brent's replaced; the search's points are
+    appended to `searched`."""
     offsets = np.logspace(-3.0, math.log10(pair.grid_hi), grid_points)
     rs = pair.a + offsets
     probe, ok0, _ = mazya_mod._endpoint_probe(pair)
@@ -206,23 +209,28 @@ def reference_mazya_B(pair, grid_points=240):
             return mazya_mod.MazyaResult(float(vals[-1]), float(rs[-1]), True,
                                          "objective still growing at the grid boundary")
     best_r, best_v = float(rs[i]), float(vals[i])
+
+    def golden(r):
+        if searched is not None:
+            searched.append(r)
+        return reference_objective(pair, r, probe)[0]
+
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a_, b_ = float(rs[max(i - 1, 0)]), float(rs[min(i + 1, rs.size - 1)])
     c_ = b_ - phi * (b_ - a_)
     d_ = a_ + phi * (b_ - a_)
-    fc, _ = reference_objective(pair, c_, probe)
-    fd, _ = reference_objective(pair, d_, probe)
+    fc, fd = golden(c_), golden(d_)
     for _ in range(80):
         if b_ - a_ < 1e-10 * max(1.0, b_):
             break
         if fc >= fd:
             b_, d_, fd = d_, c_, fc
             c_ = b_ - phi * (b_ - a_)
-            fc, _ = reference_objective(pair, c_, probe)
+            fc = golden(c_)
         else:
             a_, c_, fc = c_, d_, fd
             d_ = a_ + phi * (b_ - a_)
-            fd, _ = reference_objective(pair, d_, probe)
+            fd = golden(d_)
     for r, v in ((c_, fc), (d_, fd)):
         if v > best_v:
             best_r, best_v = r, v
@@ -307,32 +315,62 @@ class TestCumulativeSearchOracle:
 # Oracle: the per-piece sweep that the batched first panels replaced
 # ---------------------------------------------------------------------------
 
+def ladder_verdict(rungs, total, converged):
+    """The decade ladder's 0.9 rule and geometric extrapolation."""
+    if abs(rungs[-1]) <= 1e-13 * max(abs(total), 1e-30):
+        return total, True, converged
+    ratios = [rungs[j + 1] / rungs[j] for j in range(len(rungs) - 3, len(rungs) - 1)
+              if rungs[j] > 0.0]
+    if not ratios or max(ratios) >= 0.9:
+        return math.inf, False, converged
+    rho = max(ratios)
+    return total + rungs[-1] * rho / (1.0 - rho), True, converged
+
+
 def per_piece_probe(pair):
-    """The endpoint ladder with one integrate_interval call per rung."""
+    """The endpoint ladder with one integrate_interval call per sub-piece."""
     integrand = mazya_mod._nu_integrand(pair)
-    pieces, total, converged = [], 0.0, True
+    ends = [pair.a + mazya_mod.PROBE_WIDTH * 10.0 ** (-m / mazya_mod.PROBE_SPLIT)
+            for m in range(mazya_mod.PROBE_RUNGS * mazya_mod.PROBE_SPLIT + 1)]
+    rungs, total, converged = [], 0.0, True
+    for k in range(mazya_mod.PROBE_RUNGS):
+        rung = 0.0
+        for j in range(k * mazya_mod.PROBE_SPLIT, (k + 1) * mazya_mod.PROBE_SPLIT):
+            try:
+                piece = integrate_interval(integrand, ends[j + 1], ends[j],
+                                           rel_tol=mazya_mod.PROBE_REL_TOL,
+                                           abs_tol=mazya_mod.PROBE_ABS_TOL)
+            except Exception:
+                return math.inf, False, converged
+            converged = converged and piece.converged
+            rung += piece.value
+        rungs.append(rung)
+        total += rung
+        if not math.isfinite(total) or total > mazya_mod.INNER_CAP:
+            return math.inf, False, converged
+    return ladder_verdict(rungs, total, converged)
+
+
+def decade_ladder_probe(pair):
+    """The endpoint ladder that the sub-pieces replaced: one integrate_interval
+    call per decade rung."""
+    integrand = mazya_mod._nu_integrand(pair)
+    rungs, total, converged = [], 0.0, True
     hi = pair.a + mazya_mod.PROBE_WIDTH
     for k in range(1, mazya_mod.PROBE_RUNGS + 1):
         lo = pair.a + mazya_mod.PROBE_WIDTH * 10.0 ** (-k)
         try:
-            piece = integrate_interval(integrand, lo, hi, rel_tol=mazya_mod.PROBE_REL_TOL,
-                                       abs_tol=mazya_mod.PROBE_ABS_TOL)
+            rung = integrate_interval(integrand, lo, hi, rel_tol=mazya_mod.PROBE_REL_TOL,
+                                      abs_tol=mazya_mod.PROBE_ABS_TOL)
         except Exception:
             return math.inf, False, converged
-        converged = converged and piece.converged
-        pieces.append(piece.value)
-        total += piece.value
+        converged = converged and rung.converged
+        rungs.append(rung.value)
+        total += rung.value
         if not math.isfinite(total) or total > mazya_mod.INNER_CAP:
             return math.inf, False, converged
         hi = lo
-    if abs(pieces[-1]) <= 1e-13 * max(abs(total), 1e-30):
-        return total, True, converged
-    ratios = [pieces[j + 1] / pieces[j] for j in range(len(pieces) - 3, len(pieces) - 1)
-              if pieces[j] > 0.0]
-    if not ratios or max(ratios) >= 0.9:
-        return math.inf, False, converged
-    rho = max(ratios)
-    return total + pieces[-1] * rho / (1.0 - rho), True, converged
+    return ladder_verdict(rungs, total, converged)
 
 
 class PerPieceObjective:
@@ -369,7 +407,8 @@ class PerPieceObjective:
 
 
 def per_piece_mazya_B(pair, grid_points=240):
-    """mazya_B with one integrate_interval call per grid piece and rung."""
+    """mazya_B with one integrate_interval call per grid piece and probe
+    sub-piece."""
     offsets, rs = mazya_mod._log_grid(pair, grid_points)
     probe, ok0, converged = per_piece_probe(pair)
     if not ok0:
@@ -395,8 +434,8 @@ def per_piece_mazya_B(pair, grid_points=240):
                                          "objective still growing at the grid boundary",
                                          objective.converged, series)
     best_r, best_v = float(rs[i]), float(vals[i])
-    r, v = quadrature.golden_max(objective, float(rs[max(i - 1, 0)]),
-                                 float(rs[min(i + 1, rs.size - 1)]))
+    r, v = quadrature.brent_max(objective, float(rs[max(i - 1, 0)]),
+                                float(rs[min(i + 1, rs.size - 1)]), best_r, best_v)
     if v > best_v:
         best_r, best_v = r, v
     return mazya_mod.MazyaResult(best_v, best_r, False, converged=objective.converged,
@@ -414,6 +453,24 @@ def count_interval_calls(monkeypatch):
         return real(f, edges, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_adaptive", counting)
+    return calls
+
+
+def count_panel_sweeps(monkeypatch):
+    """Count `_gk_panels` and `_adaptive` calls."""
+    calls = {"gk": 0, "adaptive": 0}
+    real_gk, real_adaptive = quadrature._gk_panels, quadrature._adaptive
+
+    def gk(*args, **kwargs):
+        calls["gk"] += 1
+        return real_gk(*args, **kwargs)
+
+    def adaptive(*args, **kwargs):
+        calls["adaptive"] += 1
+        return real_adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_gk_panels", gk)
+    monkeypatch.setattr(quadrature, "_adaptive", adaptive)
     return calls
 
 
@@ -454,7 +511,8 @@ class TestBatchedSweepOracle:
     def test_integral_count(self, monkeypatch):
         calls = count_interval_calls(monkeypatch)
         mazya_B(gaussian_pair(3, 2))
-        assert len(calls) <= 80  # the per-piece sweep makes 294
+        # 5 grid pieces and 10 search steps; the per-piece sweep makes 299
+        assert len(calls) <= 15
 
     def test_n1_probe_rungs_resolve_in_one_batch(self, monkeypatch):
         calls = count_interval_calls(monkeypatch)
@@ -501,6 +559,18 @@ class TestBatchedSweepOracle:
         assert res == per_piece_mazya_B(pair)
         assert mazya_B(pair).series == per_piece_mazya_B(pair).series
 
+    def test_overflowing_batch_is_halved_to_its_first_failing_piece(self, monkeypatch):
+        # the inner integrand e^x overflows past r = 709, far beyond the cap
+        # exit near r = 62; the grid batch raises, and its halves are tried
+        # as batches when the walk reaches them (each piece on its own: 193)
+        pair = dataclasses.replace(classical_pair(), label="overflows",
+                                   nu_density=lambda x: np.exp(-np.asarray(x, float)))
+        calls = count_panel_sweeps(monkeypatch)
+        res = mazya_B(pair)
+        assert calls == {"gk": 7, "adaptive": 0}
+        assert res.divergent and res.converged and "exceeds cap at r=62.37" in res.reason
+        assert res == per_piece_mazya_B(pair)
+
     def test_gaussian_mu_tail_equals_gaussian_tail(self):
         for p, n in GAUSSIAN_GRID:
             pair = gaussian_pair(p, n)
@@ -508,6 +578,60 @@ class TestBatchedSweepOracle:
             m = p + n - 1.0
             assert [pair.mu_tail(r) for r in rs] == [
                 quadrature.gaussian_tail(m, 1.0, float(r)) for r in rs]
+
+
+class TestEndpointSubPieces:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_agrees_with_the_decade_ladder_in_one_panel_sweep(self, monkeypatch, n):
+        # over p in [1.51, 4.0]: the ladder's exponents (n-1)/(p-1) run from
+        # 0 to 3.9, through both sides of the 0.9 rule at n = 2, 3
+        calls = count_panel_sweeps(monkeypatch)
+        for hundredths in range(151, 401):
+            pair = gaussian_pair(hundredths / 100.0, n)
+            calls.update(gk=0, adaptive=0)
+            value, finite, converged = mazya_mod._endpoint_probe(pair)
+            assert calls == {"gk": 1, "adaptive": 0}, (hundredths, calls)
+            ref_value, ref_finite, ref_converged = decade_ladder_probe(pair)
+            assert (finite, converged) == (ref_finite, ref_converged), hundredths
+            assert close(value, ref_value, 1e-14), (hundredths, value, ref_value)
+
+
+class TestBrentSearch:
+    def test_B_of_the_golden_section_search_in_half_its_evaluations(self, monkeypatch):
+        pair = gaussian_pair(3, 2)
+        golden = []
+        ref = reference_mazya_B(pair, searched=golden)
+        brent = []
+        real = mazya_mod.brent_max
+
+        def counting(fn, *args):
+            return real(lambda r: brent.append(r) or fn(r), *args)
+
+        monkeypatch.setattr(mazya_mod, "brent_max", counting)
+        res = mazya_B(pair)
+        assert close(res.B, ref.B, 1e-15), (res.B, ref.B)
+        assert 0 < len(brent) <= len(golden) // 2, (len(brent), len(golden))
+
+    @pytest.mark.parametrize("peak", [0.3, 1.0 / 3.0, 0.7])
+    def test_finds_a_smooth_maximum_inside_the_stopping_width(self, peak):
+        def fn(x):
+            return math.exp(-(x - peak) ** 2) + 0.1 * (x - peak) ** 3
+
+        seen = {0.5: fn(0.5)}
+
+        def recorded(x):
+            seen[x] = fn(x)
+            return seen[x]
+
+        x, fx = quadrature.brent_max(recorded, 0.0, 1.0, 0.5, seen[0.5])
+        # fn is flat to rounding within about sqrt(eps) of the peak
+        assert abs(x - peak) < 1e-7 and fx == max(seen.values()) == fn(x)
+        assert len(seen) < 30
+
+    def test_keeps_the_start_when_nothing_beats_it(self):
+        # a maximum at the start, on the bracket's end: every step is worse
+        x, fx = quadrature.brent_max(lambda r: -r, 1.0, 2.0, 1.0, -1.0)
+        assert (x, fx) == (1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +665,7 @@ class TestNonConvergence:
 
     def test_flagged_grid_fallback_piece_reaches_result(self, monkeypatch):
         # gaussian(2.2, 2) has grid pieces that one panel does not resolve;
-        # flag only those, not the golden-section steps or the probe rungs
+        # flag only those, not the search steps or the probe sub-pieces
         pair = gaussian_pair(2.2, 2)
         _, rs = mazya_mod._log_grid(pair, 240)
         grid_pieces = set(zip(rs[:-1].tolist(), rs[1:].tolist()))

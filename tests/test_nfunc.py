@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orlicz_hardy.corpus import load_manifest
 from orlicz_hardy.errors import CertificationError, DivergenceError, PreconditionError
 from orlicz_hardy.nfunc import (
     GridSpec,
@@ -108,6 +109,23 @@ class TestCertify:
         nf.D_exp = 2.5
         with pytest.raises(CertificationError, match="D_exp=2.5"):
             certify(nf)
+
+    def test_understated_doubling_constant_rejected(self):
+        # r^2 log(1 + r) doubles by up to 8 near 0; a declared 1.5 is named
+        # with the measured ratio and its node
+        nf = power_log_nfunction(2.0)
+        nf.delta2_const = 1.5
+        with pytest.raises(CertificationError,
+                           match=r"delta2_const=1.5: doubling ratio 7.99999\d* > "
+                                 r"delta2_const at r=1e-06"):
+            certify(nf)
+
+    def test_packaged_nfunctions_certify_their_doubling_constants(self):
+        nfs = load_manifest().nfunctions
+        assert sorted(nfs) == ["p2", "p2.5", "p2log", "p3", "p4"]
+        for nf in nfs.values():
+            assert certify(nf).delta2_const == nf.delta2_const
+            assert certify_delta2(nf) <= nf.delta2_const + 1e-9
 
 
 class TestCertifyDelta2:

@@ -469,6 +469,31 @@ class TestIntegratePieces:
             next(pieces)
 
 
+    def test_a_raising_batch_is_halved_when_reached(self):
+        # pieces from x = 1 on are non-finite: the batch of 8 raises, the
+        # first half is one batch, and the second is halved down to [1, 1.25]
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size // 15)
+            return np.where(x < 1.0, 1.0 + x, np.inf)
+
+        edges = np.linspace(0.0, 2.0, 9).tolist()
+        pieces = integrate_pieces(f, edges[:-1], edges[1:], 1e-10, 1e-14)
+        got = [next(pieces) for _ in range(4)]
+        assert sizes == [8, 4]
+        for piece, lo, hi in zip(got, edges[:4], edges[1:5]):
+            ref = integrate_interval(lambda x: 1.0 + x, lo, hi, 1e-10, 1e-14)
+            assert (piece.value, piece.radius, piece.converged) == (
+                ref.value, ref.radius, ref.converged)
+            # a linear f's error is the roundoff floor, a matrix product
+            # whose last bit depends on how many panels share the call
+            assert piece.err_est == pytest.approx(ref.err_est, rel=1e-15)
+        with pytest.raises(EvaluationError):
+            next(pieces)
+        assert sizes == [8, 4, 4, 2, 1]
+
+
 class TestMedian:
     def test_bit_identical_to_numpy(self):
         # the refiner's split threshold must not move: compare bits, ties included
