@@ -20,13 +20,14 @@ from .functionals import (
     truncate,
 )
 from .hardy import (
+    FORMS,
     check_alternative,
     check_convex_case,
+    check_hn1,
     check_linear,
-    check_nd,
-    check_norm_form_nd,
-    check_norm_form_radial,
+    check_norm_form,
     check_p2_exact,
+    check_wwww,
     convex_constants,
     linear_constants,
 )

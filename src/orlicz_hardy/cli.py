@@ -13,7 +13,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -29,7 +28,13 @@ from . import mazya as mazya_mod
 from . import sharpness as sharp_mod
 from .errors import ManifestError, OrliczHardyError, PreconditionError
 from .functionals import modular_triple_nd, modular_triple_radial
-from .quadrature import SPHERE_NODES, SPHERE_SEED, QuadratureSpec
+from .quadrature import (
+    SPHERE_NODES,
+    SPHERE_SEED,
+    GaussianMeasure,
+    QuadratureSpec,
+    RadialMeasure,
+)
 from .reporting import (
     TOOL_VERSION,
     Check,
@@ -40,8 +45,6 @@ from .reporting import (
 
 DEFAULT_ALPHAS = (0.0, 0.5, 0.9, 0.99, 0.999)
 DEFAULT_THETAS = (0.25, 0.5, 1.0)
-# radial members whose www norm form runs when no --form is given
-NORM_FORM_SUBSET = ("ga_mild", "bump_mid", "pg_decay")
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -77,96 +80,53 @@ def run_certify(manifest, checks: list):
             details={"grid_fingerprint": nf.grid_fingerprint}))
 
 
-def _hardy_forms(form, nf, n: int) -> tuple[list, list]:
-    """The radial and the n-dimensional forms a hardy run of `form` (None:
-    every form but hn11) checks under nf at dimension n."""
-    d, D = nf.require_exponents()
-    above_two = d >= 2.0 and D > 2.0
-    radial = [name for name, selects, admitted in (
-        ("alternative", ("term1", "term2"), above_two),
-        ("liniowe", ("liniowe",), above_two and D + n >= math.e + 2.0),
-        ("ww", ("ww",), True),
-        ("p2_exact", ("p2_exact",), abs(D - 2.0) < 1e-12 and abs(d - 2.0) < 1e-12),
-        ("www", ("www",), True),
-        ) if admitted and form in (None, *selects)]
-    nd = [name for name, selected, admitted in (
-        ("hn1", form in (None, "hn1"), True),
-        ("wwww", form in (None, "wwww"), d >= 2.0 and D > max(2.0, math.e + 2.0 - n)),
-        ("hn11", form == "hn11", True),
-        ) if selected and admitted]
-    return radial, nd
-
-
-def _radial_check(name: str, u, triple, nf, n: int, spec, **meta):
-    """The radial Hardy check of form `name` on u's triple under nf."""
-    d, D = nf.require_exponents()
-    if name == "alternative":
-        return hardy_mod.check_alternative(triple, d, D, n, **meta)
-    if name == "liniowe":
-        c1, c2 = hardy_mod.linear_constants(D, d, n)
-        return hardy_mod.check_linear(triple, c1, c2, n=n, **meta)
-    if name == "ww":
-        return hardy_mod.check_convex_case(triple, D, n, **meta)
-    if name == "p2_exact":
-        return hardy_mod.check_p2_exact(triple, n, **meta)
-    return hardy_mod.check_norm_form_radial(u, nf, n, triple, spec, **meta)
-
-
 def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
               normalized=False):
-    """Radial and n-dimensional Hardy batteries over the corpus.  At each
+    """The rows of `hardy.FORMS` over the corpus: the row whose selectors
+    hold `form`, or without one every row on its default subjects.  At each
     dimension every radial member, and every field, is one modular family
-    spanning each N-function it is checked under."""
+    spanning each N-function that some row of its side admits.  A run in
+    which no row admits any (N-function, dimension) is a PreconditionError."""
     nfuncs = dict(sorted(({nfunc_label: manifest.nfunc(nfunc_label)} if nfunc_label
                           else manifest.nfunctions).items()))
-    norm_tag = "normalized" if normalized else "unnormalized"
+    rows = [row for row in hardy_mod.FORMS
+            if (form in row.selectors if form else row.default != ())]
+    admitted_anywhere = False
     for n in dims:
-        forms = {nf_label: _hardy_forms(form, nf, n) for nf_label, nf in nfuncs.items()}
-
-        def spanning(side: int, subjects, triples_of) -> dict:
-            """label -> (subject, {N-function label: triple}): each subject's
-            triples under every N-function whose radial (side 0) or
-            n-dimensional (side 1) forms run, from one family."""
-            under = [nf_label for nf_label in nfuncs if forms[nf_label][side]]
-            if not under:
-                return {}
+        admitted = {nf_label: [row for row in rows if row.admits(*nf.require_exponents(), n)]
+                    for nf_label, nf in nfuncs.items()}
+        admitted_anywhere = admitted_anywhere or any(admitted.values())
+        fields = [(label, factory.instantiate(n))
+                  for label, factory in sorted(manifest.field_functions.items())
+                  if factory.compatible(n)]
+        sides = {}  # side -> (measure, {label: (subject, {N-function label: triple})})
+        for nd, measure, subjects, triples_of in (
+                (False, RadialMeasure(n), sorted(manifest.radial_functions.items()),
+                 lambda u, nfs: modular_triple_radial(u, nfs, n, spec)),
+                (True, GaussianMeasure(n, normalized), fields,
+                 lambda u, nfs: modular_triple_nd(u, nfs, spec, normalized=normalized))):
+            # one family per subject, under each N-function some row of the side admits
+            under = [nf_label for nf_label, nf_rows in admitted.items()
+                     if any(row.nd == nd for row in nf_rows)]
             nfs = [nfuncs[nf_label] for nf_label in under]
-            return {label: (u, dict(zip(under, triples_of(u, nfs)))) for label, u in subjects}
-
-        radial = spanning(0, sorted(manifest.radial_functions.items()),
-                          lambda u, nfs: modular_triple_radial(u, nfs, n, spec))
-        fields = spanning(
-            1, [(label, factory.instantiate(n))
-                for label, factory in sorted(manifest.field_functions.items())
-                if factory.compatible(n)],
-            lambda u, nfs: modular_triple_nd(u, nfs, spec, normalized=normalized))
+            sides[nd] = measure, {label: (u, dict(zip(under, triples_of(u, nfs))))
+                                  for label, u in subjects if under}
         for nf_label, nf in nfuncs.items():
-            radial_forms, nd_forms = forms[nf_label]
-
-            def labels(family, u_label):
-                return {"check_id": f"{family}:{nf_label}:{u_label}:n={n}",
-                        "nfunc_label": nf_label, "subject_label": u_label}
-
-            # admissible corpus: members whose modulars are finite for this M;
-            # without --form the www norm form runs on a subset of them
-            for u_label, (u, by_nf) in radial.items():
-                triple = by_nf.get(nf_label)
-                if triple is None or not triple.valid:
-                    continue
-                for name in radial_forms:
-                    if name != "www" or form == "www" or u_label in NORM_FORM_SUBSET:
-                        checks.append(_radial_check(name, u, triple, nf, n, spec,
-                                                    **labels(name, u_label)))
-            for f_label, (field, by_nf) in fields.items():
-                for name in nd_forms:
-                    if name == "hn11":
-                        checks.append(hardy_mod.check_norm_form_nd(
-                            field, nf, n, by_nf[nf_label], spec, normalized=normalized,
-                            **labels(name, f_label)))
-                    else:
-                        checks.append(hardy_mod.check_nd(
-                            by_nf[nf_label], nf, n, name, normalization=norm_tag,
-                            **labels(name, f_label)))
+            for row in admitted[nf_label]:
+                measure, subjects = sides[row.nd]
+                # the admissible corpus: subjects whose modulars are finite for nf
+                for u_label, (u, by_nf) in subjects.items():
+                    triple = by_nf[nf_label]
+                    if triple.valid and (form or row.default is None or u_label in row.default):
+                        checks.append(row.check(
+                            u, triple, nf, measure, spec,
+                            check_id=f"{row.name}:{nf_label}:{u_label}:n={n}",
+                            nfunc_label=nf_label, subject_label=u_label))
+    if not admitted_anywhere:
+        raise PreconditionError(
+            "no (N-function, dimension) of this run meets the hypothesis of "
+            + "; ".join(f"form {row.name} (--form {'|'.join(row.selectors)}): "
+                        f"{row.hypothesis}" for row in rows))
 
 
 def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
@@ -410,10 +370,12 @@ class Battery:
 
 
 def _mazya_kwargs(args) -> dict:
-    """--gaussian (with --p, --n), --classical and --pair, each optional;
-    with none of them the classical pair and a (p, n) grid."""
+    """--gaussian (with --p, --n, which need it), --classical and --pair,
+    each optional; with none of them the classical pair and a (p, n) grid."""
     pair = load_pair_config(args.pair) if args.pair else None
     gaussian = []
+    if not args.gaussian and (args.p is not None or args.n is not None):
+        raise PreconditionError("--p and --n apply only with --gaussian")
     if args.gaussian:
         if args.p is None or args.n is None:
             raise PreconditionError("--gaussian requires --p and --n")
@@ -443,8 +405,7 @@ BATTERIES = (
                                         normalized=run.normalized, **kw),
             flags=(("--nfunc", {"default": None}), _DIM,
                    ("--form", {"default": None, "choices": [
-                       "term1", "term2", "liniowe", "ww", "www", "hn1", "hn11",
-                       "wwww", "p2_exact"]})),
+                       selector for row in hardy_mod.FORMS for selector in row.selectors]})),
             from_args=lambda args: {"dims": args.dim, "nfunc_label": args.nfunc,
                                     "form": args.form},
             in_all=lambda dims: {"dims": dims}),

@@ -1,4 +1,6 @@
-"""Hardy-type inequality checks for the radial Gaussian measure.
+"""Hardy-type inequality checks on the radial and the Gaussian measure, and
+`FORMS`, the table of the forms the `hardy` battery runs: which forms
+exist, when each applies and how each is checked.
 
 Every check compares a left-hand modular against an explicit right-hand
 combination of modulars and reports the outcome with its slack, the
@@ -10,17 +12,13 @@ decision boundary, never coerced to a pass.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 from .errors import PreconditionError
-from .functionals import (
-    FieldFunction,
-    ModularTriple,
-    Parts,
-    RadialTestFunction,
-    luxemburg_norm,
-)
+from .functionals import ModularTriple, luxemburg_norm
 from .nfunc import NFunction, comparison_tol
-from .quadrature import GaussianMeasure, QuadratureSpec, RadialMeasure
+from .quadrature import GaussianMeasure, QuadratureSpec
 from .reporting import Check, verdict
 
 __all__ = [
@@ -30,9 +28,11 @@ __all__ = [
     "check_p2_exact",
     "convex_constants",
     "check_convex_case",
-    "check_norm_form_radial",
-    "check_nd",
-    "check_norm_form_nd",
+    "check_hn1",
+    "check_wwww",
+    "check_norm_form",
+    "Form",
+    "FORMS",
 ]
 
 def _check(inequality_id: str, lhs: float, rhs: float, constants: dict,
@@ -84,9 +84,8 @@ def check_alternative(triple: ModularTriple, d: float, D: float, n: int,
     When D + n >= e + 2 the term2 branch alone is asserted (it dominates the
     first branch in that regime); the report records which branch held.
     """
+    _BY_NAME["alternative"].require(d, D, n)
     _require_valid(triple)
-    if d < 2.0 - 1e-12 or D <= 2.0:
-        raise PreconditionError(f"requires d >= 2 and D > 2, got d={d}, D={D}")
     K, L, G = triple.K, triple.L, triple.G
     eK, eL, eG = triple.errs
     t1 = (D / d) ** (D / (D - 2.0)) * L
@@ -111,19 +110,24 @@ def check_alternative(triple: ModularTriple, d: float, D: float, n: int,
     return _check(branch, K, rhs, constants, err, triple, n=n, details=details, **meta)
 
 
-def linear_constants(D: float, d: float, n: int) -> tuple[float, float]:
-    """Explicit linear constants C1 = 2^(D-1) (D+n-2)^(D/2), C2 = 2^(D-1) D^D.
+def check_wwww(triple: ModularTriple, nf: NFunction, n: int, **meta) -> Check:
+    """Form wwww on R^n: K <= term2(L, G) for the `modular_triple_nd` of a
+    field, with the radial case's term2; meta may name its normalization."""
+    d, D = nf.d_exp, nf.D_exp
+    _BY_NAME["wwww"].require(d, D, n)
+    _require_valid(triple)
+    rhs, e_rhs = _term2(triple.L, triple.G, *triple.errs[1:], D, n)
+    return _check("wwww", triple.K, rhs, {"d": d, "D": D}, triple.errs[0] + e_rhs,
+                  triple, n=n, **meta)
 
-    Valid in the regime D + n >= e + 2; outside it the two-branch bound
-    (`check_alternative`) and the doubling-only constants (`check_convex_case`,
-    form ww) still apply.
+
+def linear_constants(D: float, d: float, n: int) -> tuple[float, float]:
+    """Explicit linear constants C1 = 2^(D-1) (D+n-2)^(D/2), C2 = 2^(D-1) D^D
+    of form liniowe, under its hypothesis (its row of `FORMS`); outside it
+    the two-branch bound (`check_alternative`) and the doubling-only
+    constants (`check_convex_case`, form ww) may still apply.
     """
-    if D <= 2.0 or d < 2.0 - 1e-12:
-        raise PreconditionError(f"requires D > 2 and d >= 2, got D={D}, d={d}")
-    if D + n < math.e + 2.0:
-        raise PreconditionError(
-            f"explicit constants need D + n >= e + 2 ({D + n:.3f} < {math.e + 2.0:.3f}); "
-            "outside it use the two-branch bound or the doubling-only form ww")
+    _BY_NAME["liniowe"].require(d, D, n)
     c1 = 2.0 ** (D - 1.0) * (D + n - 2.0) ** (D / 2.0)
     c2 = 2.0 ** (D - 1.0) * D ** D
     return c1, c2
@@ -185,22 +189,44 @@ def check_convex_case(triple: ModularTriple, D: float, n: int, **meta) -> Check:
     return check
 
 
-def _check_norm_form(form: str, parts: Parts, triple: ModularTriple,
-                     nf: NFunction, measure, n: int, spec: QuadratureSpec | None,
-                     **meta) -> Check:
-    """Norm form ||r f|| <= C (||f|| + ||f'||) with C = C1 + C2 + 1, from the
-    `parts()` of f on the measure, whose modulars at K = 1 are the L, G and
-    K of f's modular triple.  The ratio's error is the widest it moves
-    within the brackets of the three norms.
+def check_hn1(triple: ModularTriple, nf: NFunction, n: int, **meta) -> Check:
+    """Form hn1 on R^n: the doubling-only linear bound for the
+    `modular_triple_nd` of a field; meta may name its normalization (default
+    unnormalized).  The constants transfer unchanged from the radial case:
+    the spherical slicing applies the radial bound direction by direction."""
+    _, D = nf.require_exponents()
+    c1, c2, proof = convex_constants(D, n)
+    check = check_linear(triple, c1, c2, inequality_id="hn1", n=n, **meta)
+    check.constants_used.update(proof)
+    return check
+
+
+# ---------------------------------------------------------------------------
+# Norm forms
+# ---------------------------------------------------------------------------
+
+def check_norm_form(u, triple: ModularTriple, nf: NFunction, measure,
+                    spec: QuadratureSpec | None = None, **meta) -> Check:
+    """Norm form ||w u|| <= C (||u|| + ||u'||) with C = C1 + C2 + 1: form
+    www on a `RadialMeasure` (w = r), form hn11 on a `GaussianMeasure`
+    (w = |x|, u' the gradient).  The norms are those of the `parts()` of u,
+    whose modulars at K = 1 are the K, L and G of u's modular triple on the
+    measure; meta may name its normalization.  The ratio's error is the
+    widest it moves within the brackets of the three norms.
 
     C1, C2 are the doubling-case constants; the norm argument applies the
-    modular bound to f scaled by ||f|| + ||f'|| and uses that the modular
+    modular bound to u scaled by ||u|| + ||u'|| and uses that the modular
     equals 1 at the Luxemburg norm under doubling.
     """
+    n = measure.n
+    if getattr(u, "n", n) != n:
+        raise PreconditionError(f"field '{u.label}' has dimension {u.n}, not {n}")
     _require_valid(triple)
+    form = "hn11" if isinstance(measure, GaussianMeasure) else "www"
     _, D = nf.require_exponents()
     c1, c2, proof = convex_constants(D, n)
     c = c1 + c2 + 1.0
+    parts = u.parts()
     m_K, m_L, m_G = triple.modulars()
     norms = luxemburg_norm([(parts.L, m_L), (parts.G, m_G), (parts.K, m_K)],
                            nf, measure, spec)
@@ -224,73 +250,74 @@ def _check_norm_form(form: str, parts: Parts, triple: ModularTriple,
         "a quadrature verifying a Luxemburg norm did not converge")
 
 
-def check_norm_form_radial(u: RadialTestFunction, nf: NFunction, n: int,
-                           triple: ModularTriple,
-                           spec: QuadratureSpec | None = None,
-                           **meta) -> Check:
-    """Norm form www: ||r u|| <= C (||u|| + ||u'||) on the radial measure,
-    from the `modular_triple_radial` of (u, nf, n)."""
-    if nf.delta2_const is None:
-        raise PreconditionError(f"'{nf.label}' must be doubling-certified")
-    return _check_norm_form("www", u.parts(), triple, nf, RadialMeasure(n), n, spec, **meta)
-
-
 # ---------------------------------------------------------------------------
-# n-dimensional forms
+# The table of forms
 # ---------------------------------------------------------------------------
 
-def check_nd(triple: ModularTriple, nf: NFunction, n: int, form: str,
-             **meta) -> Check:
-    """Gaussian-measure modular inequality on R^n for the `modular_triple_nd`
-    of a field; meta may name its normalization (default unnormalized).
+@dataclass(frozen=True)
+class Form:
+    """One Hardy inequality of the `hardy` battery, a row of `FORMS`.
 
-    form="wwww": the term2-type bound, requires d >= 2 and D > max(2, e+2-n).
-    form="hn1":  linear bound with the doubling-case constants.
-
-    The constants transfer unchanged from the radial case: the spherical
-    slicing applies the radial bound direction by direction.
+    `nd` is its side: fields on R^n, checked on the `GaussianMeasure` of
+    their `modular_triple_nd` (True), or radial members on the
+    `RadialMeasure` of their `modular_triple_radial` (False).  `selectors`
+    are the `--form` values that run it.  `admits(d, D, n)` is its
+    hypothesis on the growth indices and the dimension, which `hypothesis`
+    states in words, and `rule(u, triple, nf, measure, spec, **meta)` its
+    check.  Without --form it runs on the subjects `default` names (None:
+    every one; empty: it runs only when --form selects it).
     """
-    d, D = nf.require_exponents()
-    meta = {**meta, "n": n}
 
-    if form == "wwww":
-        if d < 2.0 - 1e-12:
+    name: str
+    nd: bool
+    selectors: tuple
+    hypothesis: str
+    admits: Callable
+    rule: Callable
+    default: tuple | None = None
+
+    def require(self, d, D, n: int):
+        """Raise PreconditionError, naming the form and its hypothesis,
+        unless the growth indices d, D are declared and (d, D, n) meets it."""
+        if d is None or D is None or not self.admits(d, D, n):
             raise PreconditionError(
-                f"form wwww needs lower exponent >= 2, got d={d} for '{nf.label}'")
-        if D <= max(2.0, math.e + 2.0 - n):
-            raise PreconditionError(
-                f"form wwww needs D > max(2, e+2-n) = {max(2.0, math.e + 2.0 - n):.3f}, "
-                f"got D={D} for '{nf.label}'")
-        _require_valid(triple)
-        rhs, e_rhs = _term2(triple.L, triple.G, *triple.errs[1:], D, n)
-        return _check("wwww", triple.K, rhs, {"d": d, "D": D},
-                      triple.errs[0] + e_rhs, triple, **meta)
+                f"form {self.name} needs {self.hypothesis}, got d={d}, D={D}, n={n}")
 
-    if form == "hn1":
-        if nf.delta2_const is None:
-            raise PreconditionError(
-                f"form hn1 needs a doubling N-function, got '{nf.label}'")
-        _require_valid(triple)
-        c1, c2, proof = convex_constants(D, n)
-        check = check_linear(triple, c1, c2, inequality_id="hn1", **meta)
-        check.constants_used.update(proof)
-        return check
-
-    raise PreconditionError(f"unknown n-dimensional modular form {form!r}")
+    def check(self, u, triple: ModularTriple, nf: NFunction, measure,
+              spec: QuadratureSpec | None = None, **meta) -> Check:
+        """The form's check of u's modular triple under nf on the measure,
+        which names the check's normalization."""
+        self.require(nf.d_exp, nf.D_exp, measure.n)
+        return self.rule(u, triple, nf, measure, spec, normalization=(
+            "normalized" if getattr(measure, "normalized", False) else "unnormalized"),
+            **meta)
 
 
-def check_norm_form_nd(u: FieldFunction, nf: NFunction, n: int,
-                       triple: ModularTriple,
-                       spec: QuadratureSpec | None = None,
-                       normalized: bool = False, **meta) -> Check:
-    """Norm form hn11 on R^n: ||.|x| u|| <= C (||u|| + ||grad u||), the
-    norms of the field's profiles u and |grad u| and of |x| |u|, from the
-    `modular_triple_nd` of (u, nf) on the measure `normalized` names."""
-    if n != u.n:
-        raise PreconditionError(f"field '{u.label}' has dimension {u.n}, not {n}")
-    if nf.delta2_const is None:
-        raise PreconditionError(
-            f"form hn11 needs a doubling N-function, got '{nf.label}'")
-    return _check_norm_form(
-        "hn11", u.parts(), triple, nf, GaussianMeasure(n, normalized), n, spec,
-        normalization="normalized" if normalized else "unnormalized", **meta)
+# the hypothesis of the doubling-only forms: nothing beyond declared growth indices
+_DOUBLING = ("declared growth indices d, D", lambda d, D, n: True)
+
+FORMS = (
+    Form("alternative", False, ("term1", "term2"), "d >= 2 and D > 2",
+         lambda d, D, n: d >= 2.0 and D > 2.0,
+         lambda u, t, nf, m, spec, **kw: check_alternative(t, nf.d_exp, nf.D_exp, m.n, **kw)),
+    Form("liniowe", False, ("liniowe",), "d >= 2, D > 2 and D + n >= e + 2",
+         lambda d, D, n: d >= 2.0 and D > 2.0 and D + n >= math.e + 2.0,
+         lambda u, t, nf, m, spec, **kw: check_linear(
+             t, *linear_constants(nf.D_exp, nf.d_exp, m.n), n=m.n, **kw)),
+    Form("ww", False, ("ww",), *_DOUBLING,
+         lambda u, t, nf, m, spec, **kw: check_convex_case(t, nf.D_exp, m.n, **kw)),
+    Form("p2_exact", False, ("p2_exact",), "d = D = 2",
+         lambda d, D, n: abs(D - 2.0) < 1e-12 and abs(d - 2.0) < 1e-12,
+         lambda u, t, nf, m, spec, **kw: check_p2_exact(t, m.n, **kw)),
+    # without --form, www runs on three radial members only
+    Form("www", False, ("www",), *_DOUBLING, check_norm_form,
+         default=("ga_mild", "bump_mid", "pg_decay")),
+    Form("hn1", True, ("hn1",), *_DOUBLING,
+         lambda u, t, nf, m, spec, **kw: check_hn1(t, nf, m.n, **kw)),
+    Form("wwww", True, ("wwww",), "d >= 2 and D > max(2, e + 2 - n)",
+         lambda d, D, n: d >= 2.0 and D > max(2.0, math.e + 2.0 - n),
+         lambda u, t, nf, m, spec, **kw: check_wwww(t, nf, m.n, **kw)),
+    Form("hn11", True, ("hn11",), *_DOUBLING, check_norm_form, default=()),
+)
+
+_BY_NAME = {row.name: row for row in FORMS}

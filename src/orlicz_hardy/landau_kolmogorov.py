@@ -34,7 +34,7 @@ from .functionals import (
     _modular_family,
     luxemburg_norm,
 )
-from .hardy import check_nd
+from .hardy import check_hn1
 from .nfunc import NFunction, comparison_tol
 from .quadrature import GaussianMeasure, IntegralResult, QuadratureSpec
 from .reporting import TINY, Check
@@ -326,7 +326,7 @@ def hardy_provenance(u: FieldFunction, nf: NFunction, n: int,
     of the theta = 1 modular check.  Raises PreconditionError when the
     Hardy check fails."""
     _require_lk_hypotheses(u, nf)
-    hardy_check = check_nd(triple, nf, n, "hn1")
+    hardy_check = check_hn1(triple, nf, n)
     if hardy_check.verdict == "fails":
         raise PreconditionError(
             f"Hardy hypothesis fails for ('{u.label}', '{nf.label}', n={n})")

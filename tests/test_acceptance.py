@@ -20,9 +20,10 @@ from orlicz_hardy.functionals import (
 )
 from orlicz_hardy.hardy import (
     check_alternative,
+    check_hn1,
     check_linear,
-    check_nd,
     check_p2_exact,
+    check_wwww,
     linear_constants,
 )
 from orlicz_hardy.landau_kolmogorov import (
@@ -194,7 +195,7 @@ def test_09_nd_consistency(manifest, spec):
     nf3 = manifest.nfunc("p3")
     d, D = nf3.require_exponents()
     field = manifest.field_functions["fr_smooth"].instantiate(2)
-    rep_nd = check_nd(modular_triple_nd(field, nf3, spec), nf3, 2, "wwww")
+    rep_nd = check_wwww(modular_triple_nd(field, nf3, spec), nf3, 2)
     rep_rad = check_alternative(
         modular_triple_radial(field.radial_profile, nf3, 2, spec), d, D, 2)
     scale = surface_area(2)
@@ -205,10 +206,10 @@ def test_09_nd_consistency(manifest, spec):
     for label in ("fx_lin", "fx_quad", "fx_cross", "fx_cut"):
         f2 = manifest.field_functions[label].instantiate(2)
         p4, p2 = manifest.nfunc("p4"), manifest.nfunc("p2")
-        nonradial_ok &= check_nd(modular_triple_nd(f2, p4, spec), p4, 2,
-                                 "wwww").verdict in ("holds", "indeterminate")
-        nonradial_ok &= check_nd(modular_triple_nd(f2, p2, spec), p2, 2,
-                                 "hn1").verdict == "holds"
+        rep_p4 = check_wwww(modular_triple_nd(f2, p4, spec), p4, 2)
+        rep_p2 = check_hn1(modular_triple_nd(f2, p2, spec), p2, 2)
+        nonradial_ok &= rep_p4.verdict in ("holds", "indeterminate")
+        nonradial_ok &= rep_p2.verdict == "holds"
     _criterion(9, "spherical reduction consistency and non-radial transfer",
                agree and nonradial_ok,
                f"radial slack agreement within {rep_nd.err_est:.2e}")

@@ -15,6 +15,10 @@ from orlicz_hardy import hardy as hardy_mod
 from orlicz_hardy import landau_kolmogorov as lk_mod
 from orlicz_hardy import mazya as mazya_mod
 from orlicz_hardy.cli import main, run_hardy, run_lk
+from orlicz_hardy.errors import PreconditionError
+from orlicz_hardy.functionals import ModularTriple
+from orlicz_hardy.nfunc import NFunction
+from orlicz_hardy.quadrature import GaussianMeasure, RadialMeasure
 from orlicz_hardy.reporting import canonical_json
 
 SCHEMA = json.loads(
@@ -602,11 +606,50 @@ def exit_status(argv) -> int:
     (["lk", "--fit-grid=-1,2", "--dim", "1"], "[-1.0, 2.0]"),
     (["lk", "--fit-grid", "1,inf", "--dim", "1"], "[1.0, inf]"),
     (["lk", "--fit-grid", ",", "--dim", "1"], "[]"),
+    (["hardy", "--form", "p2_exact", "--nfunc", "p3", "--dim", "1"],
+     "form p2_exact (--form p2_exact): d = D = 2"),
+    (["hardy", "--form", "wwww", "--nfunc", "p2", "--dim", "1..3"],
+     "form wwww (--form wwww): d >= 2 and D > max(2, e + 2 - n)"),
+    (["hardy", "--form", "liniowe", "--nfunc", "p3", "--dim", "1"],
+     "form liniowe (--form liniowe): d >= 2, D > 2 and D + n >= e + 2"),
+    (["hardy", "--nfunc", "p2", "--form", "term1", "--dim", "1"],
+     "form alternative (--form term1|term2): d >= 2 and D > 2"),
+    (["mazya", "--p", "2"], "only with --gaussian"),
+    (["mazya", "--n", "3"], "only with --gaussian"),
+    (["mazya", "--classical", "--p", "2"], "only with --gaussian"),
 ], ids=["dim-descending", "dim-empty", "hardy-nfunc-unknown", "lk-nfunc-unknown",
-        "fit-grid-zero", "fit-grid-negative", "fit-grid-inf", "fit-grid-empty"])
+        "fit-grid-zero", "fit-grid-negative", "fit-grid-inf", "fit-grid-empty",
+        "form-p2_exact-p3", "form-wwww-p2", "form-liniowe-p3-n1", "form-term1-p2",
+        "mazya-p-alone", "mazya-n-alone", "mazya-classical-p"])
 def test_argument_naming_nothing_valid_exits_two(tmp_path, capsys, argv, shown):
-    # these once ran 0 checks and exited 0, reported fails, or ended in a
-    # KeyError traceback
+    # these once ran 0 checks and exited 0, ran a default that ignored the
+    # flag (mazya --p), reported fails, or ended in a KeyError traceback
     assert exit_status(["--out", str(tmp_path), *argv]) == 2
     assert shown in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("row", hardy_mod.FORMS, ids=lambda row: row.name)
+def test_hardy_form_row(manifest, spec, row):
+    # the --form choices are the rows' selectors, each once
+    (choices,) = [kwargs["choices"] for battery in cli.BATTERIES if battery.name == "hardy"
+                  for flag, kwargs in battery.flags if flag == "--form"]
+    assert sorted(choices) == sorted(s for r in hardy_mod.FORMS for s in r.selectors)
+    assert len(set(choices)) == len(choices)
+    # each selector checks something on the packaged corpus at n = 1..3, and
+    # every check it makes is the row's
+    for selector in row.selectors:
+        checks = []
+        run_hardy(manifest, spec, [1, 2, 3], checks, form=selector)
+        assert checks, selector
+        assert all(c.check_id.startswith(f"{row.name}:") for c in checks), selector
+    # outside its hypothesis the row's check raises, naming the form, through
+    # the predicate run_hardy admits by: an N-function without declared growth
+    # indices, and every packaged (N-function, n) the row does not admit
+    outside = [(NFunction(eval=lambda r: r * r, label="bare"), 1)] + [
+        (nf, n) for nf in manifest.nfunctions.values() for n in (1, 2, 3)
+        if not row.admits(nf.d_exp, nf.D_exp, n)]
+    for nf, n in outside:
+        measure = GaussianMeasure(n) if row.nd else RadialMeasure(n)
+        with pytest.raises(PreconditionError, match=f"form {row.name} needs"):
+            row.check(None, ModularTriple(0.0, 0.0, 0.0), nf, measure, spec)

@@ -588,14 +588,16 @@ class TestNormsFromTheTriple:
                       normalized=normalized)
             return [canonical_json(c.as_dict()) for c in checks]
 
-        def afresh_triple(form, parts, triple, nf, measure, *args, **kwargs):
-            fresh = functionals._modular_triple(parts[:3], nfs, measure, spec)
-            return original(form, parts, fresh[nfs.index(nf)], nf, measure,
+        def afresh_modulars(norms, nf, measure, *args, **kwargs):
+            (L, _), (G, _), (K, _) = norms
+            fresh = functionals._modular_triple((K, L, G), nfs, measure, spec)
+            m_K, m_L, m_G = fresh[nfs.index(nf)].modulars()
+            return original([(L, m_L), (G, m_G), (K, m_K)], nf, measure,
                             *args, **kwargs)
 
         handed = run()
-        original = hardy_mod._check_norm_form
-        monkeypatch.setattr(hardy_mod, "_check_norm_form", afresh_triple)
+        original = hardy_mod.luxemburg_norm
+        monkeypatch.setattr(hardy_mod, "luxemburg_norm", afresh_modulars)
         afresh = run()
         assert len(handed) > 0
         assert {json.loads(c)["nfunc_label"] for c in handed} == set(manifest.nfunctions)

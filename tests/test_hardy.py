@@ -13,16 +13,16 @@ from orlicz_hardy.functionals import (
 from orlicz_hardy.hardy import (
     check_alternative,
     check_convex_case,
+    check_hn1,
     check_linear,
-    check_nd,
-    check_norm_form_nd,
-    check_norm_form_radial,
+    check_norm_form,
     check_p2_exact,
+    check_wwww,
     convex_constants,
     linear_constants,
 )
 from orlicz_hardy.nfunc import power_nfunction
-from orlicz_hardy.quadrature import surface_area
+from orlicz_hardy.quadrature import GaussianMeasure, RadialMeasure, surface_area
 from orlicz_hardy.sharpness import ExtremalParams, extremal_function, extremal_moments
 
 ZERO = ModularTriple(0.0, 0.0, 0.0)
@@ -196,16 +196,16 @@ class TestNormFormRadial:
             du=lambda r: np.zeros_like(np.asarray(r, float)),
             hint=fmod.SupportHint.decaying(0.0, 0.0), label="zero")
         nf = manifest.nfunc("p3")
-        rep = check_norm_form_radial(zero, nf, 2,
-                                     modular_triple_radial(zero, nf, 2, spec), spec)
+        rep = check_norm_form(zero, modular_triple_radial(zero, nf, 2, spec), nf,
+                              RadialMeasure(2), spec)
         assert rep.verdict == "trivial"
 
     def test_corpus_ratio_below_constant(self, manifest, spec):
         nf = manifest.nfunc("p3")
         for label in ("bump_mid", "pg_decay"):
             u = manifest.radial_functions[label]
-            rep = check_norm_form_radial(
-                u, nf, 2, modular_triple_radial(u, nf, 2, spec), spec)
+            rep = check_norm_form(
+                u, modular_triple_radial(u, nf, 2, spec), nf, RadialMeasure(2), spec)
             assert rep.verdict == "holds"
             assert rep.details["ratio"] < rep.constants_used["C"]
 
@@ -216,9 +216,10 @@ class TestNormFormRadial:
         scaled = dataclasses.replace(
             u, u=lambda r: 7.0 * np.asarray(u.u(r), float),
             du=lambda r: 7.0 * np.asarray(u.du(r), float), label="7x")
-        r1 = check_norm_form_radial(u, nf, 2, modular_triple_radial(u, nf, 2, spec), spec)
-        r2 = check_norm_form_radial(scaled, nf, 2,
-                                    modular_triple_radial(scaled, nf, 2, spec), spec)
+        r1 = check_norm_form(u, modular_triple_radial(u, nf, 2, spec), nf,
+                             RadialMeasure(2), spec)
+        r2 = check_norm_form(scaled, modular_triple_radial(scaled, nf, 2, spec), nf,
+                             RadialMeasure(2), spec)
         assert r1.details["ratio"] == pytest.approx(r2.details["ratio"], rel=1e-8)
 
 
@@ -229,7 +230,7 @@ class TestCheckNd:
         factory = manifest.field_functions["fr_smooth"]
         for n in (2, 3):
             field = factory.instantiate(n)
-            rep_nd = check_nd(modular_triple_nd(field, nf, spec), nf, n, "wwww")
+            rep_nd = check_wwww(modular_triple_nd(field, nf, spec), nf, n)
             tri_rad = modular_triple_radial(field.radial_profile, nf, n, spec)
             rep_rad = check_alternative(tri_rad, d, D, n)
             area = surface_area(n)
@@ -240,7 +241,7 @@ class TestCheckNd:
         nf = manifest.nfunc("p2")
         factory = manifest.field_functions["fr_wide"]
         field = factory.instantiate(2)
-        rep_nd = check_nd(modular_triple_nd(field, nf, spec), nf, 2, "hn1")
+        rep_nd = check_hn1(modular_triple_nd(field, nf, spec), nf, 2)
         tri_rad = modular_triple_radial(field.radial_profile, nf, 2, spec)
         rep_rad = check_convex_case(tri_rad, 2.0, 2)
         assert rep_nd.verdict == rep_rad.verdict == "holds"
@@ -251,10 +252,10 @@ class TestCheckNd:
         nf4 = manifest.nfunc("p4")
         for label in ("fx_lin", "fx_quad", "fx_cut"):
             field = manifest.field_functions[label].instantiate(2)
-            rep = check_nd(modular_triple_nd(field, nf4, spec), nf4, 2, "wwww")
+            rep = check_wwww(modular_triple_nd(field, nf4, spec), nf4, 2)
             assert rep.verdict in ("holds", "indeterminate"), (label, rep.slack)
             p2 = manifest.nfunc("p2")
-            rep = check_nd(modular_triple_nd(field, p2, spec), p2, 2, "hn1")
+            rep = check_hn1(modular_triple_nd(field, p2, spec), p2, 2)
             assert rep.verdict == "holds", (label, rep.slack)
 
     @pytest.mark.parametrize("nf_label", ["p3", "p4"])
@@ -268,7 +269,7 @@ class TestCheckNd:
                                 nf, spec)
         nudged = ModularTriple(tri.K, math.nextafter(tri.L, math.inf),
                                math.nextafter(tri.G, math.inf), tri.errs)
-        for check in (lambda t: check_nd(t, nf, 2, "wwww"),
+        for check in (lambda t: check_wwww(t, nf, 2),
                       lambda t: check_alternative(t, d, D, 2)):
             before, after = check(tri), check(nudged)
             assert before.id in ("wwww", "term2")
@@ -276,20 +277,17 @@ class TestCheckNd:
 
     def test_norm_form_nd(self, manifest, spec):
         field, nf = manifest.field_functions["fx_lin"].instantiate(2), manifest.nfunc("p2")
-        rep = check_norm_form_nd(field, nf, 2, modular_triple_nd(field, nf, spec), spec)
+        rep = check_norm_form(field, modular_triple_nd(field, nf, spec), nf,
+                              GaussianMeasure(2), spec)
         assert rep.verdict == "holds"
         assert rep.details["ratio"] < rep.constants_used["C"]
-
-    def test_hypothesis_mismatch_named(self, manifest, spec):
-        with pytest.raises(PreconditionError, match="wwww"):
-            check_nd(ZERO, manifest.nfunc("p3"), 1, "wwww")
 
     def test_normalization_invariance(self, manifest, spec):
         nf = manifest.nfunc("p3")
         field = manifest.field_functions["fx_quad"].instantiate(2)
-        plain = check_nd(modular_triple_nd(field, nf, spec), nf, 2, "wwww")
-        norm = check_nd(modular_triple_nd(field, nf, spec, normalized=True), nf, 2,
-                        "wwww", normalization="normalized")
+        plain = check_wwww(modular_triple_nd(field, nf, spec), nf, 2)
+        norm = check_wwww(modular_triple_nd(field, nf, spec, normalized=True), nf, 2,
+                          normalization="normalized")
         factor = (2.0 * math.pi) ** (-1.0)
         assert norm.verdict == plain.verdict
         assert norm.slack == pytest.approx(factor * plain.slack, rel=1e-9)
