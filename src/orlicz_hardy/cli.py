@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -39,12 +40,10 @@ from .reporting import (
     TOOL_VERSION,
     Check,
     summarize_verdicts,
-    verdict,
     write_report,
 )
 
 DEFAULT_ALPHAS = (0.0, 0.5, 0.9, 0.99, 0.999)
-DEFAULT_THETAS = (0.25, 0.5, 1.0)
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -129,7 +128,18 @@ def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
                         f"{row.hypothesis}" for row in rows))
 
 
+def _error_ratio(value: float, exact: float, err_est: float) -> float:
+    """|value - exact| / err_est, 0 for an exact value and inf for an inexact
+    one with no error estimate."""
+    miss = abs(value - exact)
+    return miss / err_est if err_est > 0.0 else (0.0 if miss == 0.0 else math.inf)
+
+
 def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
+    """The extremal family's checks at each alpha; with no alpha nothing
+    would check p and n, so that is a PreconditionError."""
+    if not alphas:
+        raise PreconditionError("--alphas names no alpha")
     rows = []
     for alpha in alphas:
         params = sharp_mod.ExtremalParams(alpha, p, n)
@@ -143,15 +153,17 @@ def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
             nf = corpus_mod.build_nfunction(
                 {"label": f"r^{p:g}", "kind": "power", "params": {"p": p}})
             tri = modular_triple_radial(u, nf, n, spec)
-            worst = max(
-                abs(tri.K - cf.K) / cf.K,
-                abs(tri.L - cf.L) / cf.L,
-                (abs(tri.G - cf.G) / cf.G) if cf.G > 0 else abs(tri.G))
-            checks.append(Check(
-                "alfa_closed_form", verdict(worst, 1e-7, 0.0, 0.0),
+            # the quadrature is honest iff each of K, L, G lies within its
+            # err_est of the closed form: the worst |q - exact| / err_est <= 1
+            worst = max(_error_ratio(q, exact, err)
+                        for q, exact, err in zip((tri.K, tri.L, tri.G), (cf.K, cf.L, cf.G),
+                                                   tri.errs))
+            checks.append(Check.compare(
+                "alfa_closed_form", worst, 1.0, 0.0, 0.0,
                 check_id=f"alfa_closed_form:r^{p:g}:alpha={alpha:g}:n={n}",
-                lhs=worst, rhs=1e-7, constants_used={"K": cf.K, "L": cf.L, "G": cf.G},
-                nfunc_label=f"r^{p:g}", subject_label=f"alpha={alpha:g}", n=n))
+                constants_used={"K": cf.K, "L": cf.L, "G": cf.G},
+                nfunc_label=f"r^{p:g}", subject_label=f"alpha={alpha:g}", n=n,
+            ).require_converged(tri.converged, "a quadrature of the triple did not converge"))
     series[f"sharpness_p{p:g}_n{n}"] = rows
     scan_alphas = [a for a in alphas if a > 0.0]
     if p > 2.0 and len(scan_alphas) >= 2:
@@ -249,13 +261,13 @@ def run_mazya(checks: list, series: dict, gaussian=None, classical=False,
 
 
 def _record_fit(fit, nf_label: str, n: int, checks: list, fits: dict,
-                normalization=None, converged=True, **extra):
+                normalization=None, converged=True):
     """Record an LK envelope fit and its check, which an infeasible fit
     fails, and which is indeterminate unless the fitted terms converged."""
     fits[f"{fit.form}:{nf_label}:n={n}"] = {
         "C1": fit.c1, "C2": fit.c2, "binding": fit.binding_label,
         "corpus": list(fit.corpus_labels), "grid": list(fit.grid),
-        "feasible": fit.feasible, **extra,
+        "feasible": fit.feasible,
     }
     checks.append(Check(
         fit.form, "holds" if fit.feasible else "fails",
@@ -265,62 +277,50 @@ def _record_fit(fit, nf_label: str, n: int, checks: list, fits: dict,
     ).require_converged(converged, "a quadrature behind the fitted terms did not converge"))
 
 
-def run_lk(manifest, spec, dims, checks: list, series: dict, fits: dict,
-           nfunc_labels=("p2", "p3"), theta_grid=DEFAULT_THETAS,
-           fit_grid=lk_mod.DEFAULT_FIT_GRID, normalized=False):
+def run_lk(manifest, spec, dims, checks: list, fits: dict,
+           nfunc_labels=("p2", "p3"), fit_grid=lk_mod.DEFAULT_FIT_GRID,
+           normalized=False):
     for nf_label in nfunc_labels:
         nf = manifest.nfunc(nf_label)
         for n in dims:
             fields = [factory.instantiate(n)
                       for label, factory in sorted(manifest.field_functions.items())
                       if factory.compatible(n)]
-            _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
-                         theta_grid, fit_grid, normalized)
+            _run_lk_case(nf_label, nf, n, fields, spec, checks, fits, fit_grid,
+                         normalized)
 
 
-def _run_lk_case(nf_label, nf, n, fields, spec, checks, series, fits,
-                 theta_grid, fit_grid, normalized):
-    """The LK battery for one (N-function, n).  A norm check, and the norm
-    fit, rest on the theta = 1 terms, whose values are the norms' modulars
+def _run_lk_case(nf_label, nf, n, fields, spec, checks, fits, fit_grid, normalized):
+    """The LK battery for one (N-function, n).  Every check and fit rests on
+    the members' theta = 1 terms, whose values are also the norms' modulars
     at K = 1: each is indeterminate unless those converged."""
     # LK checks name only the normalized measure; the unnormalized default
     # is left to the report's own `normalization`, as before
     norm = "normalized" if normalized else None
-    # the modular terms come first: their theta = 1 terms are the norms'
-    # modulars at K = 1
     triples = {u.label: modular_triple_nd(u, nf, spec, normalized) for u in fields}
     fit_mod, terms = lk_mod.fit_lk_modular_envelope(
-        fields, nf, triples, spec, fit_grid, theta_grid, normalized)
+        fields, nf, triples, spec, fit_grid, normalized)
     fit_norm, rows = lk_mod.fit_lk_norm_envelope(fields, nf, terms, spec, fit_grid,
                                                  normalized)
-    m1_converged = {label: by_theta[1.0].converged for label, by_theta in terms.items()}
-    _record_fit(fit_norm, nf_label, n, checks, fits, norm, all(m1_converged.values()))
+    converged = {label: t.converged for label, t in terms.items()}
+    _record_fit(fit_norm, nf_label, n, checks, fits, norm, all(converged.values()))
     for label, *triple in rows:
         checks.append(lk_mod.check_lk_norm(
             triple, fit_norm.c1, fit_norm.c2,
             check_id=f"statB2gauss:{nf_label}:{label}:n={n}",
             nfunc_label=nf.label, subject_label=label, n=n, normalization=norm,
         ).require_converged(
-            m1_converged[label],
+            converged[label],
             "a quadrature behind the norms' modulars did not converge"))
 
-    _record_fit(fit_mod, nf_label, n, checks, fits, norm,
-                all(t.converged for by_theta in terms.values() for t in by_theta.values()),
-                theta_grid=list(theta_grid))
-    series[f"lk_theta_sweep:{nf_label}:n={n}"] = [
-        {"subject": label, "theta": th, "lhs": lhs,
-         "hess_modular": a, "func_modular": b}
-        for label, by_theta in terms.items()
-        for th, (lhs, a, b, *_) in by_theta.items() if fit_mod.feasible]
+    _record_fit(fit_mod, nf_label, n, checks, fits, norm, all(converged.values()))
     for u in fields:
-        # the theta = 1 check carries the Hardy hypothesis it rests on
-        provenance = lk_mod.hardy_provenance(u, nf, n, triples[u.label])
-        for theta, theta_terms in terms[u.label].items():
-            checks.append(lk_mod.check_lk_modular(
-                theta_terms, fit_mod.c1, fit_mod.c2, theta,
-                check_id=f"statB1:theta={theta:g}:{nf_label}:{u.label}:n={n}",
-                nfunc_label=nf.label, subject_label=u.label, n=n,
-                normalization=norm, provenance=provenance if theta == 1.0 else {}))
+        # each check carries the Hardy hypothesis it rests on
+        checks.append(lk_mod.check_lk_modular(
+            terms[u.label], nf, fit_mod.c1, fit_mod.c2,
+            check_id=f"statB1:{nf_label}:{u.label}:n={n}",
+            nfunc_label=nf.label, subject_label=u.label, n=n, normalization=norm,
+            provenance=lk_mod.hardy_provenance(u, nf, n, triples[u.label])))
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +437,14 @@ BATTERIES = (
                 (p, n) for p in (1.5, 2.0, 3.0, 4.0) for n in (1, 2, 3)]}),
     Battery("lk", "Landau-Kolmogorov envelope fits",
             lambda run, **kw: run_lk(run.manifest, run.spec, checks=run.checks,
-                                     series=run.series, fits=run.fits,
-                                     normalized=run.normalized, **kw),
+                                     fits=run.fits, normalized=run.normalized, **kw),
             flags=(("--nfunc", {
                        "type": lambda s: list(dict.fromkeys(t for t in s.split(",") if t)),
                        "default": ("p2", "p3")}), _DIM,
-                   ("--theta-grid", {"type": _floats, "default": DEFAULT_THETAS}),
                    ("--fit-grid", {"type": _floats, "default": lk_mod.DEFAULT_FIT_GRID,
                                    "help": "comma-separated constant grid "
                                            "(default powers of 2)"})),
             from_args=lambda args: {"dims": args.dim, "nfunc_labels": args.nfunc,
-                                    "theta_grid": args.theta_grid,
                                     "fit_grid": args.fit_grid},
             in_all=lambda dims: {"dims": [n for n in dims if n <= 2]}),
     Battery("all", "full verification battery", _run_all, flags=(_DIM,),

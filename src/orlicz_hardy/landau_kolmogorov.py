@@ -15,18 +15,20 @@ fitted envelopes over a declared corpus and constant grid: the report names
 the selected pair, the grid, and the binding corpus member, and never claims
 universality beyond the corpus.
 
-For a power M(r) = r^p, theta factors out of the modular form's terms
-exactly, M(theta a) = theta^p M(a), so `lk_modular_terms` rescales the
-theta = 1 terms rather than integrating them again at each theta.
+The modular form is checked for every theta in (0, 1] at once, from the
+theta = 1 terms alone: the growth indices d <= D of M bound its right side
+below by C1 theta^D H1 + C2 theta^-d L1, whose minimum over theta is in
+closed form (`uniform_bound`).  For a power (d = D) that is the right
+side's exact minimum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DivergenceError, EvaluationError, PreconditionError
+from .errors import DivergenceError, PreconditionError
 from .functionals import (
     FieldFunction,
     ModularTriple,
@@ -43,6 +45,7 @@ __all__ = [
     "LKFit",
     "LKTerms",
     "lk_modular_terms",
+    "uniform_bound",
     "check_lk_modular",
     "lk_norm_triple",
     "check_lk_norm",
@@ -57,11 +60,10 @@ DEFAULT_FIT_GRID = tuple(2.0 ** k for k in range(-3, 15))
 
 
 class LKTerms(NamedTuple):
-    """The theta-form modular inequality's terms at one theta: lhs
-    int M(|grad u|), the Hessian term int M(theta |hess u|_HS), the function
-    term int M(|u| / theta), their errors, whether every integral behind
-    them converged, and the panels (lo, hi) each term's family converged
-    on."""
+    """The theta-form modular inequality's terms at theta = 1: lhs
+    int M(|grad u|), the Hessian term int M(|hess u|_HS), the function term
+    int M(|u|), their errors, whether every integral behind them converged,
+    and the panels (lo, hi) each term's family converged on."""
 
     lhs: float
     hess_term: float
@@ -98,94 +100,79 @@ def _require_lk_hypotheses(u: FieldFunction, nf: NFunction):
             f"(certified lower exponent {d:.6g} < 2)")
 
 
-def lk_modular_terms(u: FieldFunction, nf: NFunction, thetas,
-                     triple: ModularTriple,
+def lk_modular_terms(u: FieldFunction, nf: NFunction, triple: ModularTriple,
                      spec: QuadratureSpec | None = None,
-                     normalized: bool = False) -> dict:
-    """theta -> `LKTerms` of the theta-form modular inequality, for each
-    theta in thetas.  `triple` is the `modular_triple_nd` of (u, nf): its G
-    is the lhs int M(|grad u|) and its L the theta = 1 function term.  The
-    theta = 1 Hessian term H1, m1 of ||hess u|| in `lk_norm_triple`, is a
-    family of its own, so it does not move with the other thetas.
-
-    Under a power M (certified d = D = p, as `luxemburg_norm` tests it),
-    M(theta a) = theta^p M(a) pointwise, so the terms at theta != 1 are
-    theta^p H1 and theta^-p L, their errors scaled alike, and integrate
-    nothing; a scaled term that is not finite raises EvaluationError.
-    Under any other M the Hessian and function terms at every theta != 1
-    are one `_modular_family` of the field's H and L parts, each scaled by
-    theta through its transform, so the Hessian parts share one profile of
-    the field, as its function parts do."""
+                     normalized: bool = False) -> LKTerms:
+    """The `LKTerms` of (u, nf) at theta = 1.  `triple` is the
+    `modular_triple_nd` of (u, nf): its G is the lhs int M(|grad u|) and its
+    L the function term.  The Hessian term H1 = int M(|hess u|_HS), m1 of
+    ||hess u|| in `lk_norm_triple`, is one `_modular_family` of the field's H
+    part.  Every other theta is bounded from these by `uniform_bound`."""
     _require_lk_hypotheses(u, nf)
-    thetas = tuple(dict.fromkeys(thetas))
-    for theta in thetas:
-        if not (0.0 < theta <= 1.0):
-            raise PreconditionError(f"theta must lie in (0, 1], got {theta}")
-    spec = spec or QuadratureSpec()
-    meas = GaussianMeasure(u.n, normalized)
-    parts = u.parts()
-    d, D = nf.require_exponents()
-    scaled = [theta for theta in thetas if theta != 1.0]
-
-    def family(parts):
-        results = _modular_family(parts, meas, spec)
-        if None in results:
-            raise DivergenceError("modular diverges under the truncation policy")
-        return results
-
-    hess_terms = {}
-    funcs = {1.0: IntegralResult(triple.L, triple.errs[1], converged=triple.converged,
-                                 panels=triple.panels)}
-    if 1.0 in thetas or (d == D and scaled):
-        hess_terms[1.0], = family([(parts.H, nf)])
-    if d == D:
-        for theta in scaled:
-            hess_terms[theta] = _rescaled(hess_terms[1.0], theta, D)
-            funcs[theta] = _rescaled(funcs[1.0], theta, -D)
-    elif scaled:
-        found = family(
-            [(replace(parts.H, transform=lambda a, x, theta=theta: theta * a), nf)
-             for theta in scaled]
-            + [(replace(parts.L, transform=lambda a, x, theta=theta: a / theta), nf)
-               for theta in scaled])
-        hess_terms.update(zip(scaled, found))
-        funcs.update(zip(scaled, found[len(scaled):]))
-    return {theta: LKTerms(triple.G, hess_terms[theta].value, funcs[theta].value,
-                           (triple.errs[2], hess_terms[theta].err_est, funcs[theta].err_est),
-                           triple.converged and hess_terms[theta].converged
-                           and funcs[theta].converged,
-                           (triple.panels, hess_terms[theta].panels, funcs[theta].panels))
-            for theta in thetas}
+    hess, = _modular_family([(u.parts().H, nf)], GaussianMeasure(u.n, normalized),
+                            spec or QuadratureSpec())
+    if hess is None:
+        raise DivergenceError("modular diverges under the truncation policy")
+    return LKTerms(triple.G, hess.value, triple.L,
+                   (triple.errs[2], hess.err_est, triple.errs[1]),
+                   triple.converged and hess.converged,
+                   (triple.panels, hess.panels, triple.panels))
 
 
-def _rescaled(term: IntegralResult, theta: float, power: float) -> IntegralResult:
-    """The term of a power M at theta: theta^power times the term at theta
-    = 1 and its error, on that term's panels."""
-    try:
-        scale = theta ** power
-    except OverflowError:
-        scale = math.inf
-    value, err = scale * term.value, scale * term.err_est
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise EvaluationError(
-            f"LK term non-finite at theta={theta:g}: theta^{power:g} times its "
-            f"theta = 1 value overflows")
-    return replace(term, value=value, err_est=err)
+def uniform_bound(terms: LKTerms, c1: float, c2: float, d: float,
+                  D: float) -> tuple[float, float, float, float]:
+    """(theta*, hessian part, function part, err) of the least right side
+    the growth indices d <= D of M allow over theta in (0, 1].
+
+    For theta <= 1, M(theta a) >= theta^D M(a) and M(a / theta) >=
+    theta^-d M(a), so the right side at theta is at least
+    C1 theta^D H1 + C2 theta^-d L1, with H1 and L1 the theta = 1 terms.
+    That bound is least at theta* = min(1, (d C2 L1 / (D C1 H1))^(1/(d+D))),
+    where the parts are its two summands and err is err_G plus theta*^D C1
+    err_H1 plus theta*^-d C2 err_L1.  For a power (d = D) it is the exact
+    minimum of the right side.  A zero (or non-finite) Hessian part puts
+    theta* at 1; a zero function part beside a positive Hessian part makes
+    the infimum 0, approached as theta -> 0, which is reported as theta* = 0.
+    """
+    _, h, ell, (err_g, err_h, err_l), *_ = terms
+    a, b = c1 * h, c2 * ell
+    ratio = d * b / (D * a) if a > 0.0 and math.isfinite(a + b) else math.inf
+    if not ratio < 1.0:
+        return 1.0, a, b, err_g + c1 * err_h + c2 * err_l
+    if ratio > 0.0:
+        # theta*^-d = ratio^(-d/(d+D)) with d/(d+D) <= 1/2: no overflow
+        theta = ratio ** (1.0 / (d + D))
+        up, down = theta ** D, theta ** -d
+        return theta, a * up, b * down, err_g + c1 * err_h * up + c2 * err_l * down
+    return 0.0, 0.0, 0.0, err_g + (math.inf if c2 * err_l > 0.0 else 0.0)
 
 
-def check_lk_modular(terms: LKTerms, c1: float, c2: float, theta: float = 1.0,
+def check_lk_modular(terms: LKTerms, nf: NFunction, c1: float, c2: float,
                      **meta) -> Check:
-    """Check lhs <= C1 * hess_term + C2 * func_term for the `LKTerms` of
-    `lk_modular_terms` at theta; indeterminate unless they converged."""
-    lhs, a, b, errs, converged, _ = terms
-    rhs = c1 * a + c2 * b
-    err = errs[0] + c1 * errs[1] + c2 * errs[2]
-    return Check.compare(
-        "statB1gauss" if theta == 1.0 else "statB1_theta", lhs, rhs, err,
-        comparison_tol(rhs), rhs_terms={"hessian": c1 * a, "function": c2 * b},
-        constants_used={"C1": c1, "C2": c2, "hess_modular": a, "func_modular": b},
-        theta=theta, **meta).require_converged(
-            converged, "a quadrature behind the LK modular terms did not converge")
+    """Check lhs <= C1 int M(theta |hess u|) + C2 int M(|u| / theta) for
+    every theta in (0, 1] at once, against the `uniform_bound` of the
+    theta = 1 `LKTerms` of `lk_modular_terms`, evaluated at its theta*.
+
+    Under a power the bound is the right side's minimum, so it decides both
+    ways.  Under any other M it only suffices: a bound that misses is
+    indeterminate, not a failure.  Indeterminate unless the terms
+    converged."""
+    d, D = nf.require_exponents()
+    theta, hess, func, err = uniform_bound(terms, c1, c2, d, D)
+    rhs = hess + func
+    check = Check.compare(
+        "statB1gauss", terms.lhs, rhs, err, comparison_tol(rhs),
+        rhs_terms={"hessian": hess, "function": func},
+        constants_used={"C1": c1, "C2": c2, "hess_modular": terms.hess_term,
+                        "func_modular": terms.func_term},
+        theta=theta, **meta)
+    if check.verdict == "fails" and d != D:
+        check.verdict = "indeterminate"
+        check.details["reason"] = (
+            "the growth-index bound lies below the right side when d < D: "
+            "missing it refutes nothing")
+    return check.require_converged(
+        terms.converged, "a quadrature behind the LK modular terms did not converge")
 
 
 def lk_norm_triple(u: FieldFunction, nf: NFunction, terms: LKTerms,
@@ -194,8 +181,8 @@ def lk_norm_triple(u: FieldFunction, nf: NFunction, terms: LKTerms,
     """(r, s, t) = (||grad u||, sqrt(||hess u|| ||u||), ||u||) in Luxemburg
     norms of the field's G, H and L parts, each a `Norm` with its bracket
     (s's from the brackets of ||hess u|| and ||u||), from one
-    `luxemburg_norm` call.  The theta = 1 `lk_modular_terms` of (u, nf)
-    hold the norms' modulars at K = 1: lhs, Hessian and function term."""
+    `luxemburg_norm` call.  The `lk_modular_terms` of (u, nf) hold the
+    norms' modulars at K = 1: lhs, Hessian and function term."""
     _require_lk_hypotheses(u, nf)
     parts = u.parts()
     modulars = [IntegralResult(value, err, panels=panels)
@@ -233,15 +220,16 @@ def check_lk_norm(triple: tuple, c1: float, c2: float, **meta) -> Check:
 # ---------------------------------------------------------------------------
 
 def fit_envelope(items, grid=DEFAULT_FIT_GRID) -> tuple[float, float, str, bool]:
-    """Smallest (C1, C2) on the grid with lhs <= C1 x + C2 y + tol for every
+    """Smallest (C1, C2) on the grid with lhs <= rhs(C1, C2) + tol for every
     item.
 
-    items: iterable of (label, lhs, x, y, tol).  Selection minimises C1 + C2
-    with ties broken toward smaller C1, whatever the grid order; returns
-    (c1, c2, binding_label, feasible).  The binding item is the one with
-    least slack at the selection.  An item with a non-finite lhs makes every
-    grid pair infeasible.  A grid that is empty or holds a constant that is
-    not finite and positive raises PreconditionError.
+    items: iterable of (label, lhs, rhs, tol), rhs the item's right side as
+    a function of (C1, C2).  Selection minimises C1 + C2 with ties broken
+    toward smaller C1, whatever the grid order; returns (c1, c2,
+    binding_label, feasible).  The binding item is the one with least slack
+    at the selection.  An item with a non-finite lhs makes every grid pair
+    infeasible.  A grid that is empty or holds a constant that is not finite
+    and positive raises PreconditionError.
     """
     grid = tuple(grid)
     if not grid or not all(0.0 < c < math.inf for c in grid):
@@ -257,12 +245,12 @@ def fit_envelope(items, grid=DEFAULT_FIT_GRID) -> tuple[float, float, str, bool]
         for c2 in grid:
             if best is not None and (c1 + c2, c1) >= best[:2]:
                 continue
-            if all(lhs <= c1 * x + c2 * y + tol for _, lhs, x, y, tol in items):
+            if all(lhs <= rhs(c1, c2) + tol for _, lhs, rhs, tol in items):
                 best = (c1 + c2, c1, c2)
     if best is None:
         return math.inf, math.inf, "", False
     _, c1, c2 = best
-    binding = min(items, key=lambda it: c1 * it[2] + c2 * it[3] + it[4] - it[1])
+    binding = min(items, key=lambda it: it[2](c1, c2) + it[3] - it[1])
     return c1, c2, binding[0], True
 
 
@@ -272,17 +260,18 @@ def fit_lk_norm_envelope(corpus, nf: NFunction, terms: dict,
                          normalized: bool = False) -> tuple[LKFit, list]:
     """Fit the norm-form envelope over a corpus of fields; returns the fit
     plus per-member (label, r, s, t) rows, r, s and t the `Norm`s of
-    `lk_norm_triple`.  terms is the label -> theta -> terms map of
-    `fit_lk_modular_envelope` (its theta = 1 terms are the norms' modulars
-    at K = 1)."""
+    `lk_norm_triple`.  terms is the label -> `LKTerms` map of
+    `fit_lk_modular_envelope` (the norms' modulars at K = 1)."""
     rows = []
     items = []
     for u in corpus:
-        r, s, t = lk_norm_triple(u, nf, terms[u.label][1.0], spec, normalized)
+        r, s, t = lk_norm_triple(u, nf, terms[u.label], spec, normalized)
         rows.append((u.label, r, s, t))
         if t.value <= 0.0 and r.value <= 0.0:
             continue
-        items.append((u.label, r.value, s.value, t.value, comparison_tol(r.value, 1e-9)))
+        items.append((u.label, r.value,
+                      lambda c1, c2, s=s.value, t=t.value: c1 * s + c2 * t,
+                      comparison_tol(r.value, 1e-9)))
     c1, c2, binding, feasible = fit_envelope(items, grid)
     fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=tuple(grid),
                 corpus_labels=tuple(u.label for u in corpus),
@@ -293,25 +282,19 @@ def fit_lk_norm_envelope(corpus, nf: NFunction, terms: dict,
 def fit_lk_modular_envelope(corpus, nf: NFunction, triples: dict,
                             spec: QuadratureSpec | None = None,
                             grid=DEFAULT_FIT_GRID,
-                            theta_grid=(0.25, 0.5, 1.0),
                             normalized: bool = False) -> tuple[LKFit, dict]:
-    """Fit (C1, C2) for the modular form, uniform over the declared theta
-    grid and theta = 1.
-
-    One `fit_envelope` runs over every (member, theta): the selected pair is
-    the cheapest grid pair feasible at every theta, and the binding member
-    the one with least slack at any theta.  Returns the fit and, feasible or
-    not, the terms it was fitted on: member label -> theta -> `LKTerms`,
-    thetas in increasing order and theta = 1 always among them.  triples
-    maps a member's label to its `modular_triple_nd`.
+    """Fit (C1, C2) for the modular form, uniform over theta in (0, 1]: each
+    member's right side is its `uniform_bound` at (C1, C2).  Returns the fit
+    and, feasible or not, the terms it was fitted on: member label ->
+    theta = 1 `LKTerms`.  triples maps a member's label to its
+    `modular_triple_nd`.
     """
-    thetas = sorted(set(theta_grid) | {1.0})
-    terms = {u.label: lk_modular_terms(u, nf, thetas, triples[u.label], spec,
-                                       normalized)
+    terms = {u.label: lk_modular_terms(u, nf, triples[u.label], spec, normalized)
              for u in corpus}
-    items = [(label, lhs, a, b, comparison_tol(lhs, 1e-9))
-             for label, by_theta in terms.items()
-             for lhs, a, b, *_ in by_theta.values()]
+    d, D = nf.require_exponents()
+    items = [(label, t.lhs, lambda c1, c2, t=t: sum(uniform_bound(t, c1, c2, d, D)[1:3]),
+              comparison_tol(t.lhs, 1e-9))
+             for label, t in terms.items()]
     c1, c2, binding, feasible = fit_envelope(items, grid)
     fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=tuple(grid),
                 corpus_labels=tuple(terms.keys()), form="statB1gauss",
@@ -323,7 +306,7 @@ def hardy_provenance(u: FieldFunction, nf: NFunction, n: int,
                      triple: ModularTriple) -> dict:
     """The Gaussian Hardy inequality (form hn1) the LK derivation assumes,
     checked for (u, nf, n) on u's `modular_triple_nd`, as the provenance
-    of the theta = 1 modular check.  Raises PreconditionError when the
+    of the modular check.  Raises PreconditionError when the
     Hardy check fails."""
     _require_lk_hypotheses(u, nf)
     hardy_check = check_hn1(triple, nf, n)

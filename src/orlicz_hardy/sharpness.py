@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import EvaluationError, PreconditionError
 from .functionals import ModularTriple, RadialTestFunction
 from .quadrature import SupportHint
 
@@ -45,8 +45,8 @@ class ExtremalParams:
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise PreconditionError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.p < 2.0:
-            raise PreconditionError(f"p must be >= 2, got {self.p}")
+        if not (2.0 <= self.p < math.inf):
+            raise PreconditionError(f"p must be finite and >= 2, got {self.p}")
         if self.n < 1:
             raise PreconditionError(f"n must be >= 1, got {self.n}")
 
@@ -77,8 +77,12 @@ def extremal_moments(params: ExtremalParams) -> ModularTriple:
              + (n + p - 2.0) / 2.0 * math.log(2.0) + math.lgamma((n + p) / 2.0))
     log_l = (-n / 2.0 * math.log1p(-a)
              + (n - 2.0) / 2.0 * math.log(2.0) + math.lgamma(n / 2.0))
-    k = math.exp(log_k)
-    ell = math.exp(log_l)
+    try:
+        k = math.exp(log_k)
+        ell = math.exp(log_l)
+    except OverflowError:
+        raise EvaluationError(
+            f"the closed-form moments of u_alpha overflow at alpha={a:g}, p={p:g}, n={n}")
     g = (a / p) ** p * k
     return ModularTriple(K=k, L=ell, G=g)
 

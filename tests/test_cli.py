@@ -50,6 +50,29 @@ class TestSubcommands:
         req = [float(r["C1_req"]) for r in rows if float(r["alpha"]) > 0]
         assert req == sorted(req)
 
+    def test_alfa_closed_form_decides_on_err_est(self, tmp_path, monkeypatch):
+        # each of K, L and G within its err_est of the closed form holds; a
+        # K moved to twice its err_est away fails, with no other allowance
+        rc = main(["--out", str(tmp_path), "sharpness", "--p", "3", "--n", "1"])
+        assert rc == 0
+        checks = [c for c in load_report(tmp_path / "sharpness.json")["body"]["checks"]
+                  if c["id"] == "alfa_closed_form"]
+        assert len(checks) == 3
+        assert all(c["verdict"] == "holds" and 0.0 <= c["lhs"] <= 1.0 == c["rhs"]
+                   for c in checks)
+        triple = functionals.modular_triple_radial
+
+        def moved(*args, **kwargs):
+            tri = triple(*args, **kwargs)
+            return dataclasses.replace(tri, K=tri.K + 2.0 * tri.errs[0])
+
+        monkeypatch.setattr(cli, "modular_triple_radial", moved)
+        assert main(["--out", str(tmp_path), "sharpness", "--p", "3", "--n", "1"]) == 1
+        checks = [c for c in load_report(tmp_path / "sharpness.json")["body"]["checks"]
+                  if c["id"] == "alfa_closed_form"]
+        assert [c["verdict"] for c in checks] == ["fails"] * 3
+        assert all(c["lhs"] == pytest.approx(2.0, abs=0.01) for c in checks)
+
     def test_mazya_expected_divergence_exits_zero(self, tmp_path):
         rc = main(["--out", str(tmp_path), "mazya", "--gaussian",
                    "--p", "2", "--n", "3"])
@@ -68,8 +91,7 @@ class TestSubcommands:
         assert all(c["id"] == "liniowe" for c in doc["body"]["checks"])
 
     def test_lk_report_names_binding_member(self, tmp_path):
-        rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p2",
-                   "--dim", "1", "--theta-grid", "0.5,1.0"])
+        rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p2", "--dim", "1"])
         assert rc == 0
         doc = load_report(tmp_path / "lk.json")
         fits = doc["body"]["fits"]
@@ -98,12 +120,18 @@ class TestSubcommands:
             bodies.append(load_report(out / "lk.json")["body"])
         plain, normalized = bodies
         factor = (2.0 * math.pi) ** -0.5
-        sweep = "lk_theta_sweep:p2:n=1"
-        assert len(plain["series"][sweep]) == len(normalized["series"][sweep]) > 0
-        for a, b in zip(plain["series"][sweep], normalized["series"][sweep]):
-            for term in ("lhs", "hess_modular", "func_modular"):
-                assert b[term] != a[term]
-                assert b[term] == pytest.approx(factor * a[term], rel=1e-14)
+
+        def modular(body):
+            return [c for c in body["checks"] if c["check_id"].startswith("statB1:")]
+
+        assert len(modular(plain)) == len(modular(normalized)) > 0
+        for a, b in zip(modular(plain), modular(normalized)):
+            pairs = [(a["lhs"], b["lhs"])] + [
+                (a["constants_used"][term], b["constants_used"][term])
+                for term in ("hess_modular", "func_modular")]
+            for x, y in pairs:
+                assert y != x
+                assert y == pytest.approx(factor * x, rel=1e-14)
 
         def verdicts(body):
             return {c["check_id"]: c["verdict"] for c in body["checks"]}
@@ -131,7 +159,7 @@ class TestSubcommands:
 
     def test_infeasible_fits_fail(self, tmp_path):
         rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p3", "--dim", "1..2",
-                   "--fit-grid", "0.001,0.002", "--theta-grid", "0.5,1.0"])
+                   "--fit-grid", "0.001,0.002"])
         assert rc == 1
         body = load_report(tmp_path / "lk.json")["body"]
         assert body["summary"]["fails"] == 4
@@ -153,15 +181,6 @@ class TestSubcommands:
         checks = load_report(tmp_path / "lk.json")["body"]["checks"]
         assert [c["check_id"] for c in checks if c["verdict"] == "fails"] == [
             "statB1gauss_envelope:p2:corpus:n=1"]
-
-    def test_lk_term_overflowing_at_a_tiny_theta_exits_two(self, tmp_path, capsys):
-        # theta^-2 of the power p2 overflows at theta = 1e-300: an error that
-        # names the theta, and exit 2, not a traceback
-        rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p2", "--dim", "1",
-                   "--theta-grid", "1e-300"])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: LK term non-finite at theta=1e-300")
-        assert not (tmp_path / "lk.json").exists()
 
     def test_console_script_runs(self, tmp_path):
         proc = subprocess.run(
@@ -315,38 +334,39 @@ class TestNonConvergedQuadrature:
             "reason": "a quadrature behind the modular triple did not converge"}
         assert all("reason" not in c.details for c in before)
 
-    def test_lk_checks_on_unconverged_terms_are_indeterminate(
+    def test_lk_checks_on_an_unconverged_triple_are_indeterminate(
             self, manifest, spec, monkeypatch):
-        # under p2log, the first field's theta != 1 family at n = 1: its
-        # Hessian and function terms at 0.25 and 0.5 (4 modulars x 2
-        # directions); the theta = 1 check and the norm checks do not rest
-        # on it
+        # under p2log, the first field's triple at n = 1 (3 modulars x 2
+        # directions): its G and L are the modular check's lhs and function
+        # term and two of its norms' modulars, so both of its checks and
+        # both fits rest on it
         def run():
             checks = []
-            run_lk(manifest, spec, [1], checks, {}, {}, nfunc_labels=("p2log",))
+            run_lk(manifest, spec, [1], checks, {}, nfunc_labels=("p2log",))
             return checks
 
         before = run()
-        failed = fail_first_family(monkeypatch, 4 * 2)
+        failed = fail_first_family(monkeypatch, 3 * 2)
         after = run()
         assert failed
         changed = changed_checks(before, after)
-        terms = "a quadrature behind the LK modular terms did not converge"
+        fitted = "a quadrature behind the fitted terms did not converge"
         assert {check_id: (c["verdict"], c["details"]["reason"])
                 for check_id, c in changed.items()} == {
-            "statB1:theta=0.25:p2log:fr_smooth:n=1": ("indeterminate", terms),
-            "statB1:theta=0.5:p2log:fr_smooth:n=1": ("indeterminate", terms),
-            "statB1gauss_envelope:p2log:corpus:n=1": (
-                "indeterminate", "a quadrature behind the fitted terms did not converge")}
+            "statB1:p2log:fr_smooth:n=1": (
+                "indeterminate", "a quadrature behind the LK modular terms did not converge"),
+            "statB2gauss:p2log:fr_smooth:n=1": (
+                "indeterminate", "a quadrature behind the norms' modulars did not converge"),
+            "statB1gauss_envelope:p2log:corpus:n=1": ("indeterminate", fitted),
+            "statB2gauss_envelope:p2log:corpus:n=1": ("indeterminate", fitted)}
 
-    def test_lk_norm_checks_rest_on_the_theta_one_terms(self, manifest, spec,
-                                                        monkeypatch):
-        # the first field's theta = 1 Hessian term at n = 1, the norm's m1;
-        # under p2 the Hessian terms at theta != 1 are rescaled from it, so
-        # their checks rest on it too
+    def test_lk_norm_checks_rest_on_the_hessian_term(self, manifest, spec,
+                                                     monkeypatch):
+        # the first field's Hessian term at n = 1 is the norm's m1 and the
+        # modular check's H1, so the checks of both forms rest on it
         def run():
             checks = []
-            run_lk(manifest, spec, [1], checks, {}, {}, nfunc_labels=("p2",))
+            run_lk(manifest, spec, [1], checks, {}, nfunc_labels=("p2",))
             return checks
 
         before = run()
@@ -355,8 +375,7 @@ class TestNonConvergedQuadrature:
         assert failed
         changed = changed_checks(before, after)
         assert {check_id: c["verdict"] for check_id, c in changed.items()} == dict.fromkeys(
-            ["statB1:theta=0.25:p2:fr_smooth:n=1", "statB1:theta=0.5:p2:fr_smooth:n=1",
-             "statB1:theta=1:p2:fr_smooth:n=1", "statB1gauss_envelope:p2:corpus:n=1",
+            ["statB1:p2:fr_smooth:n=1", "statB1gauss_envelope:p2:corpus:n=1",
              "statB2gauss:p2:fr_smooth:n=1", "statB2gauss_envelope:p2:corpus:n=1"],
             "indeterminate")
         assert changed["statB2gauss:p2:fr_smooth:n=1"]["details"] == {
@@ -617,13 +636,20 @@ def exit_status(argv) -> int:
     (["mazya", "--p", "2"], "only with --gaussian"),
     (["mazya", "--n", "3"], "only with --gaussian"),
     (["mazya", "--classical", "--p", "2"], "only with --gaussian"),
+    (["sharpness", "--p", "nan", "--n", "1"], "p must be finite and >= 2, got nan"),
+    (["sharpness", "--p", "inf", "--n", "1"], "p must be finite and >= 2, got inf"),
+    (["sharpness", "--p", "400", "--n", "1"], "closed-form moments of u_alpha overflow"),
+    (["sharpness", "--p", "nan", "--n", "1", "--alphas", ","], "--alphas names no alpha"),
 ], ids=["dim-descending", "dim-empty", "hardy-nfunc-unknown", "lk-nfunc-unknown",
         "fit-grid-zero", "fit-grid-negative", "fit-grid-inf", "fit-grid-empty",
         "form-p2_exact-p3", "form-wwww-p2", "form-liniowe-p3-n1", "form-term1-p2",
-        "mazya-p-alone", "mazya-n-alone", "mazya-classical-p"])
+        "mazya-p-alone", "mazya-n-alone", "mazya-classical-p",
+        "sharpness-p-nan", "sharpness-p-inf", "sharpness-p-overflow",
+        "sharpness-alphas-empty"])
 def test_argument_naming_nothing_valid_exits_two(tmp_path, capsys, argv, shown):
     # these once ran 0 checks and exited 0, ran a default that ignored the
-    # flag (mazya --p), reported fails, or ended in a KeyError traceback
+    # flag (mazya --p), reported fails (sharpness --p nan), or ended in a
+    # KeyError or OverflowError traceback
     assert exit_status(["--out", str(tmp_path), *argv]) == 2
     assert shown in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

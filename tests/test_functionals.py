@@ -1,7 +1,6 @@
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,14 +322,10 @@ class TestModularFamilies:
                 assert_family_agrees_with_lone(
                     zip((triple.K, triple.L, triple.G), triple.errs, lone),
                     (nf_label, label, n))
-                terms = lk_modular_terms(u, nf, (0.25, 0.5, 1.0), triple, spec)
-                for theta, (_, hess, func, errs, *_) in terms.items():
-                    lone = [lone_or_none(replace(parts.H, transform=lambda a, x: theta * a),
-                                         nf, meas, spec),
-                            lone_or_none(replace(parts.L, transform=lambda a, x: a / theta),
-                                         nf, meas, spec)]
-                    assert_family_agrees_with_lone(
-                        zip((hess, func), errs[1:], lone), (nf_label, label, n, theta))
+                _, hess, func, errs, *_ = lk_modular_terms(u, nf, triple, spec)
+                lone = [lone_or_none(part, nf, meas, spec) for part in (parts.H, parts.L)]
+                assert_family_agrees_with_lone(
+                    zip((hess, func), errs[1:], lone), (nf_label, label, n))
 
 
 def assert_spanning_agrees_with_single(spanning, single, where):
@@ -500,7 +495,7 @@ class TestLuxemburgIndices:
         # again on that family's panels and verified by a second family
         u = manifest.field_functions["fx_cut"].instantiate(1)
         nf = manifest.nfunc("p2log")
-        terms = lk_modular_terms(u, nf, (1.0,), modular_triple_nd(u, nf, spec), spec)[1.0]
+        terms = lk_modular_terms(u, nf, modular_triple_nd(u, nf, spec), spec)
         families = []
         original = functionals._modular_family
 

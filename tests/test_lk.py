@@ -10,9 +10,9 @@ import pytest
 from orlicz_hardy import functionals
 from orlicz_hardy import landau_kolmogorov as lk_mod
 from orlicz_hardy import quadrature
-from orlicz_hardy.cli import DEFAULT_THETAS, run_lk
+from orlicz_hardy.cli import run_lk
 from orlicz_hardy.corpus import FieldFactory
-from orlicz_hardy.errors import EvaluationError, PreconditionError
+from orlicz_hardy.errors import PreconditionError
 from orlicz_hardy.functionals import (
     FieldFunction,
     ModularTriple,
@@ -30,25 +30,30 @@ from orlicz_hardy.landau_kolmogorov import (
     hardy_provenance,
     lk_modular_terms,
     lk_norm_triple,
+    uniform_bound,
 )
 from orlicz_hardy.nfunc import comparison_tol, power_nfunction
 from orlicz_hardy.reporting import canonical_json
 
 
-def theta_terms(u, nf, theta, spec=None):
-    """`lk_modular_terms` of (u, nf) at theta alone, on a fresh modular
-    triple."""
-    return lk_modular_terms(u, nf, (theta,), modular_triple_nd(u, nf, spec), spec)[theta]
+def terms_of(u, nf, spec=None):
+    """`lk_modular_terms` of (u, nf), on a fresh modular triple."""
+    return lk_modular_terms(u, nf, modular_triple_nd(u, nf, spec), spec)
 
 
 def norm_triple(u, nf, spec=None):
-    """`lk_norm_triple` of (u, nf), on fresh theta = 1 terms."""
-    return lk_norm_triple(u, nf, theta_terms(u, nf, 1.0, spec), spec)
+    """`lk_norm_triple` of (u, nf), on fresh terms."""
+    return lk_norm_triple(u, nf, terms_of(u, nf, spec), spec)
 
 
 def unit_terms(fields, nf, spec=None):
-    """The label -> theta -> terms map of the fields at theta = 1 only."""
-    return {u.label: {1.0: theta_terms(u, nf, 1.0, spec)} for u in fields}
+    """The label -> terms map of the fields."""
+    return {u.label: terms_of(u, nf, spec) for u in fields}
+
+
+def lk_fields(manifest, n):
+    return [f.instantiate(n) for _, f in sorted(manifest.field_functions.items())
+            if f.compatible(n)]
 
 
 def zero_field(n=2):
@@ -65,7 +70,7 @@ class TestHypotheses:
                           grad=lambda X: np.zeros(X.shape),
                           n=2, hint=SupportHint.decaying(0.0, 0.0))
         with pytest.raises(PreconditionError, match="Hessian"):
-            theta_terms(f, manifest.nfunc("p2"), 1.0)
+            terms_of(f, manifest.nfunc("p2"))
 
     def test_slow_growth_rejected(self, manifest, spec):
         # lower exponent 1.5 < 2: M(r)/r^2 is decreasing
@@ -73,11 +78,6 @@ class TestHypotheses:
         with pytest.raises(PreconditionError, match="non-decreasing"):
             hardy_provenance(field, power_nfunction(1.5), 2,
                              ModularTriple(0.0, 0.0, 0.0))
-
-    def test_theta_out_of_range(self, manifest):
-        field = manifest.field_functions["fx_lin"].instantiate(2)
-        with pytest.raises(PreconditionError, match="theta"):
-            theta_terms(field, manifest.nfunc("p2"), 1.5)
 
 
 class TestHessianNorm:
@@ -92,30 +92,94 @@ class TestHessianNorm:
 
 
 class TestModularCheck:
-    def test_zero_field_holds(self, manifest, spec):
-        terms = theta_terms(zero_field(), manifest.nfunc("p2"), 1.0, spec)
-        rep = check_lk_modular(terms, 2.0, 2.0)
-        assert rep.verdict == "holds" and rep.lhs == 0.0
+    @pytest.mark.parametrize("nf_label", ["p2", "p2log"])
+    def test_zero_field_holds(self, manifest, spec, nf_label):
+        # u = 0: L1 = 0 and H1 = 0, so theta* = 1 and both sides vanish
+        nf = manifest.nfunc(nf_label)
+        terms = terms_of(zero_field(), nf, spec)
+        assert (terms.func_term, terms.hess_term) == (0.0, 0.0)
+        rep = check_lk_modular(terms, nf, 2.0, 2.0)
+        assert rep.verdict == "holds" and rep.lhs == 0.0 and rep.theta == 1.0
+
+    def test_a_zero_function_term_does_not_fail(self):
+        # L1 = 0 beside H1 > 0: the infimum is 0, approached as theta -> 0;
+        # with lhs = 0 the check holds, and an lhs above 0 is left open by
+        # any error on L1, which theta^-d scales without bound
+        nf = power_nfunction(2.0)
+        exact = LKTerms(0.0, 1.0, 0.0, (0.0, 0.0, 0.0), True)
+        rep = check_lk_modular(exact, nf, 1.0, 1.0)
+        assert (rep.verdict, rep.theta, rep.rhs) == ("holds", 0.0, 0.0)
+        rep = check_lk_modular(exact._replace(lhs=1.0, errs=(0.0, 0.0, 1e-12)),
+                               nf, 1.0, 1.0)
+        assert (rep.verdict, rep.theta, rep.err_est) == ("indeterminate", 0.0, math.inf)
 
     def test_truncated_linear_function_dominated_by_function_term(
             self, manifest, spec):
         # u = x1 inside radius 8: the Hessian vanishes there, so the bound
-        # must come from the function term
+        # must come from the function term, at theta* = 1
         field = manifest.field_functions["fx_cut"].instantiate(1)
-        terms = theta_terms(field, manifest.nfunc("p2"), 1.0, spec)
-        lhs_rep = check_lk_modular(terms, 1.0, 1.0, 1.0)
+        nf = manifest.nfunc("p2")
+        lhs_rep = check_lk_modular(terms_of(field, nf, spec), nf, 1.0, 1.0)
         assert lhs_rep.rhs_terms["hessian"] < 1e-6 * lhs_rep.rhs_terms["function"]
+        assert lhs_rep.theta == 1.0
         assert lhs_rep.verdict in ("holds", "indeterminate")
 
-    @pytest.mark.parametrize("theta", [1e-300, 1e-150])
-    def test_a_power_term_that_overflows_is_an_evaluation_error(self, manifest, spec,
-                                                                 theta):
-        # theta^-2 overflows at 1e-300; at 1e-150 it is 1e300, and its
-        # product with L = 1e10 overflows
-        field = manifest.field_functions["fr_smooth"].instantiate(1)
-        with pytest.raises(EvaluationError, match=f"theta={theta:g}"):
-            lk_modular_terms(field, manifest.nfunc("p2"), (theta,),
-                             ModularTriple(1.0, 1e10, 1.0), spec)
+    def test_a_miss_fails_only_under_a_power(self, manifest):
+        # the bound is the exact minimum for a power and only a lower bound
+        # of the right side for any other M
+        terms = LKTerms(3.0, 1.0, 1.0, (0.0, 0.0, 0.0), True)
+        assert check_lk_modular(terms, manifest.nfunc("p2"), 1.0, 1.0).verdict == "fails"
+        rep = check_lk_modular(terms, manifest.nfunc("p2log"), 1.0, 1.0)
+        assert rep.verdict == "indeterminate" and "growth-index bound" in rep.details["reason"]
+
+
+class TestUniformBound:
+    @pytest.mark.parametrize("nf_label", ["p2", "p3"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("c1, c2", [(0.125, 2.0), (1.0, 1.0), (8.0, 0.5), (64.0, 0.125)])
+    def test_a_power_bound_is_the_minimum_of_a_dense_scan(self, manifest, spec,
+                                                          nf_label, n, c1, c2):
+        # for M = r^p the terms at theta are theta^p H1 and theta^-p L1
+        # exactly: the closed form is their least sum over (0, 1]
+        nf = manifest.nfunc(nf_label)
+        p = nf.D_exp
+        thetas = np.linspace(1.0, 0.0, 10 ** 4, endpoint=False)
+        for u in lk_fields(manifest, n):
+            terms = terms_of(u, nf, spec)
+            theta, hess, func, _ = uniform_bound(terms, c1, c2, p, p)
+            scan = c1 * thetas ** p * terms.hess_term + c2 * thetas ** -p * terms.func_term
+            assert 0.0 < theta <= 1.0
+            assert hess + func <= scan.min() * (1.0 + 1e-12), (u.label, theta)
+            assert scan.min() == pytest.approx(hess + func, rel=1e-6), (u.label, theta)
+            assert abs(thetas[scan.argmin()] - theta) <= 2e-4 or theta == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_p2log_bound_lies_below_the_integrated_right_side(self, manifest, spec, n):
+        # under p2log (d = 2, D = 3) each summand of the bound lies below its
+        # term integrated at theta, M(theta |hess u|) and M(|u| / theta) in
+        # one Gaussian family, and the bound's minimum below their sum
+        nf = manifest.nfunc("p2log")
+        d, D = nf.require_exponents()
+        assert d < D
+        c1, c2 = 0.5, 1.0
+        scaled = (0.25, 0.5)
+        for u in lk_fields(manifest, n):
+            _, func_profile, _, hess_profile = u.parts()
+            terms = terms_of(u, nf, spec)
+            direct = quadrature.integrate_gaussian_nd(
+                [(hess_profile.fn, lambda v, x, t=theta: nf.eval(t * v)) for theta in scaled]
+                + [(func_profile.fn, lambda v, x, t=theta: nf.eval(np.abs(v) / t))
+                   for theta in scaled],
+                n, spec,
+                envelopes=[functionals._compose_hint(u.hint.times_power(2.0), nf)] * 2
+                + [functionals._compose_hint(u.hint, nf)] * 2,
+                breakpoints=u.breakpoints)
+            _, hess, func, _ = uniform_bound(terms, c1, c2, d, D)
+            for theta, h, f in zip(scaled, direct, direct[2:]):
+                slack = h.err_est + f.err_est + terms.errs[1] + terms.errs[2]
+                assert theta ** D * terms.hess_term <= h.value + slack, (u.label, theta)
+                assert theta ** -d * terms.func_term <= f.value + slack, (u.label, theta)
+                assert hess + func <= c1 * h.value + c2 * f.value + slack, (u.label, theta)
 
 
 class TestNormTriple:
@@ -141,44 +205,47 @@ class TestNormTriple:
         assert t2.value == pytest.approx(c * t1.value, rel=1e-8)
 
 
+def linear(lhs, x, y, tol, label="a"):
+    """A fit item whose right side is C1 x + C2 y."""
+    return (label, lhs, lambda c1, c2: c1 * x + c2 * y, tol)
+
+
 class TestEnvelopeFit:
     def test_fit_minimises_sum(self):
-        items = [("a", 1.0, 1.0, 0.0, 1e-12), ("b", 2.0, 0.0, 1.0, 1e-12)]
+        items = [linear(1.0, 1.0, 0.0, 1e-12, "a"), linear(2.0, 0.0, 1.0, 1e-12, "b")]
         c1, c2, binding, ok = fit_envelope(items, grid=(0.5, 1.0, 2.0, 4.0))
         assert ok
         assert (c1, c2) == (1.0, 2.0)
         assert binding in ("a", "b")
 
     def test_tie_goes_to_smaller_c1_whatever_the_grid_order(self):
-        items = [("a", 3.0, 1.0, 1.0, 0.0)]
+        items = [linear(3.0, 1.0, 1.0, 0.0)]
         for grid in ((1.0, 2.0), (2.0, 1.0)):
             c1, c2, binding, ok = fit_envelope(items, grid=grid)
             assert ok and (c1, c2, binding) == (1.0, 2.0, "a"), grid
 
     def test_infeasible_grid(self):
-        items = [("a", 100.0, 1e-9, 1e-9, 0.0)]
+        items = [linear(100.0, 1e-9, 1e-9, 0.0)]
         c1, c2, _, ok = fit_envelope(items, grid=(0.5, 1.0))
         assert not ok and math.isinf(c1)
 
     def test_infinite_lhs_is_infeasible(self):
         # the tol both LK fits take from the lhs is inf here, which must not
         # let inf <= C1 x + C2 y + tol pass
-        items = [("a", math.inf, 1.0, 1.0, comparison_tol(math.inf, 1e-9))]
+        items = [linear(math.inf, 1.0, 1.0, comparison_tol(math.inf, 1e-9))]
         assert fit_envelope(items, grid=(1.0,)) == (math.inf, math.inf, "", False)
 
     def test_modular_fit_moves_past_a_pair_that_fails_below_theta_one(
-            self, monkeypatch):
-        # at theta = 1 the cheapest pair is (1, 0.5); at theta = 0.25 the
-        # function term needs C2 >= 1, so the fit takes the next pair (1, 1)
-        terms = {1.0: (1.0, 1.0, 0.0, (0.0, 0.0, 0.0)),
-                 0.25: (1.0, 0.0, 1.0, (0.0, 0.0, 0.0))}
-        monkeypatch.setattr(lk_mod, "lk_modular_terms",
-                            lambda u, nf, thetas, *args: {t: terms[t] for t in thetas})
+            self, manifest, monkeypatch):
+        # at theta = 1 the cheapest pair is (1, 0.5); under p2 the least
+        # right side over (0, 1] is 2 sqrt(C1 C2 H1 L1) = 0.71 < 1 there, at
+        # theta* = 0.59, so the fit takes the next pair, (1, 1)
+        terms = LKTerms(1.0, 1.0, 0.25, (0.0, 0.0, 0.0), True)
+        monkeypatch.setattr(lk_mod, "lk_modular_terms", lambda u, nf, *args: terms)
         grid = (0.5, 1.0, 2.0)
-        assert fit_envelope([("a", *terms[1.0][:3], 1e-9)], grid) == (1.0, 0.5, "a", True)
-        fit, fitted = fit_lk_modular_envelope([SimpleNamespace(label="a")], None,
-                                              {"a": None}, grid=grid,
-                                              theta_grid=(0.25,))
+        assert fit_envelope([linear(1.0, 1.0, 0.25, 1e-9)], grid) == (1.0, 0.5, "a", True)
+        fit, fitted = fit_lk_modular_envelope([SimpleNamespace(label="a")],
+                                              manifest.nfunc("p2"), {"a": None}, grid=grid)
         assert fit.feasible and (fit.c1, fit.c2, fit.binding_label) == (1.0, 1.0, "a")
         assert fitted == {"a": terms}
 
@@ -208,23 +275,19 @@ class TestEnvelopeFit:
         fit_all, _ = fit_lk_norm_envelope(all_fields, nf, terms, spec)
         assert fit_all.c1 + fit_all.c2 >= fit_small.c1 + fit_small.c2 - 1e-12
 
-    def test_modular_envelope_and_theta_sweep(self, manifest, spec):
+    def test_modular_envelope(self, manifest, spec):
         nf = manifest.nfunc("p2")
-        fields = [f.instantiate(2) for f in manifest.field_functions.values()
-                  if f.compatible(2)]
+        fields = lk_fields(manifest, 2)
         triples = {u.label: modular_triple_nd(u, nf, spec) for u in fields}
-        fit, terms = fit_lk_modular_envelope(fields, nf, triples, spec,
-                                             theta_grid=(0.25, 0.5, 1.0))
+        fit, terms = fit_lk_modular_envelope(fields, nf, triples, spec)
         assert fit.feasible
         for u in fields:
-            # the fit's terms are one fresh family call of (u, nf), bit for bit
-            fresh = lk_modular_terms(u, nf, (0.25, 0.5, 1.0), triples[u.label], spec)
-            assert {theta: t[:5] for theta, t in terms[u.label].items()} == {
-                theta: t[:5] for theta, t in fresh.items()}
-            for theta in (0.25, 0.5, 1.0):
-                rep = check_lk_modular(terms[u.label][theta], fit.c1, fit.c2, theta)
-                assert rep.verdict in ("holds", "indeterminate"), \
-                    (u.label, theta, rep.slack)
+            # the fit's terms are one fresh call of (u, nf), bit for bit
+            fresh = lk_modular_terms(u, nf, triples[u.label], spec)
+            assert terms[u.label][:5] == fresh[:5]
+            rep = check_lk_modular(terms[u.label], nf, fit.c1, fit.c2)
+            assert rep.verdict in ("holds", "indeterminate"), (u.label, rep.slack)
+            assert 0.0 < rep.theta <= 1.0
 
 
 class TestProvenanceChain:
@@ -242,35 +305,24 @@ class TestProvenanceChain:
         field = manifest.field_functions["fx_quad"].instantiate(2)
         nf = manifest.nfunc("p2")
         triple = modular_triple_nd(field, nf, spec)
-        rep = check_lk_modular(lk_modular_terms(field, nf, (1.0,), triple, spec)[1.0],
-                               64.0, 64.0,
+        rep = check_lk_modular(lk_modular_terms(field, nf, triple, spec), nf, 64.0, 64.0,
                                provenance=hardy_provenance(field, nf, 2, triple))
         assert rep.verdict in ("holds", "indeterminate")
         assert rep.provenance["hardy_form"] == "hn1"
 
-    def test_theta_one_check_carries_the_gate_outside_the_theta_grid(
-            self, manifest, spec):
-        # theta = 1 is not in the grid: its check is still emitted, once,
-        # under a statB1:theta=1 id, and it alone carries the hn1 provenance
+    def test_every_modular_check_carries_the_gate(self, manifest, spec):
+        # one statB1 check per member, at its theta*, and each carries the
+        # hn1 provenance
         checks = []
-        run_lk(manifest, spec, [1], checks, {}, {}, nfunc_labels=("p2",),
-               theta_grid=(0.5,))
-        labels = [label for label, factory in sorted(manifest.field_functions.items())
-                  if factory.compatible(1)]
-        ids = [c.check_id for c in checks]
-        assert not [i for i in ids if i.startswith("statB1gauss_from_hardy")]
-        assert len(ids) == len(set(ids))
-        for label in labels:
-            for theta in ("0.5", "1"):
-                assert f"statB1:theta={theta}:p2:{label}:n=1" in ids
-        for check in checks:
-            if check.check_id.startswith("statB1:"):
-                assert (check.id == "statB1gauss") == (check.theta == 1.0)
-                if check.theta == 1.0:
-                    assert check.provenance["hardy_form"] == "hn1"
-                    assert check.provenance["hardy_verdict"] != "fails"
-                else:
-                    assert check.provenance == {}
+        run_lk(manifest, spec, [1], checks, {}, nfunc_labels=("p2",))
+        labels = [u.label for u in lk_fields(manifest, 1)]
+        modular = [c for c in checks if c.check_id.startswith("statB1:")]
+        assert sorted(c.check_id for c in modular) == sorted(
+            f"statB1:p2:{label}:n=1" for label in labels)
+        for check in modular:
+            assert check.id == "statB1gauss" and 0.0 < check.theta <= 1.0
+            assert check.provenance["hardy_form"] == "hn1"
+            assert check.provenance["hardy_verdict"] != "fails"
 
     def test_finiteness_propagation(self, manifest, spec):
         # finite right-hand modulars force a finite left-hand side
@@ -279,7 +331,7 @@ class TestProvenanceChain:
             if not factory.compatible(2):
                 continue
             u = factory.instantiate(2)
-            lhs, a, b, errs, *_ = theta_terms(u, nf, 1.0, spec)
+            lhs, a, b, errs, *_ = terms_of(u, nf, spec)
             if math.isfinite(a) and math.isfinite(b):
                 assert math.isfinite(lhs)
 
@@ -298,16 +350,14 @@ class TestRunLkComputesOnce:
             "norm", lk_mod.lk_norm_triple, lambda u, nf, *a, **k: (u.label, nf.label, u.n)))
         monkeypatch.setattr(lk_mod, "lk_modular_terms", counted(
             "modular", lk_mod.lk_modular_terms,
-            lambda u, nf, thetas, *a, **k: (u.label, nf.label, u.n, tuple(thetas))))
-        run_lk(manifest, spec, [1, 2], [], {}, {})
+            lambda u, nf, *a, **k: (u.label, nf.label, u.n)))
+        run_lk(manifest, spec, [1, 2], [], {})
         expected_norm = {(label, nf_label, n)
                          for nf_label in ("p2", "p3") for n in (1, 2)
                          for label, factory in manifest.field_functions.items()
                          if factory.compatible(n)}
-        # one family of every theta per (field, N-function, n)
-        expected_modular = {key + (DEFAULT_THETAS,) for key in expected_norm}
         assert sorted(calls["norm"]) == sorted(expected_norm)
-        assert sorted(calls["modular"]) == sorted(expected_modular)
+        assert sorted(calls["modular"]) == sorted(expected_norm)
 
 
 class TestModularTermsFromTheTriple:
@@ -315,69 +365,33 @@ class TestModularTermsFromTheTriple:
     @pytest.mark.parametrize("nf_label", ["p2", "p3", "p2log"])
     def test_terms_equal_their_own_integrals(self, manifest, spec, nf_label,
                                              normalized):
-        # the lhs and the theta = 1 function term are read from the triple;
-        # the theta = 1 Hessian term must equal, bit for bit, a fresh
-        # Gaussian family of that integral alone.  Under a power M = r^p the
-        # Hessian and function terms at each theta != 1 are theta^p and
-        # theta^-p times the theta = 1 terms, bit for bit, and lie within
-        # both error estimates of a fresh family of exactly those; under
-        # any other M they equal that fresh family bit for bit
+        # the lhs and the function term are read from the triple; the
+        # Hessian term must equal, bit for bit, a fresh Gaussian family of
+        # that integral alone
         nf = manifest.nfunc(nf_label)
-        p = None if nf_label == "p2log" else nf.D_exp
-        thetas = DEFAULT_THETAS
-        scaled = [theta for theta in thetas if theta != 1.0]
         for n in (1, 2, 3):
-            for label, factory in sorted(manifest.field_functions.items()):
-                if not factory.compatible(n):
-                    continue
-                u = factory.instantiate(n)
-                _, func_profile, _, hess_profile = u.parts()
+            for u in lk_fields(manifest, n):
+                hess_profile = u.parts().H
                 triple = modular_triple_nd(u, nf, spec, normalized)
-                hess_env = functionals._compose_hint(u.hint.times_power(2.0), nf)
-                func_env = functionals._compose_hint(u.hint, nf)
-
-                def family(parts, envelopes):
-                    return quadrature.integrate_gaussian_nd(
-                        parts, n, spec, envelopes=envelopes, normalized=normalized,
-                        breakpoints=u.breakpoints)
-
-                hess_one, = family([(hess_profile.fn, lambda v, x: nf.eval(v))], [hess_env])
-                direct = family(
-                    [(hess_profile.fn, lambda v, x, t=theta: nf.eval(t * v)) for theta in scaled]
-                    + [(func_profile.fn, lambda v, x, t=theta: nf.eval(np.abs(v) / t))
-                       for theta in scaled],
-                    [hess_env] * len(scaled) + [func_env] * len(scaled))
-                expected = {1.0: (hess_one.value, hess_one.err_est, triple.L, triple.errs[1])}
-                for theta, hess, func in zip(scaled, direct, direct[len(scaled):]):
-                    expected[theta] = (
-                        (hess.value, hess.err_est, func.value, func.err_est) if p is None
-                        else (theta ** p * hess_one.value, theta ** p * hess_one.err_est,
-                              theta ** -p * triple.L, theta ** -p * triple.errs[1]))
-                terms = lk_modular_terms(u, nf, thetas, triple, spec, normalized)
-                assert list(terms) == list(thetas)
-                for theta, (hess, hess_err, func, func_err) in expected.items():
-                    assert terms[theta][:5] == LKTerms(
-                        triple.G, hess, func, (triple.errs[2], hess_err, func_err),
-                        True)[:5], (label, n, theta)
-                    assert terms[theta].panels[0] is triple.panels
-                for theta, hess, func in zip(scaled, direct, direct[len(scaled):]):
-                    _, hess_term, func_term, (_, hess_err, func_err), *_ = terms[theta]
-                    assert abs(hess_term - hess.value) <= hess_err + hess.err_est, \
-                        (label, n, theta)
-                    assert abs(func_term - func.value) <= func_err + func.err_est, \
-                        (label, n, theta)
+                hess, = quadrature.integrate_gaussian_nd(
+                    [(hess_profile.fn, lambda v, x: nf.eval(v))], n, spec,
+                    envelopes=[functionals._compose_hint(u.hint.times_power(2.0), nf)],
+                    normalized=normalized, breakpoints=u.breakpoints)
+                terms = lk_modular_terms(u, nf, triple, spec, normalized)
+                assert terms[:5] == LKTerms(
+                    triple.G, hess.value, triple.L,
+                    (triple.errs[2], hess.err_est, triple.errs[1]), True)[:5], (u.label, n)
+                assert terms.panels[0] is triple.panels
 
 
 class TestRunLkIntegratesOnce:
-    @pytest.mark.parametrize("nf_label, per_field, families_per_field",
-                             [("p2", 4, 2), ("p2log", 8, 3)])
+    @pytest.mark.parametrize("nf_label", ["p2", "p2log"])
     def test_gaussian_modulars_per_field_beyond_its_norms(
-            self, manifest, spec, monkeypatch, nf_label, per_field, families_per_field):
-        # K, L, G once and M(|hess u|) at theta = 1, in two families: the
-        # triple and the theta = 1 Hessian term.  Under a power M the terms
-        # at theta != 1 are rescaled from those; under any other M,
-        # M(theta |hess u|) and M(|u|/theta) at each theta != 1 are a third
-        # family.  Every family is one radial family, one `_adaptive` call
+            self, manifest, spec, monkeypatch, nf_label):
+        # K, L, G once and M(|hess u|), in two families: the triple and the
+        # Hessian term, whatever the N-function; every other theta is
+        # bounded from these.  Every family is one radial family, one
+        # `_adaptive` call
         families, modulars = Counter(), Counter()
         in_norm = []
         norm, family = lk_mod.luxemburg_norm, quadrature.integrate_radial_family
@@ -401,10 +415,10 @@ class TestRunLkIntegratesOnce:
         monkeypatch.setattr(lk_mod, "luxemburg_norm", counted_norm)
         monkeypatch.setattr(quadrature, "integrate_radial_family", counted_family)
         monkeypatch.setattr(functionals, "integrate_gaussian_nd", counted_gaussian)
-        run_lk(manifest, spec, [2], [], {}, {}, nfunc_labels=(nf_label,))
+        run_lk(manifest, spec, [2], [], {}, nfunc_labels=(nf_label,))
         fields = [f for f in manifest.field_functions.values() if f.compatible(2)]
-        assert modulars["modular"] == per_field * len(fields)
-        assert families["modular"] == families_per_field * len(fields)
+        assert modulars["modular"] == 4 * len(fields)
+        assert families["modular"] == 2 * len(fields)
         if nf_label == "p2":
             # a power norm's modular at K = 1 is a term: at most one more inside
             assert families["norm"] == modulars["norm"] <= 3 * len(fields)
@@ -439,7 +453,7 @@ class TestRunLkSamplesOnce:
 
         monkeypatch.setattr(FieldFactory, "instantiate", instantiate)
         monkeypatch.setattr(functionals, "integrate_gaussian_nd", counted_gaussian)
-        run_lk(manifest, spec, [1, 2], [], {}, {})
+        run_lk(manifest, spec, [1, 2], [], {})
         assert {name[1] for _, name, _ in evaluations} == {"u", "grad", "hess"}
         repeated = [key for key, count in evaluations.items() if count > 1]
         assert repeated == []
@@ -449,20 +463,19 @@ class TestNormsFromTheTerms:
     @pytest.mark.parametrize("normalized", [False, True])
     def test_norms_equal_norms_of_fresh_modulars(self, manifest, spec, monkeypatch,
                                                  normalized):
-        # the norm triple takes its three modulars at K = 1 from the
-        # theta = 1 terms: every norm check and fit must equal, bit for bit,
-        # those whose norms take them from a fresh triple and fresh theta = 1
-        # terms, integrated afresh
+        # the norm triple takes its three modulars at K = 1 from the terms:
+        # every norm check and fit must equal, bit for bit, those whose norms
+        # take them from a fresh triple and fresh terms, integrated afresh
         def run():
             checks, fits = [], {}
-            run_lk(manifest, spec, [1, 2], checks, {}, fits, normalized=normalized)
+            run_lk(manifest, spec, [1, 2], checks, fits, normalized=normalized)
             return ([canonical_json(c.as_dict()) for c in checks
                      if c.id == "statB2gauss"], canonical_json(fits))
 
         def afresh_terms(u, nf, terms, spec=None, normalized=False):
             triple = modular_triple_nd(u, nf, spec, normalized)
-            fresh = lk_modular_terms(u, nf, (1.0,), triple, spec, normalized)
-            return original(u, nf, fresh[1.0], spec, normalized)
+            fresh = lk_modular_terms(u, nf, triple, spec, normalized)
+            return original(u, nf, fresh, spec, normalized)
 
         handed = run()
         original = lk_mod.lk_norm_triple
@@ -470,17 +483,3 @@ class TestNormsFromTheTerms:
         afresh = run()
         assert len(handed[0]) > 0
         assert handed == afresh
-
-    def test_norms_do_not_move_with_the_theta_grid(self, manifest, spec):
-        # m1 of ||hess u|| is the theta = 1 Hessian term, a family of its
-        # own: the other thetas must not move a norm check or the norm fit
-        def run(theta_grid):
-            checks, fits = [], {}
-            run_lk(manifest, spec, [1, 2], checks, {}, fits, theta_grid=theta_grid)
-            return ([canonical_json(c.as_dict()) for c in checks if c.id == "statB2gauss"],
-                    canonical_json({key: fit for key, fit in fits.items()
-                                    if key.startswith("statB2gauss:")}))
-
-        default = run(DEFAULT_THETAS)
-        assert len(default[0]) > 0 and "C1" in default[1]
-        assert default == run((0.5,)) == run((1.0,))

@@ -30,7 +30,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from orlicz_hardy.cli import DEFAULT_THETAS
 from orlicz_hardy.corpus import default_manifest_path, load_manifest
 from orlicz_hardy.functionals import (
     ScalarProfile,
@@ -39,7 +38,7 @@ from orlicz_hardy.functionals import (
     modular_triple_nd,
     modular_triple_radial,
 )
-from orlicz_hardy.landau_kolmogorov import lk_modular_terms
+from orlicz_hardy.landau_kolmogorov import lk_modular_terms, uniform_bound
 from orlicz_hardy.quadrature import (
     GaussianMeasure,
     IntegralResult,
@@ -237,17 +236,20 @@ def assert_field_triple_honest_at_n_one(triple, label, nf_label):
 @pytest.mark.parametrize("nf_label", ["p2", "p3"])
 @pytest.mark.parametrize("label", N1_FIELDS)
 def test_lk_terms_at_n_one_within_their_error_estimates(label, nf_label):
-    # the Hessian term at every theta and the function term at theta != 1;
-    # under a power those at theta != 1 are rescaled from theta = 1
-    terms = lk_modular_terms(field(label, 1), MANIFEST.nfunc(nf_label), DEFAULT_THETAS,
-                             field_triple(label, nf_label, 1), SPEC)
+    # the Hessian term at theta = 1, and under a power the uniform bound's
+    # right side at theta*, which is the right side there exactly: within
+    # the bound's error less that of the lhs
+    nf = MANIFEST.nfunc(nf_label)
+    terms = lk_modular_terms(field(label, 1), nf, field_triple(label, nf_label, 1), SPEC)
     pieces = field_pieces(FIELDS[label])
-    for theta, (_, hess, func, errs, *_) in terms.items():
-        exact = 2.0 * exact_modular(pieces, nf_label, 1, "H", theta)
-        assert_honest(hess, errs[1], exact, f"{label} {nf_label} theta={theta} hess")
-        if theta != 1.0:
-            exact = 2.0 * exact_modular(pieces, nf_label, 1, "L", 1.0 / theta)
-            assert_honest(func, errs[2], exact, f"{label} {nf_label} theta={theta} func")
+    exact = 2.0 * exact_modular(pieces, nf_label, 1, "H", 1.0)
+    assert_honest(terms.hess_term, terms.errs[1], exact, f"{label} {nf_label} hess")
+    for c1, c2 in ((0.5, 1.0), (8.0, 0.5)):
+        theta, hess, func, err = uniform_bound(terms, c1, c2, *nf.require_exponents())
+        exact = 2.0 * (c1 * exact_modular(pieces, nf_label, 1, "H", theta)
+                       + c2 * exact_modular(pieces, nf_label, 1, "L", 1.0 / theta))
+        assert_honest(hess + func, err - terms.errs[0], exact,
+                      f"{label} {nf_label} C=({c1:g},{c2:g}) theta*={theta:g}")
 
 
 def monomial_exact(entry, p, n, which):
@@ -483,8 +485,7 @@ def test_field_power_norms_at_n_one_within_their_modulars_bars(label, nf_label):
     profiles = field_norm_profiles(field(label, 1))
     modulars = dict(zip("KLG", triple.modulars()))
     if nf_label in ("p2", "p3"):  # the oracle's LK terms: H at theta = 1
-        terms = lk_modular_terms(field(label, 1), MANIFEST.nfunc(nf_label), DEFAULT_THETAS,
-                                 triple, SPEC)[1.0]
+        terms = lk_modular_terms(field(label, 1), MANIFEST.nfunc(nf_label), triple, SPEC)
         modulars["H"] = IntegralResult(terms.hess_term, terms.errs[1],
                                        panels=terms.panels[1])
     for which, m1 in modulars.items():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from orlicz_hardy.errors import PreconditionError
+from orlicz_hardy.errors import EvaluationError, PreconditionError
 from orlicz_hardy.functionals import modular_triple_radial
 from orlicz_hardy.nfunc import power_nfunction
 from orlicz_hardy.sharpness import (
@@ -29,6 +29,11 @@ class TestExtremalFunction:
         with pytest.raises(PreconditionError):
             ExtremalParams(1.0, 2, 1)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 1.5])
+    def test_p_outside_finite_at_least_two_rejected(self, p):
+        with pytest.raises(PreconditionError, match="finite and >= 2"):
+            ExtremalParams(0.5, p, 1)
+
 
 class TestExtremalMoments:
     def test_alpha_zero_p2_n2(self):
@@ -36,6 +41,10 @@ class TestExtremalMoments:
         assert cf.K == pytest.approx(2.0)
         assert cf.L == pytest.approx(1.0)
         assert cf.G == 0.0
+
+    def test_overflowing_closed_form_is_an_evaluation_error(self):
+        with pytest.raises(EvaluationError, match="overflow"):
+            extremal_moments(ExtremalParams(0.0, 400.0, 1))
 
     def test_p2_identity(self):
         for alpha in (0.0, 0.3, 0.9, 0.99):
