@@ -193,7 +193,9 @@ def _monomial_gauss_field(exponents, rate: float, n: int,
                           label: str) -> FieldFunction:
     """u(x) = x^k exp(-rate |x|^2 / 2), k a multi-index of non-negative
     integers.  Its partial derivative along x_i
-    changes sign at |x_i| = sqrt(k_i / rate): the breakpoints."""
+    changes sign at |x_i| = sqrt(k_i / rate): the breakpoints.  u, its
+    gradient and its Hessian change at most their sign under x -> -x, so
+    the field is even."""
     exps = np.zeros(n, dtype=int)
     given = np.array([_whole(k, "exponent", label) for k in exponents], dtype=int)
     if given.size > n:
@@ -246,7 +248,7 @@ def _monomial_gauss_field(exponents, rate: float, n: int,
     bps = (tuple(sorted({math.sqrt(k / a) for k in exps.tolist() if k > 0}))
            if a > 0.0 else ())
     return FieldFunction(u=u, grad=grad, hess=hess, n=n, hint=hint, label=label,
-                         breakpoints=bps)
+                         breakpoints=bps, even=True)
 
 
 def _gauss_poly_radial_field(even_coefficients, rate: float, n: int,
@@ -254,7 +256,7 @@ def _gauss_poly_radial_field(even_coefficients, rate: float, n: int,
     """Radial field u(x) = P(|x|^2) exp(-rate |x|^2 / 2), P by ascending coefs.
     With s = |x|^2, u changes sign where P(s) does and its radial derivative
     where 2 P'(s) - rate P(s) does: the breakpoints are the square roots of
-    their positive roots."""
+    their positive roots.  It is radial, and so even."""
     coefs = np.asarray(even_coefficients, dtype=float)
     a = float(rate)
     dcoefs = coefs[1:] * np.arange(1, coefs.size)
@@ -313,13 +315,14 @@ def _gauss_poly_radial_field(even_coefficients, rate: float, n: int,
     return FieldFunction(
         u=u, grad=grad, hess=hess, n=n,
         hint=SupportHint.decaying(2.0 * (coefs.size - 1.0), a),
-        label=label, radial_profile=profile, breakpoints=bps)
+        label=label, radial_profile=profile, breakpoints=bps, even=True)
 
 
 def _cutoff_field(inner: FieldFunction, r1: float, r2: float,
                   label: str) -> FieldFunction:
     """Multiply a field by a C2 radial cutoff: 1 on [0, r1], 0 beyond r2.
-    The breakpoints are the inner field's below r2, and r1 and r2."""
+    The breakpoints are the inner field's below r2, and r1 and r2; the
+    product is even when the inner field is."""
     if not (0.0 < r1 < r2):
         raise ManifestError(f"cutoff '{label}' needs 0 < r1 < r2")
     width = r2 - r1
@@ -366,7 +369,8 @@ def _cutoff_field(inner: FieldFunction, r1: float, r2: float,
 
     bps = tuple(sorted({b for b in inner.breakpoints if b < r2} | {r1, r2}))
     return FieldFunction(u=u, grad=grad, hess=hess, n=inner.n,
-                         hint=SupportHint.compact(r2), label=label, breakpoints=bps)
+                         hint=SupportHint.compact(r2), label=label, breakpoints=bps,
+                         even=inner.even)
 
 
 def build_field_function(entry: dict, n: int) -> FieldFunction:

@@ -37,6 +37,7 @@ import numpy.random  # noqa: F401  (numpy imports it on first use otherwise)
 from .errors import DivergenceError, PreconditionError
 from .nfunc import NFunction
 from .quadrature import (
+    SYMMETRIES,
     GaussianMeasure,
     IntegralResult,
     QuadratureSpec,
@@ -73,12 +74,16 @@ class ScalarProfile:
     transform(|f|, x), when set, maps |f| at the points x (the radii r, or
     the points of R^n) to the integrand's argument pointwise, and the hint
     bounds that argument; profiles that share fn share one |f| per sweep.
+    symmetry, one of `quadrature.SYMMETRIES`, is what the argument keeps
+    under the Gaussian measure's symmetries on R^n; it sets the sphere
+    directions a Gaussian family of the profile integrates.
     """
 
     fn: Callable
     hint: SupportHint
     breakpoints: tuple = ()
     transform: Optional[Callable] = None
+    symmetry: str = "none"
 
 
 class Parts(NamedTuple):
@@ -119,7 +124,10 @@ class FieldFunction:
 
     Callables are vectorised over leading axes: u maps (..., n) -> (...),
     grad maps (..., n) -> (..., n), hess maps (..., n) -> (..., n, n).
-    radial_profile, when set, certifies that u(x) = profile(|x|).
+    radial_profile, when set, certifies that u(x) = profile(|x|).  even,
+    when set, declares that |u|, |grad u| and ||hess u||_HS are unchanged
+    under x -> -x.  `validate_field` checks both declarations, and the
+    strongest that holds is the `symmetry` of the field's parts.
     breakpoints are radii where the field's profiles along rays may change
     sign or fail to be smooth; every Gaussian integral of the field makes
     them panel edges.
@@ -133,23 +141,31 @@ class FieldFunction:
     label: str = ""
     radial_profile: Optional[RadialTestFunction] = None
     breakpoints: tuple = ()
+    even: bool = False
+
+    @property
+    def symmetry(self) -> str:
+        """The strongest of `quadrature.SYMMETRIES` the field declares."""
+        return ("radial" if self.radial_profile is not None
+                else "even" if self.even else "none")
 
     def parts(self) -> Parts:
         """The profiles of K = int M(|x| |u|), L = int M(|u|),
         G = int M(|grad u|) and H = int M(||hess u||_HS), as point
-        functions with the field's breakpoints; H is None without a
-        Hessian."""
+        functions with the field's breakpoints and symmetry; H is None
+        without a Hessian."""
         def grad_norm(pts):
             return np.linalg.norm(np.asarray(self.grad(pts), dtype=float), axis=-1)
 
-        bps, weighted = self.breakpoints, self.hint.times_power(1.0)
+        bps, weighted, sym = self.breakpoints, self.hint.times_power(1.0), self.symmetry
         hess = (ScalarProfile(lambda pts: hessian_hs_norm(self, pts),
-                              self.hint.times_power(2.0), bps)
+                              self.hint.times_power(2.0), bps, symmetry=sym)
                 if self.hess is not None else None)
         return Parts(ScalarProfile(self.u, weighted, bps,
-                                   lambda a, x: np.linalg.norm(x, axis=-1) * a),
-                     ScalarProfile(self.u, self.hint, bps),
-                     ScalarProfile(grad_norm, weighted, bps), hess)
+                                   lambda a, x: np.linalg.norm(x, axis=-1) * a,
+                                   symmetry=sym),
+                     ScalarProfile(self.u, self.hint, bps, symmetry=sym),
+                     ScalarProfile(grad_norm, weighted, bps, symmetry=sym), hess)
 
 
 @dataclass(frozen=True)
@@ -199,7 +215,8 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
     On a radial measure x is the radii r, |f| is |f(r)|, and the parts are
     one `integrate_radial`.  On a Gaussian measure f is a point function, x
     the sweep's (directions x radii x n) points, |f| its values there, and
-    the parts are one `integrate_gaussian_nd`.  Each distinct profile
+    the parts are one `integrate_gaussian_nd` on the sphere directions of
+    the weakest symmetry among them.  Each distinct profile
     function is called, and its absolute value taken, once per sweep, so the
     parts that read one profile -- under one N-function or several -- share
     it.  Every part's envelope is composed from its profile's hint and its
@@ -233,9 +250,10 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
         found = integrate_radial(rows, measure.n, spec, envelopes=envelopes,
                                  breakpoints=breakpoints)
     else:
-        found = integrate_gaussian_nd(rows, measure.n, spec, envelopes=envelopes,
-                                      normalized=measure.normalized,
-                                      breakpoints=breakpoints)
+        found = integrate_gaussian_nd(
+            rows, measure.n, spec, envelopes=envelopes, normalized=measure.normalized,
+            breakpoints=breakpoints,
+            symmetry=min((parts[i][0].symmetry for i in live), key=SYMMETRIES.index))
     for i, res in zip(live, found):
         results[i] = res
     return results
@@ -299,7 +317,8 @@ def modular_triple_nd(u: FieldFunction, nf: NFunction | Sequence[NFunction],
 # ---------------------------------------------------------------------------
 
 def _scaled(profile: ScalarProfile, k: float) -> ScalarProfile:
-    """The profile whose integrand's argument is the profile's over k."""
+    """The profile whose integrand's argument is the profile's over k (its
+    symmetry too)."""
     transform = profile.transform or (lambda a, x: a)
     return replace(profile, transform=lambda a, x: transform(a, x) / k)
 
@@ -562,7 +581,11 @@ def validate_radial(u: RadialTestFunction) -> list[str]:
 
 
 def validate_field(u: FieldFunction) -> list[str]:
-    """Finite-difference gradient check and exact Hessian symmetry."""
+    """Finite-difference gradient check, exact Hessian symmetry, and the
+    declared symmetry: an `even` field's |u|, |grad u| and ||hess u||_HS
+    agree at x and -x, and a field with a `radial_profile` has u(x) =
+    profile.u(|x|) and |grad u(x)| = |profile.du(|x|)|, to within rounding
+    on every test point."""
     problems: list[str] = []
     rng = np.random.default_rng(7)
     radius = u.hint.radius * 0.9 if u.hint.kind == "compact" else 3.0
@@ -588,4 +611,24 @@ def validate_field(u: FieldFunction) -> list[str]:
         asym = np.abs(h - np.swapaxes(h, -2, -1)).max()
         if asym > 1e-12 * (1.0 + np.abs(h).max()):
             problems.append(f"'{u.label}': Hessian not symmetric (max dev {asym:.3g})")
+    pairs = []  # (declaration, what, value at the test points, what it must equal)
+    if u.even:
+        both = np.stack([pts, -pts])
+        magnitudes = [("|u|", np.abs(np.asarray(u.u(both), dtype=float))),
+                      ("|grad u|", np.linalg.norm(np.asarray(u.grad(both), dtype=float),
+                                                  axis=-1))]
+        if u.hess is not None:
+            magnitudes.append(("||hess u||_HS", hessian_hs_norm(u, both)))
+        pairs += [("even", what, at[0], at[1]) for what, at in magnitudes]
+    if u.radial_profile is not None:
+        r = np.linalg.norm(pts, axis=-1)
+        pairs += [("radial", "u", u.u(pts), u.radial_profile.u(r)),
+                  ("radial", "|grad u|", np.linalg.norm(g, axis=-1),
+                   np.abs(u.radial_profile.du(r)))]
+    for declared, what, a, b in pairs:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        dev = np.abs(a - b).max()
+        if not dev <= 1e-12 * (1.0 + np.abs(b).max()):
+            problems.append(f"'{u.label}': declared {declared}, but {what} differs "
+                            f"by up to {dev:.3g}")
     return problems

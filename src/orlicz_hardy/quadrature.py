@@ -4,9 +4,9 @@ against the Gaussian weight exp(-|x|^2/2) dx on R^n via spherical sampling.
 The 1-d rule is adaptive panel subdivision with an embedded Gauss-Kronrod
 15(7) pair per panel.  Integrands are evaluated in vectorised batches (one
 numpy call per refinement sweep), which also lets a whole family of radial
-profiles -- several modulars of one subject, each on every sphere direction
--- share one refinement: one `_adaptive` call, in which every row keeps its
-own tolerance test.  A panel's error is at least QUADPACK qk15's roundoff
+profiles -- several modulars of one subject, each on the sphere directions
+its symmetry leaves distinct -- share one refinement: one `_adaptive` call,
+in which every row keeps its own tolerance test.  A panel's error is at least QUADPACK qk15's roundoff
 floor, 50 eps times the Kronrod sum of |f| (Piessens et al., QUADPACK, 1983).
 
 Truncation of the semi-infinite interval is driven by caller-declared
@@ -51,6 +51,7 @@ __all__ = [
     "integrate_radial",
     "integrate_gaussian_nd",
     "sphere_directions",
+    "SYMMETRIES",
     "gk_rule",
     "brent_max",
 ]
@@ -59,6 +60,10 @@ __all__ = [
 # drawn from SPHERE_SEED, so every run samples the same directions.
 SPHERE_NODES = 32
 SPHERE_SEED = 20260809
+# What a Gaussian family's integrands keep under the symmetries of the
+# Gaussian measure, weakest first: nothing; their value under x -> -x
+# ("even"); their value under every rotation ("radial").
+SYMMETRIES = ("none", "even", "radial")
 # where exp(-r^2/2) falls to the smallest normal double, about 37.6
 MAX_RADIUS = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
 _EPS = float(np.finfo(float).eps)
@@ -187,12 +192,15 @@ def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
     f maps a flat array of abscissae to values of shape (k,) or (m, k) for a
     vector of m integrands sharing the panels.  Returns (vals, errs), each of
     shape (m, P); a panel's error is |K15 - G7|, floored at `ROUNDOFF` times
-    the Kronrod sum of |f| on it, as QUADPACK's qk15 does.
+    the Kronrod sum of |f| on it, as QUADPACK's qk15 does.  A non-finite
+    value raises EvaluationError; numpy's overflow and invalid-value
+    warnings on the way to it are not printed.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    y = np.asarray(f(x), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.asarray(f(x), dtype=float)
     if y.ndim == 1:
         y = y[None, :]
     yy = y.reshape(y.shape[0], lo.size, 15)
@@ -594,7 +602,7 @@ def sphere_directions(n: int) -> np.ndarray:
 
 def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
                           envelopes, normalized: bool = False,
-                          breakpoints=()) -> list[IntegralResult]:
+                          breakpoints=(), symmetry: str = "none") -> list[IntegralResult]:
     """Integrals against exp(-|x|^2/2) dx on R^n by spherical reduction, one
     per part, all on shared panels in one `_adaptive` call.
 
@@ -610,13 +618,28 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
     sphere surface area; `normalized` switches to the (2 pi)^(-n/2)-
     normalised Gaussian.  Its error estimate adds the angular standard error
     of the antithetic-pair means to the mean radial quadrature error.
+
+    symmetry, one of `SYMMETRIES`, is what every part's integrand keeps,
+    and it sets the rows the family integrates (Stroud, Approximate
+    Calculation of Multiple Integrals, 1971).  "none" integrates every
+    sphere direction.  "even" integrates the drawn directions y and copies
+    each row to its antipode -y; where the parts read the same values at
+    -y as at y, bit for bit, the value, error and angular error are those
+    of every direction, bit for bit.  "radial" integrates e_1 alone,
+    weighted by the whole surface area, with no angular error.
+    Each result's panels are (lo, hi, directions): the directions the
+    family averaged over, for `gk_rule`.
     """
     spec = spec or QuadratureSpec()
     envelopes = tuple(envelopes)
     if len(envelopes) != len(parts):
         raise PreconditionError(f"{len(envelopes)} envelopes for {len(parts)} parts")
-    dirs = sphere_directions(n)
+    if symmetry not in SYMMETRIES:
+        raise PreconditionError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
+    dirs = np.eye(1, n) if symmetry == "radial" else sphere_directions(n)
     m = dirs.shape[0]
+    drawn = dirs[:m // 2] if symmetry == "even" else dirs
+    rows = drawn.shape[0]
 
     def one_value_per_point(g):
         def values(x):
@@ -629,11 +652,14 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
         return values
 
     checked = {id(g): one_value_per_point(g) for g, _ in parts}
-    family = _stacked([(checked[id(g)], transform) for g, transform in parts], m,
-                      lambda r: r[None, :, None] * dirs[:, None, :])
-    vals, errs, radius, ok, panels = integrate_radial_family(
-        family, n, spec, envelopes=[env for env in envelopes for _ in range(m)],
+    family = _stacked([(checked[id(g)], transform) for g, transform in parts], rows,
+                      lambda r: r[None, :, None] * drawn[:, None, :])
+    vals, errs, radius, ok, (lo, hi) = integrate_radial_family(
+        family, n, spec, envelopes=[env for env in envelopes for _ in range(rows)],
         breakpoints=breakpoints)
+    if rows < m:  # each antipode's row is its drawn direction's
+        vals, errs = (np.tile(a.reshape(len(parts), rows), 2).ravel() for a in (vals, errs))
+    panels = (lo, hi, dirs)
     area = surface_area(n)
     factor = (2.0 * math.pi) ** (-n / 2.0) if normalized else 1.0
     half = m // 2
@@ -653,22 +679,23 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
 
 
 def gk_rule(panels, measure) -> tuple[np.ndarray, np.ndarray]:
-    """The Kronrod rule of a family's panels (lo, hi) against the measure:
-    (points, weights) with sum(weights * f(points)) the Kronrod sum that
+    """The Kronrod rule of a family's panels against the measure: (points,
+    weights) with sum(weights * f(points)) the Kronrod sum that
     `integrate_radial` or `integrate_gaussian_nd` takes of int f dmu on
-    those panels.  On a RadialMeasure the points are the abscissae r (k,)
-    and the weights carry r^(n-1) exp(-r^2/2).  On a GaussianMeasure they
-    are the points r y_j of the sphere directions, (directions, k, n), and
-    the weights (directions, k) also carry the angular mean, the sphere's
-    surface area and, when normalized, (2 pi)^(-n/2)."""
-    lo, hi = panels
+    those panels.  On a RadialMeasure the panels are (lo, hi), the points
+    are the abscissae r (k,) and the weights carry r^(n-1) exp(-r^2/2).  On
+    a GaussianMeasure the panels are (lo, hi, directions), the points are
+    r y_j for the directions y_j the family averaged over, (directions, k,
+    n), and the weights (directions, k) also carry the angular mean, the
+    sphere's surface area and, when normalized, (2 pi)^(-n/2)."""
+    lo, hi = panels[:2]
     half = 0.5 * (hi - lo)
     r = (0.5 * (lo + hi)[:, None] + half[:, None] * _NODES).ravel()
     n = measure.n
     w = (half[:, None] * _KRON_W).ravel() * np.power(r, n - 1) * np.exp(-0.5 * r * r)
     if isinstance(measure, RadialMeasure):
         return r, w
-    dirs = sphere_directions(n)
+    dirs = panels[2]
     scale = surface_area(n) / dirs.shape[0]
     if measure.normalized:
         scale *= (2.0 * math.pi) ** (-n / 2.0)

@@ -33,10 +33,6 @@ NOT_IN_A_BATTERY = {
     ("functionals", "modular_value"):
         "acceptance criterion 11 and the Luxemburg reference tests use it",
     ("quadrature", "moment"): "the exact reference of the quadrature tests",
-    ("corpus", "_gauss_poly_radial_field.<locals>.profile_u"):
-        "the radial profile of a radial field, which criterion 9 reads",
-    ("corpus", "_gauss_poly_radial_field.<locals>.profile_du"):
-        "the derivative of that radial profile, which criterion 9 reads",
 }
 
 CO_OPTIMIZED = 0x1  # set on function code, unset on module and class bodies

@@ -190,6 +190,19 @@ class TestSubcommands:
         assert proc.returncode == 0
         assert "certify" in proc.stdout
 
+    def test_overflowing_integrand_exits_two_without_a_numpy_warning(self, tmp_path):
+        # M(u) = u^300 of the p = 300 extremal function overflows on the
+        # quadrature's panels: the non-finite value is the error, and the
+        # overflow on the way to it prints no RuntimeWarning
+        proc = subprocess.run(
+            [sys.executable, "-m", "orlicz_hardy.cli", "--out", str(tmp_path),
+             "sharpness", "--p", "300", "--n", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: integrand non-finite at r="), proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_batteries_load_no_numpy_or_scipy_module(self, tmp_path):
         # numpy imports np.random and np.polynomial on first use; a battery
         # pass must not pay for that
@@ -320,10 +333,11 @@ def changed_checks(before: list, after: list) -> dict:
 class TestNonConvergedQuadrature:
     def test_hardy_check_on_an_unconverged_triple_is_indeterminate(
             self, manifest, spec, monkeypatch):
-        # the first field's triple at n = 2 (3 modulars x 32 directions)
+        # the first field's triple at n = 2 (3 modulars x 1 direction: the
+        # field is radial, so its family integrates e_1 alone)
         before, after = [], []
         run_hardy(manifest, spec, [2], before, nfunc_label="p2", form="hn1")
-        failed = fail_first_family(monkeypatch, 3 * 32)
+        failed = fail_first_family(monkeypatch, 3 * 1)
         run_hardy(manifest, spec, [2], after, nfunc_label="p2", form="hn1")
         assert failed
         changed = changed_checks(before, after)
@@ -336,8 +350,9 @@ class TestNonConvergedQuadrature:
 
     def test_lk_checks_on_an_unconverged_triple_are_indeterminate(
             self, manifest, spec, monkeypatch):
-        # under p2log, the first field's triple at n = 1 (3 modulars x 2
-        # directions): its G and L are the modular check's lhs and function
+        # under p2log, the first field's triple at n = 1 (3 modulars x 1
+        # direction, as the field is radial): its G and L are the modular
+        # check's lhs and function
         # term and two of its norms' modulars, so both of its checks and
         # both fits rest on it
         def run():
@@ -346,7 +361,7 @@ class TestNonConvergedQuadrature:
             return checks
 
         before = run()
-        failed = fail_first_family(monkeypatch, 3 * 2)
+        failed = fail_first_family(monkeypatch, 3 * 1)
         after = run()
         assert failed
         changed = changed_checks(before, after)
@@ -362,15 +377,16 @@ class TestNonConvergedQuadrature:
 
     def test_lk_norm_checks_rest_on_the_hessian_term(self, manifest, spec,
                                                      monkeypatch):
-        # the first field's Hessian term at n = 1 is the norm's m1 and the
-        # modular check's H1, so the checks of both forms rest on it
+        # the first field's Hessian term at n = 1 (1 modular x 1 direction,
+        # as the field is radial) is the norm's m1 and the modular check's
+        # H1, so the checks of both forms rest on it
         def run():
             checks = []
             run_lk(manifest, spec, [1], checks, {}, nfunc_labels=("p2",))
             return checks
 
         before = run()
-        failed = fail_first_family(monkeypatch, 1 * 2)
+        failed = fail_first_family(monkeypatch, 1 * 1)
         after = run()
         assert failed
         changed = changed_checks(before, after)

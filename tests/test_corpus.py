@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from orlicz_hardy.corpus import (
     load_manifest,
 )
 from orlicz_hardy.errors import CertificationError, ManifestError, PreconditionError
+from orlicz_hardy.functionals import FieldFunction
 from orlicz_hardy.nfunc import GridSpec, NFunction, certify
 
 
@@ -143,6 +145,26 @@ class TestRejection:
             bad, du=lambda r: 2.0 * np.asarray(bad.du(r), float))
         problems = validate_radial(broken)
         assert problems and "max relative deviation" in problems[0]
+
+
+    def test_a_field_declared_even_that_is_not_rejects_the_member(self, tmp_path,
+                                                                  monkeypatch):
+        # no packaged kind builds one, so a monomial_gauss member builds
+        # u = (x_1 + 1) exp(-|x|^2 / 2), declared even as the kind is
+        plain = corpus._monomial_gauss_field
+
+        def shifted(exponents, rate, n, label):
+            a, b = plain(exponents, rate, n, label), plain([0], rate, n, label)
+            return FieldFunction(u=lambda X: a.u(X) + b.u(X),
+                                 grad=lambda X: a.grad(X) + b.grad(X),
+                                 n=n, label=label, even=True)
+
+        monkeypatch.setattr(corpus, "_monomial_gauss_field", shifted)
+        path = write_manifest(tmp_path, {"schema": 1, "field_functions": [
+            {"label": "odd", "kind": "monomial_gauss",
+             "params": {"exponents": [1], "rate": 1.0}}]})
+        with pytest.raises(ManifestError, match=re.escape("'odd': declared even, but |u|")):
+            load_manifest(path)
 
 
 class TestBuilders:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from orlicz_hardy import functionals
+from orlicz_hardy import functionals, quadrature
 from orlicz_hardy import hardy as hardy_mod
 from orlicz_hardy.cli import run_hardy
 from orlicz_hardy.errors import DivergenceError, PreconditionError
@@ -227,6 +228,15 @@ class TestValidation:
         problems = validate_field(bad)
         assert problems and "gradient mismatch" in problems[0]
 
+    def test_a_radial_profile_that_misreads_the_field_is_reported(self, manifest):
+        field = manifest.field_functions["fr_smooth"].instantiate(2)
+        wide = manifest.field_functions["fr_wide"].instantiate(2)
+        assert validate_field(field) == []
+        problems = validate_field(
+            dataclasses.replace(field, radial_profile=wide.radial_profile))
+        assert [p.split(" differs")[0] for p in problems] == [
+            "'fr_smooth': declared radial, but u", "'fr_smooth': declared radial, but |grad u|"]
+
     def test_corpus_members_validate(self, manifest):
         for u in manifest.radial_functions.values():
             assert validate_radial(u) == []
@@ -276,6 +286,55 @@ class TestModularTripleNd:
                                   n=2, hint=SupportHint.decaying(0.0, 0.0))
         with pytest.raises(PreconditionError, match="gradient"):
             modular_triple_nd(none_grad, power_nfunction(2))
+
+
+class TestSphereRuleOfTheSymmetry:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_even_fields_on_the_drawn_directions_equal_the_full_sphere(
+            self, manifest, spec, n, monkeypatch):
+        # every packaged field is even; without its radial profile a field's
+        # family integrates the drawn half of the sphere directions, and its
+        # modulars are, bit for bit, those of the family on all of them
+        rows, family = [], quadrature.integrate_radial_family
+
+        def counted(fs, n, spec=None, *, envelopes, breakpoints=()):
+            rows.append(len(envelopes))
+            return family(fs, n, spec, envelopes=envelopes, breakpoints=breakpoints)
+
+        monkeypatch.setattr(quadrature, "integrate_radial_family", counted)
+        directions = quadrature.sphere_directions(n)
+        meas = GaussianMeasure(n)
+        for label, factory in sorted(manifest.field_functions.items()):
+            if not factory.compatible(n):
+                continue
+            even = dataclasses.replace(factory.instantiate(n), radial_profile=None)
+            reference = dataclasses.replace(even, even=False)
+            assert (even.symmetry, reference.symmetry) == ("even", "none")
+            for nf_label, nf in sorted(manifest.nfunctions.items()):
+                where = (label, nf_label, n)
+                rows.clear()
+                triple = modular_triple_nd(even, nf, spec)
+                hess = lone_or_none(even.parts().H, nf, meas, spec)
+                assert rows == [3 * len(directions) // 2, len(directions) // 2], where
+                assert triple.panels[2] is directions
+                assert triple == modular_triple_nd(reference, nf, spec), where
+                assert hess == lone_or_none(reference.parts().H, nf, meas, spec), where
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_radial_fields_integrate_one_direction(self, manifest, spec, normalized):
+        # K, L and G of a radial field on e_1 alone are the surface area
+        # times those of its radial profile, within the field's err_est
+        for label in ("fr_smooth", "fr_wide"):
+            for n in (1, 2, 3):
+                field = manifest.field_functions[label].instantiate(n)
+                scale = surface_area(n) * ((2.0 * math.pi) ** (-n / 2.0) if normalized else 1.0)
+                for nf_label, nf in sorted(manifest.nfunctions.items()):
+                    triple = modular_triple_nd(field, nf, spec, normalized)
+                    radial = modular_triple_radial(field.radial_profile, nf, n, spec)
+                    assert np.array_equal(triple.panels[2], np.eye(1, n))
+                    for a, b, err in zip((triple.K, triple.L, triple.G),
+                                         (radial.K, radial.L, radial.G), triple.errs):
+                        assert abs(a - scale * b) <= err, (label, nf_label, n)
 
 
 def lone_or_none(profile, nf, measure, spec):
@@ -624,8 +683,8 @@ class TestNormsFromTheTriple:
                                                                nf_label):
         # the norm of K's part, |u| under the transform r a (|x| a on R^n),
         # equals bit for bit the norm of the profile r |u| (|x| |u|) built
-        # out in full, from the same modular at K = 1: p2log takes the
-        # secant search, p3 the power path
+        # out in full, with the part's symmetry, from the same modular at
+        # K = 1: p2log takes the secant search, p3 the power path
         nf = manifest.nfunc(nf_label)
         cases = [(u, RadialMeasure(n), modular_triple_radial(u, nf, n, spec),
                   ScalarProfile(lambda r, u=u: np.asarray(r, dtype=float) * np.abs(u.u(r)),
@@ -633,7 +692,8 @@ class TestNormsFromTheTriple:
                  for _, u in sorted(manifest.radial_functions.items()) for n in (1, 2)]
         cases += [(u, GaussianMeasure(2), modular_triple_nd(u, nf, spec),
                    ScalarProfile(lambda x, u=u: np.linalg.norm(x, axis=-1) * np.abs(u.u(x)),
-                                 u.hint.times_power(1.0), u.breakpoints))
+                                 u.hint.times_power(1.0), u.breakpoints,
+                                 symmetry=u.parts().K.symmetry))
                   for u in (factory.instantiate(2)
                             for _, factory in sorted(manifest.field_functions.items())
                             if factory.compatible(2))]

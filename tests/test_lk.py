@@ -367,7 +367,8 @@ class TestModularTermsFromTheTriple:
                                              normalized):
         # the lhs and the function term are read from the triple; the
         # Hessian term must equal, bit for bit, a fresh Gaussian family of
-        # that integral alone
+        # that integral alone, on the sphere directions of the field's
+        # symmetry
         nf = manifest.nfunc(nf_label)
         for n in (1, 2, 3):
             for u in lk_fields(manifest, n):
@@ -376,7 +377,8 @@ class TestModularTermsFromTheTriple:
                 hess, = quadrature.integrate_gaussian_nd(
                     [(hess_profile.fn, lambda v, x: nf.eval(v))], n, spec,
                     envelopes=[functionals._compose_hint(u.hint.times_power(2.0), nf)],
-                    normalized=normalized, breakpoints=u.breakpoints)
+                    normalized=normalized, breakpoints=u.breakpoints,
+                    symmetry=hess_profile.symmetry)
                 terms = lk_modular_terms(u, nf, triple, spec, normalized)
                 assert terms[:5] == LKTerms(
                     triple.G, hess.value, triple.L,

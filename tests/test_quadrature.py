@@ -10,6 +10,7 @@ from orlicz_hardy.quadrature import (
     MAX_RADIUS,
     MIN_REL_TOL,
     ROUNDOFF,
+    SYMMETRIES,
     GaussianMeasure,
     QuadratureSpec,
     RadialMeasure,
@@ -232,6 +233,41 @@ class TestGaussianNd:
         assert not dirs.flags.writeable
         assert sphere_directions(n) is dirs
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_an_even_family_on_the_drawn_directions_equals_the_full_sphere(self, n):
+        # each antipode's row is a copy of its drawn direction's, so value,
+        # error and angular error are those of every direction, bit for bit,
+        # for an integrand that reads the same values at x and -x (numpy's
+        # x ** 3 and x ** 4 of a negative x need not mirror a positive one's)
+        def g(x):
+            s = (x * x).sum(axis=-1)
+            return x[..., 0] ** 2 * (1.0 + x[..., -1] ** 2) ** 2 * np.exp(-0.3 * s)
+
+        env = SupportHint.decaying(6.0, 0.6)
+        parts = [(g, None), (g, lambda v, x: np.linalg.norm(x, axis=-1) * v)]
+        even = integrate_gaussian_nd(parts, n, envelopes=[env] * 2, symmetry="even")
+        assert even == integrate_gaussian_nd(parts, n, envelopes=[env] * 2)
+        assert n == 1 or even[0].angular_sem > 0.0
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_radial_family_integrates_e1_alone(self, n, normalized):
+        def g(x):
+            s = (x * x).sum(axis=-1)
+            return (1.0 + s) * np.exp(-0.25 * s)
+
+        env = SupportHint.decaying(2.0, 0.5)
+        res = gaussian(g, n, envelope=env, normalized=normalized, symmetry="radial")
+        one, = integrate_radial([(lambda r: (1.0 + r * r) * np.exp(-0.25 * r * r), None)],
+                                n, envelopes=[env])
+        factor = (2.0 * math.pi) ** (-n / 2.0) if normalized else 1.0
+        assert (res.value, res.err_est, res.angular_sem) == (
+            surface_area(n) * one.value * factor, surface_area(n) * one.err_est * factor, 0.0)
+
+    def test_an_unknown_symmetry_is_rejected(self):
+        with pytest.raises(PreconditionError, match="symmetry must be one of"):
+            gaussian(lambda x: np.ones(x.shape[:-1]), 2, symmetry="odd")
+
     def test_zero_dimension_rejected(self):
         # formerly the direction re-draw loop spun forever for n = 0
         with pytest.raises(PreconditionError, match="dimension"):
@@ -421,6 +457,22 @@ class TestReturnedPanels:
             x, w = gk_rule(gaussian.panels, GaussianMeasure(n, normalized))
             assert x.shape == w.shape + (n,)
             assert np.sum(w * bump(x)) == pytest.approx(gaussian.value, rel=1e-14)
+
+
+    @pytest.mark.parametrize("symmetry", SYMMETRIES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_rule_of_the_panels_is_the_one_the_symmetry_took(self, n, symmetry):
+        # a radial family's rule is e_1 with the whole surface area; the
+        # others average over every sphere direction
+        def g(x):
+            s = (x * x).sum(axis=-1)
+            return (1.0 + s) * np.exp(-0.3 * s)
+
+        res, = integrate_gaussian_nd([(g, None)], n, envelopes=[SupportHint.decaying(2.0, 0.6)],
+                                     symmetry=symmetry)
+        x, w = gk_rule(res.panels, GaussianMeasure(n))
+        assert x.shape[0] == (1 if symmetry == "radial" else len(sphere_directions(n)))
+        assert np.sum(w * g(x)) == pytest.approx(res.value, rel=1e-14)
 
 
 class TestIntegratePieces:
