@@ -35,7 +35,7 @@ from .nfunc import (
     power_log_nfunction,
     power_nfunction,
 )
-from .quadrature import SupportHint
+from .quadrature import SupportHint, sum_sq
 from .reporting import body_digest as fingerprint
 from .sharpness import ExtremalParams, extremal_function
 
@@ -207,12 +207,12 @@ def _monomial_gauss_field(exponents, rate: float, n: int,
 
     def u(X):
         X = np.asarray(X, dtype=float)
-        s = (X * X).sum(axis=-1)
+        s = sum_sq(X)
         return _monomial(X, exps) * np.exp(-0.5 * a * s)
 
     def grad(X):
         X = np.asarray(X, dtype=float)
-        s = (X * X).sum(axis=-1)
+        s = sum_sq(X)
         env = np.exp(-0.5 * a * s)
         m = _monomial(X, exps)
         out = np.empty(X.shape)
@@ -222,7 +222,7 @@ def _monomial_gauss_field(exponents, rate: float, n: int,
 
     def hess(X):
         X = np.asarray(X, dtype=float)
-        s = (X * X).sum(axis=-1)
+        s = sum_sq(X)
         env = np.exp(-0.5 * a * s)
         m = _monomial(X, exps)
         out = np.empty(X.shape + (n,))
@@ -267,7 +267,7 @@ def _gauss_poly_radial_field(even_coefficients, rate: float, n: int,
 
     def parts(X):
         X = np.asarray(X, dtype=float)
-        s = (X * X).sum(axis=-1)
+        s = sum_sq(X)
         env = np.exp(-0.5 * a * s)
         p = polyval(s, coefs)
         dp = polyval(s, dcoefs) if dcoefs.size else np.zeros_like(s)
@@ -329,20 +329,25 @@ def _cutoff_field(inner: FieldFunction, r1: float, r2: float,
 
     def window(r):
         t = np.clip((r - r1) / width, 0.0, 1.0)
-        chi = 1.0 - (10.0 * t ** 3 - 15.0 * t ** 4 + 6.0 * t ** 5)
+        # the smoothstep 10 t^3 - 15 t^4 + 6 t^5, which is t at t = 0 and 1
+        step = np.array(t)
+        inside = (step > 0.0) & (step < 1.0)
+        ti = step[inside]
+        step[inside] = 10.0 * ti ** 3 - 15.0 * ti ** 4 + 6.0 * ti ** 5
+        chi = 1.0 - step
         dchi = -30.0 * t * t * (1.0 - t) ** 2 / width
         ddchi = -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / width ** 2
         return chi, dchi, ddchi
 
     def u(X):
         X = np.asarray(X, dtype=float)
-        r = np.linalg.norm(X, axis=-1)
+        r = np.sqrt(sum_sq(X))
         chi, _, _ = window(r)
         return inner.u(X) * chi
 
     def grad(X):
         X = np.asarray(X, dtype=float)
-        r = np.linalg.norm(X, axis=-1)
+        r = np.sqrt(sum_sq(X))
         chi, dchi, _ = window(r)
         gv = np.asarray(inner.grad(X), dtype=float)
         safe_r = np.where(r > 0.0, r, 1.0)
@@ -351,7 +356,7 @@ def _cutoff_field(inner: FieldFunction, r1: float, r2: float,
 
     def hess(X):
         X = np.asarray(X, dtype=float)
-        r = np.linalg.norm(X, axis=-1)
+        r = np.sqrt(sum_sq(X))
         chi, dchi, ddchi = window(r)
         v = np.asarray(inner.u(X), dtype=float)
         gv = np.asarray(inner.grad(X), dtype=float)

@@ -46,6 +46,7 @@ from .quadrature import (
     gk_rule,
     integrate_gaussian_nd,
     integrate_radial,
+    sum_sq,
 )
 
 __all__ = [
@@ -155,14 +156,14 @@ class FieldFunction:
         functions with the field's breakpoints and symmetry; H is None
         without a Hessian."""
         def grad_norm(pts):
-            return np.linalg.norm(np.asarray(self.grad(pts), dtype=float), axis=-1)
+            return np.sqrt(sum_sq(self.grad(pts)))
 
         bps, weighted, sym = self.breakpoints, self.hint.times_power(1.0), self.symmetry
         hess = (ScalarProfile(lambda pts: hessian_hs_norm(self, pts),
                               self.hint.times_power(2.0), bps, symmetry=sym)
                 if self.hess is not None else None)
         return Parts(ScalarProfile(self.u, weighted, bps,
-                                   lambda a, x: np.linalg.norm(x, axis=-1) * a,
+                                   lambda a, x: np.sqrt(sum_sq(x)) * a,
                                    symmetry=sym),
                      ScalarProfile(self.u, self.hint, bps, symmetry=sym),
                      ScalarProfile(grad_norm, weighted, bps, symmetry=sym), hess)
@@ -217,9 +218,9 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
     the sweep's (directions x radii x n) points, |f| its values there, and
     the parts are one `integrate_gaussian_nd` on the sphere directions of
     the weakest symmetry among them.  Each distinct profile
-    function is called, and its absolute value taken, once per sweep, so the
-    parts that read one profile -- under one N-function or several -- share
-    it.  Every part's envelope is composed from its profile's hint and its
+    function is called, and its absolute value taken, once per sweep, and so
+    is each distinct transform of it, so the parts that read one argument --
+    under one N-function or several -- share it.  Every part's envelope is composed from its profile's hint and its
     own N-function's exponents, and adds its own tail beyond the shared
     radius; the panel edges include every part's breakpoints.  A part whose
     envelope does not decay against the measure diverges: its entry is None
@@ -238,13 +239,10 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
     def magnitude(fn):
         return magnitudes.setdefault(id(fn), lambda x: np.abs(fn(x)))
 
-    def integrand(nf, transform):
-        if transform is None:
-            return lambda a, x: nf.eval(a)
-        return lambda a, x: nf.eval(transform(a, x))
-
-    rows = [(magnitude(parts[i][0].fn), integrand(parts[i][1], parts[i][0].transform))
-            for i in live]
+    # (|f|, transform, M): the integrator evaluates each distinct argument
+    # transform(|f|, x) once per sweep, whatever the N-functions that read it
+    rows = [(magnitude(profile.fn), profile.transform, lambda a, x, nf=nf: nf.eval(a))
+            for profile, nf in (parts[i] for i in live)]
     envelopes = [envs[i] for i in live]
     if isinstance(measure, RadialMeasure):
         found = integrate_radial(rows, measure.n, spec, envelopes=envelopes,
@@ -296,7 +294,7 @@ def hessian_hs_norm(u: FieldFunction, pts: np.ndarray) -> np.ndarray:
     if u.hess is None:
         raise PreconditionError(f"field '{u.label}' has no Hessian")
     h = np.asarray(u.hess(pts), dtype=float)
-    return np.sqrt((h * h).sum(axis=(-2, -1)))
+    return np.sqrt(sum_sq(h.reshape(h.shape[:-2] + (-1,))))
 
 
 def modular_triple_nd(u: FieldFunction, nf: NFunction | Sequence[NFunction],

@@ -54,6 +54,7 @@ __all__ = [
     "SYMMETRIES",
     "gk_rule",
     "brent_max",
+    "sum_sq",
 ]
 
 # The sphere rule: SPHERE_NODES directions on S^(n-1), in antithetic pairs
@@ -212,6 +213,20 @@ def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
     kron = (yy * _KRON_W).sum(axis=-1) * half
     gauss = (yy * _GAUSS_W).sum(axis=-1) * half
     return kron, np.maximum(np.abs(kron - gauss), floor)
+
+
+def sum_sq(x: np.ndarray) -> np.ndarray:
+    """(x * x).sum(axis=-1), bit for bit, at a fraction of its cost on a
+    short last axis: numpy adds fewer than 8 components one at a time, in
+    order, and so does this; from 8 on, numpy's pairwise sum is taken.
+    np.sqrt(sum_sq(x)) is np.linalg.norm(x, axis=-1), bit for bit."""
+    x = np.asarray(x, dtype=float)
+    if not 0 < x.shape[-1] < 8:
+        return (x * x).sum(axis=-1)
+    total = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        total += x[..., i] * x[..., i]
+    return total
 
 
 def _median(x: np.ndarray):
@@ -507,20 +522,29 @@ def _radial_seeds(radius: float, resolved) -> list[float]:
 
 
 def _stacked(parts, rows: int, at=None):
-    """The (len(parts) * rows, k) integrand of parts (source, transform) at
-    radii r (k,).  Each distinct source is called once per sweep, on x = r
-    or, given `at`, on x = at(r), and gives a block of `rows` rows (or a
-    vector for one row); transform(block, x), when not None, maps its block
-    to the part's rows pointwise."""
-    sources = {id(src): src for src, _ in parts}
-
+    """The (len(parts) * rows, k) integrand of parts (source, *transforms) at
+    radii r (k,).  The source is called on x = r or, given `at`, on
+    x = at(r), and gives a block of `rows` rows (or a vector for one row);
+    each transform in turn, unless None, maps the block to the next
+    pointwise, transform(block, x), and the last block is the part's rows.
+    Each distinct source, and each distinct chain of transforms after it,
+    is evaluated once per sweep, so parts that begin alike share those
+    blocks."""
     def fs(r):
         x = r if at is None else at(r)
-        blocks = {key: src(x) for key, src in sources.items()}
+        blocks = {}
+
+        def block(chain):
+            key = tuple(map(id, chain))
+            if key not in blocks:
+                *head, last = chain
+                blocks[key] = (last(x) if not head else block(head) if last is None
+                               else last(block(head), x))
+            return blocks[key]
+
         out = np.empty((len(parts) * rows, r.size))
-        for i, (src, transform) in enumerate(parts):
-            block = blocks[id(src)]
-            out[i * rows:(i + 1) * rows] = block if transform is None else transform(block, x)
+        for i, part in enumerate(parts):
+            out[i * rows:(i + 1) * rows] = block(tuple(part))
         return out
 
     return fs
@@ -531,10 +555,11 @@ def integrate_radial(parts, n: int, spec: QuadratureSpec | None = None, *,
     """Integrals of f(r) r^(n-1) exp(-r^2/2) dr over [0, oo), one per part,
     all on shared panels in one `_adaptive` call.
 
-    Each part is (f, transform): f maps an array of radii to values
-    (vectorised), and each distinct f is evaluated once per sweep;
-    transform(values, r), when not None, maps them to the part's integrand
-    pointwise.  envelopes holds one envelope per part.  A part's reported
+    Each part is (f, *transforms): f maps an array of radii to values
+    (vectorised), and each transform(values, r) in turn, unless None, maps
+    them pointwise to the next, the last to the part's integrand; each
+    distinct f, and each distinct chain of transforms after it, is
+    evaluated once per sweep.  envelopes holds one envelope per part.  A part's reported
     error combines its panel estimates with its envelope's exact Gaussian
     tail beyond the family's truncation radius.
     """
@@ -559,7 +584,11 @@ def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None, *,
     if n < 1:
         raise PreconditionError(f"dimension must be >= 1, got {n}")
     envelopes = tuple(envelopes)
-    resolved = {env: _resolve_radius(n, spec, env) for env in dict.fromkeys(envelopes)}
+    # rows that share an envelope object (a Gaussian part's directions) are
+    # told apart by identity, and each distinct envelope is resolved once
+    distinct = {id(env): env for env in envelopes}
+    resolved = {env: _resolve_radius(n, spec, env)
+                for env in dict.fromkeys(distinct.values())}
     radius = max(r for r, _, _ in resolved.values())
 
     def weighted(r):
@@ -575,7 +604,8 @@ def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None, *,
     vals, errs, ok, panels = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol)
     tails = {env: 0.0 if not math.isfinite(rate) else gaussian_tail(deg, rate, radius)
              for env, (_, deg, rate) in resolved.items()}
-    return vals, errs + np.array([tails[env] for env in envelopes]), radius, ok, panels
+    tails = {key: tails[env] for key, env in distinct.items()}
+    return vals, errs + np.array([tails[id(env)] for env in envelopes]), radius, ok, panels
 
 
 @functools.cache
@@ -606,13 +636,15 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
     """Integrals against exp(-|x|^2/2) dx on R^n by spherical reduction, one
     per part, all on shared panels in one `_adaptive` call.
 
-    Each part is (g, transform): g is a point function mapping an array of
+    Each part is (g, *transforms): g is a point function mapping an array of
     points of shape (..., n) to one value per point.  On each sweep the
     points x = r y_j at the sweep's radii r and the sphere directions y_j,
     of shape (directions, k, n), are built once, and each distinct g is
-    called once on them.  transform(values, x), when not None, maps g's
-    (directions x k) values at x to the part's integrand pointwise; one that
-    reads |x| takes np.linalg.norm(x, axis=-1).  A part is a block of rows,
+    called once on them.  Each transform(values, x) in turn, unless None,
+    maps g's (directions x k) values at x pointwise to the next, the last to
+    the part's integrand, and each distinct chain of them after g is
+    evaluated once per sweep; one that reads |x| takes
+    np.sqrt(sum_sq(x)).  A part is a block of rows,
     one per sphere direction, of one `integrate_radial_family`; envelopes
     holds one envelope per part.  A part's angular average is scaled by the
     sphere surface area; `normalized` switches to the (2 pi)^(-n/2)-
@@ -651,31 +683,27 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
             return vals
         return values
 
-    checked = {id(g): one_value_per_point(g) for g, _ in parts}
-    family = _stacked([(checked[id(g)], transform) for g, transform in parts], rows,
+    checked = {id(g): one_value_per_point(g) for g, *_ in parts}
+    family = _stacked([(checked[id(g)], *transforms) for g, *transforms in parts], rows,
                       lambda r: r[None, :, None] * drawn[:, None, :])
     vals, errs, radius, ok, (lo, hi) = integrate_radial_family(
         family, n, spec, envelopes=[env for env in envelopes for _ in range(rows)],
         breakpoints=breakpoints)
+    vals, errs = vals.reshape(len(parts), rows), errs.reshape(len(parts), rows)
     if rows < m:  # each antipode's row is its drawn direction's
-        vals, errs = (np.tile(a.reshape(len(parts), rows), 2).ravel() for a in (vals, errs))
+        vals, errs = np.tile(vals, 2), np.tile(errs, 2)
     panels = (lo, hi, dirs)
     area = surface_area(n)
     factor = (2.0 * math.pi) ** (-n / 2.0) if normalized else 1.0
     half = m // 2
-    results = []
-    for i in range(len(parts)):
-        v, e = vals[i * m:(i + 1) * m], errs[i * m:(i + 1) * m]
-        if half >= 2:
-            pair_means = 0.5 * (v[:half] + v[half:])
-            sem = float(np.std(pair_means, ddof=1) / math.sqrt(half))
-        else:
-            sem = 0.0
-        results.append(IntegralResult(
-            area * float(v.mean()) * factor,
-            (area * float(e.mean()) + area * sem) * factor,
-            radius, angular_sem=sem * factor, converged=ok, panels=panels))
-    return results
+    # every part's mean and antithetic standard error, one reduction each
+    sems = (np.std(0.5 * (vals[:, :half] + vals[:, half:]), axis=1, ddof=1)
+            / math.sqrt(half) if half >= 2 else np.zeros(len(parts)))
+    values = area * vals.mean(axis=1) * factor
+    errors = (area * errs.mean(axis=1) + area * sems) * factor
+    return [IntegralResult(value, err, radius, angular_sem=sem, converged=ok, panels=panels)
+            for value, err, sem in zip(values.tolist(), errors.tolist(),
+                                       (sems * factor).tolist())]
 
 
 def gk_rule(panels, measure) -> tuple[np.ndarray, np.ndarray]:

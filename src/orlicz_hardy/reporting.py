@@ -4,8 +4,10 @@ Report files carry two top-level sections: `meta` (timestamps, argv; free to
 vary between runs) and `body` (everything the verification produced).  The
 body is written once, in canonical form -- sorted keys, no spaces, floats in
 Python's shortest round-trip repr, non-finite floats as the strings "nan",
-"inf" and "-inf" -- so identical runs produce byte-identical bodies.  The
-file is one line, and its body bytes are exactly what `meta.body_sha256`
+"inf" and "-inf" -- so identical runs produce byte-identical bodies.  json's
+C encoder writes that form itself whenever the body has nothing to
+canonicalise (`canonical_json`), which is the common case.  The file is one
+line, and its body bytes are exactly what `meta.body_sha256`
 hashes.
 
 Every battery reports its outcomes as `Check` records, and every comparison
@@ -22,6 +24,8 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 __all__ = ["Check", "verdict", "canonicalize", "canonical_json", "body_digest",
            "write_report", "summarize_verdicts"]
@@ -82,8 +86,11 @@ class Check:
     def as_dict(self) -> dict:
         """The report body's form: fields that are None or empty left out.
         The values are the check's own, not copies."""
-        return {f.name: v for f in fields(self)
-                if (v := getattr(self, f.name)) not in (None, "", {})}
+        return {name: v for name in _CHECK_FIELDS
+                if (v := getattr(self, name)) not in (None, "", {})}
+
+
+_CHECK_FIELDS = tuple(f.name for f in fields(Check))
 
 
 def canonicalize(obj):
@@ -102,12 +109,53 @@ def canonicalize(obj):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return float(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
     if is_dataclass(obj):
         return canonicalize(asdict(obj))
     return canonicalize(str(obj))
 
 
+# json's C encoder, which writes a body of str-keyed dicts, lists, tuples,
+# str, int, bool, None and finite floats as canonicalize would have it
+# written, and raises on anything else
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
+_LEAVES = frozenset({str, float, int, bool, type(None)})
+
+
+def _str_keys(obj) -> bool:
+    """Whether every dict in obj, through dicts, lists and tuples, has only
+    str keys (json writes an int key as canonicalize does, but sorts it by
+    number, not by its string)."""
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if type(item) in _LEAVES:
+            continue
+        if isinstance(item, dict):
+            for key in item:
+                if type(key) is not str:
+                    return False
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return True
+
+
 def canonical_json(body) -> str:
+    """json.dumps(canonicalize(body), sort_keys=True, separators=(",", ":")):
+    from json's C encoder where it can write the body itself, through
+    `canonicalize` where the body holds a non-str key, a non-finite float,
+    a numpy scalar, a dataclass or anything else json cannot write."""
+    if _str_keys(body):
+        try:
+            return _ENCODE(body)
+        except (TypeError, ValueError):
+            pass
     return json.dumps(canonicalize(body), sort_keys=True, separators=(",", ":"))
 
 

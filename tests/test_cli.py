@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from conftest import from_the_root, full_battery_commands
 
-from orlicz_hardy import cli, functionals, quadrature
+from orlicz_hardy import cli, functionals, quadrature, reporting
 from orlicz_hardy import hardy as hardy_mod
 from orlicz_hardy import landau_kolmogorov as lk_mod
 from orlicz_hardy import mazya as mazya_mod
@@ -509,12 +509,40 @@ def test_the_full_battery_step_is_read():
     assert ["hardy", "--form", "www", "--dim", "1..3"] in FULL_BATTERY
 
 
-@pytest.mark.parametrize("argv", FULL_BATTERY, ids=" ".join)
-def test_every_full_battery_report_has_unique_check_ids(tmp_path, argv):
-    path = tmp_path / "r.json"
-    assert main(["--out", str(tmp_path), "--report", str(path), *from_the_root(argv)]) == 0
+@pytest.fixture(scope="module", params=FULL_BATTERY, ids=" ".join)
+def full_battery_report(request, tmp_path_factory):
+    """The report file of one full-battery command, and every body, as the
+    command built it, that `canonical_json` serialised: the corpus
+    members' fingerprints, then the report's body."""
+    out = tmp_path_factory.mktemp("full")
+    path, bodies, serialise = out / "r.json", [], reporting.canonical_json
+
+    def recorded(body):
+        bodies.append(body)
+        return serialise(body)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reporting, "canonical_json", recorded)
+        assert main(["--out", str(out), "--report", str(path),
+                     *from_the_root(request.param)]) == 0
+    return path, bodies
+
+
+def test_every_full_battery_report_has_unique_check_ids(full_battery_report):
+    path, _ = full_battery_report
     ids = [check["check_id"] for check in load_report(path)["body"]["checks"]]
     assert ids and len(ids) == len(set(ids))
+
+
+def test_every_full_battery_body_is_written_as_canonicalize_has_it(full_battery_report):
+    # json's C encoder writes the bodies; it must write what canonicalize
+    # gives, byte for byte, on the bodies the batteries really build
+    path, bodies = full_battery_report
+    texts = [reporting.canonical_json(body) for body in bodies]
+    assert texts == [json.dumps(reporting.canonicalize(body), sort_keys=True,
+                                separators=(",", ":")) for body in bodies]
+    raw = path.read_text()
+    assert raw[len('{"body":'):raw.rindex(',"meta":')] == texts[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,35 @@ class TestFamiliesSpanningNFunctions:
                     triple, modular_triple_nd(u, nf, spec, normalized),
                     (label, nf_label, n, normalized))
 
+    @pytest.mark.parametrize("subject", ["bump_mid", "fx_cross"])
+    def test_the_k_argument_is_computed_once_per_sweep(self, manifest, spec, subject,
+                                                      monkeypatch):
+        # K's r |u| (|x| |u| of a field) is one argument under every
+        # N-function: the family spanning all five transforms |u| once a sweep
+        if subject in manifest.radial_functions:
+            parts, measure = manifest.radial_functions[subject].parts()[:3], RadialMeasure(2)
+        else:
+            parts = manifest.field_functions[subject].instantiate(2).parts()[:3]
+            measure = GaussianMeasure(2)
+        transforms, sweeps, plain = [], [], quadrature._gk_panels
+
+        def counted_transform(a, x):
+            transforms.append(a.shape)
+            return parts[0].transform(a, x)
+
+        def counted_sweep(f, lo, hi):
+            sweeps.append(lo.size)
+            return plain(f, lo, hi)
+
+        nfs = [nf for _, nf in sorted(manifest.nfunctions.items())]
+        counted = (dataclasses.replace(parts[0], transform=counted_transform), *parts[1:])
+        monkeypatch.setattr(quadrature, "_gk_panels", counted_sweep)
+        triples = functionals._modular_triple(counted, nfs, measure, spec)
+        monkeypatch.undo()
+        assert len(nfs) == 5 and len(sweeps) > 1
+        assert len(transforms) == len(sweeps)
+        assert triples == functionals._modular_triple(parts, nfs, measure, spec)
+
     def test_a_single_n_function_is_the_family_of_one(self, manifest, spec):
         u, nf = manifest.radial_functions["bump_mid"], manifest.nfunc("p3")
         assert modular_triple_radial(u, [nf], 2, spec) == [modular_triple_radial(u, nf, 2, spec)]

@@ -24,6 +24,7 @@ from orlicz_hardy.quadrature import (
     integrate_radial_family,
     moment,
     sphere_directions,
+    sum_sq,
     surface_area,
     truncation_radius,
 )
@@ -461,6 +462,44 @@ class TestReturnedPanels:
 
     @pytest.mark.parametrize("symmetry", SYMMETRIES)
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_part_is_the_mean_and_sem_of_its_own_rows(self, n, symmetry, monkeypatch):
+        # the family's reduction over (parts, directions) gives each part what
+        # the part's own rows give alone, bit for bit
+        found, family = [], quadrature.integrate_radial_family
+
+        def recorded(*args, **kwargs):
+            found.append(family(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(quadrature, "integrate_radial_family", recorded)
+
+        def g(x):
+            s = (x * x).sum(axis=-1)
+            return (1.0 + s) * np.exp(-0.3 * s)
+
+        env = SupportHint.decaying(3.0, 0.6)
+        parts = [(g, None), (g, lambda v, x: v * v), (bump, None)]
+        for normalized in (False, True):
+            found.clear()
+            results = integrate_gaussian_nd(parts, n, envelopes=[env] * 3,
+                                            normalized=normalized, symmetry=symmetry)
+            (vals, errs, radius, ok, _), = found
+            m = len(results[0].panels[2])
+            rows = vals.size // len(parts)
+            area = surface_area(n)
+            factor = (2.0 * math.pi) ** (-n / 2.0) if normalized else 1.0
+            for i, res in enumerate(results):
+                v, e = (np.tile(a[i * rows:(i + 1) * rows], m // rows) for a in (vals, errs))
+                half = m // 2
+                sem = (float(np.std(0.5 * (v[:half] + v[half:]), ddof=1) / math.sqrt(half))
+                       if half >= 2 else 0.0)
+                assert res.value == area * float(v.mean()) * factor
+                assert res.err_est == (area * float(e.mean()) + area * sem) * factor
+                assert res.angular_sem == sem * factor
+                assert (res.radius, res.converged) == (radius, ok)
+
+    @pytest.mark.parametrize("symmetry", SYMMETRIES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_the_rule_of_the_panels_is_the_one_the_symmetry_took(self, n, symmetry):
         # a radial family's rule is e_1 with the whole surface area; the
         # others average over every sphere direction
@@ -544,6 +583,35 @@ class TestIntegratePieces:
         with pytest.raises(EvaluationError):
             next(pieces)
         assert sizes == [8, 4, 4, 2, 1]
+
+
+def awkward_components(rng, shape):
+    """Normal draws over many magnitudes, with zeros, negative zeros,
+    subnormals, infinities and nans among them."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-200, 200, size=shape)
+    specials = np.array([0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1e200])
+    where = rng.random(shape) < 0.2
+    x[where] = rng.choice(specials, size=int(where.sum()))
+    return x
+
+
+class TestSumSq:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9])
+    def test_the_sum_of_squares_is_numpys_bit_for_bit(self, n):
+        # field magnitudes, |x| and |grad u| must not move by a bit
+        x = awkward_components(np.random.default_rng(n), (16, 195, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(sum_sq(x), (x * x).sum(axis=-1), equal_nan=True)
+            assert np.array_equal(np.sqrt(sum_sq(x)), np.linalg.norm(x, axis=-1),
+                                  equal_nan=True)
+            assert sum_sq(x[0, 0]).shape == ()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_flattened_hessian_gives_its_hs_norm_bit_for_bit(self, n):
+        h = awkward_components(np.random.default_rng(10 + n), (16, 195, n, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(sum_sq(h.reshape(16, 195, n * n)),
+                                  (h * h).sum(axis=(-2, -1)), equal_nan=True)
 
 
 class TestMedian:

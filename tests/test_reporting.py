@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from orlicz_hardy import reporting
 from orlicz_hardy.reporting import (
     Check,
     canonical_json,
@@ -68,3 +70,54 @@ def test_report_file_body_bytes_are_what_the_digest_covers(tmp_path):
     assert text.decode() == canonical_json(body)
     assert doc["body"] == canonicalize(body)
     assert doc["meta"]["battery_s"] == {"x": 0.25}
+
+
+@dataclass
+class Pair:
+    a: float
+    b: tuple
+
+
+def slow_canonical_json(body) -> str:
+    return json.dumps(canonicalize(body), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("body", [
+    {"x": [math.nan, math.inf, -math.inf], "y": 1.0, "z": [-0.0, 5e-324]},
+    {"t": (1, (2.5, "s"), ()), "u": [(), None, True, False]},
+    {"d": Pair(0.1, (math.nan, 2)), "e": [Pair(-1.0, ())]},
+    {"n": {10: "ten", 9: "nine"}, "m": [{11: 1.5, 2: {}}]},
+    {"mixed": {10: "a", 9.5: "b", -1: "c"}, "flags": {True: 1, False: 2}, "none": {None: 0.5}},
+    {"np": [np.float64(0.1), np.float64("nan"), np.int64(-7), np.bool_(False),
+            np.uint8(255)]},
+    {"checks": [Check.compare("x", 1.0 / 3.0, 2.0, 0.0, 1e-12, check_id="x:1",
+                              details={"k": (1, 2)}).as_dict()]},
+    [1, "two", 3.0],
+    "just a string",
+], ids=["non-finite", "tuples", "dataclass", "int-keys", "mixed-keys", "numpy",
+        "check", "list", "str"])
+def test_canonical_json_is_json_of_canonicalize(body):
+    assert canonical_json(body) == slow_canonical_json(body)
+
+
+def test_str_and_int_keys_together_cannot_be_sorted_either_way():
+    body = {"a": 1, 2: "b"}
+    with pytest.raises(TypeError):
+        slow_canonical_json(body)
+    with pytest.raises(TypeError):
+        canonical_json(body)
+
+
+def test_numpy_integers_and_bools_are_written_as_numbers_and_bools():
+    assert canonical_json({"a": np.int64(3), "b": np.bool_(True)}) == '{"a":3,"b":true}'
+
+
+def test_a_plain_body_is_written_without_canonicalize(monkeypatch):
+    body = {"b": [1.0 / 3.0, {"z": None, "a": (True, "s")}], "a": -0.0}
+    expected = slow_canonical_json(body)
+
+    def refused(obj):
+        raise AssertionError("canonicalize called")
+
+    monkeypatch.setattr(reporting, "canonicalize", refused)
+    assert canonical_json(body) == expected
