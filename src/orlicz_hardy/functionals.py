@@ -217,15 +217,15 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
     one `integrate_radial`.  On a Gaussian measure f is a point function, x
     the sweep's (directions x radii x n) points, |f| its values there, and
     the parts are one `integrate_gaussian_nd` on the sphere directions of
-    the weakest symmetry among them.  Each distinct profile
-    function is called, and its absolute value taken, once per sweep, and so
-    is each distinct transform of it, so the parts that read one argument --
-    under one N-function or several -- share it.  Every part's envelope is composed from its profile's hint and its
-    own N-function's exponents, and adds its own tail beyond the shared
-    radius; the panel edges include every part's breakpoints.  A part whose
-    envelope does not decay against the measure diverges: its entry is None
-    and it takes no part in the refinement, so a family whose parts all
-    diverge integrates nothing.
+    the weakest symmetry among them.  Each distinct profile function is
+    called, and its absolute value taken, once per sweep, and so is each
+    distinct transform of it, so the parts that read one argument -- under
+    one N-function or several -- share it.  Every part's envelope is
+    composed from its profile's hint and its own N-function's exponents,
+    and adds its own tail beyond the shared radius; the panel edges include
+    every part's breakpoints.  A part whose envelope does not decay against
+    the measure diverges: its entry is None and it takes no part in the
+    refinement, so a family whose parts all diverge integrates nothing.
     """
     envs = [_compose_hint(profile.hint, nf) for profile, nf in parts]
     results: list[IntegralResult | None] = [None] * len(parts)

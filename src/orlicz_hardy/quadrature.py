@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -528,23 +529,30 @@ def _stacked(parts, rows: int, at=None):
     each transform in turn, unless None, maps the block to the next
     pointwise, transform(block, x), and the last block is the part's rows.
     Each distinct source, and each distinct chain of transforms after it,
-    is evaluated once per sweep, so parts that begin alike share those
-    blocks."""
+    is evaluated once per sweep: a block that more than one part reads is
+    kept for the sweep, any other is written out and dropped."""
+    plans, reads = [], Counter()  # each part's steps (chain key, function)
+    for src, *transforms in parts:
+        key, steps = (), []
+        for fn in (src, *(t for t in transforms if t is not None)):
+            key += (id(fn),)
+            steps.append((key, fn))
+        plans.append(steps)
+        reads.update(key for key, _ in steps)
+
     def fs(r):
         x = r if at is None else at(r)
-        blocks = {}
-
-        def block(chain):
-            key = tuple(map(id, chain))
-            if key not in blocks:
-                *head, last = chain
-                blocks[key] = (last(x) if not head else block(head) if last is None
-                               else last(block(head), x))
-            return blocks[key]
-
+        kept = {}
         out = np.empty((len(parts) * rows, r.size))
-        for i, part in enumerate(parts):
-            out[i * rows:(i + 1) * rows] = block(tuple(part))
+        for i, steps in enumerate(plans):
+            for j, (key, fn) in enumerate(steps):
+                if key in kept:
+                    block = kept[key]
+                    continue
+                block = fn(x) if j == 0 else fn(block, x)
+                if reads[key] > 1:
+                    kept[key] = block
+            out[i * rows:(i + 1) * rows] = block
         return out
 
     return fs
@@ -559,9 +567,9 @@ def integrate_radial(parts, n: int, spec: QuadratureSpec | None = None, *,
     (vectorised), and each transform(values, r) in turn, unless None, maps
     them pointwise to the next, the last to the part's integrand; each
     distinct f, and each distinct chain of transforms after it, is
-    evaluated once per sweep.  envelopes holds one envelope per part.  A part's reported
-    error combines its panel estimates with its envelope's exact Gaussian
-    tail beyond the family's truncation radius.
+    evaluated once per sweep.  envelopes holds one envelope per part.  A
+    part's reported error combines its panel estimates with its envelope's
+    exact Gaussian tail beyond the family's truncation radius.
     """
     vals, errs, radius, ok, panels = integrate_radial_family(
         _stacked(parts, 1), n, spec, envelopes=envelopes, breakpoints=breakpoints)
@@ -604,8 +612,8 @@ def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None, *,
     vals, errs, ok, panels = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol)
     tails = {env: 0.0 if not math.isfinite(rate) else gaussian_tail(deg, rate, radius)
              for env, (_, deg, rate) in resolved.items()}
-    tails = {key: tails[env] for key, env in distinct.items()}
-    return vals, errs + np.array([tails[id(env)] for env in envelopes]), radius, ok, panels
+    tail_of = {key: tails[env] for key, env in distinct.items()}
+    return vals, errs + np.array([tail_of[id(env)] for env in envelopes]), radius, ok, panels
 
 
 @functools.cache
@@ -643,13 +651,13 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
     called once on them.  Each transform(values, x) in turn, unless None,
     maps g's (directions x k) values at x pointwise to the next, the last to
     the part's integrand, and each distinct chain of them after g is
-    evaluated once per sweep; one that reads |x| takes
-    np.sqrt(sum_sq(x)).  A part is a block of rows,
-    one per sphere direction, of one `integrate_radial_family`; envelopes
-    holds one envelope per part.  A part's angular average is scaled by the
-    sphere surface area; `normalized` switches to the (2 pi)^(-n/2)-
-    normalised Gaussian.  Its error estimate adds the angular standard error
-    of the antithetic-pair means to the mean radial quadrature error.
+    evaluated once per sweep; one that reads |x| takes np.sqrt(sum_sq(x)).
+    A part is a block of rows, one per sphere direction, of one
+    `integrate_radial_family`; envelopes holds one envelope per part.  A
+    part's angular average is scaled by the sphere surface area;
+    `normalized` switches to the (2 pi)^(-n/2)-normalised Gaussian.  Its
+    error estimate adds the angular standard error of the antithetic-pair
+    means to the mean radial quadrature error.
 
     symmetry, one of `SYMMETRIES`, is what every part's integrand keeps,
     and it sets the rows the family integrates (Stroud, Approximate

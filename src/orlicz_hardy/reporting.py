@@ -7,8 +7,7 @@ Python's shortest round-trip repr, non-finite floats as the strings "nan",
 "inf" and "-inf" -- so identical runs produce byte-identical bodies.  json's
 C encoder writes that form itself whenever the body has nothing to
 canonicalise (`canonical_json`), which is the common case.  The file is one
-line, and its body bytes are exactly what `meta.body_sha256`
-hashes.
+line, and its body bytes are exactly what `meta.body_sha256` hashes.
 
 Every battery reports its outcomes as `Check` records, and every comparison
 of a left-hand side against a right-hand side gets its verdict from
