@@ -117,44 +117,42 @@ def canonicalize(obj):
     return canonicalize(str(obj))
 
 
-# json's C encoder, which writes a body of str-keyed dicts, lists, tuples,
-# str, int, bool, None and finite floats as canonicalize would have it
-# written, and raises on anything else
+# json's C encoder: it writes a `_plain` body as canonicalize has it written
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+_SCALARS = frozenset({str, int, bool, type(None)})
 
 
-_LEAVES = frozenset({str, float, int, bool, type(None)})
-
-
-def _str_keys(obj) -> bool:
-    """Whether every dict in obj, through dicts, lists and tuples, has only
-    str keys (json writes an int key as canonicalize does, but sorts it by
-    number, not by its string)."""
+def _plain(obj) -> bool:
+    """Whether obj is built of dicts with str keys, lists and tuples, down to
+    str, int, bool, None and finite floats, each of exactly that type: what
+    json writes as canonicalize has it written (json writes an int key as
+    canonicalize does, but sorts it by number, not by its string)."""
     stack = [obj]
     while stack:
         item = stack.pop()
-        if type(item) in _LEAVES:
-            continue
-        if isinstance(item, dict):
+        kind = type(item)
+        if kind is float:
+            if not math.isfinite(item):
+                return False
+        elif kind is dict:
             for key in item:
                 if type(key) is not str:
                     return False
             stack.extend(item.values())
-        elif isinstance(item, (list, tuple)):
+        elif kind is list or kind is tuple:
             stack.extend(item)
+        elif kind not in _SCALARS:
+            return False
     return True
 
 
 def canonical_json(body) -> str:
     """json.dumps(canonicalize(body), sort_keys=True, separators=(",", ":")):
-    from json's C encoder where it can write the body itself, through
-    `canonicalize` where the body holds a non-str key, a non-finite float,
-    a numpy scalar, a dataclass or anything else json cannot write."""
-    if _str_keys(body):
-        try:
-            return _ENCODE(body)
-        except (TypeError, ValueError):
-            pass
+    from json's C encoder when the body is `_plain`, through `canonicalize`
+    when it holds a non-str key, a non-finite float, a numpy scalar, a
+    dataclass or anything else json would write differently."""
+    if _plain(body):
+        return _ENCODE(body)
     return json.dumps(canonicalize(body), sort_keys=True, separators=(",", ":"))
 
 
