@@ -667,8 +667,9 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
     -y as at y, bit for bit, the value, error and angular error are those
     of every direction, bit for bit.  "radial" integrates e_1 alone,
     weighted by the whole surface area, with no angular error.
-    Each result's panels are (lo, hi, directions): the directions the
-    family averaged over, for `gk_rule`.
+    Each result's panels are (lo, hi, directions, copies), for `gk_rule`:
+    the directions the family averaged over, and how many of them each
+    integrated row stands for (2 for "even", else 1).
     """
     spec = spec or QuadratureSpec()
     envelopes = tuple(envelopes)
@@ -700,7 +701,7 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
     vals, errs = vals.reshape(len(parts), rows), errs.reshape(len(parts), rows)
     if rows < m:  # each antipode's row is its drawn direction's
         vals, errs = np.tile(vals, 2), np.tile(errs, 2)
-    panels = (lo, hi, dirs)
+    panels = (lo, hi, dirs, m // rows)
     area = surface_area(n)
     factor = (2.0 * math.pi) ** (-n / 2.0) if normalized else 1.0
     half = m // 2
@@ -720,10 +721,12 @@ def gk_rule(panels, measure) -> tuple[np.ndarray, np.ndarray]:
     `integrate_radial` or `integrate_gaussian_nd` takes of int f dmu on
     those panels.  On a RadialMeasure the panels are (lo, hi), the points
     are the abscissae r (k,) and the weights carry r^(n-1) exp(-r^2/2).  On
-    a GaussianMeasure the panels are (lo, hi, directions), the points are
-    r y_j for the directions y_j the family averaged over, (directions, k,
-    n), and the weights (directions, k) also carry the angular mean, the
-    sphere's surface area and, when normalized, (2 pi)^(-n/2)."""
+    a GaussianMeasure the panels are (lo, hi, directions, copies), the
+    points are r y_j for the directions y_j the family integrated -- the
+    first 1/copies of those it averaged over -- (rows, k, n), and the
+    weights (rows, k) also carry the angular mean, each row counted copies
+    times, the sphere's surface area and, when normalized, (2 pi)^(-n/2).
+    An even family's rule is so its drawn half, as the family took it."""
     lo, hi = panels[:2]
     half = 0.5 * (hi - lo)
     r = (0.5 * (lo + hi)[:, None] + half[:, None] * _NODES).ravel()
@@ -731,9 +734,10 @@ def gk_rule(panels, measure) -> tuple[np.ndarray, np.ndarray]:
     w = (half[:, None] * _KRON_W).ravel() * np.power(r, n - 1) * np.exp(-0.5 * r * r)
     if isinstance(measure, RadialMeasure):
         return r, w
-    dirs = panels[2]
-    scale = surface_area(n) / dirs.shape[0]
+    dirs, copies = panels[2:]
+    rows = dirs[:dirs.shape[0] // copies]
+    scale = surface_area(n) * copies / dirs.shape[0]
     if measure.normalized:
         scale *= (2.0 * math.pi) ** (-n / 2.0)
-    return (r[None, :, None] * dirs[:, None, :],
-            np.broadcast_to(scale * w, (dirs.shape[0], r.size)))
+    return (r[None, :, None] * rows[:, None, :],
+            np.broadcast_to(scale * w, (rows.shape[0], r.size)))

@@ -501,8 +501,9 @@ class TestReturnedPanels:
     @pytest.mark.parametrize("symmetry", SYMMETRIES)
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_the_rule_of_the_panels_is_the_one_the_symmetry_took(self, n, symmetry):
-        # a radial family's rule is e_1 with the whole surface area; the
-        # others average over every sphere direction
+        # a radial family's rule is e_1 with the whole surface area, an even
+        # one's the drawn half of the sphere directions with doubled weights;
+        # the others average over every sphere direction
         def g(x):
             s = (x * x).sum(axis=-1)
             return (1.0 + s) * np.exp(-0.3 * s)
@@ -510,7 +511,9 @@ class TestReturnedPanels:
         res, = integrate_gaussian_nd([(g, None)], n, envelopes=[SupportHint.decaying(2.0, 0.6)],
                                      symmetry=symmetry)
         x, w = gk_rule(res.panels, GaussianMeasure(n))
-        assert x.shape[0] == (1 if symmetry == "radial" else len(sphere_directions(n)))
+        rows = {"none": len(sphere_directions(n)), "even": len(sphere_directions(n)) // 2,
+                "radial": 1}
+        assert x.shape[0] == rows[symmetry]
         assert np.sum(w * g(x)) == pytest.approx(res.value, rel=1e-14)
 
 
