@@ -26,7 +26,7 @@ n = 2
 u = extremal_function(ExtremalParams(0.5, 3, n))
 tri = modular_triple_radial(u, nf, n)
 print(f"modulars for u = exp(r^2/12), M = r^3, n = {n}:")
-print(f"  K = {tri.K:.6f}, L = {tri.L:.6f}, G = {tri.G:.6f}")
+print(f"  K = {tri.K.value:.6f}, L = {tri.L.value:.6f}, G = {tri.G.value:.6f}")
 
 rep = check_alternative(tri, 3.0, 3.0, n)
 print(f"two-branch bound: verdict={rep.verdict}, branch={rep.details['branch_held']}, "

@@ -27,9 +27,8 @@ print()
 print("p = 2 exactness: (K - 4G)/L = n(1 + alpha), approaching 2n as alpha -> 1,")
 print("so C1 = 2n is optimal once C2 = 4:")
 for alpha in (0.5, 0.9, 0.99, 0.999):
-    cf = extremal_moments(ExtremalParams(alpha, 2, 3))
-    print(f"  alpha = {alpha:5.3f}:  (K - 4G)/L = {(cf.K - 4 * cf.G) / cf.L:.6f}"
-          f"   (2n = 6)")
+    K, L, G = (m.value for m in extremal_moments(ExtremalParams(alpha, 2, 3)))
+    print(f"  alpha = {alpha:5.3f}:  (K - 4G)/L = {(K - 4 * G) / L:.6f}   (2n = 6)")
 
 print()
 print("Stirling: 2^(p/2) Gamma((n+p)/2) / ((n+p-2)^(p/2) Gamma(n/2)) -> 1")

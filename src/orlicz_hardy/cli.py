@@ -144,10 +144,10 @@ def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
     for alpha in alphas:
         params = sharp_mod.ExtremalParams(alpha, p, n)
         cf = sharp_mod.extremal_moments(params)
+        exact = {"K": cf.K.value, "L": cf.L.value, "G": cf.G.value}
         c1_req = float(sharp_mod.c2_infeasibility_scan(p, n, [alpha])[0]) \
             if p > 2.0 else float("nan")
-        rows.append({"alpha": alpha, "K": cf.K, "L": cf.L, "G": cf.G,
-                     "C1_req": c1_req})
+        rows.append({"alpha": alpha, **exact, "C1_req": c1_req})
         if alpha <= 0.9:
             u = sharp_mod.extremal_function(params)
             nf = corpus_mod.build_nfunction(
@@ -155,13 +155,11 @@ def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
             tri = modular_triple_radial(u, nf, n, spec)
             # the quadrature is honest iff each of K, L, G lies within its
             # err_est of the closed form: the worst |q - exact| / err_est <= 1
-            worst = max(_error_ratio(q, exact, err)
-                        for q, exact, err in zip((tri.K, tri.L, tri.G), (cf.K, cf.L, cf.G),
-                                                   tri.errs))
+            worst = max(_error_ratio(q.value, e.value, q.err_est) for q, e in zip(tri, cf))
             checks.append(Check.compare(
                 "alfa_closed_form", worst, 1.0, 0.0, 0.0,
                 check_id=f"alfa_closed_form:r^{p:g}:alpha={alpha:g}:n={n}",
-                constants_used={"K": cf.K, "L": cf.L, "G": cf.G},
+                constants_used=exact,
                 nfunc_label=f"r^{p:g}", subject_label=f"alpha={alpha:g}", n=n,
             ).require_converged(tri.converged, "a quadrature of the triple did not converge"))
     series[f"sharpness_p{p:g}_n{n}"] = rows
@@ -278,19 +276,17 @@ def _record_fit(fit, nf_label: str, n: int, checks: list, fits: dict,
 
 
 def run_lk(manifest, spec, dims, checks: list, fits: dict,
-           nfunc_labels=("p2", "p3"), fit_grid=lk_mod.DEFAULT_FIT_GRID,
-           normalized=False):
+           nfunc_labels=("p2", "p3"), normalized=False):
     for nf_label in nfunc_labels:
         nf = manifest.nfunc(nf_label)
         for n in dims:
             fields = [factory.instantiate(n)
                       for label, factory in sorted(manifest.field_functions.items())
                       if factory.compatible(n)]
-            _run_lk_case(nf_label, nf, n, fields, spec, checks, fits, fit_grid,
-                         normalized)
+            _run_lk_case(nf_label, nf, n, fields, spec, checks, fits, normalized)
 
 
-def _run_lk_case(nf_label, nf, n, fields, spec, checks, fits, fit_grid, normalized):
+def _run_lk_case(nf_label, nf, n, fields, spec, checks, fits, normalized):
     """The LK battery for one (N-function, n).  Every check and fit rests on
     the members' theta = 1 terms, whose values are also the norms' modulars
     at K = 1: each is indeterminate unless those converged."""
@@ -298,10 +294,8 @@ def _run_lk_case(nf_label, nf, n, fields, spec, checks, fits, fit_grid, normaliz
     # is left to the report's own `normalization`, as before
     norm = "normalized" if normalized else None
     triples = {u.label: modular_triple_nd(u, nf, spec, normalized) for u in fields}
-    fit_mod, terms = lk_mod.fit_lk_modular_envelope(
-        fields, nf, triples, spec, fit_grid, normalized)
-    fit_norm, rows = lk_mod.fit_lk_norm_envelope(fields, nf, terms, spec, fit_grid,
-                                                 normalized)
+    fit_mod, terms = lk_mod.fit_lk_modular_envelope(fields, nf, triples, spec, normalized)
+    fit_norm, rows = lk_mod.fit_lk_norm_envelope(fields, nf, terms, spec, normalized)
     converged = {label: t.converged for label, t in terms.items()}
     _record_fit(fit_norm, nf_label, n, checks, fits, norm, all(converged.values()))
     for label, *triple in rows:
@@ -440,12 +434,8 @@ BATTERIES = (
                                      fits=run.fits, normalized=run.normalized, **kw),
             flags=(("--nfunc", {
                        "type": lambda s: list(dict.fromkeys(t for t in s.split(",") if t)),
-                       "default": ("p2", "p3")}), _DIM,
-                   ("--fit-grid", {"type": _floats, "default": lk_mod.DEFAULT_FIT_GRID,
-                                   "help": "comma-separated constant grid "
-                                           "(default powers of 2)"})),
-            from_args=lambda args: {"dims": args.dim, "nfunc_labels": args.nfunc,
-                                    "fit_grid": args.fit_grid},
+                       "default": ("p2", "p3")}), _DIM),
+            from_args=lambda args: {"dims": args.dim, "nfunc_labels": args.nfunc},
             in_all=lambda dims: {"dims": [n for n in dims if n <= 2]}),
     Battery("all", "full verification battery", _run_all, flags=(_DIM,),
             from_args=lambda args: {"dims": args.dim}),

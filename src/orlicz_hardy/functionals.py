@@ -169,29 +169,24 @@ class FieldFunction:
                      ScalarProfile(grad_norm, weighted, bps, symmetry=sym), hess)
 
 
-@dataclass(frozen=True)
-class ModularTriple:
-    """The three modular integrals with error estimates and divergence flags;
-    converged is False when an integral behind them did not converge, and
-    panels are the (lo, hi) their family converged on."""
+class ModularTriple(NamedTuple):
+    """The modulars K, L and G as their family gave them: each the
+    `IntegralResult` of its part, with the family's panels and truncation
+    radius, or None where the modular diverges."""
 
-    K: float
-    L: float
-    G: float
-    errs: tuple = (0.0, 0.0, 0.0)
-    divergent: tuple = (False, False, False)
-    converged: bool = True
-    panels: tuple | None = field(default=None, compare=False, repr=False)
+    K: Optional[IntegralResult]
+    L: Optional[IntegralResult]
+    G: Optional[IntegralResult]
 
     @property
     def valid(self) -> bool:
-        return (not any(self.divergent)
-                and all(math.isfinite(v) and v >= 0.0 for v in (self.K, self.L, self.G)))
+        return all(m is not None and math.isfinite(m.value) and m.value >= 0.0
+                   for m in self)
 
-    def modulars(self) -> tuple[IntegralResult, IntegralResult, IntegralResult]:
-        """K, L and G as integrals on the family's panels."""
-        return tuple(IntegralResult(value, err, converged=self.converged, panels=self.panels)
-                     for value, err in zip((self.K, self.L, self.G), self.errs))
+    @property
+    def converged(self) -> bool:
+        """False when an integral behind the triple did not converge."""
+        return all(m.converged for m in self if m is not None)
 
 
 def _compose_hint(arg_hint: SupportHint, nf: NFunction) -> SupportHint:
@@ -260,22 +255,14 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
 def _modular_triple(parts, nf: NFunction | Sequence[NFunction], measure,
                     spec: QuadratureSpec) -> ModularTriple | list[ModularTriple]:
     """K, L, G from the profile of each, under nf, or under each
-    N-function of the sequence nf, as one family: a ModularTriple, or
-    one per N-function in order.  A modular whose envelope does not decay
-    against the measure is infinite and divergent; every triple's
-    `converged` is the family's."""
+    N-function of the sequence nf, as one family: a ModularTriple of the
+    family's results, or one per N-function in order.  A modular whose
+    envelope does not decay against the measure is None."""
     nfs = (nf,) if isinstance(nf, NFunction) else tuple(nf)
     results = _modular_family([(profile, m) for m in nfs for profile in parts],
                               measure, spec)
-    panels = next((res.panels for res in results if res is not None), None)
-    triples = []
-    for i in range(0, len(results), len(parts)):
-        own = results[i:i + len(parts)]
-        triples.append(ModularTriple(
-            *(math.inf if res is None else res.value for res in own),
-            tuple(math.inf if res is None else res.err_est for res in own),
-            tuple(res is None for res in own),
-            all(res.converged for res in own if res is not None), panels))
+    triples = [ModularTriple(*results[i:i + len(parts)])
+               for i in range(0, len(results), len(parts))]
     return triples[0] if isinstance(nf, NFunction) else triples
 
 

@@ -86,8 +86,8 @@ def check_alternative(triple: ModularTriple, d: float, D: float, n: int,
     """
     _BY_NAME["alternative"].require(d, D, n)
     _require_valid(triple)
-    K, L, G = triple.K, triple.L, triple.G
-    eK, eL, eG = triple.errs
+    K, L, G = (m.value for m in triple)
+    eK, eL, eG = (m.err_est for m in triple)
     t1 = (D / d) ** (D / (D - 2.0)) * L
     t2, e_t2 = _term2(L, G, eL, eG, D, n)
     # error propagation by one-sided perturbation of the inputs
@@ -116,8 +116,9 @@ def check_wwww(triple: ModularTriple, nf: NFunction, n: int, **meta) -> Check:
     d, D = nf.d_exp, nf.D_exp
     _BY_NAME["wwww"].require(d, D, n)
     _require_valid(triple)
-    rhs, e_rhs = _term2(triple.L, triple.G, *triple.errs[1:], D, n)
-    return _check("wwww", triple.K, rhs, {"d": d, "D": D}, triple.errs[0] + e_rhs,
+    K, L, G = triple
+    rhs, e_rhs = _term2(L.value, G.value, L.err_est, G.err_est, D, n)
+    return _check("wwww", K.value, rhs, {"d": d, "D": D}, K.err_est + e_rhs,
                   triple, n=n, **meta)
 
 
@@ -137,8 +138,8 @@ def check_linear(triple: ModularTriple, c1: float, c2: float,
                  inequality_id: str = "liniowe", **meta) -> Check:
     """Check K <= C1 L + C2 G with combined quadrature tolerance."""
     _require_valid(triple)
-    K, L, G = triple.K, triple.L, triple.G
-    eK, eL, eG = triple.errs
+    K, L, G = (m.value for m in triple)
+    eK, eL, eG = (m.err_est for m in triple)
     rhs = c1 * L + c2 * G
     err = eK + c1 * eL + c2 * eG
     return _check(inequality_id, K, rhs, {"C1": c1, "C2": c2}, err, triple, **meta)
@@ -227,8 +228,7 @@ def check_norm_form(u, triple: ModularTriple, nf: NFunction, measure,
     c1, c2, proof = convex_constants(D, n)
     c = c1 + c2 + 1.0
     parts = u.parts()
-    m_K, m_L, m_G = triple.modulars()
-    norms = luxemburg_norm([(parts.L, m_L), (parts.G, m_G), (parts.K, m_K)],
+    norms = luxemburg_norm([(parts.L, triple.L), (parts.G, triple.G), (parts.K, triple.K)],
                            nf, measure, spec)
     norm_u, norm_du, norm_ru = norms
     denom = norm_u.value + norm_du.value

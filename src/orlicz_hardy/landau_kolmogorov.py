@@ -60,17 +60,19 @@ DEFAULT_FIT_GRID = tuple(2.0 ** k for k in range(-3, 15))
 
 
 class LKTerms(NamedTuple):
-    """The theta-form modular inequality's terms at theta = 1: lhs
-    int M(|grad u|), the Hessian term int M(|hess u|_HS), the function term
-    int M(|u|), their errors, whether every integral behind them converged,
-    and the panels (lo, hi) each term's family converged on."""
+    """The theta-form modular inequality's terms at theta = 1, each the
+    `IntegralResult` its family gave: lhs int M(|grad u|) and the function
+    term int M(|u|), the G and L of u's modular triple, and the Hessian
+    term int M(|hess u|_HS) of its own family."""
 
-    lhs: float
-    hess_term: float
-    func_term: float
-    errs: tuple
-    converged: bool
-    panels: tuple = (None, None, None)
+    lhs: IntegralResult
+    hess_term: IntegralResult
+    func_term: IntegralResult
+
+    @property
+    def converged(self) -> bool:
+        """False when an integral behind the terms did not converge."""
+        return all(term.converged for term in self)
 
 
 @dataclass(frozen=True)
@@ -107,16 +109,15 @@ def lk_modular_terms(u: FieldFunction, nf: NFunction, triple: ModularTriple,
     `modular_triple_nd` of (u, nf): its G is the lhs int M(|grad u|) and its
     L the function term.  The Hessian term H1 = int M(|hess u|_HS), m1 of
     ||hess u|| in `lk_norm_triple`, is one `_modular_family` of the field's H
-    part.  Every other theta is bounded from these by `uniform_bound`."""
+    part.  A term that diverges raises DivergenceError.  Every other theta
+    is bounded from these by `uniform_bound`."""
     _require_lk_hypotheses(u, nf)
     hess, = _modular_family([(u.parts().H, nf)], GaussianMeasure(u.n, normalized),
                             spec or QuadratureSpec())
-    if hess is None:
+    terms = LKTerms(triple.G, hess, triple.L)
+    if None in terms:
         raise DivergenceError("modular diverges under the truncation policy")
-    return LKTerms(triple.G, hess.value, triple.L,
-                   (triple.errs[2], hess.err_est, triple.errs[1]),
-                   triple.converged and hess.converged,
-                   (triple.panels, hess.panels, triple.panels))
+    return terms
 
 
 def uniform_bound(terms: LKTerms, c1: float, c2: float, d: float,
@@ -134,8 +135,8 @@ def uniform_bound(terms: LKTerms, c1: float, c2: float, d: float,
     theta* at 1; a zero function part beside a positive Hessian part makes
     the infimum 0, approached as theta -> 0, which is reported as theta* = 0.
     """
-    _, h, ell, (err_g, err_h, err_l), *_ = terms
-    a, b = c1 * h, c2 * ell
+    err_g, err_h, err_l = (term.err_est for term in terms)
+    a, b = c1 * terms.hess_term.value, c2 * terms.func_term.value
     ratio = d * b / (D * a) if a > 0.0 and math.isfinite(a + b) else math.inf
     if not ratio < 1.0:
         return 1.0, a, b, err_g + c1 * err_h + c2 * err_l
@@ -161,10 +162,10 @@ def check_lk_modular(terms: LKTerms, nf: NFunction, c1: float, c2: float,
     theta, hess, func, err = uniform_bound(terms, c1, c2, d, D)
     rhs = hess + func
     check = Check.compare(
-        "statB1gauss", terms.lhs, rhs, err, comparison_tol(rhs),
+        "statB1gauss", terms.lhs.value, rhs, err, comparison_tol(rhs),
         rhs_terms={"hessian": hess, "function": func},
-        constants_used={"C1": c1, "C2": c2, "hess_modular": terms.hess_term,
-                        "func_modular": terms.func_term},
+        constants_used={"C1": c1, "C2": c2, "hess_modular": terms.hess_term.value,
+                        "func_modular": terms.func_term.value},
         theta=theta, **meta)
     if check.verdict == "fails" and d != D:
         check.verdict = "indeterminate"
@@ -185,10 +186,8 @@ def lk_norm_triple(u: FieldFunction, nf: NFunction, terms: LKTerms,
     norms' modulars at K = 1: lhs, Hessian and function term."""
     _require_lk_hypotheses(u, nf)
     parts = u.parts()
-    modulars = [IntegralResult(value, err, panels=panels)
-                for value, err, panels in zip(terms[:3], terms.errs, terms.panels)]
     norm_grad, norm_hess, norm_u = luxemburg_norm(
-        list(zip((parts.G, parts.H, parts.L), modulars)), nf,
+        list(zip((parts.G, parts.H, parts.L), terms)), nf,
         GaussianMeasure(u.n, normalized), spec)
     geometric = Norm(*(math.sqrt(h * t) for h, t in zip(norm_hess[:3], norm_u[:3])),
                      norm_hess.converged and norm_u.converged)
@@ -219,30 +218,25 @@ def check_lk_norm(triple: tuple, c1: float, c2: float, **meta) -> Check:
 # Envelope fitting
 # ---------------------------------------------------------------------------
 
-def fit_envelope(items, grid=DEFAULT_FIT_GRID) -> tuple[float, float, str, bool]:
-    """Smallest (C1, C2) on the grid with lhs <= rhs(C1, C2) + tol for every
-    item.
+def fit_envelope(items) -> tuple[float, float, str, bool]:
+    """Smallest (C1, C2) on `DEFAULT_FIT_GRID` with lhs <= rhs(C1, C2) + tol
+    for every item.
 
     items: iterable of (label, lhs, rhs, tol), rhs the item's right side as
     a function of (C1, C2).  Selection minimises C1 + C2 with ties broken
     toward smaller C1, whatever the grid order; returns (c1, c2,
     binding_label, feasible).  The binding item is the one with least slack
     at the selection.  An item with a non-finite lhs makes every grid pair
-    infeasible.  A grid that is empty or holds a constant that is not finite
-    and positive raises PreconditionError.
+    infeasible.
     """
-    grid = tuple(grid)
-    if not grid or not all(0.0 < c < math.inf for c in grid):
-        raise PreconditionError(
-            f"the constant grid must be non-empty, finite and positive, got {list(grid)}")
     items = list(items)
     if not items:
         raise PreconditionError("cannot fit an envelope over an empty corpus")
     if not all(math.isfinite(lhs) for _, lhs, *_ in items):
         return math.inf, math.inf, "", False
     best = None
-    for c1 in grid:
-        for c2 in grid:
+    for c1 in DEFAULT_FIT_GRID:
+        for c2 in DEFAULT_FIT_GRID:
             if best is not None and (c1 + c2, c1) >= best[:2]:
                 continue
             if all(lhs <= rhs(c1, c2) + tol for _, lhs, rhs, tol in items):
@@ -256,7 +250,6 @@ def fit_envelope(items, grid=DEFAULT_FIT_GRID) -> tuple[float, float, str, bool]
 
 def fit_lk_norm_envelope(corpus, nf: NFunction, terms: dict,
                          spec: QuadratureSpec | None = None,
-                         grid=DEFAULT_FIT_GRID,
                          normalized: bool = False) -> tuple[LKFit, list]:
     """Fit the norm-form envelope over a corpus of fields; returns the fit
     plus per-member (label, r, s, t) rows, r, s and t the `Norm`s of
@@ -272,8 +265,8 @@ def fit_lk_norm_envelope(corpus, nf: NFunction, terms: dict,
         items.append((u.label, r.value,
                       lambda c1, c2, s=s.value, t=t.value: c1 * s + c2 * t,
                       comparison_tol(r.value, 1e-9)))
-    c1, c2, binding, feasible = fit_envelope(items, grid)
-    fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=tuple(grid),
+    c1, c2, binding, feasible = fit_envelope(items)
+    fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=DEFAULT_FIT_GRID,
                 corpus_labels=tuple(u.label for u in corpus),
                 form="statB2gauss", feasible=feasible)
     return fit, rows
@@ -281,7 +274,6 @@ def fit_lk_norm_envelope(corpus, nf: NFunction, terms: dict,
 
 def fit_lk_modular_envelope(corpus, nf: NFunction, triples: dict,
                             spec: QuadratureSpec | None = None,
-                            grid=DEFAULT_FIT_GRID,
                             normalized: bool = False) -> tuple[LKFit, dict]:
     """Fit (C1, C2) for the modular form, uniform over theta in (0, 1]: each
     member's right side is its `uniform_bound` at (C1, C2).  Returns the fit
@@ -292,11 +284,12 @@ def fit_lk_modular_envelope(corpus, nf: NFunction, triples: dict,
     terms = {u.label: lk_modular_terms(u, nf, triples[u.label], spec, normalized)
              for u in corpus}
     d, D = nf.require_exponents()
-    items = [(label, t.lhs, lambda c1, c2, t=t: sum(uniform_bound(t, c1, c2, d, D)[1:3]),
-              comparison_tol(t.lhs, 1e-9))
+    items = [(label, t.lhs.value,
+              lambda c1, c2, t=t: sum(uniform_bound(t, c1, c2, d, D)[1:3]),
+              comparison_tol(t.lhs.value, 1e-9))
              for label, t in terms.items()]
-    c1, c2, binding, feasible = fit_envelope(items, grid)
-    fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=tuple(grid),
+    c1, c2, binding, feasible = fit_envelope(items)
+    fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=DEFAULT_FIT_GRID,
                 corpus_labels=tuple(terms.keys()), form="statB1gauss",
                 feasible=feasible)
     return fit, terms

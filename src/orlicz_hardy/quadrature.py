@@ -415,7 +415,7 @@ def gaussian_tail_fn(degree: float, rate: float):
     The tail is 2^((degree-1)/2) rate^(-s) Gamma(s, rate radius^2 / 2) with
     s = (degree + 1)/2.  It needs degree > -1 (s > 0), which every
     envelope a corpus member declares has; a degree <= -1 raises
-    PreconditionError."""
+    PreconditionError, and a scale past the float range EvaluationError."""
     if rate <= 0.0:
         return lambda radius: math.inf
     s = 0.5 * (degree + 1.0)
@@ -424,7 +424,11 @@ def gaussian_tail_fn(degree: float, rate: float):
             f"the Gaussian tail needs an envelope degree > -1, got {degree:g}")
     log_scale = 0.5 * (degree - 1.0) * math.log(2.0) - s * math.log(rate)
     lgamma_s = math.lgamma(s)
-    scale = math.exp(log_scale + lgamma_s)
+    try:
+        scale = math.exp(log_scale + lgamma_s)
+    except OverflowError:
+        raise EvaluationError(f"the Gaussian tail of degree {degree:g} and rate {rate:g} "
+                              "overflows the float range") from None
 
     def tail(radius: float) -> float:
         return scale * _gammaincc(s, 0.5 * rate * radius * radius, lgamma_s)

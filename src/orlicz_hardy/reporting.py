@@ -102,7 +102,7 @@ def canonicalize(obj):
         return obj
     if isinstance(obj, (int, str)):
         return obj
-    if isinstance(obj, float):
+    if isinstance(obj, (float, np.floating)):
         if math.isnan(obj):
             return "nan"
         if math.isinf(obj):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EvaluationError, PreconditionError
 from .functionals import ModularTriple, RadialTestFunction
-from .quadrature import SupportHint
+from .quadrature import IntegralResult, SupportHint
 
 __all__ = [
     "ExtremalParams",
@@ -71,7 +71,8 @@ def extremal_function(params: ExtremalParams) -> RadialTestFunction:
 
 
 def extremal_moments(params: ExtremalParams) -> ModularTriple:
-    """Closed-form (K, L, G) of u_alpha for M(r) = r^p."""
+    """Closed-form (K, L, G) of u_alpha for M(r) = r^p, each exact: an
+    `IntegralResult` with err_est 0."""
     a, p, n = params.alpha, params.p, params.n
     log_k = (-(n + p) / 2.0 * math.log1p(-a)
              + (n + p - 2.0) / 2.0 * math.log(2.0) + math.lgamma((n + p) / 2.0))
@@ -84,7 +85,7 @@ def extremal_moments(params: ExtremalParams) -> ModularTriple:
         raise EvaluationError(
             f"the closed-form moments of u_alpha overflow at alpha={a:g}, p={p:g}, n={n}")
     g = (a / p) ** p * k
-    return ModularTriple(K=k, L=ell, G=g)
+    return ModularTriple(*(IntegralResult(value, 0.0) for value in (k, ell, g)))
 
 
 def c1_lower_bound(p: float, n: int) -> float:

@@ -60,7 +60,7 @@ def test_01_closed_form_reproduction(spec):
                 cf = extremal_moments(params)
                 tri = modular_triple_radial(extremal_function(params),
                                             power_nfunction(p), n, spec)
-                for got, want in ((tri.K, cf.K), (tri.L, cf.L), (tri.G, cf.G)):
+                for got, want in ((q.value, e.value) for q, e in zip(tri, cf)):
                     rel = abs(got - want) / want if want > 0 else abs(got)
                     worst = max(worst, rel)
     _criterion(1, "quadrature reproduces the closed-form modulars",
@@ -79,9 +79,9 @@ def test_02_quadratic_exact_constants(manifest, admissible_triples):
         for n in (1, 2, 3, 4, 5):
             cf = extremal_moments(ExtremalParams(alpha, 2, n))
             worst_identity = max(worst_identity, abs(
-                (cf.K - 4.0 * cf.G) / cf.L - n * (1.0 + alpha)))
+                (cf.K.value - 4.0 * cf.G.value) / cf.L.value - n * (1.0 + alpha)))
     tight = all(
-        abs((lambda cf: (cf.K - 4.0 * cf.G) / cf.L)(
+        abs((lambda cf: (cf.K.value - 4.0 * cf.G.value) / cf.L.value)(
             extremal_moments(ExtremalParams(0.99, 2, n))) - 1.99 * n) <= 1e-6
         for n in (1, 2, 3, 4, 5))
     _criterion(2, "quadratic case: K <= 2n L + 4 G with tight identity",
@@ -146,7 +146,7 @@ def test_06_c1_lower_bound_and_stirling(spec):
         tri = modular_triple_radial(
             extremal_function(ExtremalParams(0.0, p, n)),
             power_nfunction(p), n, spec)
-        rel = abs(tri.K / tri.L - c1_lower_bound(p, n)) / c1_lower_bound(p, n)
+        rel = abs(tri.K.value / tri.L.value - c1_lower_bound(p, n)) / c1_lower_bound(p, n)
         worst = max(worst, rel)
     stirling_gap = abs(stirling_ratio(4, 10 ** 4) - 1.0)
     _criterion(6, "alpha = 0 ratio equals the C1 lower bound; Stirling limit",
@@ -268,7 +268,7 @@ def test_11_norm_layer(manifest, admissible_triples, spec):
         nfun = manifest.nfunc(nf_label)
         u = manifest.radial_functions[u_label]
         lux = fresh_norm(u.parts().L, nfun, RadialMeasure(n), spec)
-        bound_ok &= lux <= tri.L + 1.0 + 1e-8
+        bound_ok &= lux <= tri.L.value + 1.0 + 1e-8
         if lux > 0:
             mod = modular_value(u.parts().L, nfun, RadialMeasure(n), spec, scale=lux)
             saturate_ok &= abs(mod - 1.0) <= 1e-7

@@ -18,7 +18,7 @@ from orlicz_hardy.cli import main, run_hardy, run_lk
 from orlicz_hardy.errors import PreconditionError
 from orlicz_hardy.functionals import ModularTriple
 from orlicz_hardy.nfunc import NFunction
-from orlicz_hardy.quadrature import GaussianMeasure, RadialMeasure
+from orlicz_hardy.quadrature import GaussianMeasure, IntegralResult, RadialMeasure
 from orlicz_hardy.reporting import canonical_json
 
 SCHEMA = json.loads(
@@ -64,7 +64,8 @@ class TestSubcommands:
 
         def moved(*args, **kwargs):
             tri = triple(*args, **kwargs)
-            return dataclasses.replace(tri, K=tri.K + 2.0 * tri.errs[0])
+            return tri._replace(K=dataclasses.replace(
+                tri.K, value=tri.K.value + 2.0 * tri.K.err_est))
 
         monkeypatch.setattr(cli, "modular_triple_radial", moved)
         assert main(["--out", str(tmp_path), "sharpness", "--p", "3", "--n", "1"]) == 1
@@ -157,9 +158,9 @@ class TestSubcommands:
         assert bodies[0] == bodies[1]
         assert bodies[0][field] == value
 
-    def test_infeasible_fits_fail(self, tmp_path):
-        rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p3", "--dim", "1..2",
-                   "--fit-grid", "0.001,0.002"])
+    def test_infeasible_fits_fail(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", (0.001, 0.002))
+        rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p3", "--dim", "1..2"])
         assert rc == 1
         body = load_report(tmp_path / "lk.json")["body"]
         assert body["summary"]["fails"] == 4
@@ -466,9 +467,8 @@ def test_tight_abs_tol_hardy_runs(tmp_path, manifest):
     tight = functionals.modular_triple_radial(u, nf, 1, cli.QuadratureSpec(abs_tol=1e-30))
     loose = functionals.modular_triple_radial(u, nf, 1, cli.QuadratureSpec())
     assert tight.valid
-    for a, b, ea, eb in zip((tight.K, tight.L, tight.G), (loose.K, loose.L, loose.G),
-                            tight.errs, loose.errs):
-        assert abs(a - b) <= ea + eb
+    for a, b in zip(tight, loose):
+        assert abs(a.value - b.value) <= a.err_est + b.err_est
 
 
 @pytest.mark.parametrize("doubled, single", [
@@ -665,10 +665,7 @@ def exit_status(argv) -> int:
     (["hardy", "--dim", ","], "','"),
     (["hardy", "--nfunc", "nope", "--dim", "1"], "no N-function 'nope'"),
     (["lk", "--nfunc", "nope", "--dim", "1"], "no N-function 'nope'"),
-    (["lk", "--fit-grid", "0", "--dim", "1"], "[0.0]"),
-    (["lk", "--fit-grid=-1,2", "--dim", "1"], "[-1.0, 2.0]"),
-    (["lk", "--fit-grid", "1,inf", "--dim", "1"], "[1.0, inf]"),
-    (["lk", "--fit-grid", ",", "--dim", "1"], "[]"),
+    (["lk", "--fit-grid", "1,2", "--dim", "1"], "unrecognized arguments: --fit-grid"),
     (["hardy", "--form", "p2_exact", "--nfunc", "p3", "--dim", "1"],
      "form p2_exact (--form p2_exact): d = D = 2"),
     (["hardy", "--form", "wwww", "--nfunc", "p2", "--dim", "1..3"],
@@ -680,14 +677,16 @@ def exit_status(argv) -> int:
     (["mazya", "--p", "2"], "only with --gaussian"),
     (["mazya", "--n", "3"], "only with --gaussian"),
     (["mazya", "--classical", "--p", "2"], "only with --gaussian"),
+    (["mazya", "--gaussian", "--p", "1000", "--n", "1"],
+     "the Gaussian tail of degree 1000 and rate 1 overflows"),
     (["sharpness", "--p", "nan", "--n", "1"], "p must be finite and >= 2, got nan"),
     (["sharpness", "--p", "inf", "--n", "1"], "p must be finite and >= 2, got inf"),
     (["sharpness", "--p", "400", "--n", "1"], "closed-form moments of u_alpha overflow"),
     (["sharpness", "--p", "nan", "--n", "1", "--alphas", ","], "--alphas names no alpha"),
 ], ids=["dim-descending", "dim-empty", "hardy-nfunc-unknown", "lk-nfunc-unknown",
-        "fit-grid-zero", "fit-grid-negative", "fit-grid-inf", "fit-grid-empty",
+        "lk-fit-grid",
         "form-p2_exact-p3", "form-wwww-p2", "form-liniowe-p3-n1", "form-term1-p2",
-        "mazya-p-alone", "mazya-n-alone", "mazya-classical-p",
+        "mazya-p-alone", "mazya-n-alone", "mazya-classical-p", "mazya-p-overflow",
         "sharpness-p-nan", "sharpness-p-inf", "sharpness-p-overflow",
         "sharpness-alphas-empty"])
 def test_argument_naming_nothing_valid_exits_two(tmp_path, capsys, argv, shown):
@@ -722,4 +721,5 @@ def test_hardy_form_row(manifest, spec, row):
     for nf, n in outside:
         measure = GaussianMeasure(n) if row.nd else RadialMeasure(n)
         with pytest.raises(PreconditionError, match=f"form {row.name} needs"):
-            row.check(None, ModularTriple(0.0, 0.0, 0.0), nf, measure, spec)
+            row.check(None, ModularTriple(*(IntegralResult(0.0, 0.0),) * 3), nf, measure,
+                      spec)

@@ -60,14 +60,14 @@ class TestModularTripleRadial:
             du=lambda r: np.zeros_like(np.asarray(r, float)),
             hint=SupportHint.decaying(0.0, 0.0))
         tri = modular_triple_radial(zero, power_nfunction(2), 3)
-        assert (tri.K, tri.L, tri.G) == (0.0, 0.0, 0.0)
+        assert [m.value for m in tri] == [0.0, 0.0, 0.0]
 
     def test_constant_profile_moments(self):
         # u == 1, M = r^2, n = 2: K = moment(2, 2) = 2, L = moment(2, 0) = 1
         tri = modular_triple_radial(constant_profile(), power_nfunction(2), 2)
-        assert tri.K == pytest.approx(2.0, rel=1e-9)
-        assert tri.L == pytest.approx(1.0, rel=1e-9)
-        assert tri.G == 0.0
+        assert tri.K.value == pytest.approx(2.0, rel=1e-9)
+        assert tri.L.value == pytest.approx(1.0, rel=1e-9)
+        assert tri.G.value == 0.0
 
     def test_growth_family_closed_forms(self):
         # u(r) = exp(0.45 r^2 / 2) is the alpha = 0.9, p = 2 member
@@ -75,12 +75,12 @@ class TestModularTripleRadial:
         tri = modular_triple_radial(extremal_function(params),
                                     power_nfunction(2), 1)
         cf = extremal_moments(params)
-        assert cf.K == pytest.approx(39.633272976060115, rel=1e-12)
-        assert cf.L == pytest.approx(3.9633272976060114, rel=1e-12)
-        assert cf.G == pytest.approx(8.025737777652173, rel=1e-12)
-        assert tri.K == pytest.approx(cf.K, rel=1e-8)
-        assert tri.L == pytest.approx(cf.L, rel=1e-8)
-        assert tri.G == pytest.approx(cf.G, rel=1e-8)
+        assert cf.K.value == pytest.approx(39.633272976060115, rel=1e-12)
+        assert cf.L.value == pytest.approx(3.9633272976060114, rel=1e-12)
+        assert cf.G.value == pytest.approx(8.025737777652173, rel=1e-12)
+        assert tri.K.value == pytest.approx(cf.K.value, rel=1e-8)
+        assert tri.L.value == pytest.approx(cf.L.value, rel=1e-8)
+        assert tri.G.value == pytest.approx(cf.G.value, rel=1e-8)
 
     def test_divergent_flagged(self):
         # exp(r^2/4) squared grows like exp(r^2/2): the weight cannot absorb it
@@ -90,7 +90,7 @@ class TestModularTripleRadial:
             * np.exp(0.25 * np.asarray(r, float) ** 2),
             hint=SupportHint.decaying(0.0, -0.5))
         tri = modular_triple_radial(hot, power_nfunction(2), 1)
-        assert tri.divergent == (True, True, True)
+        assert tri == (None, None, None)
         assert not tri.valid
 
 
@@ -141,7 +141,7 @@ class TestLuxemburg:
             nf = manifest.nfunc(nf_label)
             u = manifest.radial_functions[u_label]
             lux = fresh_norm(u.parts().L, nf, RadialMeasure(n))
-            assert lux <= tri.L + 1.0 + 1e-8
+            assert lux <= tri.L.value + 1.0 + 1e-8
 
     def test_delta2_saturation(self, manifest):
         nf = manifest.nfunc("p2log")
@@ -185,10 +185,10 @@ class TestTruncate:
     def test_weighted_modular_monotone_convergence(self, manifest, spec):
         nf = manifest.nfunc("p3")
         u = manifest.radial_functions["pg_decay"]
-        full = modular_triple_radial(u, nf, 2, spec).K
+        full = modular_triple_radial(u, nf, 2, spec).K.value
         ks = []
         for N in (2.0, 4.0, 8.0, 16.0):
-            ks.append(modular_triple_radial(truncate(u, N), nf, 2, spec).K)
+            ks.append(modular_triple_radial(truncate(u, N), nf, 2, spec).K.value)
         assert all(ks[i] <= ks[i + 1] + 1e-10 for i in range(len(ks) - 1))
         assert ks[-1] == pytest.approx(full, rel=1e-8)
 
@@ -201,9 +201,10 @@ class TestTruncate:
             tri = modular_triple_radial(u, nf, 1, spec)
             for N in (4.0, 16.0):
                 tri_n = modular_triple_radial(truncate(u, N), nf, 1, spec)
-                bound = ((1.0 + N ** -0.5) ** D * tri.G
-                         + (2.0 / math.sqrt(N)) ** D * tri.L)
-                assert tri_n.G <= bound + sum(tri.errs) + sum(tri_n.errs) + 1e-10
+                bound = ((1.0 + N ** -0.5) ** D * tri.G.value
+                         + (2.0 / math.sqrt(N)) ** D * tri.L.value)
+                errs = sum(m.err_est for m in (*tri, *tri_n))
+                assert tri_n.G.value <= bound + errs + 1e-10
 
     def test_cutoff_below_one_rejected(self):
         with pytest.raises(PreconditionError):
@@ -251,7 +252,7 @@ class TestModularTripleNd:
             grad=lambda X: np.zeros(X.shape),
             n=2, hint=SupportHint.decaying(0.0, 0.0))
         tri = modular_triple_nd(zero, power_nfunction(2))
-        assert (tri.K, tri.L, tri.G) == (0.0, 0.0, 0.0)
+        assert [m.value for m in tri] == [0.0, 0.0, 0.0]
 
     def test_radial_field_reduces_to_profile(self, manifest, spec):
         nf = manifest.nfunc("p3")
@@ -261,9 +262,9 @@ class TestModularTripleNd:
             tri_nd = modular_triple_nd(field, nf, spec)
             tri_rad = modular_triple_radial(field.radial_profile, nf, n, spec)
             area = surface_area(n)
-            assert tri_nd.K == pytest.approx(area * tri_rad.K, rel=1e-8)
-            assert tri_nd.L == pytest.approx(area * tri_rad.L, rel=1e-8)
-            assert tri_nd.G == pytest.approx(area * tri_rad.G, rel=1e-8)
+            assert tri_nd.K.value == pytest.approx(area * tri_rad.K.value, rel=1e-8)
+            assert tri_nd.L.value == pytest.approx(area * tri_rad.L.value, rel=1e-8)
+            assert tri_nd.G.value == pytest.approx(area * tri_rad.G.value, rel=1e-8)
 
     def test_gaussian_field_closed_form(self, spec):
         # u = exp(-|x|^2/4), M = r^2, n = 2: every component is a moment with
@@ -275,11 +276,25 @@ class TestModularTripleNd:
         tri = modular_triple_nd(field, power_nfunction(2), spec)
         area = surface_area(2)
         # |u|^2 dgamma: rate 2 Gaussian: int r e^(-r^2) dr = 1/2
-        assert tri.L == pytest.approx(area * 0.5, rel=1e-8)
+        assert tri.L.value == pytest.approx(area * 0.5, rel=1e-8)
         # (r|u|)^2: int r^3 e^(-r^2) dr = 1/2
-        assert tri.K == pytest.approx(area * 0.5, rel=1e-8)
+        assert tri.K.value == pytest.approx(area * 0.5, rel=1e-8)
         # |grad u|^2 = r^2/4 e^(-r^2/2): int r^3/4 e^(-r^2) = 1/8
-        assert tri.G == pytest.approx(area * 0.125, rel=1e-8)
+        assert tri.G.value == pytest.approx(area * 0.125, rel=1e-8)
+
+    def test_k_l_and_g_are_the_results_their_family_gave(self, manifest, spec):
+        # nothing is copied out of the family's results: each modular keeps
+        # the family's finite truncation radius, its panels and its flag
+        u, nf = manifest.field_functions["fx_lin"].instantiate(2), manifest.nfunc("p2")
+        triple = modular_triple_nd(u, nf, spec)
+        family = functionals._modular_family([(part, nf) for part in u.parts()[:3]],
+                                             GaussianMeasure(2), spec)
+        assert triple == tuple(family)
+        for m, res in zip(triple, family):
+            assert math.isfinite(m.radius) and m.radius == res.radius
+            assert m.converged is res.converged is True
+            assert m.panels is triple.K.panels
+            assert all(np.array_equal(a, b) for a, b in zip(m.panels, res.panels))
 
     def test_missing_gradient_rejected(self):
         none_grad = FieldFunction(u=lambda X: np.zeros(X.shape[:-1]), grad=None,
@@ -316,7 +331,7 @@ class TestSphereRuleOfTheSymmetry:
                 triple = modular_triple_nd(even, nf, spec)
                 hess = lone_or_none(even.parts().H, nf, meas, spec)
                 assert rows == [3 * len(directions) // 2, len(directions) // 2], where
-                assert triple.panels[2] is directions
+                assert triple.K.panels[2] is directions
                 assert triple == modular_triple_nd(reference, nf, spec), where
                 assert hess == lone_or_none(reference.parts().H, nf, meas, spec), where
 
@@ -331,10 +346,9 @@ class TestSphereRuleOfTheSymmetry:
                 for nf_label, nf in sorted(manifest.nfunctions.items()):
                     triple = modular_triple_nd(field, nf, spec, normalized)
                     radial = modular_triple_radial(field.radial_profile, nf, n, spec)
-                    assert np.array_equal(triple.panels[2], np.eye(1, n))
-                    for a, b, err in zip((triple.K, triple.L, triple.G),
-                                         (radial.K, radial.L, radial.G), triple.errs):
-                        assert abs(a - scale * b) <= err, (label, nf_label, n)
+                    assert np.array_equal(triple.K.panels[2], np.eye(1, n))
+                    for a, b in zip(triple, radial):
+                        assert abs(a.value - scale * b.value) <= a.err_est, (label, nf_label, n)
 
 
 def lone_or_none(profile, nf, measure, spec):
@@ -343,14 +357,14 @@ def lone_or_none(profile, nf, measure, spec):
 
 
 def assert_family_agrees_with_lone(rows, where):
-    """Each (value, err_est) of a family and the same modular integrated
-    alone, on panels of its own, agree within their two error estimates
-    summed; a modular that diverges alone is infinite in the family."""
-    for value, err, res in rows:
-        if res is None:
-            assert math.isinf(value), where
+    """Each result of a family and the same modular integrated alone, on
+    panels of its own, agree within their two error estimates summed; a
+    modular that diverges alone diverges in the family."""
+    for res, lone in rows:
+        if lone is None:
+            assert res is None, where
         else:
-            assert abs(value - res.value) <= err + res.err_est, where
+            assert abs(res.value - lone.value) <= res.err_est + lone.err_est, where
 
 
 class TestModularFamilies:
@@ -361,10 +375,7 @@ class TestModularFamilies:
             for label, u in sorted(manifest.radial_functions.items()):
                 triple = modular_triple_radial(u, nf, n, spec)
                 lone = [lone_or_none(part, nf, meas, spec) for part in u.parts()[:3]]
-                assert triple.divergent == tuple(res is None for res in lone)
-                assert_family_agrees_with_lone(
-                    zip((triple.K, triple.L, triple.G), triple.errs, lone),
-                    (nf_label, label, n))
+                assert_family_agrees_with_lone(zip(triple, lone), (nf_label, label, n))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_field_triples_and_lk_terms_agree_with_lone_modulars(self, manifest, spec, n):
@@ -378,27 +389,21 @@ class TestModularFamilies:
                 parts = u.parts()
                 triple = modular_triple_nd(u, nf, spec)
                 lone = [lone_or_none(part, nf, meas, spec) for part in parts[:3]]
-                assert_family_agrees_with_lone(
-                    zip((triple.K, triple.L, triple.G), triple.errs, lone),
-                    (nf_label, label, n))
-                _, hess, func, errs, *_ = lk_modular_terms(u, nf, triple, spec)
+                assert_family_agrees_with_lone(zip(triple, lone), (nf_label, label, n))
+                terms = lk_modular_terms(u, nf, triple, spec)
                 lone = [lone_or_none(part, nf, meas, spec) for part in (parts.H, parts.L)]
-                assert_family_agrees_with_lone(
-                    zip((hess, func), errs[1:], lone), (nf_label, label, n))
+                assert_family_agrees_with_lone(zip(terms[1:], lone), (nf_label, label, n))
 
 
 def assert_spanning_agrees_with_single(spanning, single, where):
     """A triple from the family spanning several N-functions and the one
-    from that N-function's own family have the same divergence flags, and
-    each of K, L, G agrees within the two error estimates summed."""
-    assert spanning.divergent == single.divergent, where
-    for a, b, ea, eb, divergent in zip((spanning.K, spanning.L, spanning.G),
-                                       (single.K, single.L, single.G),
-                                       spanning.errs, single.errs, spanning.divergent):
-        if divergent:
-            assert math.isinf(a) and math.isinf(b), where
+    from that N-function's own family diverge in the same modulars, and
+    each other of K, L, G agrees within the two error estimates summed."""
+    for a, b in zip(spanning, single):
+        if a is None or b is None:
+            assert a is b, where
         else:
-            assert abs(a - b) <= ea + eb, where
+            assert abs(a.value - b.value) <= a.err_est + b.err_est, where
 
 
 class TestFamiliesSpanningNFunctions:
@@ -467,8 +472,7 @@ class TestFamiliesSpanningNFunctions:
         u = manifest.radial_functions["ga_mild"]
         p2, p3, p4 = (manifest.nfunc(label) for label in ("p2", "p3", "p4"))
         mixed = modular_triple_radial(u, [p2, p4, p3], n, spec)
-        assert [t.divergent for t in mixed] == [(False,) * 3, (True,) * 3, (False,) * 3]
-        assert (mixed[1].K, mixed[1].L, mixed[1].G) == (math.inf,) * 3
+        assert [[m is None for m in t] for t in mixed] == [[False] * 3, [True] * 3, [False] * 3]
         # divergent parts take no part in the refinement: the live triples
         # are, bit for bit, those of the family without p4
         assert [mixed[0], mixed[2]] == modular_triple_radial(u, [p2, p3], n, spec)
@@ -478,7 +482,7 @@ class TestFamiliesSpanningNFunctions:
 
         monkeypatch.setattr(functionals, "integrate_radial", integrator)
         alone, = modular_triple_radial(u, [p4], n, spec)
-        assert alone.divergent == (True,) * 3 and alone.converged
+        assert alone == (None,) * 3 and alone.converged
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +678,7 @@ class TestNormsFromTheTriple:
         def afresh_modulars(norms, nf, measure, *args, **kwargs):
             (L, _), (G, _), (K, _) = norms
             fresh = functionals._modular_triple((K, L, G), nfs, measure, spec)
-            m_K, m_L, m_G = fresh[nfs.index(nf)].modulars()
+            m_K, m_L, m_G = fresh[nfs.index(nf)]
             return original([(L, m_L), (G, m_G), (K, m_K)], nf, measure,
                             *args, **kwargs)
 
@@ -728,9 +732,9 @@ class TestNormsFromTheTriple:
                             if factory.compatible(2))]
         compared = 0
         for u, meas, triple, explicit in cases:
-            if triple.divergent[0]:
+            m_K = triple.K
+            if m_K is None:
                 continue
-            m_K = triple.modulars()[0]
             via_part = luxemburg_norm([(u.parts().K, m_K)], nf, meas, spec)
             assert via_part == luxemburg_norm([(explicit, m_K)], nf, meas, spec), (
                 u.label, meas)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -22,10 +23,15 @@ from orlicz_hardy.hardy import (
     linear_constants,
 )
 from orlicz_hardy.nfunc import power_nfunction
-from orlicz_hardy.quadrature import GaussianMeasure, RadialMeasure, surface_area
+from orlicz_hardy.quadrature import (
+    GaussianMeasure,
+    IntegralResult,
+    RadialMeasure,
+    surface_area,
+)
 from orlicz_hardy.sharpness import ExtremalParams, extremal_function, extremal_moments
 
-ZERO = ModularTriple(0.0, 0.0, 0.0)
+ZERO = ModularTriple(*(IntegralResult(0.0, 0.0),) * 3)
 
 
 class TestLinearConstants:
@@ -63,7 +69,7 @@ class TestCheckLinear:
             extremal_function(ExtremalParams(0.5, 2, 2)), power_nfunction(2),
             2, spec)
         rep = check_linear(tri, 4.0, 4.0)
-        assert rep.slack / tri.L == pytest.approx(1.0, abs=1e-7)
+        assert rep.slack / tri.L.value == pytest.approx(1.0, abs=1e-7)
 
     def test_explicit_constants_on_corpus(self, manifest, admissible_triples):
         for nf_label in ("p3", "p4", "p2log"):
@@ -124,11 +130,11 @@ class TestAlternative:
                 root = mpmath.sqrt(D * D / 4 * G ** (mpmath.mpf(2) / D)
                                    + (D + n - 2) * L ** (mpmath.mpf(2) / D))
                 return (mpmath.mpf(D) / 2 * G ** (mpmath.mpf(1) / D) + root) ** D
-            L, G = mpmath.mpf(tri.L), mpmath.mpf(tri.G)
-            rise = float(term2(L + tri.errs[1], G + tri.errs[2]) - term2(L, G))
+            L, G = mpmath.mpf(tri.L.value), mpmath.mpf(tri.G.value)
+            rise = float(term2(L + tri.L.err_est, G + tri.G.err_est) - term2(L, G))
         rep = check_alternative(tri, 4.0, 4.0, n)
         assert rep.id == "term2"
-        assert rep.err_est == pytest.approx(tri.errs[0] + rise, rel=1e-12, abs=0.0)
+        assert rep.err_est == pytest.approx(tri.K.err_est + rise, rel=1e-12, abs=0.0)
 
     def test_invalid_exponents(self):
         with pytest.raises(PreconditionError):
@@ -153,9 +159,9 @@ class TestP2Exact:
     def test_tightness_as_alpha_grows(self):
         # (K - 4G)/L = n(1+alpha): the needed C1 approaches 2n
         for n in (1, 3):
-            vals = [(extremal_moments(ExtremalParams(a, 2, n)).K
-                     - 4.0 * extremal_moments(ExtremalParams(a, 2, n)).G)
-                    / extremal_moments(ExtremalParams(a, 2, n)).L
+            vals = [(extremal_moments(ExtremalParams(a, 2, n)).K.value
+                     - 4.0 * extremal_moments(ExtremalParams(a, 2, n)).G.value)
+                    / extremal_moments(ExtremalParams(a, 2, n)).L.value
                     for a in (0.9, 0.99, 0.999)]
             assert vals == sorted(vals)
             assert vals[-1] == pytest.approx(n * 1.999, rel=1e-9)
@@ -267,8 +273,9 @@ class TestCheckNd:
         d, D = nf.require_exponents()
         tri = modular_triple_nd(manifest.field_functions["fr_smooth"].instantiate(2),
                                 nf, spec)
-        nudged = ModularTriple(tri.K, math.nextafter(tri.L, math.inf),
-                               math.nextafter(tri.G, math.inf), tri.errs)
+        nudged = ModularTriple(tri.K, *(
+            dataclasses.replace(m, value=math.nextafter(m.value, math.inf))
+            for m in (tri.L, tri.G)))
         for check in (lambda t: check_wwww(t, nf, 2),
                       lambda t: check_alternative(t, d, D, 2)):
             before, after = check(tri), check(nudged)

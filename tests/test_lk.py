@@ -33,6 +33,7 @@ from orlicz_hardy.landau_kolmogorov import (
     uniform_bound,
 )
 from orlicz_hardy.nfunc import comparison_tol, power_nfunction
+from orlicz_hardy.quadrature import IntegralResult
 from orlicz_hardy.reporting import canonical_json
 
 
@@ -44,6 +45,11 @@ def terms_of(u, nf, spec=None):
 def norm_triple(u, nf, spec=None):
     """`lk_norm_triple` of (u, nf), on fresh terms."""
     return lk_norm_triple(u, nf, terms_of(u, nf, spec), spec)
+
+
+def exact_terms(lhs, hess, func, errs=(0.0, 0.0, 0.0)):
+    """LKTerms of the given values, each with its error from errs."""
+    return LKTerms(*(IntegralResult(v, e) for v, e in zip((lhs, hess, func), errs)))
 
 
 def unit_terms(fields, nf, spec=None):
@@ -77,7 +83,7 @@ class TestHypotheses:
         field = manifest.field_functions["fx_lin"].instantiate(2)
         with pytest.raises(PreconditionError, match="non-decreasing"):
             hardy_provenance(field, power_nfunction(1.5), 2,
-                             ModularTriple(0.0, 0.0, 0.0))
+                             ModularTriple(*(IntegralResult(0.0, 0.0),) * 3))
 
 
 class TestHessianNorm:
@@ -97,7 +103,7 @@ class TestModularCheck:
         # u = 0: L1 = 0 and H1 = 0, so theta* = 1 and both sides vanish
         nf = manifest.nfunc(nf_label)
         terms = terms_of(zero_field(), nf, spec)
-        assert (terms.func_term, terms.hess_term) == (0.0, 0.0)
+        assert (terms.func_term.value, terms.hess_term.value) == (0.0, 0.0)
         rep = check_lk_modular(terms, nf, 2.0, 2.0)
         assert rep.verdict == "holds" and rep.lhs == 0.0 and rep.theta == 1.0
 
@@ -106,10 +112,9 @@ class TestModularCheck:
         # with lhs = 0 the check holds, and an lhs above 0 is left open by
         # any error on L1, which theta^-d scales without bound
         nf = power_nfunction(2.0)
-        exact = LKTerms(0.0, 1.0, 0.0, (0.0, 0.0, 0.0), True)
-        rep = check_lk_modular(exact, nf, 1.0, 1.0)
+        rep = check_lk_modular(exact_terms(0.0, 1.0, 0.0), nf, 1.0, 1.0)
         assert (rep.verdict, rep.theta, rep.rhs) == ("holds", 0.0, 0.0)
-        rep = check_lk_modular(exact._replace(lhs=1.0, errs=(0.0, 0.0, 1e-12)),
+        rep = check_lk_modular(exact_terms(1.0, 1.0, 0.0, (0.0, 0.0, 1e-12)),
                                nf, 1.0, 1.0)
         assert (rep.verdict, rep.theta, rep.err_est) == ("indeterminate", 0.0, math.inf)
 
@@ -127,7 +132,7 @@ class TestModularCheck:
     def test_a_miss_fails_only_under_a_power(self, manifest):
         # the bound is the exact minimum for a power and only a lower bound
         # of the right side for any other M
-        terms = LKTerms(3.0, 1.0, 1.0, (0.0, 0.0, 0.0), True)
+        terms = exact_terms(3.0, 1.0, 1.0)
         assert check_lk_modular(terms, manifest.nfunc("p2"), 1.0, 1.0).verdict == "fails"
         rep = check_lk_modular(terms, manifest.nfunc("p2log"), 1.0, 1.0)
         assert rep.verdict == "indeterminate" and "growth-index bound" in rep.details["reason"]
@@ -147,7 +152,8 @@ class TestUniformBound:
         for u in lk_fields(manifest, n):
             terms = terms_of(u, nf, spec)
             theta, hess, func, _ = uniform_bound(terms, c1, c2, p, p)
-            scan = c1 * thetas ** p * terms.hess_term + c2 * thetas ** -p * terms.func_term
+            scan = (c1 * thetas ** p * terms.hess_term.value
+                    + c2 * thetas ** -p * terms.func_term.value)
             assert 0.0 < theta <= 1.0
             assert hess + func <= scan.min() * (1.0 + 1e-12), (u.label, theta)
             assert scan.min() == pytest.approx(hess + func, rel=1e-6), (u.label, theta)
@@ -176,9 +182,9 @@ class TestUniformBound:
                 breakpoints=u.breakpoints)
             _, hess, func, _ = uniform_bound(terms, c1, c2, d, D)
             for theta, h, f in zip(scaled, direct, direct[2:]):
-                slack = h.err_est + f.err_est + terms.errs[1] + terms.errs[2]
-                assert theta ** D * terms.hess_term <= h.value + slack, (u.label, theta)
-                assert theta ** -d * terms.func_term <= f.value + slack, (u.label, theta)
+                slack = h.err_est + f.err_est + terms.hess_term.err_est + terms.func_term.err_est
+                assert theta ** D * terms.hess_term.value <= h.value + slack, (u.label, theta)
+                assert theta ** -d * terms.func_term.value <= f.value + slack, (u.label, theta)
                 assert hess + func <= c1 * h.value + c2 * f.value + slack, (u.label, theta)
 
 
@@ -211,41 +217,45 @@ def linear(lhs, x, y, tol, label="a"):
 
 
 class TestEnvelopeFit:
-    def test_fit_minimises_sum(self):
+    def test_fit_minimises_sum(self, monkeypatch):
         items = [linear(1.0, 1.0, 0.0, 1e-12, "a"), linear(2.0, 0.0, 1.0, 1e-12, "b")]
-        c1, c2, binding, ok = fit_envelope(items, grid=(0.5, 1.0, 2.0, 4.0))
+        monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", (0.5, 1.0, 2.0, 4.0))
+        c1, c2, binding, ok = fit_envelope(items)
         assert ok
         assert (c1, c2) == (1.0, 2.0)
         assert binding in ("a", "b")
 
-    def test_tie_goes_to_smaller_c1_whatever_the_grid_order(self):
+    def test_tie_goes_to_smaller_c1_whatever_the_grid_order(self, monkeypatch):
         items = [linear(3.0, 1.0, 1.0, 0.0)]
         for grid in ((1.0, 2.0), (2.0, 1.0)):
-            c1, c2, binding, ok = fit_envelope(items, grid=grid)
+            monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", grid)
+            c1, c2, binding, ok = fit_envelope(items)
             assert ok and (c1, c2, binding) == (1.0, 2.0, "a"), grid
 
-    def test_infeasible_grid(self):
+    def test_infeasible_grid(self, monkeypatch):
         items = [linear(100.0, 1e-9, 1e-9, 0.0)]
-        c1, c2, _, ok = fit_envelope(items, grid=(0.5, 1.0))
+        monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", (0.5, 1.0))
+        c1, c2, _, ok = fit_envelope(items)
         assert not ok and math.isinf(c1)
 
-    def test_infinite_lhs_is_infeasible(self):
+    def test_infinite_lhs_is_infeasible(self, monkeypatch):
         # the tol both LK fits take from the lhs is inf here, which must not
         # let inf <= C1 x + C2 y + tol pass
         items = [linear(math.inf, 1.0, 1.0, comparison_tol(math.inf, 1e-9))]
-        assert fit_envelope(items, grid=(1.0,)) == (math.inf, math.inf, "", False)
+        monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", (1.0,))
+        assert fit_envelope(items) == (math.inf, math.inf, "", False)
 
     def test_modular_fit_moves_past_a_pair_that_fails_below_theta_one(
             self, manifest, monkeypatch):
         # at theta = 1 the cheapest pair is (1, 0.5); under p2 the least
         # right side over (0, 1] is 2 sqrt(C1 C2 H1 L1) = 0.71 < 1 there, at
         # theta* = 0.59, so the fit takes the next pair, (1, 1)
-        terms = LKTerms(1.0, 1.0, 0.25, (0.0, 0.0, 0.0), True)
+        terms = exact_terms(1.0, 1.0, 0.25)
         monkeypatch.setattr(lk_mod, "lk_modular_terms", lambda u, nf, *args: terms)
-        grid = (0.5, 1.0, 2.0)
-        assert fit_envelope([linear(1.0, 1.0, 0.25, 1e-9)], grid) == (1.0, 0.5, "a", True)
+        monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", (0.5, 1.0, 2.0))
+        assert fit_envelope([linear(1.0, 1.0, 0.25, 1e-9)]) == (1.0, 0.5, "a", True)
         fit, fitted = fit_lk_modular_envelope([SimpleNamespace(label="a")],
-                                              manifest.nfunc("p2"), {"a": None}, grid=grid)
+                                              manifest.nfunc("p2"), {"a": None})
         assert fit.feasible and (fit.c1, fit.c2, fit.binding_label) == (1.0, 1.0, "a")
         assert fitted == {"a": terms}
 
@@ -284,7 +294,7 @@ class TestEnvelopeFit:
         for u in fields:
             # the fit's terms are one fresh call of (u, nf), bit for bit
             fresh = lk_modular_terms(u, nf, triples[u.label], spec)
-            assert terms[u.label][:5] == fresh[:5]
+            assert terms[u.label] == fresh
             rep = check_lk_modular(terms[u.label], nf, fit.c1, fit.c2)
             assert rep.verdict in ("holds", "indeterminate"), (u.label, rep.slack)
             assert 0.0 < rep.theta <= 1.0
@@ -331,7 +341,7 @@ class TestProvenanceChain:
             if not factory.compatible(2):
                 continue
             u = factory.instantiate(2)
-            lhs, a, b, errs, *_ = terms_of(u, nf, spec)
+            lhs, a, b = (term.value for term in terms_of(u, nf, spec))
             if math.isfinite(a) and math.isfinite(b):
                 assert math.isfinite(lhs)
 
@@ -380,10 +390,8 @@ class TestModularTermsFromTheTriple:
                     normalized=normalized, breakpoints=u.breakpoints,
                     symmetry=hess_profile.symmetry)
                 terms = lk_modular_terms(u, nf, triple, spec, normalized)
-                assert terms[:5] == LKTerms(
-                    triple.G, hess.value, triple.L,
-                    (triple.errs[2], hess.err_est, triple.errs[1]), True)[:5], (u.label, n)
-                assert terms.panels[0] is triple.panels
+                assert terms == LKTerms(triple.G, hess, triple.L), (u.label, n)
+                assert terms.lhs is triple.G and terms.func_term is triple.L
 
 
 class TestRunLkIntegratesOnce:

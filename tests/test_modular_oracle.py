@@ -39,12 +39,7 @@ from orlicz_hardy.functionals import (
     modular_triple_radial,
 )
 from orlicz_hardy.landau_kolmogorov import lk_modular_terms, uniform_bound
-from orlicz_hardy.quadrature import (
-    GaussianMeasure,
-    IntegralResult,
-    QuadratureSpec,
-    RadialMeasure,
-)
+from orlicz_hardy.quadrature import GaussianMeasure, QuadratureSpec, RadialMeasure
 
 P = np.polynomial.polynomial
 DPS = 20
@@ -203,10 +198,9 @@ def field_exact_n1(label, nf_label, which):
 
 def assert_radial_triple_honest(triple, label, nf_label, n):
     # a modular the truncation policy calls divergent has no value to check
-    for which, value, err, divergent in zip("KLG", (triple.K, triple.L, triple.G),
-                                            triple.errs, triple.divergent):
-        if not divergent:
-            assert_honest(value, err, radial_exact(label, nf_label, n, which),
+    for which, m in zip("KLG", triple):
+        if m is not None:
+            assert_honest(m.value, m.err_est, radial_exact(label, nf_label, n, which),
                           f"{label} {nf_label} n={n} {which}")
 
 
@@ -228,8 +222,8 @@ def test_field_modulars_at_n_one_within_their_error_estimates(label, nf_label):
 
 
 def assert_field_triple_honest_at_n_one(triple, label, nf_label):
-    for which, value, err in zip("KLG", (triple.K, triple.L, triple.G), triple.errs):
-        assert_honest(value, err, field_exact_n1(label, nf_label, which),
+    for which, m in zip("KLG", triple):
+        assert_honest(m.value, m.err_est, field_exact_n1(label, nf_label, which),
                       f"{label} {nf_label} n=1 {which}")
 
 
@@ -243,12 +237,13 @@ def test_lk_terms_at_n_one_within_their_error_estimates(label, nf_label):
     terms = lk_modular_terms(field(label, 1), nf, field_triple(label, nf_label, 1), SPEC)
     pieces = field_pieces(FIELDS[label])
     exact = 2.0 * exact_modular(pieces, nf_label, 1, "H", 1.0)
-    assert_honest(terms.hess_term, terms.errs[1], exact, f"{label} {nf_label} hess")
+    assert_honest(terms.hess_term.value, terms.hess_term.err_est, exact,
+                  f"{label} {nf_label} hess")
     for c1, c2 in ((0.5, 1.0), (8.0, 0.5)):
         theta, hess, func, err = uniform_bound(terms, c1, c2, *nf.require_exponents())
         exact = 2.0 * (c1 * exact_modular(pieces, nf_label, 1, "H", theta)
                        + c2 * exact_modular(pieces, nf_label, 1, "L", 1.0 / theta))
-        assert_honest(hess + func, err - terms.errs[0], exact,
+        assert_honest(hess + func, err - terms.lhs.err_est, exact,
                       f"{label} {nf_label} C=({c1:g},{c2:g}) theta*={theta:g}")
 
 
@@ -286,9 +281,9 @@ def test_monomial_k_and_l_within_their_error_estimates(label, nf_label, n, which
 
 
 def assert_monomial_honest(triple, label, nf_label, n, which):
-    value, err = (triple.K, triple.errs[0]) if which == "K" else (triple.L, triple.errs[1])
+    m = triple.K if which == "K" else triple.L
     exact = monomial_exact(FIELDS[label], float(NFUNCS[nf_label]["params"]["p"]), n, which)
-    assert_honest(value, err, exact, f"{label} {nf_label} n={n} {which}")
+    assert_honest(m.value, m.err_est, exact, f"{label} {nf_label} n={n} {which}")
 
 
 def gradient_factor(entry, x):
@@ -348,7 +343,7 @@ def gauss_hermite_exact(label, nf_label, n):
 
 def assert_gauss_hermite_honest(triple, label, nf_label, n):
     exact = gauss_hermite_exact(label, nf_label, n)
-    assert_honest(triple.G, triple.errs[2], exact, f"{label} {nf_label} n={n} G")
+    assert_honest(triple.G.value, triple.G.err_est, exact, f"{label} {nf_label} n={n} G")
 
 
 # -- the family spanning every N-function ---------------------------------------
@@ -444,9 +439,8 @@ def exact_root(exact_at, start):
 def test_radial_power_norms_within_their_modulars_bars(label, nf_label, n):
     u = MANIFEST.radial_functions[label]
     triple = radial_triple(label, nf_label, n)
-    for which, profile, m1, divergent in zip("KLG", u.parts(), triple.modulars(),
-                                             triple.divergent):
-        if not divergent:
+    for which, profile, m1 in zip("KLG", u.parts(), triple):
+        if m1 is not None:
             assert_bracket_holds(
                 profile, nf_label, RadialMeasure(n), m1,
                 power_norm(nf_label, radial_exact(label, nf_label, n, which)),
@@ -460,9 +454,8 @@ def test_radial_power_log_norms_at_n_one_bracket_the_exact_root(label):
     u = MANIFEST.radial_functions[label]
     triple = spanning_radial_triples(label, 1)["p2log"]
     pieces = radial_pieces(RADIAL[label])
-    for which, profile, m1, divergent in zip("KLG", u.parts(), triple.modulars(),
-                                             triple.divergent):
-        if divergent:
+    for which, profile, m1 in zip("KLG", u.parts(), triple):
+        if m1 is None:
             continue
         norm, = luxemburg_norm([(profile, m1)], MANIFEST.nfunc("p2log"), RadialMeasure(1),
                                SPEC)
@@ -483,11 +476,10 @@ def test_field_power_norms_at_n_one_within_their_modulars_bars(label, nf_label):
     triple = field_triple(label, nf_label, 1)
     pieces = field_pieces(FIELDS[label])
     profiles = field_norm_profiles(field(label, 1))
-    modulars = dict(zip("KLG", triple.modulars()))
+    modulars = triple._asdict()
     if nf_label in ("p2", "p3"):  # the oracle's LK terms: H at theta = 1
         terms = lk_modular_terms(field(label, 1), MANIFEST.nfunc(nf_label), triple, SPEC)
-        modulars["H"] = IntegralResult(terms.hess_term, terms.errs[1],
-                                       panels=terms.panels[1])
+        modulars["H"] = terms.hess_term
     for which, m1 in modulars.items():
         assert_bracket_holds(
             profiles[which], nf_label, GaussianMeasure(1), m1,
@@ -510,7 +502,7 @@ def test_field_power_norms_at_n_two_within_their_modulars_bars(label, nf_label, 
     exact = (gauss_hermite_g(FIELDS[label], int(p), 2) if which == "G"
              else monomial_exact(FIELDS[label], p, 2, which))
     assert_bracket_holds(field_norm_profiles(field(label, 2))[which], nf_label,
-                         GaussianMeasure(2), dict(zip("KLG", triple.modulars()))[which],
+                         GaussianMeasure(2), triple._asdict()[which],
                          power_norm(nf_label, exact), f"{label} {nf_label} n=2 ||{which}||")
 
 

@@ -112,6 +112,12 @@ def test_numpy_integers_and_bools_are_written_as_numbers_and_bools():
     assert canonical_json({"a": np.int64(3), "b": np.bool_(True)}) == '{"a":3,"b":true}'
 
 
+def test_numpy_floats_are_written_as_numbers_and_non_finite_ones_as_strings():
+    body = {"a": np.float32(0.5), "b": np.float16(-2.0), "c": np.float32("nan"),
+            "d": np.float16("inf"), "e": np.longdouble("-inf")}
+    assert canonical_json(body) == '{"a":0.5,"b":-2.0,"c":"nan","d":"inf","e":"-inf"}'
+
+
 def test_a_plain_body_is_written_without_canonicalize(monkeypatch):
     body = {"b": [1.0 / 3.0, {"z": None, "a": (True, "s")}], "a": -0.0}
     expected = slow_canonical_json(body)

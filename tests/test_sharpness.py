@@ -38,9 +38,9 @@ class TestExtremalFunction:
 class TestExtremalMoments:
     def test_alpha_zero_p2_n2(self):
         cf = extremal_moments(ExtremalParams(0.0, 2, 2))
-        assert cf.K == pytest.approx(2.0)
-        assert cf.L == pytest.approx(1.0)
-        assert cf.G == 0.0
+        assert cf.K.value == pytest.approx(2.0)
+        assert cf.L.value == pytest.approx(1.0)
+        assert cf.G.value == 0.0
 
     def test_overflowing_closed_form_is_an_evaluation_error(self):
         with pytest.raises(EvaluationError, match="overflow"):
@@ -50,7 +50,7 @@ class TestExtremalMoments:
         for alpha in (0.0, 0.3, 0.9, 0.99):
             for n in (1, 2, 4):
                 cf = extremal_moments(ExtremalParams(alpha, 2, n))
-                assert (cf.K - 4.0 * cf.G) / cf.L == pytest.approx(
+                assert (cf.K.value - 4.0 * cf.G.value) / cf.L.value == pytest.approx(
                     n * (1.0 + alpha), abs=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
@@ -61,12 +61,12 @@ class TestExtremalMoments:
         cf = extremal_moments(params)
         tri = modular_triple_radial(extremal_function(params),
                                     power_nfunction(p), n, spec)
-        assert tri.K == pytest.approx(cf.K, rel=1e-7)
-        assert tri.L == pytest.approx(cf.L, rel=1e-7)
-        if cf.G > 0:
-            assert tri.G == pytest.approx(cf.G, rel=1e-7)
+        assert tri.K.value == pytest.approx(cf.K.value, rel=1e-7)
+        assert tri.L.value == pytest.approx(cf.L.value, rel=1e-7)
+        if cf.G.value > 0:
+            assert tri.G.value == pytest.approx(cf.G.value, rel=1e-7)
         else:
-            assert tri.G == 0.0
+            assert tri.G.value == 0.0
 
 
 class TestC1LowerBound:
@@ -83,7 +83,7 @@ class TestC1LowerBound:
             tri = modular_triple_radial(
                 extremal_function(ExtremalParams(0.0, p, n)),
                 power_nfunction(p), n, spec)
-            assert tri.K / tri.L == pytest.approx(c1_lower_bound(p, n), rel=1e-8)
+            assert tri.K.value / tri.L.value == pytest.approx(c1_lower_bound(p, n), rel=1e-8)
 
 
 class TestInfeasibilityScan:
