@@ -20,12 +20,12 @@ rungs below 0.9 mean an integrable endpoint, anything larger a divergent
 one (the rule assumes a power-law endpoint).  Each rung is five geometric
 sub-pieces, which one panel each resolves.  Beyond the probe the inner
 integral is accumulated in pieces between neighbouring grid points
-(`_Objective`).  The probe's sub-pieces, and the grid pieces of a sweep,
-are each read from one `quadrature.integrate_pieces` generator: every
-piece gets one Gauss-Kronrod panel in a single vectorised call, and only a
-piece that panel does not resolve is refined, when the walk reaches it, so
-a sweep costs a few short integrals rather than one per grid step.  Around
-the grid maximum, Brent's parabolic/golden-section search
+(`_Objective`).  The probe's sub-pieces, and the grid pieces of the sweep
+up to the first zero mu tail, are each one `quadrature.integrate_pieces`
+batch: every piece gets one Gauss-Kronrod panel in a single vectorised
+call, the pieces those panels miss are halved in one more, and a piece
+its halves miss is refined from them when the walk reaches it.  Around the
+grid maximum, Brent's parabolic/golden-section search
 (`quadrature.brent_max`) starts from the grid value.
 """
 
@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .quadrature import (
+    MAX_RADIUS,
     brent_max,
     gaussian_tail_fn,
     integrate_interval,
@@ -130,11 +131,9 @@ def _endpoint_probe(pair: MeasurePair) -> tuple[float, bool, bool]:
     tail is recovered by geometric extrapolation, exact for pure powers),
     ratios at or above ~1 mean logarithmic or power blow-up.  The rule
     assumes a power-law endpoint and counts a ratio of 0.9 or more as 1.
-    Each rung is PROBE_SPLIT geometric sub-pieces, short enough that one
-    Gauss-Kronrod panel resolves each of them for a power-law endpoint, and
-    its value is their sum in order.  The sub-pieces are one
-    `integrate_pieces` batch, so one that its first panel does not resolve
-    is refined only when the ladder reaches it.
+    Each rung sums, in order, PROBE_SPLIT geometric sub-pieces of one
+    `integrate_pieces` batch, each short enough for one Gauss-Kronrod panel
+    at a power-law endpoint.
 
     Returns (value, finite, converged); converged is False when a sub-piece's
     quadrature did not converge.
@@ -171,13 +170,13 @@ class _Objective:
     """The Maz'ya objective r -> mu([r,oo))^(1/q) I(r)^((p-1)/p).
 
     The inner integral I(r) = int_a^r nu_density^(-1/(p-1)) is the endpoint
-    probe up to a + PROBE_WIDTH plus pieces between increasing knots.  A
-    sweep makes each grid point a knot, so it integrates each piece
-    [r_(i-1), r_i] once; any other r costs one piece from the largest knot
-    at or below it.  Pieces are positive, so each I(r) keeps the relative
-    accuracy of its pieces.  A point whose mu tail is 0 scores 0 without
-    integrating; an integration error or a non-finite I(r) scores inf, and
-    so does every later knot.
+    probe up to the first knot a + PROBE_WIDTH plus pieces between knots.
+    The sweep makes each grid point with a positive mu tail a knot, so it
+    integrates each piece [r_(i-1), r_i] once; any other r costs one piece
+    from the largest knot at or below it.  Pieces are positive, so each I(r)
+    keeps the relative accuracy of its pieces.  A point whose mu tail is 0
+    scores 0 without integrating; an integration error scores inf, and so
+    does every later knot.
     """
 
     def __init__(self, pair: MeasurePair, probe: float, converged: bool):
@@ -186,11 +185,10 @@ class _Objective:
         self._integrand = _nu_integrand(pair)
         self._knots = [pair.a + PROBE_WIDTH]
         self._inner = [probe]
+        self._tail_power, self._inner_power = 1.0 / pair.q, (pair.p - 1.0) / pair.p
 
     def _add(self, inner: float, piece) -> float:
         """inner plus the integral piece() returns; inf when it raises."""
-        if not math.isfinite(inner):
-            return inner
         try:
             result = piece()
         except Exception:
@@ -201,40 +199,32 @@ class _Objective:
     def _score(self, tail: float, inner: float) -> float:
         if tail <= 0.0:
             return 0.0
-        if not math.isfinite(inner):
-            return math.inf
-        return tail ** (1.0 / self.pair.q) * inner ** ((self.pair.p - 1.0) / self.pair.p)
+        return tail ** self._tail_power * inner ** self._inner_power
 
     def __call__(self, r: float) -> float:
         tail = float(self.pair.mu_tail(r))
-        j = max(bisect.bisect_right(self._knots, r) - 1, 0)
+        j = bisect.bisect_right(self._knots, r) - 1
         lo, inner = self._knots[j], self._inner[j]
         if tail > 0.0 and r > lo:
             inner = self._add(inner, lambda: integrate_interval(
                 self._integrand, lo, r, PIECE_REL_TOL, PIECE_ABS_TOL))
         return self._score(tail, inner)
 
-    def sweep(self, rs):
-        """Yield the objective at each r of the increasing grid rs, making
-        each r beyond the last knot a knot.
-
-        The pieces [r_(i-1), r_i] from the last knot on are one
-        `integrate_pieces` batch, so a piece its first panel does not
-        resolve is refined only when the walk reaches it.  mu tails never
-        increase, so from the first zero tail on nothing is integrated.
-        """
-        rs = [float(r) for r in rs]
-        k = bisect.bisect_right(rs, self._knots[-1])
-        yield from map(self, rs[:k])
-        pieces = integrate_pieces(self._integrand, [self._knots[-1]] + rs[k:-1], rs[k:],
+    def sweep(self, rs: list):
+        """Yield the objective at each r of the increasing grid rs from the
+        first knot on.  mu tails never increase, so exactly the pieces
+        [r_(i-1), r_i] before the first zero tail are one `integrate_pieces`
+        batch."""
+        tails = list(itertools.takewhile(
+            lambda tail: tail > 0.0, (float(self.pair.mu_tail(r)) for r in rs)))
+        pieces = integrate_pieces(self._integrand, rs[:len(tails)][:-1], rs[1:len(tails)],
                                   PIECE_REL_TOL, PIECE_ABS_TOL)
-        tail = 1.0
-        for r in rs[k:]:
-            tail = float(self.pair.mu_tail(r)) if tail > 0.0 else 0.0
-            if tail > 0.0:
+        for i, (r, tail) in enumerate(zip(rs, tails)):
+            if i:
                 self._knots.append(r)
                 self._inner.append(self._add(self._inner[-1], pieces.__next__))
             yield self._score(tail, self._inner[-1])
+        yield from itertools.repeat(0.0, len(rs) - len(tails))
 
 
 def _log_grid(pair: MeasurePair, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,15 +237,15 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
 
     One sweep up the grid (`_Objective.sweep`) accumulates the inner
     integral piece by piece between neighbouring grid points, all read
-    from one `integrate_pieces` batch up to where the sweep stops.  Brent's
-    search (`brent_max`) on the grid points either side of the grid maximum
-    starts from it, and each step adds one piece to the stored value at the
-    grid point below; the grid value stands unless a step beats it.
-    Divergence is flagged when the endpoint probe's decade ratios reach 0.9
-    (the inner integral blows up at the left endpoint), when the objective
-    exceeds its cap or a piece cannot be integrated, or when it keeps growing
-    across the last decade of the grid.  `converged` is False when any probe
-    sub-piece or piece did not converge.
+    from one `integrate_pieces` batch.  Brent's search (`brent_max`) on the
+    grid points either side of the grid maximum starts from it, and each
+    step adds one piece to the stored value at the grid point below; the
+    grid value stands unless a step beats it.  Divergence is flagged when
+    the endpoint probe's decade ratios reach 0.9 (the inner integral blows
+    up at the left endpoint), when the objective exceeds its cap or a piece
+    cannot be integrated, or when it keeps growing across the last decade
+    of the grid.  `converged` is False when a probe sub-piece, or a piece
+    up to where the sweep stopped, did not converge.
     A divergent endpoint gives a series that is inf at every grid point.
     """
     offsets, rs = _log_grid(pair, grid_points)
@@ -269,7 +259,7 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
 
     objective = _Objective(pair, probe, converged)
     series = []
-    for r, v in zip(rs.tolist(), objective.sweep(rs)):
+    for r, v in zip(rs.tolist(), objective.sweep(rs.tolist())):
         series.append((r, v))
         if v > OBJECTIVE_CAP:
             return MazyaResult(math.inf, r, True, f"objective exceeds cap at r={r:.6g}",
@@ -313,18 +303,15 @@ def gaussian_pair(p: float, n: int) -> MeasurePair:
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     m = p + n - 1.0  # power of r in the mu-density
-    mu_tail = gaussian_tail_fn(m, 1.0)
-
-    def tail(r):
-        return mu_tail(float(r))
+    tail = gaussian_tail_fn(m, 1.0)
 
     def nu_density(x):
         x = np.asarray(x, dtype=float)
         return np.power(x, n - 1.0) * np.exp(-0.5 * x * x)
 
-    # keep exp(r^2 / (2(p-1))) inside float range along the whole grid
+    # keep exp(r^2 / (2(p-1))) finite and e^(-x^2/2) positive along the grid
     hi = min(truncation_radius(m, 1.0, 1e-16) + 10.0,
-             math.sqrt(900.0 * (p - 1.0)))
+             math.sqrt(900.0 * (p - 1.0)), MAX_RADIUS)
     return MeasurePair(a=0.0, mu_tail=tail, nu_density=nu_density, p=float(p), q=float(p),
                        label=f"gaussian[p={p:g},n={n}]", grid_hi=hi)
 

@@ -241,8 +241,9 @@ def _median(x: np.ndarray):
     return (part[h - 1] + part[h]) / 2.0
 
 
-def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None):
-    """Adaptive panel subdivision until every component meets its tolerance.
+def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None, splits=64):
+    """Adaptive panel subdivision, at most `splits` rounds of it, until every
+    component meets its tolerance.
 
     first is the (vals, errs) that `_gk_panels` gives on the edges' panels,
     when `integrate_pieces` has already evaluated them.
@@ -252,7 +253,7 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None):
     lo = np.asarray(edges[:-1], dtype=float)
     hi = np.asarray(edges[1:], dtype=float)
     vals, errs = _gk_panels(f, lo, hi) if first is None else first
-    for _ in range(64):
+    for _ in range(splits):
         tot = vals.sum(axis=1)
         tot_err = errs.sum(axis=1)
         need = np.maximum(abs_tol, rel_tol * np.abs(tot))
@@ -278,52 +279,64 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None):
 
 def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
                        abs_tol: float = 1e-14) -> IntegralResult:
-    """Plain adaptive integral of f over [a, b] (no measure weight)."""
-    if not b > a:
-        return IntegralResult(0.0, 0.0, b)
-    val, err, ok, _ = _adaptive(f, np.array([a, b], dtype=float), rel_tol, abs_tol)
-    return IntegralResult(float(val[0]), float(err[0]), b, converged=ok)
+    """Plain adaptive integral of f over [a, b]: one piece of `integrate_pieces`."""
+    return next(integrate_pieces(f, [a], [b], rel_tol, abs_tol))
 
 
 def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
-    """Yield, for each piece [lo_i, hi_i] in order, the integral that
-    `integrate_interval(f, lo_i, hi_i, rel_tol, abs_tol)` gives: the same
-    value, bit for bit, and the same error estimate except where it is the
-    panels' roundoff floor, whose last bit depends on how many panels share
-    the `_gk_panels` call (f = 1 + x on [0, 0.25] reads 3.1225022567582524e-15
+    """Yield, for each piece [lo_i, hi_i] in order, the integral of the scalar
+    f that `_adaptive` gives on it: the same value and converged flag, bit
+    for bit, and the same error estimate except where it is the panels'
+    roundoff floor, whose last bit depends on how many panels share the
+    `_gk_panels` call (f = 1 + x on [0, 0.25] reads 3.1225022567582524e-15
     alone and 3.1225022567582528e-15 in a batch of 2, 4 or 8).
 
     Every piece of positive width gets one GK15 panel, all in one
-    `_gk_panels` call; a piece that panel does not resolve (the test
-    `_adaptive` makes after its first sweep) is refined from it only when
-    the caller reaches it.  A zero-width piece yields 0 without evaluating
-    f.  If the batch raises, it is halved, and each half is tried as a
-    batch of its own when the caller reaches it, so a piece's error
-    surfaces only at that piece and every piece before it keeps a batch.
+    `_gk_panels` call, and the test `_adaptive` makes after its first sweep.
+    The pieces that miss it are halved, all in one more call (the first of
+    the 64 splits `_adaptive` makes halves a lone panel), and tested again.
+    A piece its halves do not resolve is `_adaptive`'s from them, with the
+    63 splits left, when the caller reaches it.  A zero-width piece yields 0
+    without evaluating f.  If a call raises, the batch is halved, and each
+    half is tried as a batch of its own when the caller reaches it, so a
+    piece's error surfaces only at that piece.
     """
     los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
     wide = his > los
+    lo, hi = los[wide], his[wide]
     try:
-        vals, errs = (_gk_panels(f, los[wide], his[wide]) if wide.any()
-                      else (np.empty((1, 0)), np.empty((1, 0))))
+        vals, errs = _gk_panels(f, lo, hi) if lo.size else (np.empty((1, 0)),) * 2
+        values, errors = vals[0].tolist(), errs[0].tolist()
+        missed = [i for i, (v, e) in enumerate(zip(values, errors))
+                  if not e <= max(abs_tol, rel_tol * abs(v))]
+        if missed:
+            mlo, mhi = lo[missed], hi[missed]
+            mid = 0.5 * (mlo + mhi)
+            hvals, herrs = _gk_panels(f, np.concatenate([mlo, mid]), np.concatenate([mid, mhi]))
+            # _adaptive's sum of two panels, which reads -0.0 + -0.0 as 0.0
+            tots, tot_errs = ((h[0] + h[1] + 0.0).tolist()
+                              for h in (hvals.reshape(2, -1), herrs.reshape(2, -1)))
     except Exception:
-        if los.size == 1:  # integrate_interval raises the same from the same panel
+        if los.size == 1:  # _adaptive raises the same from the same panels
             raise
         h = los.size // 2
         yield from integrate_pieces(f, los[:h], his[:h], rel_tol, abs_tol)
         yield from integrate_pieces(f, los[h:], his[h:], rel_tol, abs_tol)
         return
-    ok = (errs <= np.maximum(abs_tol, rel_tol * np.abs(vals))).all(axis=0).tolist()
-    values, errors = vals[0].tolist(), errs[0].tolist()
-    for i, lo, hi in zip((np.cumsum(wide) - 1).tolist(), los.tolist(), his.tolist()):
-        if not hi > lo:
-            yield IntegralResult(0.0, 0.0, hi)
-        elif ok[i]:
-            yield IntegralResult(values[i], errors[i], hi)
+    halved = {i: k for k, i in enumerate(missed)}
+    index = iter(range(len(values)))
+    for a, b in zip(los.tolist(), his.tolist()):
+        if not b > a:
+            yield IntegralResult(0.0, 0.0, b)
+        elif (i := next(index)) not in halved:
+            yield IntegralResult(values[i], errors[i], b)
+        elif tot_errs[k := halved[i]] <= max(abs_tol, rel_tol * abs(tots[k])):
+            yield IntegralResult(tots[k], tot_errs[k], b)
         else:
-            val, err, conv, _ = _adaptive(f, np.array([lo, hi]), rel_tol, abs_tol,
-                                          first=(vals[:, i:i + 1], errs[:, i:i + 1]))
-            yield IntegralResult(float(val[0]), float(err[0]), hi, converged=conv)
+            halves = [k, k + len(missed)]
+            val, err, conv, _ = _adaptive(f, np.array([a, mid[k], b]), rel_tol, abs_tol,
+                                          (hvals[:, halves], herrs[:, halves]), splits=63)
+            yield IntegralResult(float(val[0]), float(err[0]), b, converged=conv)
 
 
 def brent_max(fn, lo: float, hi: float, x: float, fx: float) -> tuple[float, float]:

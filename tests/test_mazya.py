@@ -119,6 +119,23 @@ class TestGaussianVerdicts:
         assert verdict == "divergent", (p, n, res)
         assert "endpoint" in res.reason
 
+    @pytest.mark.parametrize("p, n, B", [
+        (100, 1, 121.4769135721286), (150, 1, 185.14638173182837),
+        (200, 1, 248.9868245711675), (300, 1, 376.9094239765027),
+        (250, 2, 313.574400494103), (150, 3, 186.4554945142222)])
+    def test_large_p_grid_ends_where_the_density_underflows(self, p, n, B):
+        # e^(-x^2/2) is 0 past MAX_RADIUS, where the inner integrand was inf:
+        # these pairs read "objective exceeds cap" (p = 100: a piece that did
+        # not converge) while their grid ran past it
+        assert gaussian_pair(p, n).grid_hi == quadrature.MAX_RADIUS
+        verdict, res = gaussian_hardy_pq(p, n)
+        assert verdict == "finite" and res.converged, res
+        assert res.B == pytest.approx(B, rel=1e-12)
+
+    @pytest.mark.parametrize("p, n", GAUSSIAN_GRID + [(50, 1), (80, 1), (80, 3)])
+    def test_grids_short_of_max_radius_keep_their_end(self, p, n):
+        assert gaussian_pair(p, n).grid_hi < quadrature.MAX_RADIUS
+
     def test_finite_value_stable(self):
         _, res1 = gaussian_hardy_pq(3.0, 2)
         _, res2 = gaussian_hardy_pq(3.0, 2)
@@ -456,6 +473,24 @@ def count_interval_calls(monkeypatch):
     return calls
 
 
+def unresolved_grid_pieces(pair):
+    """The grid pieces of pair's sweep that one Gauss-Kronrod panel does not
+    resolve at the piece tolerances, and those of them that its two halves
+    do not resolve either, each piece integrated alone."""
+    _, rs = mazya_mod._log_grid(pair, 240)
+    f = mazya_mod._nu_integrand(pair)
+
+    def resolved(lo, hi):
+        vals, errs = quadrature._gk_panels(f, np.array(lo), np.array(hi))
+        val, err = vals.sum(), errs.sum()
+        return err <= max(mazya_mod.PIECE_ABS_TOL, mazya_mod.PIECE_REL_TOL * abs(val))
+
+    one = [(lo, hi) for lo, hi in zip(rs[:-1].tolist(), rs[1:].tolist())
+           if not resolved([lo], [hi])]
+    mid = [0.5 * (lo + hi) for lo, hi in one]
+    return one, [(lo, hi) for (lo, hi), m in zip(one, mid) if not resolved([lo, m], [m, hi])]
+
+
 def count_panel_sweeps(monkeypatch):
     """Count `_gk_panels` and `_adaptive` calls."""
     calls = {"gk": 0, "adaptive": 0}
@@ -483,12 +518,22 @@ class TestBatchedSweepOracle:
         assert mazya_B(pair).series == per_piece_mazya_B(pair).series
 
     def test_multi_panel_pieces_reach_integrate_interval(self, monkeypatch):
+        # the grid pieces one panel does not resolve are exactly those whose
+        # halves the sweep evaluates
         pair = gaussian_pair(2.2, 2)
-        _, rs = mazya_mod._log_grid(pair, 240)
-        calls = count_interval_calls(monkeypatch)
+        missed, _ = unresolved_grid_pieces(pair)
+        panels = []
+        real_gk = quadrature._gk_panels
+
+        def recording(f, lo, hi):
+            panels.extend(zip(lo.tolist(), hi.tolist()))
+            return real_gk(f, lo, hi)
+
+        monkeypatch.setattr(quadrature, "_gk_panels", recording)
         res = mazya_B(pair)
-        grid_pieces = set(zip(rs[:-1].tolist(), rs[1:].tolist()))
-        assert 5 <= sum(call in grid_pieces for call in calls) < 40
+        evaluated = set(panels)
+        halved = [(lo, hi) for lo, hi in missed if (lo, 0.5 * (lo + hi)) in evaluated]
+        assert 5 <= len(halved) == len(missed) < 40
         assert res == per_piece_mazya_B(pair)
 
     def test_density_raising_past_the_cap_is_never_reached(self):
@@ -511,8 +556,10 @@ class TestBatchedSweepOracle:
     def test_integral_count(self, monkeypatch):
         calls = count_interval_calls(monkeypatch)
         mazya_B(gaussian_pair(3, 2))
-        # 5 grid pieces and 10 search steps; the per-piece sweep makes 299
-        assert len(calls) <= 15
+        # the 5 grid pieces one panel misses are resolved by their halves,
+        # and no search step needs more than one panel; the per-piece sweep
+        # makes 299 adaptive integrals
+        assert calls == []
 
     def test_n1_probe_rungs_resolve_in_one_batch(self, monkeypatch):
         calls = count_interval_calls(monkeypatch)
@@ -553,21 +600,33 @@ class TestBatchedSweepOracle:
         pair = dataclasses.replace(classical_pair(), mu_tail=lambda r: max(1.0 - r, 0.0),
                                    nu_density=nu, label="finite-mu")
         calls = count_interval_calls(monkeypatch)
+        panel_ends = []
+        real_gk = quadrature._gk_panels
+
+        def recording(f, lo, hi):
+            panel_ends.extend(hi.tolist())
+            return real_gk(f, lo, hi)
+
+        monkeypatch.setattr(quadrature, "_gk_panels", recording)
         res = mazya_B(pair)
         assert not res.divergent and res.converged
         assert all(lo < 1.0 for lo, _ in calls), calls
+        # not even a first panel reaches the first zero tail
+        assert max(panel_ends) < 1.0
         assert res == per_piece_mazya_B(pair)
         assert mazya_B(pair).series == per_piece_mazya_B(pair).series
 
     def test_overflowing_batch_is_halved_to_its_first_failing_piece(self, monkeypatch):
         # the inner integrand e^x overflows past r = 709, far beyond the cap
         # exit near r = 62; the grid batch raises, and its halves are tried
-        # as batches when the walk reaches them (each piece on its own: 193)
+        # as batches when the walk reaches them (each piece on its own: 193).
+        # The last batch, whose panels do not raise, also halves the pieces
+        # they miss, in an eighth call, before the walk stops at the cap.
         pair = dataclasses.replace(classical_pair(), label="overflows",
                                    nu_density=lambda x: np.exp(-np.asarray(x, float)))
         calls = count_panel_sweeps(monkeypatch)
         res = mazya_B(pair)
-        assert calls == {"gk": 7, "adaptive": 0}
+        assert calls == {"gk": 8, "adaptive": 0}
         assert res.divergent and res.converged and "exceeds cap at r=62.37" in res.reason
         assert res == per_piece_mazya_B(pair)
 
@@ -664,8 +723,9 @@ class TestNonConvergence:
         assert res.B == pytest.approx(1.0, abs=1e-6)
 
     def test_flagged_grid_fallback_piece_reaches_result(self, monkeypatch):
-        # gaussian(2.2, 2) has grid pieces that one panel does not resolve;
-        # flag only those, not the search steps or the probe sub-pieces
+        # gaussian(2.2, 2) has grid pieces that neither one panel nor its
+        # halves resolve, and exactly those reach _adaptive; flag them, not
+        # the search steps or the probe sub-pieces
         pair = gaussian_pair(2.2, 2)
         _, rs = mazya_mod._log_grid(pair, 240)
         grid_pieces = set(zip(rs[:-1].tolist(), rs[1:].tolist()))
@@ -681,7 +741,7 @@ class TestNonConvergence:
 
         monkeypatch.setattr(quadrature, "_adaptive", flagged)
         res = mazya_B(pair)
-        assert len(seen) >= 5
+        assert seen == unresolved_grid_pieces(pair)[1] != []
         assert not res.converged and not res.divergent
         assert res.B == mazya_B(gaussian_pair(2.2, 2)).B
 

@@ -538,11 +538,13 @@ class TestIntegratePieces:
         pieces = integrate_pieces(f, self.LOS, self.HIS, 1e-10, 1e-14)
         assert calls == []
         next(pieces)
-        assert calls == [15 * 5]  # the zero-width piece is left out
+        # one panel per piece, the zero-width one left out; then the halves
+        # of the two pieces those panels miss, [0.2, 1] and [1, 3], together
+        assert calls == [15 * 5, 15 * 4]
         next(pieces), next(pieces)
-        assert len(calls) == 1
-        next(pieces)  # [0.2, 1.0] holds the bump: one panel does not resolve it
-        assert len(calls) > 1
+        assert len(calls) == 2
+        next(pieces)  # [0.2, 1.0] holds the bump: its halves do not resolve it
+        assert len(calls) > 2
 
     def test_zero_width_piece_yields_zero_without_evaluating(self):
         def f(x):
@@ -586,6 +588,61 @@ class TestIntegratePieces:
         with pytest.raises(EvaluationError):
             next(pieces)
         assert sizes == [8, 4, 4, 2, 1]
+
+
+# (f, a, b, rel_tol, abs_tol, value, err_est, converged) of one _adaptive
+# call from [a, b], the floats in hex
+INTERVALS_BEFORE = [
+    ("bump", 0.0, 0.1, 1e-10, 1e-14, "0x1.5f8d10dcbae42p-8", "0x1.a000000000000p-53", True),
+    ("bump", 0.2, 1.0, 1e-10, 1e-14, "0x1.afe91dc9c4142p-3", "0x1.0cce916b2d818p-38", True),
+    ("bump", 0.0, 3.0, 1e-10, 1e-14, "0x1.00550e0587995p-2", "0x1.ec3595ac3f32ep-37", True),
+    ("bump", 0.0, 3.0, 1e-2, 1e-14, "0x1.00550de184413p-2", "0x1.950f510ab9d4fp-12", True),
+    ("singular", 0.0, 1.0, 1e-12, 1e-300, "0x1.3e2389fd58b84p+3", "0x1.833358aac0255p-7",
+     False),
+    ("oscillating", 1e-3, 1.0, 1e-12, 1e-300, "0x1.02150106c93f4p-1",
+     "0x1.3637368f109e4p-42", True),
+]
+INTERVAL_FS = {
+    "bump": gauss_bump,
+    "singular": lambda x: np.asarray(x, float) ** -0.9,
+    "oscillating": lambda x: np.sin(1.0 / np.asarray(x, float)),
+}
+
+
+class TestIntegrateIntervalBitForBit:
+    @pytest.mark.parametrize("name, a, b, rel_tol, abs_tol, value, err_est, converged",
+                             INTERVALS_BEFORE)
+    def test_value_error_and_flag_of_one_adaptive_call(self, name, a, b, rel_tol, abs_tol,
+                                                       value, err_est, converged):
+        # one panel ([0, 0.1]), one split, many splits, and a singular
+        # integrand that runs out of splits
+        f = INTERVAL_FS[name]
+        res = integrate_interval(f, a, b, rel_tol, abs_tol)
+        assert (res.value.hex(), res.err_est.hex(), res.converged) == (
+            value, err_est, converged)
+        val, err, ok, _ = quadrature._adaptive(f, np.array([a, b]), rel_tol, abs_tol)
+        assert (res.value, res.err_est, res.converged) == (float(val[0]), float(err[0]), ok)
+
+    def test_missed_pieces_are_halved_in_one_call(self):
+        # pieces across the bump that one panel, two halves and more splits
+        # resolve: one call for a panel each, one for the halves of every
+        # piece those panels miss, then one per further split of a piece its
+        # halves do not resolve
+        edges = [0.0, 0.05, 0.1, 0.5, 0.9, 1.0, 3.0]
+        sweeps = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            alone = []
+            quadrature._adaptive(lambda x: alone.append(1) or gauss_bump(x),
+                                 np.array([lo, hi]), 1e-10, 1e-14)
+            sweeps.append(len(alone))
+        assert sum(s > 1 for s in sweeps) > 1 and sum(s > 2 for s in sweeps) > 0
+        calls = []
+        pieces = list(integrate_pieces(lambda x: calls.append(1) or gauss_bump(x),
+                                       edges[:-1], edges[1:], 1e-10, 1e-14))
+        assert len(calls) == 2 + sum(max(s - 2, 0) for s in sweeps) < sum(sweeps)
+        assert [(p.value, p.converged) for p in pieces] == [
+            (r.value, r.converged) for r in (integrate_interval(gauss_bump, lo, hi, 1e-10, 1e-14)
+                                             for lo, hi in zip(edges[:-1], edges[1:]))]
 
 
 def awkward_components(rng, shape):
