@@ -19,14 +19,17 @@ probed once on a decade ladder (`_endpoint_probe`): ratios of neighbouring
 rungs below 0.9 mean an integrable endpoint, anything larger a divergent
 one (the rule assumes a power-law endpoint).  Each rung is five geometric
 sub-pieces, which one panel each resolves.  Beyond the probe the inner
-integral is accumulated in pieces between neighbouring grid points
-(`_Objective`).  The probe's sub-pieces, and the grid pieces of the sweep
-up to the first zero mu tail, are each one `quadrature.integrate_pieces`
-batch: every piece gets one Gauss-Kronrod panel in a single vectorised
-call, the pieces those panels miss are halved in one more, and a piece
-its halves miss is refined from them when the walk reaches it.  Around the
-grid maximum, Brent's parabolic/golden-section search
-(`quadrature.brent_max`) starts from the grid value.
+integral is one running sum, in grid order, of the pieces between
+neighbouring grid points (`_Objective`), and the grid's mu tails come from
+one call.  The probe's sub-pieces (`quadrature.integrate_pieces`) and the
+grid pieces of the sweep up to the first zero mu tail
+(`quadrature.integrate_runs`) are each one batch: every piece gets one
+Gauss-Kronrod panel in a single vectorised call, the pieces those panels
+miss are halved in one more, and a piece its halves miss is refined from
+them when the walk reaches it.  The sweep reads the batch's values and
+flags as runs of pieces, and scores each run in one pass.  Around the grid
+maximum, Brent's parabolic/golden-section search (`quadrature.brent_max`)
+starts from the grid value and stops at its sqrt(eps) floor.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .quadrature import (
     gaussian_tail_fn,
     integrate_interval,
     integrate_pieces,
+    integrate_runs,
     truncation_radius,
 )
 
@@ -74,7 +78,9 @@ class MeasurePair:
     """(mu, nu) with exponents 1 < p <= q < oo on (a, oo).
 
     mu_tail(r) = mu([r, oo)) is a measure's tail, so it is non-negative and
-    never increases; nu_density is dnu*/dx.
+    never increases; one that also maps an array of radii to the array of
+    their tails gives the sweep its grid's tails in one call.  nu_density is
+    dnu*/dx, on an array of abscissae.
     """
 
     a: float
@@ -86,14 +92,15 @@ class MeasurePair:
     grid_hi: float = 100.0
 
     def __post_init__(self):
+        for name, value in (("p", self.p), ("q", self.q)):
+            if not math.isfinite(value):
+                raise PreconditionError(f"{name} must be finite, got {name}={value}")
         if self.p <= 1.0:
             raise PreconditionError(
                 "p = 1 degenerates the (p-1)-root of the inner integral; "
                 f"requires p > 1, got p={self.p}")
         if not self.p <= self.q:
             raise PreconditionError(f"requires p <= q, got p={self.p}, q={self.q}")
-        if not math.isfinite(self.q):
-            raise PreconditionError("q = oo is out of scope")
 
 
 @dataclass(frozen=True)
@@ -115,9 +122,8 @@ def _nu_integrand(pair: MeasurePair):
 
     def integrand(x):
         dens = np.asarray(pair.nu_density(x), dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.power(dens, expo)
-        return np.where(dens <= 0.0, np.inf, out)
+        # a density that is not positive gives inf, and no power is taken there
+        return np.power(dens, expo, out=np.full(dens.shape, np.inf), where=dens > 0.0)
 
     return integrand
 
@@ -187,15 +193,6 @@ class _Objective:
         self._inner = [probe]
         self._tail_power, self._inner_power = 1.0 / pair.q, (pair.p - 1.0) / pair.p
 
-    def _add(self, inner: float, piece) -> float:
-        """inner plus the integral piece() returns; inf when it raises."""
-        try:
-            result = piece()
-        except Exception:
-            return math.inf
-        self.converged = self.converged and result.converged
-        return inner + result.value
-
     def _score(self, tail: float, inner: float) -> float:
         if tail <= 0.0:
             return 0.0
@@ -206,25 +203,64 @@ class _Objective:
         j = bisect.bisect_right(self._knots, r) - 1
         lo, inner = self._knots[j], self._inner[j]
         if tail > 0.0 and r > lo:
-            inner = self._add(inner, lambda: integrate_interval(
-                self._integrand, lo, r, PIECE_REL_TOL, PIECE_ABS_TOL))
+            try:
+                piece = integrate_interval(self._integrand, lo, r, PIECE_REL_TOL, PIECE_ABS_TOL)
+            except Exception:
+                inner = math.inf
+            else:
+                self.converged = self.converged and piece.converged
+                inner += piece.value
         return self._score(tail, inner)
 
-    def sweep(self, rs: list):
-        """Yield the objective at each r of the increasing grid rs from the
-        first knot on.  mu tails never increase, so exactly the pieces
-        [r_(i-1), r_i] before the first zero tail are one `integrate_pieces`
-        batch."""
-        tails = list(itertools.takewhile(
-            lambda tail: tail > 0.0, (float(self.pair.mu_tail(r)) for r in rs)))
-        pieces = integrate_pieces(self._integrand, rs[:len(tails)][:-1], rs[1:len(tails)],
-                                  PIECE_REL_TOL, PIECE_ABS_TOL)
-        for i, (r, tail) in enumerate(zip(rs, tails)):
-            if i:
-                self._knots.append(r)
-                self._inner.append(self._add(self._inner[-1], pieces.__next__))
-            yield self._score(tail, self._inner[-1])
-        yield from itertools.repeat(0.0, len(rs) - len(tails))
+    def sweep(self, rs: np.ndarray) -> list:
+        """The objective at each r of the increasing grid rs from the first
+        knot on, up to the first value past OBJECTIVE_CAP if there is one.
+
+        The grid's mu tails come from one call.  mu tails never increase, so
+        exactly the pieces [r_(i-1), r_i] before the first zero tail are one
+        `integrate_runs` batch.  Each run of it extends the inner integrals
+        as one running sum in grid order, the adds of a walk piece by piece,
+        and is scored in one pass; the next run, and the refinement it
+        starts with, is asked for only while no score has passed the cap.
+        """
+        tails = _mu_tails(self.pair.mu_tail, rs)
+        positive = tails > 0.0
+        live = rs.size if positive.all() else int(positive.argmin())
+        grid, tails = rs.tolist(), tails.tolist()
+        scores = [self._score(tail, self._inner[0]) for tail in tails[:min(live, 1)]]
+        runs = integrate_runs(self._integrand, grid[:max(live - 1, 0)], grid[1:live],
+                              PIECE_REL_TOL, PIECE_ABS_TOL)
+        while len(scores) < live and not scores[-1] > OBJECTIVE_CAP:
+            i = len(scores)
+            try:
+                values, _, converged = next(runs)
+            except Exception:
+                # the piece [r_(i-1), r_i] cannot be integrated
+                self._knots.append(grid[i])
+                self._inner.append(math.inf)
+                return scores + [self._score(tails[i], math.inf)]
+            inner = list(itertools.accumulate(values, initial=self._inner[-1]))[1:]
+            new = list(map(self._score, tails[i:i + len(inner)], inner))
+            read = next((j + 1 for j, v in enumerate(new) if v > OBJECTIVE_CAP), len(new))
+            self._knots += grid[i:i + read]
+            self._inner += inner[:read]
+            self.converged = self.converged and all(converged[:read])
+            scores += new[:read]
+        if scores and scores[-1] > OBJECTIVE_CAP:
+            return scores
+        return scores + [0.0] * (rs.size - live)
+
+
+def _mu_tails(mu_tail, rs: np.ndarray) -> np.ndarray:
+    """mu_tail at each r of rs: from one call when mu_tail takes an array, as
+    the packaged pairs' tails do, else from one call per r."""
+    try:
+        tails = np.asarray(mu_tail(rs), dtype=float)
+        if tails.shape == rs.shape:
+            return tails
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(mu_tail(r)) for r in rs.tolist()])
 
 
 def _log_grid(pair: MeasurePair, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,18 +271,25 @@ def _log_grid(pair: MeasurePair, grid_points: int) -> tuple[np.ndarray, np.ndarr
 def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
     """Supremum of the Maz'ya objective over a log grid with local refinement.
 
-    One sweep up the grid (`_Objective.sweep`) accumulates the inner
-    integral piece by piece between neighbouring grid points, all read
-    from one `integrate_pieces` batch.  Brent's search (`brent_max`) on the
-    grid points either side of the grid maximum starts from it, and each
-    step adds one piece to the stored value at the grid point below; the
-    grid value stands unless a step beats it.  Divergence is flagged when
-    the endpoint probe's decade ratios reach 0.9 (the inner integral blows
-    up at the left endpoint), when the objective exceeds its cap or a piece
-    cannot be integrated, or when it keeps growing across the last decade
-    of the grid.  `converged` is False when a probe sub-piece, or a piece
-    up to where the sweep stopped, did not converge.
-    A divergent endpoint gives a series that is inf at every grid point.
+    One sweep up the grid (`_Objective.sweep`) takes the grid's mu tails
+    from one call and sums the inner integral's pieces between neighbouring
+    grid points in grid order, all read from one `integrate_runs` batch, so
+    the series is that of a walk piece by piece, bit for bit.  Brent's
+    search (`brent_max`) on the grid points either side of the grid maximum
+    starts from it, and each step adds one piece to the stored value at the
+    grid point below; the grid value stands unless a step beats it.  The
+    search stops when its bracket is shorter than sqrt(eps) max(1, r), the
+    floor Brent (1973, ch. 5) gives for locating a smooth maximum in double
+    precision: B is then within about eps of the maximum, its argmax
+    within about sqrt(eps) relative.
+
+    Divergence is flagged when the endpoint probe's decade ratios reach 0.9
+    (the inner integral blows up at the left endpoint), when the objective
+    exceeds its cap or a piece cannot be integrated, or when it keeps
+    growing across the last decade of the grid.  `converged` is False when
+    a probe sub-piece, or a piece up to where the sweep stopped, did not
+    converge.  A divergent endpoint gives a series that is inf at every
+    grid point.
     """
     offsets, rs = _log_grid(pair, grid_points)
 
@@ -258,13 +301,13 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
                            converged, tuple((r, math.inf) for r in rs.tolist()))
 
     objective = _Objective(pair, probe, converged)
-    series = []
-    for r, v in zip(rs.tolist(), objective.sweep(rs.tolist())):
-        series.append((r, v))
-        if v > OBJECTIVE_CAP:
-            return MazyaResult(math.inf, r, True, f"objective exceeds cap at r={r:.6g}",
-                               objective.converged, tuple(series))
-    vals = np.array([v for _, v in series])
+    vals = objective.sweep(rs)
+    series = tuple(zip(rs.tolist(), vals))
+    if vals[-1] > OBJECTIVE_CAP:
+        r = series[-1][0]
+        return MazyaResult(math.inf, r, True, f"objective exceeds cap at r={r:.6g}",
+                           objective.converged, series)
+    vals = np.array(vals)
 
     i = int(np.argmax(vals))
     # growth across the last decade of the grid
@@ -274,7 +317,7 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
         if first > 0 and vals[-1] > first * 1.01:
             return MazyaResult(float(vals[-1]), float(rs[-1]), True,
                                "objective still growing at the grid boundary",
-                               objective.converged, tuple(series))
+                               objective.converged, series)
 
     best_r, best_v = float(rs[i]), float(vals[i])
     r, v = brent_max(objective, float(rs[max(i - 1, 0)]),
@@ -282,7 +325,7 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
     if v > best_v:
         best_r, best_v = r, v
     return MazyaResult(best_v, best_r, False, converged=objective.converged,
-                       series=tuple(series))
+                       series=series)
 
 
 # ---------------------------------------------------------------------------

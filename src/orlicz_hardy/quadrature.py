@@ -49,6 +49,7 @@ __all__ = [
     "truncation_radius",
     "integrate_interval",
     "integrate_pieces",
+    "integrate_runs",
     "integrate_radial",
     "integrate_gaussian_nd",
     "sphere_directions",
@@ -69,6 +70,7 @@ SYMMETRIES = ("none", "even", "radial")
 # where exp(-r^2/2) falls to the smallest normal double, about 37.6
 MAX_RADIUS = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
 _EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
 # QUADPACK qk15's roundoff floor on a panel's error, relative to the Kronrod
 # sum of |f|.  A nonnegative integrand's summed floor is ROUNDOFF * |value|,
 # so a rel_tol at the floor cannot be met; the smallest accepted one leaves
@@ -279,8 +281,10 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None, 
 
 def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
                        abs_tol: float = 1e-14) -> IntegralResult:
-    """Plain adaptive integral of f over [a, b]: one piece of `integrate_pieces`."""
-    return next(integrate_pieces(f, [a], [b], rel_tol, abs_tol))
+    """Plain adaptive integral of f over [a, b]: the one run of a one-piece
+    `integrate_runs`, as `integrate_pieces` gives it."""
+    (value,), (err,), (ok,) = next(integrate_runs(f, [a], [b], rel_tol, abs_tol))
+    return IntegralResult(value, err, float(b), converged=ok)
 
 
 def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
@@ -291,15 +295,30 @@ def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14
     `_gk_panels` call (f = 1 + x on [0, 0.25] reads 3.1225022567582524e-15
     alone and 3.1225022567582528e-15 in a batch of 2, 4 or 8).
 
+    The pieces are `integrate_runs`', one `IntegralResult` at a time, so a
+    piece is refined, or its error raised, only when the caller reaches it.
+    """
+    ends = iter(np.asarray(his, dtype=float).tolist())
+    for values, errors, converged in integrate_runs(f, los, his, rel_tol, abs_tol):
+        for value, err, ok in zip(values, errors, converged):
+            yield IntegralResult(value, err, next(ends), converged=ok)
+
+
+def integrate_runs(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
+    """Yield the integrals of the scalar f over the pieces [lo_i, hi_i], in
+    order, as runs of consecutive pieces: three lists (values, errors,
+    converged), one entry per piece of the run.
+
     Every piece of positive width gets one GK15 panel, all in one
     `_gk_panels` call, and the test `_adaptive` makes after its first sweep.
     The pieces that miss it are halved, all in one more call (the first of
     the 64 splits `_adaptive` makes halves a lone panel), and tested again.
-    A piece its halves do not resolve is `_adaptive`'s from them, with the
-    63 splits left, when the caller reaches it.  A zero-width piece yields 0
-    without evaluating f.  If a call raises, the batch is halved, and each
-    half is tried as a batch of its own when the caller reaches it, so a
-    piece's error surfaces only at that piece.
+    A piece its halves do not resolve starts a run: it is `_adaptive`'s from
+    them, with the 63 splits left, when the caller asks for that run.  A
+    zero-width piece is 0 without evaluating f.  If a call raises, the batch
+    is halved, and each half is tried as a batch of its own when the caller
+    asks for its first run, so a piece's error surfaces only at the run that
+    would hold it.
     """
     los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
     wide = his > los
@@ -320,30 +339,42 @@ def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14
         if los.size == 1:  # _adaptive raises the same from the same panels
             raise
         h = los.size // 2
-        yield from integrate_pieces(f, los[:h], his[:h], rel_tol, abs_tol)
-        yield from integrate_pieces(f, los[h:], his[h:], rel_tol, abs_tol)
+        yield from integrate_runs(f, los[:h], his[:h], rel_tol, abs_tol)
+        yield from integrate_runs(f, los[h:], his[h:], rel_tol, abs_tol)
         return
-    halved = {i: k for k, i in enumerate(missed)}
-    index = iter(range(len(values)))
-    for a, b in zip(los.tolist(), his.tolist()):
-        if not b > a:
-            yield IntegralResult(0.0, 0.0, b)
-        elif (i := next(index)) not in halved:
-            yield IntegralResult(values[i], errors[i], b)
-        elif tot_errs[k := halved[i]] <= max(abs_tol, rel_tol * abs(tots[k])):
-            yield IntegralResult(tots[k], tot_errs[k], b)
-        else:
-            halves = [k, k + len(missed)]
-            val, err, conv, _ = _adaptive(f, np.array([a, mid[k], b]), rel_tol, abs_tol,
-                                          (hvals[:, halves], herrs[:, halves]), splits=63)
-            yield IntegralResult(float(val[0]), float(err[0]), b, converged=conv)
+    # (place among the missed, place among the pieces) of each piece its halves miss
+    refine = [(k, i) for k, i in enumerate(missed)
+              if not tot_errs[k] <= max(abs_tol, rel_tol * abs(tots[k]))]
+    for k, i in enumerate(missed):
+        values[i], errors[i] = tots[k], tot_errs[k]
+    if lo.size < los.size:  # a zero-width piece is 0, and f is not evaluated on it
+        spread = np.zeros((2, los.size))
+        spread[:, wide] = values, errors
+        values, errors = spread.tolist()
+        at = np.flatnonzero(wide).tolist()
+        refine = [(k, at[i]) for k, i in refine]
+    converged = [True] * los.size
+    bounds = [i for _, i in refine] + [los.size]
+    if bounds[0]:
+        yield values[:bounds[0]], errors[:bounds[0]], converged[:bounds[0]]
+    for (k, i), stop in zip(refine, bounds[1:]):
+        halves = [k, k + len(missed)]
+        val, err, conv, _ = _adaptive(f, np.array([mlo[k], mid[k], mhi[k]]), rel_tol, abs_tol,
+                                      (hvals[:, halves], herrs[:, halves]), splits=63)
+        values[i], errors[i], converged[i] = float(val[0]), float(err[0]), conv
+        yield values[i:stop], errors[i:stop], converged[i:stop]
 
 
 def brent_max(fn, lo: float, hi: float, x: float, fx: float) -> tuple[float, float]:
     """Brent's parabolic/golden-section ascent of fn on [lo, hi] from x in it,
     whose value fx is known, until the bracket is shorter than
-    1e-10 * max(1, hi), at most 80 evaluations (Brent, Algorithms for
+    sqrt(eps) * max(1, hi), at most 80 evaluations (Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 5).
+
+    sqrt(eps) is the floor Brent gives for locating a smooth maximum in
+    double precision: within about sqrt(eps) relative of it, fn differs from
+    its maximum by about eps relative, so the steps of a narrower bracket
+    compare rounding, not fn.
 
     A parabola through the best three points gives the step where it lies
     inside the bracket and shrinks it fast enough; otherwise the step is a
@@ -357,7 +388,7 @@ def brent_max(fn, lo: float, hi: float, x: float, fx: float) -> tuple[float, flo
     fw = fv = fx
     d = e = 0.0
     for _ in range(80):
-        width = 1e-10 * max(1.0, b)
+        width = _SQRT_EPS * max(1.0, b)
         if b - a < width:
             break
         tol = width / 3.0
@@ -423,7 +454,9 @@ def gaussian_tail(degree: float, rate: float, radius: float) -> float:
 
 def gaussian_tail_fn(degree: float, rate: float):
     """radius -> gaussian_tail(degree, rate, radius), with the Gamma scale
-    computed once.
+    computed once.  Given an array of radii (rate > 0), it returns the array
+    of their tails from one call, each the scalar tail's bits: the loop over
+    the radii runs inside it.
 
     The tail is 2^((degree-1)/2) rate^(-s) Gamma(s, rate radius^2 / 2) with
     s = (degree + 1)/2.  It needs degree > -1 (s > 0), which every
@@ -443,7 +476,10 @@ def gaussian_tail_fn(degree: float, rate: float):
         raise EvaluationError(f"the Gaussian tail of degree {degree:g} and rate {rate:g} "
                               "overflows the float range") from None
 
-    def tail(radius: float) -> float:
+    def tail(radius):
+        if isinstance(radius, np.ndarray):
+            return np.array([scale * _gammaincc(s, 0.5 * rate * r * r, lgamma_s)
+                             for r in radius.tolist()])
         return scale * _gammaincc(s, 0.5 * rate * radius * radius, lgamma_s)
 
     return tail

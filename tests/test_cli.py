@@ -545,6 +545,29 @@ def test_every_full_battery_body_is_written_as_canonicalize_has_it(full_battery_
     assert raw[len('{"body":'):raw.rindex(',"meta":')] == texts[-1]
 
 
+# Each full-battery command's verdicts and fits, keyed by the command as the
+# workflow writes it.  A change that moves one edits this file in the same
+# diff and names the move; values and digests stay out of it.
+VERDICTS = json.loads((Path(__file__).parent / "data" / "verdicts.json").read_text())
+
+
+def verdict_ledger(body) -> dict:
+    """Every check id with its verdict, and every fit's [C1, C2, binding, feasible]."""
+    return {"checks": {check["check_id"]: check["verdict"] for check in body["checks"]},
+            "fits": {fit_id: [fit["C1"], fit["C2"], fit["binding"], fit["feasible"]]
+                     for fit_id, fit in body.get("fits", {}).items()}}
+
+
+def test_the_verdict_ledger_holds_the_full_battery():
+    assert sorted(VERDICTS) == sorted(" ".join(argv) for argv in FULL_BATTERY)
+
+
+def test_every_full_battery_verdict_and_fit_is_the_ledgers(full_battery_report, request):
+    path, _ = full_battery_report
+    command = " ".join(request.node.callspec.params["full_battery_report"])
+    assert verdict_ledger(load_report(path)["body"]) == VERDICTS[command]
+
+
 # ---------------------------------------------------------------------------
 # mazya --pair
 # ---------------------------------------------------------------------------
@@ -679,6 +702,7 @@ def exit_status(argv) -> int:
     (["mazya", "--classical", "--p", "2"], "only with --gaussian"),
     (["mazya", "--gaussian", "--p", "1000", "--n", "1"],
      "the Gaussian tail of degree 1000 and rate 1 overflows"),
+    (["mazya", "--gaussian", "--p", "nan", "--n", "2"], "p must be finite, got p=nan"),
     (["sharpness", "--p", "nan", "--n", "1"], "p must be finite and >= 2, got nan"),
     (["sharpness", "--p", "inf", "--n", "1"], "p must be finite and >= 2, got inf"),
     (["sharpness", "--p", "400", "--n", "1"], "closed-form moments of u_alpha overflow"),
@@ -687,12 +711,14 @@ def exit_status(argv) -> int:
         "lk-fit-grid",
         "form-p2_exact-p3", "form-wwww-p2", "form-liniowe-p3-n1", "form-term1-p2",
         "mazya-p-alone", "mazya-n-alone", "mazya-classical-p", "mazya-p-overflow",
+        "mazya-p-nan",
         "sharpness-p-nan", "sharpness-p-inf", "sharpness-p-overflow",
         "sharpness-alphas-empty"])
 def test_argument_naming_nothing_valid_exits_two(tmp_path, capsys, argv, shown):
     # these once ran 0 checks and exited 0, ran a default that ignored the
-    # flag (mazya --p), reported fails (sharpness --p nan), or ended in a
-    # KeyError or OverflowError traceback
+    # flag (mazya --p), reported fails (sharpness --p nan), named the wrong
+    # condition (mazya --p nan: "requires p <= q"), or ended in a KeyError
+    # or OverflowError traceback
     assert exit_status(["--out", str(tmp_path), *argv]) == 2
     assert shown in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -699,16 +699,22 @@ class TestBrentSearch:
 
 def force_nonconverged(monkeypatch, flagged_tol):
     """Mark every probe rung and grid piece Maz'ya integrates at rel_tol ==
-    flagged_tol non-converged, at the `integrate_pieces` batches they are
-    read from."""
-    real = mazya_mod.integrate_pieces
+    flagged_tol non-converged, at the batches they are read from: the probe's
+    `integrate_pieces` and the sweep's `integrate_runs`."""
+    real, real_runs = mazya_mod.integrate_pieces, mazya_mod.integrate_runs
 
     def flagged(f, los, his, rel_tol, abs_tol):
         for piece in real(f, los, his, rel_tol, abs_tol):
             yield (dataclasses.replace(piece, converged=False)
                    if rel_tol == flagged_tol else piece)
 
+    def flagged_runs(f, los, his, rel_tol, abs_tol):
+        for values, errors, converged in real_runs(f, los, his, rel_tol, abs_tol):
+            yield values, errors, ([False] * len(values) if rel_tol == flagged_tol
+                                   else converged)
+
     monkeypatch.setattr(mazya_mod, "integrate_pieces", flagged)
+    monkeypatch.setattr(mazya_mod, "integrate_runs", flagged_runs)
 
 
 class TestNonConvergence:
