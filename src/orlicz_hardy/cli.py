@@ -86,6 +86,8 @@ def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
     dimension every radial member, and every field, is one modular family
     spanning each N-function that some row of its side admits.  A run in
     which no row admits any (N-function, dimension) is a PreconditionError."""
+    if nfunc_label == "":
+        raise PreconditionError("--nfunc names no N-function")
     nfuncs = dict(sorted(({nfunc_label: manifest.nfunc(nfunc_label)} if nfunc_label
                           else manifest.nfunctions).items()))
     rows = [row for row in hardy_mod.FORMS
@@ -277,6 +279,8 @@ def _record_fit(fit, nf_label: str, n: int, checks: list, fits: dict,
 
 def run_lk(manifest, spec, dims, checks: list, fits: dict,
            nfunc_labels=("p2", "p3"), normalized=False):
+    if not nfunc_labels:
+        raise PreconditionError("--nfunc names no N-function")
     for nf_label in nfunc_labels:
         nf = manifest.nfunc(nf_label)
         for n in dims:

@@ -18,18 +18,16 @@ hold only for p > n.
 probed once on a decade ladder (`_endpoint_probe`): ratios of neighbouring
 rungs below 0.9 mean an integrable endpoint, anything larger a divergent
 one (the rule assumes a power-law endpoint).  Each rung is five geometric
-sub-pieces, which one panel each resolves.  Beyond the probe the inner
-integral is one running sum, in grid order, of the pieces between
-neighbouring grid points (`_Objective`), and the grid's mu tails come from
-one call.  The probe's sub-pieces (`quadrature.integrate_pieces`) and the
-grid pieces of the sweep up to the first zero mu tail
-(`quadrature.integrate_runs`) are each one batch: every piece gets one
-Gauss-Kronrod panel in a single vectorised call, the pieces those panels
-miss are halved in one more, and a piece its halves miss is refined from
-them when the walk reaches it.  The sweep reads the batch's values and
-flags as runs of pieces, and scores each run in one pass.  Around the grid
-maximum, Brent's parabolic/golden-section search (`quadrature.brent_max`)
-starts from the grid value and stops at its sqrt(eps) floor.
+sub-pieces.  Beyond the probe the inner integral is one running sum, in
+grid order, of the pieces between neighbouring grid points (`_Objective`),
+and the grid's mu tails come from one call on the grid.  The probe's
+sub-pieces and the sweep's pieces up to the first zero mu tail are each
+one `quadrature.integrate_runs` batch, read as runs of (value, converged)
+pieces: one Gauss-Kronrod panel per piece in a single vectorised call,
+the pieces those miss halved in one more, and a piece its halves miss
+refined from them when its run is reached.  Around the grid maximum,
+Brent's search (`quadrature.brent_max`) starts from the grid value and
+stops at its sqrt(eps) floor.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from .quadrature import (
     brent_max,
     gaussian_tail_fn,
     integrate_interval,
-    integrate_pieces,
     integrate_runs,
     truncation_radius,
 )
@@ -77,10 +74,11 @@ PIECE_REL_TOL, PIECE_ABS_TOL = 1e-9, 1e-16  # each piece between knots
 class MeasurePair:
     """(mu, nu) with exponents 1 < p <= q < oo on (a, oo).
 
-    mu_tail(r) = mu([r, oo)) is a measure's tail, so it is non-negative and
-    never increases; one that also maps an array of radii to the array of
-    their tails gives the sweep its grid's tails in one call.  nu_density is
-    dnu*/dx, on an array of abscissae.
+    mu_tail maps an array of radii r, or one float, to their tails
+    mu([r, oo)), non-negative and never increasing, as every packaged
+    pair's does; the sweep calls it once on its grid, and a tail that does
+    not take the array is a PreconditionError.  nu_density is dnu*/dx, on
+    an array of abscissae.
     """
 
     a: float
@@ -137,9 +135,10 @@ def _endpoint_probe(pair: MeasurePair) -> tuple[float, bool, bool]:
     tail is recovered by geometric extrapolation, exact for pure powers),
     ratios at or above ~1 mean logarithmic or power blow-up.  The rule
     assumes a power-law endpoint and counts a ratio of 0.9 or more as 1.
-    Each rung sums, in order, PROBE_SPLIT geometric sub-pieces of one
-    `integrate_pieces` batch, each short enough for one Gauss-Kronrod panel
-    at a power-law endpoint.
+    Each rung sums, in order, PROBE_SPLIT geometric sub-pieces, each short
+    enough for one Gauss-Kronrod panel at a power-law endpoint; all 50 are
+    one `integrate_runs` batch, read as (value, converged) pairs, whose next
+    run is asked for only while the total stays within INNER_CAP.
 
     Returns (value, finite, converged); converged is False when a sub-piece's
     quadrature did not converge.
@@ -148,13 +147,14 @@ def _endpoint_probe(pair: MeasurePair) -> tuple[float, bool, bool]:
             for m in range(PROBE_RUNGS * PROBE_SPLIT + 1)]
     rungs, total, converged = [], 0.0, True
     try:
-        pieces = integrate_pieces(_nu_integrand(pair), ends[1:], ends[:-1],
-                                  PROBE_REL_TOL, PROBE_ABS_TOL)
+        runs = integrate_runs(_nu_integrand(pair), ends[1:], ends[:-1],
+                              PROBE_REL_TOL, PROBE_ABS_TOL)
+        pieces = itertools.chain.from_iterable(zip(values, oks) for values, _, oks in runs)
         for _ in range(PROBE_RUNGS):
             rung = 0.0
-            for piece in itertools.islice(pieces, PROBE_SPLIT):
-                converged = converged and piece.converged
-                rung += piece.value
+            for value, ok in itertools.islice(pieces, PROBE_SPLIT):
+                converged = converged and ok
+                rung += value
             rungs.append(rung)
             total += rung
             if not math.isfinite(total) or total > INNER_CAP:
@@ -216,14 +216,22 @@ class _Objective:
         """The objective at each r of the increasing grid rs from the first
         knot on, up to the first value past OBJECTIVE_CAP if there is one.
 
-        The grid's mu tails come from one call.  mu tails never increase, so
-        exactly the pieces [r_(i-1), r_i] before the first zero tail are one
-        `integrate_runs` batch.  Each run of it extends the inner integrals
-        as one running sum in grid order, the adds of a walk piece by piece,
-        and is scored in one pass; the next run, and the refinement it
-        starts with, is asked for only while no score has passed the cap.
+        The grid's mu tails come from one call on rs (a TypeError, ValueError
+        or other shape is a PreconditionError naming the pair).  mu tails
+        never increase, so exactly the pieces [r_(i-1), r_i] before the first
+        zero tail are one `integrate_runs` batch.  Each run of it extends the
+        inner integrals as one running sum in grid order, the adds of a walk
+        piece by piece, and is scored in one pass; the next run, and the
+        refinement it starts with, is asked for only while no score has
+        passed the cap.
         """
-        tails = _mu_tails(self.pair.mu_tail, rs)
+        try:
+            tails = np.asarray(self.pair.mu_tail(rs), dtype=float)
+            if tails.shape != rs.shape:
+                raise ValueError(f"it gave shape {tails.shape} for {rs.shape} radii")
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(f"the mu_tail of pair {self.pair.label!r} does not "
+                                    f"map an array of radii to their tails: {exc}") from None
         positive = tails > 0.0
         live = rs.size if positive.all() else int(positive.argmin())
         grid, tails = rs.tolist(), tails.tolist()
@@ -251,18 +259,6 @@ class _Objective:
         return scores + [0.0] * (rs.size - live)
 
 
-def _mu_tails(mu_tail, rs: np.ndarray) -> np.ndarray:
-    """mu_tail at each r of rs: from one call when mu_tail takes an array, as
-    the packaged pairs' tails do, else from one call per r."""
-    try:
-        tails = np.asarray(mu_tail(rs), dtype=float)
-        if tails.shape == rs.shape:
-            return tails
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(mu_tail(r)) for r in rs.tolist()])
-
-
 def _log_grid(pair: MeasurePair, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.logspace(-3.0, math.log10(pair.grid_hi), grid_points)
     return offsets, pair.a + offsets
@@ -277,11 +273,9 @@ def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
     the series is that of a walk piece by piece, bit for bit.  Brent's
     search (`brent_max`) on the grid points either side of the grid maximum
     starts from it, and each step adds one piece to the stored value at the
-    grid point below; the grid value stands unless a step beats it.  The
-    search stops when its bracket is shorter than sqrt(eps) max(1, r), the
-    floor Brent (1973, ch. 5) gives for locating a smooth maximum in double
-    precision: B is then within about eps of the maximum, its argmax
-    within about sqrt(eps) relative.
+    grid point below; the grid value stands unless a step beats it.  It
+    stops at its sqrt(eps) floor, so B is within about eps of the maximum
+    and its argmax within about sqrt(eps) relative.
 
     Divergence is flagged when the endpoint probe's decade ratios reach 0.9
     (the inner integral blows up at the left endpoint), when the objective

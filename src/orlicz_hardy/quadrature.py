@@ -48,7 +48,6 @@ __all__ = [
     "surface_area",
     "truncation_radius",
     "integrate_interval",
-    "integrate_pieces",
     "integrate_runs",
     "integrate_radial",
     "integrate_gaussian_nd",
@@ -248,7 +247,7 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None, 
     component meets its tolerance.
 
     first is the (vals, errs) that `_gk_panels` gives on the edges' panels,
-    when `integrate_pieces` has already evaluated them.
+    when `integrate_runs` has already evaluated them (a piece's two halves).
     Returns (values (m,), errors (m,), converged bool, panels): panels is
     (lo, hi), the ends of the final panels in the order the values sum
     their `_gk_panels` totals."""
@@ -282,32 +281,17 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None, 
 def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
                        abs_tol: float = 1e-14) -> IntegralResult:
     """Plain adaptive integral of f over [a, b]: the one run of a one-piece
-    `integrate_runs`, as `integrate_pieces` gives it."""
+    `integrate_runs`, so one panel when one suffices."""
     (value,), (err,), (ok,) = next(integrate_runs(f, [a], [b], rel_tol, abs_tol))
     return IntegralResult(value, err, float(b), converged=ok)
-
-
-def integrate_pieces(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
-    """Yield, for each piece [lo_i, hi_i] in order, the integral of the scalar
-    f that `_adaptive` gives on it: the same value and converged flag, bit
-    for bit, and the same error estimate except where it is the panels'
-    roundoff floor, whose last bit depends on how many panels share the
-    `_gk_panels` call (f = 1 + x on [0, 0.25] reads 3.1225022567582524e-15
-    alone and 3.1225022567582528e-15 in a batch of 2, 4 or 8).
-
-    The pieces are `integrate_runs`', one `IntegralResult` at a time, so a
-    piece is refined, or its error raised, only when the caller reaches it.
-    """
-    ends = iter(np.asarray(his, dtype=float).tolist())
-    for values, errors, converged in integrate_runs(f, los, his, rel_tol, abs_tol):
-        for value, err, ok in zip(values, errors, converged):
-            yield IntegralResult(value, err, next(ends), converged=ok)
 
 
 def integrate_runs(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
     """Yield the integrals of the scalar f over the pieces [lo_i, hi_i], in
     order, as runs of consecutive pieces: three lists (values, errors,
-    converged), one entry per piece of the run.
+    converged), one entry per piece of the run, each `_adaptive`'s on the
+    piece alone, bit for bit, but for the last bit of an error at the
+    roundoff floor, which depends on the panels one `_gk_panels` call takes.
 
     Every piece of positive width gets one GK15 panel, all in one
     `_gk_panels` call, and the test `_adaptive` makes after its first sweep.
@@ -447,24 +431,18 @@ def surface_area(n: int) -> float:
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
 
 
-def gaussian_tail(degree: float, rate: float, radius: float) -> float:
-    """Exact tail integral of r^degree exp(-rate r^2/2) dr over [radius, oo)."""
-    return gaussian_tail_fn(degree, rate)(radius)
-
-
 def gaussian_tail_fn(degree: float, rate: float):
-    """radius -> gaussian_tail(degree, rate, radius), with the Gamma scale
-    computed once.  Given an array of radii (rate > 0), it returns the array
-    of their tails from one call, each the scalar tail's bits: the loop over
-    the radii runs inside it.
+    """radii -> the exact tail integrals of r^degree exp(-rate r^2/2) dr over
+    [radius, oo), the Gamma scale computed once: an array of radii (a float
+    as a 0-d array) gives the array of their tails, each its radius's bits.
 
     The tail is 2^((degree-1)/2) rate^(-s) Gamma(s, rate radius^2 / 2) with
-    s = (degree + 1)/2.  It needs degree > -1 (s > 0), which every
-    envelope a corpus member declares has; a degree <= -1 raises
+    s = (degree + 1)/2.  It needs rate > 0 and degree > -1 (s > 0), as every
+    envelope a corpus member declares has; either failing raises
     PreconditionError, and a scale past the float range EvaluationError."""
-    if rate <= 0.0:
-        return lambda radius: math.inf
     s = 0.5 * (degree + 1.0)
+    if rate <= 0.0:
+        raise PreconditionError(f"the Gaussian tail needs a rate > 0, got {rate:g}")
     if s <= 0.0:
         raise PreconditionError(
             f"the Gaussian tail needs an envelope degree > -1, got {degree:g}")
@@ -477,10 +455,9 @@ def gaussian_tail_fn(degree: float, rate: float):
                               "overflows the float range") from None
 
     def tail(radius):
-        if isinstance(radius, np.ndarray):
-            return np.array([scale * _gammaincc(s, 0.5 * rate * r * r, lgamma_s)
-                             for r in radius.tolist()])
-        return scale * _gammaincc(s, 0.5 * rate * radius * radius, lgamma_s)
+        radii = np.asarray(radius, dtype=float)
+        return np.reshape([scale * _gammaincc(s, 0.5 * rate * r * r, lgamma_s)
+                           for r in radii.ravel().tolist()], radii.shape)
 
     return tail
 
@@ -663,7 +640,7 @@ def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None, *,
     edges = _build_edges(0.0, radius,
                          (*breakpoints, *_radial_seeds(radius, resolved.values())))
     vals, errs, ok, panels = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol)
-    tails = {env: 0.0 if not math.isfinite(rate) else gaussian_tail(deg, rate, radius)
+    tails = {env: 0.0 if not math.isfinite(rate) else float(gaussian_tail_fn(deg, rate)(radius))
              for env, (_, deg, rate) in resolved.items()}
     tail_of = {key: tails[env] for key, env in distinct.items()}
     return vals, errs + np.array([tail_of[id(env)] for env in envelopes]), radius, ok, panels

@@ -688,6 +688,9 @@ def exit_status(argv) -> int:
     (["hardy", "--dim", ","], "','"),
     (["hardy", "--nfunc", "nope", "--dim", "1"], "no N-function 'nope'"),
     (["lk", "--nfunc", "nope", "--dim", "1"], "no N-function 'nope'"),
+    (["hardy", "--nfunc=", "--dim", "1"], "--nfunc names no N-function"),
+    (["lk", "--nfunc=", "--dim", "1"], "--nfunc names no N-function"),
+    (["lk", "--nfunc", ",", "--dim", "1"], "--nfunc names no N-function"),
     (["lk", "--fit-grid", "1,2", "--dim", "1"], "unrecognized arguments: --fit-grid"),
     (["hardy", "--form", "p2_exact", "--nfunc", "p3", "--dim", "1"],
      "form p2_exact (--form p2_exact): d = D = 2"),
@@ -708,6 +711,7 @@ def exit_status(argv) -> int:
     (["sharpness", "--p", "400", "--n", "1"], "closed-form moments of u_alpha overflow"),
     (["sharpness", "--p", "nan", "--n", "1", "--alphas", ","], "--alphas names no alpha"),
 ], ids=["dim-descending", "dim-empty", "hardy-nfunc-unknown", "lk-nfunc-unknown",
+        "hardy-nfunc-empty", "lk-nfunc-empty", "lk-nfunc-comma",
         "lk-fit-grid",
         "form-p2_exact-p3", "form-wwww-p2", "form-liniowe-p3-n1", "form-term1-p2",
         "mazya-p-alone", "mazya-n-alone", "mazya-classical-p", "mazya-p-overflow",
@@ -716,9 +720,9 @@ def exit_status(argv) -> int:
         "sharpness-alphas-empty"])
 def test_argument_naming_nothing_valid_exits_two(tmp_path, capsys, argv, shown):
     # these once ran 0 checks and exited 0, ran a default that ignored the
-    # flag (mazya --p), reported fails (sharpness --p nan), named the wrong
-    # condition (mazya --p nan: "requires p <= q"), or ended in a KeyError
-    # or OverflowError traceback
+    # flag (mazya --p, hardy --nfunc=), reported fails (sharpness --p nan),
+    # named the wrong condition (mazya --p nan: "requires p <= q"), or ended
+    # in a KeyError or OverflowError traceback
     assert exit_status(["--out", str(tmp_path), *argv]) == 2
     assert shown in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -156,6 +156,42 @@ class TestSeriesAndTable:
         # sup_r sqrt(e^-r) * sqrt(r) at r = 1 equals sqrt(1/e)
         assert res.B == pytest.approx(math.exp(-0.5), rel=1e-2)
 
+    def test_table_far_from_zero_has_the_same_B(self):
+        # on [1000, 2000] the probe's sub-pieces below about 1e-12 round to
+        # zero width, and those are 0: B and argmax_r are the table's on
+        # [0, 1000], the argmax shifted by 1000
+        xs = np.linspace(0.0, 1000.0, 400)
+        near, far = (mazya_B(table_pair(xs + a, np.exp(-xs / 100.0), np.ones_like(xs),
+                                        p=2.0, q=2.0)) for a in (0.0, 1000.0))
+        ends = [1000.0 + mazya_mod.PROBE_WIDTH * 10.0 ** (-m / mazya_mod.PROBE_SPLIT)
+                for m in range(mazya_mod.PROBE_RUNGS * mazya_mod.PROBE_SPLIT + 1)]
+        assert len(set(ends)) < len(ends)
+        assert math.isfinite(far.B) and not far.divergent and far.converged
+        assert close(far.B, near.B, 1e-12), (far.B, near.B)
+        assert abs(far.argmax_r - (near.argmax_r + 1000.0)) < 1e-4
+
+
+class TestTailContract:
+    @pytest.mark.parametrize("tail", [
+        lambda r: max(1.0 / r, 0.0),
+        lambda r: math.exp(-r),
+        lambda r: 0.5,
+    ], ids=["max", "math", "constant"])
+    def test_a_tail_that_does_not_map_the_grid_is_rejected_by_name(self, tail):
+        pair = dataclasses.replace(classical_pair(), mu_tail=tail, label="scalar-only")
+        with pytest.raises(PreconditionError, match="mu_tail of pair 'scalar-only'"):
+            mazya_B(pair)
+
+    @pytest.mark.parametrize("make", [classical_pair, exp_table_pair,
+                                      lambda: gaussian_pair(2.5, 2)],
+                             ids=["classical", "table", "gaussian"])
+    def test_packaged_tails_map_the_grid_and_a_float_alike(self, make):
+        pair = make()
+        _, rs = mazya_mod._log_grid(pair, 240)
+        tails = np.asarray(pair.mu_tail(rs))
+        assert tails.shape == rs.shape == (240,)
+        assert tails.tolist() == [float(pair.mu_tail(r)) for r in rs.tolist()]
+
 
 class TestTablePairValidation:
     @pytest.mark.parametrize("xs, mu, nu, reason", [
@@ -597,7 +633,7 @@ class TestBatchedSweepOracle:
                 raise ValueError("density undefined")
             return np.exp(-x)
 
-        pair = dataclasses.replace(classical_pair(), mu_tail=lambda r: max(1.0 - r, 0.0),
+        pair = dataclasses.replace(classical_pair(), mu_tail=lambda r: np.maximum(1.0 - r, 0.0),
                                    nu_density=nu, label="finite-mu")
         calls = count_interval_calls(monkeypatch)
         panel_ends = []
@@ -630,13 +666,13 @@ class TestBatchedSweepOracle:
         assert res.divergent and res.converged and "exceeds cap at r=62.37" in res.reason
         assert res == per_piece_mazya_B(pair)
 
-    def test_gaussian_mu_tail_equals_gaussian_tail(self):
+    def test_gaussian_mu_tail_equals_gaussian_tail_fn(self):
         for p, n in GAUSSIAN_GRID:
             pair = gaussian_pair(p, n)
             _, rs = mazya_mod._log_grid(pair, 240)
             m = p + n - 1.0
             assert [pair.mu_tail(r) for r in rs] == [
-                quadrature.gaussian_tail(m, 1.0, float(r)) for r in rs]
+                quadrature.gaussian_tail_fn(m, 1.0)(float(r)) for r in rs]
 
 
 class TestEndpointSubPieces:
@@ -698,22 +734,16 @@ class TestBrentSearch:
 # ---------------------------------------------------------------------------
 
 def force_nonconverged(monkeypatch, flagged_tol):
-    """Mark every probe rung and grid piece Maz'ya integrates at rel_tol ==
-    flagged_tol non-converged, at the batches they are read from: the probe's
-    `integrate_pieces` and the sweep's `integrate_runs`."""
-    real, real_runs = mazya_mod.integrate_pieces, mazya_mod.integrate_runs
-
-    def flagged(f, los, his, rel_tol, abs_tol):
-        for piece in real(f, los, his, rel_tol, abs_tol):
-            yield (dataclasses.replace(piece, converged=False)
-                   if rel_tol == flagged_tol else piece)
+    """Mark every probe sub-piece and grid piece Maz'ya integrates at rel_tol
+    == flagged_tol non-converged, at the `integrate_runs` batches both are
+    read from."""
+    real_runs = mazya_mod.integrate_runs
 
     def flagged_runs(f, los, his, rel_tol, abs_tol):
         for values, errors, converged in real_runs(f, los, his, rel_tol, abs_tol):
             yield values, errors, ([False] * len(values) if rel_tol == flagged_tol
                                    else converged)
 
-    monkeypatch.setattr(mazya_mod, "integrate_pieces", flagged)
     monkeypatch.setattr(mazya_mod, "integrate_runs", flagged_runs)
 
 

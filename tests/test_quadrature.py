@@ -14,14 +14,15 @@ from orlicz_hardy.quadrature import (
     GaussianMeasure,
     QuadratureSpec,
     RadialMeasure,
+    IntegralResult,
     SupportHint,
-    gaussian_tail,
+    gaussian_tail_fn,
     gk_rule,
     integrate_gaussian_nd,
     integrate_interval,
-    integrate_pieces,
     integrate_radial,
     integrate_radial_family,
+    integrate_runs,
     moment,
     sphere_directions,
     sum_sq,
@@ -80,7 +81,26 @@ class TestGammaOracle:
     def test_tail_at_or_below_degree_minus_one_rejected(self, degree):
         # s = (degree + 1)/2 <= 0: no corpus member declares such an envelope
         with pytest.raises(PreconditionError, match="degree > -1"):
-            gaussian_tail(degree, 1.0, 2.0)
+            gaussian_tail_fn(degree, 1.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -0.5])
+    def test_tail_at_or_below_rate_zero_rejected(self, rate):
+        # no decay: the tail of every radius is infinite
+        with pytest.raises(PreconditionError, match="rate > 0"):
+            gaussian_tail_fn(2.0, rate)
+
+    def test_tail_maps_an_array_and_a_float_alike(self):
+        # each element is the scalar formula's bits at its radius; a float
+        # gives a 0-d array
+        degree, rate = 2.5, 0.8
+        s, lgamma_s = 0.5 * (degree + 1.0), math.lgamma(0.5 * (degree + 1.0))
+        scale = math.exp(0.5 * (degree - 1.0) * math.log(2.0) - s * math.log(rate) + lgamma_s)
+        radii = np.linspace(0.0, 12.0, 240)
+        tail = gaussian_tail_fn(degree, rate)
+        assert tail(radii).tolist() == [scale * _gammaincc(s, 0.5 * rate * r * r, lgamma_s)
+                                        for r in radii.tolist()]
+        assert tail(3.0).shape == () and float(tail(float(radii[60]))) == tail(radii)[60]
+        assert tail(radii.reshape(12, 20)).tolist() == tail(radii).reshape(12, 20).tolist()
 
     def test_closed_forms_match_loggamma(self):
         # exp of a sum of logs is good to a few ulps of the largest log term
@@ -159,7 +179,7 @@ class TestRadial:
         for deg, rate, tol in ((4, 1.0, 1e-14), (10, 0.1, 1e-12), (0, 2.0, 1e-10)):
             radius = truncation_radius(deg, rate, tol)
             assert radius ** deg * math.exp(-0.5 * rate * radius * radius) < tol
-            assert gaussian_tail(deg, rate, radius) < tol * 10
+            assert gaussian_tail_fn(deg, rate)(radius) < tol * 10
 
     def test_radius_capped_where_the_weight_underflows(self):
         # exp(0.45 r^2) overflows near r = 40, where an abs_tol of 1e-30
@@ -171,7 +191,7 @@ class TestRadial:
         assert res.radius == MAX_RADIUS
         assert math.exp(-0.5 * MAX_RADIUS ** 2) == pytest.approx(
             np.finfo(float).tiny, rel=1e-12)
-        assert res.err_est >= gaussian_tail(0.0, 0.1, MAX_RADIUS) > 0.0
+        assert res.err_est >= gaussian_tail_fn(0.0, 0.1)(MAX_RADIUS) > 0.0
         exact = math.sqrt(5.0 * math.pi)
         assert abs(res.value - exact) <= res.err_est
 
@@ -343,7 +363,7 @@ class TestFamilies:
         for value, err, single, ref in zip(vals, errs, alone, exact):
             assert abs(value - ref) <= err
             assert abs(value - single.value) <= err + single.err_est
-        assert errs[1] >= gaussian_tail(0.0, 2.0, radius)
+        assert errs[1] >= gaussian_tail_fn(0.0, 2.0)(radius)
 
     def test_one_envelope_per_row(self):
         with pytest.raises(PreconditionError, match="3 envelopes for a family of 2"):
@@ -517,13 +537,22 @@ class TestReturnedPanels:
         assert np.sum(w * g(x)) == pytest.approx(res.value, rel=1e-14)
 
 
-class TestIntegratePieces:
+def flat_pieces(f, los, his, rel_tol=1e-10, abs_tol=1e-14):
+    """`integrate_runs` flattened: one IntegralResult per piece, in order,
+    each run asked for when its first piece is reached."""
+    ends = iter(np.asarray(his, dtype=float).tolist())
+    for values, errors, converged in integrate_runs(f, los, his, rel_tol, abs_tol):
+        for value, err, ok in zip(values, errors, converged):
+            yield IntegralResult(value, err, next(ends), converged=ok)
+
+
+class TestIntegrateRuns:
     # pieces one panel resolves, pieces that need refining, and a zero-width one
     LOS = [0.0, 0.1, 0.1, 0.2, 1.0, 1.0]
     HIS = [0.1, 0.1, 0.2, 1.0, 3.0, 1.0 + 1e-3]
 
     def test_each_piece_is_integrate_interval(self):
-        pieces = list(integrate_pieces(gauss_bump, self.LOS, self.HIS, 1e-10, 1e-14))
+        pieces = list(flat_pieces(gauss_bump, self.LOS, self.HIS, 1e-10, 1e-14))
         assert pieces == [integrate_interval(gauss_bump, lo, hi, 1e-10, 1e-14)
                           for lo, hi in zip(self.LOS, self.HIS)]
         assert any(p.err_est < 1e-14 for p in pieces)
@@ -535,7 +564,7 @@ class TestIntegratePieces:
             calls.append(x.size)
             return gauss_bump(x)
 
-        pieces = integrate_pieces(f, self.LOS, self.HIS, 1e-10, 1e-14)
+        pieces = flat_pieces(f, self.LOS, self.HIS, 1e-10, 1e-14)
         assert calls == []
         next(pieces)
         # one panel per piece, the zero-width one left out; then the halves
@@ -550,7 +579,7 @@ class TestIntegratePieces:
         def f(x):
             raise AssertionError("evaluated")
 
-        (piece,) = integrate_pieces(f, [2.0], [2.0])
+        (piece,) = flat_pieces(f, [2.0], [2.0])
         assert (piece.value, piece.err_est, piece.radius) == (0.0, 0.0, 2.0)
 
     def test_error_raised_only_at_its_piece(self):
@@ -558,7 +587,7 @@ class TestIntegratePieces:
             x = np.asarray(x, float)
             return np.where(x < 1.0, 1.0, np.inf)
 
-        pieces = integrate_pieces(f, [0.0, 0.5, 1.0], [0.5, 1.0, 2.0])
+        pieces = flat_pieces(f, [0.0, 0.5, 1.0], [0.5, 1.0, 2.0])
         assert next(pieces).value == pytest.approx(0.5, rel=1e-14)
         assert next(pieces).value == pytest.approx(0.5, rel=1e-14)
         with pytest.raises(EvaluationError):
@@ -575,7 +604,7 @@ class TestIntegratePieces:
             return np.where(x < 1.0, 1.0 + x, np.inf)
 
         edges = np.linspace(0.0, 2.0, 9).tolist()
-        pieces = integrate_pieces(f, edges[:-1], edges[1:], 1e-10, 1e-14)
+        pieces = flat_pieces(f, edges[:-1], edges[1:], 1e-10, 1e-14)
         got = [next(pieces) for _ in range(4)]
         assert sizes == [8, 4]
         for piece, lo, hi in zip(got, edges[:4], edges[1:5]):
@@ -637,8 +666,8 @@ class TestIntegrateIntervalBitForBit:
             sweeps.append(len(alone))
         assert sum(s > 1 for s in sweeps) > 1 and sum(s > 2 for s in sweeps) > 0
         calls = []
-        pieces = list(integrate_pieces(lambda x: calls.append(1) or gauss_bump(x),
-                                       edges[:-1], edges[1:], 1e-10, 1e-14))
+        pieces = list(flat_pieces(lambda x: calls.append(1) or gauss_bump(x),
+                                  edges[:-1], edges[1:], 1e-10, 1e-14))
         assert len(calls) == 2 + sum(max(s - 2, 0) for s in sweeps) < sum(sweeps)
         assert [(p.value, p.converged) for p in pieces] == [
             (r.value, r.converged) for r in (integrate_interval(gauss_bump, lo, hi, 1e-10, 1e-14)

@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from orlicz_hardy import reporting
+from orlicz_hardy.cli import main
 from orlicz_hardy.reporting import (
     Check,
     canonical_json,
@@ -127,3 +132,33 @@ def test_a_plain_body_is_written_without_canonicalize(monkeypatch):
 
     monkeypatch.setattr(reporting, "canonicalize", refused)
     assert canonical_json(body) == expected
+
+
+def compare_reports(dir_a, dir_b) -> tuple[int, list]:
+    """The exit status and output lines of tests/compare_reports.py."""
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("compare_reports.py")),
+                           str(dir_a), str(dir_b)], capture_output=True, text=True)
+    return proc.returncode, proc.stdout.splitlines()
+
+
+def test_compare_reports_names_each_moved_check(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["--out", str(a), "sharpness", "--p", "2.5", "--n", "3",
+                 "--alphas", "0,0.5,0.9,0.99"]) == 0
+    shutil.copytree(a, b)
+    assert compare_reports(a, b) == (0, [])
+    # one lhs nudged by 1 ulp, and one check dropped from the copy
+    path = b / "sharpness.json"
+    doc = json.loads(path.read_text())
+    checks = doc["body"]["checks"]
+    nudged = next(c for c in checks if isinstance(c["lhs"], float) and c["lhs"] > 0.0)
+    lhs = nudged["lhs"]
+    nudged["lhs"] = math.nextafter(lhs, math.inf)
+    dropped = checks.pop(-1 if checks[-1] is not nudged else 0)
+    path.write_text(json.dumps(doc))
+    move = (nudged["lhs"] - lhs) / nudged["lhs"]
+    status, lines = compare_reports(a, b)
+    assert status == 1
+    assert sorted(lines) == sorted([
+        f"sharpness.json {nudged['check_id']}: lhs moved {move:.3g} relative",
+        f"sharpness.json {dropped['check_id']}: only in {a}"])
