@@ -18,16 +18,16 @@ hold only for p > n.
 probed once on a decade ladder (`_endpoint_probe`): ratios of neighbouring
 rungs below 0.9 mean an integrable endpoint, anything larger a divergent
 one (the rule assumes a power-law endpoint).  Each rung is five geometric
-sub-pieces.  Beyond the probe the inner integral is one running sum, in
-grid order, of the pieces between neighbouring grid points (`_Objective`),
-and the grid's mu tails come from one call on the grid.  The probe's
-sub-pieces and the sweep's pieces up to the first zero mu tail are each
-one `quadrature.integrate_runs` batch, read as runs of (value, converged)
+sub-pieces.  One sweep up the grid (`_sweep`) returns the objective and
+the inner integral, the probe plus one running sum of the pieces between
+neighbouring grid points, at each point.  The probe's sub-pieces and the
+sweep's pieces up to the first zero mu tail are each one
+`quadrature.integrate_runs` batch, read as runs of (value, converged)
 pieces: one Gauss-Kronrod panel per piece in a single vectorised call,
 the pieces those miss halved in one more, and a piece its halves miss
 refined from them when its run is reached.  Around the grid maximum,
-Brent's search (`quadrature.brent_max`) starts from the grid value and
-stops at its sqrt(eps) floor.
+Brent's search (`quadrature.brent_max`) steps from those values, each
+step one piece from the grid point below it, to its sqrt(eps) floor.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ PROBE_RUNGS = 10  # decades of the endpoint ladder
 PROBE_SPLIT = 5  # geometric sub-pieces per rung, each 10^(1/5) wide
 # Tolerances of the supremum search; the run's QuadratureSpec does not apply.
 PROBE_REL_TOL, PROBE_ABS_TOL = 1e-10, 1e-300  # each sub-piece of the endpoint probe
-PIECE_REL_TOL, PIECE_ABS_TOL = 1e-9, 1e-16  # each piece between knots
+PIECE_REL_TOL, PIECE_ABS_TOL = 1e-9, 1e-16  # each grid piece and Brent step
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,9 @@ class MeasurePair:
 
     mu_tail maps an array of radii r, or one float, to their tails
     mu([r, oo)), non-negative and never increasing, as every packaged
-    pair's does; the sweep calls it once on its grid, and a tail that does
-    not take the array is a PreconditionError.  nu_density is dnu*/dx, on
-    an array of abscissae.
+    pair's does; the sweep calls it once on its grid and each Brent step
+    on its one radius, and a tail that does not take the array is a
+    PreconditionError.  nu_density is dnu*/dx, on an array of abscissae.
     """
 
     a: float
@@ -172,91 +172,53 @@ def _endpoint_probe(pair: MeasurePair) -> tuple[float, bool, bool]:
     return total + rungs[-1] * rho / (1.0 - rho), True, converged
 
 
-class _Objective:
-    """The Maz'ya objective r -> mu([r,oo))^(1/q) I(r)^((p-1)/p).
+def _sweep(pair: MeasurePair, integrand, score, probe: float,
+           rs: np.ndarray) -> tuple[list, list, bool]:
+    """The objective at each point of the increasing grid rs, up to the
+    first value past OBJECTIVE_CAP if there is one.
 
-    The inner integral I(r) = int_a^r nu_density^(-1/(p-1)) is the endpoint
-    probe up to the first knot a + PROBE_WIDTH plus pieces between knots.
-    The sweep makes each grid point with a positive mu tail a knot, so it
-    integrates each piece [r_(i-1), r_i] once; any other r costs one piece
-    from the largest knot at or below it.  Pieces are positive, so each I(r)
-    keeps the relative accuracy of its pieces.  A point whose mu tail is 0
-    scores 0 without integrating; an integration error scores inf, and so
-    does every later knot.
+    rs[0] is a + PROBE_WIDTH, so the inner integral I there is the probe.
+    The grid's mu tails come from one call on rs (a TypeError, ValueError
+    or other shape is a PreconditionError naming the pair); they never
+    increase, so the pieces [r_(i-1), r_i] before the first zero tail are
+    one `integrate_runs` batch.  Each run extends I by a running sum in
+    grid order and is scored in one pass; the next run is asked for only
+    while no score has passed the cap.  A zero tail scores 0 without
+    integrating; a piece that raises scores inf and ends the sweep.
+
+    Returns (scores, inner, converged): I at rs[0] and at each point scored
+    from a piece, and whether every piece the sweep read converged.
     """
-
-    def __init__(self, pair: MeasurePair, probe: float, converged: bool):
-        self.pair = pair
-        self.converged = converged
-        self._integrand = _nu_integrand(pair)
-        self._knots = [pair.a + PROBE_WIDTH]
-        self._inner = [probe]
-        self._tail_power, self._inner_power = 1.0 / pair.q, (pair.p - 1.0) / pair.p
-
-    def _score(self, tail: float, inner: float) -> float:
-        if tail <= 0.0:
-            return 0.0
-        return tail ** self._tail_power * inner ** self._inner_power
-
-    def __call__(self, r: float) -> float:
-        tail = float(self.pair.mu_tail(r))
-        j = bisect.bisect_right(self._knots, r) - 1
-        lo, inner = self._knots[j], self._inner[j]
-        if tail > 0.0 and r > lo:
-            try:
-                piece = integrate_interval(self._integrand, lo, r, PIECE_REL_TOL, PIECE_ABS_TOL)
-            except Exception:
-                inner = math.inf
-            else:
-                self.converged = self.converged and piece.converged
-                inner += piece.value
-        return self._score(tail, inner)
-
-    def sweep(self, rs: np.ndarray) -> list:
-        """The objective at each r of the increasing grid rs from the first
-        knot on, up to the first value past OBJECTIVE_CAP if there is one.
-
-        The grid's mu tails come from one call on rs (a TypeError, ValueError
-        or other shape is a PreconditionError naming the pair).  mu tails
-        never increase, so exactly the pieces [r_(i-1), r_i] before the first
-        zero tail are one `integrate_runs` batch.  Each run of it extends the
-        inner integrals as one running sum in grid order, the adds of a walk
-        piece by piece, and is scored in one pass; the next run, and the
-        refinement it starts with, is asked for only while no score has
-        passed the cap.
-        """
+    try:
+        tails = np.asarray(pair.mu_tail(rs), dtype=float)
+        if tails.shape != rs.shape:
+            raise ValueError(f"it gave shape {tails.shape} for {rs.shape} radii")
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"the mu_tail of pair {pair.label!r} does not "
+                                f"map an array of radii to their tails: {exc}") from None
+    positive = tails > 0.0
+    live = rs.size if positive.all() else int(positive.argmin())
+    grid, tails = rs.tolist(), tails.tolist()
+    scores = [score(tail, probe) for tail in tails[:min(live, 1)]]
+    inner, converged = [probe], True
+    runs = integrate_runs(integrand, grid[:max(live - 1, 0)], grid[1:live],
+                          PIECE_REL_TOL, PIECE_ABS_TOL)
+    while len(scores) < live and not scores[-1] > OBJECTIVE_CAP:
+        i = len(scores)
         try:
-            tails = np.asarray(self.pair.mu_tail(rs), dtype=float)
-            if tails.shape != rs.shape:
-                raise ValueError(f"it gave shape {tails.shape} for {rs.shape} radii")
-        except (TypeError, ValueError) as exc:
-            raise PreconditionError(f"the mu_tail of pair {self.pair.label!r} does not "
-                                    f"map an array of radii to their tails: {exc}") from None
-        positive = tails > 0.0
-        live = rs.size if positive.all() else int(positive.argmin())
-        grid, tails = rs.tolist(), tails.tolist()
-        scores = [self._score(tail, self._inner[0]) for tail in tails[:min(live, 1)]]
-        runs = integrate_runs(self._integrand, grid[:max(live - 1, 0)], grid[1:live],
-                              PIECE_REL_TOL, PIECE_ABS_TOL)
-        while len(scores) < live and not scores[-1] > OBJECTIVE_CAP:
-            i = len(scores)
-            try:
-                values, _, converged = next(runs)
-            except Exception:
-                # the piece [r_(i-1), r_i] cannot be integrated
-                self._knots.append(grid[i])
-                self._inner.append(math.inf)
-                return scores + [self._score(tails[i], math.inf)]
-            inner = list(itertools.accumulate(values, initial=self._inner[-1]))[1:]
-            new = list(map(self._score, tails[i:i + len(inner)], inner))
-            read = next((j + 1 for j, v in enumerate(new) if v > OBJECTIVE_CAP), len(new))
-            self._knots += grid[i:i + read]
-            self._inner += inner[:read]
-            self.converged = self.converged and all(converged[:read])
-            scores += new[:read]
-        if scores and scores[-1] > OBJECTIVE_CAP:
-            return scores
-        return scores + [0.0] * (rs.size - live)
+            values, _, oks = next(runs)
+        except Exception:
+            scores.append(math.inf)  # the piece [r_(i-1), r_i] cannot be integrated
+            break
+        run = list(itertools.accumulate(values, initial=inner[-1]))[1:]
+        new = list(map(score, tails[i:i + len(run)], run))
+        read = next((j + 1 for j, v in enumerate(new) if v > OBJECTIVE_CAP), len(new))
+        inner += run[:read]
+        converged = converged and all(oks[:read])
+        scores += new[:read]
+    if not (scores and scores[-1] > OBJECTIVE_CAP):
+        scores += [0.0] * (rs.size - live)
+    return scores, inner, converged
 
 
 def _log_grid(pair: MeasurePair, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -267,58 +229,76 @@ def _log_grid(pair: MeasurePair, grid_points: int) -> tuple[np.ndarray, np.ndarr
 def mazya_B(pair: MeasurePair, grid_points: int = 240) -> MazyaResult:
     """Supremum of the Maz'ya objective over a log grid with local refinement.
 
-    One sweep up the grid (`_Objective.sweep`) takes the grid's mu tails
-    from one call and sums the inner integral's pieces between neighbouring
-    grid points in grid order, all read from one `integrate_runs` batch, so
-    the series is that of a walk piece by piece, bit for bit.  Brent's
-    search (`brent_max`) on the grid points either side of the grid maximum
-    starts from it, and each step adds one piece to the stored value at the
-    grid point below; the grid value stands unless a step beats it.  It
-    stops at its sqrt(eps) floor, so B is within about eps of the maximum
-    and its argmax within about sqrt(eps) relative.
+    The sweep (`_sweep`) gives the objective and the inner integral at the
+    grid points, the series of a walk piece by piece, bit for bit.  Brent's
+    search (`brent_max`) between the grid points either side of the grid
+    maximum starts from it; each step adds one piece to the inner integral
+    at the grid point at or below it, and the grid value stands unless a
+    step beats it.  It stops at its sqrt(eps) floor, so B is within about
+    eps of the maximum and its argmax within about sqrt(eps) relative.
 
     Divergence is flagged when the endpoint probe's decade ratios reach 0.9
     (the inner integral blows up at the left endpoint), when the objective
     exceeds its cap or a piece cannot be integrated, or when it keeps
-    growing across the last decade of the grid.  `converged` is False when
-    a probe sub-piece, or a piece up to where the sweep stopped, did not
-    converge.  A divergent endpoint gives a series that is inf at every
-    grid point.
+    growing across the last decade of the grid.  On each exit, `converged`
+    is False when a piece read up to it did not converge: a probe
+    sub-piece, a grid piece up to where the sweep stopped, or a Brent step.
+    A divergent endpoint gives a series that is inf at every grid point.
     """
     offsets, rs = _log_grid(pair, grid_points)
 
     # left-endpoint convergence is shared by every grid point; probe it once
-    probe, ok0, converged = _endpoint_probe(pair)
+    probe, ok0, probe_ok = _endpoint_probe(pair)
     if not ok0:
         return MazyaResult(math.inf, float(rs[0]), True,
                            "inner integral diverges at the left endpoint",
-                           converged, tuple((r, math.inf) for r in rs.tolist()))
+                           probe_ok, tuple((r, math.inf) for r in rs.tolist()))
 
-    objective = _Objective(pair, probe, converged)
-    vals = objective.sweep(rs)
+    integrand = _nu_integrand(pair)
+    tail_power, inner_power = 1.0 / pair.q, (pair.p - 1.0) / pair.p
+
+    def score(tail: float, inner: float) -> float:
+        return 0.0 if tail <= 0.0 else tail ** tail_power * inner ** inner_power
+
+    vals, inner, sweep_ok = _sweep(pair, integrand, score, probe, rs)
+    converged = probe_ok and sweep_ok
     series = tuple(zip(rs.tolist(), vals))
     if vals[-1] > OBJECTIVE_CAP:
         r = series[-1][0]
         return MazyaResult(math.inf, r, True, f"objective exceeds cap at r={r:.6g}",
-                           objective.converged, series)
+                           converged, series)
     vals = np.array(vals)
 
     i = int(np.argmax(vals))
     # growth across the last decade of the grid
     if i == rs.size - 1:
-        decade = offsets >= offsets[-1] / 10.0
-        first = vals[decade][0]
+        first = vals[offsets >= offsets[-1] / 10.0][0]
         if first > 0 and vals[-1] > first * 1.01:
             return MazyaResult(float(vals[-1]), float(rs[-1]), True,
                                "objective still growing at the grid boundary",
-                               objective.converged, series)
+                               converged, series)
+
+    knots, steps_ok = rs[:len(inner)].tolist(), []
+
+    def step(r: float) -> float:
+        # the objective at r, one piece from the scored grid point at or below it
+        tail = float(pair.mu_tail(r))
+        j = bisect.bisect_right(knots, r) - 1
+        if not (tail > 0.0 and r > knots[j]):
+            return score(tail, inner[j])
+        try:
+            piece = integrate_interval(integrand, knots[j], r, PIECE_REL_TOL, PIECE_ABS_TOL)
+        except Exception:
+            return math.inf  # the piece cannot be integrated
+        steps_ok.append(piece.converged)
+        return score(tail, inner[j] + piece.value)
 
     best_r, best_v = float(rs[i]), float(vals[i])
-    r, v = brent_max(objective, float(rs[max(i - 1, 0)]),
-                     float(rs[min(i + 1, rs.size - 1)]), best_r, best_v)
+    r, v = brent_max(step, float(rs[max(i - 1, 0)]), float(rs[min(i + 1, rs.size - 1)]),
+                     best_r, best_v)
     if v > best_v:
         best_r, best_v = r, v
-    return MazyaResult(best_v, best_r, False, converged=objective.converged,
+    return MazyaResult(best_v, best_r, False, converged=converged and all(steps_ok),
                        series=series)
 
 

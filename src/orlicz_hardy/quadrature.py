@@ -447,8 +447,8 @@ def gaussian_tail_fn(degree: float, rate: float):
         raise PreconditionError(
             f"the Gaussian tail needs an envelope degree > -1, got {degree:g}")
     log_scale = 0.5 * (degree - 1.0) * math.log(2.0) - s * math.log(rate)
-    lgamma_s = math.lgamma(s)
     try:
+        lgamma_s = math.lgamma(s)
         scale = math.exp(log_scale + lgamma_s)
     except OverflowError:
         raise EvaluationError(f"the Gaussian tail of degree {degree:g} and rate {rate:g} "

@@ -74,13 +74,11 @@ def extremal_moments(params: ExtremalParams) -> ModularTriple:
     """Closed-form (K, L, G) of u_alpha for M(r) = r^p, each exact: an
     `IntegralResult` with err_est 0."""
     a, p, n = params.alpha, params.p, params.n
-    log_k = (-(n + p) / 2.0 * math.log1p(-a)
-             + (n + p - 2.0) / 2.0 * math.log(2.0) + math.lgamma((n + p) / 2.0))
-    log_l = (-n / 2.0 * math.log1p(-a)
-             + (n - 2.0) / 2.0 * math.log(2.0) + math.lgamma(n / 2.0))
     try:
-        k = math.exp(log_k)
-        ell = math.exp(log_l)
+        k = math.exp(-(n + p) / 2.0 * math.log1p(-a)
+                     + (n + p - 2.0) / 2.0 * math.log(2.0) + math.lgamma((n + p) / 2.0))
+        ell = math.exp(-n / 2.0 * math.log1p(-a)
+                       + (n - 2.0) / 2.0 * math.log(2.0) + math.lgamma(n / 2.0))
     except OverflowError:
         raise EvaluationError(
             f"the closed-form moments of u_alpha overflow at alpha={a:g}, p={p:g}, n={n}")

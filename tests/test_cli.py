@@ -705,19 +705,23 @@ def exit_status(argv) -> int:
     (["mazya", "--classical", "--p", "2"], "only with --gaussian"),
     (["mazya", "--gaussian", "--p", "1000", "--n", "1"],
      "the Gaussian tail of degree 1000 and rate 1 overflows"),
+    (["mazya", "--gaussian", "--p", "1e306", "--n", "2"],
+     "the Gaussian tail of degree 1e+306 and rate 1 overflows the float range"),
     (["mazya", "--gaussian", "--p", "nan", "--n", "2"], "p must be finite, got p=nan"),
     (["sharpness", "--p", "nan", "--n", "1"], "p must be finite and >= 2, got nan"),
     (["sharpness", "--p", "inf", "--n", "1"], "p must be finite and >= 2, got inf"),
     (["sharpness", "--p", "400", "--n", "1"], "closed-form moments of u_alpha overflow"),
+    (["sharpness", "--p", "1e308", "--n", "1", "--alphas", "0"],
+     "the closed-form moments of u_alpha overflow at alpha=0, p=1e+308, n=1"),
     (["sharpness", "--p", "nan", "--n", "1", "--alphas", ","], "--alphas names no alpha"),
 ], ids=["dim-descending", "dim-empty", "hardy-nfunc-unknown", "lk-nfunc-unknown",
         "hardy-nfunc-empty", "lk-nfunc-empty", "lk-nfunc-comma",
         "lk-fit-grid",
         "form-p2_exact-p3", "form-wwww-p2", "form-liniowe-p3-n1", "form-term1-p2",
         "mazya-p-alone", "mazya-n-alone", "mazya-classical-p", "mazya-p-overflow",
-        "mazya-p-nan",
+        "mazya-p-lgamma-overflow", "mazya-p-nan",
         "sharpness-p-nan", "sharpness-p-inf", "sharpness-p-overflow",
-        "sharpness-alphas-empty"])
+        "sharpness-p-lgamma-overflow", "sharpness-alphas-empty"])
 def test_argument_naming_nothing_valid_exits_two(tmp_path, capsys, argv, shown):
     # these once ran 0 checks and exited 0, ran a default that ignored the
     # flag (mazya --p, hardy --nfunc=), reported fails (sharpness --p nan),

@@ -63,6 +63,14 @@ class TestMazyaB:
         res = mazya_B(vanishing_density_pair())
         assert res.divergent
 
+    def test_growth_at_the_grid_boundary_flags_divergence(self):
+        # the objective r^(1/4) still grows at the grid's end, r = 1000
+        res = mazya_B(growing_pair())
+        assert res.divergent and res.converged
+        assert res.reason == "objective still growing at the grid boundary"
+        assert res.argmax_r == 1000.0
+        assert res.B == pytest.approx(1000.0 ** 0.25, rel=1e-12)
+
     def test_p_equal_one_rejected(self):
         with pytest.raises(PreconditionError, match="p"):
             MeasurePair(a=0.0, mu_tail=lambda r: 1.0 / r,
@@ -82,6 +90,20 @@ def vanishing_density_pair():
         return np.where((x > 0.3) & (x < 0.6), 0.0, 1.0)
 
     return dataclasses.replace(classical_pair(), nu_density=nu, label="vanishing")
+
+
+def growing_pair():
+    """mu([r, oo)) = r^(-1/2), nu = dx, p = q = 2: the objective is r^(1/4)."""
+    return MeasurePair(a=0.0, mu_tail=lambda r: np.asarray(r, float) ** -0.5,
+                       nu_density=lambda x: np.ones_like(np.asarray(x, float)),
+                       p=2.0, q=2.0, label="growing", grid_hi=1e3)
+
+
+def overflowing_pair():
+    """The classical pair with nu = e^(-x): the objective passes the cap near
+    r = 62, and the inner integrand e^x overflows past r = 709."""
+    return dataclasses.replace(classical_pair(), label="overflows",
+                               nu_density=lambda x: np.exp(-np.asarray(x, float)))
 
 
 def exp_table_pair():
@@ -658,8 +680,7 @@ class TestBatchedSweepOracle:
         # as batches when the walk reaches them (each piece on its own: 193).
         # The last batch, whose panels do not raise, also halves the pieces
         # they miss, in an eighth call, before the walk stops at the cap.
-        pair = dataclasses.replace(classical_pair(), label="overflows",
-                                   nu_density=lambda x: np.exp(-np.asarray(x, float)))
+        pair = overflowing_pair()
         calls = count_panel_sweeps(monkeypatch)
         res = mazya_B(pair)
         assert calls == {"gk": 8, "adaptive": 0}
@@ -751,12 +772,38 @@ class TestNonConvergence:
     def test_converged_by_default(self):
         assert mazya_B(classical_pair()).converged
 
-    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-10], ids=["piece", "probe-rung"])
-    def test_flag_reaches_result(self, monkeypatch, rel_tol):
+    @pytest.mark.parametrize("rel_tol, make, reason", [
+        (1e-9, classical_pair, ""),
+        (1e-10, classical_pair, ""),
+        (1e-9, overflowing_pair, "objective exceeds cap at r=62.3705"),
+        (1e-10, overflowing_pair, "objective exceeds cap at r=62.3705"),
+        (1e-9, growing_pair, "objective still growing at the grid boundary"),
+        (1e-10, growing_pair, "objective still growing at the grid boundary"),
+    ], ids=["piece", "probe-rung", "piece-cap", "probe-rung-cap",
+            "piece-growing", "probe-rung-growing"])
+    def test_flag_reaches_result(self, monkeypatch, rel_tol, make, reason):
+        # a flagged grid piece or probe sub-piece clears the flag on the
+        # Brent exit, the cap exit and the growing exit, and moves nothing else
+        clean = mazya_B(make())
+        assert clean.converged and clean.reason == reason
         force_nonconverged(monkeypatch, rel_tol)
-        res = mazya_B(classical_pair())
+        res = mazya_B(make())
         assert not res.converged
-        assert res.B == pytest.approx(1.0, abs=1e-6)
+        assert dataclasses.replace(res, converged=True) == clean
+
+    def test_flagged_brent_step_reaches_result(self, monkeypatch):
+        # the Brent steps' pieces are the only integrate_interval calls
+        clean = mazya_B(classical_pair())
+        steps, real = [], mazya_mod.integrate_interval
+
+        def flagged(f, lo, hi, *tols):
+            steps.append((lo, hi))
+            return dataclasses.replace(real(f, lo, hi, *tols), converged=False)
+
+        monkeypatch.setattr(mazya_mod, "integrate_interval", flagged)
+        res = mazya_B(classical_pair())
+        assert steps and not res.converged
+        assert dataclasses.replace(res, converged=True) == clean
 
     def test_flagged_grid_fallback_piece_reaches_result(self, monkeypatch):
         # gaussian(2.2, 2) has grid pieces that neither one panel nor its

@@ -18,7 +18,7 @@ import mpmath
 import pytest
 
 from orlicz_hardy import mazya as mazya_mod
-from orlicz_hardy.mazya import gaussian_pair, mazya_B
+from orlicz_hardy.mazya import gaussian_hardy_pq, gaussian_pair, mazya_B
 from orlicz_hardy.quadrature import MAX_RADIUS
 
 # p > n, from p = 1.5 to 300; the large-p pairs' grids end at MAX_RADIUS
@@ -67,3 +67,19 @@ def test_B_and_its_argmax_match_the_closed_form(p, n):
 def test_the_pairs_include_grids_capped_at_max_radius():
     capped = [(p, n) for p, n in PAIRS if gaussian_pair(p, n).grid_hi == MAX_RADIUS]
     assert len(capped) >= 3 and len(capped) < len(PAIRS)
+
+
+# p just above n, where the endpoint probe's 0.9 ratio rule reads the finite
+# B as a divergent endpoint; (2.05, 2) and (3.1, 3) already hold
+BAND = [(2.01, 2), (2.03, 2), (2.04, 2), (3.01, 3), (3.05, 3), (3.09, 3)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the endpoint rule does not read "
+                                       "the exponent, so p just above n reads divergent")
+@pytest.mark.parametrize("p, n", BAND, ids=[f"p{p:g}-n{n}" for p, n in BAND])
+def test_band_above_p_equals_n_is_finite_at_the_closed_form(p, n):
+    _, rs = mazya_mod._log_grid(gaussian_pair(p, n), 240)
+    B, _ = closed_form_B(p, n, rs.tolist())
+    verdict, res = gaussian_hardy_pq(p, n)
+    assert verdict == "finite", res.reason
+    assert math.isclose(res.B, B, rel_tol=1e-6, abs_tol=0.0), (res.B, B)
