@@ -32,12 +32,12 @@ from .hardy import (
     linear_constants,
 )
 from .landau_kolmogorov import (
-    LKFit,
     check_lk_modular,
     check_lk_norm,
     fit_lk_modular_envelope,
     fit_lk_norm_envelope,
     hardy_provenance,
+    lk_modular_terms,
     lk_norm_triple,
 )
 from .mazya import (

@@ -138,8 +138,10 @@ def _error_ratio(value: float, exact: float, err_est: float) -> float:
 
 
 def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
-    """The extremal family's checks at each alpha; with no alpha nothing
-    would check p and n, so that is a PreconditionError."""
+    """The extremal family's checks: the closed form at each alpha <= 0.9,
+    and for p > 2 the divergence scan over two or more positive alphas.  A
+    run that would add no check, so that nothing checks p and n, is a
+    PreconditionError."""
     if not alphas:
         raise PreconditionError("--alphas names no alpha")
     rows = []
@@ -164,8 +166,12 @@ def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
                 constants_used=exact,
                 nfunc_label=f"r^{p:g}", subject_label=f"alpha={alpha:g}", n=n,
             ).require_converged(tri.converged, "a quadrature of the triple did not converge"))
-    series[f"sharpness_p{p:g}_n{n}"] = rows
     scan_alphas = [a for a in alphas if a > 0.0]
+    if min(alphas) > 0.9 and not (p > 2.0 and len(scan_alphas) >= 2):
+        raise PreconditionError(
+            f"no check at p={p:g}, n={n}: the closed form is checked only at alphas "
+            "<= 0.9, and the divergence scan needs p > 2 and two positive alphas")
+    series[f"sharpness_p{p:g}_n{n}"] = rows
     if p > 2.0 and len(scan_alphas) >= 2:
         req = sharp_mod.c2_infeasibility_scan(p, n, scan_alphas)
         increasing = bool(np.all(np.diff(req) > 0.0))
@@ -260,19 +266,19 @@ def run_mazya(checks: list, series: dict, gaussian=None, classical=False,
             subject_label=f"gaussian[p={p:g},n={n}]"))
 
 
-def _record_fit(fit, nf_label: str, n: int, checks: list, fits: dict,
-                normalization=None, converged=True):
-    """Record an LK envelope fit and its check, which an infeasible fit
-    fails, and which is indeterminate unless the fitted terms converged."""
-    fits[f"{fit.form}:{nf_label}:n={n}"] = {
-        "C1": fit.c1, "C2": fit.c2, "binding": fit.binding_label,
-        "corpus": list(fit.corpus_labels), "grid": list(fit.grid),
-        "feasible": fit.feasible,
+def _record_fit(form: str, fit, labels: list, nf_label: str, n: int, checks: list,
+                fits: dict, normalization=None, converged=True):
+    """Record the `form` envelope `fit` over the members `labels` and its
+    check, which an infeasible fit fails, and which is indeterminate unless
+    the fitted terms converged."""
+    fits[f"{form}:{nf_label}:n={n}"] = {
+        "C1": fit.c1, "C2": fit.c2, "binding": fit.binding, "corpus": labels,
+        "grid": list(lk_mod.DEFAULT_FIT_GRID), "feasible": fit.feasible,
     }
     checks.append(Check(
-        fit.form, "holds" if fit.feasible else "fails",
-        check_id=f"{fit.form}_envelope:{nf_label}:corpus:n={n}",
-        constants_used={"C1": fit.c1, "C2": fit.c2, "binding": fit.binding_label},
+        form, "holds" if fit.feasible else "fails",
+        check_id=f"{form}_envelope:{nf_label}:corpus:n={n}",
+        constants_used={"C1": fit.c1, "C2": fit.c2, "binding": fit.binding},
         nfunc_label=nf_label, n=n, normalization=normalization,
     ).require_converged(converged, "a quadrature behind the fitted terms did not converge"))
 
@@ -291,18 +297,25 @@ def run_lk(manifest, spec, dims, checks: list, fits: dict,
 
 
 def _run_lk_case(nf_label, nf, n, fields, spec, checks, fits, normalized):
-    """The LK battery for one (N-function, n).  Every check and fit rests on
-    the members' theta = 1 terms, whose values are also the norms' modulars
-    at K = 1: each is indeterminate unless those converged."""
+    """The LK battery for one (N-function, n): each member's theta = 1 terms
+    and norm triple once, in member order, then both envelope fits and every
+    member's checks against them.  Every check and fit rests on the terms,
+    whose values are also the norms' modulars at K = 1: each is
+    indeterminate unless those converged."""
     # LK checks name only the normalized measure; the unnormalized default
     # is left to the report's own `normalization`, as before
     norm = "normalized" if normalized else None
     triples = {u.label: modular_triple_nd(u, nf, spec, normalized) for u in fields}
-    fit_mod, terms = lk_mod.fit_lk_modular_envelope(fields, nf, triples, spec, normalized)
-    fit_norm, rows = lk_mod.fit_lk_norm_envelope(fields, nf, terms, spec, normalized)
+    terms = {u.label: lk_mod.lk_modular_terms(u, nf, triples[u.label], spec, normalized)
+             for u in fields}
+    norms = {u.label: lk_mod.lk_norm_triple(u, nf, terms[u.label], spec, normalized)
+             for u in fields}
+    labels = list(terms)
     converged = {label: t.converged for label, t in terms.items()}
-    _record_fit(fit_norm, nf_label, n, checks, fits, norm, all(converged.values()))
-    for label, *triple in rows:
+    fit_norm = lk_mod.fit_lk_norm_envelope(norms)
+    _record_fit("statB2gauss", fit_norm, labels, nf_label, n, checks, fits, norm,
+                all(converged.values()))
+    for label, triple in norms.items():
         checks.append(lk_mod.check_lk_norm(
             triple, fit_norm.c1, fit_norm.c2,
             check_id=f"statB2gauss:{nf_label}:{label}:n={n}",
@@ -311,7 +324,9 @@ def _run_lk_case(nf_label, nf, n, fields, spec, checks, fits, normalized):
             converged[label],
             "a quadrature behind the norms' modulars did not converge"))
 
-    _record_fit(fit_mod, nf_label, n, checks, fits, norm, all(converged.values()))
+    fit_mod = lk_mod.fit_lk_modular_envelope(terms, nf)
+    _record_fit("statB1gauss", fit_mod, labels, nf_label, n, checks, fits, norm,
+                all(converged.values()))
     for u in fields:
         # each check carries the Hardy hypothesis it rests on
         checks.append(lk_mod.check_lk_modular(

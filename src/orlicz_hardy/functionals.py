@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import numpy.random  # noqa: F401  (numpy imports it on first use otherwise)
 
 from .errors import DivergenceError, PreconditionError
 from .nfunc import NFunction
@@ -572,10 +571,15 @@ def validate_field(u: FieldFunction) -> list[str]:
     profile.u(|x|) and |grad u(x)| = |profile.du(|x|)|, to within rounding
     on every test point."""
     problems: list[str] = []
-    rng = np.random.default_rng(7)
     radius = u.hint.radius * 0.9 if u.hint.kind == "compact" else 3.0
-    pts = rng.standard_normal((24, u.n))
-    pts *= (radius * rng.uniform(0.05, 1.0, size=(24, 1))
+    # 24 points at |x| / radius evenly from 0.05 to 1, in the directions of
+    # Roberts' R sequence on [-1, 1]^n: frac(1/2 + k g^-i), g the root above
+    # 1 of g^(n+1) = g + 1
+    g = 2.0
+    for _ in range(60):
+        g = (1.0 + g) ** (1.0 / (u.n + 1))
+    pts = 2.0 * ((0.5 + np.outer(np.arange(1, 25), g ** -np.arange(1.0, u.n + 1))) % 1.0) - 1.0
+    pts *= (radius * np.linspace(0.05, 1.0, 24)[:, None]
             / np.linalg.norm(pts, axis=1, keepdims=True))
     g = np.asarray(u.grad(pts), dtype=float)
     fd = np.empty_like(g)

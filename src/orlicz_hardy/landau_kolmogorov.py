@@ -13,7 +13,10 @@ with constants uniform over theta in (0, 1]; the norm form is
 No closed-form constants exist at this generality, so both are certified as
 fitted envelopes over a declared corpus and constant grid: the report names
 the selected pair, the grid, and the binding corpus member, and never claims
-universality beyond the corpus.
+universality beyond the corpus.  Each member's terms (`lk_modular_terms`)
+and norms (`lk_norm_triple`) are computed once; the fits
+(`fit_lk_modular_envelope`, `fit_lk_norm_envelope`) read them and integrate
+nothing, and the checks test each member at the fitted pair.
 
 The modular form is checked for every theta in (0, 1] at once, from the
 theta = 1 terms alone: the growth indices d <= D of M bound its right side
@@ -25,7 +28,6 @@ side's exact minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DivergenceError, PreconditionError
@@ -42,7 +44,7 @@ from .quadrature import GaussianMeasure, IntegralResult, QuadratureSpec
 from .reporting import TINY, Check
 
 __all__ = [
-    "LKFit",
+    "EnvelopeFit",
     "LKTerms",
     "lk_modular_terms",
     "uniform_bound",
@@ -75,17 +77,14 @@ class LKTerms(NamedTuple):
         return all(term.converged for term in self)
 
 
-@dataclass(frozen=True)
-class LKFit:
-    """A fitted (C1, C2) envelope with its provenance."""
+class EnvelopeFit(NamedTuple):
+    """`fit_envelope`'s selection: the pair, the binding member's label, and
+    whether any grid pair holds for every member (inf, inf and "" if not)."""
 
     c1: float
     c2: float
-    binding_label: str
-    grid: tuple
-    corpus_labels: tuple
-    form: str
-    feasible: bool = True
+    binding: str
+    feasible: bool
 
 
 def _require_lk_hypotheses(u: FieldFunction, nf: NFunction):
@@ -218,22 +217,21 @@ def check_lk_norm(triple: tuple, c1: float, c2: float, **meta) -> Check:
 # Envelope fitting
 # ---------------------------------------------------------------------------
 
-def fit_envelope(items) -> tuple[float, float, str, bool]:
+def fit_envelope(items) -> EnvelopeFit:
     """Smallest (C1, C2) on `DEFAULT_FIT_GRID` with lhs <= rhs(C1, C2) + tol
     for every item.
 
     items: iterable of (label, lhs, rhs, tol), rhs the item's right side as
     a function of (C1, C2).  Selection minimises C1 + C2 with ties broken
-    toward smaller C1, whatever the grid order; returns (c1, c2,
-    binding_label, feasible).  The binding item is the one with least slack
-    at the selection.  An item with a non-finite lhs makes every grid pair
-    infeasible.
+    toward smaller C1, whatever the grid order.  The binding item is the one
+    with least slack at the selection.  An item with a non-finite lhs makes
+    every grid pair infeasible.
     """
     items = list(items)
     if not items:
         raise PreconditionError("cannot fit an envelope over an empty corpus")
     if not all(math.isfinite(lhs) for _, lhs, *_ in items):
-        return math.inf, math.inf, "", False
+        return EnvelopeFit(math.inf, math.inf, "", False)
     best = None
     for c1 in DEFAULT_FIT_GRID:
         for c2 in DEFAULT_FIT_GRID:
@@ -242,57 +240,31 @@ def fit_envelope(items) -> tuple[float, float, str, bool]:
             if all(lhs <= rhs(c1, c2) + tol for _, lhs, rhs, tol in items):
                 best = (c1 + c2, c1, c2)
     if best is None:
-        return math.inf, math.inf, "", False
+        return EnvelopeFit(math.inf, math.inf, "", False)
     _, c1, c2 = best
     binding = min(items, key=lambda it: it[2](c1, c2) + it[3] - it[1])
-    return c1, c2, binding[0], True
+    return EnvelopeFit(c1, c2, binding[0], True)
 
 
-def fit_lk_norm_envelope(corpus, nf: NFunction, terms: dict,
-                         spec: QuadratureSpec | None = None,
-                         normalized: bool = False) -> tuple[LKFit, list]:
-    """Fit the norm-form envelope over a corpus of fields; returns the fit
-    plus per-member (label, r, s, t) rows, r, s and t the `Norm`s of
-    `lk_norm_triple`.  terms is the label -> `LKTerms` map of
-    `fit_lk_modular_envelope` (the norms' modulars at K = 1)."""
-    rows = []
-    items = []
-    for u in corpus:
-        r, s, t = lk_norm_triple(u, nf, terms[u.label], spec, normalized)
-        rows.append((u.label, r, s, t))
-        if t.value <= 0.0 and r.value <= 0.0:
-            continue
-        items.append((u.label, r.value,
-                      lambda c1, c2, s=s.value, t=t.value: c1 * s + c2 * t,
-                      comparison_tol(r.value, 1e-9)))
-    c1, c2, binding, feasible = fit_envelope(items)
-    fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=DEFAULT_FIT_GRID,
-                corpus_labels=tuple(u.label for u in corpus),
-                form="statB2gauss", feasible=feasible)
-    return fit, rows
+def fit_lk_norm_envelope(norms: dict) -> EnvelopeFit:
+    """Fit the norm-form envelope over the members' (r, s, t) of
+    `lk_norm_triple`, keyed by label; a member with r = t = 0 constrains
+    nothing."""
+    return fit_envelope(
+        (label, r.value, lambda c1, c2, s=s.value, t=t.value: c1 * s + c2 * t,
+         comparison_tol(r.value, 1e-9))
+        for label, (r, s, t) in norms.items() if not (t.value <= 0.0 and r.value <= 0.0))
 
 
-def fit_lk_modular_envelope(corpus, nf: NFunction, triples: dict,
-                            spec: QuadratureSpec | None = None,
-                            normalized: bool = False) -> tuple[LKFit, dict]:
-    """Fit (C1, C2) for the modular form, uniform over theta in (0, 1]: each
-    member's right side is its `uniform_bound` at (C1, C2).  Returns the fit
-    and, feasible or not, the terms it was fitted on: member label ->
-    theta = 1 `LKTerms`.  triples maps a member's label to its
-    `modular_triple_nd`.
-    """
-    terms = {u.label: lk_modular_terms(u, nf, triples[u.label], spec, normalized)
-             for u in corpus}
+def fit_lk_modular_envelope(terms: dict, nf: NFunction) -> EnvelopeFit:
+    """Fit (C1, C2) for the modular form, uniform over theta in (0, 1], over
+    the members' theta = 1 `LKTerms` of `lk_modular_terms`, keyed by label:
+    each member's right side is its `uniform_bound` at (C1, C2)."""
     d, D = nf.require_exponents()
-    items = [(label, t.lhs.value,
-              lambda c1, c2, t=t: sum(uniform_bound(t, c1, c2, d, D)[1:3]),
-              comparison_tol(t.lhs.value, 1e-9))
-             for label, t in terms.items()]
-    c1, c2, binding, feasible = fit_envelope(items)
-    fit = LKFit(c1=c1, c2=c2, binding_label=binding, grid=DEFAULT_FIT_GRID,
-                corpus_labels=tuple(terms.keys()), form="statB1gauss",
-                feasible=feasible)
-    return fit, terms
+    return fit_envelope(
+        (label, t.lhs.value, lambda c1, c2, t=t: sum(uniform_bound(t, c1, c2, d, D)[1:3]),
+         comparison_tol(t.lhs.value, 1e-9))
+        for label, t in terms.items())
 
 
 def hardy_provenance(u: FieldFunction, nf: NFunction, n: int,

@@ -30,6 +30,8 @@ from orlicz_hardy.landau_kolmogorov import (
     check_lk_modular,
     fit_lk_modular_envelope,
     fit_lk_norm_envelope,
+    lk_modular_terms,
+    lk_norm_triple,
 )
 from orlicz_hardy.mazya import classical_pair, gaussian_hardy_pq, mazya_B
 from orlicz_hardy.nfunc import check_lemma_split, check_lemma_young, power_nfunction
@@ -223,18 +225,20 @@ def test_10_lk_envelopes(manifest, spec):
         for n in (1, 2):
             fields = [f.instantiate(n) for f in manifest.field_functions.values()
                       if f.compatible(n)]
-            triples = {u.label: modular_triple_nd(u, nf, spec) for u in fields}
-            fit_mod, terms = fit_lk_modular_envelope(fields, nf, triples, spec)
+            terms = {u.label: lk_modular_terms(u, nf, modular_triple_nd(u, nf, spec), spec)
+                     for u in fields}
+            norms = {u.label: lk_norm_triple(u, nf, terms[u.label], spec) for u in fields}
+            fit_mod = fit_lk_modular_envelope(terms, nf)
             ok &= fit_mod.feasible
-            fit_norm, _ = fit_lk_norm_envelope(fields, nf, terms, spec)
+            fit_norm = fit_lk_norm_envelope(norms)
             ok &= fit_norm.feasible and math.isfinite(fit_norm.c1 + fit_norm.c2)
-            ok &= fit_norm.binding_label in {f.label for f in fields}
+            ok &= fit_norm.binding in {f.label for f in fields}
             for u in fields:
                 # one check per member, uniform over theta in (0, 1]
                 rep = check_lk_modular(terms[u.label], nf, fit_mod.c1, fit_mod.c2)
                 ok &= rep.verdict in ("holds", "indeterminate") and 0.0 < rep.theta <= 1.0
             # stability: a larger corpus cannot shrink the envelope
-            fit_small, _ = fit_lk_norm_envelope(fields[:2], nf, terms, spec)
+            fit_small = fit_lk_norm_envelope(dict(list(norms.items())[:2]))
             ok &= fit_norm.c1 + fit_norm.c2 >= fit_small.c1 + fit_small.c2 - 1e-12
             details.append(f"{nf_label}/n={n}: ({fit_norm.c1:g},{fit_norm.c2:g})")
     _criterion(10, "finite fitted Landau-Kolmogorov envelopes, uniform over theta",

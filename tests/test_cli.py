@@ -172,9 +172,8 @@ class TestSubcommands:
         fit = lk_mod.fit_lk_modular_envelope
 
         def infeasible(*args, **kwargs):
-            fitted, terms = fit(*args, **kwargs)
-            return dataclasses.replace(fitted, c1=math.inf, c2=math.inf,
-                                       binding_label="", feasible=False), terms
+            return fit(*args, **kwargs)._replace(c1=math.inf, c2=math.inf, binding="",
+                                                 feasible=False)
 
         monkeypatch.setattr(lk_mod, "fit_lk_modular_envelope", infeasible)
         rc = main(["--out", str(tmp_path), "lk", "--nfunc", "p2", "--dim", "1"])
@@ -714,6 +713,10 @@ def exit_status(argv) -> int:
     (["sharpness", "--p", "1e308", "--n", "1", "--alphas", "0"],
      "the closed-form moments of u_alpha overflow at alpha=0, p=1e+308, n=1"),
     (["sharpness", "--p", "nan", "--n", "1", "--alphas", ","], "--alphas names no alpha"),
+    (["sharpness", "--p", "2.5", "--n", "3", "--alphas", "0.99"],
+     "no check at p=2.5, n=3: the closed form is checked only at alphas <= 0.9"),
+    (["sharpness", "--p", "2", "--n", "1", "--alphas", "0.95"],
+     "the divergence scan needs p > 2 and two positive alphas"),
 ], ids=["dim-descending", "dim-empty", "hardy-nfunc-unknown", "lk-nfunc-unknown",
         "hardy-nfunc-empty", "lk-nfunc-empty", "lk-nfunc-comma",
         "lk-fit-grid",
@@ -721,7 +724,8 @@ def exit_status(argv) -> int:
         "mazya-p-alone", "mazya-n-alone", "mazya-classical-p", "mazya-p-overflow",
         "mazya-p-lgamma-overflow", "mazya-p-nan",
         "sharpness-p-nan", "sharpness-p-inf", "sharpness-p-overflow",
-        "sharpness-p-lgamma-overflow", "sharpness-alphas-empty"])
+        "sharpness-p-lgamma-overflow", "sharpness-alphas-empty",
+        "sharpness-alphas-above-closed-form-no-scan", "sharpness-p2-alpha-above-closed-form"])
 def test_argument_naming_nothing_valid_exits_two(tmp_path, capsys, argv, shown):
     # these once ran 0 checks and exited 0, ran a default that ignored the
     # flag (mazya --p, hardy --nfunc=), reported fails (sharpness --p nan),

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +54,11 @@ def exact_terms(lhs, hess, func, errs=(0.0, 0.0, 0.0)):
 def unit_terms(fields, nf, spec=None):
     """The label -> terms map of the fields."""
     return {u.label: terms_of(u, nf, spec) for u in fields}
+
+
+def unit_norms(fields, nf, spec=None):
+    """The label -> norm triple map of the fields."""
+    return {u.label: norm_triple(u, nf, spec) for u in fields}
 
 
 def lk_fields(manifest, n):
@@ -251,13 +255,11 @@ class TestEnvelopeFit:
         # right side over (0, 1] is 2 sqrt(C1 C2 H1 L1) = 0.71 < 1 there, at
         # theta* = 0.59, so the fit takes the next pair, (1, 1)
         terms = exact_terms(1.0, 1.0, 0.25)
-        monkeypatch.setattr(lk_mod, "lk_modular_terms", lambda u, nf, *args: terms)
         monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", (0.5, 1.0, 2.0))
         assert fit_envelope([linear(1.0, 1.0, 0.25, 1e-9)]) == (1.0, 0.5, "a", True)
-        fit, fitted = fit_lk_modular_envelope([SimpleNamespace(label="a")],
-                                              manifest.nfunc("p2"), {"a": None})
-        assert fit.feasible and (fit.c1, fit.c2, fit.binding_label) == (1.0, 1.0, "a")
-        assert fitted == {"a": terms}
+        fit = fit_lk_modular_envelope({"a": terms}, manifest.nfunc("p2"))
+        assert fit.feasible and (fit.c1, fit.c2, fit.binding) == (1.0, 1.0, "a")
+        assert fit == (1.0, 1.0, "a", True)
 
     @pytest.mark.parametrize("nf_label", ["p2", "p3"])
     @pytest.mark.parametrize("n", [1, 2])
@@ -265,11 +267,12 @@ class TestEnvelopeFit:
         nf = manifest.nfunc(nf_label)
         fields = [f.instantiate(n) for f in manifest.field_functions.values()
                   if f.compatible(n)]
-        fit, rows = fit_lk_norm_envelope(fields, nf, unit_terms(fields, nf, spec), spec)
+        norms = unit_norms(fields, nf, spec)
+        fit = fit_lk_norm_envelope(norms)
         assert fit.feasible
         assert math.isfinite(fit.c1) and math.isfinite(fit.c2)
-        assert fit.binding_label in {f.label for f in fields}
-        for u, (label, *triple) in zip(fields, rows):
+        assert fit.binding in {f.label for f in fields}
+        for u, (label, triple) in zip(fields, norms.items()):
             assert label == u.label
             assert tuple(triple) == norm_triple(u, nf, spec)
             rep = check_lk_norm(triple, fit.c1, fit.c2)
@@ -280,16 +283,17 @@ class TestEnvelopeFit:
         nf = manifest.nfunc("p2")
         all_fields = [f.instantiate(2) for f in manifest.field_functions.values()
                       if f.compatible(2)]
-        terms = unit_terms(all_fields, nf, spec)
-        fit_small, _ = fit_lk_norm_envelope(all_fields[:2], nf, terms, spec)
-        fit_all, _ = fit_lk_norm_envelope(all_fields, nf, terms, spec)
+        norms = unit_norms(all_fields, nf, spec)
+        fit_small = fit_lk_norm_envelope(dict(list(norms.items())[:2]))
+        fit_all = fit_lk_norm_envelope(norms)
         assert fit_all.c1 + fit_all.c2 >= fit_small.c1 + fit_small.c2 - 1e-12
 
     def test_modular_envelope(self, manifest, spec):
         nf = manifest.nfunc("p2")
         fields = lk_fields(manifest, 2)
         triples = {u.label: modular_triple_nd(u, nf, spec) for u in fields}
-        fit, terms = fit_lk_modular_envelope(fields, nf, triples, spec)
+        terms = {u.label: lk_modular_terms(u, nf, triples[u.label], spec) for u in fields}
+        fit = fit_lk_modular_envelope(terms, nf)
         assert fit.feasible
         for u in fields:
             # the fit's terms are one fresh call of (u, nf), bit for bit
@@ -298,6 +302,30 @@ class TestEnvelopeFit:
             rep = check_lk_modular(terms[u.label], nf, fit.c1, fit.c2)
             assert rep.verdict in ("holds", "indeterminate"), (u.label, rep.slack)
             assert 0.0 < rep.theta <= 1.0
+
+    def test_the_fits_integrate_nothing(self, manifest, spec, monkeypatch):
+        # on the members' precomputed terms and norms, with every modular
+        # family, Luxemburg search and panel kernel raising, both fits give
+        # the (C1, C2, binding, feasible) that run_lk records
+        fits = {}
+        run_lk(manifest, spec, [1, 2], [], fits, nfunc_labels=("p2",))
+        nf = manifest.nfunc("p2")
+        members = {n: (unit_terms(lk_fields(manifest, n), nf, spec),
+                       unit_norms(lk_fields(manifest, n), nf, spec)) for n in (1, 2)}
+
+        def integrates(*args, **kwargs):
+            raise AssertionError("an envelope fit integrated")
+
+        for module, name in ((lk_mod, "_modular_family"), (lk_mod, "luxemburg_norm"),
+                             (functionals, "_modular_family"),
+                             (functionals, "luxemburg_norm"), (quadrature, "_gk_panels")):
+            monkeypatch.setattr(module, name, integrates)
+        for n, (terms, norms) in members.items():
+            for form, fit in (("statB1gauss", fit_lk_modular_envelope(terms, nf)),
+                              ("statB2gauss", fit_lk_norm_envelope(norms))):
+                recorded = fits[f"{form}:p2:n={n}"]
+                assert fit == (recorded["C1"], recorded["C2"], recorded["binding"],
+                               recorded["feasible"]), (form, n)
 
 
 class TestProvenanceChain:
