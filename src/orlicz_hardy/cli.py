@@ -185,9 +185,11 @@ def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
 
 
 def load_pair_config(path) -> "mazya_mod.MeasurePair":
-    """The measure pair of a --pair config.  An unreadable file, or a
-    missing or malformed parameter, raises PreconditionError naming the path
-    and the key."""
+    """The measure pair of a --pair config.  An unreadable file, a missing
+    or malformed parameter (a Gaussian n that is not a whole number >= 1
+    among them), or a table label that cannot name its series file (empty,
+    not a string, or holding a path separator) raises PreconditionError
+    naming the path and the key."""
     try:
         cfg = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
@@ -210,11 +212,18 @@ def load_pair_config(path) -> "mazya_mod.MeasurePair":
     if kind == "classical":
         return mazya_mod.classical_pair()
     if kind == "gaussian":
-        return mazya_mod.gaussian_pair(param("p"), param("n", int))
+        n = params.get("n")  # a whole number, such as 2 or 2.0, and not a bool
+        if isinstance(n, bool) or not isinstance(n, (int, float)) or n % 1 or n < 1:
+            raise PreconditionError(f"{path}: params.n must be a whole number >= 1, got {n!r}")
+        return mazya_mod.gaussian_pair(param("p"), int(n))
     if kind == "table":
+        label = cfg.get("label", "table")
+        if not isinstance(label, str) or not label or {"/", "\\"} & set(label):
+            raise PreconditionError(f"{path}: label must be a non-empty string with no "
+                                    f"path separator, got {label!r}")
         return mazya_mod.table_pair(
             param("x", array), param("mu_density", array), param("nu_density", array),
-            param("p"), param("q"), label=cfg.get("label", "table"))
+            param("p"), param("q"), label=label)
     raise PreconditionError(f"unknown measure-pair kind {kind!r}")
 
 
@@ -502,6 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)  # the report's meta.argv
     args = build_parser().parse_args(argv)
     battery = next(b for b in BATTERIES if b.name == args.subcommand)
     out_dir = Path(args.out)
@@ -539,7 +549,7 @@ def main(argv=None) -> int:
         "summary": summary,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_report(report_path, body, {"battery_s": run.battery_s})
+    write_report(report_path, body, {"argv": argv, "battery_s": run.battery_s})
     _write_series_csv(out_dir, run.series)
     print(f"{args.subcommand}: {summary['holds']} holds, {summary['fails']} fails, "
           f"{summary['indeterminate']} indeterminate, {summary['trivial']} trivial "

@@ -248,7 +248,7 @@ def _monomial_gauss_field(exponents, rate: float, n: int,
     bps = (tuple(sorted({math.sqrt(k / a) for k in exps.tolist() if k > 0}))
            if a > 0.0 else ())
     return FieldFunction(u=u, grad=grad, hess=hess, n=n, hint=hint, label=label,
-                         breakpoints=bps, even=True)
+                         breakpoints=bps, symmetry="even")
 
 
 def _gauss_poly_radial_field(even_coefficients, rate: float, n: int,
@@ -256,7 +256,7 @@ def _gauss_poly_radial_field(even_coefficients, rate: float, n: int,
     """Radial field u(x) = P(|x|^2) exp(-rate |x|^2 / 2), P by ascending coefs.
     With s = |x|^2, u changes sign where P(s) does and its radial derivative
     where 2 P'(s) - rate P(s) does: the breakpoints are the square roots of
-    their positive roots.  It is radial, and so even."""
+    their positive roots.  It is radial."""
     coefs = np.asarray(even_coefficients, dtype=float)
     a = float(rate)
     dcoefs = coefs[1:] * np.arange(1, coefs.size)
@@ -296,33 +296,17 @@ def _gauss_poly_radial_field(even_coefficients, rate: float, n: int,
             r_term[..., None, None] * X[..., :, None] * X[..., None, :]
             + q[..., None, None] * eye)
 
-    def profile_u(r):
-        r = np.asarray(r, dtype=float)
-        s = r * r
-        return polyval(s, coefs) * np.exp(-0.5 * a * s)
-
-    def profile_du(r):
-        r = np.asarray(r, dtype=float)
-        s = r * r
-        p = polyval(s, coefs)
-        dp = polyval(s, dcoefs) if dcoefs.size else np.zeros_like(s)
-        return (2.0 * dp - a * p) * r * np.exp(-0.5 * a * s)
-
-    profile = RadialTestFunction(
-        u=profile_u, du=profile_du, breakpoints=bps,
-        hint=SupportHint.decaying(2.0 * (coefs.size - 1.0), a),
-        label=label + "|profile")
     return FieldFunction(
         u=u, grad=grad, hess=hess, n=n,
         hint=SupportHint.decaying(2.0 * (coefs.size - 1.0), a),
-        label=label, radial_profile=profile, breakpoints=bps, even=True)
+        label=label, breakpoints=bps, symmetry="radial")
 
 
 def _cutoff_field(inner: FieldFunction, r1: float, r2: float,
                   label: str) -> FieldFunction:
     """Multiply a field by a C2 radial cutoff: 1 on [0, r1], 0 beyond r2.
     The breakpoints are the inner field's below r2, and r1 and r2; the
-    product is even when the inner field is."""
+    window is radial, so the product keeps the inner field's symmetry."""
     if not (0.0 < r1 < r2):
         raise ManifestError(f"cutoff '{label}' needs 0 < r1 < r2")
     width = r2 - r1
@@ -375,7 +359,7 @@ def _cutoff_field(inner: FieldFunction, r1: float, r2: float,
     bps = tuple(sorted({b for b in inner.breakpoints if b < r2} | {r1, r2}))
     return FieldFunction(u=u, grad=grad, hess=hess, n=inner.n,
                          hint=SupportHint.compact(r2), label=label, breakpoints=bps,
-                         even=inner.even)
+                         symmetry=inner.symmetry)
 
 
 def build_field_function(entry: dict, n: int) -> FieldFunction:
@@ -454,8 +438,9 @@ def load_manifest(path=None) -> CorpusManifest:
     """Load, build, and validate a corpus manifest.
 
     Declared exponents are re-certified on the grid; test functions pass
-    derivative and continuity validation.  Any violation rejects the member
-    with a named reason.
+    derivative and continuity validation, and fields their declared
+    symmetry.  Any violation, or a label two top-level members share,
+    rejects the manifest with a named reason.
     """
     path = Path(path) if path is not None else default_manifest_path()
     grid = GridSpec()
@@ -473,10 +458,19 @@ def load_manifest(path=None) -> CorpusManifest:
     member_fps = {}
     problems = []
 
+    def members(section: str):
+        """(label, entry) of each top-level entry of the section, skipping,
+        as a problem, one whose label an earlier member carries."""
+        for entry in raw.get(section, []):
+            label = entry.get("label", "?")
+            if label in member_fps:
+                problems.append(f"two members are labelled '{label}'")
+                continue
+            member_fps[label] = fingerprint(entry)
+            yield label, entry
+
     nfunctions = {}
-    for entry in raw.get("nfunctions", []):
-        label = entry.get("label", "?")
-        member_fps[label] = fingerprint(entry)
+    for label, entry in members("nfunctions"):
         try:
             nf = certify(build_nfunction(entry), grid)
             _check_nfunction_shape(nf, grid, problems)
@@ -485,9 +479,7 @@ def load_manifest(path=None) -> CorpusManifest:
             problems.append(f"nfunction '{label}': {exc}")
 
     radial = {}
-    for entry in raw.get("radial_functions", []):
-        label = entry.get("label", "?")
-        member_fps[label] = fingerprint(entry)
+    for label, entry in members("radial_functions"):
         try:
             fn = build_radial_function(entry)
             radial_problems = validate_radial(fn)
@@ -499,9 +491,7 @@ def load_manifest(path=None) -> CorpusManifest:
             problems.append(f"radial '{label}': {exc}")
 
     fields = {}
-    for entry in raw.get("field_functions", []):
-        label = entry.get("label", "?")
-        member_fps[label] = fingerprint(entry)
+    for label, entry in members("field_functions"):
         try:
             factory = FieldFactory(entry=entry, label=label,
                                    min_n=_field_min_n(entry))

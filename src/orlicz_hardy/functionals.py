@@ -124,10 +124,10 @@ class FieldFunction:
 
     Callables are vectorised over leading axes: u maps (..., n) -> (...),
     grad maps (..., n) -> (..., n), hess maps (..., n) -> (..., n, n).
-    radial_profile, when set, certifies that u(x) = profile(|x|).  even,
-    when set, declares that |u|, |grad u| and ||hess u||_HS are unchanged
-    under x -> -x.  `validate_field` checks both declarations, and the
-    strongest that holds is the `symmetry` of the field's parts.
+    symmetry, one of `quadrature.SYMMETRIES`, is the field's declaration,
+    which `validate_field` checks and the field's parts carry: "even" that
+    |u|, |grad u| and ||hess u||_HS are unchanged under x -> -x, and
+    "radial" that, besides, u and |grad u| depend on |x| alone.
     breakpoints are radii where the field's profiles along rays may change
     sign or fail to be smooth; every Gaussian integral of the field makes
     them panel edges.
@@ -139,15 +139,8 @@ class FieldFunction:
     hess: Optional[Callable] = None
     hint: SupportHint = field(default_factory=lambda: SupportHint.decaying(0.0, 1.0))
     label: str = ""
-    radial_profile: Optional[RadialTestFunction] = None
     breakpoints: tuple = ()
-    even: bool = False
-
-    @property
-    def symmetry(self) -> str:
-        """The strongest of `quadrature.SYMMETRIES` the field declares."""
-        return ("radial" if self.radial_profile is not None
-                else "even" if self.even else "none")
+    symmetry: str = "none"
 
     def parts(self) -> Parts:
         """The profiles of K = int M(|x| |u|), L = int M(|u|),
@@ -566,10 +559,10 @@ def validate_radial(u: RadialTestFunction) -> list[str]:
 
 def validate_field(u: FieldFunction) -> list[str]:
     """Finite-difference gradient check, exact Hessian symmetry, and the
-    declared symmetry: an `even` field's |u|, |grad u| and ||hess u||_HS
-    agree at x and -x, and a field with a `radial_profile` has u(x) =
-    profile.u(|x|) and |grad u(x)| = |profile.du(|x|)|, to within rounding
-    on every test point."""
+    declared symmetry, one of `quadrature.SYMMETRIES`: an "even" or
+    "radial" field's |u|, |grad u| and ||hess u||_HS agree at x and -x, and
+    a "radial" field's u and |grad u| at x equal theirs at |x| e_1, to
+    within rounding on every test point."""
     problems: list[str] = []
     radius = u.hint.radius * 0.9 if u.hint.kind == "compact" else 3.0
     # 24 points at |x| / radius evenly from 0.05 to 1, in the directions of
@@ -600,24 +593,24 @@ def validate_field(u: FieldFunction) -> list[str]:
         asym = np.abs(h - np.swapaxes(h, -2, -1)).max()
         if asym > 1e-12 * (1.0 + np.abs(h).max()):
             problems.append(f"'{u.label}': Hessian not symmetric (max dev {asym:.3g})")
-    pairs = []  # (declaration, what, value at the test points, what it must equal)
-    if u.even:
+    if u.symmetry not in SYMMETRIES:
+        return problems + [f"'{u.label}': unknown symmetry {u.symmetry!r} "
+                           f"(one of {', '.join(SYMMETRIES)})"]
+    pairs = []  # (what, value at the test points, what it must equal)
+    if u.symmetry != "none":
         both = np.stack([pts, -pts])
-        magnitudes = [("|u|", np.abs(np.asarray(u.u(both), dtype=float))),
-                      ("|grad u|", np.linalg.norm(np.asarray(u.grad(both), dtype=float),
-                                                  axis=-1))]
+        pairs += [("|u|", *np.abs(u.u(both))), ("|grad u|", *np.sqrt(sum_sq(u.grad(both))))]
         if u.hess is not None:
-            magnitudes.append(("||hess u||_HS", hessian_hs_norm(u, both)))
-        pairs += [("even", what, at[0], at[1]) for what, at in magnitudes]
-    if u.radial_profile is not None:
-        r = np.linalg.norm(pts, axis=-1)
-        pairs += [("radial", "u", u.u(pts), u.radial_profile.u(r)),
-                  ("radial", "|grad u|", np.linalg.norm(g, axis=-1),
-                   np.abs(u.radial_profile.du(r)))]
-    for declared, what, a, b in pairs:
+            pairs.append(("||hess u||_HS", *hessian_hs_norm(u, both)))
+    if u.symmetry == "radial":
+        on_axis = np.zeros_like(pts)
+        on_axis[:, 0] = np.sqrt(sum_sq(pts))
+        pairs += [("u", u.u(pts), u.u(on_axis)),
+                  ("|grad u|", np.sqrt(sum_sq(g)), np.sqrt(sum_sq(u.grad(on_axis))))]
+    for what, a, b in pairs:
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         dev = np.abs(a - b).max()
         if not dev <= 1e-12 * (1.0 + np.abs(b).max()):
-            problems.append(f"'{u.label}': declared {declared}, but {what} differs "
+            problems.append(f"'{u.label}': declared {u.symmetry}, but {what} differs "
                             f"by up to {dev:.3g}")
     return problems

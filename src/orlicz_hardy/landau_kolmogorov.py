@@ -41,7 +41,7 @@ from .functionals import (
 from .hardy import check_hn1
 from .nfunc import NFunction, comparison_tol
 from .quadrature import GaussianMeasure, IntegralResult, QuadratureSpec
-from .reporting import TINY, Check
+from .reporting import TINY, Check, verdict
 
 __all__ = [
     "EnvelopeFit",
@@ -218,31 +218,37 @@ def check_lk_norm(triple: tuple, c1: float, c2: float, **meta) -> Check:
 # ---------------------------------------------------------------------------
 
 def fit_envelope(items) -> EnvelopeFit:
-    """Smallest (C1, C2) on `DEFAULT_FIT_GRID` with lhs <= rhs(C1, C2) + tol
-    for every item.
+    """Smallest (C1, C2) on `DEFAULT_FIT_GRID` at which no item fails the
+    rule of the member checks, `verdict(lhs, rhs, 0, comparison_tol(rhs))`.
 
-    items: iterable of (label, lhs, rhs, tol), rhs the item's right side as
-    a function of (C1, C2).  Selection minimises C1 + C2 with ties broken
+    items: iterable of (label, lhs, rhs), rhs the item's right side as a
+    function of (C1, C2).  Selection minimises C1 + C2 with ties broken
     toward smaller C1, whatever the grid order.  The binding item is the one
-    with least slack at the selection.  An item with a non-finite lhs makes
-    every grid pair infeasible.
+    with least rhs + comparison_tol(rhs) - lhs at the selection.  An item
+    with a non-finite lhs makes every grid pair infeasible.
     """
     items = list(items)
     if not items:
         raise PreconditionError("cannot fit an envelope over an empty corpus")
-    if not all(math.isfinite(lhs) for _, lhs, *_ in items):
+    if not all(math.isfinite(lhs) for _, lhs, _ in items):
         return EnvelopeFit(math.inf, math.inf, "", False)
+
+    def at(c1, c2):
+        """Each item's (label, lhs, rhs) at (C1, C2) = (c1, c2)."""
+        return ((label, lhs, rhs(c1, c2)) for label, lhs, rhs in items)
+
     best = None
     for c1 in DEFAULT_FIT_GRID:
         for c2 in DEFAULT_FIT_GRID:
             if best is not None and (c1 + c2, c1) >= best[:2]:
                 continue
-            if all(lhs <= rhs(c1, c2) + tol for _, lhs, rhs, tol in items):
+            if all(verdict(lhs, rhs, 0.0, comparison_tol(rhs)) != "fails"
+                   for _, lhs, rhs in at(c1, c2)):
                 best = (c1 + c2, c1, c2)
     if best is None:
         return EnvelopeFit(math.inf, math.inf, "", False)
     _, c1, c2 = best
-    binding = min(items, key=lambda it: it[2](c1, c2) + it[3] - it[1])
+    binding = min(at(c1, c2), key=lambda it: it[2] + comparison_tol(it[2]) - it[1])
     return EnvelopeFit(c1, c2, binding[0], True)
 
 
@@ -251,8 +257,7 @@ def fit_lk_norm_envelope(norms: dict) -> EnvelopeFit:
     `lk_norm_triple`, keyed by label; a member with r = t = 0 constrains
     nothing."""
     return fit_envelope(
-        (label, r.value, lambda c1, c2, s=s.value, t=t.value: c1 * s + c2 * t,
-         comparison_tol(r.value, 1e-9))
+        (label, r.value, lambda c1, c2, s=s.value, t=t.value: c1 * s + c2 * t)
         for label, (r, s, t) in norms.items() if not (t.value <= 0.0 and r.value <= 0.0))
 
 
@@ -262,8 +267,7 @@ def fit_lk_modular_envelope(terms: dict, nf: NFunction) -> EnvelopeFit:
     each member's right side is its `uniform_bound` at (C1, C2)."""
     d, D = nf.require_exponents()
     return fit_envelope(
-        (label, t.lhs.value, lambda c1, c2, t=t: sum(uniform_bound(t, c1, c2, d, D)[1:3]),
-         comparison_tol(t.lhs.value, 1e-9))
+        (label, t.lhs.value, lambda c1, c2, t=t: sum(uniform_bound(t, c1, c2, d, D)[1:3]))
         for label, t in terms.items())
 
 

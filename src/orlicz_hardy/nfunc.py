@@ -39,9 +39,9 @@ DEFAULT_GRID_BOUNDS = (1e-6, 1e6)
 DEFAULT_GRID_POINTS = 400
 
 
-def comparison_tol(rhs: float, scale: float = 1e-12) -> float:
-    """Additive tolerance for inequality comparisons: scale * max(1, |rhs|)."""
-    return scale * max(1.0, abs(rhs))
+def comparison_tol(rhs: float) -> float:
+    """Additive tolerance for inequality comparisons: 1e-12 max(1, |rhs|)."""
+    return 1e-12 * max(1.0, abs(rhs))
 
 
 @dataclass

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -170,11 +169,10 @@ def summarize_verdicts(checks) -> dict:
 def write_report(path, body: dict, extra_meta: dict | None = None) -> None:
     """Write the one-line JSON document {"body": ..., "meta": ...}.  The body
     is serialised once, as its canonical JSON, and `meta.body_sha256` is the
-    digest of exactly those bytes."""
+    digest of exactly those bytes; extra_meta (argv, say) joins the meta."""
     text = canonical_json(body)
     meta = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "argv": sys.argv,
         "body_sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
     if extra_meta:

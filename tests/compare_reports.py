@@ -1,4 +1,4 @@
-"""Print the checks whose numbers moved between two directories of reports.
+"""Print the checks and fits that moved between two directories of reports.
 
     python tests/compare_reports.py DIR_A DIR_B
 
@@ -6,10 +6,12 @@ A report is a ``*.json`` file with a ``body``, at any depth under each
 directory.  For each report both directories hold, at the same relative
 path, one line is printed per check id whose ``lhs``, ``rhs``, ``err_est``
 or a numeric ``constants_used`` entry differs, naming the field with the
-largest relative move and the move; and one line per check id, or report,
-that only one side holds.  The move is |a - b| / max(|a|, |b|), and inf
-where a value is missing or non-finite on one side only.  No output, and
-exit status 0, means no check moved; otherwise the status is 1.
+largest relative move and the move; one line per fit whose ``C1`` or
+``C2`` moved, named the same way, or whose ``binding``, ``feasible``,
+``corpus`` or ``grid`` differs, naming each; and one line per check id,
+fit or report that only one side holds.  The move is |a - b| / max(|a|,
+|b|), and inf where a value is missing or non-finite on one side only.  No
+output, and exit status 0, means nothing moved; otherwise the status is 1.
 
 Verdicts are held by the ledger (``tests/data/verdicts.json``); this lists
 the values behind them, for the moved-check records a change writes.
@@ -46,14 +48,35 @@ def _values(check: dict) -> dict:
     return values
 
 
+def _largest_move(a: dict, b: dict, keys) -> list[str]:
+    """The key whose values in a and b moved most, and its relative move,
+    if any moved."""
+    move, name = max((relative_move(a.get(key), b.get(key)), key) for key in keys)
+    return [f"{name} moved {move:.3g} relative"] if move > 0.0 else []
+
+
+def _check_moves(a: dict, b: dict) -> list[str]:
+    va, vb = _values(a), _values(b)
+    return _largest_move(va, vb, va.keys() | vb.keys())
+
+
+def _fit_moves(a: dict, b: dict) -> list[str]:
+    return _largest_move(a, b, ("C1", "C2")) + [
+        f"{key} differs" for key in ("binding", "feasible", "corpus", "grid")
+        if a.get(key) != b.get(key)]
+
+
 def _reports(root: Path) -> dict:
-    """relative path -> {check id: check} of each report under root."""
+    """relative path -> {"checks": {check id: check}, "fits": {fit id: fit}}
+    of each report under root."""
     reports = {}
     for path in sorted(root.rglob("*.json")):
         doc = json.loads(path.read_text())
         if isinstance(doc, dict) and "checks" in doc.get("body", {}):
+            body = doc["body"]
             reports[path.relative_to(root).as_posix()] = {
-                check["check_id"]: check for check in doc["body"]["checks"]}
+                "checks": {check["check_id"]: check for check in body["checks"]},
+                "fits": body.get("fits", {})}
     return reports
 
 
@@ -65,16 +88,13 @@ def compare(dir_a, dir_b) -> list[str]:
         if rel not in b_reports or rel not in a_reports:
             lines.append(f"{rel}: only in {dir_a if rel in a_reports else dir_b}")
             continue
-        a, b = a_reports[rel], b_reports[rel]
-        for check_id in sorted(a.keys() | b.keys()):
-            if check_id not in b or check_id not in a:
-                lines.append(f"{rel} {check_id}: only in {dir_a if check_id in a else dir_b}")
-                continue
-            va, vb = _values(a[check_id]), _values(b[check_id])
-            move, name = max((relative_move(va.get(key), vb.get(key)), key)
-                             for key in va.keys() | vb.keys())
-            if move > 0.0:
-                lines.append(f"{rel} {check_id}: {name} moved {move:.3g} relative")
+        for kind, prefix, moves in (("checks", "", _check_moves), ("fits", "fit ", _fit_moves)):
+            a, b = a_reports[rel][kind], b_reports[rel][kind]
+            for key in sorted(a.keys() | b.keys()):
+                if key not in b or key not in a:
+                    lines.append(f"{rel} {prefix}{key}: only in {dir_a if key in a else dir_b}")
+                elif moved := moves(a[key], b[key]):
+                    lines.append(f"{rel} {prefix}{key}: {'; '.join(moved)}")
     return lines
 
 

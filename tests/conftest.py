@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from orlicz_hardy.corpus import load_manifest
+from orlicz_hardy.corpus import build_radial_function, load_manifest
 from orlicz_hardy.quadrature import QuadratureSpec
 
 ROOT = Path(__file__).parent.parent
@@ -30,6 +30,18 @@ def from_the_root(argv: list) -> list:
     """argv with each word that names a file under the repository root made
     absolute: the workflow runs from the root, and reads path arguments there."""
     return [str(ROOT / word) if (ROOT / word).is_file() else word for word in argv]
+
+
+def radial_profile(factory):
+    """The radial profile of a `gauss_poly_radial` field, built apart from
+    the field: the radial `poly_gauss` kind from the same coefficients, with
+    P(r^2) written as a polynomial in r."""
+    params = factory.entry["params"]
+    coefficients = [0.0] * (2 * len(params["even_coefficients"]) - 1)
+    coefficients[::2] = params["even_coefficients"]
+    return build_radial_function({
+        "label": factory.label + "|profile", "kind": "poly_gauss",
+        "params": {"coefficients": coefficients, "rate": params["rate"]}})
 
 
 @pytest.fixture(scope="session")

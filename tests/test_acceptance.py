@@ -8,6 +8,7 @@ import json
 import math
 
 import numpy as np
+from conftest import radial_profile
 
 from orlicz_hardy.cli import main as cli_main
 from orlicz_hardy.functionals import (
@@ -196,10 +197,10 @@ def test_08_lemma_suites(manifest):
 def test_09_nd_consistency(manifest, spec):
     nf3 = manifest.nfunc("p3")
     d, D = nf3.require_exponents()
-    field = manifest.field_functions["fr_smooth"].instantiate(2)
-    rep_nd = check_wwww(modular_triple_nd(field, nf3, spec), nf3, 2)
+    factory = manifest.field_functions["fr_smooth"]
+    rep_nd = check_wwww(modular_triple_nd(factory.instantiate(2), nf3, spec), nf3, 2)
     rep_rad = check_alternative(
-        modular_triple_radial(field.radial_profile, nf3, 2, spec), d, D, 2)
+        modular_triple_radial(radial_profile(factory), nf3, 2, spec), d, D, 2)
     scale = surface_area(2)
     agree = (rep_nd.verdict == rep_rad.verdict
              and abs(rep_nd.slack - scale * rep_rad.slack)

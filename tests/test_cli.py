@@ -306,6 +306,19 @@ def test_report_matches_schema(tmp_path, argv):
     jsonschema.validate(load_report(tmp_path / "r.json"), SCHEMA)
 
 
+def test_a_report_records_the_argv_main_parsed(tmp_path, monkeypatch):
+    # main run in-process records its own arguments, not its host's sys.argv;
+    # with none given it parses, and records, sys.argv[1:]
+    monkeypatch.setattr(sys, "argv", ["host", "--host-flag"])
+    argv = ["--out", str(tmp_path / "given"), "sharpness", "--p", "3", "--n", "1"]
+    assert main(argv) == 0
+    assert load_report(tmp_path / "given" / "sharpness.json")["meta"]["argv"] == argv
+    default = ["--out", str(tmp_path / "default"), "sharpness", "--p", "3", "--n", "1"]
+    monkeypatch.setattr(sys, "argv", ["orlicz-hardy", *default])
+    assert main() == 0
+    assert load_report(tmp_path / "default" / "sharpness.json")["meta"]["argv"] == default
+
+
 def fail_first_family(monkeypatch, rows: int) -> list:
     """Make the first `_adaptive` call on a family of `rows` rows report
     non-convergence, as a refinement that runs out of panels does; returns
@@ -629,7 +642,23 @@ class TestUnreadableInputExitsTwo:
         ('{"kind": "table", "params": {"x": [0, 1', "cannot read the measure-pair config"),
         (json.dumps({"kind": "gaussian", "params": {"p": "three", "n": 2}}),
          "params.p is malformed"),
-    ], ids=["no-nu-density", "json-list", "truncated", "non-numeric-p"])
+        # n once ran truncated (2.5 as 2) or as a bool (true as 1)
+        (json.dumps({"kind": "gaussian", "params": {"p": 3, "n": 2.5}}),
+         "params.n must be a whole number >= 1, got 2.5"),
+        (json.dumps({"kind": "gaussian", "params": {"p": 3, "n": True}}),
+         "params.n must be a whole number >= 1, got True"),
+        (json.dumps({"kind": "gaussian", "params": {"p": 3, "n": 0}}),
+         "params.n must be a whole number >= 1, got 0"),
+        # the label names the series file: sub/dir once wrote mazya.json,
+        # then failed to write mazya_sub/dir.csv
+        (json.dumps({**table_cfg([0, 1, 2], [1, 1, 1], [1, 1, 1]), "label": "sub/dir"}),
+         "label must be a non-empty string with no path separator, got 'sub/dir'"),
+        (json.dumps({**table_cfg([0, 1, 2], [1, 1, 1], [1, 1, 1]), "label": ""}),
+         "label must be a non-empty string with no path separator, got ''"),
+        (json.dumps({**table_cfg([0, 1, 2], [1, 1, 1], [1, 1, 1]), "label": 7}),
+         "label must be a non-empty string with no path separator, got 7"),
+    ], ids=["no-nu-density", "json-list", "truncated", "non-numeric-p", "fractional-n",
+            "bool-n", "zero-n", "label-with-separator", "empty-label", "non-string-label"])
     def test_malformed_pair_config(self, tmp_path, capsys, text, reason):
         path = tmp_path / "pair.json"
         path.write_text(text)
@@ -637,6 +666,7 @@ class TestUnreadableInputExitsTwo:
         err = capsys.readouterr().err
         assert str(path) in err and reason in err
         assert not (tmp_path / "mazya.json").exists()
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_missing_pair_config(self, tmp_path, capsys):
         path = tmp_path / "absent.json"

@@ -1,18 +1,23 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
+from conftest import radial_profile
 
 from orlicz_hardy import corpus
 from orlicz_hardy.corpus import (
+    FieldFactory,
     build_field_function,
     build_radial_function,
+    default_manifest_path,
     fingerprint,
     load_manifest,
 )
 from orlicz_hardy.errors import CertificationError, ManifestError, PreconditionError
-from orlicz_hardy.functionals import FieldFunction
+from orlicz_hardy.functionals import FieldFunction, modular_triple_nd
+from orlicz_hardy.hardy import check_hn1
 from orlicz_hardy.nfunc import GridSpec, NFunction, certify
 
 
@@ -157,7 +162,7 @@ class TestRejection:
             a, b = plain(exponents, rate, n, label), plain([0], rate, n, label)
             return FieldFunction(u=lambda X: a.u(X) + b.u(X),
                                  grad=lambda X: a.grad(X) + b.grad(X),
-                                 n=n, label=label, even=True)
+                                 n=n, label=label, symmetry="even")
 
         monkeypatch.setattr(corpus, "_monomial_gauss_field", shifted)
         path = write_manifest(tmp_path, {"schema": 1, "field_functions": [
@@ -165,6 +170,31 @@ class TestRejection:
              "params": {"exponents": [1], "rate": 1.0}}]})
         with pytest.raises(ManifestError, match=re.escape("'odd': declared even, but |u|")):
             load_manifest(path)
+
+
+    @pytest.mark.parametrize("section, entry", [
+        ("nfunctions", {"label": "p2", "kind": "power", "params": {"p": 3}}),
+        ("field_functions", {"label": "p2", "kind": "monomial_gauss",
+                             "params": {"exponents": [1], "rate": 1.0}}),
+    ], ids=["two-nfunctions", "a-field-and-an-nfunction"])
+    def test_a_label_two_members_share_rejects_the_manifest(self, tmp_path, section,
+                                                            entry):
+        # members, and the body's corpus fingerprints, are keyed by label, so
+        # the later member would silently replace the earlier
+        packaged = json.loads(default_manifest_path().read_text())
+        path = write_manifest(tmp_path, {**packaged, section: packaged[section] + [entry]})
+        with pytest.raises(ManifestError, match="two members are labelled 'p2'"):
+            load_manifest(path)
+
+    def test_an_inner_entry_is_not_a_member(self, tmp_path):
+        # a cutoff's inner entry may carry any label: only top-level entries count
+        packaged = json.loads(default_manifest_path().read_text())
+        fields = [dict(entry) for entry in packaged["field_functions"]]
+        cut = next(entry for entry in fields if entry["label"] == "fx_cut")
+        cut["params"] = {**cut["params"], "inner": {**cut["params"]["inner"],
+                                                    "label": "fx_lin"}}
+        loaded = load_manifest(write_manifest(tmp_path, {**packaged, "field_functions": fields}))
+        assert sorted(loaded.field_functions) == sorted(e["label"] for e in fields)
 
 
 class TestBuilders:
@@ -196,6 +226,31 @@ class TestBuilders:
         inner_pt = np.array([[1.0, 0.5]])
         assert field.u(inner_pt)[0] == pytest.approx(1.0)
 
+    def test_a_cutoff_keeps_its_inner_fields_symmetry(self, tmp_path, manifest, spec):
+        # the window is radial, so a cutoff of a radial field loads as
+        # radial: its families integrate e_1 alone, and its hn1 checks reach
+        # the verdicts of the even rule's drawn half, with values within err_est
+        entry = {"label": "fr_cut", "kind": "cutoff", "params": {
+            "r1": 2.0, "r2": 3.0, "inner": {"kind": "gauss_poly_radial", "params": {
+                "even_coefficients": [1.0, 0.5], "rate": 1.0}}}}
+        loaded = load_manifest(write_manifest(tmp_path, {"schema": 1,
+                                                         "field_functions": [entry]}))
+        compared = 0
+        for n in (1, 2, 3):
+            field = loaded.field_functions["fr_cut"].instantiate(n)
+            assert field.symmetry == "radial"
+            even = dataclasses.replace(field, symmetry="even")
+            for nf_label, nf in sorted(manifest.nfunctions.items()):
+                radial_check = check_hn1(modular_triple_nd(field, nf, spec), nf, n)
+                even_check = check_hn1(modular_triple_nd(even, nf, spec), nf, n)
+                where = (nf_label, n)
+                assert radial_check.verdict == even_check.verdict, where
+                err = radial_check.err_est + even_check.err_est
+                assert abs(radial_check.lhs - even_check.lhs) <= err, where
+                assert abs(radial_check.rhs - even_check.rhs) <= err, where
+                compared += 1
+        assert compared == 15
+
     def test_kinks_are_declared_breakpoints(self, manifest):
         # M(|f|) has a kink where f changes sign: every interior sign change
         # of u and u' is a panel edge
@@ -218,7 +273,11 @@ class TestBuilders:
             "params": {"even_coefficients": [-1.0, 1.0], "rate": 1.0}}, 2)
         # u = (s - 1) exp(-s/2), s = |x|^2: u at s = 1; 2 - (s - 1) at s = 3
         assert radial_field.breakpoints == pytest.approx((1.0, np.sqrt(3.0)))
-        assert radial_field.radial_profile.breakpoints == radial_field.breakpoints
+        # and the radial poly_gauss kind finds them in r from (r^2 - 1) e^(-r^2/2)
+        assert radial_profile(FieldFactory(
+            {"kind": "gauss_poly_radial",
+             "params": {"even_coefficients": [-1.0, 1.0], "rate": 1.0}}, "fr"),
+        ).breakpoints == pytest.approx(radial_field.breakpoints)
 
     def test_fingerprint_stable(self):
         entry = {"label": "p3", "kind": "power", "params": {"p": 3}}

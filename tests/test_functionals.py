@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import radial_profile
 
 from orlicz_hardy import functionals, quadrature
 from orlicz_hardy import hardy as hardy_mod
@@ -229,14 +230,20 @@ class TestValidation:
         problems = validate_field(bad)
         assert problems and "gradient mismatch" in problems[0]
 
-    def test_a_radial_profile_that_misreads_the_field_is_reported(self, manifest):
-        field = manifest.field_functions["fr_smooth"].instantiate(2)
-        wide = manifest.field_functions["fr_wide"].instantiate(2)
-        assert validate_field(field) == []
-        problems = validate_field(
-            dataclasses.replace(field, radial_profile=wide.radial_profile))
+    def test_a_field_declared_radial_that_is_not_is_reported(self, manifest):
+        # fx_lin is even, so only its radial checks miss: u and |grad u| at
+        # x differ from theirs at |x| e_1
+        field = manifest.field_functions["fx_lin"].instantiate(2)
+        assert field.symmetry == "even" and validate_field(field) == []
+        problems = validate_field(dataclasses.replace(field, symmetry="radial"))
         assert [p.split(" differs")[0] for p in problems] == [
-            "'fr_smooth': declared radial, but u", "'fr_smooth': declared radial, but |grad u|"]
+            "'fx_lin': declared radial, but u", "'fx_lin': declared radial, but |grad u|"]
+
+    def test_an_unknown_symmetry_is_reported(self, manifest):
+        field = manifest.field_functions["fr_smooth"].instantiate(2)
+        assert field.symmetry == "radial" and validate_field(field) == []
+        assert validate_field(dataclasses.replace(field, symmetry="odd")) == [
+            "'fr_smooth': unknown symmetry 'odd' (one of none, even, radial)"]
 
     def test_corpus_members_validate(self, manifest):
         for u in manifest.radial_functions.values():
@@ -260,7 +267,7 @@ class TestModularTripleNd:
         for n in (1, 2, 3):
             field = factory.instantiate(n)
             tri_nd = modular_triple_nd(field, nf, spec)
-            tri_rad = modular_triple_radial(field.radial_profile, nf, n, spec)
+            tri_rad = modular_triple_radial(radial_profile(factory), nf, n, spec)
             area = surface_area(n)
             assert tri_nd.K.value == pytest.approx(area * tri_rad.K.value, rel=1e-8)
             assert tri_nd.L.value == pytest.approx(area * tri_rad.L.value, rel=1e-8)
@@ -307,7 +314,7 @@ class TestSphereRuleOfTheSymmetry:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_even_fields_on_the_drawn_directions_equal_the_full_sphere(
             self, manifest, spec, n, monkeypatch):
-        # every packaged field is even; without its radial profile a field's
+        # every packaged field is even or radial; declared even, a field's
         # family integrates the drawn half of the sphere directions, and its
         # modulars are, bit for bit, those of the family on all of them
         rows, family = [], quadrature.integrate_radial_family
@@ -322,8 +329,8 @@ class TestSphereRuleOfTheSymmetry:
         for label, factory in sorted(manifest.field_functions.items()):
             if not factory.compatible(n):
                 continue
-            even = dataclasses.replace(factory.instantiate(n), radial_profile=None)
-            reference = dataclasses.replace(even, even=False)
+            even = dataclasses.replace(factory.instantiate(n), symmetry="even")
+            reference = dataclasses.replace(even, symmetry="none")
             assert (even.symmetry, reference.symmetry) == ("even", "none")
             for nf_label, nf in sorted(manifest.nfunctions.items()):
                 where = (label, nf_label, n)
@@ -338,14 +345,16 @@ class TestSphereRuleOfTheSymmetry:
     @pytest.mark.parametrize("normalized", [False, True])
     def test_radial_fields_integrate_one_direction(self, manifest, spec, normalized):
         # K, L and G of a radial field on e_1 alone are the surface area
-        # times those of its radial profile, within the field's err_est
+        # times those of its radial profile, built as the radial poly_gauss
+        # kind, within the field's err_est
         for label in ("fr_smooth", "fr_wide"):
             for n in (1, 2, 3):
                 field = manifest.field_functions[label].instantiate(n)
                 scale = surface_area(n) * ((2.0 * math.pi) ** (-n / 2.0) if normalized else 1.0)
                 for nf_label, nf in sorted(manifest.nfunctions.items()):
                     triple = modular_triple_nd(field, nf, spec, normalized)
-                    radial = modular_triple_radial(field.radial_profile, nf, n, spec)
+                    radial = modular_triple_radial(
+                        radial_profile(manifest.field_functions[label]), nf, n, spec)
                     assert np.array_equal(triple.K.panels[2], np.eye(1, n))
                     for a, b in zip(triple, radial):
                         assert abs(a.value - scale * b.value) <= a.err_est, (label, nf_label, n)

@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import radial_profile
 
 from orlicz_hardy.errors import PreconditionError
 from orlicz_hardy.functionals import (
@@ -237,7 +238,7 @@ class TestCheckNd:
         for n in (2, 3):
             field = factory.instantiate(n)
             rep_nd = check_wwww(modular_triple_nd(field, nf, spec), nf, n)
-            tri_rad = modular_triple_radial(field.radial_profile, nf, n, spec)
+            tri_rad = modular_triple_radial(radial_profile(factory), nf, n, spec)
             rep_rad = check_alternative(tri_rad, d, D, n)
             area = surface_area(n)
             assert rep_nd.verdict == rep_rad.verdict
@@ -248,7 +249,7 @@ class TestCheckNd:
         factory = manifest.field_functions["fr_wide"]
         field = factory.instantiate(2)
         rep_nd = check_hn1(modular_triple_nd(field, nf, spec), nf, 2)
-        tri_rad = modular_triple_radial(field.radial_profile, nf, 2, spec)
+        tri_rad = modular_triple_radial(radial_profile(factory), nf, 2, spec)
         rep_rad = check_convex_case(tri_rad, 2.0, 2)
         assert rep_nd.verdict == rep_rad.verdict == "holds"
         assert rep_nd.slack == pytest.approx(

@@ -15,6 +15,7 @@ from orlicz_hardy.errors import PreconditionError
 from orlicz_hardy.functionals import (
     FieldFunction,
     ModularTriple,
+    Norm,
     SupportHint,
     hessian_hs_norm,
     modular_triple_nd,
@@ -31,7 +32,7 @@ from orlicz_hardy.landau_kolmogorov import (
     lk_norm_triple,
     uniform_bound,
 )
-from orlicz_hardy.nfunc import comparison_tol, power_nfunction
+from orlicz_hardy.nfunc import power_nfunction
 from orlicz_hardy.quadrature import IntegralResult
 from orlicz_hardy.reporting import canonical_json
 
@@ -215,14 +216,14 @@ class TestNormTriple:
         assert t2.value == pytest.approx(c * t1.value, rel=1e-8)
 
 
-def linear(lhs, x, y, tol, label="a"):
+def linear(lhs, x, y, label="a"):
     """A fit item whose right side is C1 x + C2 y."""
-    return (label, lhs, lambda c1, c2: c1 * x + c2 * y, tol)
+    return (label, lhs, lambda c1, c2: c1 * x + c2 * y)
 
 
 class TestEnvelopeFit:
     def test_fit_minimises_sum(self, monkeypatch):
-        items = [linear(1.0, 1.0, 0.0, 1e-12, "a"), linear(2.0, 0.0, 1.0, 1e-12, "b")]
+        items = [linear(1.0, 1.0, 0.0, "a"), linear(2.0, 0.0, 1.0, "b")]
         monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", (0.5, 1.0, 2.0, 4.0))
         c1, c2, binding, ok = fit_envelope(items)
         assert ok
@@ -230,22 +231,22 @@ class TestEnvelopeFit:
         assert binding in ("a", "b")
 
     def test_tie_goes_to_smaller_c1_whatever_the_grid_order(self, monkeypatch):
-        items = [linear(3.0, 1.0, 1.0, 0.0)]
+        items = [linear(3.0, 1.0, 1.0)]
         for grid in ((1.0, 2.0), (2.0, 1.0)):
             monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", grid)
             c1, c2, binding, ok = fit_envelope(items)
             assert ok and (c1, c2, binding) == (1.0, 2.0, "a"), grid
 
     def test_infeasible_grid(self, monkeypatch):
-        items = [linear(100.0, 1e-9, 1e-9, 0.0)]
+        items = [linear(100.0, 1e-9, 1e-9)]
         monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", (0.5, 1.0))
         c1, c2, _, ok = fit_envelope(items)
         assert not ok and math.isinf(c1)
 
     def test_infinite_lhs_is_infeasible(self, monkeypatch):
-        # the tol both LK fits take from the lhs is inf here, which must not
-        # let inf <= C1 x + C2 y + tol pass
-        items = [linear(math.inf, 1.0, 1.0, comparison_tol(math.inf, 1e-9))]
+        # against an infinite right side the tolerance is inf too, which
+        # must not let an infinite lhs pass
+        items = [linear(math.inf, 1.0, 1.0), linear(math.inf, math.inf, 1.0, "b")]
         monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", (1.0,))
         assert fit_envelope(items) == (math.inf, math.inf, "", False)
 
@@ -256,10 +257,27 @@ class TestEnvelopeFit:
         # theta* = 0.59, so the fit takes the next pair, (1, 1)
         terms = exact_terms(1.0, 1.0, 0.25)
         monkeypatch.setattr(lk_mod, "DEFAULT_FIT_GRID", (0.5, 1.0, 2.0))
-        assert fit_envelope([linear(1.0, 1.0, 0.25, 1e-9)]) == (1.0, 0.5, "a", True)
+        assert fit_envelope([linear(1.0, 1.0, 0.25)]) == (1.0, 0.5, "a", True)
         fit = fit_lk_modular_envelope({"a": terms}, manifest.nfunc("p2"))
         assert fit.feasible and (fit.c1, fit.c2, fit.binding) == (1.0, 1.0, "a")
         assert fit == (1.0, 1.0, "a", True)
+
+    def test_a_fit_admits_no_pair_at_which_a_member_check_fails(self, manifest):
+        # lhs exceeds the right side at the cheapest pair by 5e-10, more than
+        # the checks' tolerance 1e-12 max(1, |rhs|): each fit takes the next
+        # pair, at which its member's check holds, and binds on the member
+        lhs, half = 1.0000000005, Norm(0.5, 0.5, 0.5)
+        norms = {"a": (Norm(lhs, lhs, lhs), half, half)}
+        assert check_lk_norm(norms["a"], 1.0, 1.0).verdict == "fails"
+        fit = fit_lk_norm_envelope(norms)
+        assert fit == (0.125, 2.0, "a", True)
+        assert check_lk_norm(norms["a"], fit.c1, fit.c2).verdict == "holds"
+        nf = manifest.nfunc("p2")
+        terms = {"a": exact_terms(lhs, 0.0, 1.0)}  # right side C2, at theta = 1
+        assert check_lk_modular(terms["a"], nf, 0.125, 1.0).verdict == "fails"
+        fit = fit_lk_modular_envelope(terms, nf)
+        assert fit == (0.125, 2.0, "a", True)
+        assert check_lk_modular(terms["a"], nf, fit.c1, fit.c2).verdict == "holds"
 
     @pytest.mark.parametrize("nf_label", ["p2", "p3"])
     @pytest.mark.parametrize("n", [1, 2])

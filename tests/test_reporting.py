@@ -162,3 +162,22 @@ def test_compare_reports_names_each_moved_check(tmp_path):
     assert sorted(lines) == sorted([
         f"sharpness.json {nudged['check_id']}: lhs moved {move:.3g} relative",
         f"sharpness.json {dropped['check_id']}: only in {a}"])
+    # and the fits of an lk report: one fit's binding edited, another's C1
+    # doubled and its feasible flipped, a third dropped from the copy
+    c, d = tmp_path / "c", tmp_path / "d"
+    assert main(["--out", str(c), "lk", "--nfunc", "p2", "--dim", "1..2"]) == 0
+    shutil.copytree(c, d)
+    assert compare_reports(c, d) == (0, [])
+    path = d / "lk.json"
+    doc = json.loads(path.read_text())
+    fits = doc["body"]["fits"]
+    edited, doubled, dropped = sorted(fits)[:3]
+    fits[edited]["binding"] = "edited"
+    fits[doubled]["C1"] *= 2.0
+    fits[doubled]["feasible"] = not fits[doubled]["feasible"]
+    del fits[dropped]
+    path.write_text(json.dumps(doc))
+    assert compare_reports(c, d) == (1, [
+        f"lk.json fit {edited}: binding differs",
+        f"lk.json fit {doubled}: C1 moved 0.5 relative; feasible differs",
+        f"lk.json fit {dropped}: only in {c}"])
