@@ -82,52 +82,58 @@ def run_certify(manifest, checks: list):
 def run_hardy(manifest, spec, dims, checks: list, nfunc_label=None, form=None,
               normalized=False):
     """The rows of `hardy.FORMS` over the corpus: the row whose selectors
-    hold `form`, or without one every row on its default subjects.  At each
-    dimension every radial member, and every field, is one modular family
-    spanning each N-function that some row of its side admits.  A run in
-    which no row admits any (N-function, dimension) is a PreconditionError."""
+    hold `form`, or without one every row on its default subjects.
+
+    Each radial member is one modular family across every dimension: it
+    spans each (N-function, n) pair that some radial row admits, and only
+    those, so its integrands are evaluated once a sweep for all of them and
+    weighted once per dimension.  At each dimension each field is one
+    modular family spanning each N-function that some row on R^n admits.
+    A run in which no row admits any (N-function, dimension) is a
+    PreconditionError."""
     if nfunc_label == "":
         raise PreconditionError("--nfunc names no N-function")
     nfuncs = dict(sorted(({nfunc_label: manifest.nfunc(nfunc_label)} if nfunc_label
                           else manifest.nfunctions).items()))
     rows = [row for row in hardy_mod.FORMS
             if (form in row.selectors if form else row.default != ())]
-    admitted_anywhere = False
+    admitted = {(nf_label, n): [row for row in rows if row.admits(*nf.require_exponents(), n)]
+                for n in dims for nf_label, nf in nfuncs.items()}
+    if not any(admitted.values()):
+        raise PreconditionError(
+            "no (N-function, dimension) of this run meets the hypothesis of "
+            + "; ".join(f"form {row.name} (--form {'|'.join(row.selectors)}): "
+                        f"{row.hypothesis}" for row in rows))
+
+    def under(nd: bool, pairs):
+        """The pairs at which some row of the side admits the N-function."""
+        return [pair for pair in pairs if any(row.nd == nd for row in admitted[pair])]
+
+    # each side: label -> (subject, {(N-function label, n): triple})
+    pairs = under(False, admitted)
+    nfs, ns = [nfuncs[nf_label] for nf_label, _ in pairs], [n for _, n in pairs]
+    radial = {label: (u, dict(zip(pairs, modular_triple_radial(u, nfs, ns, spec))))
+              for label, u in sorted(manifest.radial_functions.items()) if pairs}
     for n in dims:
-        admitted = {nf_label: [row for row in rows if row.admits(*nf.require_exponents(), n)]
-                    for nf_label, nf in nfuncs.items()}
-        admitted_anywhere = admitted_anywhere or any(admitted.values())
-        fields = [(label, factory.instantiate(n))
-                  for label, factory in sorted(manifest.field_functions.items())
-                  if factory.compatible(n)]
-        sides = {}  # side -> (measure, {label: (subject, {N-function label: triple})})
-        for nd, measure, subjects, triples_of in (
-                (False, RadialMeasure(n), sorted(manifest.radial_functions.items()),
-                 lambda u, nfs: modular_triple_radial(u, nfs, n, spec)),
-                (True, GaussianMeasure(n, normalized), fields,
-                 lambda u, nfs: modular_triple_nd(u, nfs, spec, normalized=normalized))):
-            # one family per subject, under each N-function some row of the side admits
-            under = [nf_label for nf_label, nf_rows in admitted.items()
-                     if any(row.nd == nd for row in nf_rows)]
-            nfs = [nfuncs[nf_label] for nf_label in under]
-            sides[nd] = measure, {label: (u, dict(zip(under, triples_of(u, nfs))))
-                                  for label, u in subjects if under}
+        pairs = under(True, [(nf_label, n) for nf_label in nfuncs])
+        nfs = [nfuncs[nf_label] for nf_label, _ in pairs]
+        fields = {}
+        for label, factory in sorted(manifest.field_functions.items()):
+            if pairs and factory.compatible(n):
+                u = factory.instantiate(n)
+                fields[label] = u, dict(zip(pairs, modular_triple_nd(
+                    u, nfs, spec, normalized=normalized)))
         for nf_label, nf in nfuncs.items():
-            for row in admitted[nf_label]:
-                measure, subjects = sides[row.nd]
+            for row in admitted[nf_label, n]:
+                measure = GaussianMeasure(n, normalized) if row.nd else RadialMeasure(n)
                 # the admissible corpus: subjects whose modulars are finite for nf
-                for u_label, (u, by_nf) in subjects.items():
-                    triple = by_nf[nf_label]
+                for u_label, (u, by_pair) in (fields if row.nd else radial).items():
+                    triple = by_pair[nf_label, n]
                     if triple.valid and (form or row.default is None or u_label in row.default):
                         checks.append(row.check(
                             u, triple, nf, measure, spec,
                             check_id=f"{row.name}:{nf_label}:{u_label}:n={n}",
                             nfunc_label=nf_label, subject_label=u_label))
-    if not admitted_anywhere:
-        raise PreconditionError(
-            "no (N-function, dimension) of this run meets the hypothesis of "
-            + "; ".join(f"form {row.name} (--form {'|'.join(row.selectors)}): "
-                        f"{row.hypothesis}" for row in rows))
 
 
 def _error_ratio(value: float, exact: float, err_est: float) -> float:
@@ -186,10 +192,10 @@ def run_sharpness(p: float, n: int, alphas, spec, checks: list, series: dict):
 
 def load_pair_config(path) -> "mazya_mod.MeasurePair":
     """The measure pair of a --pair config.  An unreadable file, a missing
-    or malformed parameter (a Gaussian n that is not a whole number >= 1
-    among them), or a table label that cannot name its series file (empty,
-    not a string, or holding a path separator) raises PreconditionError
-    naming the path and the key."""
+    or malformed parameter (a bool, or a Gaussian n that is not a whole
+    number >= 1, among them), or a table label that cannot name its series
+    file (empty, not a string, or holding a path separator) raises
+    PreconditionError naming the path and the key."""
     try:
         cfg = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
@@ -203,6 +209,9 @@ def load_pair_config(path) -> "mazya_mod.MeasurePair":
     def param(key, convert=float):
         if key not in params:
             raise PreconditionError(f"{path}: a {kind} pair needs params.{key}")
+        if isinstance(params[key], bool):  # float(True) would read it as 1
+            raise PreconditionError(f"{path}: params.{key} is malformed: "
+                                    f"a number is needed, got {params[key]!r}")
         try:
             return convert(params[key])
         except (TypeError, ValueError) as exc:

@@ -460,8 +460,17 @@ def load_manifest(path=None) -> CorpusManifest:
 
     def members(section: str):
         """(label, entry) of each top-level entry of the section, skipping,
-        as a problem, one whose label an earlier member carries."""
-        for entry in raw.get(section, []):
+        as a problem, a section that is not a list, an entry that is not an
+        object, and one whose label an earlier member carries."""
+        entries = raw.get(section, [])
+        if not isinstance(entries, list):
+            problems.append(f"section '{section}' must be a list of objects, "
+                            f"got {type(entries).__name__}")
+            return
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                problems.append(f"section '{section}' entry {i} must be an object, got {entry!r}")
+                continue
             label = entry.get("label", "?")
             if label in member_fps:
                 problems.append(f"two members are labelled '{label}'")

@@ -10,17 +10,19 @@ M(|grad u|) against exp(-|x|^2/2) dx.  Each subject names the profiles of
 these modulars once, as its `parts()`: K's is |u| under the pointwise
 transform r a (|x| a on R^n), so K and L read one function of u, and a
 field adds H, its ||hess u||_HS.  The modulars one battery needs of one
-subject -- its triples under every N-function the Hardy battery checks it
-under, or its Landau-Kolmogorov terms under one -- are one `_modular_family`
-call of (part, N-function) pairs: one adaptive refinement on shared panels,
-out to the largest of the parts' truncation radii, with each part's own
-envelope tail from there.  A part's envelope of M(|f|) is derived from its
+subject -- a radial member's triples under every (N-function, n) pair the
+Hardy battery checks it at, a field's under every N-function at one n, or
+its Landau-Kolmogorov terms under one -- are one `_modular_family` call of
+(part, N-function) pairs: one adaptive refinement, out to the largest of
+the parts' truncation radii, with each part's own envelope tail from
+there, in which each part retires once it meets its tolerance and keeps
+the panels it retired on.  A part's envelope of M(|f|) is derived from its
 decay hint and its N-function's certified exponents.  A triple under one
 N-function is the family of one N-function, and a lone modular
 (`modular_value`) the family of one part.  The Luxemburg norms of one check are found
 from the modulars at K = 1 that its caller integrated: a power's in closed
 form, any other's as the root of its modular on the Kronrod rule of the
-panels its family converged on.  One family of the parts at their roots,
+panels its part retired on.  One family of the parts at their roots,
 each scale composed onto the part's transform, verifies them, and the
 growth indices turn each verified modular into a bracket on its norm.
 """
@@ -163,8 +165,8 @@ class FieldFunction:
 
 class ModularTriple(NamedTuple):
     """The modulars K, L and G as their family gave them: each the
-    `IntegralResult` of its part, with the family's panels and truncation
-    radius, or None where the modular diverges."""
+    `IntegralResult` of its part, with the panels that part retired on and
+    the family's truncation radius, or None where the modular diverges."""
 
     K: Optional[IntegralResult]
     L: Optional[IntegralResult]
@@ -197,17 +199,20 @@ def _compose_hint(arg_hint: SupportHint, nf: NFunction) -> SupportHint:
 
 def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult | None]:
     """int M(|f|) dmu, or int M(transform(|f|, x)) dmu, for each part
-    (profile f with its transform, N-function M), on shared panels in one
-    `_adaptive` call.
+    (profile f with its transform, N-function M), in one `_adaptive` call,
+    in which each part retires once it meets its tolerance.
 
     On a radial measure x is the radii r, |f| is |f(r)|, and the parts are
-    one `integrate_radial`.  On a Gaussian measure f is a point function, x
-    the sweep's (directions x radii x n) points, |f| its values there, and
-    the parts are one `integrate_gaussian_nd` on the sphere directions of
-    the weakest symmetry among them.  Each distinct profile function is
-    called, and its absolute value taken, once per sweep, and so is each
-    distinct transform of it, so the parts that read one argument -- under
-    one N-function or several -- share it.  Every part's envelope is
+    one `integrate_radial`; measure may also be a sequence of radial
+    measures, one per part, so that one family spans several dimensions,
+    each part weighted by its own.  On a Gaussian measure f is a point
+    function, x the sweep's (directions x radii x n) points, |f| its values
+    there, and the parts are one `integrate_gaussian_nd` on the sphere
+    directions of the weakest symmetry among them.  Each distinct profile
+    function is called, and its absolute value taken, once per sweep while
+    a live part reads it, and so is each distinct transform of it, so the
+    parts that read one argument -- under one N-function or several, at one
+    dimension or several -- share it.  Every part's envelope is
     composed from its profile's hint and its own N-function's exponents,
     and adds its own tail beyond the shared radius; the panel edges include
     every part's breakpoints.  A part whose envelope does not decay against
@@ -231,8 +236,9 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
     rows = [(magnitude(profile.fn), profile.transform, lambda a, x, nf=nf: nf.eval(a))
             for profile, nf in (parts[i] for i in live)]
     envelopes = [envs[i] for i in live]
-    if isinstance(measure, RadialMeasure):
-        found = integrate_radial(rows, measure.n, spec, envelopes=envelopes,
+    if not isinstance(measure, GaussianMeasure):
+        dims = measure.n if isinstance(measure, RadialMeasure) else [measure[i].n for i in live]
+        found = integrate_radial(rows, dims, spec, envelopes=envelopes,
                                  breakpoints=breakpoints)
     else:
         found = integrate_gaussian_nd(
@@ -246,26 +252,46 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
 
 def _modular_triple(parts, nf: NFunction | Sequence[NFunction], measure,
                     spec: QuadratureSpec) -> ModularTriple | list[ModularTriple]:
-    """K, L, G from the profile of each, under nf, or under each
-    N-function of the sequence nf, as one family: a ModularTriple of the
-    family's results, or one per N-function in order.  A modular whose
-    envelope does not decay against the measure is None."""
-    nfs = (nf,) if isinstance(nf, NFunction) else tuple(nf)
-    results = _modular_family([(profile, m) for m in nfs for profile in parts],
-                              measure, spec)
+    """K, L, G from the profile of each, as one family, under the
+    N-function nf on the measure, or under each (N-function, measure) pair:
+    nf may be a sequence of N-functions and, on the radial side, measure a
+    sequence of measures, and the two pair up in order, a lone one with
+    each of the other's.  Returns the ModularTriple of a lone pair, else
+    one per pair in order.  A modular whose envelope does not decay against
+    the measure is None."""
+    nfs = [nf] if isinstance(nf, NFunction) else list(nf)
+    single = isinstance(measure, (RadialMeasure, GaussianMeasure))
+    if not single:
+        measures = list(measure)
+        if len(nfs) == 1:
+            nfs = nfs * len(measures)
+        elif len(measures) == 1:
+            measures = measures * len(nfs)
+        if len(nfs) != len(measures):
+            raise PreconditionError(
+                f"{len(nfs)} N-functions and {len(measures)} measures do not pair up")
+        # pairs on one measure are the family on that measure
+        measure = (measures[0] if len(set(measures)) == 1
+                   else [m for m in measures for _ in parts])
+    results = _modular_family([(profile, m) for m in nfs for profile in parts], measure, spec)
     triples = [ModularTriple(*results[i:i + len(parts)])
                for i in range(0, len(results), len(parts))]
-    return triples[0] if isinstance(nf, NFunction) else triples
+    return triples[0] if single and isinstance(nf, NFunction) else triples
 
 
 def modular_triple_radial(u: RadialTestFunction, nf: NFunction | Sequence[NFunction],
-                          n: int, spec: QuadratureSpec | None = None
+                          n: int | Sequence[int], spec: QuadratureSpec | None = None
                           ) -> ModularTriple | list[ModularTriple]:
     """K, L, G of a radial profile against dmu_n, as one family: the
-    ModularTriple under the NFunction nf, or, for a sequence of
-    N-functions, the list of their triples from one family spanning all
-    of them."""
-    return _modular_triple(u.parts()[:3], nf, RadialMeasure(n), spec or QuadratureSpec())
+    ModularTriple under the NFunction nf at the dimension n or, when nf is
+    a sequence of N-functions or n one of dimensions, the list of the
+    triples of each (N-function, n) pair from one family spanning all of
+    them.  Two sequences pair up in order, and a lone N-function or
+    dimension pairs with each entry of the other sequence.  The integrands
+    M(r |u|), M(|u|) and M(|u'|) do not depend on n: each sweep evaluates
+    them once and weights them once per dimension."""
+    measure = RadialMeasure(n) if np.ndim(n) == 0 else [RadialMeasure(d) for d in n]
+    return _modular_triple(u.parts()[:3], nf, measure, spec or QuadratureSpec())
 
 
 def hessian_hs_norm(u: FieldFunction, pts: np.ndarray) -> np.ndarray:
@@ -335,7 +361,7 @@ def _bracket(k: float, m: float, err: float, d: float, D: float) -> tuple[float,
 def _on_rule(profile: ScalarProfile, nf: NFunction, measure, panels):
     """k -> sum_i w_i M(a_i / k), the modular at K = k of the profile's
     argument a (|f| or its transform) by the Kronrod rule (`gk_rule`) of
-    the panels its family converged on; a is evaluated once."""
+    the panels its part retired on; a is evaluated once."""
     if panels is None:
         raise PreconditionError("the modular at K = 1 carries no panels to find a norm on")
     points, weights = gk_rule(panels, measure)
@@ -357,7 +383,7 @@ def luxemburg_norm(norms, nf: NFunction, measure, spec: QuadratureSpec | None = 
     argument f (|f|, or its transform), as a `Norm`, for the (profile,
     modular) pairs of one check.  The modular is int M(f) dmu at K = 1, the
     IntegralResult that a battery integrated as a triple's K, L or G or an
-    LK term, with the panels its family converged on.
+    LK term, with the panels its part retired on.
 
     Under the doubling condition the modular is exactly 1 at the norm, and
     the growth indices d <= D of M bracket the norm by the modular at any
@@ -366,16 +392,16 @@ def luxemburg_norm(norms, nf: NFunction, measure, spec: QuadratureSpec | None = 
     [m1 - err, m1 + err], when m1 was resolved to relative accuracy
     (m1 * rel_tol >= abs_tol); else it is that value k rescaled exactly by
     the modular m at k, where it is O(1), and bracketed from m.  Otherwise
-    k is the root of the modular on the Kronrod rule of the family's
+    k is the root of the modular on the Kronrod rule of its part's
     panels (`_on_rule`), which `_log_secant` finds without integrating,
     and the modular m at k brackets the norm; the norm is k m^(2/(d+D)),
     inside that bracket (the power's rescale is the case d = D).  The
     modulars at every such k are one `_modular_family`, integrated from
     the default panels.  A root whose m misses 1 by more than norm_tol
     (the rule did not resolve M at that scale) is found again on the rule
-    of the verifying family's own panels, and verified again: under p2log,
-    fx_cut's Hessian norm (k ~ 1e-6) takes this second round at n = 1
-    and 2.
+    of the panels its verifying modular retired on, and verified again:
+    under p2log, fx_cut's Hessian norm (k ~ 1e-6) takes this second round
+    at n = 1 and 2.
     """
     spec = spec or QuadratureSpec()
     if nf.delta2_const is None:

@@ -5,16 +5,22 @@ The 1-d rule is adaptive panel subdivision with an embedded Gauss-Kronrod
 15(7) pair per panel.  Integrands are evaluated in vectorised batches (one
 numpy call per refinement sweep), which also lets a whole family of radial
 profiles -- several modulars of one subject, each on the sphere directions
-its symmetry leaves distinct -- share one refinement: one `_adaptive` call,
-in which every row keeps its own tolerance test.  A panel's error is at least QUADPACK qk15's roundoff
-floor, 50 eps times the Kronrod sum of |f| (Piessens et al., QUADPACK, 1983).
+its symmetry leaves distinct, and on a radial measure at several
+dimensions -- share one refinement: one `_adaptive` call.  A part of the
+family (one radial row, or the sphere-direction rows of one Gaussian
+modular) retires in the sweep where each of its rows meets its own
+tolerance, and keeps the value, error and panels it had there; later
+sweeps neither evaluate nor score it.  A panel's error is at least
+QUADPACK qk15's roundoff floor, 50 eps times the Kronrod sum of |f|
+(Piessens et al., QUADPACK, 1983).
 
 Truncation of the semi-infinite interval is driven by caller-declared
-polynomial/Gaussian envelopes, one per row: a row is assumed to be bounded by
-r^degree * exp(-rate * r^2 / 2).  Each envelope gives a cut radius at which
-its exact Gaussian tail falls below the absolute tolerance; a family's
-panels run to the largest of these, and each row's error adds its own
-envelope's exact tail from that shared radius.
+polynomial/Gaussian envelopes, one per part: each row of the part is assumed
+to be bounded by r^degree * exp(-rate * r^2 / 2).  Each envelope, with the
+dimension of its part's weight, gives a cut radius at which its exact
+Gaussian tail falls below the absolute tolerance; a family's panels run to
+the largest of these, and each row's error adds its part's exact envelope
+tail from that shared radius.
 
 That tail, and the closed-form moments, need only Gamma functions: ln Gamma
 is `math.lgamma`, and the regularised upper incomplete gamma Q(s, x) is
@@ -158,8 +164,9 @@ class IntegralResult:
     err_est: float
     radius: float = math.inf
     angular_sem: float = 0.0
-    converged: bool = True  # the 1-d refiner `_adaptive` met its tolerance
-    # the panels (lo, hi) its family converged on, one pair shared by the family
+    converged: bool = True  # `_adaptive` met the tolerance of every part of its family
+    # the panels (lo, hi) its own part retired on (with the family's sphere
+    # directions for a Gaussian integral), for `gk_rule`
     panels: tuple | None = field(default=None, compare=False, repr=False)
 
 
@@ -242,26 +249,64 @@ def _median(x: np.ndarray):
     return (part[h - 1] + part[h]) / 2.0
 
 
-def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None, splits=64):
+def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None, splits=64,
+              parts=None):
     """Adaptive panel subdivision, at most `splits` rounds of it, until every
-    component meets its tolerance.
+    part meets its tolerance.
+
+    A row meets its tolerance when its error is within max(abs_tol,
+    rel_tol |value|).  Without `parts` the rows are one part, f(x) gives
+    all of them, and a sweep that leaves some row short splits the panels
+    every row is scored on.  parts = (count, rows) makes them `count` parts
+    of `rows` consecutive rows each: f(x, live) gives the rows of the parts
+    whose indices the ascending list live holds, and a part retires in
+    the sweep where each of its rows meets its tolerance -- its totals,
+    errors and panels are fixed there, and later sweeps neither evaluate
+    nor score it (per-region tolerances, as in Berntsen, Espelid & Genz,
+    ACM TOMS 17, 1991).
 
     first is the (vals, errs) that `_gk_panels` gives on the edges' panels,
     when `integrate_runs` has already evaluated them (a piece's two halves).
-    Returns (values (m,), errors (m,), converged bool, panels): panels is
-    (lo, hi), the ends of the final panels in the order the values sum
-    their `_gk_panels` totals."""
+    Returns (values (m,), errors (m,), converged, panels): converged is
+    True when every part met its tolerance; panels is (lo, hi), the ends of
+    the final panels in the order the values sum their `_gk_panels` totals,
+    or, with parts, the list of each part's own (lo, hi)."""
     lo = np.asarray(edges[:-1], dtype=float)
     hi = np.asarray(edges[1:], dtype=float)
-    vals, errs = _gk_panels(f, lo, hi) if first is None else first
+    sweep = f
+    if parts is not None:
+        count, rows = parts
+        live = list(range(count))
+        # each part's totals, errors and panels where it stopped
+        values, errors, panels = np.empty((count, rows)), np.empty((count, rows)), [None] * count
+
+        def sweep(x):
+            return f(x, live)
+
+    vals, errs = _gk_panels(sweep, lo, hi) if first is None else first
+    converged = False
     for _ in range(splits):
         tot = vals.sum(axis=1)
         tot_err = errs.sum(axis=1)
         need = np.maximum(abs_tol, rel_tol * np.abs(tot))
-        if np.all(tot_err <= need):
-            return tot, tot_err, True, (lo, hi)
+        met = tot_err <= need
+        if met.all():
+            converged = True
+            break
+        if parts is not None and len(live) > 1:
+            done = met if rows == 1 else met.reshape(-1, rows).all(axis=1)
+            if done.any():
+                flags = done.tolist()
+                gone = [part for part, d in zip(live, flags) if d]
+                values[gone] = tot.reshape(-1, rows)[done]
+                errors[gone] = tot_err.reshape(-1, rows)[done]
+                for part in gone:
+                    panels[part] = (lo, hi)
+                live = [part for part, d in zip(live, flags) if not d]
+                keep = ~done if rows == 1 else (~done).repeat(rows)
+                vals, errs, need = vals[keep], errs[keep], need[keep]
         if lo.size >= 4096:
-            return tot, tot_err, False, (lo, hi)
+            break
         score = (errs / need[:, None]).max(axis=0)
         top = score.max()
         split = score >= min(max(top * 0.25, _median(score)), top)
@@ -270,12 +315,23 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None, 
         smid = 0.5 * (slo + shi)
         nlo = np.concatenate([lo[keep], slo, smid])
         nhi = np.concatenate([hi[keep], smid, shi])
-        new_vals, new_errs = _gk_panels(f, np.concatenate([slo, smid]),
+        new_vals, new_errs = _gk_panels(sweep, np.concatenate([slo, smid]),
                                         np.concatenate([smid, shi]))
         vals = np.concatenate([vals[:, keep], new_vals], axis=1)
         errs = np.concatenate([errs[:, keep], new_errs], axis=1)
         lo, hi = nlo, nhi
-    return vals.sum(axis=1), errs.sum(axis=1), False, (lo, hi)
+    if not converged:  # out of splits or panels: the totals of the last sweep
+        tot, tot_err = vals.sum(axis=1), errs.sum(axis=1)
+    if parts is None:
+        return tot, tot_err, converged, (lo, hi)
+    if len(live) == count:  # no part retired before the others
+        return tot, tot_err, converged, [(lo, hi)] * count
+    # the parts still refining stop here: met, or short of their tolerance
+    values[live] = tot.reshape(-1, rows)
+    errors[live] = tot_err.reshape(-1, rows)
+    for part in live:
+        panels[part] = (lo, hi)
+    return values.ravel(), errors.ravel(), converged, panels
 
 
 def integrate_interval(f, a: float, b: float, rel_tol: float = 1e-10,
@@ -553,14 +609,15 @@ def _radial_seeds(radius: float, resolved) -> list[float]:
 
 
 def _stacked(parts, rows: int, at=None):
-    """The (len(parts) * rows, k) integrand of parts (source, *transforms) at
-    radii r (k,).  The source is called on x = r or, given `at`, on
-    x = at(r), and gives a block of `rows` rows (or a vector for one row);
-    each transform in turn, unless None, maps the block to the next
-    pointwise, transform(block, x), and the last block is the part's rows.
-    Each distinct source, and each distinct chain of transforms after it,
-    is evaluated once per sweep: a block that more than one part reads is
-    kept for the sweep, any other is written out and dropped."""
+    """fs(r, live): the (len(live) * rows, k) integrand at radii r (k,) of
+    the parts (source, *transforms) whose indices the list live holds.  The
+    source is called on x = r or, given `at`, on x = at(r), and gives a
+    block of `rows` rows (or a vector for one row); each transform in turn,
+    unless None, maps the block to the next pointwise, transform(block, x),
+    and the last block is the part's rows.  Each distinct source, and each
+    distinct chain of transforms after it, is evaluated once per sweep, and
+    only while a live part reads it: a block that more than one part reads
+    is kept for the sweep, any other is written out and dropped."""
     plans, reads = [], Counter()  # each part's steps (chain key, function)
     for src, *transforms in parts:
         key, steps = (), []
@@ -570,12 +627,12 @@ def _stacked(parts, rows: int, at=None):
         plans.append(steps)
         reads.update(key for key, _ in steps)
 
-    def fs(r):
+    def fs(r, live):
         x = r if at is None else at(r)
         kept = {}
-        out = np.empty((len(parts) * rows, r.size))
-        for i, steps in enumerate(plans):
-            for j, (key, fn) in enumerate(steps):
+        out = np.empty((len(live) * rows, r.size))
+        for i, part in enumerate(live):
+            for j, (key, fn) in enumerate(plans[part]):
                 if key in kept:
                     block = kept[key]
                     continue
@@ -588,62 +645,81 @@ def _stacked(parts, rows: int, at=None):
     return fs
 
 
-def integrate_radial(parts, n: int, spec: QuadratureSpec | None = None, *,
+def integrate_radial(parts, n, spec: QuadratureSpec | None = None, *,
                      envelopes, breakpoints=()) -> list[IntegralResult]:
     """Integrals of f(r) r^(n-1) exp(-r^2/2) dr over [0, oo), one per part,
-    all on shared panels in one `_adaptive` call.
+    all from one `_adaptive` call, in which each part retires once it meets
+    its tolerance.
 
     Each part is (f, *transforms): f maps an array of radii to values
     (vectorised), and each transform(values, r) in turn, unless None, maps
     them pointwise to the next, the last to the part's integrand; each
     distinct f, and each distinct chain of transforms after it, is
-    evaluated once per sweep.  envelopes holds one envelope per part.  A
-    part's reported error combines its panel estimates with its envelope's
-    exact Gaussian tail beyond the family's truncation radius.
+    evaluated once per sweep, while a live part reads it.  n is the
+    dimension of every part, or a sequence of one per part: parts that
+    differ only in n share their integrand, and each takes its own weight.
+    envelopes holds one envelope per part.  A part's reported error
+    combines its panel estimates with its envelope's exact Gaussian tail
+    beyond the family's truncation radius, and its panels are those it
+    retired on.
     """
     vals, errs, radius, ok, panels = integrate_radial_family(
         _stacked(parts, 1), n, spec, envelopes=envelopes, breakpoints=breakpoints)
-    return [IntegralResult(float(v), float(e), radius, converged=ok, panels=panels)
-            for v, e in zip(vals, errs)]
+    return [IntegralResult(float(v), float(e), radius, converged=ok, panels=p)
+            for v, e, p in zip(vals.tolist(), errs.tolist(), panels)]
 
 
-def integrate_radial_family(fs, n: int, spec: QuadratureSpec | None = None, *,
-                            envelopes, breakpoints=()):
-    """Shared-panel integration of a family of radial profiles in one
-    `_adaptive` call.
+def integrate_radial_family(fs, n, spec: QuadratureSpec | None = None, *,
+                            envelopes, breakpoints=(), rows: int = 1):
+    """Integration of a family of radial profiles in one `_adaptive` call,
+    whose rows come in parts of `rows` consecutive rows each; a part retires
+    once each of its rows meets the tolerance.
 
-    fs maps an array of radii (k,) to a matrix (m, k), and envelopes holds
-    one envelope per row (None is the default decaying(8, 1)).  The panels
-    run to the largest of the envelopes' truncation radii, and each row's
-    error adds its own envelope's exact tail from that radius.  Returns
-    (values (m,), errors (m,), radius, converged, panels), panels the
-    (lo, hi) `_adaptive` converged on."""
+    fs(r, live) maps an array of radii (k,) and the ascending list live of
+    the indices of the parts still refining to the matrix
+    (rows * len(live), k) of their rows.  envelopes holds one envelope per
+    part (None is the default decaying(8, 1)), which bounds each of its
+    rows.  n is the dimension of every part, or a sequence of one per
+    part; each sweep computes exp(-r^2/2) once and weights a part's rows by
+    r^(n-1) of its own n.  The panels run to the largest truncation radius
+    of the parts' (envelope, n) pairs, and each row's error adds its part's
+    exact envelope tail from that radius.  Returns (values (m,), errors
+    (m,), radius, converged, panels): converged is True when every part
+    met its tolerance, and panels holds each part's own (lo, hi)."""
     spec = spec or QuadratureSpec()
-    if n < 1:
-        raise PreconditionError(f"dimension must be >= 1, got {n}")
     envelopes = tuple(envelopes)
-    # rows that share an envelope object (a Gaussian part's directions) are
-    # told apart by identity, and each distinct envelope is resolved once
-    distinct = {id(env): env for env in envelopes}
-    resolved = {env: _resolve_radius(n, spec, env)
-                for env in dict.fromkeys(distinct.values())}
+    dims = [n] * len(envelopes) if np.ndim(n) == 0 else list(n)
+    if len(dims) != len(envelopes):
+        raise PreconditionError(f"{len(dims)} dimensions for a family of {len(envelopes)} parts")
+    if min(dims, default=1) < 1:
+        raise PreconditionError(f"dimension must be >= 1, got {min(dims)}")
+    pairs = list(zip(envelopes, dims))
+    # each distinct (envelope, n) is resolved once
+    resolved = {pair: _resolve_radius(pair[1], spec, pair[0]) for pair in dict.fromkeys(pairs)}
     radius = max(r for r, _, _ in resolved.values())
+    levels = sorted({d for _, d in pairs})
+    # each part's place in levels, when the parts span several dimensions
+    level = np.array([levels.index(d) for _, d in pairs]) if len(levels) > 1 else None
 
-    def weighted(r):
-        vals = np.asarray(fs(r), dtype=float)
-        if vals.shape[0] != len(envelopes):
+    def weighted(r, live):
+        vals = np.asarray(fs(r, live), dtype=float)
+        if vals.shape[0] != rows * len(live):
             raise PreconditionError(
-                f"{len(envelopes)} envelopes for a family of {vals.shape[0]} profiles")
-        w = np.power(r, n - 1) * np.exp(-0.5 * r * r)
-        return vals * w[None, :]
+                f"{len(live)} envelopes for a family of {vals.shape[0] // rows} profiles")
+        gauss = np.exp(-0.5 * r * r)
+        if level is None:
+            return vals * (np.power(r, levels[0] - 1) * gauss)[None, :]
+        w = np.stack([np.power(r, d - 1) * gauss for d in levels])
+        return vals * np.repeat(w[level[live]], rows, axis=0)
 
     edges = _build_edges(0.0, radius,
                          (*breakpoints, *_radial_seeds(radius, resolved.values())))
-    vals, errs, ok, panels = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol)
-    tails = {env: 0.0 if not math.isfinite(rate) else float(gaussian_tail_fn(deg, rate)(radius))
-             for env, (_, deg, rate) in resolved.items()}
-    tail_of = {key: tails[env] for key, env in distinct.items()}
-    return vals, errs + np.array([tail_of[id(env)] for env in envelopes]), radius, ok, panels
+    vals, errs, ok, panels = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol,
+                                       parts=(len(pairs), rows))
+    tails = {pair: 0.0 if not math.isfinite(rate) else float(gaussian_tail_fn(deg, rate)(radius))
+             for pair, (_, deg, rate) in resolved.items()}
+    tail_of = np.array([tails[pair] for pair in pairs])
+    return vals, errs + (tail_of if rows == 1 else tail_of.repeat(rows)), radius, ok, panels
 
 
 @functools.cache
@@ -672,7 +748,9 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
                           envelopes, normalized: bool = False,
                           breakpoints=(), symmetry: str = "none") -> list[IntegralResult]:
     """Integrals against exp(-|x|^2/2) dx on R^n by spherical reduction, one
-    per part, all on shared panels in one `_adaptive` call.
+    per part, all from one `_adaptive` call, in which a part -- its block of
+    sphere-direction rows -- retires once each of its rows meets the
+    tolerance.
 
     Each part is (g, *transforms): g is a point function mapping an array of
     points of shape (..., n) to one value per point.  On each sweep the
@@ -681,7 +759,8 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
     called once on them.  Each transform(values, x) in turn, unless None,
     maps g's (directions x k) values at x pointwise to the next, the last to
     the part's integrand, and each distinct chain of them after g is
-    evaluated once per sweep; one that reads |x| takes np.sqrt(sum_sq(x)).
+    evaluated once per sweep while a live part reads it; one that reads |x|
+    takes np.sqrt(sum_sq(x)).
     A part is a block of rows, one per sphere direction, of one
     `integrate_radial_family`; envelopes holds one envelope per part.  A
     part's angular average is scaled by the sphere surface area;
@@ -698,8 +777,9 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
     of every direction, bit for bit.  "radial" integrates e_1 alone,
     weighted by the whole surface area, with no angular error.
     Each result's panels are (lo, hi, directions, copies), for `gk_rule`:
-    the directions the family averaged over, and how many of them each
-    integrated row stands for (2 for "even", else 1).
+    the panels its part retired on, the directions the family averaged
+    over, and how many of them each integrated row stands for (2 for
+    "even", else 1).
     """
     spec = spec or QuadratureSpec()
     envelopes = tuple(envelopes)
@@ -725,13 +805,11 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
     checked = {id(g): one_value_per_point(g) for g, *_ in parts}
     family = _stacked([(checked[id(g)], *transforms) for g, *transforms in parts], rows,
                       lambda r: r[None, :, None] * drawn[:, None, :])
-    vals, errs, radius, ok, (lo, hi) = integrate_radial_family(
-        family, n, spec, envelopes=[env for env in envelopes for _ in range(rows)],
-        breakpoints=breakpoints)
+    vals, errs, radius, ok, panels = integrate_radial_family(
+        family, n, spec, envelopes=envelopes, breakpoints=breakpoints, rows=rows)
     vals, errs = vals.reshape(len(parts), rows), errs.reshape(len(parts), rows)
     if rows < m:  # each antipode's row is its drawn direction's
         vals, errs = np.tile(vals, 2), np.tile(errs, 2)
-    panels = (lo, hi, dirs, m // rows)
     area = surface_area(n)
     factor = (2.0 * math.pi) ** (-n / 2.0) if normalized else 1.0
     half = m // 2
@@ -740,23 +818,27 @@ def integrate_gaussian_nd(parts, n: int, spec: QuadratureSpec | None = None, *,
             / math.sqrt(half) if half >= 2 else np.zeros(len(parts)))
     values = area * vals.mean(axis=1) * factor
     errors = (area * errs.mean(axis=1) + area * sems) * factor
-    return [IntegralResult(value, err, radius, angular_sem=sem, converged=ok, panels=panels)
-            for value, err, sem in zip(values.tolist(), errors.tolist(),
-                                       (sems * factor).tolist())]
+    return [IntegralResult(value, err, radius, angular_sem=sem, converged=ok,
+                           panels=(lo, hi, dirs, m // rows))
+            for value, err, sem, (lo, hi) in zip(values.tolist(), errors.tolist(),
+                                                 (sems * factor).tolist(), panels)]
 
 
 def gk_rule(panels, measure) -> tuple[np.ndarray, np.ndarray]:
-    """The Kronrod rule of a family's panels against the measure: (points,
+    """The Kronrod rule of a result's panels against the measure: (points,
     weights) with sum(weights * f(points)) the Kronrod sum that
-    `integrate_radial` or `integrate_gaussian_nd` takes of int f dmu on
-    those panels.  On a RadialMeasure the panels are (lo, hi), the points
-    are the abscissae r (k,) and the weights carry r^(n-1) exp(-r^2/2).  On
-    a GaussianMeasure the panels are (lo, hi, directions, copies), the
-    points are r y_j for the directions y_j the family integrated -- the
-    first 1/copies of those it averaged over -- (rows, k, n), and the
-    weights (rows, k) also carry the angular mean, each row counted copies
-    times, the sphere's surface area and, when normalized, (2 pi)^(-n/2).
-    An even family's rule is so its drawn half, as the family took it."""
+    `integrate_radial` or `integrate_gaussian_nd` took of int f dmu on the
+    panels the result's part retired on.  On a RadialMeasure the panels are
+    (lo, hi), the points are the abscissae r (k,) and the weights carry
+    r^(n-1) exp(-r^2/2).  On a GaussianMeasure the panels are (lo, hi,
+    directions, copies), the points are r y_j for the directions y_j the
+    family integrated -- the first 1/copies of those it averaged over --
+    (rows, k, n), and the weights (rows, k) also carry the angular mean,
+    each row counted copies times, the sphere's surface area and, when
+    normalized, (2 pi)^(-n/2).
+    An even family's rule is so its drawn half, as the family took it.  A
+    radial family that spans several dimensions took each part's sum
+    against the weight of its own n, which is the measure to pass."""
     lo, hi = panels[:2]
     half = 0.5 * (hi - lo)
     r = (0.5 * (lo + hi)[:, None] + half[:, None] * _NODES).ravel()

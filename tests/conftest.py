@@ -1,3 +1,4 @@
+import itertools
 import shlex
 from pathlib import Path
 
@@ -30,6 +31,15 @@ def from_the_root(argv: list) -> list:
     """argv with each word that names a file under the repository root made
     absolute: the workflow runs from the root, and reads path arguments there."""
     return [str(ROOT / word) if (ROOT / word).is_file() else word for word in argv]
+
+
+def retirement_sweep(sweeps: list, panels) -> int:
+    """The index of the sweep after which a part retired on `panels`, from
+    the panel count of each sweep of its family: the first sweep evaluates
+    the family's panels, and each later one the two halves of every panel
+    it splits, so the family holds half as many more panels after it."""
+    held = list(itertools.accumulate([sweeps[0], *(p // 2 for p in sweeps[1:])]))
+    return held.index(panels[0].size)
 
 
 def radial_profile(factory):

@@ -649,6 +649,13 @@ class TestUnreadableInputExitsTwo:
          "params.n must be a whole number >= 1, got True"),
         (json.dumps({"kind": "gaussian", "params": {"p": 3, "n": 0}}),
          "params.n must be a whole number >= 1, got 0"),
+        # a bool p or q once ran as 1, and exited on p = 1 instead
+        (json.dumps({"kind": "gaussian", "params": {"p": True, "n": 2}}),
+         "params.p is malformed: a number is needed, got True"),
+        (json.dumps({**table_cfg([0, 1, 2], [1, 1, 1], [1, 1, 1]),
+                     "params": {**table_cfg([0, 1, 2], [1, 1, 1], [1, 1, 1])["params"],
+                                "q": False}}),
+         "params.q is malformed: a number is needed, got False"),
         # the label names the series file: sub/dir once wrote mazya.json,
         # then failed to write mazya_sub/dir.csv
         (json.dumps({**table_cfg([0, 1, 2], [1, 1, 1], [1, 1, 1]), "label": "sub/dir"}),
@@ -658,7 +665,8 @@ class TestUnreadableInputExitsTwo:
         (json.dumps({**table_cfg([0, 1, 2], [1, 1, 1], [1, 1, 1]), "label": 7}),
          "label must be a non-empty string with no path separator, got 7"),
     ], ids=["no-nu-density", "json-list", "truncated", "non-numeric-p", "fractional-n",
-            "bool-n", "zero-n", "label-with-separator", "empty-label", "non-string-label"])
+            "bool-n", "zero-n", "gaussian-bool-p", "table-bool-q", "label-with-separator",
+            "empty-label", "non-string-label"])
     def test_malformed_pair_config(self, tmp_path, capsys, text, reason):
         path = tmp_path / "pair.json"
         path.write_text(text)
@@ -677,7 +685,12 @@ class TestUnreadableInputExitsTwo:
     @pytest.mark.parametrize("text, reason", [
         (None, "cannot read the manifest"),
         ("[1, 2]", "manifest schema must be"),
-    ], ids=["missing", "json-list"])
+        # these two once ended in an AttributeError traceback
+        (json.dumps({"schema": 1, "nfunctions": [3]}),
+         "section 'nfunctions' entry 0 must be an object, got 3"),
+        (json.dumps({"schema": 1, "nfunctions": {"label": "x"}}),
+         "section 'nfunctions' must be a list of objects, got dict"),
+    ], ids=["missing", "json-list", "non-object-entry", "object-section"])
     def test_unreadable_corpus(self, tmp_path, capsys, text, reason):
         path = tmp_path / "manifest.json"
         if text is not None:

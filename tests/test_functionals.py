@@ -5,9 +5,9 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import radial_profile
+from conftest import radial_profile, retirement_sweep
 
-from orlicz_hardy import functionals, quadrature
+from orlicz_hardy import cli, functionals, quadrature
 from orlicz_hardy import hardy as hardy_mod
 from orlicz_hardy.cli import run_hardy
 from orlicz_hardy.errors import DivergenceError, PreconditionError
@@ -300,7 +300,8 @@ class TestModularTripleNd:
         for m, res in zip(triple, family):
             assert math.isfinite(m.radius) and m.radius == res.radius
             assert m.converged is res.converged is True
-            assert m.panels is triple.K.panels
+            # each modular's panels are its own part's, on the family's directions
+            assert m.panels[2] is triple.K.panels[2]
             assert all(np.array_equal(a, b) for a, b in zip(m.panels, res.panels))
 
     def test_missing_gradient_rejected(self):
@@ -319,9 +320,9 @@ class TestSphereRuleOfTheSymmetry:
         # modulars are, bit for bit, those of the family on all of them
         rows, family = [], quadrature.integrate_radial_family
 
-        def counted(fs, n, spec=None, *, envelopes, breakpoints=()):
-            rows.append(len(envelopes))
-            return family(fs, n, spec, envelopes=envelopes, breakpoints=breakpoints)
+        def counted(fs, n, spec=None, *, envelopes, **kwargs):
+            rows.append(len(envelopes) * kwargs.get("rows", 1))
+            return family(fs, n, spec, envelopes=envelopes, **kwargs)
 
         monkeypatch.setattr(quadrature, "integrate_radial_family", counted)
         directions = quadrature.sphere_directions(n)
@@ -444,7 +445,8 @@ class TestFamiliesSpanningNFunctions:
     def test_the_k_argument_is_computed_once_per_sweep(self, manifest, spec, subject,
                                                       monkeypatch):
         # K's r |u| (|x| |u| of a field) is one argument under every
-        # N-function: the family spanning all five transforms |u| once a sweep
+        # N-function: the family spanning all five transforms |u| once a
+        # sweep, in each sweep in which a K part has not yet retired
         if subject in manifest.radial_functions:
             parts, measure = manifest.radial_functions[subject].parts()[:3], RadialMeasure(2)
         else:
@@ -466,8 +468,57 @@ class TestFamiliesSpanningNFunctions:
         triples = functionals._modular_triple(counted, nfs, measure, spec)
         monkeypatch.undo()
         assert len(nfs) == 5 and len(sweeps) > 1
-        assert len(transforms) == len(sweeps)
+        k_sweeps = 1 + max(retirement_sweep(sweeps, t.K.panels) for t in triples)
+        assert len(transforms) == k_sweeps
         assert triples == functionals._modular_triple(parts, nfs, measure, spec)
+
+    def test_radial_triples_across_dimensions_agree_with_each_dimension_s_own(
+            self, manifest, spec):
+        # one family spanning every (N-function, n) for n = 1..3 gives, for
+        # each, what that dimension's own family spanning the N-functions
+        # gives, within their two error estimates, and diverges where it does
+        nfs = sorted(manifest.nfunctions.items())
+        dims = [1, 2, 3]
+        for label, u in sorted(manifest.radial_functions.items()):
+            across = modular_triple_radial(u, [nf for _ in dims for _, nf in nfs],
+                                           [n for n in dims for _ in nfs], spec)
+            for i, n in enumerate(dims):
+                own = modular_triple_radial(u, [nf for _, nf in nfs], n, spec)
+                for (nf_label, _), a, b in zip(nfs, across[i * len(nfs):], own):
+                    assert_spanning_agrees_with_single(a, b, (label, nf_label, n))
+
+    def test_a_lone_n_function_or_dimension_pairs_with_each_of_the_other(
+            self, manifest, spec):
+        u, p2, p3 = (manifest.radial_functions["bump_mid"], manifest.nfunc("p2"),
+                     manifest.nfunc("p3"))
+        assert (modular_triple_radial(u, p2, [1, 2], spec)
+                == modular_triple_radial(u, [p2, p2], [1, 2], spec))
+        assert (modular_triple_radial(u, [p2, p3], [2], spec)
+                == modular_triple_radial(u, [p2, p3], 2, spec))
+        with pytest.raises(PreconditionError, match="2 N-functions and 3 measures"):
+            modular_triple_radial(u, [p2, p3], [1, 2, 3], spec)
+
+    def test_run_hardy_spans_only_the_admitted_pairs(self, manifest, spec, monkeypatch):
+        # one family per radial member, spanning the (N-function, n) pairs
+        # that some radial row admits: under liniowe, p2.5 at n = 3 alone
+        calls = []
+        original = functionals.modular_triple_radial
+
+        def counted(u, nfs, dims, *args, **kwargs):
+            calls.append((u.label, tuple(zip((nf.label for nf in nfs), dims))))
+            return original(u, nfs, dims, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "modular_triple_radial", counted)
+        checks = []
+        run_hardy(manifest, spec, [1, 2, 3], checks, form="liniowe")
+        row, = (row for row in hardy_mod.FORMS if row.name == "liniowe")
+        admitted = tuple((nf_label, n) for n in (1, 2, 3)
+                         for nf_label, nf in sorted(manifest.nfunctions.items())
+                         if row.admits(nf.d_exp, nf.D_exp, n))
+        assert sorted(calls) == [(label, admitted)
+                                 for label in sorted(manifest.radial_functions)]
+        assert [n for nf_label, n in admitted if nf_label == "p2.5"] == [3]
+        assert {(c.nfunc_label, c.n) for c in checks} == set(admitted)
 
     def test_a_single_n_function_is_the_family_of_one(self, manifest, spec):
         u, nf = manifest.radial_functions["bump_mid"], manifest.nfunc("p3")
@@ -672,22 +723,29 @@ class TestNormsFromTheTriple:
     def test_norm_forms_equal_norms_of_fresh_modulars(self, manifest, spec,
                                                       monkeypatch, form, normalized):
         # www and hn11 hand each norm its modular from the member's triple,
-        # taken from the family spanning the run's N-functions: every check
-        # must equal, bit for bit, the one whose norms take their modulars at
-        # K = 1 from a fresh family of the norms' own parts (r f, f, f'),
-        # integrated afresh as (K, L, G) under every N-function of the run
+        # taken from the family spanning the run's N-functions (and, for a
+        # radial member, the run's dimensions): every check must equal, bit
+        # for bit, the one whose norms take their modulars at K = 1 from a
+        # fresh family of the norms' own parts (r f, f, f'), integrated
+        # afresh as (K, L, G) under every N-function, and on a radial
+        # member's side at every dimension, of the run
         nfs = [nf for _, nf in sorted(manifest.nfunctions.items())]
+        dims = [1, 2, 3]
 
         def run():
             checks = []
-            run_hardy(manifest, spec, [1, 2, 3], checks, form=form,
+            run_hardy(manifest, spec, dims, checks, form=form,
                       normalized=normalized)
             return [canonical_json(c.as_dict()) for c in checks]
 
         def afresh_modulars(norms, nf, measure, *args, **kwargs):
             (L, _), (G, _), (K, _) = norms
-            fresh = functionals._modular_triple((K, L, G), nfs, measure, spec)
-            m_K, m_L, m_G = fresh[nfs.index(nf)]
+            measures = ([measure] if isinstance(measure, GaussianMeasure)
+                        else [RadialMeasure(n) for n in dims])
+            fresh = functionals._modular_triple(
+                (K, L, G), [m for _ in measures for m in nfs],
+                [meas for meas in measures for _ in nfs], spec)
+            m_K, m_L, m_G = fresh[measures.index(measure) * len(nfs) + nfs.index(nf)]
             return original([(L, m_L), (G, m_G), (K, m_K)], nf, measure,
                             *args, **kwargs)
 

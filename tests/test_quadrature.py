@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import retirement_sweep
 
 from orlicz_hardy import quadrature
 from orlicz_hardy.errors import DivergenceError, EvaluationError, PreconditionError
@@ -353,7 +354,7 @@ class TestFamilies:
         # out to it too, and its tail from there is far below its own cut
         slow, fast = SupportHint.decaying(0.0, -0.5), SupportHint.decaying(0.0, 1.0)
         vals, errs, radius, ok, _ = integrate_radial_family(
-            lambda r: np.stack([np.exp(0.25 * r * r), np.exp(-0.5 * r * r)]), 1,
+            lambda r, live: np.stack([np.exp(0.25 * r * r), np.exp(-0.5 * r * r)])[live], 1,
             envelopes=(slow, fast))
         assert ok
         alone = [radial(lambda r: np.exp(0.25 * r * r), 1, envelope=slow),
@@ -367,15 +368,15 @@ class TestFamilies:
 
     def test_one_envelope_per_row(self):
         with pytest.raises(PreconditionError, match="3 envelopes for a family of 2"):
-            integrate_radial_family(lambda r: np.stack([r, r]), 1,
+            integrate_radial_family(lambda r, live: np.stack([r, r]), 1,
                                     envelopes=(None, None, None))
         with pytest.raises(PreconditionError, match="2 envelopes for 1 parts"):
             integrate_gaussian_nd([(bump, None)], 2, envelopes=(None, None))
 
     def test_gaussian_parts_read_each_store_once_per_sweep(self, monkeypatch):
-        # each distinct point function is called exactly once per sweep, on
-        # that sweep's points r y_j: the GK15 abscissae of its panels times
-        # the sphere directions
+        # each distinct point function is called exactly once per sweep in
+        # which a part that reads it has not retired, on that sweep's points
+        # r y_j: the GK15 abscissae of its panels times the sphere directions
         sweeps, calls = [], []
         plain = quadrature._gk_panels
 
@@ -385,7 +386,7 @@ class TestFamilies:
 
         def recorded(g):
             def fn(x):
-                calls.append((g, x))
+                calls.append((g, len(sweeps) - 1, x))
                 return g(x)
             return fn
 
@@ -401,9 +402,14 @@ class TestFamilies:
              (g, lambda v, x: 2.0 * v)], 2, envelopes=[env] * 4)
         monkeypatch.undo()
         assert len(sweeps) > 1
-        assert [fn for fn, _ in calls] == [bump, cross] * len(sweeps)
+        # bump is read by parts 0, 1 and 3, cross by part 2
+        last = [retirement_sweep([lo.size for lo, _ in sweeps], res.panels) for res in family]
+        live = {bump: max(last[i] for i in (0, 1, 3)), cross: last[2]}
+        assert [(fn, s) for fn, s, _ in calls] == [
+            (fn, s) for s in range(len(sweeps)) for fn in (bump, cross) if s <= live[fn]]
         dirs = sphere_directions(2)
-        for (lo, hi), (_, x) in zip([sweep for sweep in sweeps for _ in range(2)], calls):
+        for _, s, x in calls:
+            lo, hi = sweeps[s]
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             r = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
             assert np.array_equal(x, r[None, :, None] * dirs[:, None, :])
@@ -716,3 +722,98 @@ class TestMedian:
             expected = np.median(x)
             got = _median(x)
             assert got == expected and type(got) is type(expected), x
+
+
+def kinked(x):
+    return np.abs(np.sin(7.0 * x)) * np.exp(-0.5 * x * x)
+
+
+class TestRetiredParts:
+    def test_a_part_retires_on_panels_that_give_its_totals(self):
+        # two parts of two rows each: a part's own panels, run through the
+        # GK15 pair again, give its rows' totals bit for bit, each within
+        # its tolerance, and the smooth part retires on fewer panels
+        blocks = [[lambda x: np.exp(-x * x), lambda x: np.cos(x) * np.exp(-x * x)],
+                  [kinked, lambda x: np.exp(-x)]]
+
+        def f(x, live):
+            return np.stack([row(x) for part in live for row in blocks[part]])
+
+        vals, errs, ok, panels = quadrature._adaptive(f, np.array([0.0, 1.0, 6.0]),
+                                                      1e-12, 1e-15, parts=(2, 2))
+        assert ok and len(panels) == 2
+        for i, (lo, hi) in enumerate(panels):
+            again, again_errs = _gk_panels(lambda x: f(x, [i]), lo, hi)
+            assert np.array_equal(again.sum(axis=1), vals[2 * i:2 * i + 2])
+            assert np.array_equal(again_errs.sum(axis=1), errs[2 * i:2 * i + 2])
+            assert np.all(errs[2 * i:2 * i + 2]
+                          <= np.maximum(1e-15, 1e-12 * np.abs(vals[2 * i:2 * i + 2])))
+        assert panels[0][0].size < panels[1][0].size
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_retired_part_is_evaluated_in_no_later_sweep(self, n, monkeypatch):
+        # each source and transform is called once a sweep, in every sweep
+        # up to the one after which the last part that reads it retired, and
+        # in none after; gk_rule of a part's panels is its Kronrod sum
+        sweeps, calls = count_sweeps(monkeypatch), []
+
+        def recorded(name, fn):
+            def wrapper(*args):
+                calls.append((name, len(sweeps) - 1))
+                return fn(*args)
+            return wrapper
+
+        smooth = recorded("smooth", lambda r: np.exp(-0.25 * r * r))
+        sharp = recorded("kinked", kinked)
+        square = recorded("square", lambda v, r: v * v)
+        env = SupportHint.decaying(0.0, 1.0)
+        parts = [(smooth, None), (sharp, None), (sharp, square)]
+        family = integrate_radial(parts, n, envelopes=[env] * 3)
+        monkeypatch.undo()
+        last = [retirement_sweep(sweeps, res.panels) for res in family]
+        assert last[0] < min(last[1:]) and max(last) == len(sweeps) - 1
+        live = {"smooth": last[0], "kinked": max(last[1:]), "square": last[2]}
+        for name, until in live.items():
+            assert [s for fn, s in calls if fn == name] == list(range(until + 1)), name
+        for (src, transform), res in zip(parts, family):
+            r, w = gk_rule(res.panels, RadialMeasure(n))
+            v = src(r) if transform is None else transform(src(r), r)
+            assert np.sum(w * v) == pytest.approx(res.value, rel=1e-14)
+
+    def test_each_gaussian_part_keeps_its_own_panels(self):
+        # the sphere-direction rows of one modular are one part: its own
+        # (lo, hi, directions, copies) give its value through gk_rule
+        def wide(x):
+            return np.exp(-0.1 * sum_sq(x))
+
+        env = SupportHint.decaying(3.0, 0.6)
+        found = integrate_gaussian_nd([(bump, None), (wide, None)], 2, envelopes=[env] * 2)
+        assert found[0].panels[0].size != found[1].panels[0].size
+        for res, g in zip(found, (bump, wide)):
+            x, w = gk_rule(res.panels, GaussianMeasure(2))
+            assert np.sum(w * g(x)) == pytest.approx(res.value, rel=1e-14)
+
+    def test_a_family_across_dimensions_weights_each_part_by_its_own(self):
+        # one source at n = 1, 2 and 3 is read once a sweep, and each result
+        # is its own dimension's moment, within its err_est
+        sweeps, reads = [], []
+        plain = quadrature._gk_panels
+
+        def f(r):
+            reads.append(r.size)
+            return np.ones_like(r)
+
+        def counted(fs, lo, hi):
+            sweeps.append(lo.size)
+            return plain(fs, lo, hi)
+
+        env = SupportHint.decaying(0.0, 0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_gk_panels", counted)
+            found = integrate_radial([(f, None)] * 3, [1, 2, 3], envelopes=[env] * 3)
+        assert reads == [15 * p for p in sweeps]
+        for n, res in zip((1, 2, 3), found):
+            assert abs(res.value - moment(n, 0)) <= res.err_est
+            assert res.radius == found[0].radius
+        with pytest.raises(PreconditionError, match="2 dimensions for a family of 3 parts"):
+            integrate_radial([(f, None)] * 3, [1, 2], envelopes=[env] * 3)
