@@ -255,24 +255,20 @@ def _modular_triple(parts, nf: NFunction | Sequence[NFunction], measure,
     """K, L, G from the profile of each, as one family, under the
     N-function nf on the measure, or under each (N-function, measure) pair:
     nf may be a sequence of N-functions and, on the radial side, measure a
-    sequence of measures, and the two pair up in order, a lone one with
-    each of the other's.  Returns the ModularTriple of a lone pair, else
-    one per pair in order.  A modular whose envelope does not decay against
-    the measure is None."""
+    sequence of radial measures; two sequences pair up in order, and a lone
+    N-function or measure pairs with each entry of the other.  Returns the
+    ModularTriple of a lone pair, else one per pair in order.  A modular
+    whose envelope does not decay against the measure is None."""
     nfs = [nf] if isinstance(nf, NFunction) else list(nf)
     single = isinstance(measure, (RadialMeasure, GaussianMeasure))
     if not single:
         measures = list(measure)
-        if len(nfs) == 1:
+        if isinstance(nf, NFunction):
             nfs = nfs * len(measures)
-        elif len(measures) == 1:
-            measures = measures * len(nfs)
         if len(nfs) != len(measures):
             raise PreconditionError(
                 f"{len(nfs)} N-functions and {len(measures)} measures do not pair up")
-        # pairs on one measure are the family on that measure
-        measure = (measures[0] if len(set(measures)) == 1
-                   else [m for m in measures for _ in parts])
+        measure = [m for m in measures for _ in parts]
     results = _modular_family([(profile, m) for m in nfs for profile in parts], measure, spec)
     triples = [ModularTriple(*results[i:i + len(parts)])
                for i in range(0, len(results), len(parts))]

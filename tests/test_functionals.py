@@ -493,7 +493,7 @@ class TestFamiliesSpanningNFunctions:
                      manifest.nfunc("p3"))
         assert (modular_triple_radial(u, p2, [1, 2], spec)
                 == modular_triple_radial(u, [p2, p2], [1, 2], spec))
-        assert (modular_triple_radial(u, [p2, p3], [2], spec)
+        assert (modular_triple_radial(u, [p2, p3], [2, 2], spec)
                 == modular_triple_radial(u, [p2, p3], 2, spec))
         with pytest.raises(PreconditionError, match="2 N-functions and 3 measures"):
             modular_triple_radial(u, [p2, p3], [1, 2, 3], spec)
@@ -740,12 +740,14 @@ class TestNormsFromTheTriple:
 
         def afresh_modulars(norms, nf, measure, *args, **kwargs):
             (L, _), (G, _), (K, _) = norms
-            measures = ([measure] if isinstance(measure, GaussianMeasure)
-                        else [RadialMeasure(n) for n in dims])
-            fresh = functionals._modular_triple(
-                (K, L, G), [m for _ in measures for m in nfs],
-                [meas for meas in measures for _ in nfs], spec)
-            m_K, m_L, m_G = fresh[measures.index(measure) * len(nfs) + nfs.index(nf)]
+            if isinstance(measure, GaussianMeasure):
+                fresh = functionals._modular_triple((K, L, G), nfs, measure, spec)
+                m_K, m_L, m_G = fresh[nfs.index(nf)]
+            else:
+                fresh = functionals._modular_triple(
+                    (K, L, G), [m for _ in dims for m in nfs],
+                    [RadialMeasure(n) for n in dims for _ in nfs], spec)
+                m_K, m_L, m_G = fresh[dims.index(measure.n) * len(nfs) + nfs.index(nf)]
             return original([(L, m_L), (G, m_G), (K, m_K)], nf, measure,
                             *args, **kwargs)
 
