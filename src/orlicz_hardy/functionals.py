@@ -212,7 +212,9 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
     function is called, and its absolute value taken, once per sweep while
     a live part reads it, and so is each distinct transform of it, so the
     parts that read one argument -- under one N-function or several, at one
-    dimension or several -- share it.  Every part's envelope is
+    dimension or several -- share it; so is each N-function's M of each
+    argument, so the parts that differ only in dimension share their
+    integrand, and each takes its own weight.  Every part's envelope is
     composed from its profile's hint and its own N-function's exponents,
     and adds its own tail beyond the shared radius; the panel edges include
     every part's breakpoints.  A part whose envelope does not decay against
@@ -226,14 +228,18 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
     if not live:
         return results
     breakpoints = sorted({float(b) for i in live for b in parts[i][0].breakpoints})
-    magnitudes = {}  # one |f| per distinct profile function
+    magnitudes, ms = {}, {}  # one |f| per distinct profile function, one M per N-function
 
     def magnitude(fn):
         return magnitudes.setdefault(id(fn), lambda x: np.abs(fn(x)))
 
+    def m_of(nf):
+        return ms.setdefault(id(nf), lambda a, x: nf.eval(a))
+
     # (|f|, transform, M): the integrator evaluates each distinct argument
-    # transform(|f|, x) once per sweep, whatever the N-functions that read it
-    rows = [(magnitude(profile.fn), profile.transform, lambda a, x, nf=nf: nf.eval(a))
+    # transform(|f|, x) once per sweep, whatever the N-functions that read
+    # it, and each distinct M of it once, whatever the dimensions that do
+    rows = [(magnitude(profile.fn), profile.transform, m_of(nf))
             for profile, nf in (parts[i] for i in live)]
     envelopes = [envs[i] for i in live]
     if not isinstance(measure, GaussianMeasure):
@@ -252,27 +258,23 @@ def _modular_family(parts, measure, spec: QuadratureSpec) -> list[IntegralResult
 
 def _modular_triple(parts, nf: NFunction | Sequence[NFunction], measure,
                     spec: QuadratureSpec) -> ModularTriple | list[ModularTriple]:
-    """K, L, G from the profile of each, as one family, under the
-    N-function nf on the measure, or under each (N-function, measure) pair:
-    nf may be a sequence of N-functions and, on the radial side, measure a
-    sequence of radial measures; two sequences pair up in order, and a lone
-    N-function or measure pairs with each entry of the other.  Returns the
-    ModularTriple of a lone pair, else one per pair in order.  A modular
-    whose envelope does not decay against the measure is None."""
+    """K, L, G from the profile of each, as one family: under the
+    N-function nf on the measure, a ModularTriple; under each N-function of
+    the sequence nf on the measure, or, on the radial side, on the radial
+    measure of a sequence of the same length paired with it in order, one
+    per N-function in order.  A modular whose envelope does not decay
+    against the measure is None."""
     nfs = [nf] if isinstance(nf, NFunction) else list(nf)
-    single = isinstance(measure, (RadialMeasure, GaussianMeasure))
-    if not single:
+    if not isinstance(measure, (RadialMeasure, GaussianMeasure)):
         measures = list(measure)
-        if isinstance(nf, NFunction):
-            nfs = nfs * len(measures)
-        if len(nfs) != len(measures):
+        if isinstance(nf, NFunction) or len(nfs) != len(measures):
             raise PreconditionError(
                 f"{len(nfs)} N-functions and {len(measures)} measures do not pair up")
         measure = [m for m in measures for _ in parts]
     results = _modular_family([(profile, m) for m in nfs for profile in parts], measure, spec)
     triples = [ModularTriple(*results[i:i + len(parts)])
                for i in range(0, len(results), len(parts))]
-    return triples[0] if single and isinstance(nf, NFunction) else triples
+    return triples[0] if isinstance(nf, NFunction) else triples
 
 
 def modular_triple_radial(u: RadialTestFunction, nf: NFunction | Sequence[NFunction],
@@ -280,12 +282,11 @@ def modular_triple_radial(u: RadialTestFunction, nf: NFunction | Sequence[NFunct
                           ) -> ModularTriple | list[ModularTriple]:
     """K, L, G of a radial profile against dmu_n, as one family: the
     ModularTriple under the NFunction nf at the dimension n or, when nf is
-    a sequence of N-functions or n one of dimensions, the list of the
-    triples of each (N-function, n) pair from one family spanning all of
-    them.  Two sequences pair up in order, and a lone N-function or
-    dimension pairs with each entry of the other sequence.  The integrands
-    M(r |u|), M(|u|) and M(|u'|) do not depend on n: each sweep evaluates
-    them once and weights them once per dimension."""
+    a sequence of N-functions, the list of the triples of each, at n or,
+    when n is a sequence of dimensions as long as nf, at the dimension
+    paired with it in order.  The integrands M(r |u|), M(|u|) and M(|u'|)
+    do not depend on n: each sweep evaluates each of them once, while some
+    dimension's row of it is live, and weights it once per live dimension."""
     measure = RadialMeasure(n) if np.ndim(n) == 0 else [RadialMeasure(d) for d in n]
     return _modular_triple(u.parts()[:3], nf, measure, spec or QuadratureSpec())
 

@@ -249,39 +249,37 @@ def _median(x: np.ndarray):
     return (part[h - 1] + part[h]) / 2.0
 
 
-def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None, splits=64,
-              parts=None):
+def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None, splits=64, *,
+              parts):
     """Adaptive panel subdivision, at most `splits` rounds of it, until every
     part meets its tolerance.
 
-    A row meets its tolerance when its error is within max(abs_tol,
-    rel_tol |value|).  Without `parts` the rows are one part, f(x) gives
-    all of them, and a sweep that leaves some row short splits the panels
-    every row is scored on.  parts = (count, rows) makes them `count` parts
-    of `rows` consecutive rows each: f(x, live) gives the rows of the parts
-    whose indices the ascending list live holds, and a part retires in
-    the sweep where each of its rows meets its tolerance -- its totals,
-    errors and panels are fixed there, and later sweeps neither evaluate
-    nor score it (per-region tolerances, as in Berntsen, Espelid & Genz,
-    ACM TOMS 17, 1991).
+    parts = (count, rows): the rows come in `count` parts of `rows`
+    consecutive rows each, and f(x, live) gives the rows of the parts whose
+    indices the ascending list live holds.  A row meets its tolerance when
+    its error is within max(abs_tol, rel_tol |value|), and a part retires
+    in the sweep where each of its rows meets it: its totals, errors and
+    panels are fixed there, and later sweeps neither evaluate nor score it
+    (per-region tolerances, as in Berntsen, Espelid & Genz, ACM TOMS 17,
+    1991).  A sweep that leaves some live row short splits the panels every
+    live row is scored on.  A lone part never retires before its last
+    sweep, so parts = (1, rows) refines its rows as one.
 
     first is the (vals, errs) that `_gk_panels` gives on the edges' panels,
     when `integrate_runs` has already evaluated them (a piece's two halves).
     Returns (values (m,), errors (m,), converged, panels): converged is
-    True when every part met its tolerance; panels is (lo, hi), the ends of
-    the final panels in the order the values sum their `_gk_panels` totals,
-    or, with parts, the list of each part's own (lo, hi)."""
+    True when every part met its tolerance, and panels lists each part's
+    own (lo, hi), the ends of its final panels in the order its values sum
+    their `_gk_panels` totals."""
+    count, rows = parts
+    live = list(range(count))
+    # each part's totals, errors and panels where it stopped
+    values, errors, panels = np.empty((count, rows)), np.empty((count, rows)), [None] * count
     lo = np.asarray(edges[:-1], dtype=float)
     hi = np.asarray(edges[1:], dtype=float)
-    sweep = f
-    if parts is not None:
-        count, rows = parts
-        live = list(range(count))
-        # each part's totals, errors and panels where it stopped
-        values, errors, panels = np.empty((count, rows)), np.empty((count, rows)), [None] * count
 
-        def sweep(x):
-            return f(x, live)
+    def sweep(x):
+        return f(x, live)
 
     vals, errs = _gk_panels(sweep, lo, hi) if first is None else first
     converged = False
@@ -293,7 +291,7 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None, 
         if met.all():
             converged = True
             break
-        if parts is not None and len(live) > 1:
+        if len(live) > 1:
             done = met if rows == 1 else met.reshape(-1, rows).all(axis=1)
             if done.any():
                 flags = done.tolist()
@@ -322,8 +320,6 @@ def _adaptive(f, edges: np.ndarray, rel_tol: float, abs_tol: float, first=None, 
         lo, hi = nlo, nhi
     if not converged:  # out of splits or panels: the totals of the last sweep
         tot, tot_err = vals.sum(axis=1), errs.sum(axis=1)
-    if parts is None:
-        return tot, tot_err, converged, (lo, hi)
     if len(live) == count:  # no part retired before the others
         return tot, tot_err, converged, [(lo, hi)] * count
     # the parts still refining stop here: met, or short of their tolerance
@@ -399,8 +395,9 @@ def integrate_runs(f, los, his, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
         yield values[:bounds[0]], errors[:bounds[0]], converged[:bounds[0]]
     for (k, i), stop in zip(refine, bounds[1:]):
         halves = [k, k + len(missed)]
-        val, err, conv, _ = _adaptive(f, np.array([mlo[k], mid[k], mhi[k]]), rel_tol, abs_tol,
-                                      (hvals[:, halves], herrs[:, halves]), splits=63)
+        val, err, conv, _ = _adaptive(lambda x, live: f(x), np.array([mlo[k], mid[k], mhi[k]]),
+                                      rel_tol, abs_tol, (hvals[:, halves], herrs[:, halves]),
+                                      splits=63, parts=(1, 1))
         values[i], errors[i], converged[i] = float(val[0]), float(err[0]), conv
         yield values[i:stop], errors[i:stop], converged[i:stop]
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -487,16 +488,52 @@ class TestFamiliesSpanningNFunctions:
                 for (nf_label, _), a, b in zip(nfs, across[i * len(nfs):], own):
                     assert_spanning_agrees_with_single(a, b, (label, nf_label, n))
 
-    def test_a_lone_n_function_or_dimension_pairs_with_each_of_the_other(
-            self, manifest, spec):
+    def test_n_functions_pair_with_a_lone_dimension_or_a_list_as_long(self, manifest, spec):
         u, p2, p3 = (manifest.radial_functions["bump_mid"], manifest.nfunc("p2"),
                      manifest.nfunc("p3"))
-        assert (modular_triple_radial(u, p2, [1, 2], spec)
-                == modular_triple_radial(u, [p2, p2], [1, 2], spec))
         assert (modular_triple_radial(u, [p2, p3], [2, 2], spec)
                 == modular_triple_radial(u, [p2, p3], 2, spec))
         with pytest.raises(PreconditionError, match="2 N-functions and 3 measures"):
             modular_triple_radial(u, [p2, p3], [1, 2, 3], spec)
+        with pytest.raises(PreconditionError, match="1 N-functions and 2 measures"):
+            modular_triple_radial(u, p2, [1, 2], spec)
+
+    def test_each_m_is_evaluated_once_a_sweep_across_dimensions(self, manifest, spec,
+                                                                 monkeypatch):
+        # the family spanning p2 and p3 at n = 1..3 evaluates each
+        # N-function's M of each of K's, L's and G's arguments once a sweep,
+        # in each sweep in which its row at some dimension is live, not once
+        # per dimension
+        u, dims = manifest.radial_functions["bump_mid"], [1, 2, 3]
+        nfs = [manifest.nfunc(label) for label in ("p2", "p3")]
+        sweeps, evals, plain = [], [], quadrature._gk_panels
+
+        def counted_sweep(f, lo, hi):
+            sweeps.append(lo.size)
+            return plain(f, lo, hi)
+
+        def counted(nf):
+            def evaluate(a):
+                evals.append((nf.label, len(sweeps) - 1))
+                return nf.eval(a)
+            return dataclasses.replace(nf, eval=evaluate)
+
+        counted_nfs = [counted(nf) for nf in nfs]
+        monkeypatch.setattr(quadrature, "_gk_panels", counted_sweep)
+        triples = modular_triple_radial(u, [nf for nf in counted_nfs for _ in dims],
+                                        [n for _ in nfs for n in dims], spec)
+        monkeypatch.undo()
+        assert triples == modular_triple_radial(u, [nf for nf in nfs for _ in dims],
+                                                [n for _ in nfs for n in dims], spec)
+        # the sweep after which each (N-function, modular, n) row retired
+        retired = {(nf.label, j, n): retirement_sweep(sweeps, triple[j].panels)
+                   for i, nf in enumerate(nfs) for d, n in enumerate(dims)
+                   for triple in [triples[i * len(dims) + d]] for j in range(3)}
+        expected = Counter((nf.label, s) for nf in nfs for j in range(3)
+                           for s in range(1 + max(retired[nf.label, j, n] for n in dims)))
+        assert Counter(evals) == expected
+        # a row per dimension would have evaluated M more often
+        assert len(evals) < sum(1 + s for s in retired.values())
 
     def test_run_hardy_spans_only_the_admitted_pairs(self, manifest, spec, monkeypatch):
         # one family per radial member, spanning the (N-function, n) pairs

@@ -460,8 +460,8 @@ class TestReturnedPanels:
         def f(x):
             return np.stack([np.cos(k * x) * np.exp(-x * x) for k in range(1, rows + 1)])
 
-        vals, errs, ok, panels = quadrature._adaptive(f, np.array([0.0, 1.0, 6.0]),
-                                                      1e-12, 1e-15)
+        vals, errs, ok, (panels,) = quadrature._adaptive(
+            lambda x, live: f(x), np.array([0.0, 1.0, 6.0]), 1e-12, 1e-15, parts=(1, rows))
         lo, hi = panels
         assert ok and lo.size > 2 and np.all(hi > lo)
         assert np.array_equal(np.sort(lo)[1:], np.sort(hi)[:-1])  # they tile [0, 6]
@@ -655,7 +655,8 @@ class TestIntegrateIntervalBitForBit:
         res = integrate_interval(f, a, b, rel_tol, abs_tol)
         assert (res.value.hex(), res.err_est.hex(), res.converged) == (
             value, err_est, converged)
-        val, err, ok, _ = quadrature._adaptive(f, np.array([a, b]), rel_tol, abs_tol)
+        val, err, ok, _ = quadrature._adaptive(lambda x, live: f(x), np.array([a, b]),
+                                               rel_tol, abs_tol, parts=(1, 1))
         assert (res.value, res.err_est, res.converged) == (float(val[0]), float(err[0]), ok)
 
     def test_missed_pieces_are_halved_in_one_call(self):
@@ -667,8 +668,8 @@ class TestIntegrateIntervalBitForBit:
         sweeps = []
         for lo, hi in zip(edges[:-1], edges[1:]):
             alone = []
-            quadrature._adaptive(lambda x: alone.append(1) or gauss_bump(x),
-                                 np.array([lo, hi]), 1e-10, 1e-14)
+            quadrature._adaptive(lambda x, live: alone.append(1) or gauss_bump(x),
+                                 np.array([lo, hi]), 1e-10, 1e-14, parts=(1, 1))
             sweeps.append(len(alone))
         assert sum(s > 1 for s in sweeps) > 1 and sum(s > 2 for s in sweeps) > 0
         calls = []
