@@ -64,7 +64,6 @@ from .quadrature import (
     SupportHint,
     integrate_gaussian_nd,
     integrate_radial,
-    moment,
 )
 from .sharpness import (
     ExtremalParams,

@@ -172,25 +172,13 @@ def build_radial_function(entry: dict) -> RadialTestFunction:
 
 
 # -- field kinds -------------------------------------------------------------
+#
+# Each field kind is a jet: jet(X, s, orders) maps points X (..., n), their
+# |x|^2 s, and the derivative orders a caller reads (0 for u, 1 for grad u,
+# 2 for hess u) to {order: value}, computing what the orders share -- the
+# envelope, each monomial, partial and window derivative -- once per call.
 
-def _monomial(X: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    out = np.ones(X.shape[:-1])
-    for i, e in enumerate(exps):
-        if e:
-            out = out * X[..., i] ** e
-    return out
-
-
-def _monomial_partial(X: np.ndarray, exps: np.ndarray, i: int) -> np.ndarray:
-    if exps[i] == 0:
-        return np.zeros(X.shape[:-1])
-    lowered = exps.copy()
-    lowered[i] -= 1
-    return exps[i] * _monomial(X, lowered)
-
-
-def _monomial_gauss_field(exponents, rate: float, n: int,
-                          label: str) -> FieldFunction:
+def _monomial_gauss_jet(exponents, rate: float, n: int, label: str):
     """u(x) = x^k exp(-rate |x|^2 / 2), k a multi-index of non-negative
     integers.  Its partial derivative along x_i
     changes sign at |x_i| = sqrt(k_i / rate): the breakpoints.  u, its
@@ -204,55 +192,72 @@ def _monomial_gauss_field(exponents, rate: float, n: int,
     exps[:given.size] = given
     a = float(rate)
     deg = int(exps.sum())
+    # the exponents of each first partial, k - e_i, and of each second
+    # partial on or above the diagonal, k - e_j - e_i, where it is not 0
+    first, second = {}, {}
+    for i in range(n):
+        if exps[i]:
+            first[i] = exps.copy()
+            first[i][i] -= 1
+    for i in range(n):
+        for j in range(i, n):
+            if j in first and first[j][i]:
+                second[i, j] = first[j].copy()
+                second[i, j][i] -= 1
 
-    def u(X):
-        X = np.asarray(X, dtype=float)
-        s = sum_sq(X)
-        return _monomial(X, exps) * np.exp(-0.5 * a * s)
-
-    def grad(X):
-        X = np.asarray(X, dtype=float)
-        s = sum_sq(X)
+    def jet(X, s, orders):
+        top = max(orders)
         env = np.exp(-0.5 * a * s)
-        m = _monomial(X, exps)
-        out = np.empty(X.shape)
-        for i in range(n):
-            out[..., i] = (_monomial_partial(X, exps, i) - a * m * X[..., i]) * env
-        return out
+        xs = [X[..., i] for i in range(n)]
+        power = {}  # (i, e) -> x_i ** e
 
-    def hess(X):
-        X = np.asarray(X, dtype=float)
-        s = sum_sq(X)
-        env = np.exp(-0.5 * a * s)
-        m = _monomial(X, exps)
-        out = np.empty(X.shape + (n,))
+        def monomial(es):
+            """prod_i x_i ** es[i] in order of i, or the float 1.0 if es is 0."""
+            out = None
+            for i, e in enumerate(es):
+                if e:
+                    if (i, e) not in power:
+                        power[i, e] = xs[i] ** e
+                    out = power[i, e] if out is None else out * power[i, e]
+            return 1.0 if out is None else out
+
+        m = monomial(exps)
+        got = {0: m * env} if 0 in orders else {}
+        if top == 0:
+            return got
+        am = a * m
+        # d[i] = the partial of x^k along x_i, a float where it is constant
+        d = [exps[i] * monomial(first[i]) if i in first else 0.0 for i in range(n)]
+        if 1 in orders:
+            g = np.empty(X.shape)
+            for i in range(n):
+                g[..., i] = (d[i] - am * xs[i]) * env
+            got[1] = g
+        if top == 1:
+            return got
+        aam = a * a * m
+        off = am * 0.0  # the a m delta_ij term off the diagonal
+        h = np.empty(X.shape + (n,))
         for i in range(n):
-            di = _monomial_partial(X, exps, i)
+            aam_i = aam * xs[i]
             for j in range(i, n):
-                dj = _monomial_partial(X, exps, j)
-                if exps[j] == 0 or (i == j and exps[i] <= 1):
-                    dij = np.zeros(X.shape[:-1])
-                else:
-                    lowered = exps.copy()
-                    lowered[j] -= 1
-                    dij = exps[j] * _monomial_partial(X, lowered, i)
-                val = (dij - a * (X[..., i] * dj + X[..., j] * di)
-                       - a * m * (1.0 if i == j else 0.0)
-                       + a * a * m * X[..., i] * X[..., j]) * env
-                out[..., i, j] = val
-                out[..., j, i] = val
-        return out
+                dij = (exps[j] * (first[j][i] * monomial(second[i, j]))
+                       if (i, j) in second else 0.0)
+                val = (dij - a * (xs[i] * d[j] + xs[j] * d[i])
+                       - (am if i == j else off) + aam_i * xs[j]) * env
+                h[..., i, j] = val
+                h[..., j, i] = val
+        got[2] = h
+        return got
 
     hint = (SupportHint.decaying(float(deg), a) if a > 0.0
             else SupportHint.decaying(float(deg), 0.0))
     bps = (tuple(sorted({math.sqrt(k / a) for k in exps.tolist() if k > 0}))
            if a > 0.0 else ())
-    return FieldFunction(u=u, grad=grad, hess=hess, n=n, hint=hint, label=label,
-                         breakpoints=bps, symmetry="even")
+    return jet, dict(hint=hint, breakpoints=bps, symmetry="even")
 
 
-def _gauss_poly_radial_field(even_coefficients, rate: float, n: int,
-                             label: str) -> FieldFunction:
+def _gauss_poly_radial_jet(even_coefficients, rate: float, n: int):
     """Radial field u(x) = P(|x|^2) exp(-rate |x|^2 / 2), P by ascending coefs.
     With s = |x|^2, u changes sign where P(s) does and its radial derivative
     where 2 P'(s) - rate P(s) does: the breakpoints are the square roots of
@@ -260,122 +265,140 @@ def _gauss_poly_radial_field(even_coefficients, rate: float, n: int,
     coefs = np.asarray(even_coefficients, dtype=float)
     a = float(rate)
     dcoefs = coefs[1:] * np.arange(1, coefs.size)
+    ddcoefs = dcoefs[1:] * np.arange(1, dcoefs.size)
     polyval = np.polynomial.polynomial.polyval
     slope = np.polynomial.polynomial.polysub(
         2.0 * np.polynomial.polynomial.polyder(coefs), a * coefs)
     bps = tuple(math.sqrt(s) for s in _positive_roots(coefs, slope))
 
-    def parts(X):
-        X = np.asarray(X, dtype=float)
-        s = sum_sq(X)
+    def jet(X, s, orders):
         env = np.exp(-0.5 * a * s)
         p = polyval(s, coefs)
+        got = {0: p * env} if 0 in orders else {}
+        if max(orders) == 0:
+            return got
         dp = polyval(s, dcoefs) if dcoefs.size else np.zeros_like(s)
-        return s, env, p, dp
-
-    def u(X):
-        _, env, p, _ = parts(X)
-        return p * env
-
-    def grad(X):
-        X = np.asarray(X, dtype=float)
-        _, env, p, dp = parts(X)
         q = 2.0 * dp - a * p
-        return (q * env)[..., None] * X
+        if 1 in orders:
+            got[1] = (q * env)[..., None] * X
+        if 2 in orders:
+            ddp = polyval(s, ddcoefs) if ddcoefs.size else np.zeros_like(s)
+            dq = 2.0 * ddp - a * dp
+            r_term = 2.0 * dq - a * q
+            # env (r_term x_i x_j + q delta_ij), entry by entry
+            xs = [X[..., i] for i in range(n)]
+            rx = [r_term * x for x in xs]
+            q_off = q * 0.0
+            h = np.empty(X.shape + (n,))
+            for i in range(n):
+                for j in range(n):
+                    h[..., i, j] = env * (rx[i] * xs[j] + (q if i == j else q_off))
+            got[2] = h
+        return got
 
-    def hess(X):
-        X = np.asarray(X, dtype=float)
-        s, env, p, dp = parts(X)
-        ddp = (polyval(s, dcoefs[1:] * np.arange(1, dcoefs.size))
-               if dcoefs.size > 1 else np.zeros_like(s))
-        q = 2.0 * dp - a * p
-        dq = 2.0 * ddp - a * dp
-        r_term = 2.0 * dq - a * q
-        eye = np.eye(n)
-        return env[..., None, None] * (
-            r_term[..., None, None] * X[..., :, None] * X[..., None, :]
-            + q[..., None, None] * eye)
-
-    return FieldFunction(
-        u=u, grad=grad, hess=hess, n=n,
-        hint=SupportHint.decaying(2.0 * (coefs.size - 1.0), a),
-        label=label, breakpoints=bps, symmetry="radial")
+    return jet, dict(hint=SupportHint.decaying(2.0 * (coefs.size - 1.0), a),
+                     breakpoints=bps, symmetry="radial")
 
 
-def _cutoff_field(inner: FieldFunction, r1: float, r2: float,
-                  label: str) -> FieldFunction:
-    """Multiply a field by a C2 radial cutoff: 1 on [0, r1], 0 beyond r2.
-    The breakpoints are the inner field's below r2, and r1 and r2; the
-    window is radial, so the product keeps the inner field's symmetry."""
+def _window(r: np.ndarray, r1: float, width: float, top: int) -> list:
+    """[chi, chi', chi''][:top + 1] at radii r of the C2 window that is 1 on
+    [0, r1] and 0 beyond r1 + width: 1 minus the smoothstep
+    10 t^3 - 15 t^4 + 6 t^5 of t = (r - r1) / width clipped to [0, 1]."""
+    t = np.clip((r - r1) / width, 0.0, 1.0)
+    # the smoothstep is t itself at t = 0 and 1
+    step = np.array(t)
+    inside = (step > 0.0) & (step < 1.0)
+    ti = step[inside]
+    step[inside] = 10.0 * ti ** 3 - 15.0 * ti ** 4 + 6.0 * ti ** 5
+    out = [1.0 - step]
+    if top >= 1:
+        rest = 1.0 - t
+        out.append(-30.0 * t * t * rest ** 2 / width)
+        if top >= 2:
+            out.append(-60.0 * t * rest * (1.0 - 2.0 * t) / width ** 2)
+    return out
+
+
+def _cutoff_jet(inner, r1: float, r2: float, n: int, label: str):
+    """Multiply a field, given as (jet, declared), by a C2 radial cutoff: 1
+    on [0, r1], 0 beyond r2.  Each call evaluates the inner field once and
+    only the window derivatives its orders read.  The breakpoints are the
+    inner field's below r2, and r1 and r2; the window is radial, so the
+    product keeps the inner field's symmetry."""
     if not (0.0 < r1 < r2):
         raise ManifestError(f"cutoff '{label}' needs 0 < r1 < r2")
+    inner_jet, declared = inner
     width = r2 - r1
 
-    def window(r):
-        t = np.clip((r - r1) / width, 0.0, 1.0)
-        # the smoothstep 10 t^3 - 15 t^4 + 6 t^5, which is t at t = 0 and 1
-        step = np.array(t)
-        inside = (step > 0.0) & (step < 1.0)
-        ti = step[inside]
-        step[inside] = 10.0 * ti ** 3 - 15.0 * ti ** 4 + 6.0 * ti ** 5
-        chi = 1.0 - step
-        dchi = -30.0 * t * t * (1.0 - t) ** 2 / width
-        ddchi = -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / width ** 2
-        return chi, dchi, ddchi
-
-    def u(X):
-        X = np.asarray(X, dtype=float)
-        r = np.sqrt(sum_sq(X))
-        chi, _, _ = window(r)
-        return inner.u(X) * chi
-
-    def grad(X):
-        X = np.asarray(X, dtype=float)
-        r = np.sqrt(sum_sq(X))
-        chi, dchi, _ = window(r)
-        gv = np.asarray(inner.grad(X), dtype=float)
+    def jet(X, s, orders):
+        top = max(orders)
+        r = np.sqrt(s)
+        w = _window(r, r1, width, top)
+        inner_got = inner_jet(X, s, range(top + 1))
+        v = inner_got[0]
+        got = {0: v * w[0]} if 0 in orders else {}
+        if top == 0:
+            return got
+        gv = inner_got[1]
         safe_r = np.where(r > 0.0, r, 1.0)
-        xhat = X / safe_r[..., None]
-        return chi[..., None] * gv + (inner.u(X) * dchi)[..., None] * xhat
+        xhat = [X[..., i] / safe_r for i in range(n)]  # x / |x|
+        gs = [gv[..., i] for i in range(n)]
+        v_dchi = v * w[1]
+        if 1 in orders:
+            g = np.empty(X.shape)
+            for i in range(n):
+                g[..., i] = w[0] * gs[i] + v_dchi * xhat[i]
+            got[1] = g
+        if 2 in orders:
+            # chi H + chi' (xhat g^T + g xhat^T) + v chi'' xhat xhat^T
+            # + (v chi' / r) (I - xhat xhat^T), entry by entry
+            hv = inner_got[2]
+            v_ddchi = v * w[2]
+            v_dchi_r = v_dchi / safe_r
+            h = np.empty(X.shape + (n,))
+            for i in range(n):
+                for j in range(n):
+                    outer = xhat[i] * xhat[j]
+                    h[..., i, j] = (w[0] * hv[..., i, j] + w[1] * (xhat[i] * gs[j] + gs[i] * xhat[j])
+                                    + v_ddchi * outer
+                                    + v_dchi_r * ((1.0 if i == j else 0.0) - outer))
+            got[2] = h
+        return got
 
-    def hess(X):
-        X = np.asarray(X, dtype=float)
-        r = np.sqrt(sum_sq(X))
-        chi, dchi, ddchi = window(r)
-        v = np.asarray(inner.u(X), dtype=float)
-        gv = np.asarray(inner.grad(X), dtype=float)
-        hv = np.asarray(inner.hess(X), dtype=float)
-        safe_r = np.where(r > 0.0, r, 1.0)
-        xhat = X / safe_r[..., None]
-        outer = xhat[..., :, None] * xhat[..., None, :]
-        eye = np.eye(inner.n)
-        sym = xhat[..., :, None] * gv[..., None, :] + gv[..., :, None] * xhat[..., None, :]
-        out = (chi[..., None, None] * hv
-               + dchi[..., None, None] * sym
-               + (v * ddchi)[..., None, None] * outer
-               + (v * dchi / safe_r)[..., None, None] * (eye - outer))
-        return out
-
-    bps = tuple(sorted({b for b in inner.breakpoints if b < r2} | {r1, r2}))
-    return FieldFunction(u=u, grad=grad, hess=hess, n=inner.n,
-                         hint=SupportHint.compact(r2), label=label, breakpoints=bps,
-                         symmetry=inner.symmetry)
+    bps = tuple(sorted({b for b in declared["breakpoints"] if b < r2} | {r1, r2}))
+    return jet, dict(hint=SupportHint.compact(r2), breakpoints=bps,
+                     symmetry=declared["symmetry"])
 
 
-def build_field_function(entry: dict, n: int) -> FieldFunction:
+def _field_jet(entry: dict, n: int):
+    """(jet, declared) of a field entry at dimension n: declared holds the
+    FieldFunction's hint, breakpoints and symmetry."""
     kind = entry.get("kind")
     params = entry.get("params", {})
     label = entry.get("label", kind)
     if kind == "monomial_gauss":
-        return _monomial_gauss_field(params["exponents"], params["rate"], n, label)
+        return _monomial_gauss_jet(params["exponents"], params["rate"], n, label)
     if kind == "gauss_poly_radial":
-        return _gauss_poly_radial_field(params["even_coefficients"],
-                                        params["rate"], n, label)
+        return _gauss_poly_radial_jet(params["even_coefficients"], params["rate"], n)
     if kind == "cutoff":
-        inner = build_field_function({**params["inner"],
-                                      "label": label + "|inner"}, n)
-        return _cutoff_field(inner, float(params["r1"]), float(params["r2"]), label)
+        inner = _field_jet({**params["inner"], "label": label + "|inner"}, n)
+        return _cutoff_jet(inner, float(params["r1"]), float(params["r2"]), n, label)
     raise ManifestError(f"unknown field kind {kind!r} for '{label}'")
+
+
+def build_field_function(entry: dict, n: int) -> FieldFunction:
+    """The field of an entry at dimension n, whose u, grad and hess each
+    read one order of the kind's jet."""
+    jet, declared = _field_jet(entry, n)
+
+    def derivative(order):
+        def value(X):
+            X = np.asarray(X, dtype=float)
+            return jet(X, sum_sq(X), (order,))[order]
+        return value
+
+    return FieldFunction(u=derivative(0), grad=derivative(1), hess=derivative(2), n=n,
+                         label=entry.get("label", entry.get("kind")), **declared)
 
 
 @dataclass

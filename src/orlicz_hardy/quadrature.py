@@ -19,10 +19,11 @@ polynomial/Gaussian envelopes, one per part: each row of the part is assumed
 to be bounded by r^degree * exp(-rate * r^2 / 2).  Each envelope, with the
 dimension of its part's weight, gives a cut radius at which its exact
 Gaussian tail falls below the absolute tolerance; a family's panels run to
-the largest of these, and each row's error adds its part's exact envelope
-tail from that shared radius.
+the largest of these, which is solved only for the envelopes that can set
+it (no other has a degree as high and a rate as low), and each row's error
+adds its part's exact envelope tail from that shared radius.
 
-That tail, and the closed-form moments, need only Gamma functions: ln Gamma
+That tail, and the sphere's surface area, need only Gamma functions: ln Gamma
 is `math.lgamma`, and the regularised upper incomplete gamma Q(s, x) is
 computed here in full double precision -- from the power series of
 P = 1 - Q below x = max(1, s), and from Legendre's continued fraction,
@@ -50,7 +51,6 @@ __all__ = [
     "GaussianMeasure",
     "QuadratureSpec",
     "IntegralResult",
-    "moment",
     "surface_area",
     "truncation_radius",
     "integrate_interval",
@@ -469,15 +469,8 @@ def brent_max(fn, lo: float, hi: float, x: float, fx: float) -> tuple[float, flo
 
 
 # ---------------------------------------------------------------------------
-# Closed-form moments and truncation policy
+# Closed forms and truncation policy
 # ---------------------------------------------------------------------------
-
-def moment(n: int, k: float) -> float:
-    """Exact value of the k-th radial moment: 2^((n+k-2)/2) * Gamma((n+k)/2)."""
-    if n < 1 or k < 0:
-        raise PreconditionError(f"moment requires n >= 1 and k >= 0, got n={n}, k={k}")
-    return math.exp(0.5 * (n + k - 2.0) * math.log(2.0) + math.lgamma(0.5 * (n + k)))
-
 
 def surface_area(n: int) -> float:
     """Surface measure of the unit sphere S^(n-1): 2 pi^(n/2) / Gamma(n/2)."""
@@ -486,8 +479,9 @@ def surface_area(n: int) -> float:
 
 def gaussian_tail_fn(degree: float, rate: float):
     """radii -> the exact tail integrals of r^degree exp(-rate r^2/2) dr over
-    [radius, oo), the Gamma scale computed once: an array of radii (a float
-    as a 0-d array) gives the array of their tails, each its radius's bits.
+    [radius, oo), the Gamma scale computed once: a float radius gives its
+    tail as a float, and an array of radii the array of their tails, each
+    the bits of its radius's float tail.
 
     The tail is 2^((degree-1)/2) rate^(-s) Gamma(s, rate radius^2 / 2) with
     s = (degree + 1)/2.  It needs rate > 0 and degree > -1 (s > 0), as every
@@ -508,6 +502,8 @@ def gaussian_tail_fn(degree: float, rate: float):
                               "overflows the float range") from None
 
     def tail(radius):
+        if isinstance(radius, float):
+            return scale * _gammaincc(s, 0.5 * rate * radius * radius, lgamma_s)
         radii = np.asarray(radius, dtype=float)
         return np.reshape([scale * _gammaincc(s, 0.5 * rate * r * r, lgamma_s)
                            for r in radii.ravel().tolist()], radii.shape)
@@ -579,27 +575,45 @@ def _build_edges(a: float, b: float, points) -> np.ndarray:
     return np.array(sorted(pts))
 
 
-def _resolve_radius(n: int, spec: QuadratureSpec, envelope) -> tuple[float, float, float]:
-    """Returns (R, envelope degree incl. measure, total Gaussian rate).  R is
-    at most MAX_RADIUS, past which the weight exp(-r^2/2) is subnormal while
-    f may overflow; the envelope's exact tail from R stays in the error."""
+def _resolve_envelope(n: int, envelope) -> tuple[float, float, float]:
+    """(degree, rate, radius) of an envelope times the measure's r^(n-1)
+    exp(-r^2/2): a compact envelope has degree 0, rate inf and its own
+    radius; a decaying one radius 0, its cut radius left to
+    `_shared_radius`."""
     if envelope is None:
         envelope = SupportHint.decaying(8.0, 1.0)
     if envelope.kind == "compact":
-        return float(envelope.radius), 0.0, math.inf
-    deg = envelope.degree + (n - 1)
+        return 0.0, math.inf, float(envelope.radius)
     rate = 1.0 + envelope.rate
     if rate <= 0.0:
         raise DivergenceError(
             f"integrand envelope does not decay (net Gaussian rate {rate:.3g} <= 0)")
-    return min(truncation_radius(deg, rate, spec.abs_tol), MAX_RADIUS), deg, rate
+    return envelope.degree + (n - 1), rate, 0.0
+
+
+def _shared_radius(resolved, abs_tol: float) -> float:
+    """The largest cut radius of the resolved (degree, rate, radius)
+    envelopes: a compact one's radius, and for a decaying one the
+    `truncation_radius` at abs_tol, at most MAX_RADIUS, past which the
+    weight exp(-r^2/2) is subnormal while f may overflow.  That radius grows
+    with the degree and falls with the rate, so it is solved only for the
+    (degree, rate) pairs no other pair dominates, with a degree as high and
+    a rate as low."""
+    cuts = [radius for _, rate, radius in resolved if not math.isfinite(rate)]
+    lowest = math.inf  # the lowest rate among the pairs of higher degree
+    for deg, rate in sorted({(deg, rate) for deg, rate, _ in resolved if math.isfinite(rate)},
+                            key=lambda pair: (-pair[0], pair[1])):
+        if rate < lowest:
+            cuts.append(min(truncation_radius(deg, rate, abs_tol), MAX_RADIUS))
+            lowest = rate
+    return max(cuts)
 
 
 def _radial_seeds(radius: float, resolved) -> list[float]:
     """Interior edges: halvings of the shared radius, and the peak
     sqrt(degree / rate) of each decaying envelope."""
     seeds = [radius * 2.0 ** (-j) for j in range(1, 7)]
-    for _, deg, rate in resolved:
+    for deg, rate, _ in resolved:
         if math.isfinite(rate) and rate > 0 and deg > 0:
             seeds.append(math.sqrt(deg / rate))
     return seeds
@@ -692,8 +706,8 @@ def integrate_radial_family(fs, n, spec: QuadratureSpec | None = None, *,
         raise PreconditionError(f"dimension must be >= 1, got {min(dims)}")
     pairs = list(zip(envelopes, dims))
     # each distinct (envelope, n) is resolved once
-    resolved = {pair: _resolve_radius(pair[1], spec, pair[0]) for pair in dict.fromkeys(pairs)}
-    radius = max(r for r, _, _ in resolved.values())
+    resolved = {pair: _resolve_envelope(pair[1], pair[0]) for pair in dict.fromkeys(pairs)}
+    radius = _shared_radius(resolved.values(), spec.abs_tol)
     levels = sorted({d for _, d in pairs})
     # each part's place in levels, when the parts span several dimensions
     level = np.array([levels.index(d) for _, d in pairs]) if len(levels) > 1 else None
@@ -713,9 +727,10 @@ def integrate_radial_family(fs, n, spec: QuadratureSpec | None = None, *,
                          (*breakpoints, *_radial_seeds(radius, resolved.values())))
     vals, errs, ok, panels = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol,
                                        parts=(len(pairs), rows))
-    tails = {pair: 0.0 if not math.isfinite(rate) else float(gaussian_tail_fn(deg, rate)(radius))
-             for pair, (_, deg, rate) in resolved.items()}
-    tail_of = np.array([tails[pair] for pair in pairs])
+    # each distinct (degree, rate) has one tail from the shared radius
+    tails = {(deg, rate): 0.0 if not math.isfinite(rate) else gaussian_tail_fn(deg, rate)(radius)
+             for deg, rate, _ in resolved.values()}
+    tail_of = np.array([tails[resolved[pair][:2]] for pair in pairs])
     return vals, errs + (tail_of if rows == 1 else tail_of.repeat(rows)), radius, ok, panels
 
 

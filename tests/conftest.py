@@ -1,10 +1,12 @@
 import itertools
+import math
 import shlex
 from pathlib import Path
 
 import pytest
 
 from orlicz_hardy.corpus import build_radial_function, load_manifest
+from orlicz_hardy.errors import PreconditionError
 from orlicz_hardy.quadrature import QuadratureSpec
 
 ROOT = Path(__file__).parent.parent
@@ -31,6 +33,14 @@ def from_the_root(argv: list) -> list:
     """argv with each word that names a file under the repository root made
     absolute: the workflow runs from the root, and reads path arguments there."""
     return [str(ROOT / word) if (ROOT / word).is_file() else word for word in argv]
+
+
+def moment(n: int, k: float) -> float:
+    """The exact k-th radial moment, the quadrature tests' reference: the
+    integral of r^(n-1+k) exp(-r^2/2) over [0, oo), 2^((n+k-2)/2) Gamma((n+k)/2)."""
+    if n < 1 or k < 0:
+        raise PreconditionError(f"moment requires n >= 1 and k >= 0, got n={n}, k={k}")
+    return math.exp(0.5 * (n + k - 2.0) * math.log(2.0) + math.lgamma(0.5 * (n + k)))
 
 
 def retirement_sweep(sweeps: list, panels) -> int:

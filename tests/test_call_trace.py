@@ -32,7 +32,6 @@ NOT_IN_A_BATTERY = {
     ("sharpness", "stirling_ratio"): "acceptance criterion 6 names it",
     ("functionals", "modular_value"):
         "acceptance criterion 11 and the Luxemburg reference tests use it",
-    ("quadrature", "moment"): "the exact reference of the quadrature tests",
 }
 
 CO_OPTIMIZED = 0x1  # set on function code, unset on module and class bodies

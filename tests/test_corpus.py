@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from conftest import radial_profile
+from field_oracle import oracle
 
 from orlicz_hardy import corpus
 from orlicz_hardy.corpus import (
@@ -16,7 +17,7 @@ from orlicz_hardy.corpus import (
     load_manifest,
 )
 from orlicz_hardy.errors import CertificationError, ManifestError, PreconditionError
-from orlicz_hardy.functionals import FieldFunction, modular_triple_nd
+from orlicz_hardy.functionals import modular_triple_nd
 from orlicz_hardy.hardy import check_hn1
 from orlicz_hardy.nfunc import GridSpec, NFunction, certify
 
@@ -156,15 +157,18 @@ class TestRejection:
                                                                   monkeypatch):
         # no packaged kind builds one, so a monomial_gauss member builds
         # u = (x_1 + 1) exp(-|x|^2 / 2), declared even as the kind is
-        plain = corpus._monomial_gauss_field
+        plain = corpus._monomial_gauss_jet
 
         def shifted(exponents, rate, n, label):
-            a, b = plain(exponents, rate, n, label), plain([0], rate, n, label)
-            return FieldFunction(u=lambda X: a.u(X) + b.u(X),
-                                 grad=lambda X: a.grad(X) + b.grad(X),
-                                 n=n, label=label, symmetry="even")
+            (a, declared), (b, _) = plain(exponents, rate, n, label), plain([0], rate, n, label)
 
-        monkeypatch.setattr(corpus, "_monomial_gauss_field", shifted)
+            def jet(X, s, orders):
+                got_a, got_b = a(X, s, orders), b(X, s, orders)
+                return {order: got_a[order] + got_b[order] for order in got_a}
+
+            return jet, declared
+
+        monkeypatch.setattr(corpus, "_monomial_gauss_jet", shifted)
         path = write_manifest(tmp_path, {"schema": 1, "field_functions": [
             {"label": "odd", "kind": "monomial_gauss",
              "params": {"exponents": [1], "rate": 1.0}}]})
@@ -282,3 +286,96 @@ class TestBuilders:
     def test_fingerprint_stable(self):
         entry = {"label": "p3", "kind": "power", "params": {"p": 3}}
         assert fingerprint(entry) == fingerprint(json.loads(json.dumps(entry)))
+
+
+# Field kinds whose jets must reproduce the per-derivative formulas of
+# `field_oracle`: monomials at rates 0 and 0.5 (x^0 among them, the empty
+# product), a radial polynomial, and a cutoff of each, its ramp on
+# 2 < |x| < 3.
+MONOMIALS = [{"kind": "monomial_gauss", "params": {"exponents": list(k), "rate": rate}}
+             for k in ((0,), (1,), (2,), (1, 1), (0, 3)) for rate in (0.0, 0.5)]
+RADIAL = {"kind": "gauss_poly_radial",
+          "params": {"even_coefficients": [1.0, 0.5, -0.25], "rate": 1.0}}
+KERNEL_KINDS = MONOMIALS + [RADIAL] + [
+    {"kind": "cutoff", "params": {"r1": 2.0, "r2": 3.0, "inner": inner}}
+    for inner in MONOMIALS + [RADIAL]]
+
+
+def _kind_id(entry):
+    params = entry["params"]
+    if entry["kind"] == "cutoff":
+        return "cutoff-" + _kind_id(params["inner"])
+    if entry["kind"] == "monomial_gauss":
+        return f"x{params['exponents']}-rate{params['rate']}".replace(" ", "")
+    return "radial"
+
+
+def roberts_points(n):
+    """The origin, and Roberts' R sequence directions at radii inside the
+    window (|x| < 2), on its ramp (2 < |x| < 3) and beyond it (|x| >= 3),
+    as a (4, 16, n) block."""
+    g = 2.0
+    for _ in range(60):
+        g = (1.0 + g) ** (1.0 / (n + 1))
+    dirs = 2.0 * ((0.5 + np.outer(np.arange(1, 65), g ** -np.arange(1.0, n + 1))) % 1.0) - 1.0
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = np.resize([0.3, 1.1, 1.9, 2.05, 2.4, 2.5, 2.75, 2.95, 3.0, 4.2, 7.5], 64)
+    radii[0] = 0.0
+    return (dirs * radii[:, None]).reshape(4, 16, n)
+
+
+class TestFieldKernels:
+    @pytest.mark.parametrize("entry, n", [
+        pytest.param(entry, n, id=f"{_kind_id(entry)}-n{n}")
+        for entry in KERNEL_KINDS for n in (1, 2, 3) if n >= corpus._field_min_n(entry)])
+    def test_u_grad_and_hess_are_the_oracles_bit_for_bit(self, entry, n):
+        # each kind evaluates its derivatives from intermediates it shares
+        # within a call; every element keeps the oracle's arithmetic, signed
+        # zeros included
+        X = roberts_points(n)
+        r = np.linalg.norm(X, axis=-1)
+        assert (r == 0.0).any() and ((2.0 < r) & (r < 3.0)).any() and (r >= 3.0).any()
+        field = build_field_function(entry, n)
+        for name, got, want in zip(("u", "grad", "hess"), (field.u, field.grad, field.hess),
+                                   oracle(entry, n)):
+            a, b = got(X), want(X)
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+class TestCutoffReadsItsInnerFieldOnce:
+    @pytest.mark.parametrize("inner", [
+        {"kind": "monomial_gauss", "params": {"exponents": [1, 1], "rate": 0.5}}, RADIAL],
+        ids=_kind_id)
+    def test_each_derivative_evaluates_the_inner_field_once(self, monkeypatch, inner):
+        # u evaluates the inner value and the window alone; grad and hess
+        # each read the inner field's jet once, and the window's
+        # derivatives up to their own order
+        inner_calls, windows = [], []
+        plain_jet, plain_window = corpus._field_jet, corpus._window
+
+        def field_jet(entry, n):
+            jet, declared = plain_jet(entry, n)
+            if entry["label"].endswith("|inner"):
+                def counted(X, s, orders):
+                    inner_calls.append(tuple(orders))
+                    return jet(X, s, orders)
+                return counted, declared
+            return jet, declared
+
+        def window(r, r1, width, top):
+            got = plain_window(r, r1, width, top)
+            windows.append(len(got))
+            return got
+
+        monkeypatch.setattr(corpus, "_field_jet", field_jet)
+        monkeypatch.setattr(corpus, "_window", window)
+        field = build_field_function(
+            {"label": "c", "kind": "cutoff", "params": {"r1": 2.0, "r2": 3.0, "inner": inner}}, 2)
+        X = roberts_points(2)
+        for derivative, orders in (("u", (0,)), ("grad", (0, 1)), ("hess", (0, 1, 2))):
+            inner_calls.clear()
+            windows.clear()
+            getattr(field, derivative)(X)
+            assert inner_calls == [orders], derivative
+            assert windows == [len(orders)], derivative

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import retirement_sweep
+from conftest import moment, retirement_sweep
 
 from orlicz_hardy import quadrature
 from orlicz_hardy.errors import DivergenceError, EvaluationError, PreconditionError
@@ -24,7 +24,6 @@ from orlicz_hardy.quadrature import (
     integrate_radial,
     integrate_radial_family,
     integrate_runs,
-    moment,
     sphere_directions,
     sum_sq,
     surface_area,
@@ -92,7 +91,7 @@ class TestGammaOracle:
 
     def test_tail_maps_an_array_and_a_float_alike(self):
         # each element is the scalar formula's bits at its radius; a float
-        # gives a 0-d array
+        # gives a float, by the same formula
         degree, rate = 2.5, 0.8
         s, lgamma_s = 0.5 * (degree + 1.0), math.lgamma(0.5 * (degree + 1.0))
         scale = math.exp(0.5 * (degree - 1.0) * math.log(2.0) - s * math.log(rate) + lgamma_s)
@@ -100,7 +99,7 @@ class TestGammaOracle:
         tail = gaussian_tail_fn(degree, rate)
         assert tail(radii).tolist() == [scale * _gammaincc(s, 0.5 * rate * r * r, lgamma_s)
                                         for r in radii.tolist()]
-        assert tail(3.0).shape == () and float(tail(float(radii[60]))) == tail(radii)[60]
+        assert type(tail(3.0)) is float and tail(float(radii[60])) == tail(radii)[60]
         assert tail(radii.reshape(12, 20)).tolist() == tail(radii).reshape(12, 20).tolist()
 
     def test_closed_forms_match_loggamma(self):
@@ -195,6 +194,26 @@ class TestRadial:
         assert res.err_est >= gaussian_tail_fn(0.0, 0.1)(MAX_RADIUS) > 0.0
         exact = math.sqrt(5.0 * math.pi)
         assert abs(res.value - exact) <= res.err_est
+
+    def test_a_familys_radius_is_the_largest_over_every_pair(self):
+        # the radius is solved only for the (degree, rate) pairs that no
+        # other pair dominates, with a degree as high and a rate as low;
+        # over seeded families drawn from a grid of envelopes and dimensions,
+        # it is the largest radius solved over every pair, bit for bit
+        rng = np.random.default_rng(5)
+        envelopes = [SupportHint.decaying(deg, rate) for deg in np.arange(0.0, 12.25, 0.25)
+                     for rate in (-0.75, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0)]
+        envelopes += [SupportHint.compact(r) for r in (2.0, 9.0, 45.0)]
+        for tol in (1e-16, 1e-14, 1e-10):
+            for _ in range(300):
+                picks = rng.integers(0, len(envelopes), size=rng.integers(1, 30))
+                dims = rng.integers(1, 4, size=picks.size)
+                resolved = [quadrature._resolve_envelope(int(n), envelopes[i])
+                            for i, n in zip(picks, dims)]
+                every = max(radius if not math.isfinite(rate)
+                            else min(truncation_radius(deg, rate, tol), MAX_RADIUS)
+                            for deg, rate, radius in resolved)
+                assert quadrature._shared_radius(resolved, tol) == every
 
 
 def radial(f, n, spec=None, envelope=None, **kwargs):
