@@ -498,11 +498,34 @@ def _log_secant(modular, m1: float, d: float, D: float, norm_tol: float,
 # Truncation operator
 # ---------------------------------------------------------------------------
 
+def _sign_changes(g, lo: float, hi: float) -> list[float]:
+    """The radii in (lo, hi) where g changes sign between consecutive
+    nonzero values of 256 equally spaced samples, each bisected until no
+    float lies inside its bracket or g is 0 at the midpoint."""
+    r = np.linspace(lo, hi, 258)[1:-1]
+    v = np.asarray(g(r), dtype=float)
+    nonzero = np.flatnonzero(v)
+    roots = []
+    for i, j in zip(nonzero[:-1], nonzero[1:]):
+        if (v[i] > 0.0) == (v[j] > 0.0):
+            continue
+        a, b = float(r[i]), float(r[j])
+        m = 0.5 * (a + b)
+        while a < m < b and (vm := float(g(np.array([m]))[0])) != 0.0:
+            a, b = (m, b) if (vm > 0.0) == (v[i] > 0.0) else (a, m)
+            m = 0.5 * (a + b)
+        roots.append(m)
+    return roots
+
+
 def truncate(u: RadialTestFunction, cutoff: float) -> RadialTestFunction:
     """Taper u to compact support: u on [0, N], ((2N-r)/N) u on [N, 2N], 0 beyond.
 
     The derivative on (N, 2N) follows the product rule:
-    u_N'(r) = ((2N-r)/N) u'(r) - u(r)/N.
+    u_N'(r) = ((2N-r)/N) u'(r) - u(r)/N.  Where it changes sign there,
+    |u_N'| has a kink that the inner profile's breakpoints do not name, so
+    those radii, found by scan and bisection, are breakpoints too; u_N
+    changes sign on (N, 2N) only where u does.
     """
     if cutoff < 1.0:
         raise PreconditionError(f"truncation cutoff must be >= 1, got {cutoff}")
@@ -524,7 +547,7 @@ def truncate(u: RadialTestFunction, cutoff: float) -> RadialTestFunction:
                         np.where(r < 2.0 * big_n, taper * dbase - base / big_n, 0.0))
 
     bps = sorted({float(b) for b in u.breakpoints if b < 2.0 * big_n}
-                 | {big_n, 2.0 * big_n})
+                 | {big_n, 2.0 * big_n} | set(_sign_changes(du_fn, big_n, 2.0 * big_n)))
     return RadialTestFunction(
         u=u_fn, du=du_fn, breakpoints=tuple(bps),
         hint=SupportHint.compact(2.0 * big_n),

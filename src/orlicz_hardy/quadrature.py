@@ -609,14 +609,13 @@ def _shared_radius(resolved, abs_tol: float) -> float:
     return max(cuts)
 
 
-def _radial_seeds(radius: float, resolved) -> list[float]:
-    """Interior edges: halvings of the shared radius, and the peak
-    sqrt(degree / rate) of each decaying envelope."""
-    seeds = [radius * 2.0 ** (-j) for j in range(1, 7)]
-    for deg, rate, _ in resolved:
-        if math.isfinite(rate) and rate > 0 and deg > 0:
-            seeds.append(math.sqrt(deg / rate))
-    return seeds
+def _radial_seeds(radius: float) -> list[float]:
+    """Interior edges: the shared radius cut in eighths.  Whatever the
+    envelopes, a family starts on eight equal panels of [0, radius] and
+    its declared breakpoints: most of a Gaussian-weighted modular's mass
+    lies at r of 1 to 3, and the eighths of a radius of 7 to 10 put panels
+    about 1 wide there from the first sweep."""
+    return [radius * k / 8.0 for k in range(1, 8)]
 
 
 def _stacked(parts, rows: int, at=None):
@@ -694,7 +693,9 @@ def integrate_radial_family(fs, n, spec: QuadratureSpec | None = None, *,
     part; each sweep computes exp(-r^2/2) once and weights a part's rows by
     r^(n-1) of its own n.  The panels run to the largest truncation radius
     of the parts' (envelope, n) pairs, and each row's error adds its part's
-    exact envelope tail from that radius.  Returns (values (m,), errors
+    exact envelope tail from that radius.  The first sweep takes that radius
+    cut in eighths (`_radial_seeds`) and the breakpoints inside it; the
+    envelopes set only the radius and the tails.  Returns (values (m,), errors
     (m,), radius, converged, panels): converged is True when every part
     met its tolerance, and panels holds each part's own (lo, hi)."""
     spec = spec or QuadratureSpec()
@@ -724,7 +725,7 @@ def integrate_radial_family(fs, n, spec: QuadratureSpec | None = None, *,
         return vals * np.repeat(w[level[live]], rows, axis=0)
 
     edges = _build_edges(0.0, radius,
-                         (*breakpoints, *_radial_seeds(radius, resolved.values())))
+                         (*breakpoints, *_radial_seeds(radius)))
     vals, errs, ok, panels = _adaptive(weighted, edges, spec.rel_tol, spec.abs_tol,
                                        parts=(len(pairs), rows))
     # each distinct (degree, rate) has one tail from the shared radius

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,12 @@ from orlicz_hardy.errors import CertificationError, ManifestError, PreconditionE
 from orlicz_hardy.functionals import modular_triple_nd
 from orlicz_hardy.hardy import check_hn1
 from orlicz_hardy.nfunc import GridSpec, NFunction, certify
+
+
+# every packaged or example manifest that declares radial members
+MANIFESTS = [default_manifest_path()] + [
+    path for path in sorted((Path(__file__).parent.parent / "docs" / "examples").glob("*.json"))
+    if "radial_functions" in json.loads(path.read_text())]
 
 
 def write_manifest(tmp_path, payload, name="manifest.json"):
@@ -282,6 +289,27 @@ class TestBuilders:
             {"kind": "gauss_poly_radial",
              "params": {"even_coefficients": [-1.0, 1.0], "rate": 1.0}}, "fr"),
         ).breakpoints == pytest.approx(radial_field.breakpoints)
+
+    @pytest.mark.parametrize("path", MANIFESTS, ids=lambda p: p.name)
+    def test_every_sign_change_of_a_radial_member_is_a_breakpoint(self, path):
+        # between consecutive nonzero samples of opposite sign on a grid of
+        # step at most 1e-3, u or u' has a root: a declared breakpoint lies
+        # in that bracket; trunc_mild's u' changes sign at 4 + sqrt(12)
+        found, radial = 0, load_manifest(path).radial_functions
+        for label, fn in radial.items():
+            hi = fn.hint.radius if fn.hint.kind == "compact" else 12.0
+            r = np.linspace(0.0, hi, int(hi * 1000) + 1)[1:]
+            bps = np.asarray(fn.breakpoints)
+            for name, g in (("u", fn.u), ("du", fn.du)):
+                v = np.asarray(g(r), dtype=float)
+                nonzero = np.flatnonzero(v)
+                for i, j in zip(nonzero[:-1], nonzero[1:]):
+                    if (v[i] > 0.0) != (v[j] > 0.0):
+                        assert np.any((r[i] <= bps) & (bps <= r[j])), (label, name, r[i])
+                        found += 1
+        assert found == 4
+        assert radial["trunc_mild"].breakpoints[1] == pytest.approx(4.0 + np.sqrt(12.0),
+                                                                   rel=1e-15)
 
     def test_fingerprint_stable(self):
         entry = {"label": "p3", "kind": "power", "params": {"p": 3}}

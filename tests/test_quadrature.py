@@ -467,6 +467,64 @@ def count_sweeps(monkeypatch):
     return sweeps
 
 
+class TestFirstSweep:
+    # envelopes whose peaks sqrt(degree / rate) lie all over [0, R], a
+    # compact one, and dimensions 1 to 3: none of them adds a first edge
+    ENVELOPES = [
+        [SupportHint.decaying(0.0, 1.0)],
+        [SupportHint.decaying(8.0, 1.0), SupportHint.decaying(2.0, 0.25),
+         SupportHint.decaying(30.0, 3.0)],
+        [SupportHint.compact(5.0), SupportHint.decaying(4.0, 0.5)],
+        [SupportHint.compact(2.5)],
+    ]
+
+    @staticmethod
+    def first_sweep(monkeypatch):
+        """The (lo, hi) of the first `_gk_panels` call from here on."""
+        calls, plain = [], quadrature._gk_panels
+
+        def recorded(f, lo, hi):
+            calls.append((lo.copy(), hi.copy()))
+            return plain(f, lo, hi)
+
+        monkeypatch.setattr(quadrature, "_gk_panels", recorded)
+        return calls
+
+    @staticmethod
+    def eighths(radius, breakpoints):
+        inside = [b for b in breakpoints if 0.0 < b < radius]
+        edges = np.unique([radius * k / 8.0 for k in range(9)] + inside)
+        return edges[:-1], edges[1:]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, [1, 3]])
+    @pytest.mark.parametrize("case", range(len(ENVELOPES)))
+    @pytest.mark.parametrize("breakpoints", [(), (0.7, 3.3, 1e9)])
+    def test_a_radial_family_starts_on_eighths_of_its_radius(self, monkeypatch, n, case,
+                                                             breakpoints):
+        envelopes = self.ENVELOPES[case]
+        if np.ndim(n):
+            envelopes = envelopes * len(n)
+            n = [d for d in n for _ in self.ENVELOPES[case]]
+        calls = self.first_sweep(monkeypatch)
+        fs = lambda r, live: np.tile(np.exp(-0.1 * r * r), (len(live), 1))
+        *_, radius, _, _ = integrate_radial_family(fs, n, envelopes=envelopes,
+                                                   breakpoints=breakpoints)
+        lo, hi = calls[0]
+        want_lo, want_hi = self.eighths(radius, breakpoints)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+    @pytest.mark.parametrize("symmetry", ["none", "even", "radial"])
+    def test_a_gaussian_family_starts_on_eighths_of_its_radius(self, monkeypatch, symmetry):
+        calls = self.first_sweep(monkeypatch)
+        envelopes = self.ENVELOPES[1][:2]
+        found = integrate_gaussian_nd([(bump, None), (bump, lambda v, x: np.abs(v))], 2,
+                                      envelopes=envelopes, breakpoints=(1.5,),
+                                      symmetry=symmetry)
+        lo, hi = calls[0]
+        want_lo, want_hi = self.eighths(found[0].radius, (1.5,))
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
 def gauss_bump(x):
     return np.exp(-50.0 * (np.asarray(x, float) - 0.3) ** 2)
 
@@ -802,14 +860,16 @@ class TestRetiredParts:
 
     def test_each_gaussian_part_keeps_its_own_panels(self):
         # the sphere-direction rows of one modular are one part: its own
-        # (lo, hi, directions, copies) give its value through gk_rule
-        def wide(x):
-            return np.exp(-0.1 * sum_sq(x))
+        # (lo, hi, directions, copies) give its value through gk_rule; bump
+        # retires on the first sweep's eight panels, ripple in a later one
+        def ripple(x):
+            s = sum_sq(x)
+            return np.cos(3.0 * np.sqrt(s)) * np.exp(-0.1 * s)
 
         env = SupportHint.decaying(3.0, 0.6)
-        found = integrate_gaussian_nd([(bump, None), (wide, None)], 2, envelopes=[env] * 2)
+        found = integrate_gaussian_nd([(bump, None), (ripple, None)], 2, envelopes=[env] * 2)
         assert found[0].panels[0].size != found[1].panels[0].size
-        for res, g in zip(found, (bump, wide)):
+        for res, g in zip(found, (bump, ripple)):
             x, w = gk_rule(res.panels, GaussianMeasure(2))
             assert np.sum(w * g(x)) == pytest.approx(res.value, rel=1e-14)
 
